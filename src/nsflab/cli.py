@@ -21,7 +21,7 @@ import numpy as np
 from . import config as configmod
 from . import experiments, relenergy, reports, solver, testfuns, thermo, transport, young
 from . import grid as gridmod
-from .manufactured import grid_points, manufactured, profile_names
+from .manufactured import manufactured, profile_names
 
 __all__ = ["main", "OUTPUT_ENV"]
 
@@ -147,13 +147,11 @@ def cmd_mv_check(args) -> int:
     tm = configmod.build_transport(cfg)
     profile = cfg["solver"]["profile"]
     sol = manufactured(profile, model, tm)
-    dim = 2 if profile == "radiative_decay" else 1
+    dim = sol.dim
     grid = gridmod.Grid(cells=(args.cells,) * dim)
     rho0, u0, th0 = sol.on_grid(grid, 0.0)
     init = solver.FlowState(grid=grid, rho=rho0, u=u0, theta=th0, t=0.0)
-    scfg = solver.SolverConfig(cfl=cfg["solver"]["cfl"],
-                               t_end=cfg["solver"]["t_end"],
-                               save_every=cfg["solver"]["save_every"])
+    scfg = configmod.build_solver_config(cfg)
     traj = solver.simulate(grid, scfg, model, tm, boundary=sol.boundary,
                            initial=init)
     V = young.dirac_from_trajectory(traj)
@@ -211,27 +209,9 @@ def cmd_relenergy(args) -> int:
     tm = configmod.build_transport(cfg)
     profile = cfg["solver"]["profile"]
     sol = manufactured(profile, model, tm)
-    dim = 2 if profile == "radiative_decay" else 1
-    grid = gridmod.Grid(cells=(args.cells,) * dim)
-
-    pts = grid_points(grid)
-    rho0, u0, th0 = sol.on_grid(grid, 0.0)
-    if dim == 1:
-        x = pts[..., 0]
-        bump_rho, bump = np.sin(2 * np.pi * x), np.sin(np.pi * x)
-        du = bump[..., None]
-    else:
-        x, y = pts[..., 0], pts[..., 1]
-        bump_rho = np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-        bump = np.sin(np.pi * x) * np.sin(np.pi * y)
-        du = np.stack([bump, -0.5 * bump], axis=-1)
-    init = solver.FlowState(grid=grid, rho=rho0 + args.eps * bump_rho,
-                            u=u0 + args.eps * du,
-                            theta=th0 + args.eps * bump, t=0.0)
-    scfg = solver.SolverConfig(cfl=cfg["solver"]["cfl"],
-                               t_end=cfg["solver"]["t_end"],
-                               save_every=cfg["solver"]["save_every"],
-                               source=sol)
+    grid = gridmod.Grid(cells=(args.cells,) * sol.dim)
+    init = experiments.perturbed_state(sol, grid, args.eps)
+    scfg = configmod.build_solver_config(cfg, sol)
     traj = solver.simulate(grid, scfg, model, tm, boundary=sol.boundary,
                            initial=init)
     V = young.dirac_from_trajectory(traj)
@@ -296,19 +276,27 @@ def _experiment_config(args, theorem: Optional[str]) -> configmod.RunConfig:
     return cfg
 
 
-def cmd_wsu(args) -> int:
-    cfg = _experiment_config(args, args.theorem)
-    out = _resolve_out(args, "wsu")
-    _echo_config(cfg, out)
+def _gated_spec(cfg: configmod.RunConfig, out: str,
+                command: str) -> Optional[experiments.ExperimentSpec]:
+    """The study spec, or None once a gate rejection verdict is written."""
     try:
-        spec = configmod.build_experiment_spec(cfg)
+        return configmod.build_experiment_spec(cfg)
     except experiments.HypothesisGateError as err:
         reports.write_verdicts(os.path.join(out, "verdict.json"), {
             "ok": False, "accepted": False, "theorem": err.gate.theorem,
             "reasons": list(err.gate.reasons),
         })
         print(str(err), file=sys.stderr)
-        _status(False, "wsu", "hypothesis gate rejected the configuration")
+        _status(False, command, "hypothesis gate rejected the configuration")
+        return None
+
+
+def cmd_wsu(args) -> int:
+    cfg = _experiment_config(args, args.theorem)
+    out = _resolve_out(args, "wsu")
+    _echo_config(cfg, out)
+    spec = _gated_spec(cfg, out, "wsu")
+    if spec is None:
         return 1
 
     rep = experiments.run_theorem(spec)
@@ -335,15 +323,8 @@ def cmd_apriori(args) -> int:
     cfg = _experiment_config(args, "apriori")
     out = _resolve_out(args, "apriori")
     _echo_config(cfg, out)
-    try:
-        spec = configmod.build_experiment_spec(cfg)
-    except experiments.HypothesisGateError as err:
-        reports.write_verdicts(os.path.join(out, "verdict.json"), {
-            "ok": False, "accepted": False, "theorem": err.gate.theorem,
-            "reasons": list(err.gate.reasons),
-        })
-        print(str(err), file=sys.stderr)
-        _status(False, "apriori", "hypothesis gate rejected the configuration")
+    spec = _gated_spec(cfg, out, "apriori")
+    if spec is None:
         return 1
 
     rep = experiments.run_apriori(spec, c_fixed=args.c_fixed)
@@ -368,15 +349,8 @@ def cmd_defect_study(args) -> int:
     cfg = _experiment_config(args, "defect")
     out = _resolve_out(args, "defect-study")
     _echo_config(cfg, out)
-    try:
-        spec = configmod.build_experiment_spec(cfg)
-    except experiments.HypothesisGateError as err:
-        reports.write_verdicts(os.path.join(out, "verdict.json"), {
-            "ok": False, "accepted": False, "theorem": err.gate.theorem,
-            "reasons": list(err.gate.reasons),
-        })
-        print(str(err), file=sys.stderr)
-        _status(False, "defect-study", "hypothesis gate rejected the configuration")
+    spec = _gated_spec(cfg, out, "defect-study")
+    if spec is None:
         return 1
 
     rep = experiments.run_defect_study(spec)
@@ -414,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"output root (default: ${OUTPUT_ENV} or ./nsflab-out)")
     common.add_argument("--seed", type=int, default=None,
                         help="seed for sampled checks (default: config value)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker budget; this build runs sequentially")
     common.add_argument("--config", default=None,
                         help="INI configuration file (defaults otherwise)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -508,14 +480,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
-    except experiments.HypothesisGateError as err:
-        print(str(err), file=sys.stderr)
-        return 1
     except configmod.ConfigError as err:
         print(str(err), file=sys.stderr)
         return 2

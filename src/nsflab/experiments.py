@@ -38,6 +38,7 @@ __all__ = [
     "TheoremReport",
     "AprioriReport",
     "DefectStudyReport",
+    "perturbed_state",
     "run_theorem",
     "run_apriori",
     "run_defect_study",
@@ -401,8 +402,11 @@ def _exact_data_run(sol: StrongSolution, grid: gridmod.Grid,
                            boundary=sol.boundary)
 
 
-def _perturbed_run(sol: StrongSolution, grid: gridmod.Grid, eps: float,
-                   spec: ExperimentSpec) -> solver.Trajectory:
+def perturbed_state(sol: StrongSolution, grid: gridmod.Grid,
+                    eps: float) -> solver.FlowState:
+    """The strong solution at t = 0 plus ``eps`` times sine bumps that vanish
+    on the boundary: sin(2 pi x) on rho, sin(pi x) on u and theta (products
+    over the axes in 2D, where u_y gets -1/2 times the u_x bump)."""
     pts = grid_points(grid)
     rho0, u0, th0 = sol.on_grid(grid, 0.0)
     if grid.dim == 1:
@@ -415,12 +419,17 @@ def _perturbed_run(sol: StrongSolution, grid: gridmod.Grid, eps: float,
         bump_rho = np.sin(2.0 * np.pi * x) * np.sin(2.0 * np.pi * y)
         bump = np.sin(np.pi * x) * np.sin(np.pi * y)
         du = np.stack([bump, -0.5 * bump], axis=-1)
-    init = solver.FlowState(grid=grid, rho=rho0 + eps * bump_rho,
+    return solver.FlowState(grid=grid, rho=rho0 + eps * bump_rho,
                             u=u0 + eps * du, theta=th0 + eps * bump, t=0.0)
+
+
+def _perturbed_run(sol: StrongSolution, grid: gridmod.Grid, eps: float,
+                   spec: ExperimentSpec) -> solver.Trajectory:
     cfg = solver.SolverConfig(t_end=spec.t_end, source=sol,
                               save_every=spec.save_every)
     return solver.simulate(grid, cfg, spec.model, spec.transport_model,
-                           boundary=sol.boundary, initial=init)
+                           boundary=sol.boundary,
+                           initial=perturbed_state(sol, grid, eps))
 
 
 def _observed_ranges(trajs: list[solver.Trajectory],

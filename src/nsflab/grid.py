@@ -6,8 +6,7 @@ midpoint rule. Ghost fill encodes the physical boundary conditions:
 
   * velocity components reflect through 0 at the wall (odd extension),
   * temperature is Dirichlet-filled from the boundary trace theta_B > 0,
-  * density is zero-gradient,
-  * derived fields extrapolate quadratically (one-sided second order).
+  * density is zero-gradient.
 
 Fields carry a time stamp and a ``synced`` flag; differential operators
 refuse to run on fields whose ghosts have not been synced.
@@ -15,7 +14,7 @@ refuse to run on fields whose ghosts have not been synced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,13 +31,11 @@ __all__ = [
     "TensorField",
     "StalenessError",
     "sync_physical",
-    "sync_extrapolate",
     "gradient",
     "grad_vector",
     "divergence",
     "tensor_divergence",
     "integrate",
-    "boundary_integral",
     "harmonic_extension",
     "laplacian_residual",
 ]
@@ -234,11 +231,8 @@ def _axis_slices(ndim_total: int, axis: int, idx):
     return tuple(sl)
 
 
-def _fill_axis(data: np.ndarray, spatial_ndim: int, axis: int, mode: str,
-               face_lo: np.ndarray | None = None, face_hi: np.ndarray | None = None) -> None:
-    """Fill the two ghost slabs on ``axis`` in place. Interior slices only
-    along the other axes are touched for dirichlet/reflect; extrapolate and
-    zero-gradient fill the full slab so corners stay finite."""
+def _fill_axis(data: np.ndarray, spatial_ndim: int, axis: int, mode: str) -> None:
+    """Fill the two full ghost slabs on ``axis`` in place, so corners stay finite."""
     nd = data.ndim
     g_lo = _axis_slices(nd, axis, 0)
     g_hi = _axis_slices(nd, axis, -1)
@@ -250,16 +244,6 @@ def _fill_axis(data: np.ndarray, spatial_ndim: int, axis: int, mode: str,
     elif mode == "reflect_odd":
         data[g_lo] = -data[i1_lo]
         data[g_hi] = -data[i1_hi]
-    elif mode == "extrapolate":
-        i2_lo = _axis_slices(nd, axis, 2)
-        i2_hi = _axis_slices(nd, axis, -3)
-        i3_lo = _axis_slices(nd, axis, 3)
-        i3_hi = _axis_slices(nd, axis, -4)
-        data[g_lo] = 3.0 * data[i1_lo] - 3.0 * data[i2_lo] + data[i3_lo]
-        data[g_hi] = 3.0 * data[i1_hi] - 3.0 * data[i2_hi] + data[i3_hi]
-    elif mode == "dirichlet":
-        data[g_lo] = 2.0 * face_lo - data[i1_lo]
-        data[g_hi] = 2.0 * face_hi - data[i1_hi]
     else:
         raise ValueError(f"unknown ghost mode {mode!r}")
 
@@ -312,15 +296,6 @@ def _fill_theta_axis(data: np.ndarray, grid: Grid, axis: int, face_lo, face_hi) 
     else:
         data[1:-1, 0] = 2.0 * face_lo - data[1:-1, 1]
         data[1:-1, -1] = 2.0 * face_hi - data[1:-1, -2]
-
-
-def sync_extrapolate(f: _Field) -> _Field:
-    """Return a copy with quadratically extrapolated ghosts (derived fields)."""
-    data = f.data.copy()
-    for axis in range(f.grid.dim):
-        _fill_axis(data, f.grid.dim, axis, "extrapolate")
-    _corner_fix(data, f.grid.dim)
-    return replace(f, data=data, synced=True)
 
 
 def sync_odd(f: _Field) -> _Field:
@@ -401,79 +376,23 @@ def integrate(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.sum(values, axis=spatial) * grid.cell_volume
 
 
-def boundary_integral(grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Midpoint-rule boundary integral of fn(points) over all sides.
-
-    In 1D the boundary measure is counting measure on the two endpoints.
-    """
-    total = 0.0
-    for side, pts in boundary_face_points(grid).items():
-        vals = np.asarray(fn(pts), dtype=float)
-        if grid.dim == 1:
-            total += float(np.sum(vals))
-        else:
-            axis = 0 if side.startswith("x") else 1
-            other = 1 - axis
-            total += float(np.sum(vals)) * grid.h[other]
-    return total
-
-
 def _laplacian_matrix(grid: Grid):
     """Five-point (three-point in 1D) Laplacian on interior unknowns with the
     Dirichlet ghost convention ghost = 2*theta_B - interior folded into the
     diagonal; the matching right-hand side is built by the caller."""
-    n = int(np.prod(grid.cells))
-    h = grid.h
-    diags = np.zeros(n)
-    rows, cols, vals = [], [], []
-
-    def idx(i, j=0):
-        return i * (grid.cells[1] if grid.dim == 2 else 1) + j if grid.dim == 2 else i
-
-    if grid.dim == 1:
-        nx = grid.cells[0]
-        inv = 1.0 / h[0] ** 2
-        for i in range(nx):
-            c = -2.0 * inv
-            if i > 0:
-                rows.append(i); cols.append(i - 1); vals.append(inv)
-            else:
-                c -= inv  # ghost = 2*theta_B - interior
-            if i < nx - 1:
-                rows.append(i); cols.append(i + 1); vals.append(inv)
-            else:
-                c -= inv
-            diags[i] = c
-    else:
-        nx, ny = grid.cells
-        invx = 1.0 / h[0] ** 2
-        invy = 1.0 / h[1] ** 2
-        for i in range(nx):
-            for j in range(ny):
-                k = idx(i, j)
-                c = -2.0 * invx - 2.0 * invy
-                if i > 0:
-                    rows.append(k); cols.append(idx(i - 1, j)); vals.append(invx)
-                else:
-                    c -= invx
-                if i < nx - 1:
-                    rows.append(k); cols.append(idx(i + 1, j)); vals.append(invx)
-                else:
-                    c -= invx
-                if j > 0:
-                    rows.append(k); cols.append(idx(i, j - 1)); vals.append(invy)
-                else:
-                    c -= invy
-                if j < ny - 1:
-                    rows.append(k); cols.append(idx(i, j + 1)); vals.append(invy)
-                else:
-                    c -= invy
-                diags[k] = c
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(diags)
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return A
+    inv = [1.0 / h ** 2 for h in grid.h]
+    # neighbour couplings: Kronecker sum of the 1D ones, y the fast index
+    ops = [sparse.diags([np.full(n - 1, w)] * 2, [-1, 1]) for n, w in zip(grid.cells, inv)]
+    coupling = ops[0] if grid.dim == 1 else sparse.kronsum(ops[1], ops[0])
+    # diagonal: -2/h**2 per axis, and a further -1/h**2 at each wall from the
+    # ghost convention, accumulated per entry so rounding is fixed whatever
+    # the aspect ratio
+    diag = np.full(grid.cells, -2.0 * inv[0])
+    for axis in range(1, grid.dim):
+        diag -= 2.0 * inv[axis]
+    for axis in range(grid.dim):
+        diag[_axis_slices(grid.dim, axis, [0, -1])] -= inv[axis]
+    return (coupling + sparse.diags(diag.ravel())).tocsr()
 
 
 def harmonic_extension(grid: Grid, boundary: BoundaryData, t: float = 0.0,
@@ -502,12 +421,7 @@ def harmonic_extension(grid: Grid, boundary: BoundaryData, t: float = 0.0,
         b[:, -1] -= 2.0 * hiy / h[1] ** 2
     sol = spla.spsolve(A.tocsc(), b.ravel()).reshape(grid.cells)
 
-    out = ScalarField.from_interior(grid, sol, time=t)
-    for axis in range(grid.dim):
-        lo, hi = _dirichlet_faces(grid, boundary, t, axis)
-        _fill_theta_axis(out.data, grid, axis, lo, hi)
-    _corner_fix(out.data, grid.dim)
-    out = replace(out, synced=True)
+    out = sync_dirichlet(ScalarField.from_interior(grid, sol, time=t), boundary, t)
 
     scale = 1.0
     for pts in boundary_face_points(grid).values():

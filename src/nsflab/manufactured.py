@@ -121,10 +121,6 @@ class StrongSolution:
         pts = grid_points(grid)
         return self.rho(t, pts), self.u(t, pts), self.theta(t, pts)
 
-    def forcing_on_grid(self, grid: gridmod.Grid, t: float):
-        pts = grid_points(grid)
-        return self.f_mass(t, pts), self.f_mom(t, pts), self.f_energy(t, pts)
-
     def range_report(self, grid: gridmod.Grid, times) -> dict[str, float]:
         """Min/max of rho, theta and max |u| over sampled times (gate input)."""
         pts = grid_points(grid)

@@ -9,20 +9,18 @@ so the entropy production S:grad u - p div u + conduction stays explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import grid as gridmod
 from . import thermo, transport
-from .manufactured import StrongSolution, grid_points, manufactured  # noqa: F401
+from .manufactured import StrongSolution, grid_points
 
 __all__ = [
     "PositivityError", "FlowState", "SolverConfig", "Trajectory",
-    "rhs", "stable_dt", "step", "simulate",
-    "entropy_inequality_residual", "BallisticSeries", "ballistic_report",
-    "StrongSolution", "manufactured",
+    "rhs", "stable_dt", "step", "simulate", "StrongSolution",
 ]
 
 
@@ -334,102 +332,3 @@ def simulate(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
                       u=np.stack(us), theta=np.stack(thetas), model=model,
                       transport_model=transport_model, boundary=boundary, cfg=cfg)
 
-
-def _level_fields(traj: Trajectory, k: int):
-    return gridmod.sync_physical(traj.grid, traj.rho[k], traj.u[k], traj.theta[k],
-                                 traj.boundary, float(traj.times[k]))
-
-
-def entropy_inequality_residual(traj: Trajectory, phi) -> float:
-    """Signed weak-form entropy residual for the trajectory's point measure.
-
-    ``phi`` must provide value/dt/grad callables, be nonnegative, and vanish
-    near the boundary. Returns
-
-        int rho*s*phi |_0^tau - int int [rho*s*phi_t + (rho*s*u + q/theta)
-        . grad phi + sigma*phi]
-
-    which should be bounded below by -C*h for the dissipative scheme.
-    """
-    g = traj.grid
-    pts = grid_points(g)
-    inner = np.empty(traj.n_levels)
-    boundary_vals = []
-    for k in range(traj.n_levels):
-        t = float(traj.times[k])
-        phi_v = np.asarray(phi.value(t, pts), dtype=float)
-        if np.any(phi_v < 0.0):
-            raise ValueError("entropy test function must be nonnegative")
-        rho_f, u_f, th_f = _level_fields(traj, k)
-        rho_k, u_k, th_k = traj.rho[k], traj.u[k], traj.theta[k]
-        rs = traj.model.rho_s(rho_k, th_k)
-        grad_th = gridmod.gradient(th_f).interior
-        d_u = transport.sym_part(gridmod.grad_vector(u_f).interior)
-        q = transport.heat_flux(traj.transport_model, rho_k, th_k, grad_th)
-        sigma = transport.entropy_production_density(traj.transport_model, rho_k,
-                                                     th_k, d_u, grad_th)
-        flux = rs[..., None] * u_k + q / th_k[..., None]
-        integrand = (rs * phi.dt(t, pts)
-                     + np.sum(flux * phi.grad(t, pts), axis=-1)
-                     + sigma * phi_v)
-        inner[k] = gridmod.integrate(g, integrand)
-        boundary_vals.append(gridmod.integrate(g, rs * phi_v))
-    bulk = np.trapezoid(inner, traj.times)
-    return float(boundary_vals[-1] - boundary_vals[0] - bulk)
-
-
-@dataclass(frozen=True)
-class BallisticSeries:
-    times: np.ndarray
-    ballistic: np.ndarray
-    dissipation: np.ndarray
-    coupling: np.ndarray
-    defects: np.ndarray
-    theta_ref_min: float
-    theta_ref_max: float
-
-
-def ballistic_report(traj: Trajectory, theta_ref: Optional[gridmod.ScalarField] = None) -> BallisticSeries:
-    """Series of the tilted energy, its dissipation, and the coupling terms.
-
-    theta_ref is a time-independent positive reference temperature with the
-    boundary trace of theta_B; the discrete harmonic extension is the
-    default. Per-interval defect = Delta(ballistic) + int(dissipation -
-    coupling) dt, expected <= O(h) for the dissipative scheme.
-    """
-    g = traj.grid
-    if theta_ref is None:
-        theta_ref = gridmod.harmonic_extension(g, traj.boundary, t=float(traj.times[0]))
-    big = theta_ref.interior
-    if np.any(big <= 0.0):
-        raise ValueError("reference temperature must be positive")
-    grad_big = gridmod.gradient(theta_ref).interior
-
-    n = traj.n_levels
-    ball = np.empty(n)
-    diss = np.empty(n)
-    coup = np.empty(n)
-    for k in range(n):
-        rho_k, u_k, th_k = traj.rho[k], traj.u[k], traj.theta[k]
-        rho_f, u_f, th_f = _level_fields(traj, k)
-        kin = 0.5 * rho_k * np.sum(u_k**2, axis=-1)
-        ball[k] = gridmod.integrate(g, kin + rho_k * traj.model.e(rho_k, th_k)
-                                    - big * traj.model.rho_s(rho_k, th_k))
-        grad_th = gridmod.gradient(th_f).interior
-        d_u = transport.sym_part(gridmod.grad_vector(u_f).interior)
-        sigma = transport.entropy_production_density(traj.transport_model, rho_k,
-                                                     th_k, d_u, grad_th)
-        diss[k] = gridmod.integrate(g, big * sigma)
-        q = transport.heat_flux(traj.transport_model, rho_k, th_k, grad_th)
-        rs = traj.model.rho_s(rho_k, th_k)
-        conv = rs[..., None] * u_k + q / th_k[..., None]
-        coup[k] = -gridmod.integrate(g, np.sum(conv * grad_big, axis=-1))
-    defects = np.empty(max(n - 1, 0))
-    for k in range(n - 1):
-        dt_k = traj.times[k + 1] - traj.times[k]
-        defects[k] = (ball[k + 1] - ball[k]
-                      + 0.5 * dt_k * (diss[k] + diss[k + 1])
-                      - 0.5 * dt_k * (coup[k] + coup[k + 1]))
-    return BallisticSeries(times=traj.times.copy(), ballistic=ball, dissipation=diss,
-                           coupling=coup, defects=defects,
-                           theta_ref_min=float(np.min(big)), theta_ref_max=float(np.max(big)))

@@ -38,9 +38,7 @@ __all__ = [
     "ThermoModel",
     "PerfectGas",
     "MolecularRadiation",
-    "ThermoState",
     "ThermoEval",
-    "ConservativeState",
     "gibbs_residual",
     "ballistic_energy",
     "conservative_energy",
@@ -118,20 +116,6 @@ def kernel_by_name(name: str) -> PressureKernel:
 
 
 @dataclass(frozen=True)
-class ThermoState:
-    """A pointwise fluid state (rho, theta), both strictly positive."""
-
-    rho: float
-    theta: float
-
-    def __post_init__(self):
-        if not (self.rho > 0.0):
-            raise ValueError(f"rho must be > 0, got {self.rho}")
-        if not (self.theta > 0.0):
-            raise ValueError(f"theta must be > 0, got {self.theta}")
-
-
-@dataclass(frozen=True)
 class ThermoEval:
     """Pressure, internal energy, entropy and their (rho, theta) partials."""
 
@@ -144,20 +128,6 @@ class ThermoEval:
     de_dtheta: np.ndarray
     ds_drho: np.ndarray
     ds_dtheta: np.ndarray
-
-
-@dataclass(frozen=True)
-class ConservativeState:
-    """Conservative variables: density, total entropy S = rho*s, momentum m."""
-
-    rho: float
-    entropy: float
-    momentum: np.ndarray
-
-    def __post_init__(self):
-        if not (self.rho > 0.0):
-            raise ValueError(f"rho must be > 0, got {self.rho}")
-        object.__setattr__(self, "momentum", np.atleast_1d(np.asarray(self.momentum, dtype=float)))
 
 
 class ThermoModel:

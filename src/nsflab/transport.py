@@ -26,7 +26,6 @@ __all__ = [
     "heat_flux",
     "kappa_primitive",
     "entropy_production_density",
-    "uniqueness_admissible",
 ]
 
 
@@ -211,22 +210,3 @@ def entropy_production_density(model: TransportModel, rho, theta, d_u: np.ndarra
     cond = kap * np.sum(np.asarray(d_theta, dtype=float) ** 2, axis=-1) / theta
     return (work + cond) / theta
 
-
-def uniqueness_admissible(model: TransportModel) -> tuple[bool, str]:
-    """Gate for the conductivity growth the uniqueness estimate can absorb.
-
-    PowerKappa needs beta <= 2: the residual conduction coupling scales like
-    theta**beta and only theta**2 is dominated by the quadratic radiation
-    energy. AffineTheta (linear growth) is always admissible.
-    """
-    if isinstance(model, AffineTheta):
-        return True, "affine coefficient growth (beta = 1) is admissible"
-    if isinstance(model, PowerKappa):
-        if model.beta <= 2.0:
-            return True, f"kappa growth beta = {model.beta} <= 2 is admissible"
-        return False, (
-            f"kappa growth beta = {model.beta} exceeds 2: the conduction remainder grows like "
-            "theta**beta while the available ballistic coercivity only controls theta**2, so the "
-            "Gronwall absorption step fails"
-        )
-    return False, f"transport kind {model.kind!r} has no pointwise law to run with"

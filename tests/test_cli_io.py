@@ -216,12 +216,6 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_bad_jobs_is_a_usage_error(tmp_path, capsys):
-    code = cli.main(["mv-check", "--jobs", "0", "--out", str(tmp_path)])
-    capsys.readouterr()
-    assert code == 2
-
-
 def test_verify_thermo_passes_and_writes_verdict(tmp_path, capsys):
     code = cli.main(["verify-thermo", "--samples", "500",
                      "--out", str(tmp_path)])
@@ -251,6 +245,16 @@ def test_wsu_steep_conductivity_fails_the_gate(tmp_path, capsys):
     assert verdict["accepted"] is False
     assert verdict["reasons"]
 
+    code = cli.main(["apriori", "--transport", "affine_theta",
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "affine" in err
+    verdict = reports.read_verdicts(tmp_path / "apriori" / "verdict.json")
+    assert verdict["ok"] is False and verdict["accepted"] is False
+    assert verdict["theorem"] == "apriori"
+    assert verdict["reasons"]
+
 
 def test_mv_check_reports_every_clause(tmp_path, capsys):
     code = cli.main(["mv-check", "--cells", "32", "--out", str(tmp_path)])
@@ -262,6 +266,16 @@ def test_mv_check_reports_every_clause(tmp_path, capsys):
         "velocity_compat", "temperature_compat",
     }
     assert all(entry["ok"] for entry in verdict["clauses"].values())
+
+
+def test_mv_check_honours_the_config_solver_block(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[solver]\nmax_steps = 1\n")
+    code = cli.main(["mv-check", "--cells", "16", "--config", str(ini),
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "exceeded max_steps" in err
 
 
 def test_relenergy_writes_series_and_passes(tmp_path, capsys):

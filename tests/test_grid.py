@@ -21,10 +21,8 @@ def test_grid_validation():
 def test_integrate_and_boundary_measure():
     gr1 = g.Grid(cells=(32,))
     assert g.integrate(gr1, np.ones(32)) == pytest.approx(1.0, rel=1e-14)
-    assert g.boundary_integral(gr1, lambda p: np.ones(p.shape[:-1])) == pytest.approx(2.0)
     gr2 = g.Grid(cells=(16, 16))
     assert g.integrate(gr2, np.ones((16, 16))) == pytest.approx(1.0, rel=1e-14)
-    assert g.boundary_integral(gr2, lambda p: np.ones(p.shape[:-1])) == pytest.approx(4.0)
 
 
 def test_staleness_error():
@@ -37,16 +35,17 @@ def test_staleness_error():
 def test_gradient_exact_for_quadratic():
     gr = g.Grid(cells=(12,))
     x = gr.centers(0)
-    f = g.sync_extrapolate(g.ScalarField.from_interior(gr, 2.0 * x**2 - x + 1.0))
+    (xg,) = gr.mesh(ghost=True)
+    f = g.ScalarField(grid=gr, data=2.0 * xg**2 - xg + 1.0, synced=True)
     got = g.gradient(f).interior[..., 0]
     assert np.allclose(got, 4.0 * x - 1.0, atol=1e-12)
 
 
 def test_operators_2d_linear_fields_exact():
     gr = g.Grid(cells=(8, 8))
-    X, Y = gr.mesh()
+    X, Y = gr.mesh(ghost=True)
     u = np.stack([2.0 * X + 3.0 * Y, -X + 0.5 * Y], axis=-1)
-    uf = g.sync_extrapolate(g.VectorField.from_interior(gr, u))
+    uf = g.VectorField(grid=gr, data=u, synced=True)
     J = g.grad_vector(uf).interior
     assert np.allclose(J[..., 0, 0], 2.0, atol=1e-12)
     assert np.allclose(J[..., 0, 1], 3.0, atol=1e-12)
@@ -55,7 +54,7 @@ def test_operators_2d_linear_fields_exact():
     div = g.divergence(uf).interior
     assert np.allclose(div, 2.5, atol=1e-12)
     T = np.stack([np.stack([X, Y], axis=-1), np.stack([X * 0, X + Y], axis=-1)], axis=-2)
-    Tf = g.sync_extrapolate(g.TensorField.from_interior(gr, T))
+    Tf = g.TensorField(grid=gr, data=T, synced=True)
     dv = g.tensor_divergence(Tf).interior
     assert np.allclose(dv[..., 0], 2.0, atol=1e-12)  # dT00/dx + dT01/dy
     assert np.allclose(dv[..., 1], 1.0, atol=1e-12)
@@ -66,7 +65,8 @@ def test_gradient_convergence_order():
     for n in (32, 64):
         gr = g.Grid(cells=(n,))
         x = gr.centers(0)
-        f = g.sync_extrapolate(g.ScalarField.from_interior(gr, np.sin(2 * np.pi * x)))
+        (xg,) = gr.mesh(ghost=True)
+        f = g.ScalarField(grid=gr, data=np.sin(2 * np.pi * xg), synced=True)
         got = g.gradient(f).interior[..., 0]
         errs.append(np.max(np.abs(got - 2 * np.pi * np.cos(2 * np.pi * x))))
     order = np.log2(errs[0] / errs[1])
@@ -108,15 +108,17 @@ def test_harmonic_extension_1d_linear():
 
 
 def test_harmonic_extension_2d_affine_and_max_principle():
-    gr = g.Grid(cells=(12, 12))
-    bc = g.affine_boundary(1.0, 0.3, -0.2)
-    f = g.harmonic_extension(gr, bc)
-    X, Y = gr.mesh()
-    assert np.allclose(f.interior, 1.0 + 0.3 * X - 0.2 * Y, atol=1e-10)
-    assert g.laplacian_residual(f) < 1e-10 * 1.3
-    lo, hi = 1.0 - 0.2, 1.0 + 0.3
-    assert f.interior.min() >= lo - 1e-12
-    assert f.interior.max() <= hi + 1e-12
+    # the non-square grid pins the axis order of the assembled operator
+    for cells in ((12, 12), (6, 10)):
+        gr = g.Grid(cells=cells)
+        bc = g.affine_boundary(1.0, 0.3, -0.2)
+        f = g.harmonic_extension(gr, bc)
+        X, Y = gr.mesh()
+        assert np.allclose(f.interior, 1.0 + 0.3 * X - 0.2 * Y, atol=1e-10)
+        assert g.laplacian_residual(f) < 1e-10 * 1.3
+        lo, hi = 1.0 - 0.2, 1.0 + 0.3
+        assert f.interior.min() >= lo - 1e-12
+        assert f.interior.max() <= hi + 1e-12
 
 
 def test_harmonic_extension_constant_trace():

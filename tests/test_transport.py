@@ -86,18 +86,6 @@ def test_entropy_production_orthogonal_split():
     assert np.allclose(sigma, expect, rtol=1e-13)
 
 
-def test_uniqueness_gate():
-    ok, _ = transport.uniqueness_admissible(transport.PowerKappa(beta=2.0))
-    assert ok
-    ok, _ = transport.uniqueness_admissible(transport.AffineTheta())
-    assert ok
-    ok, reason = transport.uniqueness_admissible(transport.PowerKappa(beta=2.5))
-    assert not ok
-    assert "beta = 2.5" in reason and "theta**2" in reason
-    ok, reason = transport.uniqueness_admissible(transport.BoundedGeneral())
-    assert not ok
-
-
 def test_bounded_general_is_validator_only():
     env = transport.BoundedGeneral(mu_lo=0.01, mu_hi=1.0, lam_hi=1.0, kappa_lo=0.01, kappa_hi=1.0, beta=2.0)
     with pytest.raises(TypeError, match="envelope validator"):
