@@ -280,14 +280,6 @@ class ExperimentSpec:
         return self.profile or _DEFAULT_PROFILES[self.theorem]
 
 
-def _profile_dim(profile: str, params: Mapping) -> int:
-    if profile == "radiative_decay":
-        return 2
-    if profile == "equilibrium":
-        return int(params.get("dim", 1))
-    return 1
-
-
 def _make_grid(n: int, dim: int) -> gridmod.Grid:
     return gridmod.Grid(cells=(n,) * dim)
 
@@ -466,9 +458,9 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
             "run_defect_study for the budget and coarse-graining studies")
     gate = spec.gate
     profile = spec.resolved_profile
-    dim = _profile_dim(profile, spec.profile_params)
     sol = manufactured(profile, spec.model, spec.transport_model,
                        **dict(spec.profile_params))
+    dim = sol.dim
 
     all_trajs: list[solver.Trajectory] = []
     sup_e: list[float] = []

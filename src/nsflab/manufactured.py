@@ -9,7 +9,7 @@ as the residual of the conservation system
     d_t(rho e) + div(rho e u) + div q - S:grad u + p div u   = f_energy
 
 so the triple solves the forced system exactly. All derivatives come from
-sympy and are lambdified once per profile.
+sympy and are lambdified once per profile, one function per field.
 """
 
 from __future__ import annotations
@@ -62,31 +62,18 @@ def _sym_coefficients(model, theta):
 
 
 def _lambdify(expr, coords):
-    fn = sp.lambdify((_T, *coords), expr, modules="numpy")
+    """Compile a scalar, vector (list) or matrix (list of rows) field of
+    (t, *coords) into one ``cse=True`` function of (t, pts); the result
+    carries the components in its trailing axes."""
+    comps = np.array(expr, dtype=object)
+    fn = sp.lambdify((_T, *coords), list(comps.ravel()), modules="numpy", cse=True)
 
     def call(t, pts):
         pts = np.asarray(pts, dtype=float)
-        args = [pts[..., k] for k in range(len(coords))]
-        out = np.asarray(fn(float(t), *args), dtype=float)
-        return np.broadcast_to(out, pts.shape[:-1]).copy()
-
-    return call
-
-
-def _lambdify_vec(exprs, coords):
-    fns = [_lambdify(e, coords) for e in exprs]
-
-    def call(t, pts):
-        return np.stack([f(t, pts) for f in fns], axis=-1)
-
-    return call
-
-
-def _lambdify_mat(rows, coords):
-    fns = [[_lambdify(e, coords) for e in row] for row in rows]
-
-    def call(t, pts):
-        return np.stack([np.stack([f(t, pts) for f in row], axis=-1) for row in fns], axis=-2)
+        base = pts.shape[:-1]
+        out = fn(float(t), *(pts[..., k] for k in range(len(coords))))
+        return np.stack([np.broadcast_to(np.asarray(c, dtype=float), base) for c in out],
+                        axis=-1).reshape(base + comps.shape)
 
     return call
 
@@ -171,15 +158,15 @@ def _build(profile, model, transport_model, boundary, params, dim,
     fns = {
         "rho": _lambdify(rho_e, coords),
         "theta": _lambdify(theta_e, coords),
-        "u": _lambdify_vec(u_e, coords),
+        "u": _lambdify(u_e, coords),
         "drho_dt": _lambdify(sp.diff(rho_e, _T), coords),
         "dtheta_dt": _lambdify(sp.diff(theta_e, _T), coords),
-        "du_dt": _lambdify_vec([sp.diff(c, _T) for c in u_e], coords),
-        "grad_rho": _lambdify_vec([sp.diff(rho_e, c) for c in coords], coords),
-        "grad_theta": _lambdify_vec([sp.diff(theta_e, c) for c in coords], coords),
-        "grad_u": _lambdify_mat(grad_u, coords),
+        "du_dt": _lambdify([sp.diff(c, _T) for c in u_e], coords),
+        "grad_rho": _lambdify([sp.diff(rho_e, c) for c in coords], coords),
+        "grad_theta": _lambdify([sp.diff(theta_e, c) for c in coords], coords),
+        "grad_u": _lambdify(grad_u, coords),
         "f_mass": _lambdify(f_mass, coords),
-        "f_mom": _lambdify_vec(f_mom, coords),
+        "f_mom": _lambdify(f_mom, coords),
         "f_energy": _lambdify(f_energy, coords),
     }
     return StrongSolution(profile=profile, dim=dim, model=model,

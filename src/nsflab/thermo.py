@@ -336,53 +336,77 @@ def ballistic_energy(model: ThermoModel, rho, theta, theta_ref):
     return model.rho_e(rho, theta) - theta_ref * model.rho_s(rho, theta)
 
 
+_INVERTED = {"s": "entropy", "e": "internal-energy"}
+# a residual within a few ulps of the target is at the law's round-off
+_ROUNDOFF = 4.0 * np.finfo(float).eps
+
+
+def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0,
+                     bracket, rtol, max_iter):
+    """Solve ``model.<law>(rho, theta) = target`` for theta, cell by cell.
+
+    The law increases strictly in theta, so each cell keeps a sign-change
+    bracket inside ``bracket``; a Newton step that leaves it falls back to
+    bisection (rtsafe, Numerical Recipes 9.4). A cell is done when its raw
+    Newton step is at most rtol*theta, when its residual is at round-off (an
+    ill-conditioned cell gets no closer), or when its bracket has collapsed
+    to rtol*theta. Each iteration evaluates the law and one
+    ``model.partials`` on the cells still active only.
+    """
+    rho = np.asarray(rho, dtype=float)
+    target = np.asarray(target, dtype=float)
+    shape = np.broadcast_shapes(rho.shape, target.shape)
+    rho = np.broadcast_to(rho, shape).ravel()
+    target = np.broadcast_to(target, shape).ravel()
+    theta = (np.ones(rho.size) if theta0 is None else
+             np.clip(np.broadcast_to(np.asarray(theta0, dtype=float), shape), *bracket).ravel())
+    value, slope = getattr(model, law), f"d{law}_dtheta"
+    active = np.arange(rho.size)
+    lo = np.full(rho.size, float(bracket[0]))
+    hi = np.full(rho.size, float(bracket[1]))
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        r, th, tgt = rho[active], theta[active], target[active]
+        f = value(r, th) - tgt
+        d = model.partials(r, th)[slope]
+        lo = np.where(f < 0.0, np.maximum(lo, th), lo)
+        hi = np.where(f > 0.0, np.minimum(hi, th), hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(d > 0.0, f / d, np.nan)
+        # a raw step within rtol is taken and ends the cell (the residual
+        # test guards against a step shrunk by a huge slope); a residual at
+        # round-off or a collapsed bracket ends it where it stands
+        newton = (np.abs(step) <= rtol * th) & (np.abs(f) <= 1e-9 * (1.0 + np.abs(tgt)))
+        settled = (np.abs(f) <= _ROUNDOFF * np.abs(tgt)) | (hi - lo <= rtol * th)
+        cand = th - step
+        cand = np.where(newton | ((cand > lo) & (cand < hi)), cand, 0.5 * (lo + hi))
+        theta[active] = np.where(settled & ~newton, th, cand)
+        live = ~(newton | settled)
+        active, lo, hi = active[live], lo[live], hi[live]
+    if active.size:
+        r, th, tgt = rho[active], theta[active], target[active]
+        res = np.abs(value(r, th) - tgt) / (1.0 + np.abs(tgt))
+        k = int(np.argmax(res))
+        if not res[k] <= 1e3 * rtol:
+            cell = tuple(int(i) for i in np.unravel_index(active[k], shape))
+            raise RuntimeError(
+                f"{_INVERTED[law]} inversion failed to converge in {max_iter} iterations "
+                f"at cell {cell}: rho = {r[k]:.17g}, target {law} = {tgt[k]:.17g}, "
+                f"last theta = {th[k]:.17g} (relative residual {res[k]:.3e})")
+    return theta.reshape(shape)
+
+
 def invert_entropy(model: ThermoModel, rho, s_target, theta0=None,
                    bracket=(1e-12, 1e12), rtol=1e-13, max_iter=120):
     """Solve s(rho, theta) = s_target for theta by safeguarded Newton.
 
-    ds/dtheta = de_dtheta/theta > 0, so the map is strictly monotone and a
-    sign-change bracket inside ``bracket`` is maintained; Newton steps leaving
-    the bracket fall back to bisection. Vectorized over arrays.
+    ds/dtheta = de_dtheta/theta > 0, so the map is strictly monotone.
+    Vectorized over arrays; the perfect gas starts from its closed form.
     """
-    rho = np.asarray(rho, dtype=float)
-    s_target = np.asarray(s_target, dtype=float)
-    shape = np.broadcast_shapes(rho.shape, s_target.shape)
-    rho = np.broadcast_to(rho, shape).copy()
-    s_target = np.broadcast_to(s_target, shape).copy()
-
-    lo = np.full(shape, bracket[0])
-    hi = np.full(shape, bracket[1])
-    if theta0 is not None:
-        theta = np.clip(np.broadcast_to(np.asarray(theta0, dtype=float), shape).copy(), bracket[0], bracket[1])
-    elif isinstance(model, PerfectGas):
-        theta = np.clip(model.theta_from_entropy(rho, s_target), bracket[0], bracket[1])
-    else:
-        theta = np.ones(shape)
-
-    conv = np.zeros(shape, dtype=bool)
-    for _ in range(max_iter):
-        f = model.s(rho, theta) - s_target
-        lo = np.where(~conv & (f < 0.0), np.maximum(lo, theta), lo)
-        hi = np.where(~conv & (f > 0.0), np.minimum(hi, theta), hi)
-        dsdth = model.partials(rho, theta)["ds_dtheta"]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(dsdth > 0.0, f / dsdth, 0.0)
-        cand = theta - step
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        cand = np.where(bad, 0.5 * (lo + hi), cand)
-        # Converge on the theta update, not on f alone: f can sit at roundoff
-        # while theta is still off wherever ds/dtheta is small.
-        small_f = np.abs(f) <= 1e-9 * (1.0 + np.abs(s_target))
-        conv = conv | (small_f & (np.abs(cand - theta) <= rtol * np.abs(theta)))
-        theta = np.where(conv, theta, cand)
-        if np.all(conv):
-            break
-    else:
-        f = model.s(rho, theta) - s_target
-        worst = float(np.max(np.abs(f) / (1.0 + np.abs(s_target))))
-        if worst > 1e3 * rtol:
-            raise RuntimeError(f"entropy inversion failed to converge (residual {worst:.3e})")
-    return theta
+    if theta0 is None and isinstance(model, PerfectGas):
+        theta0 = model.theta_from_entropy(rho, s_target)
+    return _invert_monotone(model, "s", rho, s_target, theta0, bracket, rtol, max_iter)
 
 
 def invert_internal_energy(model: ThermoModel, rho, e_target, theta0=None,
@@ -390,37 +414,7 @@ def invert_internal_energy(model: ThermoModel, rho, e_target, theta0=None,
     """Solve e(rho, theta) = e_target for theta (de/dtheta > 0)."""
     if isinstance(model, PerfectGas):
         return np.asarray(e_target, dtype=float) / model.c_v + 0.0 * np.asarray(rho, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    e_target = np.asarray(e_target, dtype=float)
-    shape = np.broadcast_shapes(rho.shape, e_target.shape)
-    rho = np.broadcast_to(rho, shape).copy()
-    e_target = np.broadcast_to(e_target, shape).copy()
-    lo = np.full(shape, bracket[0])
-    hi = np.full(shape, bracket[1])
-    theta = (np.clip(np.broadcast_to(np.asarray(theta0, dtype=float), shape).copy(), *bracket)
-             if theta0 is not None else np.ones(shape))
-    conv = np.zeros(shape, dtype=bool)
-    for _ in range(max_iter):
-        f = model.e(rho, theta) - e_target
-        lo = np.where(~conv & (f < 0.0), np.maximum(lo, theta), lo)
-        hi = np.where(~conv & (f > 0.0), np.minimum(hi, theta), hi)
-        dedth = model.partials(rho, theta)["de_dtheta"]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(dedth > 0.0, f / dedth, 0.0)
-        cand = theta - step
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        cand = np.where(bad, 0.5 * (lo + hi), cand)
-        small_f = np.abs(f) <= 1e-9 * (1.0 + np.abs(e_target))
-        conv = conv | (small_f & (np.abs(cand - theta) <= rtol * np.abs(theta)))
-        theta = np.where(conv, theta, cand)
-        if np.all(conv):
-            break
-    else:
-        f = model.e(rho, theta) - e_target
-        worst = float(np.max(np.abs(f) / (1.0 + np.abs(e_target))))
-        if worst > 1e3 * rtol:
-            raise RuntimeError(f"internal-energy inversion failed to converge (residual {worst:.3e})")
-    return theta
+    return _invert_monotone(model, "e", rho, e_target, theta0, bracket, rtol, max_iter)
 
 
 def conservative_energy(model: ThermoModel, rho, entropy, momentum):

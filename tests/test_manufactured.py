@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from nsflab import grid as g
 from nsflab import manufactured as mfg
@@ -174,3 +175,50 @@ def test_explicit_boundary_must_match_trace():
     assert ok.boundary.label.startswith("constant")
     with pytest.raises(ValueError, match="incompatible"):
         mfg.manufactured("shear", PG, AFF, boundary=g.constant_boundary(2.0))
+
+
+SCALAR_FIELDS = ("rho", "theta", "drho_dt", "dtheta_dt", "f_mass", "f_energy")
+VECTOR_FIELDS = ("u", "du_dt", "grad_rho", "grad_theta", "f_mom")
+MATRIX_FIELDS = ("grad_u",)
+
+
+def _per_component(expr, coords):
+    """Reference for one compiled field: a plain lambdify per component."""
+    comps = np.array(expr, dtype=object)
+    fns = [sp.lambdify((mfg._T, *coords), c, modules="numpy") for c in comps.ravel()]
+
+    def call(t, pts):
+        base = pts.shape[:-1]
+        vals = [np.broadcast_to(np.asarray(f(t, *(pts[..., k] for k in range(len(coords)))),
+                                           dtype=float), base) for f in fns]
+        return np.stack(vals, axis=-1).reshape(base + comps.shape)
+
+    return call
+
+
+@pytest.mark.parametrize("name, params", [(n, {}) for n in sorted(CASES)]
+                         + [("equilibrium", {"dim": 2})],
+                         ids=sorted(CASES) + ["equilibrium-2d"])
+def test_compiled_fields_match_per_component_lambdify(name, params, monkeypatch):
+    compiled = {}
+    real = mfg._lambdify
+
+    def spy(expr, coords):
+        fn = real(expr, coords)
+        compiled[id(fn)] = (expr, coords)
+        return fn
+
+    monkeypatch.setattr(mfg, "_lambdify", spy)
+    model, tr = CASES[name]
+    sol = mfg.manufactured(name, model, tr, **params)
+    assert sorted(sol._fns) == sorted(SCALAR_FIELDS + VECTOR_FIELDS + MATRIX_FIELDS)
+    d = sol.dim
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-0.2, 1.2, size=(7, 5, d))
+    for key, fn in sol._fns.items():
+        ref = _per_component(*compiled[id(fn)])
+        tail = () if key in SCALAR_FIELDS else (d,) if key in VECTOR_FIELDS else (d, d)
+        for t in rng.uniform(0.0, 2.0, size=3):
+            got, want = fn(t, pts), ref(t, pts)
+            assert got.shape == (7, 5) + tail and got.dtype == np.float64, key
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), key

@@ -1,6 +1,7 @@
 """Equation-of-state checks: Gibbs compatibility, convexity, inversions."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -199,6 +200,76 @@ def test_entropy_growth_bound_regimes():
     # rhs arithmetic pinned: rho = e, theta = 1 gives c*(e + e) = 2*c*e
     _, rhs_e = thermo.entropy_growth_bound(degen, np.e, 1.0, c=3.0)
     assert rhs_e == pytest.approx(6.0 * np.e, rel=1e-14)
+
+
+@dataclass(frozen=True)
+class CountingModel(thermo.MolecularRadiation):
+    """Molecular-radiation law that records how many cells reach ``partials``."""
+
+    sizes: list = field(default_factory=list, compare=False)
+
+    def partials(self, rho, theta):
+        self.sizes.append(np.broadcast(rho, theta).size)
+        return super().partials(rho, theta)
+
+
+INVERSIONS = {"s": thermo.invert_entropy, "e": thermo.invert_internal_energy}
+# cell evaluations per inverted cell from a warm start within 1e-6 of the root
+EVAL_BUDGET = 8
+
+
+@pytest.mark.parametrize("law", sorted(INVERSIONS))
+def test_warm_inversion_does_not_stall(law):
+    # on these states a few energy-inversion cells land within round-off of
+    # their root, where a test on the safeguarded candidate bisected them
+    # (re-evaluating every cell) for about 30 more iterations
+    model = CountingModel()
+    rng = np.random.default_rng(0)
+    rho = np.exp(rng.uniform(np.log(0.5), np.log(2.0), (32, 32)))
+    theta = np.exp(rng.uniform(np.log(0.5), np.log(2.0), (32, 32)))
+    warm = theta * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, (32, 32)))
+    back = INVERSIONS[law](model, rho, getattr(model, law)(rho, theta), theta0=warm)
+    assert back.shape == (32, 32)
+    assert np.max(np.abs(back - theta) / theta) <= 1e-10
+    assert sum(model.sizes) <= EVAL_BUDGET * rho.size
+
+
+_DELTAS = [0.0] + [sign * 10.0**-k for k in range(6, 17) for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("law", sorted(INVERSIONS))
+@given(log_rho=st.floats(-3.0, 3.0), log_theta=st.floats(-3.0, 3.0),
+       delta=st.sampled_from(_DELTAS))
+@settings(max_examples=150, deadline=None)
+def test_inversion_round_trip_from_warm_start(law, log_rho, log_theta, delta):
+    model = CountingModel()
+    rho = np.array([10.0**log_rho])
+    theta = np.array([10.0**log_theta])
+    target = getattr(model, law)(rho, theta)
+    # round-off in the law alone moves theta by about eps*cond; the degenerate
+    # energy reaches cond ~ 3e7 at rho = 1e3, theta = 1e-3
+    slope = model.partials(rho, theta)[f"d{law}_dtheta"]
+    cond = float((1.0 + abs(target[0])) / (theta[0] * slope[0]))
+    model.sizes.clear()
+    back = INVERSIONS[law](model, rho, target, theta0=theta * (1.0 + delta))
+    assert abs(back[0] - theta[0]) <= max(1e-10, 1e-14 * cond) * theta[0]
+    assert sum(model.sizes) <= EVAL_BUDGET
+
+
+@pytest.mark.parametrize("law, name", [("s", "entropy"), ("e", "internal-energy")])
+def test_inversion_failure_names_the_worst_cell(law, name):
+    model = thermo.MolecularRadiation()
+    rho = np.linspace(0.5, 2.0, 6).reshape(2, 3)
+    theta = np.ones((2, 3))
+    theta[0, 1], theta[1, 2] = 1.5, 50.0
+    target = getattr(model, law)(rho, theta)
+    with pytest.raises(RuntimeError) as info:
+        INVERSIONS[law](model, rho, target, max_iter=1)
+    msg = str(info.value)
+    assert msg.startswith(f"{name} inversion failed to converge in 1 iterations at cell (1, 2):")
+    assert f"rho = {rho[1, 2]:.17g}" in msg
+    assert f"target {law} = {target[1, 2]:.17g}" in msg
+    assert "last theta = " in msg
 
 
 def test_invert_entropy_far_bracket():
