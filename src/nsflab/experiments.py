@@ -469,9 +469,8 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
         grid = _make_grid(n, dim)
         traj = _exact_data_run(sol, grid, spec)
         all_trajs.append(traj)
-        V = young.dirac_from_trajectory(traj)
-        rep = relenergy.rel_energy_inequality_report(
-            V, None, sol, spec.model, spec.transport_model)
+        rep = relenergy.rel_energy_series(
+            young.dirac_from_trajectory(traj), sol, spec.model, spec.transport_model)
         sup_e.append(float(np.max(rep.e_mv)))
         hs.append(max(grid.h))
     order = _fit_order(np.asarray(hs), np.asarray(sup_e))
@@ -486,9 +485,8 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
         if kp_traj is None:
             kp_traj = traj
         all_trajs.append(traj)
-        V = young.dirac_from_trajectory(traj)
-        rep = relenergy.rel_energy_inequality_report(
-            V, None, sol, spec.model, spec.transport_model)
+        rep = relenergy.rel_energy_series(
+            young.dirac_from_trajectory(traj), sol, spec.model, spec.transport_model)
         start = float(rep.e_mv[0])
         if start <= 0.0:
             raise RuntimeError(
@@ -512,9 +510,8 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
         coarse = _make_grid(spec.grids[-2], dim)
         traj = _perturbed_run(sol, coarse, spec.eps_list[idx], spec)
         all_trajs.append(traj)
-        rep = relenergy.rel_energy_inequality_report(
-            young.dirac_from_trajectory(traj), None, sol, spec.model,
-            spec.transport_model)
+        rep = relenergy.rel_energy_series(
+            young.dirac_from_trajectory(traj), sol, spec.model, spec.transport_model)
         c_coarse = float(rep.gronwall_c)
         denom = max(abs(cs[idx]), abs(c_coarse), 1e-12)
         c_grid_spread = abs(c_coarse - cs[idx]) / denom

@@ -14,8 +14,10 @@ refuse to run on fields whose ghosts have not been synced.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
@@ -155,20 +157,21 @@ def affine_boundary(c0: float, cx: float, cy: float = 0.0) -> BoundaryData:
     return BoundaryData(theta=theta, dtheta_dt=dtheta, label=f"affine:{c0!r},{cx!r},{cy!r}")
 
 
-def boundary_face_points(grid: Grid) -> dict[str, np.ndarray]:
-    """Face-midpoint coordinates per side, keyed x_lo/x_hi[/y_lo/y_hi]."""
-    out: dict[str, np.ndarray] = {}
+@functools.lru_cache(maxsize=64)
+def boundary_face_points(grid: Grid) -> Mapping[str, np.ndarray]:
+    """Face-midpoint coordinates per side, keyed x_lo/x_hi[/y_lo/y_hi]:
+    one read-only mapping of read-only arrays per grid."""
     if grid.dim == 1:
-        out["x_lo"] = np.array([[grid.lo[0]]])
-        out["x_hi"] = np.array([[grid.hi[0]]])
-        return out
-    xc = grid.centers(0)
-    yc = grid.centers(1)
-    out["x_lo"] = np.stack([np.full_like(yc, grid.lo[0]), yc], axis=-1)
-    out["x_hi"] = np.stack([np.full_like(yc, grid.hi[0]), yc], axis=-1)
-    out["y_lo"] = np.stack([xc, np.full_like(xc, grid.lo[1])], axis=-1)
-    out["y_hi"] = np.stack([xc, np.full_like(xc, grid.hi[1])], axis=-1)
-    return out
+        out = {"x_lo": np.array([[grid.lo[0]]]), "x_hi": np.array([[grid.hi[0]]])}
+    else:
+        xc, yc = grid.centers(0), grid.centers(1)
+        out = {"x_lo": np.stack([np.full_like(yc, grid.lo[0]), yc], axis=-1),
+               "x_hi": np.stack([np.full_like(yc, grid.hi[0]), yc], axis=-1),
+               "y_lo": np.stack([xc, np.full_like(xc, grid.lo[1])], axis=-1),
+               "y_hi": np.stack([xc, np.full_like(xc, grid.hi[1])], axis=-1)}
+    for pts in out.values():
+        pts.flags.writeable = False
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,15 @@ as the residual of the conservation system
     d_t(rho e) + div(rho e u) + div q - S:grad u + p div u   = f_energy
 
 so the triple solves the forced system exactly. All derivatives come from
-sympy and are lambdified once per profile, one function per field.
+sympy and are lambdified once per profile into one function over every
+field, with subexpressions shared across fields. Its evaluation at one
+(t, pts) is memoised, so the fields at a time level are computed once.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,9 +32,12 @@ __all__ = ["StrongSolution", "manufactured", "profile_names", "grid_points"]
 _T, _X, _Y = sp.symbols("t x y", real=True)
 
 
+@functools.lru_cache(maxsize=64)
 def grid_points(grid: gridmod.Grid, ghost: bool = False) -> np.ndarray:
-    """Cell-center coordinates stacked as (..., dim)."""
-    return np.stack(grid.mesh(ghost), axis=-1)
+    """Cell-center coordinates stacked as (..., dim); one read-only array per grid."""
+    pts = np.stack(grid.mesh(ghost), axis=-1)
+    pts.flags.writeable = False
+    return pts
 
 
 def _sym_pressure_energy(model, rho, theta):
@@ -61,21 +68,37 @@ def _sym_coefficients(model, theta):
     raise TypeError(f"unsupported transport type {type(model).__name__}")
 
 
-def _lambdify(expr, coords):
-    """Compile a scalar, vector (list) or matrix (list of rows) field of
-    (t, *coords) into one ``cse=True`` function of (t, pts); the result
-    carries the components in its trailing axes."""
-    comps = np.array(expr, dtype=object)
-    fn = sp.lambdify((_T, *coords), list(comps.ravel()), modules="numpy", cse=True)
+def _compile(fields: dict, coords) -> dict:
+    """One ``cse=True`` function of (t, pts) for named scalar, vector (list)
+    or matrix (list of rows) fields of (t, *coords); one callable per name.
+    Results carry components in trailing axes and are read-only; the last
+    evaluation is kept for a read-only pts, so fields at the same (t, pts)
+    are computed once."""
+    shapes = {k: np.array(e, dtype=object).shape for k, e in fields.items()}
+    flat = [c for e in fields.values() for c in np.array(e, dtype=object).ravel()]
+    fn = sp.lambdify((_T, *coords), flat, modules="numpy", cse=True)
+    last = [None, None, None]  # t, pts, fields
 
-    def call(t, pts):
-        pts = np.asarray(pts, dtype=float)
-        base = pts.shape[:-1]
-        out = fn(float(t), *(pts[..., k] for k in range(len(coords))))
-        return np.stack([np.broadcast_to(np.asarray(c, dtype=float), base) for c in out],
-                        axis=-1).reshape(base + comps.shape)
+    def evaluate(t, pts):
+        t = float(t)
+        frozen = isinstance(pts, np.ndarray) and not pts.flags.writeable
+        if frozen and pts is last[1] and t == last[0]:
+            return last[2]
+        arr = np.asarray(pts, dtype=float)
+        base = arr.shape[:-1]
+        vals = iter(fn(t, *(arr[..., k] for k in range(len(coords)))))
+        out = {}
+        for name, shape in shapes.items():
+            buf = np.empty(base + (math.prod(shape),))
+            for k in range(buf.shape[-1]):
+                buf[..., k] = next(vals)
+            out[name] = buf.reshape(base + shape)
+            out[name].flags.writeable = False
+        if frozen:
+            last[:] = t, pts, out
+        return out
 
-    return call
+    return {name: (lambda t, pts, name=name: evaluate(t, pts)[name]) for name in fields}
 
 
 @dataclass(frozen=True)
@@ -111,20 +134,13 @@ class StrongSolution:
     def range_report(self, grid: gridmod.Grid, times) -> dict[str, float]:
         """Min/max of rho, theta and max |u| over sampled times (gate input)."""
         pts = grid_points(grid)
-        rho_lo = rho_hi = th_lo = th_hi = u_hi = s_hi = None
-        for t in times:
-            r, u, th = self.rho(t, pts), self.u(t, pts), self.theta(t, pts)
-            speed = np.sqrt(np.sum(u * u, axis=-1))
-            s_abs = np.abs(self.model.s(r, th))
-            rho_lo = np.min(r) if rho_lo is None else min(rho_lo, np.min(r))
-            rho_hi = np.max(r) if rho_hi is None else max(rho_hi, np.max(r))
-            th_lo = np.min(th) if th_lo is None else min(th_lo, np.min(th))
-            th_hi = np.max(th) if th_hi is None else max(th_hi, np.max(th))
-            u_hi = np.max(speed) if u_hi is None else max(u_hi, np.max(speed))
-            s_hi = np.max(s_abs) if s_hi is None else max(s_hi, np.max(s_abs))
-        return {"rho_min": float(rho_lo), "rho_max": float(rho_hi),
-                "theta_min": float(th_lo), "theta_max": float(th_hi),
-                "u_max": float(u_hi), "s_abs_max": float(s_hi)}
+        r = np.stack([self.rho(t, pts) for t in times])
+        u = np.stack([self.u(t, pts) for t in times])
+        th = np.stack([self.theta(t, pts) for t in times])
+        return {"rho_min": float(np.min(r)), "rho_max": float(np.max(r)),
+                "theta_min": float(np.min(th)), "theta_max": float(np.max(th)),
+                "u_max": float(np.max(np.sqrt(np.sum(u * u, axis=-1)))),
+                "s_abs_max": float(np.max(np.abs(self.model.s(r, th))))}
 
 
 def _build(profile, model, transport_model, boundary, params, dim,
@@ -155,20 +171,14 @@ def _build(profile, model, transport_model, boundary, params, dim,
     f_energy -= sum(stress[j][k] * grad_u[j][k] for j in range(dim) for k in range(dim))
     f_energy += p_e * div_u
 
-    fns = {
-        "rho": _lambdify(rho_e, coords),
-        "theta": _lambdify(theta_e, coords),
-        "u": _lambdify(u_e, coords),
-        "drho_dt": _lambdify(sp.diff(rho_e, _T), coords),
-        "dtheta_dt": _lambdify(sp.diff(theta_e, _T), coords),
-        "du_dt": _lambdify([sp.diff(c, _T) for c in u_e], coords),
-        "grad_rho": _lambdify([sp.diff(rho_e, c) for c in coords], coords),
-        "grad_theta": _lambdify([sp.diff(theta_e, c) for c in coords], coords),
-        "grad_u": _lambdify(grad_u, coords),
-        "f_mass": _lambdify(f_mass, coords),
-        "f_mom": _lambdify(f_mom, coords),
-        "f_energy": _lambdify(f_energy, coords),
-    }
+    fns = _compile({
+        "rho": rho_e, "theta": theta_e, "u": u_e,
+        "drho_dt": sp.diff(rho_e, _T), "dtheta_dt": sp.diff(theta_e, _T),
+        "du_dt": [sp.diff(c, _T) for c in u_e],
+        "grad_rho": [sp.diff(rho_e, c) for c in coords],
+        "grad_theta": [sp.diff(theta_e, c) for c in coords],
+        "grad_u": grad_u, "f_mass": f_mass, "f_mom": f_mom, "f_energy": f_energy,
+    }, coords)
     return StrongSolution(profile=profile, dim=dim, model=model,
                           transport_model=transport_model, boundary=boundary,
                           params=dict(params), _fns=fns)

@@ -23,7 +23,7 @@ cells and atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,12 +36,14 @@ from .young import AtomicYoungMeasure, DefectBundle
 __all__ = [
     "CutoffParams",
     "CoercivityReport",
+    "RelEnergySeries",
     "RelEnergyReport",
     "rel_energy_density",
     "bregman_equivalence_check",
     "ess_res_split",
     "coercivity_check",
     "remainder_R2",
+    "rel_energy_series",
     "rel_energy_inequality_report",
     "fit_gronwall_constant",
 ]
@@ -257,26 +259,19 @@ def _strong_fields(sol: StrongSolution, grid: gridmod.Grid, t: float,
     """Comparison-state fields and derived quantities at cell centers."""
 
     pts = grid_points(grid)
-    rho = np.asarray(sol.rho(t, pts), dtype=float)
-    theta = np.asarray(sol.theta(t, pts), dtype=float)
-    u = np.asarray(sol.u(t, pts), dtype=float)
-    g_u = np.asarray(sol.grad_u(t, pts), dtype=float)
+    rho, theta, u, g_u = sol.rho(t, pts), sol.theta(t, pts), sol.u(t, pts), sol.grad_u(t, pts)
     if np.any(rho <= 0.0) or np.any(theta <= 0.0):
         raise ValueError("comparison state must have positive density and temperature")
 
     ev = model.eval(rho, theta)
-    grad_rho = np.asarray(sol.grad_rho(t, pts), dtype=float)
-    grad_theta = np.asarray(sol.grad_theta(t, pts), dtype=float)
-    grad_p = ev.dp_drho[..., None] * grad_rho + ev.dp_dtheta[..., None] * grad_theta
+    grad_theta = sol.grad_theta(t, pts)
+    grad_p = ev.dp_drho[..., None] * sol.grad_rho(t, pts) + ev.dp_dtheta[..., None] * grad_theta
 
     # Divergence of the comparison viscous stress, recovered from the
     # momentum balance: div S = rho*(du/dt + (u.grad)u) + u*f_mass + grad p - f_mom.
-    du_dt = np.asarray(sol.du_dt(t, pts), dtype=float)
-    f_mass = np.asarray(sol.f_mass(t, pts), dtype=float)
-    f_mom = np.asarray(sol.f_mom(t, pts), dtype=float)
     advect = np.einsum("...jk,...k->...j", g_u, u)
-    div_s = (rho[..., None] * (du_dt + advect) + u * f_mass[..., None]
-             + grad_p - f_mom)
+    div_s = (rho[..., None] * (sol.du_dt(t, pts) + advect) + u * sol.f_mass(t, pts)[..., None]
+             + grad_p - sol.f_mom(t, pts))
 
     return {
         "rho": rho, "theta": theta, "u": u, "ev": ev,
@@ -284,7 +279,7 @@ def _strong_fields(sol: StrongSolution, grid: gridmod.Grid, t: float,
         "d0_u": transport.traceless_sym(g_u),
         "div_u": np.trace(g_u, axis1=-2, axis2=-1),
         "grad_theta": grad_theta, "grad_p": grad_p, "div_s": div_s,
-        "dth_dt": np.asarray(sol.dtheta_dt(t, pts), dtype=float),
+        "dth_dt": sol.dtheta_dt(t, pts),
         "mu": transport_model.mu(rho, theta),
         "lam": transport_model.lam(rho, theta),
         "kappa": transport_model.kappa(rho, theta),
@@ -386,23 +381,31 @@ def _cum_trapz(series: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RelEnergyReport:
-    """Time series of every member of the relative-energy inequality chain.
-
-    ``blocks`` holds the cumulative-in-time dissipation and coupling
-    integrals; ``lhs``/``rhs``/``slack`` assemble the full inequality per
-    level; ``expansion`` holds the four algebraic pieces of the energy at
-    each time (they sum to ``e_mv``); ``reduced_c_required`` is the smallest
-    nonnegative constant closing the window-reduced inequality whose
-    right-hand side carries the time integral of the energy, the defect
-    history, and the residual tail.
-    """
+class RelEnergySeries:
+    """Relative energy per level: its window split, its four algebraic pieces
+    (``expansion``, summing to ``e_mv`` up to ``expansion_gap``) and the
+    fitted exponential growth rate."""
 
     times: np.ndarray
     e_mv: np.ndarray
     e_ess: np.ndarray
     e_res: np.ndarray
     expansion: dict[str, np.ndarray]
+    expansion_gap: float
+    gronwall_c: float
+
+
+@dataclass(frozen=True)
+class RelEnergyReport(RelEnergySeries):
+    """The energy series plus every other member of the inequality chain.
+
+    ``blocks`` holds the cumulative-in-time dissipation and coupling
+    integrals; ``lhs``/``rhs``/``slack`` assemble the full inequality per
+    level; ``reduced_c_required`` is the smallest nonnegative constant
+    closing the window-reduced inequality whose right-hand side carries the
+    time integral of the energy, the defect history, and the residual tail.
+    """
+
     blocks: dict[str, np.ndarray]
     r2_cum: np.ndarray
     rm_cum: np.ndarray
@@ -411,7 +414,6 @@ class RelEnergyReport:
     lhs: np.ndarray
     rhs: np.ndarray
     slack: np.ndarray
-    gronwall_c: float
     reduced_c_required: float
     extras: dict = field(default_factory=dict)
 
@@ -420,19 +422,18 @@ _BLOCK_KEYS = ("shear_quad", "shear_coupling", "bulk_quad", "bulk_coupling",
                "heat_quad", "heat_coupling_state", "heat_coupling_coeff")
 
 
-def rel_energy_inequality_report(V: AtomicYoungMeasure,
-                                 defects: Optional[DefectBundle],
-                                 sol: StrongSolution,
-                                 model: thermo.ThermoModel,
-                                 transport_model: transport.TransportModel,
-                                 cutoff: Optional[CutoffParams] = None,
-                                 ) -> RelEnergyReport:
-    """Evaluate the full relative-energy inequality chain level by level.
+def rel_energy_series(V: AtomicYoungMeasure, sol: StrongSolution,
+                      model: thermo.ThermoModel,
+                      transport_model: transport.TransportModel,
+                      cutoff: Optional[CutoffParams] = None,
+                      on_level: Optional[Callable[[int, dict, np.ndarray], None]] = None,
+                      ) -> RelEnergySeries:
+    """Relative energy of ``V`` against ``sol`` at every stored level.
 
-    The comparison temperature in the ballistic pairing is the comparison
-    state's own temperature field.  ``defects`` supplies the dissipation
-    history and the matrix defect paired against the comparison velocity
-    gradient; ``None`` means both vanish (point masses of resolved fields).
+    Raises when the models differ, an atom is not strictly positive, or the
+    energy fails its consistency checks.  ``on_level(lev, sf, chi)`` runs at
+    each level with the comparison-state fields and the atoms' window
+    weights, so a caller extending the pass evaluates ``sol`` once per level.
     """
 
     if sol.model != model:
@@ -440,54 +441,23 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
     if sol.transport_model != transport_model:
         raise ValueError("comparison solution and report must share the transport model")
     cutoff = cutoff or CutoffParams()
-    grid = V.grid
-    times = V.times
-    n_levels = len(times)
-
-    if defects is not None:
-        if len(defects.times) != n_levels or not np.allclose(defects.times, times):
-            raise ValueError("defect history must live on the measure's time levels")
-        d_diss = np.asarray(defects.d_diss, dtype=float)
-    else:
-        d_diss = np.zeros(n_levels)
-
-    e_mv = np.zeros(n_levels)
-    e_ess = np.zeros(n_levels)
-    e_res = np.zeros(n_levels)
+    grid, times, n_levels = V.grid, V.times, V.n_levels
+    e_mv, e_ess = np.zeros(n_levels), np.zeros(n_levels)
     expansion = {k: np.zeros(n_levels) for k in
                  ("ballistic", "cross", "carrier", "closure")}
-    rates = {k: np.zeros(n_levels) for k in _BLOCK_KEYS}
-    r2_rate = np.zeros(n_levels)
-    rm_rate = np.zeros(n_levels)
-    res_tail_rate = np.zeros(n_levels)
-    lemma_raw = np.zeros(n_levels)
-    lemma_sq = np.zeros(n_levels)
 
-    d = grid.dim
-    eye = np.eye(d)
     for lev in range(n_levels):
-        t = float(times[lev])
-        sf = _strong_fields(sol, grid, t, model, transport_model)
-        w = V.weights[lev]
-        rho = V.rho[lev]
-        theta = V.theta[lev]
-        u = V.u[lev]
-        d_u = V.d_u[lev]
-        d_theta = V.d_theta[lev]
+        sf = _strong_fields(sol, grid, float(times[lev]), model, transport_model)
+        w, rho, theta, u = V.weights[lev], V.rho[lev], V.theta[lev], V.u[lev]
         if np.any(theta <= 0.0) or np.any(rho <= 0.0):
-            raise ValueError("the inequality chain needs strictly positive atom states")
+            raise ValueError("the relative energy needs strictly positive atom states")
 
-        rho_t = sf["rho"][..., None]
         theta_t = sf["theta"][..., None]
-        u_t = sf["u"][..., None, :]
-
-        # energy, its window split, and the four-term algebraic expansion
-        e_atom = rel_energy_density(model, rho, theta, u, rho_t, theta_t, u_t)
-        e_density = _avg(w, e_atom, 0)
+        e_atom = rel_energy_density(model, rho, theta, u, sf["rho"][..., None],
+                                    theta_t, sf["u"][..., None, :])
         chi = cutoff.chi(rho, theta)
-        e_mv[lev] = gridmod.integrate(grid, e_density)
+        e_mv[lev] = gridmod.integrate(grid, _avg(w, e_atom, 0))
         e_ess[lev] = gridmod.integrate(grid, _avg(w, chi * e_atom, 0))
-        e_res[lev] = e_mv[lev] - e_ess[lev]
 
         h_atom = model.rho_e(rho, theta) - theta_t * model.rho_s(rho, theta)
         kin = 0.5 * rho * np.sum(u ** 2, axis=-1)
@@ -499,6 +469,56 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
         expansion["carrier"][lev] = gridmod.integrate(
             grid, _avg(w, rho, 0) * (0.5 * np.sum(sf["u"] ** 2, axis=-1) - slope))
         expansion["closure"][lev] = gridmod.integrate(grid, sf["ev"].p)
+        if on_level is not None:
+            on_level(lev, sf, chi)
+    e_res = e_mv - e_ess
+
+    scale = 1.0 + float(np.max(np.abs(e_mv)))
+    if float(np.min(e_mv)) < -1e-10 * scale:
+        raise ValueError("relative energy must be nonnegative for admissible measures")
+    closure_gap = float(np.max(np.abs(e_mv - sum(expansion.values()))))
+    if closure_gap > 1e-8 * scale:
+        raise ValueError("energy expansion terms fail to reassemble the energy")
+    if np.max(np.abs(e_ess + e_res - e_mv)) > 1e-10 * scale:
+        raise ValueError("window split must reassemble the energy exactly")
+    return RelEnergySeries(times=times, e_mv=e_mv, e_ess=e_ess, e_res=e_res,
+                           expansion=expansion, expansion_gap=closure_gap,
+                           gronwall_c=fit_gronwall_constant(times, e_mv))
+
+
+def rel_energy_inequality_report(V: AtomicYoungMeasure,
+                                 defects: Optional[DefectBundle],
+                                 sol: StrongSolution,
+                                 model: thermo.ThermoModel,
+                                 transport_model: transport.TransportModel,
+                                 cutoff: Optional[CutoffParams] = None,
+                                 ) -> RelEnergyReport:
+    """Evaluate the full relative-energy inequality chain level by level.
+
+    The energy comes from :func:`rel_energy_series`; the chain is built on
+    top of it from the same comparison-state fields.  The comparison
+    temperature in the ballistic pairing is the comparison state's own
+    temperature field.  ``defects`` supplies the dissipation history and the
+    matrix defect paired against the comparison velocity gradient; ``None``
+    means both vanish (point masses of resolved fields).
+    """
+
+    grid, times, n_levels = V.grid, V.times, V.n_levels
+    if defects is not None:
+        if len(defects.times) != n_levels or not np.allclose(defects.times, times):
+            raise ValueError("defect history must live on the measure's time levels")
+        d_diss = np.asarray(defects.d_diss, dtype=float)
+    else:
+        d_diss = np.zeros(n_levels)
+
+    rates = {k: np.zeros(n_levels) for k in
+             _BLOCK_KEYS + ("r2", "rm", "res_tail", "lemma_raw", "lemma_sq")}
+
+    def chain_level(lev: int, sf: dict, chi: np.ndarray) -> None:
+        w, rho, theta, u = V.weights[lev], V.rho[lev], V.theta[lev], V.u[lev]
+        d_u, d_theta = V.d_u[lev], V.d_theta[lev]
+        theta_t = sf["theta"][..., None]
+        u_t = sf["u"][..., None, :]
 
         # dissipation and coupling block rates
         mu_a = transport_model.mu(rho, theta)
@@ -533,16 +553,16 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
                                  * v_diff, 1)))
 
         # remainder, defect pairing, and residual tail rates
-        r2_rate[lev] = gridmod.integrate(
+        rates["r2"][lev] = gridmod.integrate(
             grid, sum(_r2_groups(V, lev, sf, model).values()))
         if defects is not None:
-            rm_rate[lev] = gridmod.integrate(grid, np.einsum(
+            rates["rm"][lev] = gridmod.integrate(grid, np.einsum(
                 "...jk,...jk->...", defects.r_m[lev], sf["g_u"]))
         tail = ((1.0 - chi) * (theta + np.abs(model.p(rho, theta))
                                + np.sqrt(np.sum((u - u_t) ** 2, axis=-1))
                                + np.abs(model.rho_s(rho, theta))
                                * np.sqrt(np.sum(u ** 2, axis=-1))))
-        res_tail_rate[lev] = gridmod.integrate(grid, _avg(w, tail, 0))
+        rates["res_tail"][lev] = gridmod.integrate(grid, _avg(w, tail, 0))
 
         # the two recorded readings of the intermediate temperature coupling
         stress_t = transport.viscous_stress(transport_model, sf["rho"],
@@ -551,38 +571,25 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
         one_minus = _avg(w, 1.0 - ratio, 0)
         flux_mag = sf["kappa"] * np.sqrt(np.sum(ref_slope ** 2, axis=-1))
         flux_sq = sf["kappa"] * np.sum(sf["grad_theta"] ** 2, axis=-1) / sf["theta"]
-        lemma_raw[lev] = gridmod.integrate(grid, one_minus * (stress_work + flux_mag))
-        lemma_sq[lev] = gridmod.integrate(grid, one_minus * (stress_work + flux_sq))
+        rates["lemma_raw"][lev] = gridmod.integrate(grid, one_minus * (stress_work + flux_mag))
+        rates["lemma_sq"][lev] = gridmod.integrate(grid, one_minus * (stress_work + flux_sq))
 
-    scale = 1.0 + float(np.max(np.abs(e_mv)))
-    if float(np.min(e_mv)) < -1e-10 * scale:
-        raise ValueError("relative energy must be nonnegative for admissible measures")
-    closure_gap = np.max(np.abs(e_mv - sum(expansion.values())))
-    if closure_gap > 1e-8 * scale:
-        raise ValueError("energy expansion terms fail to reassemble the energy")
-    if np.max(np.abs(e_ess + e_res - e_mv)) > 1e-10 * scale:
-        raise ValueError("window split must reassemble the energy exactly")
-
-    blocks = {k: _cum_trapz(rates[k], times) for k in _BLOCK_KEYS}
-    r2_cum = _cum_trapz(r2_rate, times)
-    rm_cum = _cum_trapz(rm_rate, times)
-    res_tail_cum = _cum_trapz(res_tail_rate, times)
+    series = rel_energy_series(V, sol, model, transport_model, cutoff, chain_level)
+    e_mv = series.e_mv
+    cum = {k: _cum_trapz(v, times) for k, v in rates.items()}
+    blocks = {k: cum[k] for k in _BLOCK_KEYS}
     lhs = e_mv + sum(blocks.values()) + d_diss
-    rhs = e_mv[0] + rm_cum + r2_cum
-    slack = rhs - lhs
+    rhs = e_mv[0] + cum["rm"] + cum["r2"]
 
     cum_e = _cum_trapz(e_mv, times)
-    cum_d = _cum_trapz(d_diss, times)
-    reduced_gap = lhs - e_mv[0] - cum_d - res_tail_cum
+    reduced_gap = lhs - e_mv[0] - _cum_trapz(d_diss, times) - cum["res_tail"]
     live = cum_e > 1e-30
     reduced_c = float(np.max(reduced_gap[live] / cum_e[live])) if np.any(live) else 0.0
 
     return RelEnergyReport(
-        times=times, e_mv=e_mv, e_ess=e_ess, e_res=e_res, expansion=expansion,
-        blocks=blocks, r2_cum=r2_cum, rm_cum=rm_cum, d_diss=d_diss,
-        res_tail_cum=res_tail_cum, lhs=lhs, rhs=rhs, slack=slack,
-        gronwall_c=fit_gronwall_constant(times, e_mv),
+        **vars(series), blocks=blocks, r2_cum=cum["r2"], rm_cum=cum["rm"],
+        d_diss=d_diss, res_tail_cum=cum["res_tail"], lhs=lhs, rhs=rhs, slack=rhs - lhs,
         reduced_c_required=max(0.0, reduced_c),
-        extras={"lemma_theta_coupling_raw": _cum_trapz(lemma_raw, times),
-                "lemma_theta_coupling_squared": _cum_trapz(lemma_sq, times),
-                "expansion_gap": float(closure_gap)})
+        extras={"lemma_theta_coupling_raw": cum["lemma_raw"],
+                "lemma_theta_coupling_squared": cum["lemma_sq"],
+                "expansion_gap": series.expansion_gap})

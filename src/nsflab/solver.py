@@ -103,10 +103,15 @@ def _tangential_at_faces(dcell: np.ndarray, axis: int) -> np.ndarray:
     Wall faces get exactly zero: u vanishes identically on the wall, so its
     tangential derivatives vanish there.
     """
-    inner = 0.5 * (_slc(dcell, axis, 1, None) + _slc(dcell, axis, 0, -1))
-    pad = [(0, 0)] * dcell.ndim
-    pad[axis] = (1, 1)
-    return np.pad(inner, pad)
+    out = np.zeros(dcell.shape[:axis] + (dcell.shape[axis] + 1,) + dcell.shape[axis + 1:])
+    _slc(out, axis, 1, -1)[...] = 0.5 * (_slc(dcell, axis, 1, None) + _slc(dcell, axis, 0, -1))
+    return out
+
+
+def _first_nonpositive(rho: np.ndarray, theta: np.ndarray) -> str:
+    """Index, rho and theta of the first cell where rho or theta is not > 0."""
+    idx = tuple(int(i) for i in np.argwhere(~((rho > 0.0) & (theta > 0.0)))[0])
+    return f"cell {idx}: rho = {float(rho[idx])!r}, theta = {float(theta[idx])!r}"
 
 
 def rhs(state: FlowState, model: thermo.ThermoModel,
@@ -116,13 +121,15 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
     g = state.grid
     d, h = g.dim, g.h
     if not state.is_positive():
-        raise PositivityError("state lost positivity before flux assembly")
+        raise PositivityError("state lost positivity before flux assembly at "
+                              + _first_nonpositive(state.rho, state.theta))
     rho_f, u_f, th_f = gridmod.sync_physical(g, state.rho, state.u, state.theta,
                                              boundary, state.t)
     rho_p, u_p, th_p = rho_f.data, u_f.data, th_f.data
     if np.any(th_p <= 0.0) or np.any(rho_p <= 0.0):
-        raise PositivityError("positivity breach in flux assembly: "
-                              "boundary extrapolation left rho or theta nonpositive")
+        raise PositivityError("positivity breach in flux assembly: boundary extrapolation "
+                              "left rho or theta nonpositive at ghost-padded "
+                              + _first_nonpositive(rho_p, th_p))
     p_p = model.p(rho_p, th_p)
     e_p = model.e(rho_p, th_p)
 
@@ -174,7 +181,7 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
     # stress power and pressure work, cell-centered
     s_cell = transport.viscous_stress(transport_model, state.rho, state.theta, gu_cell)
     drhoe += np.einsum("...ij,...ij->...", s_cell, gu_cell)
-    drhoe -= model.p(state.rho, state.theta) * divu_cell
+    drhoe -= p_field.interior * divu_cell
 
     if cfg is not None and cfg.gravity is not None:
         dmom += state.rho[..., None] * np.asarray(cfg.gravity, dtype=float)
@@ -213,10 +220,7 @@ def _decode(grid, rho, mom, rhoe, t, model, theta_guess, floor):
     e = rhoe / rho
     if np.any(e <= 0.0):
         return None
-    if isinstance(model, thermo.PerfectGas):
-        theta = e / model.c_v
-    else:
-        theta = thermo.invert_internal_energy(model, rho, e, theta0=theta_guess)
+    theta = thermo.invert_internal_energy(model, rho, e, theta0=theta_guess)
     if np.any(theta <= floor):
         return None
     return FlowState(grid=grid, rho=rho, u=u, theta=theta, t=t)

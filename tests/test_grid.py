@@ -125,3 +125,25 @@ def test_harmonic_extension_constant_trace():
     gr = g.Grid(cells=(8, 8))
     f = g.harmonic_extension(gr, g.constant_boundary(4.0))
     assert np.allclose(f.interior, 4.0, atol=1e-12)
+
+
+def test_boundary_face_points_cached_read_only():
+    for cells in ((8,), (8, 6)):
+        pts = g.boundary_face_points(g.Grid(cells=cells))
+        assert g.boundary_face_points(g.Grid(cells=cells, lo=(0.0,) * len(cells))) is pts
+        with pytest.raises(TypeError):
+            pts["x_lo"] = None
+        for side in pts.values():
+            with pytest.raises(ValueError, match="read-only"):
+                side[...] = 0.0
+
+
+def test_grid_points_cached_read_only():
+    from nsflab.manufactured import grid_points
+
+    for ghost in (False, True):
+        pts = grid_points(g.Grid(cells=(8, 6)), ghost)
+        assert grid_points(g.Grid(cells=(8, 6), hi=(1.0, 1.0)), ghost) is pts
+        assert pts.shape == ((10, 8, 2) if ghost else (8, 6, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            pts[...] = 0.0

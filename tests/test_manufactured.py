@@ -200,25 +200,53 @@ def _per_component(expr, coords):
                          + [("equilibrium", {"dim": 2})],
                          ids=sorted(CASES) + ["equilibrium-2d"])
 def test_compiled_fields_match_per_component_lambdify(name, params, monkeypatch):
-    compiled = {}
-    real = mfg._lambdify
+    captured = {}
+    real = mfg._compile
 
-    def spy(expr, coords):
-        fn = real(expr, coords)
-        compiled[id(fn)] = (expr, coords)
-        return fn
+    def spy(fields, coords):
+        captured.update(fields=fields, coords=coords)
+        return real(fields, coords)
 
-    monkeypatch.setattr(mfg, "_lambdify", spy)
+    monkeypatch.setattr(mfg, "_compile", spy)
     model, tr = CASES[name]
     sol = mfg.manufactured(name, model, tr, **params)
     assert sorted(sol._fns) == sorted(SCALAR_FIELDS + VECTOR_FIELDS + MATRIX_FIELDS)
+    assert sorted(captured["fields"]) == sorted(sol._fns)
     d = sol.dim
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.2, 1.2, size=(7, 5, d))
     for key, fn in sol._fns.items():
-        ref = _per_component(*compiled[id(fn)])
+        ref = _per_component(captured["fields"][key], captured["coords"])
         tail = () if key in SCALAR_FIELDS else (d,) if key in VECTOR_FIELDS else (d, d)
         for t in rng.uniform(0.0, 2.0, size=3):
             got, want = fn(t, pts), ref(t, pts)
             assert got.shape == (7, 5) + tail and got.dtype == np.float64, key
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), key
+
+
+def test_fields_at_one_time_level_are_evaluated_once():
+    sol = mfg.manufactured("radiative_decay", MR, PK)
+    pts = mfg.grid_points(g.Grid(cells=(6, 6)))
+    assert not pts.flags.writeable
+    first = {key: fn(0.3, pts) for key, fn in sol._fns.items()}
+    for key, fn in sol._fns.items():
+        # same t (any float type) and the same read-only array: the memo
+        assert fn(np.float64(0.3), pts) is first[key]
+        with pytest.raises(ValueError, match="read-only"):
+            first[key][...] = 0.0
+    twin = pts.copy()
+    twin.flags.writeable = False
+    writable = pts.copy()
+    # an equal read-only copy, a writable array (twice: it is never
+    # remembered) and a new t each recompute
+    seen = [first["f_energy"]]
+    for t, where in ((0.3, twin), (0.3, writable), (0.3, writable), (0.7, pts)):
+        got = sol.f_energy(t, where)
+        assert all(got is not prev for prev in seen)
+        assert not got.flags.writeable
+        if t == 0.3:
+            assert np.array_equal(got, first["f_energy"])
+        seen.append(got)
+    # a recomputation at a new (t, pts) replaces the memo
+    assert sol.rho(0.7, pts) is sol.rho(0.7, pts)
+    assert np.array_equal(sol.u(0.3, pts), first["u"])

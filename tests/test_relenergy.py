@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsflab import grid as gridmod
-from nsflab import relenergy, solver, thermo, transport, young
+from nsflab import experiments, relenergy, solver, thermo, transport, young
 from nsflab.manufactured import grid_points, manufactured
 
 MODEL = thermo.PerfectGas(c_v=1.5)
@@ -462,6 +462,50 @@ def test_report_rejects_mismatched_models_and_bad_atoms():
                           boundary=sol.boundary)
     with pytest.raises(ValueError, match="strictly positive atom states"):
         relenergy.rel_energy_inequality_report(cold, None, sol, MODEL, TM)
+
+
+def _radiative_trajectory():
+    """Short forced 2D molecular-radiation run started off the profile."""
+
+    model = thermo.MolecularRadiation(a=0.5, kernel=thermo.DEGENERATE_KERNEL)
+    tm = transport.PowerKappa()
+    sol = manufactured("radiative_decay", model, tm)
+    grid = gridmod.Grid(cells=(8, 8))
+    cfg = solver.SolverConfig(t_end=0.004, source=sol)
+    traj = solver.simulate(grid, cfg, model, tm, boundary=sol.boundary,
+                           initial=experiments.perturbed_state(sol, grid, 1e-2))
+    return traj, sol
+
+
+@pytest.mark.parametrize("make", [_radiative_trajectory,
+                                  lambda: _perturbed_trajectory(16, eps=5e-3)],
+                         ids=["radiative_decay-2d", "shear-1d"])
+def test_energy_series_equals_the_report_bit_for_bit(make):
+    traj, sol = make()
+    V = young.dirac_from_trajectory(traj)
+    assert V.n_levels >= 3
+    series = relenergy.rel_energy_series(V, sol, sol.model, sol.transport_model)
+    rep = relenergy.rel_energy_inequality_report(V, None, sol, sol.model,
+                                                 sol.transport_model)
+    for key in ("times", "e_mv", "e_ess", "e_res"):
+        assert np.array_equal(getattr(series, key), getattr(rep, key)), key
+    assert series.expansion.keys() == rep.expansion.keys()
+    for key, vals in series.expansion.items():
+        assert np.array_equal(vals, rep.expansion[key]), key
+    assert series.gronwall_c == rep.gronwall_c
+    assert series.e_mv[0] > 0.0
+
+    with pytest.raises(ValueError, match="share the equation of state"):
+        relenergy.rel_energy_series(V, sol, thermo.PerfectGas(c_v=1.4),
+                                    sol.transport_model)
+    with pytest.raises(ValueError, match="share the transport model"):
+        relenergy.rel_energy_series(V, sol, sol.model, transport.AffineTheta(c_mu=0.2))
+    cold = young.AtomicYoungMeasure(
+        grid=V.grid, times=V.times, weights=V.weights, rho=V.rho,
+        theta=np.where(V.theta > V.theta.min(), V.theta, 0.0), u=V.u,
+        d_u=V.d_u, d_theta=V.d_theta, boundary=V.boundary)
+    with pytest.raises(ValueError, match="strictly positive atom states"):
+        relenergy.rel_energy_series(cold, sol, sol.model, sol.transport_model)
 
 
 def test_gronwall_fit_recovers_synthetic_rate():

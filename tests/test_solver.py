@@ -124,8 +124,44 @@ def test_positivity_breach_in_flux_assembly():
     gr = g.Grid(cells=(8,))
     theta = np.full(8, 3.0)  # ghost = 2*1 - 3 < 0 at the Dirichlet wall
     st = solver.FlowState(grid=gr, rho=np.ones(8), u=np.zeros((8, 1)), theta=theta, t=0.0)
-    with pytest.raises(solver.PositivityError, match="flux assembly"):
+    # the first offending ghost-padded cell is the left wall ghost, 2*1 - 3
+    with pytest.raises(solver.PositivityError,
+                       match=r"flux assembly.*cell \(0,\): rho = 1\.0, theta = -1\.0"):
         solver.rhs(st, PG, AFF, g.constant_boundary(1.0))
+
+
+def test_positivity_loss_before_flux_assembly_names_the_cell():
+    gr, st = _decay_state(n=16)
+    theta = st.theta.copy()
+    theta[[5, 9]] = [-0.25, 0.0]
+    bad = solver.FlowState(grid=gr, rho=st.rho, u=st.u, theta=theta, t=0.0)
+    with pytest.raises(solver.PositivityError,
+                       match=r"before flux assembly at cell \(5,\): rho = .*, theta = -0\.25"):
+        solver.rhs(bad, PG, AFF, g.constant_boundary(1.0))
+
+
+def _steep_state():
+    # density jump 1 -> 0.05 under an outflowing velocity: a dt far above
+    # the stable one empties the light cells
+    gr = g.Grid(cells=(16,))
+    x = gr.centers(0)
+    return solver.FlowState(grid=gr, rho=np.where(x < 0.5, 1.0, 0.05),
+                            u=np.sin(np.pi * x)[:, None], theta=np.ones(16), t=0.0)
+
+
+def test_step_halves_dt_once_after_a_positivity_breach():
+    st = _steep_state()
+    cfg = solver.SolverConfig(t_end=1.0)
+    bc = g.constant_boundary(1.0)
+    dt = 0.02
+    assert dt > 100.0 * solver.stable_dt(st, cfg, PG, AFF)
+    assert solver._attempt(st, dt, cfg, PG, AFF, bc) is None
+    out = solver.step(st, cfg, PG, AFF, bc, dt=dt)
+    assert out.t == 0.5 * dt
+    half = solver._attempt(st, 0.5 * dt, cfg, PG, AFF, bc)
+    assert np.array_equal(out.rho, half.rho) and np.array_equal(out.theta, half.theta)
+    with pytest.raises(solver.PositivityError, match="positivity failure after halving dt once"):
+        solver.step(st, cfg, PG, AFF, bc, dt=0.06)
 
 
 def test_dt_underflow_raises():
