@@ -4,10 +4,12 @@ The package bundles an explicit finite-volume solver for the compressible
 Navier-Stokes-Fourier system with Dirichlet temperature data, atomic Young
 measures with defect bookkeeping, relative-energy (Bregman) machinery, and
 experiment drivers that test weak-strong uniqueness statements numerically.
+
+``cli`` is imported on first use (``from nsflab import cli``) rather than
+here, so ``python3 -m nsflab.cli`` runs the module once, as ``__main__``.
 """
 
 from . import (
-    cli,
     config,
     experiments,
     grid,

@@ -386,14 +386,6 @@ class TheoremReport:
     ok: bool
 
 
-def _exact_data_run(sol: StrongSolution, grid: gridmod.Grid,
-                    spec: ExperimentSpec) -> solver.Trajectory:
-    cfg = solver.SolverConfig(t_end=spec.t_end, source=sol,
-                              save_every=spec.save_every)
-    return solver.simulate(grid, cfg, spec.model, spec.transport_model,
-                           boundary=sol.boundary)
-
-
 def perturbed_state(sol: StrongSolution, grid: gridmod.Grid,
                     eps: float) -> solver.FlowState:
     """The strong solution at t = 0 plus ``eps`` times sine bumps that vanish
@@ -413,15 +405,6 @@ def perturbed_state(sol: StrongSolution, grid: gridmod.Grid,
         du = np.stack([bump, -0.5 * bump], axis=-1)
     return solver.FlowState(grid=grid, rho=rho0 + eps * bump_rho,
                             u=u0 + eps * du, theta=th0 + eps * bump, t=0.0)
-
-
-def _perturbed_run(sol: StrongSolution, grid: gridmod.Grid, eps: float,
-                   spec: ExperimentSpec) -> solver.Trajectory:
-    cfg = solver.SolverConfig(t_end=spec.t_end, source=sol,
-                              save_every=spec.save_every)
-    return solver.simulate(grid, cfg, spec.model, spec.transport_model,
-                           boundary=sol.boundary,
-                           initial=perturbed_state(sol, grid, eps))
 
 
 def _observed_ranges(trajs: list[solver.Trajectory],
@@ -461,16 +444,25 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     sol = manufactured(profile, spec.model, spec.transport_model,
                        **dict(spec.profile_params))
     dim = sol.dim
-
     all_trajs: list[solver.Trajectory] = []
+
+    def run(grid: gridmod.Grid, eps: Optional[float] = None):
+        """Solve from the strong data (``perturbed_state`` when ``eps`` is
+        given) and take the run's relative-energy series against ``sol``."""
+        cfg = solver.SolverConfig(t_end=spec.t_end, source=sol,
+                                  save_every=spec.save_every)
+        initial = None if eps is None else perturbed_state(sol, grid, eps)
+        traj = solver.simulate(grid, cfg, spec.model, spec.transport_model,
+                               boundary=sol.boundary, initial=initial)
+        all_trajs.append(traj)
+        return traj, relenergy.rel_energy_series(
+            young.dirac_from_trajectory(traj), sol, spec.model, spec.transport_model)
+
     sup_e: list[float] = []
     hs: list[float] = []
     for n in spec.grids:
         grid = _make_grid(n, dim)
-        traj = _exact_data_run(sol, grid, spec)
-        all_trajs.append(traj)
-        rep = relenergy.rel_energy_series(
-            young.dirac_from_trajectory(traj), sol, spec.model, spec.transport_model)
+        _, rep = run(grid)
         sup_e.append(float(np.max(rep.e_mv)))
         hs.append(max(grid.h))
     order = _fit_order(np.asarray(hs), np.asarray(sup_e))
@@ -481,12 +473,9 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     growth: list[float] = []
     kp_traj: Optional[solver.Trajectory] = None
     for eps in spec.eps_list:
-        traj = _perturbed_run(sol, fine, eps, spec)
+        traj, rep = run(fine, eps)
         if kp_traj is None:
             kp_traj = traj
-        all_trajs.append(traj)
-        rep = relenergy.rel_energy_series(
-            young.dirac_from_trajectory(traj), sol, spec.model, spec.transport_model)
         start = float(rep.e_mv[0])
         if start <= 0.0:
             raise RuntimeError(
@@ -507,11 +496,7 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     c_grid_spread = 0.0
     if len(spec.grids) >= 2:
         idx = int(np.argmax(spec.eps_list))
-        coarse = _make_grid(spec.grids[-2], dim)
-        traj = _perturbed_run(sol, coarse, spec.eps_list[idx], spec)
-        all_trajs.append(traj)
-        rep = relenergy.rel_energy_series(
-            young.dirac_from_trajectory(traj), sol, spec.model, spec.transport_model)
+        _, rep = run(_make_grid(spec.grids[-2], dim), spec.eps_list[idx])
         c_coarse = float(rep.gronwall_c)
         denom = max(abs(cs[idx]), abs(c_coarse), 1e-12)
         c_grid_spread = abs(c_coarse - cs[idx]) / denom

@@ -209,9 +209,6 @@ class _Field:
         data[sl] = values
         return cls(grid=grid, data=data, time=time, synced=False)
 
-    def with_time(self, t: float):
-        return replace(self, time=t)
-
 
 @dataclass(frozen=True)
 class ScalarField(_Field):
@@ -234,7 +231,7 @@ def _axis_slices(ndim_total: int, axis: int, idx):
     return tuple(sl)
 
 
-def _fill_axis(data: np.ndarray, spatial_ndim: int, axis: int, mode: str) -> None:
+def _fill_axis(data: np.ndarray, axis: int, mode: str) -> None:
     """Fill the two full ghost slabs on ``axis`` in place, so corners stay finite."""
     nd = data.ndim
     g_lo = _axis_slices(nd, axis, 0)
@@ -278,8 +275,8 @@ def sync_physical(grid: Grid, rho: np.ndarray, u: np.ndarray, theta: np.ndarray,
     u_f = VectorField.from_interior(grid, u, time=t)
     th_f = ScalarField.from_interior(grid, theta, time=t)
     for axis in range(grid.dim):
-        _fill_axis(rho_f.data, grid.dim, axis, "zero_gradient")
-        _fill_axis(u_f.data, grid.dim, axis, "reflect_odd")
+        _fill_axis(rho_f.data, axis, "zero_gradient")
+        _fill_axis(u_f.data, axis, "reflect_odd")
         lo, hi = _dirichlet_faces(grid, boundary, t, axis)
         _fill_theta_axis(th_f.data, grid, axis, lo, hi)
     _corner_fix(rho_f.data, grid.dim)
@@ -305,7 +302,7 @@ def sync_odd(f: _Field) -> _Field:
     """Ghosts by odd reflection about the boundary faces (zero-trace fields)."""
     data = f.data.copy()
     for axis in range(f.grid.dim):
-        _fill_axis(data, f.grid.dim, axis, "reflect_odd")
+        _fill_axis(data, axis, "reflect_odd")
     _corner_fix(data, f.grid.dim)
     return replace(f, data=data, synced=True)
 

@@ -84,8 +84,8 @@ def rel_energy_density(model: thermo.ThermoModel, rho, theta, u,
 
     ev = model.eval(rho_ref, theta_ref)
     slope = ev.e - theta_ref * ev.s + ev.p / rho_ref
-    h_atom = model.rho_e(rho, theta) - theta_ref * model.rho_s(rho, theta)
-    h_ref = model.rho_e(rho_ref, theta_ref) - theta_ref * model.rho_s(rho_ref, theta_ref)
+    h_atom = thermo.ballistic_energy(model, rho, theta, theta_ref)
+    h_ref = thermo.ballistic_energy(model, rho_ref, theta_ref, theta_ref)
     kinetic = 0.5 * rho * np.sum((u - u_ref) ** 2, axis=-1)
     return kinetic + h_atom - slope * (rho - rho_ref) - h_ref
 
@@ -459,7 +459,7 @@ def rel_energy_series(V: AtomicYoungMeasure, sol: StrongSolution,
         e_mv[lev] = gridmod.integrate(grid, _avg(w, e_atom, 0))
         e_ess[lev] = gridmod.integrate(grid, _avg(w, chi * e_atom, 0))
 
-        h_atom = model.rho_e(rho, theta) - theta_t * model.rho_s(rho, theta)
+        h_atom = thermo.ballistic_energy(model, rho, theta, theta_t)
         kin = 0.5 * rho * np.sum(u ** 2, axis=-1)
         slope = sf["ev"].e - sf["theta"] * sf["ev"].s + sf["ev"].p / sf["rho"]
         expansion["ballistic"][lev] = gridmod.integrate(grid, _avg(w, kin + h_atom, 0))

@@ -4,10 +4,14 @@ Every object packs analytic callables over ``(t, pts)`` where ``pts`` has
 shape ``(..., d)`` (cell-center coordinates, ghost centers included when the
 caller samples a padded grid):
 
-* scalar tests: ``value -> (...,)``, ``grad -> (..., d)``
-* vector tests: ``value -> (..., d)``, ``grad -> (..., d, d)`` with
-  ``[..., j, k] = d value_j / d x_k``
+* scalar tests: ``value -> (...,)``
+* vector tests: ``value -> (..., d)``
 * tensor tests: ``value -> (..., d, d)``, symmetric by construction
+
+Scalar and vector tests and the reference temperatures also carry their
+analytic time derivative ``dt``.  Spatial derivatives are not part of a test:
+the weak-form clauses in ``young`` form them with the grid's own centred
+operators, so the integrated-by-parts residuals telescope.
 
 Each spatial shape is emitted twice, with time factors ``1`` and ``t``, so the
 trapezoidal time quadrature used by the residual evaluators is exact on the
@@ -44,24 +48,21 @@ SpaceFn = Callable[[Array], Array]
 
 @dataclass(frozen=True)
 class ScalarTest:
-    """Scalar test function with analytic time derivative and gradient."""
+    """Scalar test function with analytic time derivative."""
 
     label: str
     value: Callable[[float, Array], Array]
     dt: Callable[[float, Array], Array]
-    grad: Callable[[float, Array], Array]
-    zero_trace: bool = False
     nonnegative: bool = False
 
 
 @dataclass(frozen=True)
 class VectorTest:
-    """Vector test function; ``grad[..., j, k] = d value_j / d x_k``."""
+    """Vector test function with analytic time derivative."""
 
     label: str
     value: Callable[[float, Array], Array]
     dt: Callable[[float, Array], Array]
-    grad: Callable[[float, Array], Array]
     zero_trace: bool = False
 
 
@@ -71,17 +72,15 @@ class TensorTest:
 
     label: str
     value: Callable[[float, Array], Array]
-    dt: Callable[[float, Array], Array]
 
 
 @dataclass(frozen=True)
 class ThetaRef:
-    """Positive reference temperature with analytic dt and gradient."""
+    """Positive reference temperature with analytic time derivative."""
 
     label: str
     value: Callable[[float, Array], Array]
     dt: Callable[[float, Array], Array]
-    grad: Callable[[float, Array], Array]
 
 
 def _ones(pts: Array) -> Array:
@@ -96,54 +95,41 @@ def _zeros_vec(pts: Array) -> Array:
     return np.zeros(pts.shape[:-1] + (pts.shape[-1],))
 
 
-def _with_time(label: str, f: SpaceFn, gf: SpaceFn, cls, zero_shape, **flags):
+def _with_time(label: str, f: SpaceFn, cls, zero_shape, **flags):
     """Emit (steady, linear-in-time) variants of one spatial shape."""
 
     steady = cls(
         label=f"{label}*1",
         value=lambda t, pts: f(pts),
         dt=lambda t, pts: zero_shape(pts),
-        grad=lambda t, pts: gf(pts),
         **flags,
     )
     linear = cls(
         label=f"{label}*t",
         value=lambda t, pts: t * f(pts),
         dt=lambda t, pts: f(pts),
-        grad=lambda t, pts: t * gf(pts),
         **flags,
     )
     return [steady, linear]
 
 
-def _scalar_bases(dim: int) -> Sequence[tuple[str, SpaceFn, SpaceFn]]:
+def _scalar_bases(dim: int) -> Sequence[tuple[str, SpaceFn]]:
     pi = np.pi
     if dim == 1:
         return [
-            ("one", _ones, _zeros_vec),
-            ("x", lambda p: p[..., 0],
-             lambda p: np.stack([_ones(p)], axis=-1)),
-            ("x2", lambda p: p[..., 0] ** 2,
-             lambda p: np.stack([2.0 * p[..., 0]], axis=-1)),
-            ("sin_pix", lambda p: np.sin(pi * p[..., 0]),
-             lambda p: np.stack([pi * np.cos(pi * p[..., 0])], axis=-1)),
-            ("cos_pix", lambda p: np.cos(pi * p[..., 0]),
-             lambda p: np.stack([-pi * np.sin(pi * p[..., 0])], axis=-1)),
+            ("one", _ones),
+            ("x", lambda p: p[..., 0]),
+            ("x2", lambda p: p[..., 0] ** 2),
+            ("sin_pix", lambda p: np.sin(pi * p[..., 0])),
+            ("cos_pix", lambda p: np.cos(pi * p[..., 0])),
         ]
     return [
-        ("one", _ones, _zeros_vec),
-        ("x", lambda p: p[..., 0],
-         lambda p: np.stack([_ones(p), _zeros(p)], axis=-1)),
-        ("y", lambda p: p[..., 1],
-         lambda p: np.stack([_zeros(p), _ones(p)], axis=-1)),
-        ("xy", lambda p: p[..., 0] * p[..., 1],
-         lambda p: np.stack([p[..., 1], p[..., 0]], axis=-1)),
+        ("one", _ones),
+        ("x", lambda p: p[..., 0]),
+        ("y", lambda p: p[..., 1]),
+        ("xy", lambda p: p[..., 0] * p[..., 1]),
         ("sin_pix_cos_piy",
-         lambda p: np.sin(pi * p[..., 0]) * np.cos(pi * p[..., 1]),
-         lambda p: np.stack(
-             [pi * np.cos(pi * p[..., 0]) * np.cos(pi * p[..., 1]),
-              -pi * np.sin(pi * p[..., 0]) * np.sin(pi * p[..., 1])],
-             axis=-1)),
+         lambda p: np.sin(pi * p[..., 0]) * np.cos(pi * p[..., 1])),
     ]
 
 
@@ -151,46 +137,27 @@ def scalar_tests(dim: int) -> list[ScalarTest]:
     """C^1 scalar tests with free boundary values (continuity identity)."""
 
     out: list[ScalarTest] = []
-    for label, f, gf in _scalar_bases(dim):
-        out += _with_time(label, f, gf, ScalarTest, _zeros)
+    for label, f in _scalar_bases(dim):
+        out += _with_time(label, f, ScalarTest, _zeros)
     return out
 
 
-def _entropy_bases(dim: int) -> Sequence[tuple[str, SpaceFn, SpaceFn]]:
+def _entropy_bases(dim: int) -> Sequence[tuple[str, SpaceFn]]:
     pi = np.pi
     if dim == 1:
         return [
-            ("sin2_pix", lambda p: np.sin(pi * p[..., 0]) ** 2,
-             lambda p: np.stack(
-                 [pi * np.sin(2.0 * pi * p[..., 0])], axis=-1)),
-            ("bump4",
-             lambda p: 16.0 * (p[..., 0] * (1.0 - p[..., 0])) ** 2,
-             lambda p: np.stack(
-                 [32.0 * p[..., 0] * (1.0 - p[..., 0]) * (1.0 - 2.0 * p[..., 0])],
-                 axis=-1)),
+            ("sin2_pix", lambda p: np.sin(pi * p[..., 0]) ** 2),
+            ("bump4", lambda p: 16.0 * (p[..., 0] * (1.0 - p[..., 0])) ** 2),
         ]
 
     def s2(v: Array) -> Array:
         return np.sin(pi * v) ** 2
 
-    def ds2(v: Array) -> Array:
-        return pi * np.sin(2.0 * pi * v)
-
     return [
-        ("sin2_pix_sin2_piy",
-         lambda p: s2(p[..., 0]) * s2(p[..., 1]),
-         lambda p: np.stack(
-             [ds2(p[..., 0]) * s2(p[..., 1]), s2(p[..., 0]) * ds2(p[..., 1])],
-             axis=-1)),
+        ("sin2_pix_sin2_piy", lambda p: s2(p[..., 0]) * s2(p[..., 1])),
         ("bump4_xy",
          lambda p: 16.0 * (p[..., 0] * (1.0 - p[..., 0])) ** 2
-         * (p[..., 1] * (1.0 - p[..., 1])) ** 2 * 16.0,
-         lambda p: np.stack(
-             [32.0 * p[..., 0] * (1.0 - p[..., 0]) * (1.0 - 2.0 * p[..., 0])
-              * 16.0 * (p[..., 1] * (1.0 - p[..., 1])) ** 2,
-              16.0 * (p[..., 0] * (1.0 - p[..., 0])) ** 2
-              * 32.0 * p[..., 1] * (1.0 - p[..., 1]) * (1.0 - 2.0 * p[..., 1])],
-             axis=-1)),
+         * (p[..., 1] * (1.0 - p[..., 1])) ** 2 * 16.0),
     ]
 
 
@@ -198,31 +165,23 @@ def entropy_tests(dim: int) -> list[ScalarTest]:
     """Nonnegative scalar tests vanishing on the boundary (entropy identity)."""
 
     out: list[ScalarTest] = []
-    for label, f, gf in _entropy_bases(dim):
-        out += _with_time(label, f, gf, ScalarTest, _zeros,
-                          zero_trace=True, nonnegative=True)
+    for label, f in _entropy_bases(dim):
+        out += _with_time(label, f, ScalarTest, _zeros, nonnegative=True)
     return out
 
 
-def _vector_bases_zero_trace(dim: int):
+def _vector_bases_zero_trace(dim: int) -> Sequence[tuple[str, SpaceFn]]:
     pi = np.pi
     if dim == 1:
-        def mk(fn, dfn):
-            return (lambda p: np.stack([fn(p[..., 0])], axis=-1),
-                    lambda p: np.stack([dfn(p[..., 0])], axis=-1)[..., None])
+        def mk(fn):
+            return lambda p: np.stack([fn(p[..., 0])], axis=-1)
 
-        v1, g1 = mk(lambda x: np.sin(pi * x), lambda x: pi * np.cos(pi * x))
-        v2, g2 = mk(lambda x: np.sin(2.0 * pi * x),
-                    lambda x: 2.0 * pi * np.cos(2.0 * pi * x))
-        v3, g3 = mk(lambda x: 4.0 * x * (1.0 - x),
-                    lambda x: 4.0 * (1.0 - 2.0 * x))
-        return [("sin_pix", v1, g1), ("sin_2pix", v2, g2), ("parab", v3, g3)]
+        return [("sin_pix", mk(lambda x: np.sin(pi * x))),
+                ("sin_2pix", mk(lambda x: np.sin(2.0 * pi * x))),
+                ("parab", mk(lambda x: 4.0 * x * (1.0 - x)))]
 
     def sp_(v):
         return np.sin(pi * v)
-
-    def cp_(v):
-        return np.cos(pi * v)
 
     def one_comp(j):
         def val(p):
@@ -230,56 +189,36 @@ def _vector_bases_zero_trace(dim: int):
             out[..., j] = sp_(p[..., 0]) * sp_(p[..., 1])
             return out
 
-        def grad(p):
-            out = np.zeros(p.shape[:-1] + (2, 2))
-            out[..., j, 0] = pi * cp_(p[..., 0]) * sp_(p[..., 1])
-            out[..., j, 1] = pi * sp_(p[..., 0]) * cp_(p[..., 1])
-            return out
-
-        return val, grad
-
-    vx, gx = one_comp(0)
-    vy, gy = one_comp(1)
+        return val
 
     def v_mix(p):
         x, y = p[..., 0], p[..., 1]
         return np.stack([np.sin(2.0 * pi * x) * sp_(y),
                          -sp_(x) * np.sin(2.0 * pi * y)], axis=-1)
 
-    def g_mix(p):
-        x, y = p[..., 0], p[..., 1]
-        out = np.empty(p.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 2.0 * pi * np.cos(2.0 * pi * x) * sp_(y)
-        out[..., 0, 1] = np.sin(2.0 * pi * x) * pi * cp_(y)
-        out[..., 1, 0] = -pi * cp_(x) * np.sin(2.0 * pi * y)
-        out[..., 1, 1] = -sp_(x) * 2.0 * pi * np.cos(2.0 * pi * y)
-        return out
-
-    return [("sinsin_ex", vx, gx), ("sinsin_ey", vy, gy), ("swirl", v_mix, g_mix)]
+    return [("sinsin_ex", one_comp(0)), ("sinsin_ey", one_comp(1)),
+            ("swirl", v_mix)]
 
 
 def velocity_tests(dim: int) -> list[VectorTest]:
     """C^1 vector tests vanishing on the boundary (momentum identity)."""
 
     out: list[VectorTest] = []
-    for label, f, gf in _vector_bases_zero_trace(dim):
-        out += _with_time(label, f, gf, VectorTest, _zeros_vec, zero_trace=True)
+    for label, f in _vector_bases_zero_trace(dim):
+        out += _with_time(label, f, VectorTest, _zeros_vec, zero_trace=True)
     return out
 
 
-def _vector_bases_free(dim: int):
+def _vector_bases_free(dim: int) -> Sequence[tuple[str, SpaceFn]]:
     pi = np.pi
     if dim == 1:
-        def mk(fn, dfn):
-            return (lambda p: np.stack([fn(p[..., 0])], axis=-1),
-                    lambda p: np.stack([dfn(p[..., 0])], axis=-1)[..., None])
+        def mk(fn):
+            return lambda p: np.stack([fn(p[..., 0])], axis=-1)
 
-        v0, g0 = mk(lambda x: np.ones_like(x), lambda x: np.zeros_like(x))
-        v1, g1 = mk(lambda x: x, lambda x: np.ones_like(x))
-        v2, g2 = mk(lambda x: np.sin(pi * x), lambda x: pi * np.cos(pi * x))
-        v3, g3 = mk(lambda x: np.cos(pi * x), lambda x: -pi * np.sin(pi * x))
-        return [("e1", v0, g0), ("x_e1", v1, g1),
-                ("sin_pix_e1", v2, g2), ("cos_pix_e1", v3, g3)]
+        return [("e1", mk(lambda x: np.ones_like(x))),
+                ("x_e1", mk(lambda x: x)),
+                ("sin_pix_e1", mk(lambda x: np.sin(pi * x))),
+                ("cos_pix_e1", mk(lambda x: np.cos(pi * x)))]
 
     def const(j):
         def val(p):
@@ -287,47 +226,26 @@ def _vector_bases_free(dim: int):
             out[..., j] = 1.0
             return out
 
-        def grad(p):
-            return np.zeros(p.shape[:-1] + (2, 2))
-
-        return val, grad
-
-    v0, g0 = const(0)
-    v1, g1 = const(1)
+        return val
 
     def v_lin(p):
         return np.stack([p[..., 0], p[..., 1]], axis=-1)
-
-    def g_lin(p):
-        out = np.zeros(p.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
-        return out
 
     def v_trig(p):
         x, y = p[..., 0], p[..., 1]
         return np.stack([np.sin(pi * x) * np.cos(pi * y),
                          np.cos(pi * x) * np.sin(pi * y)], axis=-1)
 
-    def g_trig(p):
-        x, y = p[..., 0], p[..., 1]
-        out = np.empty(p.shape[:-1] + (2, 2))
-        out[..., 0, 0] = pi * np.cos(pi * x) * np.cos(pi * y)
-        out[..., 0, 1] = -pi * np.sin(pi * x) * np.sin(pi * y)
-        out[..., 1, 0] = -pi * np.sin(pi * x) * np.sin(pi * y)
-        out[..., 1, 1] = pi * np.cos(pi * x) * np.cos(pi * y)
-        return out
-
-    return [("e1", v0, g0), ("e2", v1, g1), ("radial", v_lin, g_lin),
-            ("trig", v_trig, g_trig)]
+    return [("e1", const(0)), ("e2", const(1)), ("radial", v_lin),
+            ("trig", v_trig)]
 
 
 def flux_tests(dim: int) -> list[VectorTest]:
     """C^1 vector tests with free boundary values (temperature identity)."""
 
     out: list[VectorTest] = []
-    for label, f, gf in _vector_bases_free(dim):
-        out += _with_time(label, f, gf, VectorTest, _zeros_vec)
+    for label, f in _vector_bases_free(dim):
+        out += _with_time(label, f, VectorTest, _zeros_vec)
     return out
 
 
@@ -383,49 +301,31 @@ def tensor_tests(dim: int) -> list[TensorTest]:
     out: list[TensorTest] = []
     for label, f in _tensor_bases(dim):
         out.append(TensorTest(label=f"{label}*1",
-                              value=lambda t, pts, f=f: f(pts),
-                              dt=lambda t, pts, f=f: np.zeros_like(f(pts))))
+                              value=lambda t, pts, f=f: f(pts)))
         out.append(TensorTest(label=f"{label}*t",
-                              value=lambda t, pts, f=f: t * f(pts),
-                              dt=lambda t, pts, f=f: f(pts)))
+                              value=lambda t, pts, f=f: t * f(pts)))
     return out
 
 
-def _bump(dim: int):
+def _bump(dim: int) -> SpaceFn:
     pi = np.pi
     if dim == 1:
-        def val(p):
-            return np.sin(pi * p[..., 0])
-
-        def grad(p):
-            return np.stack([pi * np.cos(pi * p[..., 0])], axis=-1)
-
-        return val, grad
-
-    def val(p):
-        return np.sin(pi * p[..., 0]) * np.sin(pi * p[..., 1])
-
-    def grad(p):
-        x, y = p[..., 0], p[..., 1]
-        return np.stack([pi * np.cos(pi * x) * np.sin(pi * y),
-                         pi * np.sin(pi * x) * np.cos(pi * y)], axis=-1)
-
-    return val, grad
+        return lambda p: np.sin(pi * p[..., 0])
+    return lambda p: np.sin(pi * p[..., 0]) * np.sin(pi * p[..., 1])
 
 
 def theta_refs(dim: int, base: tuple[float, float, float] = (1.0, 0.0, 0.0),
-               amps: Sequence[float] = (0.0, 0.15, -0.1),
-               wobble: float = 0.0, t_max: float = 1.0) -> list[ThetaRef]:
-    """Positive references sharing the affine boundary trace ``base``.
+               amps: Sequence[float] = (0.0, 0.15, -0.1)) -> list[ThetaRef]:
+    """Steady positive references sharing the affine boundary trace ``base``.
 
-    Each member is ``base(x) + a * bump(x) * (1 + wobble * t)`` where the bump
-    vanishes on the boundary, so every member carries the same trace as the
-    boundary data it is meant to accompany.  Positivity is checked on a sample
-    lattice over ``[0, 1]^dim x [0, t_max]`` at construction.
+    Each member is ``base(x) + a * bump(x)`` where the bump vanishes on the
+    boundary, so every member carries the same trace as the boundary data it
+    is meant to accompany.  Positivity is checked on a sample lattice over
+    ``[0, 1]^dim`` at construction.
     """
 
     c0, cx, cy = base
-    bump_v, bump_g = _bump(dim)
+    bump = _bump(dim)
 
     def base_val(p):
         out = c0 + cx * p[..., 0]
@@ -433,36 +333,23 @@ def theta_refs(dim: int, base: tuple[float, float, float] = (1.0, 0.0, 0.0),
             out = out + cy * p[..., 1]
         return out * np.ones(p.shape[:-1])
 
-    def base_grad(p):
-        comps = [cx * np.ones(p.shape[:-1])]
-        if dim == 2:
-            comps.append(cy * np.ones(p.shape[:-1]))
-        return np.stack(comps, axis=-1)
-
     axes = [np.linspace(0.0, 1.0, 33)] * dim
     lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     refs: list[ThetaRef] = []
     for a in amps:
         def val(t, pts, a=a):
-            return base_val(pts) + a * bump_v(pts) * (1.0 + wobble * t)
+            return base_val(pts) + a * bump(pts)
 
-        def dt(t, pts, a=a):
-            return a * bump_v(pts) * wobble
-
-        def grad(t, pts, a=a):
-            return base_grad(pts) + a * bump_g(pts)[...] * (1.0 + wobble * t)
-
-        for t_chk in (0.0, t_max):
-            if np.min(val(t_chk, lattice)) <= 0.0:
-                raise ValueError(
-                    "reference temperature must stay positive on the domain")
-        refs.append(ThetaRef(label=f"affine+{a}*bump", value=val, dt=dt,
-                             grad=grad))
+        if np.min(val(0.0, lattice)) <= 0.0:
+            raise ValueError(
+                "reference temperature must stay positive on the domain")
+        refs.append(ThetaRef(label=f"affine+{a}*bump", value=val,
+                             dt=lambda t, pts: _zeros(pts)))
     return refs
 
 
-def theta_ref_constant(c: float, dim: int = 1) -> ThetaRef:
+def theta_ref_constant(c: float) -> ThetaRef:
     """The constant reference ``c > 0``."""
 
     if c <= 0.0:
@@ -472,7 +359,6 @@ def theta_ref_constant(c: float, dim: int = 1) -> ThetaRef:
         label=f"const_{c}",
         value=lambda t, pts: c * np.ones(pts.shape[:-1]),
         dt=lambda t, pts: np.zeros(pts.shape[:-1]),
-        grad=lambda t, pts: np.zeros(pts.shape[:-1] + (pts.shape[-1],)),
     )
 
 
@@ -480,4 +366,4 @@ def theta_ref_from_strong(sol) -> ThetaRef:
     """Wrap a smooth solution's temperature as a reference profile."""
 
     return ThetaRef(label=f"strong_{sol.profile}", value=sol.theta,
-                    dt=sol.dtheta_dt, grad=sol.grad_theta)
+                    dt=sol.dtheta_dt)

@@ -402,10 +402,10 @@ def invert_entropy(model: ThermoModel, rho, s_target, theta0=None,
     """Solve s(rho, theta) = s_target for theta by safeguarded Newton.
 
     ds/dtheta = de_dtheta/theta > 0, so the map is strictly monotone.
-    Vectorized over arrays; the perfect gas starts from its closed form.
+    Vectorized over arrays; the perfect gas takes its closed form.
     """
-    if theta0 is None and isinstance(model, PerfectGas):
-        theta0 = model.theta_from_entropy(rho, s_target)
+    if isinstance(model, PerfectGas):
+        return model.theta_from_entropy(rho, s_target)
     return _invert_monotone(model, "s", rho, s_target, theta0, bracket, rtol, max_iter)
 
 

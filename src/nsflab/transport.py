@@ -24,7 +24,6 @@ __all__ = [
     "traceless_sym",
     "viscous_stress",
     "heat_flux",
-    "kappa_primitive",
     "entropy_production_density",
 ]
 
@@ -118,8 +117,9 @@ class BoundedGeneral(TransportModel):
 
     Declares two-sided bounds mu_lo*(1+theta) <= mu <= mu_hi*(1+theta),
     0 <= lam <= lam_hi*(1+theta), kappa_lo*(1+theta**beta) <= kappa <=
-    kappa_hi*(1+theta**beta). ``check_envelope`` tests a concrete law against
-    the declared envelope on theta samples.
+    kappa_hi*(1+theta**beta). The hypothesis gate rejects a study that
+    selects it, since a flow needs a concrete coefficient law; asking it for
+    a coefficient raises ``TypeError``.
     """
 
     mu_lo: float = 0.01
@@ -148,23 +148,6 @@ class BoundedGeneral(TransportModel):
     def kappa(self, rho, theta):
         self._reject()
 
-    def check_envelope(self, model: TransportModel, theta_samples) -> dict:
-        theta = np.asarray(theta_samples, dtype=float)
-        mu = model.mu(None, theta)
-        lam = model.lam(None, theta)
-        kap = model.kappa(None, theta)
-        env_mu = (self.mu_lo * (1.0 + theta) <= mu) & (mu <= self.mu_hi * (1.0 + theta))
-        env_lam = (0.0 <= lam) & (lam <= self.lam_hi * (1.0 + theta))
-        env_kap = (self.kappa_lo * (1.0 + theta**self.beta) <= kap) & (kap <= self.kappa_hi * (1.0 + theta**self.beta))
-        return {
-            "mu_ok": bool(np.all(env_mu)),
-            "lam_ok": bool(np.all(env_lam)),
-            "kappa_ok": bool(np.all(env_kap)),
-            "mu_violations": int(np.sum(~env_mu)),
-            "lam_violations": int(np.sum(~env_lam)),
-            "kappa_violations": int(np.sum(~env_kap)),
-        }
-
 
 def viscous_stress(model: TransportModel, rho, theta, grad_u: np.ndarray) -> np.ndarray:
     """S = mu*D0(grad u) + lam*tr(grad u)*I, on the trailing two axes of grad_u."""
@@ -179,22 +162,6 @@ def heat_flux(model: TransportModel, rho, theta, grad_theta: np.ndarray) -> np.n
     """Fourier law q = -kappa * grad theta (components on the trailing axis)."""
     kap = np.asarray(model.kappa(rho, theta), dtype=float)
     return -kap[..., None] * grad_theta
-
-
-def kappa_primitive(model: TransportModel, theta):
-    """K(theta) with K'(theta) = kappa(theta)/theta and K(1) = 0.
-
-    AffineTheta: kappa0*(log theta + theta - 1). PowerKappa: kappa1*log theta
-    + kappa2*(theta**beta - 1)/beta (the beta -> 0 limit being log theta).
-    """
-    theta = np.asarray(theta, dtype=float)
-    if isinstance(model, AffineTheta):
-        return model.kappa0 * (np.log(theta) + theta - 1.0)
-    if isinstance(model, PowerKappa):
-        if model.beta == 0.0:
-            return (model.kappa1 + model.kappa2) * np.log(theta)
-        return model.kappa1 * np.log(theta) + model.kappa2 * (theta**model.beta - 1.0) / model.beta
-    raise TypeError(f"no closed-form primitive for transport kind {model.kind!r}")
 
 
 def entropy_production_density(model: TransportModel, rho, theta, d_u: np.ndarray, d_theta: np.ndarray):

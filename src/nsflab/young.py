@@ -11,7 +11,11 @@ measure-valued formulation against finite families of test functions:
 * the continuity and momentum identities (the latter with an optional
   matrix-defect pairing and forcing fold-in),
 * the entropy production inequality and the ballistic-energy inequality,
-* the defect compatibility bound and the Korn-Poincare inequality.
+* the defect compatibility bound.
+
+``calibrate_kp_constant`` gives a grid's Korn-Poincare constant; the claim-3
+study in ``experiments`` compares it with the velocity-control quotient of a
+run.
 
 Discrete-calculus convention: expectations live at cell centers, test-function
 spatial derivatives are formed with the same centered operators as the field
@@ -42,7 +46,6 @@ __all__ = [
     "DefectBundle",
     "ClauseReport",
     "DefectCompatReport",
-    "KornPoincareReport",
     "RefinementReport",
     "dirac_from_trajectory",
     "dirac_from_strong",
@@ -54,9 +57,7 @@ __all__ = [
     "momentum_residual",
     "entropy_mv_residual",
     "ballistic_mv_residual",
-    "initial_energy_check",
     "defect_compat_check",
-    "korn_poincare_check",
     "calibrate_kp_constant",
     "defect_from_refinement",
 ]
@@ -155,10 +156,6 @@ class AtomicYoungMeasure:
     def n_levels(self) -> int:
         return len(self.times)
 
-    @property
-    def n_atoms(self) -> int:
-        return self.weights.shape[-1]
-
     def atom(self, level: int, cell: tuple[int, ...], k: int) -> PhaseAtom:
         idx = (level,) + tuple(cell) + (k,)
         return PhaseAtom(rho=float(self.rho[idx]), u=self.u[idx],
@@ -232,20 +229,6 @@ class DefectCompatReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass(frozen=True)
-class KornPoincareReport:
-    """Both sides of the velocity-control inequality plus variants."""
-
-    lhs: float
-    rhs: float
-    c_p: float
-    variants: dict
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs <= self.rhs + 1e-12 * (1.0 + abs(self.rhs))
 
 
 @dataclass(frozen=True)
@@ -396,10 +379,6 @@ def _mean_fields(V: AtomicYoungMeasure) -> dict[str, np.ndarray]:
 # --------------------------------------------------------------------------
 
 
-def _interior_pts(grid: gridmod.Grid) -> np.ndarray:
-    return grid_points(grid)
-
-
 def _scalar_free(grid: gridmod.Grid, test: ScalarTest, t: float) -> gridmod.ScalarField:
     vals = np.asarray(test.value(t, grid_points(grid, ghost=True)), dtype=float)
     return gridmod.ScalarField(grid=grid, data=vals, time=t, synced=True)
@@ -411,7 +390,7 @@ def _vector_free(grid: gridmod.Grid, test: VectorTest, t: float) -> gridmod.Vect
 
 
 def _vector_zero_trace(grid: gridmod.Grid, test: VectorTest, t: float) -> gridmod.VectorField:
-    vals = np.asarray(test.value(t, _interior_pts(grid)), dtype=float)
+    vals = np.asarray(test.value(t, grid_points(grid)), dtype=float)
     f = gridmod.VectorField.from_interior(grid, vals, time=t)
     return gridmod.sync_odd(f)
 
@@ -489,7 +468,7 @@ def check_temperature_compat(V: AtomicYoungMeasure, psis: Sequence[VectorTest],
     if boundary is None:
         raise ValueError("boundary trace data are required to embed the reference temperature")
     means = _mean_fields(V)
-    pts = _interior_pts(g)
+    pts = grid_points(g)
     residuals = []
     as_written = []
     for test in psis:
@@ -531,7 +510,7 @@ def continuity_residual(V: AtomicYoungMeasure, psis: Sequence[ScalarTest],
     g = V.grid
     tau = _resolve_tau(V.times, tau_index)
     means = _mean_fields(V)
-    pts = _interior_pts(g)
+    pts = grid_points(g)
     residuals = []
     for test in psis:
         bulk = np.empty(tau + 1)
@@ -578,7 +557,7 @@ def momentum_residual(V: AtomicYoungMeasure, phis: Sequence[VectorTest],
     p_mean = expect(V, lambda r, u, th, du, dth: model.p(r, th))
     s_mean = expect(V, lambda r, u, th, du, dth:
                     transport.viscous_stress(transport_model, r, th, du))
-    pts = _interior_pts(g)
+    pts = grid_points(g)
     residuals = []
     for test in phis:
         if not test.zero_trace:
@@ -625,7 +604,7 @@ def entropy_mv_residual(V: AtomicYoungMeasure, phis: Sequence[ScalarTest],
                   - (transport_model.kappa(r, th) / th)[..., None] * dth)
     sigma = expect(V, lambda r, u, th, du, dth:
                    transport.entropy_production_density(transport_model, r, th, du, dth))
-    pts = _interior_pts(g)
+    pts = grid_points(g)
     residuals = []
     for test in phis:
         if not test.nonnegative:
@@ -655,7 +634,7 @@ def entropy_mv_residual(V: AtomicYoungMeasure, phis: Sequence[ScalarTest],
 
 def _theta_ref_fields(g: gridmod.Grid, theta_ref: ThetaRef,
                       boundary: gridmod.BoundaryData, t: float):
-    pts = _interior_pts(g)
+    pts = grid_points(g)
     vals = np.asarray(theta_ref.value(t, pts), dtype=float)
     if np.min(vals) <= 0.0:
         raise ValueError("reference temperature must stay positive on the domain")
@@ -718,31 +697,8 @@ def ballistic_mv_residual(V: AtomicYoungMeasure, d_diss: np.ndarray | float,
                         extras={"ballistic": ball, "theta_ref": theta_ref.label})
 
 
-def initial_energy_check(V: AtomicYoungMeasure, theta_refs: Sequence[ThetaRef],
-                         model: thermo.ThermoModel) -> ClauseReport:
-    """Initial ballistic energy per admissible reference; must be finite."""
-
-    g = V.grid
-    energy = expect(V, lambda r, u, th, du, dth:
-                    0.5 * r * np.sum(u * u, axis=-1) + model.rho_e(r, th))[0]
-    rho_s = expect(V, lambda r, u, th, du, dth: model.rho_s(r, th))[0]
-    pts = _interior_pts(g)
-    t0 = float(V.times[0])
-    vals = []
-    for ref in theta_refs:
-        ref_vals = np.asarray(ref.value(t0, pts), dtype=float)
-        if np.min(ref_vals) <= 0.0:
-            raise ValueError("reference temperature must stay positive on the domain")
-        vals.append(float(gridmod.integrate(g, energy - ref_vals * rho_s)))
-    vals = np.asarray(vals)
-    return ClauseReport(clause="initial_energy",
-                        labels=tuple(r.label for r in theta_refs),
-                        residuals=vals,
-                        extras={"finite": bool(np.all(np.isfinite(vals)))})
-
-
 # --------------------------------------------------------------------------
-# defect compatibility and velocity control
+# defect compatibility and the Korn-Poincare constant
 # --------------------------------------------------------------------------
 
 
@@ -751,7 +707,7 @@ def defect_compat_check(bundle: DefectBundle, phis: Sequence[VectorTest],
     """Check |pairing of r_m with grad phi| <= xi * D * ||phi||_C1 levelwise."""
 
     g = bundle.grid
-    pts = _interior_pts(g)
+    pts = grid_points(g)
     worst = np.inf
     violations = []
     for test in phis:
@@ -773,71 +729,6 @@ def defect_compat_check(bundle: DefectBundle, phis: Sequence[VectorTest],
                 violations.append((test.label, k, pairing, bound))
     return DefectCompatReport(ok=not violations, worst_margin=float(worst),
                               violations=tuple(violations))
-
-
-def _trace_sup(test: VectorTest, grid: gridmod.Grid, t: float) -> float:
-    sup = 0.0
-    for pts in gridmod.boundary_face_points(grid).values():
-        vals = np.asarray(test.value(t, pts), dtype=float)
-        sup = max(sup, float(np.max(np.abs(vals))))
-    return sup
-
-
-def korn_poincare_check(V: AtomicYoungMeasure, u_ref: VectorTest,
-                        c_p: float) -> KornPoincareReport:
-    """Velocity control: II<|u-U|^2> against the traceless strain distance.
-
-    The comparison strain uses the traceless symmetric part on both sides
-    (primary); the variants pairing traceless against full symmetric parts and
-    full against full are reported alongside.
-    """
-
-    g = V.grid
-    for t in (float(V.times[0]), float(V.times[-1])):
-        if _trace_sup(u_ref, g, t) > 1e-10:
-            raise ValueError("comparison velocity must vanish on the boundary")
-    u2 = expect(V, lambda r, u, th, du, dth: np.sum(u * u, axis=-1))
-    u_mean = expect(V, lambda r, u, th, du, dth: u)
-    d0 = expect(V, lambda r, u, th, du, dth: transport.traceless_sym(du))
-    d0_sq = expect(V, lambda r, u, th, du, dth:
-                   np.sum(transport.traceless_sym(du) ** 2, axis=(-2, -1)))
-    d_full = expect(V, lambda r, u, th, du, dth: du)
-    d_sq = expect(V, lambda r, u, th, du, dth: np.sum(du ** 2, axis=(-2, -1)))
-    pts = _interior_pts(g)
-    n = V.n_levels
-    lhs_t = np.empty(n)
-    rhs_t = np.empty(n)
-    var_mixed = np.empty(n)
-    var_full = np.empty(n)
-    for k in range(n):
-        t = float(V.times[k])
-        ref_f = _vector_zero_trace(g, u_ref, t)
-        ref_int = np.asarray(u_ref.value(t, pts), dtype=float)
-        grad_ref = gridmod.grad_vector(ref_f).interior
-        ref0 = transport.traceless_sym(grad_ref)
-        ref_sym = transport.sym_part(grad_ref)
-        gap2 = (u2[k] - 2.0 * np.einsum("...j,...j->...", u_mean[k], ref_int)
-                + np.sum(ref_int ** 2, axis=-1))
-        lhs_t[k] = float(gridmod.integrate(g, gap2))
-        rhs_t[k] = float(gridmod.integrate(
-            g, d0_sq[k] - 2.0 * np.einsum("...jk,...jk->...", d0[k], ref0)
-            + np.sum(ref0 ** 2, axis=(-2, -1))))
-        var_mixed[k] = float(gridmod.integrate(
-            g, d0_sq[k] - 2.0 * np.einsum("...jk,...jk->...", d0[k], ref_sym)
-            + np.sum(ref_sym ** 2, axis=(-2, -1))))
-        var_full[k] = float(gridmod.integrate(
-            g, d_sq[k] - 2.0 * np.einsum("...jk,...jk->...", d_full[k], ref_sym)
-            + np.sum(ref_sym ** 2, axis=(-2, -1))))
-    last = n - 1
-    lhs = _time_integral(lhs_t, V.times, last)
-    base = _time_integral(rhs_t, V.times, last)
-    return KornPoincareReport(
-        lhs=lhs, rhs=float(c_p) * base, c_p=float(c_p),
-        variants={
-            "traceless_vs_traceless": base,
-            "traceless_vs_full": _time_integral(var_mixed, V.times, last),
-            "full_vs_full": _time_integral(var_full, V.times, last),
-        })
 
 
 def calibrate_kp_constant(grid: gridmod.Grid,
@@ -892,14 +783,6 @@ def _nearest_level(traj: Trajectory, t: float) -> int:
     return int(np.argmin(np.abs(np.asarray(traj.times) - t)))
 
 
-def _theta_from_entropy_mean(model: thermo.ThermoModel, rho: np.ndarray,
-                             rho_s_bar: np.ndarray) -> np.ndarray:
-    s_bar = rho_s_bar / rho
-    if isinstance(model, thermo.PerfectGas):
-        return model.theta_from_entropy(rho, s_bar)
-    return thermo.invert_entropy(model, rho, s_bar)
-
-
 def defect_from_refinement(trajs: Sequence[Trajectory],
                            model: thermo.ThermoModel,
                            theta_refs: Sequence[ThetaRef] = (),
@@ -933,7 +816,7 @@ def defect_from_refinement(trajs: Sequence[Trajectory],
     times = np.asarray(trajs[-1].times, dtype=float)
     n_t = len(times)
     d = coarse.dim
-    coarse_pts = _interior_pts(coarse)
+    coarse_pts = grid_points(coarse)
 
     d_by_level = np.zeros((len(trajs), n_t))
     r_m = np.zeros((n_t,) + coarse.interior_shape((d, d)))
@@ -955,7 +838,7 @@ def defect_from_refinement(trajs: Sequence[Trajectory],
             mom_bar = _block_average(mom, factors)
             rs_bar = _block_average(rho_s, factors)
             e_avg = _block_average(energy, factors)
-            th_bar = _theta_from_entropy_mean(model, rho_bar, rs_bar)
+            th_bar = thermo.invert_entropy(model, rho_bar, rs_bar / rho_bar)
             u_bar = mom_bar / rho_bar[..., None]
             e_bar = (0.5 * rho_bar * np.sum(u_bar * u_bar, axis=-1)
                      + model.rho_e(rho_bar, th_bar))
@@ -975,7 +858,7 @@ def defect_from_refinement(trajs: Sequence[Trajectory],
                 rm_tot[ti] = float(gridmod.integrate(
                     coarse, np.sqrt(np.sum(r_m[ti] ** 2, axis=(-2, -1)))))
                 for ri, ref in enumerate(theta_refs):
-                    fine_pts = _interior_pts(g)
+                    fine_pts = grid_points(g)
                     ref_fine = np.asarray(ref.value(float(t), fine_pts), dtype=float)
                     ref_coarse = np.asarray(ref.value(float(t), coarse_pts), dtype=float)
                     ball_avg = _block_average(energy - ref_fine * rho_s, factors)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +216,18 @@ def test_no_subcommand_is_a_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_module_entry_point_leaves_stderr_empty():
+    # the documented `python3 -m nsflab.cli` must not import the module twice
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "nsflab.cli", "--help"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0
+    assert "usage" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_verify_thermo_passes_and_writes_verdict(tmp_path, capsys):

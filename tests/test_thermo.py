@@ -273,7 +273,10 @@ def test_inversion_failure_names_the_worst_cell(law, name):
 
 
 def test_invert_entropy_far_bracket():
-    model = MODELS["perfect_gas"]
-    # extreme target requiring the safeguard to walk the bracket
-    theta = thermo.invert_entropy(model, np.array([1.0]), np.array([40.0]))
-    assert model.s(1.0, theta[0]) == pytest.approx(40.0, abs=1e-10)
+    # a cold start at theta = 1, five decades below the root, through the
+    # safeguarded Newton iteration (the perfect gas takes its closed form)
+    model = thermo.MolecularRadiation()
+    target = model.s(1.0, 1e5)
+    theta = thermo.invert_entropy(model, np.array([1.0]), np.array([target]))
+    assert theta[0] == pytest.approx(1e5, rel=1e-13)
+    assert model.s(1.0, theta[0]) == pytest.approx(target, rel=1e-14)

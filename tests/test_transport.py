@@ -40,27 +40,6 @@ def test_viscous_stress_hand_case():
     assert np.allclose(S, 0.7 * 4.0 * np.eye(2))
 
 
-def test_kappa_primitive_values_and_normalization():
-    aff = transport.AffineTheta(c_mu=1.0, c_lambda=1.0, kappa0=1.0)
-    assert transport.kappa_primitive(aff, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert transport.kappa_primitive(aff, np.e) == pytest.approx(np.e, rel=1e-14)
-    pk = transport.PowerKappa(kappa1=1.0, kappa2=0.0)
-    assert transport.kappa_primitive(pk, 2.0) == pytest.approx(np.log(2.0), rel=1e-14)
-
-
-@pytest.mark.parametrize("model", [
-    transport.AffineTheta(c_mu=0.3, c_lambda=0.1, kappa0=0.4),
-    transport.PowerKappa(mu0=0.2, mu1=0.1, lambda0=0.05, lambda1=0.0, kappa1=0.3, kappa2=0.2, beta=2.0),
-    transport.PowerKappa(kappa1=0.3, kappa2=0.2, beta=0.0),
-])
-def test_kappa_primitive_derivative(model):
-    theta = np.linspace(0.3, 4.0, 50)
-    h = 1e-6
-    num = (transport.kappa_primitive(model, theta + h) - transport.kappa_primitive(model, theta - h)) / (2 * h)
-    ref = model.kappa(None, theta) / theta
-    assert np.max(np.abs(num - ref) / ref) < 1e-8
-
-
 @given(st.integers(1, 2), st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_entropy_production_nonnegative(d, seed):
@@ -90,12 +69,6 @@ def test_bounded_general_is_validator_only():
     env = transport.BoundedGeneral(mu_lo=0.01, mu_hi=1.0, lam_hi=1.0, kappa_lo=0.01, kappa_hi=1.0, beta=2.0)
     with pytest.raises(TypeError, match="envelope validator"):
         env.mu(1.0, 1.0)
-    theta = np.linspace(0.1, 10.0, 100)
-    rep = env.check_envelope(transport.PowerKappa(mu0=0.05, mu1=0.05, kappa1=0.05, kappa2=0.05, beta=2.0), theta)
-    assert rep["mu_ok"] and rep["kappa_ok"] and rep["lam_ok"]
-    # a beta=3 law escapes a beta=2 envelope at large theta
-    rep = env.check_envelope(transport.PowerKappa(kappa1=0.05, kappa2=0.5, beta=3.0), np.array([50.0]))
-    assert not rep["kappa_ok"]
 
 
 def test_coefficient_validation():
