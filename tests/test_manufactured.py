@@ -1,5 +1,8 @@
 """Finite-difference validation of the analytic profiles and their forcings."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -250,3 +253,42 @@ def test_fields_at_one_time_level_are_evaluated_once():
     # a recomputation at a new (t, pts) replaces the memo
     assert sol.rho(0.7, pts) is sol.rho(0.7, pts)
     assert np.array_equal(sol.u(0.3, pts), first["u"])
+
+
+with open(os.path.join(os.path.dirname(__file__), "golden", "manufactured.json"),
+          encoding="utf-8") as fh:
+    GOLDEN = json.load(fh)
+
+
+def _golden_solution(case):
+    """The strong solution a golden case describes."""
+    m = case["model"]
+    if m["kind"] == "perfect_gas":
+        model = thermo.PerfectGas(c_v=m["c_v"])
+    else:
+        model = thermo.MolecularRadiation(a=m["a"], kernel=thermo.kernel_by_name(m["kernel"]))
+    params = dict(case["transport"])
+    law = {"affine_theta": transport.AffineTheta,
+           "power_kappa": transport.PowerKappa}[params.pop("kind")]
+    return mfg.manufactured(case["profile"], model, law(**params), **case["params"])
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"],
+                         ids=[f"{c['profile']}-{c['model']['kind']}-{c['transport']['kind']}-{i}"
+                              for i, c in enumerate(GOLDEN["cases"])])
+def test_fields_match_golden_values(case):
+    """All 12 fields of every profile/model pair the commands and tests
+    build (plus an ideal kernel, a fractional beta and a 2D radiative
+    equilibrium), against values recorded from the symbolic derivation."""
+    sol = _golden_solution(case)
+    assert sorted(sol._fns) == sorted(SCALAR_FIELDS + VECTOR_FIELDS + MATRIX_FIELDS)
+    assert sorted(case["fields"]) == sorted(sol._fns)
+    d = sol.dim
+    pts = np.array(case["points"])
+    assert pts.shape[-1] == d
+    for key, fn in sol._fns.items():
+        tail = () if key in SCALAR_FIELDS else (d,) if key in VECTOR_FIELDS else (d, d)
+        for t, want in zip(GOLDEN["times"], case["fields"][key]):
+            got, want = fn(t, pts), np.array(want)
+            assert got.shape == pts.shape[:-1] + tail and got.dtype == np.float64, key
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (key, t)
