@@ -613,7 +613,7 @@ def _budget_terms(traj: solver.Trajectory, spec: ExperimentSpec,
                                                  traj.boundary, t)
         grad_u = gridmod.grad_vector(u_f).interior
         grad_th = gridmod.gradient(th_f).interior
-        div_u = np.trace(grad_u, axis1=-2, axis2=-1)
+        div_u = np.einsum("...ii->...", grad_u)
 
         e = model.e(rho, theta)
         s = model.s(rho, theta)

@@ -277,7 +277,7 @@ def _strong_fields(sol: StrongSolution, grid: gridmod.Grid, t: float,
         "rho": rho, "theta": theta, "u": u, "ev": ev,
         "g_u": g_u, "sym_u": transport.sym_part(g_u),
         "d0_u": transport.traceless_sym(g_u),
-        "div_u": np.trace(g_u, axis1=-2, axis2=-1),
+        "div_u": np.einsum("...ii->...", g_u),
         "grad_theta": grad_theta, "grad_p": grad_p, "div_s": div_s,
         "dth_dt": sol.dtheta_dt(t, pts),
         "mu": transport_model.mu(rho, theta),
@@ -527,7 +527,7 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
         inv_ratio = theta_t / theta
         ratio = theta / theta_t
         d0_a = transport.traceless_sym(d_u)
-        tr_a = np.trace(d_u, axis1=-2, axis2=-1)
+        tr_a = np.einsum("...ii->...", d_u)
         m_diff = d0_a - ratio[..., None, None] * sf["d0_u"][..., None, :, :]
         rates["shear_quad"][lev] = gridmod.integrate(grid, _avg(
             w, mu_a * inv_ratio * np.sum(m_diff ** 2, axis=(-2, -1)), 0))

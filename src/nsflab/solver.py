@@ -139,7 +139,7 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
 
     # cell-centered velocity gradient for stress work and tangential face terms
     gu_cell = gridmod.grad_vector(u_f).interior
-    divu_cell = np.trace(gu_cell, axis1=-2, axis2=-1)
+    divu_cell = np.einsum("...ii->...", gu_cell)
 
     for a in range(d):
         rho_a = _other_interior(rho_p, d, a)

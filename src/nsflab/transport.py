@@ -37,8 +37,9 @@ def traceless_sym(a: np.ndarray) -> np.ndarray:
     """D0(A) = D(A) - (tr A / d) I on the trailing two axes."""
     d = a.shape[-1]
     sym = sym_part(a)
-    tr = np.trace(a, axis1=-2, axis2=-1)
-    return sym - tr[..., None, None] / d * np.eye(d)
+    diag = range(d)
+    sym[..., diag, diag] -= np.einsum("...ii->...", a)[..., None] / d
+    return sym
 
 
 class TransportModel:
@@ -151,11 +152,12 @@ class BoundedGeneral(TransportModel):
 
 def viscous_stress(model: TransportModel, rho, theta, grad_u: np.ndarray) -> np.ndarray:
     """S = mu*D0(grad u) + lam*tr(grad u)*I, on the trailing two axes of grad_u."""
-    d = grad_u.shape[-1]
+    diag = range(grad_u.shape[-1])
     mu = np.asarray(model.mu(rho, theta), dtype=float)
     lam = np.asarray(model.lam(rho, theta), dtype=float)
-    tr = np.trace(grad_u, axis1=-2, axis2=-1)
-    return mu[..., None, None] * traceless_sym(grad_u) + (lam * tr)[..., None, None] * np.eye(d)
+    stress = mu[..., None, None] * traceless_sym(grad_u)
+    stress[..., diag, diag] += (lam * np.einsum("...ii->...", grad_u))[..., None]
+    return stress
 
 
 def heat_flux(model: TransportModel, rho, theta, grad_theta: np.ndarray) -> np.ndarray:

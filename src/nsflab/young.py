@@ -567,7 +567,7 @@ def momentum_residual(V: AtomicYoungMeasure, phis: Sequence[VectorTest],
             t = float(V.times[k])
             phi_f = _vector_zero_trace(g, test, t)
             grad_phi = gridmod.grad_vector(phi_f).interior
-            div_phi = np.trace(grad_phi, axis1=-2, axis2=-1)
+            div_phi = np.einsum("...ii->...", grad_phi)
             inner = (np.einsum("...j,...j->...", mom[k],
                                np.asarray(test.dt(t, pts), dtype=float))
                      + np.einsum("...jk,...jk->...", conv[k], grad_phi)
