@@ -20,8 +20,6 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "Grid",
@@ -380,6 +378,8 @@ def _laplacian_matrix(grid: Grid):
     """Five-point (three-point in 1D) Laplacian on interior unknowns with the
     Dirichlet ghost convention ghost = 2*theta_B - interior folded into the
     diagonal; the matching right-hand side is built by the caller."""
+    import scipy.sparse as sparse  # only the harmonic extension needs scipy
+
     inv = [1.0 / h ** 2 for h in grid.h]
     # neighbour couplings: Kronecker sum of the 1D ones, y the fast index
     ops = [sparse.diags([np.full(n - 1, w)] * 2, [-1, 1]) for n, w in zip(grid.cells, inv)]
@@ -404,6 +404,8 @@ def harmonic_extension(grid: Grid, boundary: BoundaryData, t: float = 0.0,
     the discrete maximum principle holds exactly. Raises if the achieved
     residual exceeds tol * max|theta_B|.
     """
+    import scipy.sparse.linalg as spla  # only this solve needs scipy
+
     boundary.validate_positive(grid, times=(t,))
     A = _laplacian_matrix(grid)
     h = grid.h

@@ -1,35 +1,38 @@
 """Analytic strong solutions with compatible forcing terms.
 
 Each profile supplies smooth (rho, u, theta) with u = 0 and theta = theta_B
-on the boundary, plus forcings f_mass, f_mom, f_energy defined symbolically
-as the residual of the conservation system
+on the boundary, plus forcings f_mass, f_mom, f_energy defined as the
+residual of the conservation system
 
     d_t rho   + div(rho u)                                   = f_mass
     d_t(rho u) + div(rho u x u) + grad p - div S             = f_mom
     d_t(rho e) + div(rho e u) + div q - S:grad u + p div u   = f_energy
 
-so the triple solves the forced system exactly. All derivatives come from
-sympy and are lambdified once per profile into one function over every
-field, with subexpressions shared across fields. Its evaluation at one
-(t, pts) is memoised, so the fields at a time level are computed once.
+so the triple solves the forced system exactly. A profile is written in
+truncated Taylor jets over (t, x, y): value, first partials and second
+spatial partials, carried through +, -, x, sin and exp by forward-mode
+differentiation (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+ch. 13). The forcings follow by the chain rule through the state laws of
+``thermo`` (values and ``partials``) and the coefficient laws of
+``transport`` (values and theta-derivatives), so those two modules are the
+only home of the laws. All fields at one (t, pts) come from one evaluation,
+which is memoised, so the fields at a time level are computed once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import sympy as sp
 
 from . import grid as gridmod
 from . import thermo, transport
 
 __all__ = ["StrongSolution", "manufactured", "profile_names", "grid_points"]
-
-_T, _X, _Y = sp.symbols("t x y", real=True)
 
 
 @functools.lru_cache(maxsize=64)
@@ -40,44 +43,186 @@ def grid_points(grid: gridmod.Grid, ghost: bool = False) -> np.ndarray:
     return pts
 
 
-def _sym_pressure_energy(model, rho, theta):
-    """Sympy (p, e) for the supported equations of state."""
-    if isinstance(model, thermo.PerfectGas):
-        return rho * theta, model.c_v * theta
-    if isinstance(model, thermo.MolecularRadiation):
-        q = rho * theta ** sp.Rational(-3, 2)
-        if model.kernel.name == "ideal":
-            big_p = q
-        elif model.kernel.name == "degenerate":
-            big_p = q * (1 + q) ** sp.Rational(2, 3)
-        else:
-            raise ValueError(f"no symbolic form for kernel {model.kernel.name!r}")
-        p = theta ** sp.Rational(5, 2) * big_p + model.a * theta**2
-        e = sp.Rational(3, 2) * theta ** sp.Rational(5, 2) / rho * big_p + model.a * theta**2 / rho
-        return p, e
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+# -- truncated Taylor jets ----------------------------------------------------
+# A component is an array over the points, a float, or None for a
+# structural zero (a field that does not depend on that variable); the
+# helpers below skip the array work a structural zero would cost.
+
+def _mul(a, b):
+    return None if a is None or b is None else a * b
 
 
-def _sym_coefficients(model, theta):
-    """Sympy (mu, lam, kappa) for the supported transport laws."""
-    if isinstance(model, transport.AffineTheta):
-        return (model.c_mu * (1 + theta), model.c_lambda * (1 + theta), model.kappa0 * (1 + theta))
-    if isinstance(model, transport.PowerKappa):
-        return (model.mu0 + model.mu1 * theta, model.lambda0 + model.lambda1 * theta,
-                model.kappa1 + model.kappa2 * theta ** sp.Float(model.beta))
-    raise TypeError(f"unsupported transport type {type(model).__name__}")
+def _add(a, b):
+    return b if a is None else a if b is None else a + b
 
 
-def _compile(fields: dict, coords) -> dict:
-    """One ``cse=True`` function of (t, pts) for named scalar, vector (list)
-    or matrix (list of rows) fields of (t, *coords); one callable per name.
-    Results carry components in trailing axes and are read-only; the last
-    evaluation is kept for a read-only pts, so fields at the same (t, pts)
-    are computed once."""
-    shapes = {k: np.array(e, dtype=object).shape for k, e in fields.items()}
-    flat = [c for e in fields.values() for c in np.array(e, dtype=object).ravel()]
-    fn = sp.lambdify((_T, *coords), flat, modules="numpy", cse=True)
+def _total(terms):
+    """Sum of a non-empty sequence without a leading ``0 +`` copy."""
+    return functools.reduce(operator.add, terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(dim: int) -> tuple[tuple[int, int], ...]:
+    """Index pairs (k, l), k <= l, of the stored second spatial partials."""
+    return tuple((k, l) for k in range(dim) for l in range(k, dim))
+
+
+class _Jet:
+    """Value ``v``, time derivative ``dt``, spatial gradient ``g`` and the
+    second spatial partials ``h`` (ordered as ``_pairs``) of one field."""
+
+    __slots__ = ("v", "dt", "g", "h")
+
+    def __init__(self, v, dt, g, h):
+        self.v, self.dt, self.g, self.h = v, dt, tuple(g), tuple(h)
+
+    @classmethod
+    def const(cls, c: float, dim: int) -> "_Jet":
+        return cls(float(c), None, (None,) * dim, (None,) * len(_pairs(dim)))
+
+    def hess(self, k: int, l: int):
+        """d^2/dx_k dx_l."""
+        return self.h[_pairs(len(self.g)).index((min(k, l), max(k, l)))]
+
+    def __add__(self, other):
+        if not isinstance(other, _Jet):
+            return _Jet(self.v + other, self.dt, self.g, self.h)
+        return _Jet(_add(self.v, other.v), _add(self.dt, other.dt),
+                    map(_add, self.g, other.g), map(_add, self.h, other.h))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if not isinstance(other, _Jet):
+            c = float(other)
+            return _Jet(self.v * c, _mul(self.dt, c), (_mul(x, c) for x in self.g),
+                        (_mul(x, c) for x in self.h))
+        a, b = self, other
+        av, bv, ag, bg = a.v, b.v, a.g, b.g
+        return _Jet(av * bv, _add(_mul(a.dt, bv), _mul(av, b.dt)),
+                    (_add(_mul(x, bv), _mul(av, y)) for x, y in zip(ag, bg)),
+                    (_add(_add(_mul(x, bv), _mul(av, y)),
+                          _add(_mul(ag[k], bg[l]), _mul(ag[l], bg[k]) if k != l else None))
+                     for (k, l), x, y in zip(_pairs(len(ag)), a.h, b.h)))
+
+    __rmul__ = __mul__
+
+
+def _compose(a: _Jet, f0, f1, f2, sign: float) -> _Jet:
+    """f(a) from f = f0, f' = f1 and f'' = sign*f2 at a.v (chain rule to
+    second order); the sign rides on the scalar factor where it can."""
+    g = a.g
+    return _Jet(f0, _mul(f1, a.dt), (_mul(f1, x) for x in g),
+                (_add(_mul(f1, x), _mul(f2, _mul(sign, _mul(g[k], g[l]))))
+                 for (k, l), x in zip(_pairs(len(g)), a.h)))
+
+
+def _sin(a: _Jet) -> _Jet:
+    s = np.sin(a.v)
+    return _compose(a, s, np.cos(a.v), s, -1.0)
+
+
+def _exp(a: _Jet) -> _Jet:
+    e = np.exp(a.v)
+    return _compose(a, e, e, e, 1.0)
+
+
+def _time(t: float, dim: int) -> _Jet:
+    return _Jet(t, 1.0, (None,) * dim, (None,) * len(_pairs(dim)))
+
+
+def _coords(arr: np.ndarray, dim: int) -> list:
+    """Jets of each coordinate at the points ``arr`` (..., dim)."""
+    none = (None,) * len(_pairs(dim))
+    return [_Jet(arr[..., k], None, (1.0 if j == k else None for j in range(dim)), none)
+            for k in range(dim)]
+
+
+# -- fields and forcings --------------------------------------------------------
+
+_SHAPES = {"rho": 0, "theta": 0, "u": 1, "drho_dt": 0, "dtheta_dt": 0, "du_dt": 1,
+           "grad_rho": 1, "grad_theta": 1, "grad_u": 2,
+           "f_mass": 0, "f_mom": 1, "f_energy": 0}  # number of trailing (dim) axes
+
+
+def _fields(model, transport_model, rho: _Jet, u: list, theta: _Jet) -> dict:
+    """The 12 fields from the jets of rho, u_j and theta, as nested lists of
+    components. The forcings use the state laws' values and first partials
+    and the coefficient laws' values and theta-derivatives:
+
+        f_mass   = rho_t + u.grad rho + rho div u
+        f_mom    = u f_mass + rho (u_t + (u.grad) u) + p_rho grad rho
+                   + p_theta grad theta - div S
+        div S    = mu' D0 grad theta + lam' div u grad theta + mu lap u / 2
+                   + ((1/2 - 1/d) mu + lam) grad div u
+        f_energy = (e + rho e_rho)(rho_t + u.grad rho)
+                   + rho e_theta (theta_t + u.grad theta) + (rho e + p) div u
+                   - kappa' |grad theta|^2 - kappa lap theta - mu |D0|^2 - lam (div u)^2
+
+    with D0 = sym(grad u) - (div u / d) I, so that S:grad u = mu |D0|^2 + lam (div u)^2.
+    """
+    def val(x):
+        return 0.0 if x is None else x
+
+    dim = len(rho.g)
+    dims = range(dim)
+    r, th = rho.v, theta.v
+    g_rho, g_th = [val(x) for x in rho.g], [val(x) for x in theta.g]
+    g_u = [[val(u[j].g[k]) for k in dims] for j in dims]
+    vel = [c.v for c in u]
+    div_u = _total(g_u[k][k] for k in dims)
+    d0 = [[None] * dim for _ in dims]
+    for j, k in _pairs(dim):
+        d0[j][k] = d0[k][j] = (g_u[j][j] - div_u / dim if j == k
+                               else 0.5 * (g_u[j][k] + g_u[k][j]))
+
+    p = model.p(r, th)
+    e = model.e(r, th)
+    dp = model.partials(r, th)
+    tm = transport_model
+    mu, lam, kap = tm.mu(r, th), tm.lam(r, th), tm.kappa(r, th)
+    dmu, dlam, dkap = tm.dmu_dtheta(r, th), tm.dlam_dtheta(r, th), tm.dkappa_dtheta(r, th)
+
+    def along_u(grad):
+        return _total(vel[k] * grad[k] for k in dims)
+
+    rho_rate = val(rho.dt) + along_u(g_rho)
+    f_mass = rho_rate + r * div_u
+    half_mu, bulk, lam_div = 0.5 * mu, (0.5 - 1.0 / dim) * mu + lam, dlam * div_u
+    f_mom = []
+    for j in dims:
+        div_s = (dmu * _total(d0[j][k] * g_th[k] for k in dims) + lam_div * g_th[j]
+                 + half_mu * _total(val(u[j].hess(k, k)) for k in dims)
+                 + bulk * _total(val(u[k].hess(k, j)) for k in dims))
+        f_mom.append(vel[j] * f_mass + r * (val(u[j].dt) + along_u(g_u[j]))
+                     + dp["dp_drho"] * g_rho[j] + dp["dp_dtheta"] * g_th[j] - div_s)
+    shear = _total(d0[j][k] * d0[j][k] if j == k else 2.0 * d0[j][k] * d0[j][k]
+                   for j, k in _pairs(dim))
+    f_energy = ((e + r * dp["de_drho"]) * rho_rate
+                + r * dp["de_dtheta"] * (val(theta.dt) + along_u(g_th))
+                + (r * e + p) * div_u
+                - dkap * _total(x * x for x in g_th)
+                - kap * _total(val(theta.hess(k, k)) for k in dims)
+                - mu * shear - lam * div_u * div_u)
+    return {"rho": r, "theta": th, "u": vel,
+            "drho_dt": val(rho.dt), "dtheta_dt": val(theta.dt),
+            "du_dt": [val(c.dt) for c in u], "grad_rho": g_rho, "grad_theta": g_th,
+            "grad_u": g_u, "f_mass": f_mass, "f_mom": f_mom, "f_energy": f_energy}
+
+
+def _compile(space: Callable, jets: Callable, model, transport_model, dim: int) -> dict:
+    """One callable per field of (t, pts), pts of shape (..., dim).
+
+    A profile is a sum of products of time and space factors:
+    ``space(coords)`` returns the jets of its space factors and
+    ``jets(time, *factors)`` the (rho, [u_j], theta) jets. Results carry
+    components in trailing axes and are read-only. For a read-only pts the
+    space factors are kept until pts changes and the last evaluation until
+    (t, pts) changes, so a time level costs one evaluation and a grid its
+    space factors once.
+    """
     last = [None, None, None]  # t, pts, fields
+    factors = [None, None]  # pts, space factor jets
 
     def evaluate(t, pts):
         t = float(t)
@@ -86,19 +231,29 @@ def _compile(fields: dict, coords) -> dict:
             return last[2]
         arr = np.asarray(pts, dtype=float)
         base = arr.shape[:-1]
-        vals = iter(fn(t, *(arr[..., k] for k in range(len(coords)))))
+        if frozen and pts is factors[0]:
+            spatial = factors[1]
+        else:
+            spatial = space(_coords(arr, dim))
+            if frozen:
+                factors[:] = pts, spatial
+        rho, u, theta = jets(_time(t, dim), *spatial)
+        comps = _fields(model, transport_model, rho, u, theta)
         out = {}
-        for name, shape in shapes.items():
-            buf = np.empty(base + (math.prod(shape),))
-            for k in range(buf.shape[-1]):
-                buf[..., k] = next(vals)
-            out[name] = buf.reshape(base + shape)
-            out[name].flags.writeable = False
+        for name, rank in _SHAPES.items():
+            buf = np.empty(base + (dim,) * rank)
+            flat = buf.reshape(base + (dim ** rank,))
+            vals = comps[name]
+            for k, val in enumerate([vals] if rank == 0 else
+                                    vals if rank == 1 else [c for row in vals for c in row]):
+                flat[..., k] = val
+            buf.flags.writeable = False
+            out[name] = buf
         if frozen:
             last[:] = t, pts, out
         return out
 
-    return {name: (lambda t, pts, name=name: evaluate(t, pts)[name]) for name in fields}
+    return {name: (lambda t, pts, name=name: evaluate(t, pts)[name]) for name in _SHAPES}
 
 
 @dataclass(frozen=True)
@@ -143,45 +298,25 @@ class StrongSolution:
                 "s_abs_max": float(np.max(np.abs(self.model.s(r, th))))}
 
 
-def _build(profile, model, transport_model, boundary, params, dim,
-           rho_e, u_e, theta_e):
-    coords = (_X, _Y)[:dim]
-    p_e, e_e = _sym_pressure_energy(model, rho_e, theta_e)
-    mu_e, lam_e, kap_e = _sym_coefficients(transport_model, theta_e)
+def _check_laws(model, transport_model) -> None:
+    """Reject, at build time, a model without a law the forcings call."""
+    for what, obj, laws in (
+            ("model", model, ("p", "e", "partials")),
+            ("transport", transport_model, ("mu", "lam", "kappa", "dmu_dtheta",
+                                            "dlam_dtheta", "dkappa_dtheta"))):
+        try:
+            for law in laws:
+                getattr(obj, law)(1.0, 1.0)
+        except (NotImplementedError, TypeError, AttributeError) as err:
+            raise TypeError(f"unsupported {what} type {type(obj).__name__}") from err
 
-    grad_u = [[sp.diff(u_e[j], coords[k]) for k in range(dim)] for j in range(dim)]
-    div_u = sum(grad_u[k][k] for k in range(dim))
-    # S = mu*(sym grad u traceless) + lam*(div u) I, traceless over dim
-    stress = [[mu_e * ((grad_u[j][k] + grad_u[k][j]) / 2 - sp.Rational(1, dim) * div_u * (1 if j == k else 0))
-               + lam_e * div_u * (1 if j == k else 0)
-               for k in range(dim)] for j in range(dim)]
-    q_flux = [-kap_e * sp.diff(theta_e, coords[k]) for k in range(dim)]
 
-    f_mass = sp.diff(rho_e, _T) + sum(sp.diff(rho_e * u_e[k], coords[k]) for k in range(dim))
-    f_mom = []
-    for j in range(dim):
-        expr = sp.diff(rho_e * u_e[j], _T)
-        expr += sum(sp.diff(rho_e * u_e[j] * u_e[k], coords[k]) for k in range(dim))
-        expr += sp.diff(p_e, coords[j])
-        expr -= sum(sp.diff(stress[j][k], coords[k]) for k in range(dim))
-        f_mom.append(expr)
-    f_energy = sp.diff(rho_e * e_e, _T)
-    f_energy += sum(sp.diff(rho_e * e_e * u_e[k], coords[k]) for k in range(dim))
-    f_energy += sum(sp.diff(q_flux[k], coords[k]) for k in range(dim))
-    f_energy -= sum(stress[j][k] * grad_u[j][k] for j in range(dim) for k in range(dim))
-    f_energy += p_e * div_u
-
-    fns = _compile({
-        "rho": rho_e, "theta": theta_e, "u": u_e,
-        "drho_dt": sp.diff(rho_e, _T), "dtheta_dt": sp.diff(theta_e, _T),
-        "du_dt": [sp.diff(c, _T) for c in u_e],
-        "grad_rho": [sp.diff(rho_e, c) for c in coords],
-        "grad_theta": [sp.diff(theta_e, c) for c in coords],
-        "grad_u": grad_u, "f_mass": f_mass, "f_mom": f_mom, "f_energy": f_energy,
-    }, coords)
+def _build(profile, model, transport_model, boundary, params, dim, space, jets):
+    _check_laws(model, transport_model)
     return StrongSolution(profile=profile, dim=dim, model=model,
                           transport_model=transport_model, boundary=boundary,
-                          params=dict(params), _fns=fns)
+                          params=dict(params),
+                          _fns=_compile(space, jets, model, transport_model, dim))
 
 
 def _profile_equilibrium(model, transport_model, params):
@@ -189,9 +324,13 @@ def _profile_equilibrium(model, transport_model, params):
     theta0 = float(params.get("theta0", 1.0))
     rho0 = float(params.get("rho0", 1.0))
     boundary = gridmod.constant_boundary(theta0)
-    u_e = [sp.Integer(0)] * dim
+
+    def jets(time):
+        return (_Jet.const(rho0, dim), [_Jet.const(0.0, dim)] * dim,
+                _Jet.const(theta0, dim))
+
     return _build("equilibrium", model, transport_model, boundary, params, dim,
-                  sp.Float(rho0), u_e, sp.Float(theta0))
+                  lambda x: (), jets)
 
 
 def _profile_conduction(model, transport_model, params):
@@ -200,9 +339,12 @@ def _profile_conduction(model, transport_model, params):
     if theta0 <= 0 or theta0 + b <= 0:
         raise ValueError("conduction profile needs a positive temperature span")
     boundary = gridmod.affine_boundary(theta0, b)
-    theta_e = sp.Float(theta0) + sp.Float(b) * _X
+
+    def jets(time, x):
+        return _Jet.const(1.0, 1), [_Jet.const(0.0, 1)], theta0 + b * x
+
     return _build("conduction", model, transport_model, boundary, params, 1,
-                  sp.Float(1.0), [sp.Integer(0)], theta_e)
+                  lambda x: (x[0],), jets)
 
 
 def _profile_shear(model, transport_model, params):
@@ -212,13 +354,17 @@ def _profile_shear(model, transport_model, params):
     rate = float(params.get("rate", 1.0))
     if not (abs(amp_rho) < 1.0 and abs(amp_th) < 1.0):
         raise ValueError("shear profile amplitudes must keep rho, theta positive")
-    decay = sp.exp(-sp.Float(rate) * _T)
-    rho_e = 1 + sp.Float(amp_rho) * sp.sin(2 * sp.pi * _X) * decay
-    u_e = [sp.Float(amp_u) * sp.sin(sp.pi * _X) * decay]
-    theta_e = 1 + sp.Float(amp_th) * sp.sin(sp.pi * _X) * decay
     boundary = gridmod.constant_boundary(1.0)
-    return _build("shear", model, transport_model, boundary, params, 1,
-                  rho_e, u_e, theta_e)
+
+    def space(x):
+        return _sin(math.pi * x[0]), _sin(2.0 * math.pi * x[0])
+
+    def jets(time, wave, wave2):
+        decay = _exp(-rate * time)
+        return (1.0 + wave2 * (amp_rho * decay), [wave * (amp_u * decay)],
+                1.0 + wave * (amp_th * decay))
+
+    return _build("shear", model, transport_model, boundary, params, 1, space, jets)
 
 
 def _profile_radiative_decay(model, transport_model, params):
@@ -230,14 +376,21 @@ def _profile_radiative_decay(model, transport_model, params):
     rate = float(params.get("rate", 1.0))
     if not (abs(amp_rho) < 1.0 and abs(amp_th) < 1.0):
         raise ValueError("radiative_decay amplitudes must keep rho, theta positive")
-    bump = sp.sin(sp.pi * _X) * sp.sin(sp.pi * _Y)
-    decay = sp.exp(-sp.Float(rate) * _T)
-    rho_e = 1 + sp.Float(amp_rho) * sp.sin(2 * sp.pi * _X) * sp.sin(2 * sp.pi * _Y) * decay
-    u_e = [sp.Float(amp_u) * bump * decay, -sp.Float(0.8) * sp.Float(amp_u) * bump * decay]
-    theta_e = 1 + sp.Float(amp_th) * bump * sp.exp(-sp.Float(rate) * _T / 2)
     boundary = gridmod.constant_boundary(1.0)
+
+    def space(x):
+        return (_sin(math.pi * x[0]) * _sin(math.pi * x[1]),
+                _sin(2.0 * math.pi * x[0]) * _sin(2.0 * math.pi * x[1]))
+
+    def jets(time, bump, wave):
+        decay = _exp(-rate * time)
+        rho = 1.0 + wave * (amp_rho * decay)
+        u = [bump * (amp_u * decay), bump * (-0.8 * amp_u * decay)]
+        theta = 1.0 + bump * (amp_th * _exp(-0.5 * rate * time))
+        return rho, u, theta
+
     return _build("radiative_decay", model, transport_model, boundary, params, 2,
-                  rho_e, u_e, theta_e)
+                  space, jets)
 
 
 _PROFILES: dict[str, Callable] = {

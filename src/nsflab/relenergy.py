@@ -253,17 +253,34 @@ def coercivity_check(model: thermo.ThermoModel, params: CutoffParams,
 # --------------------------------------------------------------------------
 
 
+def _strong_state(sol: StrongSolution, grid: gridmod.Grid, t: float,
+                  model: thermo.ThermoModel) -> dict:
+    """Comparison state and its equation-of-state values at cell centers:
+    all the relative energy itself reads."""
+
+    pts = grid_points(grid)
+    rho, theta, u = sol.rho(t, pts), sol.theta(t, pts), sol.u(t, pts)
+    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
+        raise ValueError("comparison state must have positive density and temperature")
+    return {"rho": rho, "theta": theta, "u": u, "ev": model.eval(rho, theta)}
+
+
 def _strong_fields(sol: StrongSolution, grid: gridmod.Grid, t: float,
                    model: thermo.ThermoModel,
                    transport_model: transport.TransportModel) -> dict:
     """Comparison-state fields and derived quantities at cell centers."""
 
-    pts = grid_points(grid)
-    rho, theta, u, g_u = sol.rho(t, pts), sol.theta(t, pts), sol.u(t, pts), sol.grad_u(t, pts)
-    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
-        raise ValueError("comparison state must have positive density and temperature")
+    return _with_derived(_strong_state(sol, grid, t, model), sol, grid, t, transport_model)
 
-    ev = model.eval(rho, theta)
+
+def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float,
+                  transport_model: transport.TransportModel) -> dict:
+    """``state`` extended by the gradients, stress parts and transport
+    coefficients the inequality chain reads."""
+
+    pts = grid_points(grid)
+    rho, theta, u, ev = state["rho"], state["theta"], state["u"], state["ev"]
+    g_u = sol.grad_u(t, pts)
     grad_theta = sol.grad_theta(t, pts)
     grad_p = ev.dp_drho[..., None] * sol.grad_rho(t, pts) + ev.dp_dtheta[..., None] * grad_theta
 
@@ -274,7 +291,7 @@ def _strong_fields(sol: StrongSolution, grid: gridmod.Grid, t: float,
              + grad_p - sol.f_mom(t, pts))
 
     return {
-        "rho": rho, "theta": theta, "u": u, "ev": ev,
+        **state,
         "g_u": g_u, "sym_u": transport.sym_part(g_u),
         "d0_u": transport.traceless_sym(g_u),
         "div_u": np.einsum("...ii->...", g_u),
@@ -434,6 +451,8 @@ def rel_energy_series(V: AtomicYoungMeasure, sol: StrongSolution,
     energy fails its consistency checks.  ``on_level(lev, sf, chi)`` runs at
     each level with the comparison-state fields and the atoms' window
     weights, so a caller extending the pass evaluates ``sol`` once per level.
+    Without a hook only the state and its equation of state are read; the
+    gradients, stress parts and coefficients are built for the hook alone.
     """
 
     if sol.model != model:
@@ -447,7 +466,8 @@ def rel_energy_series(V: AtomicYoungMeasure, sol: StrongSolution,
                  ("ballistic", "cross", "carrier", "closure")}
 
     for lev in range(n_levels):
-        sf = _strong_fields(sol, grid, float(times[lev]), model, transport_model)
+        t = float(times[lev])
+        sf = _strong_state(sol, grid, t, model)
         w, rho, theta, u = V.weights[lev], V.rho[lev], V.theta[lev], V.u[lev]
         if np.any(theta <= 0.0) or np.any(rho <= 0.0):
             raise ValueError("the relative energy needs strictly positive atom states")
@@ -470,7 +490,7 @@ def rel_energy_series(V: AtomicYoungMeasure, sol: StrongSolution,
             grid, _avg(w, rho, 0) * (0.5 * np.sum(sf["u"] ** 2, axis=-1) - slope))
         expansion["closure"][lev] = gridmod.integrate(grid, sf["ev"].p)
         if on_level is not None:
-            on_level(lev, sf, chi)
+            on_level(lev, _with_derived(sf, sol, grid, t, transport_model), chi)
     e_res = e_mv - e_ess
 
     scale = 1.0 + float(np.max(np.abs(e_mv)))

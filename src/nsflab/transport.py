@@ -56,6 +56,16 @@ class TransportModel:
     def kappa(self, rho, theta):
         raise NotImplementedError
 
+    # theta-derivatives of the three laws (the manufactured forcings need them)
+    def dmu_dtheta(self, rho, theta):
+        raise NotImplementedError
+
+    def dlam_dtheta(self, rho, theta):
+        raise NotImplementedError
+
+    def dkappa_dtheta(self, rho, theta):
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class AffineTheta(TransportModel):
@@ -80,6 +90,15 @@ class AffineTheta(TransportModel):
 
     def kappa(self, rho, theta):
         return self.kappa0 * (1.0 + np.asarray(theta, dtype=float))
+
+    def dmu_dtheta(self, rho, theta):
+        return np.full(np.shape(theta), self.c_mu)
+
+    def dlam_dtheta(self, rho, theta):
+        return np.full(np.shape(theta), self.c_lambda)
+
+    def dkappa_dtheta(self, rho, theta):
+        return np.full(np.shape(theta), self.kappa0)
 
 
 @dataclass(frozen=True)
@@ -110,6 +129,15 @@ class PowerKappa(TransportModel):
 
     def kappa(self, rho, theta):
         return self.kappa1 + self.kappa2 * np.asarray(theta, dtype=float) ** self.beta
+
+    def dmu_dtheta(self, rho, theta):
+        return np.full(np.shape(theta), self.mu1)
+
+    def dlam_dtheta(self, rho, theta):
+        return np.full(np.shape(theta), self.lambda1)
+
+    def dkappa_dtheta(self, rho, theta):
+        return self.kappa2 * self.beta * np.asarray(theta, dtype=float) ** (self.beta - 1.0)
 
 
 @dataclass(frozen=True)
@@ -147,6 +175,15 @@ class BoundedGeneral(TransportModel):
         self._reject()
 
     def kappa(self, rho, theta):
+        self._reject()
+
+    def dmu_dtheta(self, rho, theta):
+        self._reject()
+
+    def dlam_dtheta(self, rho, theta):
+        self._reject()
+
+    def dkappa_dtheta(self, rho, theta):
         self._reject()
 
 

@@ -230,6 +230,23 @@ def test_module_entry_point_leaves_stderr_empty():
     assert proc.stderr == ""
 
 
+def test_cli_import_loads_no_package_beyond_numpy():
+    # start-up cost: the CLI needs numpy only; the harmonic extension
+    # (apriori) imports scipy when it runs
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, numpy\n"
+             "def top(): return {m.split('.')[0] for m in sys.modules}\n"
+             "before = top()\n"
+             "import nsflab.cli\n"
+             "print(sorted(top() - before - set(sys.stdlib_module_names)))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['nsflab']"
+
+
 def test_verify_thermo_passes_and_writes_verdict(tmp_path, capsys):
     code = cli.main(["verify-thermo", "--samples", "500",
                      "--out", str(tmp_path)])

@@ -67,8 +67,22 @@ def test_entropy_production_orthogonal_split():
 
 def test_bounded_general_is_validator_only():
     env = transport.BoundedGeneral(mu_lo=0.01, mu_hi=1.0, lam_hi=1.0, kappa_lo=0.01, kappa_hi=1.0, beta=2.0)
-    with pytest.raises(TypeError, match="envelope validator"):
-        env.mu(1.0, 1.0)
+    for law in ("mu", "dmu_dtheta", "dlam_dtheta", "dkappa_dtheta"):
+        with pytest.raises(TypeError, match="envelope validator"):
+            getattr(env, law)(1.0, 1.0)
+
+
+@pytest.mark.parametrize("model", [transport.AffineTheta(c_mu=0.2, c_lambda=0.3, kappa0=0.1),
+                                   transport.PowerKappa(mu1=0.2, lambda1=0.3, kappa2=0.4, beta=1.5)],
+                         ids=["affine_theta", "power_kappa"])
+def test_theta_derivatives_match_finite_differences(model):
+    theta = np.linspace(0.2, 3.0, 15)
+    h = 1e-6
+    for law in ("mu", "lam", "kappa"):
+        fd = (getattr(model, law)(1.0, theta + h) - getattr(model, law)(1.0, theta - h)) / (2 * h)
+        exact = getattr(model, f"d{law}_dtheta")(1.0, theta)
+        assert exact.shape == theta.shape
+        assert np.max(np.abs(exact - fd)) < 1e-8, law
 
 
 def test_coefficient_validation():
