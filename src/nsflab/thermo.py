@@ -104,6 +104,16 @@ DEGENERATE_KERNEL = PressureKernel(
     pbar=1.0,
     third_law=True,
 )
+"""Degenerate kernel P(q) = q*(1+q)**(2/3) with its third-law entropy kernel.
+
+At large q = rho/theta**1.5 the internal energy tends to the theta-free
+1.5*rho**(2/3), and its theta-condition number e/(theta*de_dtheta) grows like
+q (3.2e7 at rho = 1e3, theta = 1e-3). A correctly rounded e then fixes theta
+only to about q*eps, so ``invert_internal_energy`` round-trips there to about
+1e-8 relative (3.6e-8 from a correctly rounded e over 50 states within 1e-3
+of that point). The loss is the inversion's, not this formula's: writing P as
+q**(5/3)*exp((2/3)*log1p(1/q)) gives 5.3e-8 on the same states.
+"""
 
 _KERNELS = {k.name: k for k in (IDEAL_KERNEL, DEGENERATE_KERNEL)}
 
