@@ -74,7 +74,7 @@ class _Jet:
     __slots__ = ("v", "dt", "g", "h")
 
     def __init__(self, v, dt, g, h):
-        self.v, self.dt, self.g, self.h = v, dt, tuple(g), tuple(h)
+        self.v, self.dt, self.g, self.h = v, dt, g, h
 
     @classmethod
     def const(cls, c: float, dim: int) -> "_Jet":
@@ -88,43 +88,42 @@ class _Jet:
         if not isinstance(other, _Jet):
             return _Jet(self.v + other, self.dt, self.g, self.h)
         return _Jet(_add(self.v, other.v), _add(self.dt, other.dt),
-                    map(_add, self.g, other.g), map(_add, self.h, other.h))
+                    list(map(_add, self.g, other.g)), list(map(_add, self.h, other.h)))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if not isinstance(other, _Jet):
             c = float(other)
-            return _Jet(self.v * c, _mul(self.dt, c), (_mul(x, c) for x in self.g),
-                        (_mul(x, c) for x in self.h))
+            return _Jet(self.v * c, _mul(self.dt, c), [_mul(x, c) for x in self.g],
+                        [_mul(x, c) for x in self.h])
         a, b = self, other
         av, bv, ag, bg = a.v, b.v, a.g, b.g
         return _Jet(av * bv, _add(_mul(a.dt, bv), _mul(av, b.dt)),
-                    (_add(_mul(x, bv), _mul(av, y)) for x, y in zip(ag, bg)),
-                    (_add(_add(_mul(x, bv), _mul(av, y)),
-                          _add(_mul(ag[k], bg[l]), _mul(ag[l], bg[k]) if k != l else None))
-                     for (k, l), x, y in zip(_pairs(len(ag)), a.h, b.h)))
+                    [_add(_mul(x, bv), _mul(av, y)) for x, y in zip(ag, bg)],
+                    [_add(_add(_mul(x, bv), _mul(av, y)),
+                          _add(_mul(ag[k], bg[l]), _mul(ag[l], bg[k])))
+                     for (k, l), x, y in zip(_pairs(len(ag)), a.h, b.h)])
 
     __rmul__ = __mul__
 
 
-def _compose(a: _Jet, f0, f1, f2, sign: float) -> _Jet:
-    """f(a) from f = f0, f' = f1 and f'' = sign*f2 at a.v (chain rule to
-    second order); the sign rides on the scalar factor where it can."""
+def _compose(a: _Jet, f0, f1, f2) -> _Jet:
+    """f(a) from f = f0, f' = f1 and f'' = f2 at a.v (chain rule to second order)."""
     g = a.g
-    return _Jet(f0, _mul(f1, a.dt), (_mul(f1, x) for x in g),
-                (_add(_mul(f1, x), _mul(f2, _mul(sign, _mul(g[k], g[l]))))
-                 for (k, l), x in zip(_pairs(len(g)), a.h)))
+    return _Jet(f0, _mul(f1, a.dt), [_mul(f1, x) for x in g],
+                [_add(_mul(f1, x), _mul(f2, _mul(g[k], g[l])))
+                 for (k, l), x in zip(_pairs(len(g)), a.h)])
 
 
 def _sin(a: _Jet) -> _Jet:
     s = np.sin(a.v)
-    return _compose(a, s, np.cos(a.v), s, -1.0)
+    return _compose(a, s, np.cos(a.v), -s)
 
 
 def _exp(a: _Jet) -> _Jet:
     e = np.exp(a.v)
-    return _compose(a, e, e, e, 1.0)
+    return _compose(a, e, e, e)
 
 
 def _time(t: float, dim: int) -> _Jet:
@@ -134,7 +133,7 @@ def _time(t: float, dim: int) -> _Jet:
 def _coords(arr: np.ndarray, dim: int) -> list:
     """Jets of each coordinate at the points ``arr`` (..., dim)."""
     none = (None,) * len(_pairs(dim))
-    return [_Jet(arr[..., k], None, (1.0 if j == k else None for j in range(dim)), none)
+    return [_Jet(arr[..., k], None, [1.0 if j == k else None for j in range(dim)], none)
             for k in range(dim)]
 
 
@@ -241,12 +240,17 @@ def _compile(space: Callable, jets: Callable, model, transport_model, dim: int) 
         comps = _fields(model, transport_model, rho, u, theta)
         out = {}
         for name, rank in _SHAPES.items():
-            buf = np.empty(base + (dim,) * rank)
-            flat = buf.reshape(base + (dim ** rank,))
             vals = comps[name]
-            for k, val in enumerate([vals] if rank == 0 else
-                                    vals if rank == 1 else [c for row in vals for c in row]):
-                flat[..., k] = val
+            buf = np.empty(base + (dim,) * rank)
+            if rank == 0:
+                buf[...] = vals
+            elif rank == 1:
+                for k, c in enumerate(vals):
+                    buf[..., k] = c
+            else:
+                for j, row in enumerate(vals):
+                    for k, c in enumerate(row):
+                        buf[..., j, k] = c
             buf.flags.writeable = False
             out[name] = buf
         if frozen:

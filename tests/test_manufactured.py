@@ -124,6 +124,32 @@ def test_derivative_callables_match_finite_differences(name):
                              - grho[..., k])) < 1e-7
 
 
+def test_jet_arithmetic_matches_finite_differences():
+    # products of factors sharing a variable, nested sin/exp and sums: the
+    # profiles only multiply factors of different variables
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-0.5, 0.5, size=(6, 2))
+
+    def field(t, p):
+        time, (x, y) = mfg._time(t, 2), mfg._coords(p, 2)
+        return (mfg._sin(1.3 * x + 0.7 * y) * mfg._exp(x * y + time * 0.4)
+                + x * x * y * 2.0 + mfg._sin(time * x) + 0.5)
+
+    t, h = 0.3, 1e-4
+    jet = field(t, pts)
+    value = lambda tt, p: field(tt, p).v
+    shift = np.eye(2) * h
+    assert np.max(np.abs(jet.dt - (value(t + h, pts) - value(t - h, pts)) / (2 * h))) < 1e-7
+    for k in range(2):
+        fd = (value(t, pts + shift[k]) - value(t, pts - shift[k])) / (2 * h)
+        assert np.max(np.abs(jet.g[k] - fd)) < 1e-7
+        for l in range(2):
+            fd2 = (value(t, pts + shift[k] + shift[l]) - value(t, pts + shift[k] - shift[l])
+                   - value(t, pts - shift[k] + shift[l]) + value(t, pts - shift[k] - shift[l])
+                   ) / (4 * h * h)
+            assert np.max(np.abs(jet.hess(k, l) - fd2)) < 1e-6, (k, l)
+
+
 def test_equilibrium_forcing_identically_zero():
     sol = mfg.manufactured("equilibrium", PG, AFF)
     gr = g.Grid(cells=(16,))
