@@ -1,13 +1,15 @@
-"""Golden values: key verdict numbers of four commands at their defaults.
+"""Golden values: key verdict numbers of the commands at their defaults.
 
-``golden/defaults.json`` maps command -> output file -> key -> the pinned
-``value`` with its own ``rtol`` and ``atol``.  A ``verdict.json`` key is a
-dotted path into the verdict; a ``series.csv`` key names a column and pins
-its last row.  A change that moves a value updates the file and explains the
-move in ``CHANGES.md``; it does not widen a tolerance.
+``golden/defaults.json`` maps a command line -> output file -> key -> the
+pinned ``value`` with its own ``rtol`` and ``atol``.  A ``verdict.json`` key
+is a dotted path into the verdict, where an integer part indexes a list; a
+``series.csv`` key names a column and pins its last row.  Non-finite values
+must match exactly.  A change that moves a value updates the file and
+explains the move in ``CHANGES.md``; it does not widen a tolerance.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -18,17 +20,24 @@ with open(os.path.join(os.path.dirname(__file__), "golden", "defaults.json"),
           encoding="utf-8") as fh:
     PINNED = json.load(fh)
 
-CASES = [(command, source, key)
-         for command, files in PINNED.items()
+CASES = [(argv, source, key)
+         for argv, files in PINNED.items()
          for source, keys in files.items()
          for key in keys]
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """The output root and each command's exit code."""
-    root = tmp_path_factory.mktemp("golden")
-    return root, {command: cli.main([command, "--out", str(root)]) for command in PINNED}
+    """Each command line's output root and exit code.
+
+    Every command line gets its own root: ``wsu --theorem 1`` and
+    ``wsu --theorem 2`` both write ``<out>/wsu/``.
+    """
+    out = {}
+    for argv in PINNED:
+        root = tmp_path_factory.mktemp("golden")
+        out[argv] = (root, cli.main(argv.split() + ["--out", str(root)]))
+    return out
 
 
 def _read(root, command: str, source: str) -> dict:
@@ -39,14 +48,17 @@ def _read(root, command: str, source: str) -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("command,source,key", CASES,
-                         ids=[f"{c}:{k}" for c, _, k in CASES])
-def test_default_output_matches_golden_value(runs, command, source, key):
-    root, codes = runs
-    assert codes[command] == 0
-    got = _read(root, command, source)
+@pytest.mark.parametrize("argv,source,key", CASES,
+                         ids=[f"{a}:{k}" for a, _, k in CASES])
+def test_default_output_matches_golden_value(runs, argv, source, key):
+    root, code = runs[argv]
+    assert code == 0
+    got = _read(root, argv.split()[0], source)
     for part in key.split(".") if source == "verdict.json" else (key,):
-        got = got[part]
-    pin = PINNED[command][source][key]
+        got = got[int(part)] if isinstance(got, list) else got[part]
+    pin = PINNED[argv][source][key]
+    if not math.isfinite(pin["value"]):
+        assert got == pin["value"], f"{argv} {source} {key}: {got!r} is not {pin['value']!r}"
+        return
     assert abs(got - pin["value"]) <= pin["atol"] + pin["rtol"] * abs(pin["value"]), (
-        f"{command} {source} {key}: {got!r} moved from the golden {pin['value']!r}")
+        f"{argv} {source} {key}: {got!r} moved from the golden {pin['value']!r}")
