@@ -100,7 +100,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "run": {
         "seed": ("int", 0),
-        "output_dir": ("str", ""),
     },
 }
 
@@ -305,7 +304,6 @@ def build_experiment_spec(cfg: RunConfig) -> ExperimentSpec:
         profile=block["profile"] or None,
         eps_list=block["eps"] or None,
         grids=block["grids"] or None,
-        t_end=cfg["solver"]["t_end"],
-        save_every=cfg["solver"]["save_every"],
+        solver=build_solver_config(cfg),
         theta_scale=block["theta_scale"],
         theta_tilt=block["theta_tilt"])

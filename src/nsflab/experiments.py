@@ -21,8 +21,8 @@ gate never start.  Three runners sit on top:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -74,6 +74,19 @@ _DEFAULT_EPS = {
     "apriori": (1e-2,),
     "defect": (1e-2,),
 }
+
+# fixed thresholds of the studies, listed in ExperimentSpec's docstring
+_DIRAC_ORDER_MIN = 1.0
+_ENVELOPE_FACTOR = 1.2
+_GRONWALL_BAND = 0.2
+_GRID_BAND = 0.3
+_STATE_WINDOW = (0.25, 4.0, 0.25, 4.0)
+_ENTROPY_CAP = 10.0
+_E1_CAP = 4.0
+_E2_CAP = 5.0
+_ENTROPY_Q = 2.0
+_CALIBRATION_SAFETY = 1.1
+_OSC_EPS = 5e-3
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +224,31 @@ class ExperimentSpec:
 
     Construction runs the hypothesis gate and raises
     :class:`HypothesisGateError` on rejection, so a spec that exists is a
-    spec that may run.
+    spec that may run.  ``solver`` is the template of every run's solver
+    configuration; the runners set its ``source``.
+
+    The studies judge their runs against fixed thresholds (module constants):
+
+    * ``_DIRAC_ORDER_MIN = 1``: the collapse error of the shared-data runs
+      vanishes at first order or better in h.
+    * ``_ENVELOPE_FACTOR = 1.2``: a perturbed run's relative energy stays
+      below this multiple of its fitted envelope exp(C t) E(0).
+    * ``_GRONWALL_BAND = 0.2`` and ``_GRID_BAND = 0.3``: the largest relative
+      spread of the fitted constant across perturbation sizes and across one
+      grid refinement.  These two and the envelope factor are the bounds
+      that acceptance criterion 8 pins.
+    * ``_STATE_WINDOW = (0.25, 4, 0.25, 4)``: the density and temperature
+      range that claim "1" runs must stay in.
+    * ``_ENTROPY_CAP = 10``: the entropy ceiling of claim "2".
+    * ``_E1_CAP = 4`` and ``_E2_CAP = 5``: caps of the sampled radiation-flux
+      absorption ratio and kernel entropy quotient of claim "3"; 5 separates
+      the third-law kernel from the ideal one.
+    * ``_ENTROPY_Q = 2``: the exponent of the entropy moment in the a priori
+      budget.
+    * ``_CALIBRATION_SAFETY = 1.1``: the factor on the coarsest budget total
+      that calibrates the a priori bound.
+    * ``_OSC_EPS = 5e-3``: the scale eps of the oscillatory velocity
+      sin(x/eps) sin(pi x) in the defect study.
     """
 
     theorem: str
@@ -220,22 +257,9 @@ class ExperimentSpec:
     profile: Optional[str] = None
     grids: Optional[tuple[int, ...]] = None
     eps_list: Optional[tuple[float, ...]] = None
-    t_end: float = 0.05
-    save_every: int = 2
-    dirac_order_min: float = 1.0
-    envelope_factor: float = 1.2
-    gronwall_band: float = 0.2
-    grid_band: float = 0.3
-    state_window: tuple[float, float, float, float] = (0.25, 4.0, 0.25, 4.0)
-    entropy_cap: float = 10.0
-    e1_cap: float = 4.0
-    e2_cap: float = 5.0
+    solver: solver.SolverConfig = solver.SolverConfig(t_end=0.05, save_every=2)
     theta_scale: float = 1.0
     theta_tilt: float = 0.2
-    entropy_q: float = 2.0
-    calibration_safety: float = 1.1
-    osc_eps: float = 5e-3
-    profile_params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         theorem = str(self.theorem)
@@ -257,19 +281,10 @@ class ExperimentSpec:
         if any(e <= 0.0 for e in eps):
             raise ValueError("perturbation sizes must be > 0")
         object.__setattr__(self, "eps_list", eps)
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be > 0")
-        rho_lo, rho_hi, th_lo, th_hi = self.state_window
-        if not (0.0 < rho_lo < rho_hi and 0.0 < th_lo < th_hi):
-            raise ValueError("state window must satisfy 0 < lo < hi per variable")
         if self.theta_scale <= 0.0:
             raise ValueError("boundary temperature scale must be > 0")
         if not (0.0 <= self.theta_tilt <= 1.0):
             raise ValueError("boundary temperature tilt must lie in [0, 1]")
-        if self.entropy_q <= 1.0:
-            raise ValueError("entropy moment exponent must be > 1")
-        if self.calibration_safety < 1.0:
-            raise ValueError("calibration safety factor must be >= 1")
 
     @property
     def gate(self) -> GateResult:
@@ -300,24 +315,24 @@ def _fit_order(h: np.ndarray, sup: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 
-def _radiation_flux_ratio(a: float, u_ref_mag: float, u_span: float = 5.0) -> float:
+def _radiation_flux_ratio(a: float, u_ref_mag: float) -> float:
     """Max of 2a*theta*|u| / (theta**2/4 + |u - u_ref|**2 + 2a*theta).
 
     The numerator is the radiation entropy flux density rho*s_R*|u|; the
     denominator is the quadratic envelope it must be absorbed into (Cauchy
     split with unit weight plus the flux's own carrier).  The maximum over a
-    wide state sweep realizes the constant C(u_ref).
+    wide state sweep (|u| <= 5) realizes the constant C(u_ref).
     """
 
     theta = np.geomspace(1e-6, 1e6, 601)
-    u = np.linspace(-u_span, u_span, 241)
+    u = np.linspace(-5.0, 5.0, 241)
     th, uu = np.meshgrid(theta, u, indexing="ij")
     num = 2.0 * a * th * np.abs(uu)
     den = 0.25 * th * th + (uu - u_ref_mag) ** 2 + 2.0 * a * th
     return float(np.max(num / den))
 
 
-def _kernel_entropy_quotient(model: thermo.MolecularRadiation, n: int = 401) -> float:
+def _kernel_entropy_quotient(model: thermo.MolecularRadiation) -> float:
     """Max of rho*s_M**2 / (1 + rho + rho*e_M) over a wide state sweep.
 
     Bounded only when the kernel entropy vanishes at large degeneracy; a
@@ -325,8 +340,8 @@ def _kernel_entropy_quotient(model: thermo.MolecularRadiation, n: int = 401) -> 
     along rho -> inf, theta -> 0.
     """
 
-    rho = np.geomspace(1e-4, 1e4, n)
-    theta = np.geomspace(1e-4, 1e4, n)
+    rho = np.geomspace(1e-4, 1e4, 401)
+    theta = np.geomspace(1e-4, 1e4, 401)
     r, th = np.meshgrid(rho, theta, indexing="ij")
     q = r * th ** -1.5
     s_m = model.kernel.s(q)
@@ -349,8 +364,8 @@ def _kp_absorption_ratio(traj: solver.Trajectory, sol: StrongSolution) -> float:
     for k in range(traj.n_levels):
         t = float(traj.times[k])
         du = traj.u[k] - sol.u(t, pts)
-        f = gridmod.sync_odd(gridmod.VectorField.from_interior(g, traj.u[k], time=t))
-        d0 = transport.traceless_sym(gridmod.grad_vector(f).interior)
+        f = gridmod.sync_odd(gridmod.VectorField.from_interior(g, traj.u[k]))
+        d0 = transport.traceless_sym(gridmod.grad_vector(f))
         d0_ref = transport.traceless_sym(sol.grad_u(t, pts))
         num[k] = gridmod.integrate(g, np.sum(du * du, axis=-1))
         den[k] = gridmod.integrate(g, np.sum((d0 - d0_ref) ** 2, axis=(-2, -1)))
@@ -441,16 +456,14 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
             "run_defect_study for the budget and coarse-graining studies")
     gate = spec.gate
     profile = spec.resolved_profile
-    sol = manufactured(profile, spec.model, spec.transport_model,
-                       **dict(spec.profile_params))
+    sol = manufactured(profile, spec.model, spec.transport_model)
     dim = sol.dim
     all_trajs: list[solver.Trajectory] = []
 
     def run(grid: gridmod.Grid, eps: Optional[float] = None):
         """Solve from the strong data (``perturbed_state`` when ``eps`` is
         given) and take the run's relative-energy series against ``sol``."""
-        cfg = solver.SolverConfig(t_end=spec.t_end, source=sol,
-                                  save_every=spec.save_every)
+        cfg = replace(spec.solver, source=sol)
         initial = None if eps is None else perturbed_state(sol, grid, eps)
         traj = solver.simulate(grid, cfg, spec.model, spec.transport_model,
                                boundary=sol.boundary, initial=initial)
@@ -505,46 +518,45 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     ranges = _observed_ranges(all_trajs, spec.model)
     hyp_ok = True
     if spec.theorem == "1":
-        rho_lo, rho_hi, th_lo, th_hi = spec.state_window
+        rho_lo, rho_hi, th_lo, th_hi = _STATE_WINDOW
         window_ok = (rho_lo <= ranges["rho_min"] and ranges["rho_max"] <= rho_hi
                      and th_lo <= ranges["theta_min"] and ranges["theta_max"] <= th_hi)
         checks.update(ranges)
         checks["state_window_ok"] = float(window_ok)
         hyp_ok = window_ok
     elif spec.theorem == "2":
-        cap_ok = ranges["s_abs_max"] <= spec.entropy_cap
+        cap_ok = ranges["s_abs_max"] <= _ENTROPY_CAP
         c_v = spec.model.c_v
         theta_pow = all_trajs[0].theta ** c_v
-        chain = float(np.max(theta_pow / (all_trajs[0].rho * np.exp(spec.entropy_cap))))
+        chain = float(np.max(theta_pow / (all_trajs[0].rho * np.exp(_ENTROPY_CAP))))
         pr = spec.model.p(all_trajs[0].rho, all_trajs[0].theta)
         en = all_trajs[0].rho * spec.model.e(all_trajs[0].rho, all_trajs[0].theta)
         sn = all_trajs[0].rho * np.abs(spec.model.s(all_trajs[0].rho, all_trajs[0].theta))
         checks["s_abs_max"] = ranges["s_abs_max"]
-        checks["entropy_cap"] = spec.entropy_cap
+        checks["entropy_cap"] = _ENTROPY_CAP
         checks["entropy_cap_ok"] = float(cap_ok)
         checks["temperature_chain_margin"] = chain
         checks["pressure_quotient_max"] = float(np.max(np.abs(pr) / (1.0 + en + sn)))
         hyp_ok = cap_ok and chain <= 1.0 + 1e-12
     else:
-        rr = sol.range_report(fine, (0.0, spec.t_end))
+        rr = sol.range_report(fine, (0.0, spec.solver.t_end))
         e1 = _radiation_flux_ratio(spec.model.a, rr["u_max"])
         e2 = _kernel_entropy_quotient(spec.model)
         kp_const = young.calibrate_kp_constant(fine)
         kp_ratio = _kp_absorption_ratio(kp_traj, sol)
         checks["flux_absorption_max"] = e1
-        checks["flux_absorption_cap"] = spec.e1_cap
+        checks["flux_absorption_cap"] = _E1_CAP
         checks["entropy_quotient_max"] = e2
-        checks["entropy_quotient_cap"] = spec.e2_cap
+        checks["entropy_quotient_cap"] = _E2_CAP
         checks["velocity_control_ratio"] = kp_ratio
         checks["velocity_control_constant"] = kp_const
         checks["kernel_third_law"] = float(spec.model.kernel.third_law)
-        hyp_ok = (e1 <= spec.e1_cap and e2 <= spec.e2_cap
+        hyp_ok = (e1 <= _E1_CAP and e2 <= _E2_CAP
                   and kp_ratio <= kp_const)
 
-    order_ok = order >= spec.dirac_order_min
-    envelope_ok = all(g <= spec.envelope_factor for g in growth)
-    band_ok = (c_spread <= spec.gronwall_band
-               and c_grid_spread <= spec.grid_band)
+    order_ok = order >= _DIRAC_ORDER_MIN
+    envelope_ok = all(g <= _ENVELOPE_FACTOR for g in growth)
+    band_ok = c_spread <= _GRONWALL_BAND and c_grid_spread <= _GRID_BAND
     return TheoremReport(
         theorem=spec.theorem, gate=gate, profile=profile,
         dirac_cells=tuple(spec.grids), dirac_sup=tuple(sup_e),
@@ -591,9 +603,8 @@ def _budget_terms(traj: solver.Trajectory, spec: ExperimentSpec,
     mu_lo = min(tm.mu0, tm.mu1)
     kap_lo = min(tm.kappa1, tm.kappa2)
     beta = tm.beta
-    q_exp = spec.entropy_q
 
-    grad_hat = gridmod.gradient(theta_hat).interior
+    grad_hat = gridmod.gradient(theta_hat)
     hat = theta_hat.interior
 
     state_sup = {k: 0.0 for k in ("mass", "kinetic", "internal", "entropy_power")}
@@ -611,8 +622,8 @@ def _budget_terms(traj: solver.Trajectory, spec: ExperimentSpec,
         rho, u, theta = traj.rho[k], traj.u[k], traj.theta[k]
         rho_f, u_f, th_f = gridmod.sync_physical(g, rho, u, theta,
                                                  traj.boundary, t)
-        grad_u = gridmod.grad_vector(u_f).interior
-        grad_th = gridmod.gradient(th_f).interior
+        grad_u = gridmod.grad_vector(u_f)
+        grad_th = gridmod.gradient(th_f)
         div_u = np.einsum("...ii->...", grad_u)
 
         e = model.e(rho, theta)
@@ -620,7 +631,7 @@ def _budget_terms(traj: solver.Trajectory, spec: ExperimentSpec,
         mass = float(gridmod.integrate(g, rho))
         kin = float(gridmod.integrate(g, rho * np.sum(u * u, axis=-1)))
         internal = float(gridmod.integrate(g, rho * e))
-        ent_pow = float(gridmod.integrate(g, np.abs(rho * s) ** q_exp))
+        ent_pow = float(gridmod.integrate(g, np.abs(rho * s) ** _ENTROPY_Q))
         state_sup["mass"] = max(state_sup["mass"], mass)
         state_sup["kinetic"] = max(state_sup["kinetic"], kin)
         state_sup["internal"] = max(state_sup["internal"], internal)
@@ -689,8 +700,7 @@ def run_apriori(spec: ExperimentSpec, c_fixed: Optional[float] = None) -> Aprior
     if spec.theorem != "apriori":
         raise ValueError("run_apriori requires a spec built for claim 'apriori'")
     gate = spec.gate
-    sol = manufactured(spec.resolved_profile, spec.model, spec.transport_model,
-                       **dict(spec.profile_params))
+    sol = manufactured(spec.resolved_profile, spec.model, spec.transport_model)
     theta_b = spec.theta_scale
     tilt = spec.theta_tilt
     if tilt > 0.0:
@@ -712,7 +722,7 @@ def run_apriori(spec: ExperimentSpec, c_fixed: Optional[float] = None) -> Aprior
         x = grid_points(grid)[..., 0]
         init = solver.FlowState(grid=grid, rho=rho0, u=u0,
                                 theta=theta_b * (th0 + tilt * x), t=0.0)
-        cfg = solver.SolverConfig(t_end=spec.t_end, save_every=spec.save_every)
+        cfg = replace(spec.solver, source=None)
         traj = solver.simulate(grid, cfg, spec.model, spec.transport_model,
                                boundary=boundary, initial=init)
         theta_hat = gridmod.harmonic_extension(grid, boundary, t=0.0)
@@ -741,7 +751,7 @@ def run_apriori(spec: ExperimentSpec, c_fixed: Optional[float] = None) -> Aprior
                 "million times the calibration level")
 
     if c_fixed is None:
-        c_bound = spec.calibration_safety * totals[0]
+        c_bound = _CALIBRATION_SAFETY * totals[0]
         calibrated = True
     else:
         c_bound = float(c_fixed)
@@ -758,7 +768,7 @@ def run_apriori(spec: ExperimentSpec, c_fixed: Optional[float] = None) -> Aprior
         needs_recalibration=needs_recal, theta_b=theta_b, theta_tilt=tilt,
         max_principle_margin=max_margin, harmonic_range=(hat_lo, hat_hi),
         entropy_bound_margin=entropy_margin, entropy_flux_c=flux_c,
-        theta_sq_c=theta_sq_c, q_exponent=spec.entropy_q,
+        theta_sq_c=theta_sq_c, q_exponent=_ENTROPY_Q,
         beta=spec.transport_model.beta, ok=ok)
 
 
@@ -794,7 +804,8 @@ def _decay_run(spec: ExperimentSpec, n: int) -> solver.Trajectory:
         grid=grid, rho=1.0 + 0.2 * np.sin(2.0 * np.pi * x),
         u=np.zeros(grid.interior_shape((1,))),
         theta=1.0 + 0.3 * np.sin(np.pi * x), t=0.0)
-    cfg = solver.SolverConfig(t_end=min(spec.t_end, 0.02), save_every=1000)
+    cfg = replace(spec.solver, source=None, t_end=min(spec.solver.t_end, 0.02),
+                  save_every=1000)
     return solver.simulate(grid, cfg, spec.model, spec.transport_model,
                            boundary=gridmod.constant_boundary(1.0), initial=init)
 
@@ -862,7 +873,7 @@ def run_defect_study(spec: ExperimentSpec) -> DefectStudyReport:
     if len(smooth_d) >= 2:
         vanishing = vanishing and smooth_d[-1] < 0.75 * smooth_d[0]
 
-    eps = spec.osc_eps
+    eps = _OSC_EPS
     n_fine, n_coarse = 512, 16
     fine = _oscillation_snapshot(spec, n_fine, eps)
     coarse = _oscillation_snapshot(spec, n_coarse, eps)

@@ -8,8 +8,8 @@ midpoint rule. Ghost fill encodes the physical boundary conditions:
   * temperature is Dirichlet-filled from the boundary trace theta_B > 0,
   * density is zero-gradient.
 
-Fields carry a time stamp and a ``synced`` flag; differential operators
-refuse to run on fields whose ghosts have not been synced.
+Fields carry a ``synced`` flag; the differential operators take synced
+fields only and return plain interior arrays.
 """
 
 from __future__ import annotations
@@ -180,7 +180,6 @@ def boundary_face_points(grid: Grid) -> Mapping[str, np.ndarray]:
 class _Field:
     grid: Grid
     data: np.ndarray  # ghost-padded
-    time: float = 0.0
     synced: bool = False
 
     _component_axes = 0
@@ -199,13 +198,13 @@ class _Field:
         return self.data[sl]
 
     @classmethod
-    def from_interior(cls, grid: Grid, values: np.ndarray, time: float = 0.0):
+    def from_interior(cls, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         trailing = values.shape[grid.dim :]
         data = np.zeros(grid.padded_shape(trailing))
         sl = tuple(slice(1, -1) for _ in range(grid.dim))
         data[sl] = values
-        return cls(grid=grid, data=data, time=time, synced=False)
+        return cls(grid=grid, data=data, synced=False)
 
 
 @dataclass(frozen=True)
@@ -269,9 +268,9 @@ def _dirichlet_faces(grid: Grid, boundary: BoundaryData, t: float, axis: int):
 def sync_physical(grid: Grid, rho: np.ndarray, u: np.ndarray, theta: np.ndarray,
                   boundary: BoundaryData, t: float) -> tuple[ScalarField, VectorField, ScalarField]:
     """Build synced (rho, u, theta) fields from interior arrays at time t."""
-    rho_f = ScalarField.from_interior(grid, rho, time=t)
-    u_f = VectorField.from_interior(grid, u, time=t)
-    th_f = ScalarField.from_interior(grid, theta, time=t)
+    rho_f = ScalarField.from_interior(grid, rho)
+    u_f = VectorField.from_interior(grid, u)
+    th_f = ScalarField.from_interior(grid, theta)
     for axis in range(grid.dim):
         _fill_axis(rho_f.data, axis, "zero_gradient")
         _fill_axis(u_f.data, axis, "reflect_odd")
@@ -330,41 +329,41 @@ def _centered(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return (data[tuple(plus)] - data[tuple(minus)]) / (2.0 * grid.h[axis])
 
 
-def gradient(f: ScalarField) -> VectorField:
-    """Second-order centered gradient of a scalar field."""
+def gradient(f: ScalarField) -> np.ndarray:
+    """Second-order centered gradient of a scalar field, shape (*cells, dim)."""
     _require_synced(f)
     comps = [_centered(f.data, f.grid, k) for k in range(f.grid.dim)]
-    return VectorField.from_interior(f.grid, np.stack(comps, axis=-1), time=f.time)
+    return np.stack(comps, axis=-1)
 
 
-def grad_vector(v: VectorField) -> TensorField:
+def grad_vector(v: VectorField) -> np.ndarray:
     """(grad u)_{jk} = d u_j / d x_k, second-order centered."""
     _require_synced(v)
     d = v.grid.dim
     out = np.empty(v.grid.interior_shape((d, d)))
     for k in range(d):
         out[..., :, k] = _centered(v.data, v.grid, k)
-    return TensorField.from_interior(v.grid, out, time=v.time)
+    return out
 
 
-def divergence(v: VectorField) -> ScalarField:
+def divergence(v: VectorField) -> np.ndarray:
     """div u = sum_k d u_k / d x_k, second-order centered."""
     _require_synced(v)
     acc = None
     for k in range(v.grid.dim):
         term = _centered(v.data[..., k], v.grid, k)
         acc = term if acc is None else acc + term
-    return ScalarField.from_interior(v.grid, acc, time=v.time)
+    return acc
 
 
-def tensor_divergence(T: TensorField) -> VectorField:
+def tensor_divergence(T: TensorField) -> np.ndarray:
     """(div T)_j = sum_k d T_{jk} / d x_k, second-order centered."""
     _require_synced(T)
     d = T.grid.dim
     out = np.zeros(T.grid.interior_shape((d,)))
     for k in range(d):
         out += _centered(T.data[..., :, k], T.grid, k)
-    return VectorField.from_interior(T.grid, out, time=T.time)
+    return out
 
 
 def integrate(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -395,14 +394,13 @@ def _laplacian_matrix(grid: Grid):
     return (coupling + sparse.diags(diag.ravel())).tocsr()
 
 
-def harmonic_extension(grid: Grid, boundary: BoundaryData, t: float = 0.0,
-                       tol: float = 1e-10) -> ScalarField:
+def harmonic_extension(grid: Grid, boundary: BoundaryData, t: float = 0.0) -> ScalarField:
     """Solve the discrete Laplace problem with Dirichlet data theta_B(t, .).
 
     The stencil is the standard second-order one with ghost embedding
     ghost = 2*theta_B - interior. The assembled operator is an M-matrix, so
     the discrete maximum principle holds exactly. Raises if the achieved
-    residual exceeds tol * max|theta_B|.
+    max-norm residual exceeds 1e-10 * max(1, max|theta_B|).
     """
     import scipy.sparse.linalg as spla  # only this solve needs scipy
 
@@ -423,14 +421,14 @@ def harmonic_extension(grid: Grid, boundary: BoundaryData, t: float = 0.0,
         b[:, -1] -= 2.0 * hiy / h[1] ** 2
     sol = spla.spsolve(A.tocsc(), b.ravel()).reshape(grid.cells)
 
-    out = sync_dirichlet(ScalarField.from_interior(grid, sol, time=t), boundary, t)
+    out = sync_dirichlet(ScalarField.from_interior(grid, sol), boundary, t)
 
     scale = 1.0
     for pts in boundary_face_points(grid).values():
         scale = max(scale, float(np.max(np.abs(boundary.theta(t, pts)))))
     res = laplacian_residual(out)
-    if res > tol * scale:
-        raise RuntimeError(f"harmonic extension residual {res:.3e} exceeds {tol:.1e} * {scale:.3e}")
+    if res > 1e-10 * scale:
+        raise RuntimeError(f"harmonic extension residual {res:.3e} exceeds 1.0e-10 * {scale:.3e}")
     return out
 
 

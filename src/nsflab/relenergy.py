@@ -132,10 +132,8 @@ def bregman_equivalence_check(model: thermo.ThermoModel, rho, theta, u,
 # --------------------------------------------------------------------------
 
 
-def _smoothstep(t: np.ndarray, profile: str) -> np.ndarray:
+def _smoothstep(t: np.ndarray) -> np.ndarray:
     t = np.clip(t, 0.0, 1.0)
-    if profile == "cubic":
-        return t * t * (3.0 - 2.0 * t)
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
@@ -144,26 +142,22 @@ class CutoffParams:
     """Smooth indicator of the state window ``[delta, 1/delta]**2``.
 
     The weight equals 1 exactly on the window, falls to 0 outside
-    ``[delta/2, 2/delta]**2`` along a polynomial ramp in log state space
-    (``cubic`` or the default ``quintic`` profile), and vanishes for
-    non-positive density or temperature.
+    ``[delta/2, 2/delta]**2`` along the quintic smoothstep ramp in log state
+    space, and vanishes for non-positive density or temperature.
     """
 
     delta: float = 0.1
-    profile: str = "quintic"
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"cutoff threshold must lie in (0, 1), got {self.delta}")
-        if self.profile not in ("cubic", "quintic"):
-            raise ValueError(f"unknown ramp profile {self.profile!r}")
 
     def _ramp(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         logx = np.log(np.where(x > 0.0, x, 1.0))
         ln2 = np.log(2.0)
-        rise = _smoothstep((logx - np.log(0.5 * self.delta)) / ln2, self.profile)
-        fall = _smoothstep((np.log(2.0 / self.delta) - logx) / ln2, self.profile)
+        rise = _smoothstep((logx - np.log(0.5 * self.delta)) / ln2)
+        fall = _smoothstep((np.log(2.0 / self.delta) - logx) / ln2)
         val = np.minimum(rise, fall)
         # pin the plateau and the complement of the support exactly, so the
         # polynomial only speaks strictly inside the two ramp zones
@@ -370,7 +364,7 @@ def remainder_R2(V: AtomicYoungMeasure, sol: StrongSolution,
         raise ValueError(f"time {t} is not a stored level of the measure")
     sf = _strong_fields(sol, V.grid, float(V.times[idx]), model, transport_model)
     total = sum(_r2_groups(V, idx, sf, model).values())
-    return gridmod.ScalarField.from_interior(V.grid, total, time=float(V.times[idx]))
+    return gridmod.ScalarField.from_interior(V.grid, total)
 
 
 # --------------------------------------------------------------------------

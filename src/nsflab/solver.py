@@ -56,7 +56,6 @@ class SolverConfig:
     cfl: float = 0.4
     t_end: float = 0.1
     floor: float = 1e-10
-    gravity: Optional[tuple] = None
     source: Optional[StrongSolution] = None
     save_every: int = 1
     max_steps: int = 200_000
@@ -138,7 +137,7 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
     drhoe = np.zeros(g.interior_shape())
 
     # cell-centered velocity gradient for stress work and tangential face terms
-    gu_cell = gridmod.grad_vector(u_f).interior
+    gu_cell = gridmod.grad_vector(u_f)
     divu_cell = np.einsum("...ii->...", gu_cell)
 
     for a in range(d):
@@ -175,16 +174,14 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
         drhoe -= _face_div(q_face, h[a], a)
 
     # centered pressure gradient
-    p_field = gridmod.ScalarField(grid=g, data=p_p, time=state.t, synced=True)
-    dmom -= gridmod.gradient(p_field).interior
+    p_field = gridmod.ScalarField(grid=g, data=p_p, synced=True)
+    dmom -= gridmod.gradient(p_field)
 
     # stress power and pressure work, cell-centered
     s_cell = transport.viscous_stress(transport_model, state.rho, state.theta, gu_cell)
     drhoe += np.einsum("...ij,...ij->...", s_cell, gu_cell)
     drhoe -= p_field.interior * divu_cell
 
-    if cfg is not None and cfg.gravity is not None:
-        dmom += state.rho[..., None] * np.asarray(cfg.gravity, dtype=float)
     if cfg is not None and cfg.source is not None:
         pts = grid_points(g)
         drho += cfg.source.f_mass(state.t, pts)

@@ -264,8 +264,8 @@ def dirac_from_trajectory(traj: Trajectory) -> AtomicYoungMeasure:
         _, u_f, th_f = gridmod.sync_physical(g, traj.rho[k], traj.u[k],
                                              traj.theta[k], traj.boundary,
                                              float(traj.times[k]))
-        d_u[k] = transport.sym_part(gridmod.grad_vector(u_f).interior)
-        d_th[k] = gridmod.gradient(th_f).interior
+        d_u[k] = transport.sym_part(gridmod.grad_vector(u_f))
+        d_th[k] = gridmod.gradient(th_f)
     ones = np.ones((levels,) + g.interior_shape((1,)))
     return AtomicYoungMeasure(
         grid=g, times=np.asarray(traj.times, dtype=float), weights=ones,
@@ -381,17 +381,17 @@ def _mean_fields(V: AtomicYoungMeasure) -> dict[str, np.ndarray]:
 
 def _scalar_free(grid: gridmod.Grid, test: ScalarTest, t: float) -> gridmod.ScalarField:
     vals = np.asarray(test.value(t, grid_points(grid, ghost=True)), dtype=float)
-    return gridmod.ScalarField(grid=grid, data=vals, time=t, synced=True)
+    return gridmod.ScalarField(grid=grid, data=vals, synced=True)
 
 
 def _vector_free(grid: gridmod.Grid, test: VectorTest, t: float) -> gridmod.VectorField:
     vals = np.asarray(test.value(t, grid_points(grid, ghost=True)), dtype=float)
-    return gridmod.VectorField(grid=grid, data=vals, time=t, synced=True)
+    return gridmod.VectorField(grid=grid, data=vals, synced=True)
 
 
 def _vector_zero_trace(grid: gridmod.Grid, test: VectorTest, t: float) -> gridmod.VectorField:
     vals = np.asarray(test.value(t, grid_points(grid)), dtype=float)
-    f = gridmod.VectorField.from_interior(grid, vals, time=t)
+    f = gridmod.VectorField.from_interior(grid, vals)
     return gridmod.sync_odd(f)
 
 
@@ -400,7 +400,7 @@ def _tensor_free(grid: gridmod.Grid, test: TensorTest, t: float) -> gridmod.Tens
     gap = np.max(np.abs(vals - np.swapaxes(vals, -1, -2)))
     if gap > _SYM_TOL * (1.0 + np.max(np.abs(vals))):
         raise ValueError(f"matrix test function {test.label!r} must be symmetric")
-    return gridmod.TensorField(grid=grid, data=vals, time=t, synced=True)
+    return gridmod.TensorField(grid=grid, data=vals, synced=True)
 
 
 def _time_integral(vals: np.ndarray, times: np.ndarray, tau_idx: int) -> float:
@@ -440,7 +440,7 @@ def check_velocity_compat(V: AtomicYoungMeasure,
         inner = np.empty(V.n_levels)
         for k, t in enumerate(V.times):
             tf = _tensor_free(g, test, float(t))
-            div_t = gridmod.tensor_divergence(tf).interior
+            div_t = gridmod.tensor_divergence(tf)
             t_int = tf.interior
             term_a = np.einsum("...j,...j->...", means["u"][k], div_t)
             term_b = np.einsum("...jk,...jk->...", means["d_u"][k], t_int)
@@ -478,10 +478,10 @@ def check_temperature_compat(V: AtomicYoungMeasure, psis: Sequence[VectorTest],
             t = float(t)
             ref_int = np.asarray(theta_ref.value(t, pts), dtype=float)
             ref_f = gridmod.sync_dirichlet(
-                gridmod.ScalarField.from_interior(g, ref_int, time=t), boundary, t)
-            grad_ref = gridmod.gradient(ref_f).interior
+                gridmod.ScalarField.from_interior(g, ref_int), boundary, t)
+            grad_ref = gridmod.gradient(ref_f)
             psi_f = _vector_free(g, test, t)
-            div_psi = gridmod.divergence(psi_f).interior
+            div_psi = gridmod.divergence(psi_f)
             gap = means["theta"][k] - ref_int
             grad_gap = means["d_theta"][k] - grad_ref
             a_vals[k] = float(gridmod.integrate(g, gap * div_psi))
@@ -517,7 +517,7 @@ def continuity_residual(V: AtomicYoungMeasure, psis: Sequence[ScalarTest],
         for k in range(tau + 1):
             t = float(V.times[k])
             psi_f = _scalar_free(g, test, t)
-            grad_psi = gridmod.gradient(psi_f).interior
+            grad_psi = gridmod.gradient(psi_f)
             inner = (means["rho"][k] * np.asarray(test.dt(t, pts), dtype=float)
                      + np.einsum("...j,...j->...", means["mom"][k], grad_psi))
             if source is not None:
@@ -566,7 +566,7 @@ def momentum_residual(V: AtomicYoungMeasure, phis: Sequence[VectorTest],
         for k in range(tau + 1):
             t = float(V.times[k])
             phi_f = _vector_zero_trace(g, test, t)
-            grad_phi = gridmod.grad_vector(phi_f).interior
+            grad_phi = gridmod.grad_vector(phi_f)
             div_phi = np.einsum("...ii->...", grad_phi)
             inner = (np.einsum("...j,...j->...", mom[k],
                                np.asarray(test.dt(t, pts), dtype=float))
@@ -616,7 +616,7 @@ def entropy_mv_residual(V: AtomicYoungMeasure, phis: Sequence[ScalarTest],
             phi_int = phi_f.interior
             if np.min(phi_int) < -1e-12:
                 raise ValueError(f"entropy test function {test.label!r} must be nonnegative")
-            grad_phi = gridmod.gradient(phi_f).interior
+            grad_phi = gridmod.gradient(phi_f)
             inner = (rho_s[k] * np.asarray(test.dt(t, pts), dtype=float)
                      + np.einsum("...j,...j->...", flux[k], grad_phi)
                      + sigma[k] * phi_int)
@@ -639,8 +639,8 @@ def _theta_ref_fields(g: gridmod.Grid, theta_ref: ThetaRef,
     if np.min(vals) <= 0.0:
         raise ValueError("reference temperature must stay positive on the domain")
     ref_f = gridmod.sync_dirichlet(
-        gridmod.ScalarField.from_interior(g, vals, time=t), boundary, t)
-    return vals, gridmod.gradient(ref_f).interior, np.asarray(theta_ref.dt(t, pts), dtype=float)
+        gridmod.ScalarField.from_interior(g, vals), boundary, t)
+    return vals, gridmod.gradient(ref_f), np.asarray(theta_ref.dt(t, pts), dtype=float)
 
 
 def ballistic_mv_residual(V: AtomicYoungMeasure, d_diss: np.ndarray | float,
@@ -702,9 +702,10 @@ def ballistic_mv_residual(V: AtomicYoungMeasure, d_diss: np.ndarray | float,
 # --------------------------------------------------------------------------
 
 
-def defect_compat_check(bundle: DefectBundle, phis: Sequence[VectorTest],
-                        slack: float = 1e-12) -> DefectCompatReport:
-    """Check |pairing of r_m with grad phi| <= xi * D * ||phi||_C1 levelwise."""
+def defect_compat_check(bundle: DefectBundle,
+                        phis: Sequence[VectorTest]) -> DefectCompatReport:
+    """Check |pairing of r_m with grad phi| <= xi * D * ||phi||_C1 levelwise,
+    up to a relative slack of 1e-12."""
 
     g = bundle.grid
     pts = grid_points(g)
@@ -716,14 +717,14 @@ def defect_compat_check(bundle: DefectBundle, phis: Sequence[VectorTest],
         for k, t in enumerate(bundle.times):
             t = float(t)
             phi_f = _vector_zero_trace(g, test, t)
-            grad_phi = gridmod.grad_vector(phi_f).interior
+            grad_phi = gridmod.grad_vector(phi_f)
             pairing = abs(float(gridmod.integrate(
                 g, np.einsum("...jk,...jk->...", bundle.r_m[k], grad_phi))))
             sup_phi = float(np.max(np.linalg.norm(test.value(t, pts), axis=-1)))
             sup_grad = float(np.max(np.sqrt(np.sum(grad_phi ** 2, axis=(-2, -1)))))
             c1_norm = max(sup_phi, sup_grad)
             bound = float(bundle.xi[k] * bundle.d_diss[k]) * c1_norm
-            margin = bound + slack * (1.0 + bound) - pairing
+            margin = bound + 1e-12 * (1.0 + bound) - pairing
             worst = min(worst, margin)
             if margin < 0.0:
                 violations.append((test.label, k, pairing, bound))
@@ -731,10 +732,9 @@ def defect_compat_check(bundle: DefectBundle, phis: Sequence[VectorTest],
                               violations=tuple(violations))
 
 
-def calibrate_kp_constant(grid: gridmod.Grid,
-                          modes: Sequence[tuple[int, ...]] | None = None,
-                          safety: float = 1.1) -> float:
-    """Largest ratio integral|u|^2 / integral|D0(grad u)|^2 over sine modes.
+def calibrate_kp_constant(grid: gridmod.Grid) -> float:
+    """1.1 times the largest ratio integral|u|^2 / integral|D0(grad u)|^2 over
+    five low sine modes.
 
     The traceless comparison degenerates in one dimension (every 1x1 matrix is
     its own trace), so calibration requires a two-dimensional grid.
@@ -743,21 +743,19 @@ def calibrate_kp_constant(grid: gridmod.Grid,
     if grid.dim < 2:
         raise ValueError("traceless strain control degenerates in one dimension; "
                          "calibrate on a two-dimensional grid")
-    if modes is None:
-        modes = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
     pts = grid_points(grid)
     x = (pts[..., 0] - grid.lo[0]) / (grid.hi[0] - grid.lo[0])
     y = (pts[..., 1] - grid.lo[1]) / (grid.hi[1] - grid.lo[1])
     worst = 0.0
-    for kx, ky in modes:
+    for kx, ky in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2)):
         u = np.zeros(grid.interior_shape((2,)))
         u[..., 0] = np.sin(np.pi * kx * x) * np.sin(np.pi * ky * y)
         f = gridmod.sync_odd(gridmod.VectorField.from_interior(grid, u))
-        d0 = transport.traceless_sym(gridmod.grad_vector(f).interior)
+        d0 = transport.traceless_sym(gridmod.grad_vector(f))
         num = float(gridmod.integrate(grid, np.sum(u ** 2, axis=-1)))
         den = float(gridmod.integrate(grid, np.sum(d0 ** 2, axis=(-2, -1))))
         worst = max(worst, num / den)
-    return safety * worst
+    return 1.1 * worst
 
 
 # --------------------------------------------------------------------------

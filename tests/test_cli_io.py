@@ -299,11 +299,17 @@ def test_mv_check_reports_every_clause(tmp_path, capsys):
     assert all(entry["ok"] for entry in verdict["clauses"].values())
 
 
-def test_mv_check_honours_the_config_solver_block(tmp_path, capsys):
+@pytest.mark.parametrize("argv,pairing", [
+    (["mv-check", "--cells", "16"], ""),
+    (["wsu", "--theorem", "2"], ""),
+    (["apriori"], "[model]\nkind = molecular_radiation\n"
+                  "[transport]\nkind = power_kappa\n"),
+    (["defect-study"], ""),
+], ids=["mv-check", "wsu-2", "apriori", "defect-study"])
+def test_commands_honour_the_config_solver_block(tmp_path, capsys, argv, pairing):
     ini = tmp_path / "run.ini"
-    ini.write_text("[solver]\nmax_steps = 1\n")
-    code = cli.main(["mv-check", "--cells", "16", "--config", str(ini),
-                     "--out", str(tmp_path)])
+    ini.write_text(pairing + "[solver]\nmax_steps = 1\n")
+    code = cli.main(argv + ["--config", str(ini), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
     assert "exceeded max_steps" in err

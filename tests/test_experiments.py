@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nsflab import experiments as ex
-from nsflab import thermo, transport
+from nsflab import solver, thermo, transport
 
 PG = thermo.PerfectGas(c_v=1.5)
 MR = thermo.MolecularRadiation(a=1.0)
@@ -115,17 +115,11 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="perturbation sizes"):
         ex.ExperimentSpec(eps_list=(0.0,), **good)
     with pytest.raises(ValueError, match="t_end"):
-        ex.ExperimentSpec(t_end=-1.0, **good)
-    with pytest.raises(ValueError, match="state window"):
-        ex.ExperimentSpec(state_window=(4.0, 0.25, 0.25, 4.0), **good)
+        ex.ExperimentSpec(solver=solver.SolverConfig(t_end=-1.0), **good)
     with pytest.raises(ValueError, match="scale must be > 0"):
         ex.ExperimentSpec(theta_scale=0.0, **good)
     with pytest.raises(ValueError, match="tilt"):
         ex.ExperimentSpec(theta_tilt=1.5, **good)
-    with pytest.raises(ValueError, match="moment exponent"):
-        ex.ExperimentSpec(entropy_q=1.0, **good)
-    with pytest.raises(ValueError, match="safety factor"):
-        ex.ExperimentSpec(calibration_safety=0.9, **good)
 
 
 def test_spec_defaults_resolve_per_claim():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsflab import grid as g
 
@@ -37,7 +39,7 @@ def test_gradient_exact_for_quadratic():
     x = gr.centers(0)
     (xg,) = gr.mesh(ghost=True)
     f = g.ScalarField(grid=gr, data=2.0 * xg**2 - xg + 1.0, synced=True)
-    got = g.gradient(f).interior[..., 0]
+    got = g.gradient(f)[..., 0]
     assert np.allclose(got, 4.0 * x - 1.0, atol=1e-12)
 
 
@@ -46,16 +48,16 @@ def test_operators_2d_linear_fields_exact():
     X, Y = gr.mesh(ghost=True)
     u = np.stack([2.0 * X + 3.0 * Y, -X + 0.5 * Y], axis=-1)
     uf = g.VectorField(grid=gr, data=u, synced=True)
-    J = g.grad_vector(uf).interior
+    J = g.grad_vector(uf)
     assert np.allclose(J[..., 0, 0], 2.0, atol=1e-12)
     assert np.allclose(J[..., 0, 1], 3.0, atol=1e-12)
     assert np.allclose(J[..., 1, 0], -1.0, atol=1e-12)
     assert np.allclose(J[..., 1, 1], 0.5, atol=1e-12)
-    div = g.divergence(uf).interior
+    div = g.divergence(uf)
     assert np.allclose(div, 2.5, atol=1e-12)
     T = np.stack([np.stack([X, Y], axis=-1), np.stack([X * 0, X + Y], axis=-1)], axis=-2)
     Tf = g.TensorField(grid=gr, data=T, synced=True)
-    dv = g.tensor_divergence(Tf).interior
+    dv = g.tensor_divergence(Tf)
     assert np.allclose(dv[..., 0], 2.0, atol=1e-12)  # dT00/dx + dT01/dy
     assert np.allclose(dv[..., 1], 1.0, atol=1e-12)
 
@@ -67,7 +69,7 @@ def test_gradient_convergence_order():
         x = gr.centers(0)
         (xg,) = gr.mesh(ghost=True)
         f = g.ScalarField(grid=gr, data=np.sin(2 * np.pi * xg), synced=True)
-        got = g.gradient(f).interior[..., 0]
+        got = g.gradient(f)[..., 0]
         errs.append(np.max(np.abs(got - 2 * np.pi * np.cos(2 * np.pi * x))))
     order = np.log2(errs[0] / errs[1])
     assert order > 1.9
@@ -84,6 +86,68 @@ def test_sync_physical_ghost_policies():
     assert uf.data[0, 0] == -u[0, 0] and uf.data[-1, 0] == -u[-1, 0]  # odd reflection
     assert tf.data[0] == 2.0 * 2.0 - 3.0 and tf.data[-1] == 1.0       # dirichlet
     assert rf.synced and uf.synced and tf.synced
+
+
+def _random_state(cells, seed):
+    """A random positive state and a random positive affine trace on the
+    unit box."""
+    rng = np.random.default_rng(seed)
+    gr = g.Grid(cells=cells)
+    d = gr.dim
+    c0 = rng.uniform(1.0, 3.0)
+    cx, cy = rng.uniform(-0.45, 0.45, size=2)
+    bc = g.affine_boundary(c0, cx, cy if d == 2 else 0.0)
+    rho = rng.uniform(0.1, 5.0, size=gr.interior_shape())
+    u = rng.uniform(-2.0, 2.0, size=gr.interior_shape((d,)))
+    theta = rng.uniform(0.1, 5.0, size=gr.interior_shape())
+    return gr, bc, rho, u, theta
+
+
+def _along(data, axis, dim):
+    """Padded ``data`` with ``axis`` first and the other spatial axes cut to
+    the interior, so [0]/[1] are the low ghost/adjacent slabs."""
+    return np.moveaxis(data, axis, 0)[(slice(None),) + (slice(1, -1),) * (dim - 1)]
+
+
+_CELLS = st.lists(st.integers(4, 12), min_size=1, max_size=2).map(tuple)
+
+
+@given(_CELLS, st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_ghost_fill_policies_on_random_states(cells, seed):
+    gr, bc, rho, u, theta = _random_state(cells, seed)
+    rf, uf, tf = g.sync_physical(gr, rho, u, theta, bc, t=0.0)
+    faces = g.boundary_face_points(gr)
+    for axis, (lo, hi) in enumerate((("x_lo", "x_hi"), ("y_lo", "y_hi"))[: gr.dim]):
+        r = _along(rf.data, axis, gr.dim)
+        assert np.array_equal(r[0], r[1]) and np.array_equal(r[-1], r[-2])
+        v = _along(uf.data, axis, gr.dim)
+        assert np.array_equal(v[0], -v[1]) and np.array_equal(v[-1], -v[-2])
+        th = _along(tf.data, axis, gr.dim)
+        for ghost, adj, side in ((th[0], th[1], lo), (th[-1], th[-2], hi)):
+            trace = bc.theta(0.0, faces[side]).reshape(np.shape(ghost))
+            np.testing.assert_allclose(0.5 * (ghost + adj), trace, rtol=1e-14, atol=1e-14)
+
+
+@given(_CELLS, st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_summation_by_parts_on_random_states(cells, seed):
+    # h*sum(phi div u) + h*sum(u . grad phi)
+    #   = (phi_N u_{N+1} + phi_{N+1} u_N - phi_0 u_1 - phi_1 u_0) / 2
+    # along each axis (padded indices 0..N+1), for u along that axis only
+    gr, bc, rho, u, theta = _random_state(cells, seed)
+    for axis in range(gr.dim):
+        ua = np.zeros_like(u)
+        ua[..., axis] = u[..., axis]
+        _, uf, tf = g.sync_physical(gr, rho, ua, theta, bc, t=0.0)
+        terms = tf.interior * g.divergence(uf) + np.sum(uf.interior * g.gradient(tf), axis=-1)
+        lhs = float(g.integrate(gr, terms))
+        ph = _along(tf.data, axis, gr.dim)
+        v = _along(uf.data[..., axis], axis, gr.dim)
+        edge = 0.5 * (ph[-2] * v[-1] + ph[-1] * v[-2] - ph[0] * v[1] - ph[1] * v[0])
+        rhs = float(np.sum(edge)) * gr.cell_volume / gr.h[axis]
+        scale = float(g.integrate(gr, np.abs(terms))) + abs(rhs)
+        assert abs(lhs - rhs) <= 1e-13 * scale
 
 
 def test_boundary_positivity_validation():

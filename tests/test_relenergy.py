@@ -199,17 +199,12 @@ def test_cutoff_window_support_and_profiles():
     assert params.chi(0.0, 1.0) == 0.0
     assert params.chi(-3.0, 1.0) == 0.0
 
-    mid = params.chi(np.sqrt(0.05 * 0.1), 1.0)
-    assert 0.0 < mid < 1.0
-    cubic = relenergy.CutoffParams(delta=0.1, profile="cubic")
-    assert np.all(cubic.chi(grid_r, grid_t) == 1.0)
-    assert cubic.chi(np.sqrt(0.05 * 0.1), 1.0) == pytest.approx(0.5, abs=1e-12)
+    # the quintic ramp t**3*(10 - 15t + 6t**2) is 1/2 at the log midpoint
+    assert params.chi(np.sqrt(0.05 * 0.1), 1.0) == pytest.approx(0.5, abs=1e-12)
 
     for bad in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(ValueError, match="cutoff threshold"):
             relenergy.CutoffParams(delta=bad)
-    with pytest.raises(ValueError, match="unknown ramp profile"):
-        relenergy.CutoffParams(profile="quartic")
 
 
 def test_split_is_bit_exact_and_kills_the_right_part():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nsflab import grid as g
 from nsflab import manufactured as mfg
@@ -115,8 +117,8 @@ def test_entropy_production_nonnegative_along_run():
                                            traj.boundary, float(traj.times[k]))
         sigma = transport.entropy_production_density(
             AFF, traj.rho[k], traj.theta[k],
-            transport.sym_part(g.grad_vector(u_f).interior),
-            g.gradient(th_f).interior)
+            transport.sym_part(g.grad_vector(u_f)),
+            g.gradient(th_f))
         assert np.min(sigma) >= 0.0
 
 
@@ -138,6 +140,27 @@ def test_positivity_loss_before_flux_assembly_names_the_cell():
     with pytest.raises(solver.PositivityError,
                        match=r"before flux assembly at cell \(5,\): rho = .*, theta = -0\.25"):
         solver.rhs(bad, PG, AFF, g.constant_boundary(1.0))
+
+
+@given(hst.sampled_from([PG, MR]), hst.lists(hst.integers(4, 12), min_size=1, max_size=2),
+       hst.booleans(), hst.floats(-2.0, 1.0), hst.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_decode_rejects_one_nonpositive_cell(model, cells, bad_rho, frac, seed):
+    # one cell with rho <= floor (bad_rho) or e <= 0 makes the stage state
+    # undecodable: _decode says so with None instead of raising
+    rng = np.random.default_rng(seed)
+    gr = g.Grid(cells=tuple(cells))
+    floor = 1e-10
+    rho = rng.uniform(0.1, 5.0, size=gr.interior_shape())
+    mom = rng.uniform(-2.0, 2.0, size=gr.interior_shape((gr.dim,)))
+    rhoe = rng.uniform(0.1, 5.0, size=gr.interior_shape())
+    cell = tuple(int(rng.integers(n)) for n in gr.cells)
+    if bad_rho:
+        rho[cell] = frac * floor
+    else:
+        rhoe[cell] = min(frac, 0.0) * rho[cell]
+    theta_guess = np.ones(gr.interior_shape())
+    assert solver._decode(gr, rho, mom, rhoe, 0.0, model, theta_guess, floor) is None
 
 
 def _steep_state():

@@ -484,7 +484,7 @@ def test_korn_poincare_inequality_with_calibrated_constant():
         u = np.zeros(grid.interior_shape((2,)))
         u[..., j] = np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
         f = gridmod.sync_odd(gridmod.VectorField.from_interior(grid, u))
-        d0 = transport.traceless_sym(gridmod.grad_vector(f).interior)
+        d0 = transport.traceless_sym(gridmod.grad_vector(f))
         lhs = float(gridmod.integrate(grid, np.sum(u ** 2, axis=-1)))
         rhs = c_p * float(gridmod.integrate(grid, np.sum(d0 ** 2, axis=(-2, -1))))
         assert 0.0 < lhs <= rhs
