@@ -1,5 +1,8 @@
 """Solver behavior: fixed points, convergence under refinement, failure paths."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,50 @@ def test_config_validation():
         solver.SolverConfig(t_end=-1.0)
     with pytest.raises(ValueError, match="save_every"):
         solver.SolverConfig(save_every=0)
+
+
+def _rhs_case(name):
+    """A fixed state and its models: 2D molecular radiation with the
+    radiative_decay forcing on a non-square grid, or 1D perfect gas with an
+    affine wall temperature and no forcing.  The perturbations are integer
+    patterns, so the state is exact."""
+    if name == "mr_pk_2d":
+        sol = mfg.manufactured("radiative_decay", MR, PK)
+        gr = g.Grid(cells=(8, 6))
+        rho, u, theta = sol.on_grid(gr, 0.3)
+        i, j = np.indices(gr.cells)
+        rho = rho * (1.0 + 0.01 * ((3 * i + 5 * j) % 7) / 7.0)
+        u = u + 0.02 * np.stack([((i + 2 * j) % 5 - 2) / 5.0, ((2 * i + j) % 3 - 1) / 3.0], axis=-1)
+        theta = theta * (1.0 + 0.01 * ((2 * i + 3 * j) % 4) / 4.0)
+        st = solver.FlowState(grid=gr, rho=rho, u=u, theta=theta, t=0.3)
+        return st, MR, PK, sol.boundary, solver.SolverConfig(source=sol)
+    gr = g.Grid(cells=(10,))
+    i = np.arange(10)
+    st = solver.FlowState(grid=gr, rho=1.0 + 0.1 * (i % 3),
+                          u=(0.05 * ((3 * i) % 4 - 1.5))[:, None],
+                          theta=1.0 + 0.05 * ((7 * i) % 5), t=0.0)
+    return st, PG, AFF, g.affine_boundary(1.0, 0.5), None
+
+
+def _rhs_of_case(name):
+    st, model, tm, bc, cfg = _rhs_case(name)
+    return dict(zip(("drho", "dmom", "drhoe"), solver.rhs(st, model, tm, bc, cfg)))
+
+
+with open(os.path.join(os.path.dirname(__file__), "golden", "rhs.json"), encoding="utf-8") as fh:
+    RHS_PINNED = json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(RHS_PINNED))
+def test_rhs_matches_golden_bits(name):
+    # golden/rhs.json holds the tendencies of _rhs_case written by json (repr
+    # round-trip floats): a refactor of rhs must keep every bit
+    got = _rhs_of_case(name)
+    for key, want in RHS_PINNED[name].items():
+        want = np.asarray(want, dtype=float)
+        assert got[key].shape == want.shape, key
+        assert np.array_equal(got[key], want), (
+            f"{name} {key}: {np.count_nonzero(got[key] != want)} values moved")
 
 
 def test_constant_state_rhs_is_zero():
