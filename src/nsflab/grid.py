@@ -73,7 +73,7 @@ class Grid:
     def dim(self) -> int:
         return len(self.cells)
 
-    @property
+    @functools.cached_property
     def h(self) -> tuple[float, ...]:
         return tuple((h - l) / c for l, h, c in zip(self.lo, self.hi, self.cells))
 
@@ -230,17 +230,13 @@ def _axis_slices(ndim_total: int, axis: int, idx):
 
 def _fill_axis(data: np.ndarray, axis: int, mode: str) -> None:
     """Fill the two full ghost slabs on ``axis`` in place, so corners stay finite."""
-    nd = data.ndim
-    g_lo = _axis_slices(nd, axis, 0)
-    g_hi = _axis_slices(nd, axis, -1)
-    i1_lo = _axis_slices(nd, axis, 1)
-    i1_hi = _axis_slices(nd, axis, -2)
+    lead = (slice(None),) * axis
     if mode == "zero_gradient":
-        data[g_lo] = data[i1_lo]
-        data[g_hi] = data[i1_hi]
+        data[lead + (0,)] = data[lead + (1,)]
+        data[lead + (-1,)] = data[lead + (-2,)]
     elif mode == "reflect_odd":
-        data[g_lo] = -data[i1_lo]
-        data[g_hi] = -data[i1_hi]
+        data[lead + (0,)] = -data[lead + (1,)]
+        data[lead + (-1,)] = -data[lead + (-2,)]
     else:
         raise ValueError(f"unknown ghost mode {mode!r}")
 
@@ -268,18 +264,24 @@ def _dirichlet_faces(grid: Grid, boundary: BoundaryData, t: float, axis: int):
 def sync_physical(grid: Grid, rho: np.ndarray, u: np.ndarray, theta: np.ndarray,
                   boundary: BoundaryData, t: float) -> tuple[ScalarField, VectorField, ScalarField]:
     """Build synced (rho, u, theta) fields from interior arrays at time t."""
-    rho_f = ScalarField.from_interior(grid, rho)
-    u_f = VectorField.from_interior(grid, u)
-    th_f = ScalarField.from_interior(grid, theta)
+    inner = (slice(1, -1),) * grid.dim
+    padded = []
+    for values in (rho, u, theta):
+        values = np.asarray(values, dtype=float)
+        data = np.zeros(grid.padded_shape(values.shape[grid.dim:]))
+        data[inner] = values
+        padded.append(data)
+    rho_p, u_p, th_p = padded
     for axis in range(grid.dim):
-        _fill_axis(rho_f.data, axis, "zero_gradient")
-        _fill_axis(u_f.data, axis, "reflect_odd")
+        _fill_axis(rho_p, axis, "zero_gradient")
+        _fill_axis(u_p, axis, "reflect_odd")
         lo, hi = _dirichlet_faces(grid, boundary, t, axis)
-        _fill_theta_axis(th_f.data, grid, axis, lo, hi)
-    _corner_fix(rho_f.data, grid.dim)
-    _corner_fix(u_f.data, grid.dim)
-    _corner_fix(th_f.data, grid.dim)
-    return (replace(rho_f, synced=True), replace(u_f, synced=True), replace(th_f, synced=True))
+        _fill_theta_axis(th_p, grid, axis, lo, hi)
+    for data in padded:
+        _corner_fix(data, grid.dim)
+    return (ScalarField(grid=grid, data=rho_p, synced=True),
+            VectorField(grid=grid, data=u_p, synced=True),
+            ScalarField(grid=grid, data=th_p, synced=True))
 
 
 def _fill_theta_axis(data: np.ndarray, grid: Grid, axis: int, face_lo, face_hi) -> None:
@@ -321,19 +323,27 @@ def _require_synced(f: _Field) -> None:
 
 def _centered(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Centered difference along spatial ``axis``; returns interior values."""
-    nd = data.ndim
-    plus = [slice(1, -1)] * grid.dim + [slice(None)] * (nd - grid.dim)
-    minus = [slice(1, -1)] * grid.dim + [slice(None)] * (nd - grid.dim)
+    plus, minus = _centered_slices(grid.dim, axis)
+    return (data[plus] - data[minus]) / (2.0 * grid.h[axis])
+
+
+@functools.lru_cache(maxsize=None)
+def _centered_slices(dim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Interior slices shifted by +1 and -1 cell along ``axis``."""
+    plus = [slice(1, -1)] * dim
+    minus = list(plus)
     plus[axis] = slice(2, None)
     minus[axis] = slice(0, -2)
-    return (data[tuple(plus)] - data[tuple(minus)]) / (2.0 * grid.h[axis])
+    return tuple(plus), tuple(minus)
 
 
 def gradient(f: ScalarField) -> np.ndarray:
     """Second-order centered gradient of a scalar field, shape (*cells, dim)."""
     _require_synced(f)
-    comps = [_centered(f.data, f.grid, k) for k in range(f.grid.dim)]
-    return np.stack(comps, axis=-1)
+    out = np.empty(f.grid.interior_shape((f.grid.dim,)))
+    for k in range(f.grid.dim):
+        out[..., k] = _centered(f.data, f.grid, k)
+    return out
 
 
 def grad_vector(v: VectorField) -> np.ndarray:

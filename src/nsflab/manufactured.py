@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -209,8 +209,25 @@ def _fields(model, transport_model, rho: _Jet, u: list, theta: _Jet) -> dict:
             "grad_u": g_u, "f_mass": f_mass, "f_mom": f_mom, "f_energy": f_energy}
 
 
-def _compile(space: Callable, jets: Callable, model, transport_model, dim: int) -> dict:
-    """One callable per field of (t, pts), pts of shape (..., dim).
+def _buffer(vals, rank: int, base: tuple, dim: int) -> np.ndarray:
+    """A read-only array of shape ``base + (dim,) * rank`` from nested components."""
+    buf = np.empty(base + (dim,) * rank)
+    if rank == 0:
+        buf[...] = vals
+    elif rank == 1:
+        for k, c in enumerate(vals):
+            buf[..., k] = c
+    else:
+        for j, row in enumerate(vals):
+            for k, c in enumerate(row):
+                buf[..., j, k] = c
+    buf.flags.writeable = False
+    return buf
+
+
+def _compile(space: Callable, jets: Callable, model, transport_model, dim: int):
+    """One callable per field of (t, pts), pts of shape (..., dim), and a
+    callable of (t, pts) for (rho, u, theta) alone.
 
     A profile is a sum of products of time and space factors:
     ``space(coords)`` returns the jets of its space factors and
@@ -218,46 +235,47 @@ def _compile(space: Callable, jets: Callable, model, transport_model, dim: int) 
     components in trailing axes and are read-only. For a read-only pts the
     space factors are kept until pts changes and the last evaluation until
     (t, pts) changes, so a time level costs one evaluation and a grid its
-    space factors once.
+    space factors once. The state callable reads that evaluation when it
+    holds (t, pts) and otherwise stops at the jets: no state or coefficient
+    law, no forcing.
     """
     last = [None, None, None]  # t, pts, fields
     factors = [None, None]  # pts, space factor jets
 
-    def evaluate(t, pts):
-        t = float(t)
-        frozen = isinstance(pts, np.ndarray) and not pts.flags.writeable
-        if frozen and pts is last[1] and t == last[0]:
-            return last[2]
+    def state_jets(t, pts, frozen):
         arr = np.asarray(pts, dtype=float)
-        base = arr.shape[:-1]
         if frozen and pts is factors[0]:
             spatial = factors[1]
         else:
             spatial = space(_coords(arr, dim))
             if frozen:
                 factors[:] = pts, spatial
-        rho, u, theta = jets(_time(t, dim), *spatial)
+        return arr.shape[:-1], jets(_time(t, dim), *spatial)
+
+    def evaluate(t, pts):
+        t = float(t)
+        frozen = isinstance(pts, np.ndarray) and not pts.flags.writeable
+        if frozen and pts is last[1] and t == last[0]:
+            return last[2]
+        base, (rho, u, theta) = state_jets(t, pts, frozen)
         comps = _fields(model, transport_model, rho, u, theta)
-        out = {}
-        for name, rank in _SHAPES.items():
-            vals = comps[name]
-            buf = np.empty(base + (dim,) * rank)
-            if rank == 0:
-                buf[...] = vals
-            elif rank == 1:
-                for k, c in enumerate(vals):
-                    buf[..., k] = c
-            else:
-                for j, row in enumerate(vals):
-                    for k, c in enumerate(row):
-                        buf[..., j, k] = c
-            buf.flags.writeable = False
-            out[name] = buf
+        out = {name: _buffer(comps[name], rank, base, dim) for name, rank in _SHAPES.items()}
         if frozen:
             last[:] = t, pts, out
         return out
 
-    return {name: (lambda t, pts, name=name: evaluate(t, pts)[name]) for name in _SHAPES}
+    def state(t, pts):
+        t = float(t)
+        if pts is last[1] and t == last[0]:
+            out = last[2]
+            return out["rho"], out["u"], out["theta"]
+        frozen = isinstance(pts, np.ndarray) and not pts.flags.writeable
+        base, (rho, u, theta) = state_jets(t, pts, frozen)
+        return (_buffer(rho.v, 0, base, dim), _buffer([c.v for c in u], 1, base, dim),
+                _buffer(theta.v, 0, base, dim))
+
+    fns = {name: (lambda t, pts, name=name: evaluate(t, pts)[name]) for name in _SHAPES}
+    return fns, state
 
 
 @dataclass(frozen=True)
@@ -276,6 +294,7 @@ class StrongSolution:
     boundary: gridmod.BoundaryData
     params: dict
     _fns: dict = field(repr=False)
+    _state: Callable = field(repr=False)
 
     def __getattr__(self, name: str):
         if name.startswith("_"):
@@ -285,10 +304,14 @@ class StrongSolution:
         except KeyError:
             raise AttributeError(name) from None
 
+    def state(self, t: float, pts):
+        """(rho, u, theta) at (t, pts), bit for bit as the field callables
+        give them, without evaluating the derivatives and forcings."""
+        return self._state(t, pts)
+
     def on_grid(self, grid: gridmod.Grid, t: float):
         """Interior (rho, u, theta) arrays at cell centers."""
-        pts = grid_points(grid)
-        return self.rho(t, pts), self.u(t, pts), self.theta(t, pts)
+        return self.state(t, grid_points(grid))
 
     def range_report(self, grid: gridmod.Grid, times) -> dict[str, float]:
         """Min/max of rho, theta and max |u| over sampled times (gate input)."""
@@ -317,10 +340,10 @@ def _check_laws(model, transport_model) -> None:
 
 def _build(profile, model, transport_model, boundary, params, dim, space, jets):
     _check_laws(model, transport_model)
+    fns, state = _compile(space, jets, model, transport_model, dim)
     return StrongSolution(profile=profile, dim=dim, model=model,
                           transport_model=transport_model, boundary=boundary,
-                          params=dict(params),
-                          _fns=_compile(space, jets, model, transport_model, dim))
+                          params=dict(params), _fns=fns, _state=state)
 
 
 def _profile_equilibrium(model, transport_model, params):
@@ -429,7 +452,5 @@ def manufactured(profile: str, model, transport_model, boundary=None, **params) 
                 want = np.asarray(sol.boundary.theta(t, pts), dtype=float)
                 if np.max(np.abs(got - want)) > 1e-12:
                     raise ValueError(f"boundary data incompatible with profile trace on {side}")
-        sol = StrongSolution(profile=sol.profile, dim=sol.dim, model=sol.model,
-                             transport_model=sol.transport_model, boundary=boundary,
-                             params=sol.params, _fns=sol._fns)
+        sol = replace(sol, boundary=boundary)
     return sol

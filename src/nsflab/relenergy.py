@@ -82,10 +82,21 @@ def rel_energy_density(model: thermo.ThermoModel, rho, theta, u,
     if np.any(rho < 0.0) or np.any(theta <= 0.0):
         raise ValueError("atoms must satisfy rho >= 0 and theta > 0")
 
-    ev = model.eval(rho_ref, theta_ref)
-    slope = ev.e - theta_ref * ev.s + ev.p / rho_ref
-    h_atom = thermo.ballistic_energy(model, rho, theta, theta_ref)
-    h_ref = thermo.ballistic_energy(model, rho_ref, theta_ref, theta_ref)
+    p_ref, e_ref = model.p_and_e(rho_ref, theta_ref)
+    slope = _gibbs_slope(rho_ref, theta_ref, p_ref, e_ref, model.s(rho_ref, theta_ref))
+    return _assemble(rho, u, rho_ref, u_ref, slope,
+                     thermo.ballistic_energy(model, rho, theta, theta_ref),
+                     thermo.ballistic_energy(model, rho_ref, theta_ref, theta_ref))
+
+
+def _gibbs_slope(rho, theta, p, e, s):
+    """Gibbs free enthalpy e - theta*s + p/rho of the comparison state."""
+    return e - theta * s + p / rho
+
+
+def _assemble(rho, u, rho_ref, u_ref, slope, h_atom, h_ref):
+    """Kinetic part plus the Bregman gap, from the ballistic energies
+    ``h_atom`` of the atoms and ``h_ref`` of the comparison state."""
     kinetic = 0.5 * rho * np.sum((u - u_ref) ** 2, axis=-1)
     return kinetic + h_atom - slope * (rho - rho_ref) - h_ref
 
@@ -248,15 +259,28 @@ def coercivity_check(model: thermo.ThermoModel, params: CutoffParams,
 
 
 def _strong_state(sol: StrongSolution, grid: gridmod.Grid, t: float,
-                  model: thermo.ThermoModel) -> dict:
-    """Comparison state and its equation-of-state values at cell centers:
-    all the relative energy itself reads."""
+                  model: thermo.ThermoModel, full: bool = False) -> dict:
+    """Comparison state and its equation-of-state values at cell centers.
+
+    Without ``full``: rho, theta, u and p, e, s, all the relative energy
+    itself reads, from the profile's state alone.  With ``full`` the state
+    comes from the profile's full evaluation (its other fields follow from
+    the memo) and ``ev`` adds the six partials the inequality chain reads.
+    """
 
     pts = grid_points(grid)
-    rho, theta, u = sol.rho(t, pts), sol.theta(t, pts), sol.u(t, pts)
+    if full:
+        rho, theta, u = sol.rho(t, pts), sol.theta(t, pts), sol.u(t, pts)
+    else:
+        rho, u, theta = sol.state(t, pts)
     if np.any(rho <= 0.0) or np.any(theta <= 0.0):
         raise ValueError("comparison state must have positive density and temperature")
-    return {"rho": rho, "theta": theta, "u": u, "ev": model.eval(rho, theta)}
+    out = {"rho": rho, "theta": theta, "u": u}
+    if full:
+        ev = model.eval(rho, theta)
+        return {**out, "ev": ev, "p": ev.p, "e": ev.e, "s": ev.s}
+    p, e = model.p_and_e(rho, theta)
+    return {**out, "p": p, "e": e, "s": model.s(rho, theta)}
 
 
 def _strong_fields(sol: StrongSolution, grid: gridmod.Grid, t: float,
@@ -264,7 +288,8 @@ def _strong_fields(sol: StrongSolution, grid: gridmod.Grid, t: float,
                    transport_model: transport.TransportModel) -> dict:
     """Comparison-state fields and derived quantities at cell centers."""
 
-    return _with_derived(_strong_state(sol, grid, t, model), sol, grid, t, transport_model)
+    return _with_derived(_strong_state(sol, grid, t, model, full=True), sol, grid, t,
+                         transport_model)
 
 
 def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float,
@@ -445,8 +470,9 @@ def rel_energy_series(V: AtomicYoungMeasure, sol: StrongSolution,
     energy fails its consistency checks.  ``on_level(lev, sf, chi)`` runs at
     each level with the comparison-state fields and the atoms' window
     weights, so a caller extending the pass evaluates ``sol`` once per level.
-    Without a hook only the state and its equation of state are read; the
-    gradients, stress parts and coefficients are built for the hook alone.
+    Without a hook only the state and its p, e and s are evaluated; the
+    derivatives, forcings, partials, gradients, stress parts and
+    coefficients are built for the hook alone.
     """
 
     if sol.model != model:
@@ -461,28 +487,30 @@ def rel_energy_series(V: AtomicYoungMeasure, sol: StrongSolution,
 
     for lev in range(n_levels):
         t = float(times[lev])
-        sf = _strong_state(sol, grid, t, model)
+        sf = _strong_state(sol, grid, t, model, full=on_level is not None)
         w, rho, theta, u = V.weights[lev], V.rho[lev], V.theta[lev], V.u[lev]
         if np.any(theta <= 0.0) or np.any(rho <= 0.0):
             raise ValueError("the relative energy needs strictly positive atom states")
 
-        theta_t = sf["theta"][..., None]
-        e_atom = rel_energy_density(model, rho, theta, u, sf["rho"][..., None],
-                                    theta_t, sf["u"][..., None, :])
+        # rel_energy_density, with the comparison EOS and the atoms'
+        # ballistic energy evaluated once for both readings below
+        rho_t, theta_t = sf["rho"][..., None], sf["theta"][..., None]
+        slope = _gibbs_slope(sf["rho"], sf["theta"], sf["p"], sf["e"], sf["s"])
+        h_atom = thermo.ballistic_energy(model, rho, theta, theta_t)
+        e_atom = _assemble(rho, u, rho_t, sf["u"][..., None, :], slope[..., None], h_atom,
+                           thermo.ballistic_energy(model, rho_t, theta_t, theta_t))
         chi = cutoff.chi(rho, theta)
         e_mv[lev] = gridmod.integrate(grid, _avg(w, e_atom, 0))
         e_ess[lev] = gridmod.integrate(grid, _avg(w, chi * e_atom, 0))
 
-        h_atom = thermo.ballistic_energy(model, rho, theta, theta_t)
         kin = 0.5 * rho * np.sum(u ** 2, axis=-1)
-        slope = sf["ev"].e - sf["theta"] * sf["ev"].s + sf["ev"].p / sf["rho"]
         expansion["ballistic"][lev] = gridmod.integrate(grid, _avg(w, kin + h_atom, 0))
         expansion["cross"][lev] = gridmod.integrate(
             grid, -np.einsum("...k,...k->...",
                              _avg(w, rho[..., None] * u, 1), sf["u"]))
         expansion["carrier"][lev] = gridmod.integrate(
             grid, _avg(w, rho, 0) * (0.5 * np.sum(sf["u"] ** 2, axis=-1) - slope))
-        expansion["closure"][lev] = gridmod.integrate(grid, sf["ev"].p)
+        expansion["closure"][lev] = gridmod.integrate(grid, sf["p"])
         if on_level is not None:
             on_level(lev, _with_derived(sf, sol, grid, t, transport_model), chi)
     e_res = e_mv - e_ess

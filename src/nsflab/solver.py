@@ -9,6 +9,7 @@ so the entropy production S:grad u - p div u + conduction stays explicit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,23 +78,27 @@ def _slc(a: np.ndarray, axis: int, start, stop) -> np.ndarray:
     return a[tuple(sl)]
 
 
-def _other_interior(a: np.ndarray, dim: int, axis: int) -> np.ndarray:
-    """Slice every spatial axis except `axis` down to the interior."""
-    sl = [slice(None)] * a.ndim
-    for k in range(dim):
-        if k != axis:
-            sl[k] = slice(1, -1)
-    return a[tuple(sl)]
+@functools.lru_cache(maxsize=None)
+def _face_slices(dim: int, axis: int, components: bool = False) -> tuple[tuple[slice, ...], ...]:
+    """Slice tuples of the faces normal to ``axis``, on the spatial axes.
 
-
-def _face_div(flux: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (_slc(flux, axis, 1, None) - _slc(flux, axis, 0, -1)) / h
-
-
-def _upwind_value(phi: np.ndarray, ubar: np.ndarray, axis: int) -> np.ndarray:
-    left = _slc(phi, axis, 0, -1)
-    right = _slc(phi, axis, 1, None)
-    return np.where(ubar > 0.0, left, right)
+    ``left`` and ``right`` take the two ghost-padded cells of each face (the
+    other axes cut to the interior); ``hi`` and ``lo`` take the upper and
+    lower face of each interior cell from a face array.  With
+    ``components`` every tuple first keeps a leading component axis.
+    """
+    lead = (slice(None),) * components
+    inner = [slice(1, -1)] * dim
+    out = []
+    for cut in (slice(0, -1), slice(1, None)):
+        sl = list(inner)
+        sl[axis] = cut
+        out.append(lead + tuple(sl))
+    for cut in (slice(1, None), slice(0, -1)):
+        sl = [slice(None)] * dim
+        sl[axis] = cut
+        out.append(lead + tuple(sl))
+    return tuple(out)
 
 
 def _tangential_at_faces(dcell: np.ndarray, axis: int) -> np.ndarray:
@@ -113,10 +118,43 @@ def _first_nonpositive(rho: np.ndarray, theta: np.ndarray) -> str:
     return f"cell {idx}: rho = {float(rho[idx])!r}, theta = {float(theta[idx])!r}"
 
 
+def _normal_stress(transport_model, th_face, normal, tangential, axis: int) -> np.ndarray:
+    """Column ``axis`` of the face stress S = mu*D0(G) + lam*tr(G)*I.
+
+    G is the face velocity gradient, component first: its column ``axis``
+    is ``normal`` (``normal[j]`` = d u_j/d x_axis) and, for the one other
+    axis b of a 2D grid, its column b is ``tangential``.  Each entry is
+    computed as ``transport.viscous_stress`` computes it on the full tensor,
+    trace included (einsum sums the diagonal from 0), so the bits are the
+    same.
+    """
+    d = normal.shape[0]
+    mu = np.asarray(transport_model.mu(None, th_face), dtype=float)
+    lam = np.asarray(transport_model.lam(None, th_face), dtype=float)
+    tr = 0.0
+    for k in range(d):
+        tr = tr + (normal[k] if k == axis else tangential[k])
+    col = np.empty(normal.shape)
+    for j in range(d):
+        if j == axis:
+            col[j] = mu * (0.5 * (normal[j] + normal[j]) - tr / d) + lam * tr
+        else:
+            col[j] = mu * (0.5 * (normal[j] + tangential[axis]))
+    return col
+
+
 def rhs(state: FlowState, model: thermo.ThermoModel,
         transport_model: transport.TransportModel,
-        boundary: gridmod.BoundaryData, cfg: Optional[SolverConfig] = None):
-    """Conservative tendencies (d rho, d(rho u), d(rho e)) on interior cells."""
+        boundary: gridmod.BoundaryData, cfg: Optional[SolverConfig] = None,
+        *, energy: bool = False):
+    """Conservative tendencies (d rho, d(rho u), d(rho e)) on interior cells.
+
+    One pass per axis over its faces: the upwind fluxes of the stacked
+    conserved densities (rho, rho e, rho u_j), the normal column of the face
+    stress and the compact heat flux, each differenced once.  With
+    ``energy`` the state's own rho*e on interior cells comes fourth, so a
+    caller stepping the conserved variables evaluates no equation of state.
+    """
     g = state.grid
     d, h = g.dim, g.h
     if not state.is_positive():
@@ -129,49 +167,47 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
         raise PositivityError("positivity breach in flux assembly: boundary extrapolation "
                               "left rho or theta nonpositive at ghost-padded "
                               + _first_nonpositive(rho_p, th_p))
-    p_p = model.p(rho_p, th_p)
-    e_p = model.e(rho_p, th_p)
+    p_p, e_p = model.p_and_e(rho_p, th_p)
+    # component first, so each face array is contiguous per component
+    u_c = u_p.transpose((d,) + tuple(range(d)))
+    dens = np.empty((2 + d,) + rho_p.shape)  # rho, rho e, rho u_j
+    dens[0] = rho_p
+    rhoe_p = np.multiply(rho_p, e_p, out=dens[1])
+    np.multiply(rho_p, u_c, out=dens[2:])
 
     drho = np.zeros(g.interior_shape())
-    dmom = np.zeros(g.interior_shape((d,)))
+    dmom_c = np.zeros((d,) + g.interior_shape())
     drhoe = np.zeros(g.interior_shape())
 
     # cell-centered velocity gradient for stress work and tangential face terms
     gu_cell = gridmod.grad_vector(u_f)
     divu_cell = np.einsum("...ii->...", gu_cell)
+    gu_c = gu_cell.transpose((d, d + 1) + tuple(range(d)))
 
     for a in range(d):
-        rho_a = _other_interior(rho_p, d, a)
-        th_a = _other_interior(th_p, d, a)
-        e_a = _other_interior(e_p, d, a)
-        u_a = _other_interior(u_p, d, a)
-        un = u_a[..., a]
-        ubar = 0.5 * (_slc(un, a, 0, -1) + _slc(un, a, 1, None))
+        left, right, hi, lo = _face_slices(d, a)
+        c_left, c_right, c_hi, c_lo = _face_slices(d, a, True)
+        ubar = 0.5 * (u_c[a][left] + u_c[a][right])
 
         # upwind convection
-        drho -= _face_div(ubar * _upwind_value(rho_a, ubar, a), h[a], a)
-        drhoe -= _face_div(ubar * _upwind_value(rho_a * e_a, ubar, a), h[a], a)
-        for j in range(d):
-            flux = ubar * _upwind_value(rho_a * u_a[..., j], ubar, a)
-            dmom[..., j] -= _face_div(flux, h[a], a)
+        flux = ubar * np.where(ubar > 0.0, dens[c_left], dens[c_right])
+        conv = (flux[c_hi] - flux[c_lo]) / h[a]
+        drho -= conv[0]
+        drhoe -= conv[1]
+        dmom_c -= conv[2:]
 
-        # face velocity gradient: compact normal difference, averaged tangential
-        th_face = 0.5 * (_slc(th_a, a, 0, -1) + _slc(th_a, a, 1, None))
-        grad_face = np.zeros(ubar.shape + (d, d))
-        for j in range(d):
-            grad_face[..., j, a] = (_slc(u_a[..., j], a, 1, None)
-                                    - _slc(u_a[..., j], a, 0, -1)) / h[a]
-            for b in range(d):
-                if b != a:
-                    grad_face[..., j, b] = _tangential_at_faces(gu_cell[..., j, b], a)
-        s_face = transport.viscous_stress(transport_model, None, th_face, grad_face)
-        for j in range(d):
-            dmom[..., j] += _face_div(s_face[..., j, a], h[a], a)
+        # face stress column a: compact normal difference, averaged tangential
+        th_face = 0.5 * (th_p[left] + th_p[right])
+        normal = (u_c[c_right] - u_c[c_left]) / h[a]
+        tangential = _tangential_at_faces(gu_c[:, 1 - a], a + 1) if d == 2 else None
+        s_col = _normal_stress(transport_model, th_face, normal, tangential, a)
+        dmom_c += (s_col[c_hi] - s_col[c_lo]) / h[a]
 
         # compact heat flux q_a = -kappa * dtheta/dx_a
         kap_face = transport_model.kappa(None, th_face)
-        q_face = -kap_face * (_slc(th_a, a, 1, None) - _slc(th_a, a, 0, -1)) / h[a]
-        drhoe -= _face_div(q_face, h[a], a)
+        q_face = -kap_face * (th_p[right] - th_p[left]) / h[a]
+        drhoe -= (q_face[hi] - q_face[lo]) / h[a]
+    dmom = dmom_c.transpose(tuple(range(1, d + 1)) + (0,))
 
     # centered pressure gradient
     p_field = gridmod.ScalarField(grid=g, data=p_p, synced=True)
@@ -187,6 +223,8 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
         drho += cfg.source.f_mass(state.t, pts)
         dmom += cfg.source.f_mom(state.t, pts)
         drhoe += cfg.source.f_energy(state.t, pts)
+    if energy:
+        return drho, dmom, drhoe, rhoe_p[(slice(1, -1),) * d]
     return drho, dmom, drhoe
 
 
@@ -194,7 +232,8 @@ def stable_dt(state: FlowState, cfg: SolverConfig, model: thermo.ThermoModel,
               transport_model: transport.TransportModel) -> float:
     """dt = cfl * min(h/(|u|+c_s), h^2/(2 nu_max)), nu_max dimension-weighted."""
     g = state.grid
-    c_s = np.sqrt(model.sound_speed_sq(state.rho, state.theta))
+    d = model.partials(state.rho, state.theta)
+    c_s = np.sqrt(model.sound_speed_sq(state.rho, state.theta, d))
     dt_adv = np.inf
     for a in range(g.dim):
         speed = np.max(np.abs(state.u[..., a]) + c_s)
@@ -202,8 +241,7 @@ def stable_dt(state: FlowState, cfg: SolverConfig, model: thermo.ThermoModel,
     mu = transport_model.mu(state.rho, state.theta)
     lam = transport_model.lam(state.rho, state.theta)
     kap = transport_model.kappa(state.rho, state.theta)
-    e_th = model.partials(state.rho, state.theta)["de_dtheta"]
-    nu = np.maximum((2.0 * mu + g.dim * lam) / state.rho, kap / (state.rho * e_th))
+    nu = np.maximum((2.0 * mu + g.dim * lam) / state.rho, kap / (state.rho * d["de_dtheta"]))
     nu_max = g.dim * float(np.max(nu))
     h_min = min(g.h)
     dt_diff = h_min**2 / (2.0 * nu_max) if nu_max > 0 else np.inf
@@ -227,17 +265,17 @@ def _attempt(state, dt, cfg, model, transport_model, boundary):
     g = state.grid
     rho0 = state.rho
     mom0 = state.rho[..., None] * state.u
-    rhoe0 = state.rho * model.e(state.rho, state.theta)
 
-    k1 = rhs(state, model, transport_model, boundary, cfg)
+    k1 = rhs(state, model, transport_model, boundary, cfg, energy=True)
+    rhoe0 = k1[3]
     s1 = _decode(g, rho0 + dt * k1[0], mom0 + dt * k1[1], rhoe0 + dt * k1[2],
                  state.t + dt, model, state.theta, cfg.floor)
     if s1 is None:
         return None
-    k2 = rhs(s1, model, transport_model, boundary, cfg)
+    k2 = rhs(s1, model, transport_model, boundary, cfg, energy=True)
     rho2 = 0.5 * (rho0 + s1.rho + dt * k2[0])
     mom2 = 0.5 * (mom0 + s1.rho[..., None] * s1.u + dt * k2[1])
-    rhoe2 = 0.5 * (rhoe0 + s1.rho * model.e(s1.rho, s1.theta) + dt * k2[2])
+    rhoe2 = 0.5 * (rhoe0 + k2[3] + dt * k2[2])
     return _decode(g, rho2, mom2, rhoe2, state.t + dt, model, s1.theta, cfg.floor)
 
 

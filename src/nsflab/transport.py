@@ -35,10 +35,15 @@ def sym_part(a: np.ndarray) -> np.ndarray:
 
 def traceless_sym(a: np.ndarray) -> np.ndarray:
     """D0(A) = D(A) - (tr A / d) I on the trailing two axes."""
+    return _traceless_sym(a, np.einsum("...ii->...", a))
+
+
+def _traceless_sym(a: np.ndarray, trace: np.ndarray) -> np.ndarray:
     d = a.shape[-1]
     sym = sym_part(a)
-    diag = range(d)
-    sym[..., diag, diag] -= np.einsum("...ii->...", a)[..., None] / d
+    mean = trace / d
+    for k in range(d):
+        sym[..., k, k] -= mean
     return sym
 
 
@@ -189,11 +194,13 @@ class BoundedGeneral(TransportModel):
 
 def viscous_stress(model: TransportModel, rho, theta, grad_u: np.ndarray) -> np.ndarray:
     """S = mu*D0(grad u) + lam*tr(grad u)*I, on the trailing two axes of grad_u."""
-    diag = range(grad_u.shape[-1])
     mu = np.asarray(model.mu(rho, theta), dtype=float)
     lam = np.asarray(model.lam(rho, theta), dtype=float)
-    stress = mu[..., None, None] * traceless_sym(grad_u)
-    stress[..., diag, diag] += (lam * np.einsum("...ii->...", grad_u))[..., None]
+    trace = np.einsum("...ii->...", grad_u)
+    stress = mu[..., None, None] * _traceless_sym(grad_u, trace)
+    bulk = lam * trace
+    for k in range(grad_u.shape[-1]):
+        stress[..., k, k] += bulk
     return stress
 
 
