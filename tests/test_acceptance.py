@@ -235,12 +235,14 @@ def test_criterion_07_entropy_and_ballistic_slack():
           f"coarse-calibrated constants [{'; '.join(summary)}]")
 
 
-def test_criterion_08_collapse_and_perturbation_stability():
+def test_criterion_08_collapse_and_perturbation_stability(claim_three_report):
     lines = []
     for theorem, model, tm in (("1", PG, AT), ("2", PG, AT), ("3", MR, PK)):
-        spec = experiments.ExperimentSpec(theorem=theorem, model=model,
-                                          transport_model=tm)
-        rep = experiments.run_theorem(spec)
+        if theorem == "3":  # MR/PK: the default study the session runs once
+            rep = claim_three_report
+        else:
+            rep = experiments.run_theorem(experiments.ExperimentSpec(
+                theorem=theorem, model=model, transport_model=tm))
         assert rep.gate.accepted
         assert rep.ok
         assert rep.dirac_order >= 1.0

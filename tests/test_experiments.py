@@ -210,9 +210,8 @@ def test_collapse_claim_two_steady_state_is_exact():
     assert rep.c_spread <= 0.2
 
 
-def test_collapse_claim_three_radiative():
-    rep = ex.run_theorem(ex.ExperimentSpec(theorem="3", model=MR,
-                                           transport_model=PK))
+def test_collapse_claim_three_radiative(claim_three_report):
+    rep = claim_three_report  # ex.run_theorem at theorem "3", MR, PK
     assert rep.ok
     assert rep.dirac_order >= 1.0
     assert rep.dirac_sup[1] < rep.dirac_sup[0]

@@ -234,6 +234,42 @@ def test_step_halves_dt_once_after_a_positivity_breach():
         solver.step(st, cfg, PG, AFF, bc, dt=0.06)
 
 
+def _attempt_or_error(*args):
+    try:
+        return solver._attempt(*args), None
+    except solver.PositivityError as err:
+        return None, str(err)
+
+
+@given(hst.sampled_from([PG, MR]), hst.integers(8, 16), hst.floats(0.02, 1.0),
+       hst.floats(0.0, 1.5), hst.floats(0.0, 3.0))
+@settings(max_examples=40, deadline=None)
+def test_step_is_the_full_or_the_halved_attempt(model, n, rho_right, amp_u, log_factor):
+    # step either returns _attempt(dt) or, when that fails, _attempt(dt/2),
+    # bit for bit, or raises: "after halving dt once" when the halved
+    # attempt is undecodable, its own error when it raises one
+    gr = g.Grid(cells=(n,))
+    x = gr.centers(0)
+    st = solver.FlowState(grid=gr, rho=np.where(x < 0.5, 1.0, rho_right),
+                          u=amp_u * np.sin(np.pi * x)[:, None], theta=np.ones(n), t=0.0)
+    cfg = solver.SolverConfig(t_end=1.0)
+    bc = g.constant_boundary(1.0)
+    dt = 10.0**log_factor * solver.stable_dt(st, cfg, model, AFF)
+    full, _ = _attempt_or_error(st, dt, cfg, model, AFF, bc)
+    half, half_error = _attempt_or_error(st, 0.5 * dt, cfg, model, AFF, bc)
+    expected = full if full is not None else half
+    if expected is None:
+        message = half_error or "positivity failure after halving dt once"
+        with pytest.raises(solver.PositivityError) as info:
+            solver.step(st, cfg, model, AFF, bc, dt=dt)
+        assert str(info.value) == message
+        return
+    out = solver.step(st, cfg, model, AFF, bc, dt=dt)
+    assert out.t == expected.t
+    for key in ("rho", "u", "theta"):
+        assert getattr(out, key).tobytes() == getattr(expected, key).tobytes(), key
+
+
 def test_dt_underflow_raises():
     gr, st = _decay_state(n=16)
     cfg = solver.SolverConfig(t_end=0.1)

@@ -204,12 +204,19 @@ def test_entropy_growth_bound_regimes():
 
 @dataclass(frozen=True)
 class CountingModel(thermo.MolecularRadiation):
-    """Molecular-radiation law that records how many cells reach ``partials``."""
+    """Molecular-radiation law that records how many cells reach each
+    Newton evaluation (``law_and_slope``, one per iteration) in ``sizes``
+    and each ``partials`` call in ``partials_sizes``."""
 
     sizes: list = field(default_factory=list, compare=False)
+    partials_sizes: list = field(default_factory=list, compare=False)
+
+    def law_and_slope(self, law, rho, theta):
+        self.sizes.append(np.broadcast(rho, theta).size)
+        return super().law_and_slope(law, rho, theta)
 
     def partials(self, rho, theta):
-        self.sizes.append(np.broadcast(rho, theta).size)
+        self.partials_sizes.append(np.broadcast(rho, theta).size)
         return super().partials(rho, theta)
 
 
@@ -280,3 +287,39 @@ def test_invert_entropy_far_bracket():
     theta = thermo.invert_entropy(model, np.array([1.0]), np.array([target]))
     assert theta[0] == pytest.approx(1e5, rel=1e-13)
     assert model.s(1.0, theta[0]) == pytest.approx(target, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=16))
+@settings(max_examples=60, deadline=None)
+def test_fused_evaluations_match_the_laws_bit_for_bit(name, log_states):
+    # log-uniform (rho, theta) in [1e-3, 1e3]**2; the fused passes share
+    # subexpressions but must not move a single bit of any output
+    model = MODELS[name]
+    rho = 10.0 ** np.array([r for r, _ in log_states])
+    theta = 10.0 ** np.array([t for _, t in log_states])
+    d = model.partials(rho, theta)
+    for law in ("e", "s"):
+        value, slope = model.law_and_slope(law, rho, theta)
+        assert value.tobytes() == getattr(model, law)(rho, theta).tobytes()
+        assert slope.tobytes() == d[f"d{law}_dtheta"].tobytes()
+    p, e = model.p_and_e(rho, theta)
+    assert p.tobytes() == model.p(rho, theta).tobytes()
+    assert e.tobytes() == model.e(rho, theta).tobytes()
+
+
+def test_inversion_calls_no_partials_and_stable_dt_calls_it_once():
+    from nsflab import grid as gridmod
+    from nsflab import solver, transport
+
+    model = CountingModel()
+    rng = np.random.default_rng(3)
+    rho = np.exp(rng.uniform(np.log(0.5), np.log(2.0), (8, 6)))
+    theta = np.exp(rng.uniform(np.log(0.5), np.log(2.0), (8, 6)))
+    for law, invert in sorted(INVERSIONS.items()):
+        invert(model, rho, getattr(model, law)(rho, theta), theta0=1.01 * theta)
+    assert model.sizes and model.partials_sizes == []
+    state = solver.FlowState(grid=gridmod.Grid(cells=(8, 6)), rho=rho,
+                             u=np.zeros((8, 6, 2)), theta=theta, t=0.0)
+    solver.stable_dt(state, solver.SolverConfig(), model, transport.PowerKappa())
+    assert model.partials_sizes == [rho.size]
