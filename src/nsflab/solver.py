@@ -5,6 +5,20 @@ compact face fluxes for viscous stress and heat conduction, centered
 pressure gradient, SSP-RK2 (Heun) in time with a reject-and-halve-once
 positivity guard. The energy equation is integrated in internal-energy form
 so the entropy production S:grad u - p div u + conduction stays explicit.
+
+``rhs`` makes one pass per axis over that axis's faces. It evaluates p and
+e once on the ghost-padded state and stacks the conserved densities (rho,
+rho e, rho u_j) component first, so the upwind flux of all of them is
+selected and differenced at once. At each face it builds only the column
+of the viscous stress that the face divergence reads (the normal
+derivative, the averaged tangential one, and the trace), and the compact
+heat flux. Each tendency takes its terms in a fixed order: convection,
+then stress or conduction per axis, then the pressure gradient, the
+cell-centered work terms and the forcing. That order and every expression
+are kept from the per-component loop this replaced, so the tendencies are
+bit for bit the same (``tests/golden/rhs.json``). ``_attempt`` reuses the
+rho*e that ``rhs`` computes, and a Newton iteration of the temperature
+inversion evaluates the law and its slope in one ``law_and_slope`` pass.
 """
 
 from __future__ import annotations
@@ -145,15 +159,13 @@ def _normal_stress(transport_model, th_face, normal, tangential, axis: int) -> n
 
 def rhs(state: FlowState, model: thermo.ThermoModel,
         transport_model: transport.TransportModel,
-        boundary: gridmod.BoundaryData, cfg: Optional[SolverConfig] = None,
-        *, energy: bool = False):
-    """Conservative tendencies (d rho, d(rho u), d(rho e)) on interior cells.
+        boundary: gridmod.BoundaryData, cfg: Optional[SolverConfig] = None):
+    """Conservative tendencies (d rho, d(rho u), d(rho e)) on interior cells,
+    and fourth the state's own rho*e there, which the stepper advances.
 
     One pass per axis over its faces: the upwind fluxes of the stacked
     conserved densities (rho, rho e, rho u_j), the normal column of the face
-    stress and the compact heat flux, each differenced once.  With
-    ``energy`` the state's own rho*e on interior cells comes fourth, so a
-    caller stepping the conserved variables evaluates no equation of state.
+    stress and the compact heat flux, each differenced once.
     """
     g = state.grid
     d, h = g.dim, g.h
@@ -223,9 +235,7 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
         drho += cfg.source.f_mass(state.t, pts)
         dmom += cfg.source.f_mom(state.t, pts)
         drhoe += cfg.source.f_energy(state.t, pts)
-    if energy:
-        return drho, dmom, drhoe, rhoe_p[(slice(1, -1),) * d]
-    return drho, dmom, drhoe
+    return drho, dmom, drhoe, rhoe_p[(slice(1, -1),) * d]
 
 
 def stable_dt(state: FlowState, cfg: SolverConfig, model: thermo.ThermoModel,
@@ -266,13 +276,13 @@ def _attempt(state, dt, cfg, model, transport_model, boundary):
     rho0 = state.rho
     mom0 = state.rho[..., None] * state.u
 
-    k1 = rhs(state, model, transport_model, boundary, cfg, energy=True)
+    k1 = rhs(state, model, transport_model, boundary, cfg)
     rhoe0 = k1[3]
     s1 = _decode(g, rho0 + dt * k1[0], mom0 + dt * k1[1], rhoe0 + dt * k1[2],
                  state.t + dt, model, state.theta, cfg.floor)
     if s1 is None:
         return None
-    k2 = rhs(s1, model, transport_model, boundary, cfg, energy=True)
+    k2 = rhs(s1, model, transport_model, boundary, cfg)
     rho2 = 0.5 * (rho0 + s1.rho + dt * k2[0])
     mom2 = 0.5 * (mom0 + s1.rho[..., None] * s1.u + dt * k2[1])
     rhoe2 = 0.5 * (rhoe0 + k2[3] + dt * k2[2])

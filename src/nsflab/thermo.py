@@ -431,8 +431,8 @@ def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0, max_iter
             tol_n, tol_r = tol_newton[active], tol_roundoff[active]
         v, d = model.law_and_slope(law, r, th)
         f = v - tgt
-        np.maximum(lo, th, out=lo, where=f < 0.0)
-        np.minimum(hi, th, out=hi, where=f > 0.0)
+        lo = np.where(f < 0.0, np.maximum(lo, th), lo)
+        hi = np.where(f > 0.0, np.minimum(hi, th), hi)
         positive = d > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             step = f / d if positive.all() else np.where(positive, f / d, np.nan)

@@ -35,13 +35,9 @@ def sym_part(a: np.ndarray) -> np.ndarray:
 
 def traceless_sym(a: np.ndarray) -> np.ndarray:
     """D0(A) = D(A) - (tr A / d) I on the trailing two axes."""
-    return _traceless_sym(a, np.einsum("...ii->...", a))
-
-
-def _traceless_sym(a: np.ndarray, trace: np.ndarray) -> np.ndarray:
     d = a.shape[-1]
     sym = sym_part(a)
-    mean = trace / d
+    mean = np.einsum("...ii->...", a) / d
     for k in range(d):
         sym[..., k, k] -= mean
     return sym
@@ -196,9 +192,8 @@ def viscous_stress(model: TransportModel, rho, theta, grad_u: np.ndarray) -> np.
     """S = mu*D0(grad u) + lam*tr(grad u)*I, on the trailing two axes of grad_u."""
     mu = np.asarray(model.mu(rho, theta), dtype=float)
     lam = np.asarray(model.lam(rho, theta), dtype=float)
-    trace = np.einsum("...ii->...", grad_u)
-    stress = mu[..., None, None] * _traceless_sym(grad_u, trace)
-    bulk = lam * trace
+    stress = mu[..., None, None] * traceless_sym(grad_u)
+    bulk = lam * np.einsum("...ii->...", grad_u)
     for k in range(grad_u.shape[-1]):
         stress[..., k, k] += bulk
     return stress

@@ -62,7 +62,7 @@ def _rhs_case(name):
 
 def _rhs_of_case(name):
     st, model, tm, bc, cfg = _rhs_case(name)
-    return dict(zip(("drho", "dmom", "drhoe"), solver.rhs(st, model, tm, bc, cfg)))
+    return dict(zip(("drho", "dmom", "drhoe", "rhoe"), solver.rhs(st, model, tm, bc, cfg)))
 
 
 with open(os.path.join(os.path.dirname(__file__), "golden", "rhs.json"), encoding="utf-8") as fh:
@@ -72,8 +72,11 @@ with open(os.path.join(os.path.dirname(__file__), "golden", "rhs.json"), encodin
 @pytest.mark.parametrize("name", sorted(RHS_PINNED))
 def test_rhs_matches_golden_bits(name):
     # golden/rhs.json holds the tendencies of _rhs_case written by json (repr
-    # round-trip floats): a refactor of rhs must keep every bit
+    # round-trip floats): a refactor of rhs must keep every bit; the state's
+    # rho*e, returned fourth, is the one the equation of state gives
     got = _rhs_of_case(name)
+    st, model = _rhs_case(name)[:2]
+    assert got["rhoe"].tobytes() == (st.rho * model.e(st.rho, st.theta)).tobytes()
     for key, want in RHS_PINNED[name].items():
         want = np.asarray(want, dtype=float)
         assert got[key].shape == want.shape, key
@@ -85,7 +88,7 @@ def test_constant_state_rhs_is_zero():
     gr = g.Grid(cells=(16,))
     st = solver.FlowState(grid=gr, rho=np.full(16, 2.0), u=np.zeros((16, 1)),
                           theta=np.full(16, 1.5), t=0.0)
-    dr, dm, de = solver.rhs(st, PG, AFF, g.constant_boundary(1.5))
+    dr, dm, de, _ = solver.rhs(st, PG, AFF, g.constant_boundary(1.5))
     assert np.max(np.abs(dr)) == 0.0
     assert np.max(np.abs(dm)) == 0.0
     assert np.max(np.abs(de)) == 0.0
@@ -113,7 +116,7 @@ def test_conduction_rhs_nets_to_zero_with_forcing():
     r0, u0, th0 = sol.on_grid(gr, 0.0)
     st = solver.FlowState(grid=gr, rho=r0, u=u0, theta=th0, t=0.0)
     cfg = solver.SolverConfig(t_end=0.1, source=sol)
-    dr, dm, de = solver.rhs(st, PG, const_kappa, sol.boundary, cfg)
+    dr, dm, de, _ = solver.rhs(st, PG, const_kappa, sol.boundary, cfg)
     assert np.max(np.abs(dr)) < 1e-13
     assert np.max(np.abs(dm)) < 1e-13
     assert np.max(np.abs(de)) < 1e-13
