@@ -69,7 +69,7 @@ class Grid:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         return len(self.cells)
 

@@ -63,7 +63,7 @@ class FlowState:
             raise ValueError("theta shape does not match grid")
 
     def is_positive(self, floor: float = 0.0) -> bool:
-        return bool(np.all(self.rho > floor) and np.all(self.theta > floor))
+        return bool((self.rho > floor).all() and (self.theta > floor).all())
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
     rho_f, u_f, th_f = gridmod.sync_physical(g, state.rho, state.u, state.theta,
                                              boundary, state.t)
     rho_p, u_p, th_p = rho_f.data, u_f.data, th_f.data
-    if np.any(th_p <= 0.0) or np.any(rho_p <= 0.0):
+    if (th_p <= 0.0).any() or (rho_p <= 0.0).any():
         raise PositivityError("positivity breach in flux assembly: boundary extrapolation "
                               "left rho or theta nonpositive at ghost-padded "
                               + _first_nonpositive(rho_p, th_p))
@@ -246,27 +246,27 @@ def stable_dt(state: FlowState, cfg: SolverConfig, model: thermo.ThermoModel,
     c_s = np.sqrt(model.sound_speed_sq(state.rho, state.theta, d))
     dt_adv = np.inf
     for a in range(g.dim):
-        speed = np.max(np.abs(state.u[..., a]) + c_s)
+        speed = (np.abs(state.u[..., a]) + c_s).max()
         dt_adv = min(dt_adv, g.h[a] / speed)
     mu = transport_model.mu(state.rho, state.theta)
     lam = transport_model.lam(state.rho, state.theta)
     kap = transport_model.kappa(state.rho, state.theta)
     nu = np.maximum((2.0 * mu + g.dim * lam) / state.rho, kap / (state.rho * d["de_dtheta"]))
-    nu_max = g.dim * float(np.max(nu))
+    nu_max = g.dim * float(nu.max())
     h_min = min(g.h)
     dt_diff = h_min**2 / (2.0 * nu_max) if nu_max > 0 else np.inf
     return cfg.cfl * min(dt_adv, dt_diff)
 
 
 def _decode(grid, rho, mom, rhoe, t, model, theta_guess, floor):
-    if np.any(rho <= floor):
+    if (rho <= floor).any():
         return None
     u = mom / rho[..., None]
     e = rhoe / rho
-    if np.any(e <= 0.0):
+    if (e <= 0.0).any():
         return None
     theta = thermo.invert_internal_energy(model, rho, e, theta0=theta_guess)
-    if np.any(theta <= floor):
+    if (theta <= floor).any():
         return None
     return FlowState(grid=grid, rho=rho, u=u, theta=theta, t=t)
 
