@@ -14,11 +14,10 @@ of the viscous stress that the face divergence reads (the normal
 derivative, the averaged tangential one, and the trace), and the compact
 heat flux. Each tendency takes its terms in a fixed order: convection,
 then stress or conduction per axis, then the pressure gradient, the
-cell-centered work terms and the forcing. That order and every expression
-are kept from the per-component loop this replaced, so the tendencies are
-bit for bit the same (``tests/golden/rhs.json``). ``_attempt`` reuses the
-rho*e that ``rhs`` computes, and a Newton iteration of the temperature
-inversion evaluates the law and its slope in one ``law_and_slope`` pass.
+cell-centered work terms and the forcing; ``tests/golden/rhs.json`` pins
+the result bit for bit. ``_attempt`` reuses the rho*e that ``rhs``
+computes, and a Newton iteration of the temperature inversion evaluates
+the law and its slope in one ``law_and_slope`` pass.
 """
 
 from __future__ import annotations

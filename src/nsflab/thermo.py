@@ -311,7 +311,7 @@ class MolecularRadiation(ThermoModel):
         dP = self.kernel.dp(q)
         dS = self.kernel.ds(q)
         a = self.a
-        # shared subexpressions keep the association each entry had alone
+        # shared subexpressions, associated as in each entry's own formula
         mol = 2.5 * theta**1.5 * P
         rad = 2.0 * a * theta
         rho_sq = rho**2

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nsflab import thermo
+from nsflab import grid as gridmod
+from nsflab import solver, thermo, transport
 
 
 MODELS = {
@@ -309,9 +310,6 @@ def test_fused_evaluations_match_the_laws_bit_for_bit(name, log_states):
 
 
 def test_inversion_calls_no_partials_and_stable_dt_calls_it_once():
-    from nsflab import grid as gridmod
-    from nsflab import solver, transport
-
     model = CountingModel()
     rng = np.random.default_rng(3)
     rho = np.exp(rng.uniform(np.log(0.5), np.log(2.0), (8, 6)))
