@@ -199,12 +199,15 @@ class _Field:
 
     @classmethod
     def from_interior(cls, grid: Grid, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        trailing = values.shape[grid.dim :]
-        data = np.zeros(grid.padded_shape(trailing))
-        sl = tuple(slice(1, -1) for _ in range(grid.dim))
-        data[sl] = values
-        return cls(grid=grid, data=data, synced=False)
+        return cls(grid=grid, data=_padded(grid, values), synced=False)
+
+
+def _padded(grid: Grid, values) -> np.ndarray:
+    """``values`` on the interior of a zero ghost-padded array."""
+    values = np.asarray(values, dtype=float)
+    data = np.zeros(grid.padded_shape(values.shape[grid.dim :]))
+    data[(slice(1, -1),) * grid.dim] = values
+    return data
 
 
 @dataclass(frozen=True)
@@ -264,13 +267,7 @@ def _dirichlet_faces(grid: Grid, boundary: BoundaryData, t: float, axis: int):
 def sync_physical(grid: Grid, rho: np.ndarray, u: np.ndarray, theta: np.ndarray,
                   boundary: BoundaryData, t: float) -> tuple[ScalarField, VectorField, ScalarField]:
     """Build synced (rho, u, theta) fields from interior arrays at time t."""
-    inner = (slice(1, -1),) * grid.dim
-    padded = []
-    for values in (rho, u, theta):
-        values = np.asarray(values, dtype=float)
-        data = np.zeros(grid.padded_shape(values.shape[grid.dim:]))
-        data[inner] = values
-        padded.append(data)
+    padded = [_padded(grid, values) for values in (rho, u, theta)]
     rho_p, u_p, th_p = padded
     for axis in range(grid.dim):
         _fill_axis(rho_p, axis, "zero_gradient")

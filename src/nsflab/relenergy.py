@@ -82,8 +82,8 @@ def rel_energy_density(model: thermo.ThermoModel, rho, theta, u,
     if np.any(rho < 0.0) or np.any(theta <= 0.0):
         raise ValueError("atoms must satisfy rho >= 0 and theta > 0")
 
-    p_ref, e_ref = model.p_and_e(rho_ref, theta_ref)
-    slope = _gibbs_slope(rho_ref, theta_ref, p_ref, e_ref, model.s(rho_ref, theta_ref))
+    slope = _gibbs_slope(rho_ref, theta_ref, model.p(rho_ref, theta_ref),
+                         model.e(rho_ref, theta_ref), model.s(rho_ref, theta_ref))
     return _assemble(rho, u, rho_ref, u_ref, slope,
                      thermo.ballistic_energy(model, rho, theta, theta_ref),
                      thermo.ballistic_energy(model, rho_ref, theta_ref, theta_ref))
@@ -260,27 +260,26 @@ def coercivity_check(model: thermo.ThermoModel, params: CutoffParams,
 
 def _strong_state(sol: StrongSolution, grid: gridmod.Grid, t: float,
                   model: thermo.ThermoModel, full: bool = False) -> dict:
-    """Comparison state and its equation-of-state values at cell centers.
+    """Comparison state and its p, e, s at cell centers: all the relative
+    energy itself reads.
 
-    Without ``full``: rho, theta, u and p, e, s, all the relative energy
-    itself reads, from the profile's state alone.  With ``full`` the state
-    comes from the profile's full evaluation (its other fields follow from
-    the memo) and ``ev`` adds the six partials the inequality chain reads.
+    The state comes from ``sol.state``, which evaluates the profile's jets
+    alone.  A caller that goes on to ``_with_derived`` passes ``full``: the
+    state is then read from the profile's full evaluation, which
+    ``_with_derived`` makes anyway; through ``sol.state`` the jets would be
+    evaluated twice per level (the default ``relenergy`` report took 1.2x
+    as long that way).  Both give the same bits.
     """
 
     pts = grid_points(grid)
     if full:
-        rho, theta, u = sol.rho(t, pts), sol.theta(t, pts), sol.u(t, pts)
+        rho, u, theta = sol.rho(t, pts), sol.u(t, pts), sol.theta(t, pts)
     else:
         rho, u, theta = sol.state(t, pts)
     if np.any(rho <= 0.0) or np.any(theta <= 0.0):
         raise ValueError("comparison state must have positive density and temperature")
-    out = {"rho": rho, "theta": theta, "u": u}
-    if full:
-        ev = model.eval(rho, theta)
-        return {**out, "ev": ev, "p": ev.p, "e": ev.e, "s": ev.s}
-    p, e = model.p_and_e(rho, theta)
-    return {**out, "p": p, "e": e, "s": model.s(rho, theta)}
+    return {"rho": rho, "theta": theta, "u": u, "p": model.p(rho, theta),
+            "e": model.e(rho, theta), "s": model.s(rho, theta)}
 
 
 def _strong_fields(sol: StrongSolution, grid: gridmod.Grid, t: float,
@@ -298,7 +297,9 @@ def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float
     coefficients the inequality chain reads."""
 
     pts = grid_points(grid)
-    rho, theta, u, ev = state["rho"], state["theta"], state["u"], state["ev"]
+    rho, theta, u = state["rho"], state["theta"], state["u"]
+    ev = thermo.ThermoEval(p=state["p"], e=state["e"], s=state["s"],
+                           **sol.model.partials(rho, theta))
     g_u = sol.grad_u(t, pts)
     grad_theta = sol.grad_theta(t, pts)
     grad_p = ev.dp_drho[..., None] * sol.grad_rho(t, pts) + ev.dp_dtheta[..., None] * grad_theta
@@ -310,7 +311,7 @@ def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float
              + grad_p - sol.f_mom(t, pts))
 
     return {
-        **state,
+        **state, "ev": ev,
         "g_u": g_u, "sym_u": transport.sym_part(g_u),
         "d0_u": transport.traceless_sym(g_u),
         "div_u": np.einsum("...ii->...", g_u),

@@ -10,14 +10,14 @@ so the entropy production S:grad u - p div u + conduction stays explicit.
 e once on the ghost-padded state and stacks the conserved densities (rho,
 rho e, rho u_j) component first, so the upwind flux of all of them is
 selected and differenced at once. At each face it builds only the column
-of the viscous stress that the face divergence reads (the normal
-derivative, the averaged tangential one, and the trace), and the compact
-heat flux. Each tendency takes its terms in a fixed order: convection,
-then stress or conduction per axis, then the pressure gradient, the
-cell-centered work terms and the forcing; ``tests/golden/rhs.json`` pins
-the result bit for bit. ``_attempt`` reuses the rho*e that ``rhs``
-computes, and a Newton iteration of the temperature inversion evaluates
-the law and its slope in one ``law_and_slope`` pass.
+of the viscous stress that the face divergence reads
+(``transport.viscous_stress_column``, from the normal derivative and the
+averaged tangential one), and the compact heat flux. Each tendency takes
+its terms in a fixed order: convection, then stress or conduction per
+axis, then the pressure gradient, the cell-centered work terms and the
+forcing; ``tests/golden/rhs.json`` pins the result bit for bit.
+``_attempt`` reuses the rho*e that ``rhs`` computes, and ``stable_dt``
+evaluates the equation of state's partials once.
 """
 
 from __future__ import annotations
@@ -131,31 +131,6 @@ def _first_nonpositive(rho: np.ndarray, theta: np.ndarray) -> str:
     return f"cell {idx}: rho = {float(rho[idx])!r}, theta = {float(theta[idx])!r}"
 
 
-def _normal_stress(transport_model, th_face, normal, tangential, axis: int) -> np.ndarray:
-    """Column ``axis`` of the face stress S = mu*D0(G) + lam*tr(G)*I.
-
-    G is the face velocity gradient, component first: its column ``axis``
-    is ``normal`` (``normal[j]`` = d u_j/d x_axis) and, for the one other
-    axis b of a 2D grid, its column b is ``tangential``.  Each entry is
-    computed as ``transport.viscous_stress`` computes it on the full tensor,
-    trace included (einsum sums the diagonal from 0), so the bits are the
-    same.
-    """
-    d = normal.shape[0]
-    mu = np.asarray(transport_model.mu(None, th_face), dtype=float)
-    lam = np.asarray(transport_model.lam(None, th_face), dtype=float)
-    tr = 0.0
-    for k in range(d):
-        tr = tr + (normal[k] if k == axis else tangential[k])
-    col = np.empty(normal.shape)
-    for j in range(d):
-        if j == axis:
-            col[j] = mu * (0.5 * (normal[j] + normal[j]) - tr / d) + lam * tr
-        else:
-            col[j] = mu * (0.5 * (normal[j] + tangential[axis]))
-    return col
-
-
 def rhs(state: FlowState, model: thermo.ThermoModel,
         transport_model: transport.TransportModel,
         boundary: gridmod.BoundaryData, cfg: Optional[SolverConfig] = None):
@@ -178,7 +153,8 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
         raise PositivityError("positivity breach in flux assembly: boundary extrapolation "
                               "left rho or theta nonpositive at ghost-padded "
                               + _first_nonpositive(rho_p, th_p))
-    p_p, e_p = model.p_and_e(rho_p, th_p)
+    p_p = model.p(rho_p, th_p)
+    e_p = model.e(rho_p, th_p)
     # component first, so each face array is contiguous per component
     u_c = u_p.transpose((d,) + tuple(range(d)))
     dens = np.empty((2 + d,) + rho_p.shape)  # rho, rho e, rho u_j
@@ -211,7 +187,8 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
         th_face = 0.5 * (th_p[left] + th_p[right])
         normal = (u_c[c_right] - u_c[c_left]) / h[a]
         tangential = _tangential_at_faces(gu_c[:, 1 - a], a + 1) if d == 2 else None
-        s_col = _normal_stress(transport_model, th_face, normal, tangential, a)
+        s_col = transport.viscous_stress_column(transport_model, None, th_face, normal,
+                                                tangential, a)
         dmom_c += (s_col[c_hi] - s_col[c_lo]) / h[a]
 
         # compact heat flux q_a = -kappa * dtheta/dx_a

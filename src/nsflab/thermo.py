@@ -159,16 +159,6 @@ class ThermoModel:
         """Return the six partial derivatives as a dict."""
         raise NotImplementedError
 
-    # -- fused evaluations: one pass where a caller needs two laws ----------
-    def p_and_e(self, rho, theta):
-        """(p, e), each bit for bit as ``p`` and ``e`` give it."""
-        return self.p(rho, theta), self.e(rho, theta)
-
-    def law_and_slope(self, law: str, rho, theta):
-        """(``law``, d ``law``/dtheta) for law "e" or "s", bit for bit as the
-        law and ``partials`` give them: one Newton iteration's evaluation."""
-        return getattr(self, law)(rho, theta), self.partials(rho, theta)[f"d{law}_dtheta"]
-
     # -- vacuum-safe densities ----------------------------------------------
     def rho_e(self, rho, theta):
         """rho * e(rho, theta), continued by 0 at rho = 0."""
@@ -196,13 +186,10 @@ class ThermoModel:
             ds_dtheta=d["ds_dtheta"],
         )
 
-    def sound_speed_sq(self, rho, theta, partials=None):
-        """Isentropic sound speed squared: dp/drho + theta*(dp/dtheta)^2/(rho^2 de/dtheta).
-
-        ``partials`` is this model's ``partials(rho, theta)`` when the caller
-        already has it.
-        """
-        d = self.partials(rho, theta) if partials is None else partials
+    def sound_speed_sq(self, rho, theta, partials):
+        """Isentropic sound speed squared: dp/drho + theta*(dp/dtheta)^2/(rho^2 de/dtheta),
+        from ``partials``, this model's ``partials(rho, theta)``."""
+        d = partials
         return d["dp_drho"] + theta * d["dp_dtheta"] ** 2 / (rho**2 * d["de_dtheta"])
 
 
@@ -324,25 +311,6 @@ class MolecularRadiation(ThermoModel):
             "ds_dtheta": -1.5 * rho * theta ** (-2.5) * dS + 2.0 * a / rho,
         }
 
-    def p_and_e(self, rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        P = self.kernel.p(self._q(rho, theta))
-        theta_25, theta_2 = theta**2.5, theta**2
-        return theta_25 * P + self.a * theta_2, 1.5 * theta_25 / rho * P + self.a * theta_2 / rho
-
-    def law_and_slope(self, law: str, rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        q = self._q(rho, theta)
-        a = self.a
-        if law == "e":
-            P = self.kernel.p(q)
-            value = 1.5 * theta**2.5 / rho * P + a * theta**2 / rho
-            return value, 1.5 * (2.5 * theta**1.5 * P / rho - 1.5 * self.kernel.dp(q)) + 2.0 * a * theta / rho
-        value = self.kernel.s(q) + 2.0 * a * theta / rho
-        return value, -1.5 * rho * theta ** (-2.5) * self.kernel.ds(q) + 2.0 * a / rho
-
     def rho_e(self, rho, theta):
         rho = np.asarray(rho, dtype=float)
         theta = np.asarray(theta, dtype=float)
@@ -392,11 +360,6 @@ _BRACKET = (1e-12, 1e12)
 _RTOL = 1e-13
 
 
-def _flat(a: np.ndarray, shape: tuple) -> np.ndarray:
-    """``a`` broadcast to ``shape`` and flattened (a view where it can be)."""
-    return a.ravel() if a.shape == shape else np.broadcast_to(a, shape).ravel()
-
-
 def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0, max_iter):
     """Solve ``model.<law>(rho, theta) = target`` for theta, cell by cell.
 
@@ -405,49 +368,40 @@ def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0, max_iter
     bisection (rtsafe, Numerical Recipes 9.4). A cell is done when its raw
     Newton step is at most _RTOL*theta, when its residual is at round-off (an
     ill-conditioned cell gets no closer), or when its bracket has collapsed
-    to _RTOL*theta. Each iteration evaluates the law and its theta-slope in
-    one ``model.law_and_slope`` pass on the cells still active only.
+    to _RTOL*theta. Each iteration evaluates the law and one
+    ``model.partials`` on the cells still active only.
     """
     rho = np.asarray(rho, dtype=float)
     target = np.asarray(target, dtype=float)
-    shape = rho.shape if rho.shape == target.shape else np.broadcast_shapes(rho.shape, target.shape)
-    rho, target = _flat(rho, shape), _flat(target, shape)
+    shape = np.broadcast_shapes(rho.shape, target.shape)
+    rho = np.broadcast_to(rho, shape).ravel()
+    target = np.broadcast_to(target, shape).ravel()
     theta = (np.ones(rho.size) if theta0 is None else
-             np.clip(_flat(np.asarray(theta0, dtype=float), shape), *_BRACKET))
-    value = getattr(model, law)
-    # per-cell residual tolerances of the two stopping tests below
-    tol_newton = 1e-9 * (1.0 + np.abs(target))
-    tol_roundoff = _ROUNDOFF * np.abs(target)
+             np.clip(np.broadcast_to(np.asarray(theta0, dtype=float), shape), *_BRACKET).ravel())
+    value, slope = getattr(model, law), f"d{law}_dtheta"
     active = np.arange(rho.size)
     lo = np.full(rho.size, _BRACKET[0])
     hi = np.full(rho.size, _BRACKET[1])
     for _ in range(max_iter):
         if active.size == 0:
             break
-        if active.size == rho.size:  # no cell done yet: read the arrays themselves
-            r, th, tgt, tol_n, tol_r = rho, theta, target, tol_newton, tol_roundoff
-        else:
-            r, th, tgt = rho[active], theta[active], target[active]
-            tol_n, tol_r = tol_newton[active], tol_roundoff[active]
-        v, d = model.law_and_slope(law, r, th)
-        f = v - tgt
+        r, th, tgt = rho[active], theta[active], target[active]
+        f = value(r, th) - tgt
+        d = model.partials(r, th)[slope]
         lo = np.where(f < 0.0, np.maximum(lo, th), lo)
         hi = np.where(f > 0.0, np.minimum(hi, th), hi)
-        positive = d > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / d if positive.all() else np.where(positive, f / d, np.nan)
+            step = np.where(d > 0.0, f / d, np.nan)
         # a raw step within _RTOL is taken and ends the cell (the residual
         # test guards against a step shrunk by a huge slope); a residual at
         # round-off or a collapsed bracket ends it where it stands
-        abs_f, rtol_th = np.abs(f), _RTOL * th
-        newton = (np.abs(step) <= rtol_th) & (abs_f <= tol_n)
-        settled = (abs_f <= tol_r) | (hi - lo <= rtol_th)
+        newton = (np.abs(step) <= _RTOL * th) & (np.abs(f) <= 1e-9 * (1.0 + np.abs(tgt)))
+        settled = (np.abs(f) <= _ROUNDOFF * np.abs(tgt)) | (hi - lo <= _RTOL * th)
         cand = th - step
         cand = np.where(newton | ((cand > lo) & (cand < hi)), cand, 0.5 * (lo + hi))
         theta[active] = np.where(settled & ~newton, th, cand)
         live = ~(newton | settled)
-        if not live.all():
-            active, lo, hi = active[live], lo[live], hi[live]
+        active, lo, hi = active[live], lo[live], hi[live]
     if active.size:
         r, th, tgt = rho[active], theta[active], target[active]
         res = np.abs(value(r, th) - tgt) / (1.0 + np.abs(tgt))

@@ -23,6 +23,7 @@ __all__ = [
     "sym_part",
     "traceless_sym",
     "viscous_stress",
+    "viscous_stress_column",
     "heat_flux",
     "entropy_production_density",
 ]
@@ -197,6 +198,30 @@ def viscous_stress(model: TransportModel, rho, theta, grad_u: np.ndarray) -> np.
     for k in range(grad_u.shape[-1]):
         stress[..., k, k] += bulk
     return stress
+
+
+def viscous_stress_column(model: TransportModel, rho, theta, normal: np.ndarray,
+                          tangential, axis: int) -> np.ndarray:
+    """Column ``axis`` of ``viscous_stress``, from two columns of grad u.
+
+    Components lead: ``normal[j]`` = d u_j/d x_axis, and for the one other
+    axis b of a 2D field ``tangential[j]`` = d u_j/d x_b (None in 1D).  Each
+    entry is computed in ``viscous_stress``'s operation order, with the
+    trace summed from 0 as einsum sums it, so the bits are the same.
+    """
+    d = normal.shape[0]
+    mu = np.asarray(model.mu(rho, theta), dtype=float)
+    lam = np.asarray(model.lam(rho, theta), dtype=float)
+    tr = 0.0
+    for k in range(d):
+        tr = tr + (normal[k] if k == axis else tangential[k])
+    col = np.empty(normal.shape)
+    for j in range(d):
+        if j == axis:
+            col[j] = mu * (0.5 * (normal[j] + normal[j]) - tr / d) + lam * tr
+        else:
+            col[j] = mu * (0.5 * (normal[j] + tangential[axis]))
+    return col
 
 
 def heat_flux(model: TransportModel, rho, theta, grad_theta: np.ndarray) -> np.ndarray:
