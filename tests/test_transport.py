@@ -92,3 +92,23 @@ def test_coefficient_validation():
         transport.PowerKappa(kappa1=0.0)
     with pytest.raises(ValueError):
         transport.PowerKappa(mu1=-0.1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_stress_column_is_the_full_tensors_column_bit_for_bit(d, seed):
+    # rhs differences this column instead of the full tensor's, so every
+    # bit must agree; one in three gradient entries is a zero of either sign
+    rng = np.random.default_rng(seed)
+    grad = rng.standard_normal((5, 3, d, d))
+    grad[rng.integers(0, 3, grad.shape) == 0] = 0.0
+    grad *= rng.choice([-1.0, 1.0], grad.shape)
+    theta = np.exp(rng.uniform(-1.0, 1.0, (5, 3)))
+    model = transport.PowerKappa()
+    full = transport.viscous_stress(model, None, theta, grad)
+    for axis in range(d):
+        normal = np.moveaxis(grad[..., :, axis], -1, 0)
+        tangential = np.moveaxis(grad[..., :, 1 - axis], -1, 0) if d == 2 else None
+        col = transport.viscous_stress_column(model, None, theta, normal, tangential, axis)
+        assert col.tobytes() == np.ascontiguousarray(np.moveaxis(full[..., :, axis], -1, 0)).tobytes()
