@@ -21,7 +21,7 @@ import numpy as np
 from . import config as configmod
 from . import experiments, relenergy, reports, solver, testfuns, thermo, transport, young
 from . import grid as gridmod
-from .manufactured import manufactured, profile_names
+from .manufactured import profile_names
 
 __all__ = ["main", "OUTPUT_ENV"]
 
@@ -56,6 +56,14 @@ def _status(ok: bool, label: str, detail: str = "") -> None:
 
 def _asdata(report) -> dict:
     return dataclasses.asdict(report)
+
+
+def _comparison(cfg: configmod.RunConfig, command: str):
+    sol = configmod.build_source(cfg)
+    if sol is None:
+        raise configmod.ConfigError(f"{command} needs a comparison profile; "
+                                    f"solver.profile is {cfg['solver']['profile']!r}")
+    return sol
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +154,7 @@ def cmd_mv_check(args) -> int:
     model = configmod.build_model(cfg)
     tm = configmod.build_transport(cfg)
     profile = cfg["solver"]["profile"]
-    sol = manufactured(profile, model, tm)
+    sol = _comparison(cfg, "mv-check")
     dim = sol.dim
     grid = gridmod.Grid(cells=(args.cells,) * dim)
     rho0, u0, th0 = sol.on_grid(grid, 0.0)
@@ -208,7 +216,7 @@ def cmd_relenergy(args) -> int:
     model = configmod.build_model(cfg)
     tm = configmod.build_transport(cfg)
     profile = cfg["solver"]["profile"]
-    sol = manufactured(profile, model, tm)
+    sol = _comparison(cfg, "relenergy")
     grid = gridmod.Grid(cells=(args.cells,) * sol.dim)
     init = experiments.perturbed_state(sol, grid, args.eps)
     scfg = configmod.build_solver_config(cfg, sol)

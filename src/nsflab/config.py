@@ -283,7 +283,11 @@ def build_source(cfg: RunConfig) -> Optional[StrongSolution]:
         raise ConfigError(
             f"solver.profile {name!r} is not a known comparison profile; "
             f"choose from {profile_names()} or 'none'")
-    return manufactured(name, build_model(cfg), build_transport(cfg))
+    model, transport_model = build_model(cfg), build_transport(cfg)
+    try:
+        return manufactured(name, model, transport_model)
+    except TypeError as err:  # a profile the configured models cannot carry
+        raise ConfigError(f"solver.profile {name!r}: {err}") from None
 
 
 def build_solver_config(cfg: RunConfig,

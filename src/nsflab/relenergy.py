@@ -6,15 +6,17 @@ in conservative variables.  This module provides
 
 * the pointwise relative-energy density and its dual (conservative-variable)
   evaluation used as a cross-check,
-* the smooth cutoff that splits any quantity into its "essential" part
-  (state inside a compact positivity window) and "residual" part (extreme
-  states), together with a coercivity sweep of the relative energy against
-  the standard quadratic/weight minorant,
+* the smooth window weight of the default ``CutoffParams`` (state inside a
+  compact positivity window), which splits the relative energy into its
+  "essential" and "residual" parts, and a coercivity sweep of the relative
+  energy against the standard quadratic/weight minorant,
 * the quadratic remainder collecting every error term of the energy-chain
-  expansion, and
-* a per-time-level report of the full inequality chain: quadratic dissipation
-  blocks, coupling blocks, defect pairings, remainder, slack, and fitted
-  growth constants.
+  expansion,
+* the energy-only series ``rel_energy_series`` (energy, window split,
+  four-piece expansion, fitted growth rate) that the theorem studies read, and
+* a per-time-level report of the full inequality chain built on that
+  series: quadratic dissipation blocks, coupling blocks, defect pairings,
+  remainder, residual tail and slack.
 
 All evaluators are pure functions of immutable snapshots and vectorize over
 cells and atoms.
@@ -22,7 +24,7 @@ cells and atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,7 +42,6 @@ __all__ = [
     "RelEnergyReport",
     "rel_energy_density",
     "bregman_equivalence_check",
-    "ess_res_split",
     "coercivity_check",
     "remainder_R2",
     "rel_energy_series",
@@ -181,19 +182,6 @@ class CutoffParams:
         return self._ramp(rho) * self._ramp(theta)
 
 
-def ess_res_split(values, params: CutoffParams, rho, theta):
-    """Split ``values`` into window-weighted and complement parts.
-
-    Returns ``(ess, res)`` with ``ess = chi*values`` up to one unit in the
-    last place: the window part is re-derived as ``values - res`` so the two
-    parts always sum to the input bit for bit (fast-two-sum correction).
-    """
-
-    values = np.asarray(values, dtype=float)
-    res = values - params.chi(rho, theta) * values
-    return values - res, res
-
-
 # --------------------------------------------------------------------------
 # coercivity sweep
 # --------------------------------------------------------------------------
@@ -280,15 +268,6 @@ def _strong_state(sol: StrongSolution, grid: gridmod.Grid, t: float,
         raise ValueError("comparison state must have positive density and temperature")
     return {"rho": rho, "theta": theta, "u": u, "p": model.p(rho, theta),
             "e": model.e(rho, theta), "s": model.s(rho, theta)}
-
-
-def _strong_fields(sol: StrongSolution, grid: gridmod.Grid, t: float,
-                   model: thermo.ThermoModel,
-                   transport_model: transport.TransportModel) -> dict:
-    """Comparison-state fields and derived quantities at cell centers."""
-
-    return _with_derived(_strong_state(sol, grid, t, model, full=True), sol, grid, t,
-                         transport_model)
 
 
 def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float,
@@ -388,7 +367,9 @@ def remainder_R2(V: AtomicYoungMeasure, sol: StrongSolution,
     idx = int(np.argmin(np.abs(V.times - t)))
     if abs(V.times[idx] - t) > 1e-9 * (1.0 + abs(t)):
         raise ValueError(f"time {t} is not a stored level of the measure")
-    sf = _strong_fields(sol, V.grid, float(V.times[idx]), model, transport_model)
+    t = float(V.times[idx])
+    sf = _with_derived(_strong_state(sol, V.grid, t, model, full=True), sol, V.grid, t,
+                       transport_model)
     total = sum(_r2_groups(V, idx, sf, model).values())
     return gridmod.ScalarField.from_interior(V.grid, total)
 
@@ -452,7 +433,6 @@ class RelEnergyReport(RelEnergySeries):
     rhs: np.ndarray
     slack: np.ndarray
     reduced_c_required: float
-    extras: dict = field(default_factory=dict)
 
 
 _BLOCK_KEYS = ("shear_quad", "shear_coupling", "bulk_quad", "bulk_coupling",
@@ -462,7 +442,6 @@ _BLOCK_KEYS = ("shear_quad", "shear_coupling", "bulk_quad", "bulk_coupling",
 def rel_energy_series(V: AtomicYoungMeasure, sol: StrongSolution,
                       model: thermo.ThermoModel,
                       transport_model: transport.TransportModel,
-                      cutoff: Optional[CutoffParams] = None,
                       on_level: Optional[Callable[[int, dict, np.ndarray], None]] = None,
                       ) -> RelEnergySeries:
     """Relative energy of ``V`` against ``sol`` at every stored level.
@@ -480,7 +459,6 @@ def rel_energy_series(V: AtomicYoungMeasure, sol: StrongSolution,
         raise ValueError("comparison solution and report must share the equation of state")
     if sol.transport_model != transport_model:
         raise ValueError("comparison solution and report must share the transport model")
-    cutoff = cutoff or CutoffParams()
     grid, times, n_levels = V.grid, V.times, V.n_levels
     e_mv, e_ess = np.zeros(n_levels), np.zeros(n_levels)
     expansion = {k: np.zeros(n_levels) for k in
@@ -500,7 +478,7 @@ def rel_energy_series(V: AtomicYoungMeasure, sol: StrongSolution,
         h_atom = thermo.ballistic_energy(model, rho, theta, theta_t)
         e_atom = _assemble(rho, u, rho_t, sf["u"][..., None, :], slope[..., None], h_atom,
                            thermo.ballistic_energy(model, rho_t, theta_t, theta_t))
-        chi = cutoff.chi(rho, theta)
+        chi = CutoffParams().chi(rho, theta)
         e_mv[lev] = gridmod.integrate(grid, _avg(w, e_atom, 0))
         e_ess[lev] = gridmod.integrate(grid, _avg(w, chi * e_atom, 0))
 
@@ -534,7 +512,6 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
                                  sol: StrongSolution,
                                  model: thermo.ThermoModel,
                                  transport_model: transport.TransportModel,
-                                 cutoff: Optional[CutoffParams] = None,
                                  ) -> RelEnergyReport:
     """Evaluate the full relative-energy inequality chain level by level.
 
@@ -555,7 +532,7 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
         d_diss = np.zeros(n_levels)
 
     rates = {k: np.zeros(n_levels) for k in
-             _BLOCK_KEYS + ("r2", "rm", "res_tail", "lemma_raw", "lemma_sq")}
+             _BLOCK_KEYS + ("r2", "rm", "res_tail")}
 
     def chain_level(lev: int, sf: dict, chi: np.ndarray) -> None:
         w, rho, theta, u = V.weights[lev], V.rho[lev], V.theta[lev], V.u[lev]
@@ -607,17 +584,7 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
                                * np.sqrt(np.sum(u ** 2, axis=-1))))
         rates["res_tail"][lev] = gridmod.integrate(grid, _avg(w, tail, 0))
 
-        # the two recorded readings of the intermediate temperature coupling
-        stress_t = transport.viscous_stress(transport_model, sf["rho"],
-                                            sf["theta"], sf["g_u"])
-        stress_work = np.einsum("...jk,...jk->...", stress_t, sf["sym_u"])
-        one_minus = _avg(w, 1.0 - ratio, 0)
-        flux_mag = sf["kappa"] * np.sqrt(np.sum(ref_slope ** 2, axis=-1))
-        flux_sq = sf["kappa"] * np.sum(sf["grad_theta"] ** 2, axis=-1) / sf["theta"]
-        rates["lemma_raw"][lev] = gridmod.integrate(grid, one_minus * (stress_work + flux_mag))
-        rates["lemma_sq"][lev] = gridmod.integrate(grid, one_minus * (stress_work + flux_sq))
-
-    series = rel_energy_series(V, sol, model, transport_model, cutoff, chain_level)
+    series = rel_energy_series(V, sol, model, transport_model, chain_level)
     e_mv = series.e_mv
     cum = {k: _cum_trapz(v, times) for k, v in rates.items()}
     blocks = {k: cum[k] for k in _BLOCK_KEYS}
@@ -632,7 +599,4 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
     return RelEnergyReport(
         **vars(series), blocks=blocks, r2_cum=cum["r2"], rm_cum=cum["rm"],
         d_diss=d_diss, res_tail_cum=cum["res_tail"], lhs=lhs, rhs=rhs, slack=rhs - lhs,
-        reduced_c_required=max(0.0, reduced_c),
-        extras={"lemma_theta_coupling_raw": cum["lemma_raw"],
-                "lemma_theta_coupling_squared": cum["lemma_sq"],
-                "expansion_gap": series.expansion_gap})
+        reduced_c_required=max(0.0, reduced_c))

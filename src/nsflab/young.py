@@ -9,9 +9,14 @@ measure-valued formulation against finite families of test functions:
 * gradient compatibility for velocity (symmetric-matrix tests) and
   temperature (vector tests against an admissible reference profile),
 * the continuity and momentum identities (the latter with an optional
-  matrix-defect pairing and forcing fold-in),
-* the entropy production inequality and the ballistic-energy inequality,
+  matrix-defect pairing, both with an optional forcing fold-in) and the
+  entropy production inequality, three weak balance laws on one skeleton,
+* the ballistic-energy inequality,
 * the defect compatibility bound.
+
+Each clause takes only the expectations it reads and walks the time levels
+in its outer loop, so per-level work (reference temperature, forcings) is
+done once per level.
 
 ``calibrate_kp_constant`` gives a grid's Korn-Poincare constant; the claim-3
 study in ``experiments`` compares it with the velocity-control quotient of a
@@ -41,7 +46,6 @@ from .solver import Trajectory
 from .testfuns import ScalarTest, TensorTest, ThetaRef, VectorTest
 
 __all__ = [
-    "PhaseAtom",
     "AtomicYoungMeasure",
     "DefectBundle",
     "ClauseReport",
@@ -69,36 +73,6 @@ _SYM_TOL = 1e-9
 # --------------------------------------------------------------------------
 # types
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhaseAtom:
-    """One phase-space point: state, velocity gradient, temperature gradient."""
-
-    rho: float
-    u: np.ndarray
-    theta: float
-    d_u: np.ndarray
-    d_theta: np.ndarray
-
-    def __post_init__(self):
-        u = np.atleast_1d(np.asarray(self.u, dtype=float))
-        d_u = np.asarray(self.d_u, dtype=float)
-        d_th = np.atleast_1d(np.asarray(self.d_theta, dtype=float))
-        if d_u.ndim == 0:
-            d_u = d_u.reshape(1, 1)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "d_u", d_u)
-        object.__setattr__(self, "d_theta", d_th)
-        vals = [self.rho, self.theta, u, d_u, d_th]
-        if not all(np.all(np.isfinite(v)) for v in vals):
-            raise ValueError("phase atoms must have finite components")
-        if self.rho < 0.0 or self.theta < 0.0:
-            raise ValueError("phase atoms require rho >= 0 and theta >= 0")
-        if d_u.shape != (u.size, u.size) or d_th.shape != u.shape:
-            raise ValueError("phase atom gradient shapes must match the velocity dimension")
-        if np.max(np.abs(d_u - d_u.T)) > _SYM_TOL * (1.0 + np.max(np.abs(d_u))):
-            raise ValueError("velocity-gradient atoms must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -148,19 +122,12 @@ class AtomicYoungMeasure:
             raise ValueError("atom weights must sum to 1 within 1e-12 in every cell")
         if np.any(self.rho < 0.0) or np.any(self.theta < 0.0):
             raise ValueError("atoms require rho >= 0 and theta >= 0")
-        gap = np.max(np.abs(self.d_u - np.swapaxes(self.d_u, -1, -2)))
-        if gap > _SYM_TOL * (1.0 + np.max(np.abs(self.d_u))):
+        if _asymmetric(self.d_u):
             raise ValueError("velocity-gradient atoms must be symmetric")
 
     @property
     def n_levels(self) -> int:
         return len(self.times)
-
-    def atom(self, level: int, cell: tuple[int, ...], k: int) -> PhaseAtom:
-        idx = (level,) + tuple(cell) + (k,)
-        return PhaseAtom(rho=float(self.rho[idx]), u=self.u[idx],
-                         theta=float(self.theta[idx]), d_u=self.d_u[idx],
-                         d_theta=self.d_theta[idx])
 
 
 @dataclass(frozen=True)
@@ -233,12 +200,8 @@ class DefectCompatReport:
 
 @dataclass(frozen=True)
 class RefinementReport:
-    """Per-refinement defect sizes and reference-profile spread."""
+    """Reference-profile spread and the smallest raw Jensen gap."""
 
-    times: np.ndarray
-    cells: tuple[int, ...]
-    d_by_level: np.ndarray        # (n_trajs, n_times), finest first
-    theta_labels: tuple[str, ...]
     theta_spread: float
     d_min_raw: float
 
@@ -248,8 +211,16 @@ class RefinementReport:
 # --------------------------------------------------------------------------
 
 
-def _expand_atom_axis(a: np.ndarray, dim: int) -> np.ndarray:
-    return np.expand_dims(a, axis=1 + dim)
+def _dirac(grid: gridmod.Grid, times: np.ndarray, boundary, rho, u, theta,
+           d_u, d_theta) -> AtomicYoungMeasure:
+    """One atom of weight 1 per cell from per-level fields."""
+
+    ax = 1 + grid.dim
+    return AtomicYoungMeasure(
+        grid=grid, times=times, weights=np.ones(np.shape(rho) + (1,)),
+        rho=rho[..., None], u=np.expand_dims(u, ax), theta=theta[..., None],
+        d_u=np.expand_dims(d_u, ax), d_theta=np.expand_dims(d_theta, ax),
+        boundary=boundary)
 
 
 def dirac_from_trajectory(traj: Trajectory) -> AtomicYoungMeasure:
@@ -266,40 +237,22 @@ def dirac_from_trajectory(traj: Trajectory) -> AtomicYoungMeasure:
                                              float(traj.times[k]))
         d_u[k] = transport.sym_part(gridmod.grad_vector(u_f))
         d_th[k] = gridmod.gradient(th_f)
-    ones = np.ones((levels,) + g.interior_shape((1,)))
-    return AtomicYoungMeasure(
-        grid=g, times=np.asarray(traj.times, dtype=float), weights=ones,
-        rho=traj.rho[..., None],
-        u=np.expand_dims(traj.u, axis=1 + d),
-        theta=traj.theta[..., None],
-        d_u=_expand_atom_axis(d_u, d),
-        d_theta=_expand_atom_axis(d_th, d),
-        boundary=traj.boundary,
-    )
+    return _dirac(g, np.asarray(traj.times, dtype=float), traj.boundary,
+                  traj.rho, traj.u, traj.theta, d_u, d_th)
 
 
 def dirac_from_strong(sol: StrongSolution, grid: gridmod.Grid,
                       times: Sequence[float]) -> AtomicYoungMeasure:
     """One atom per cell sampled from a smooth solution with exact gradients."""
 
-    d = grid.dim
     pts = grid_points(grid)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    rho = np.stack([sol.rho(t, pts) for t in times])
-    u = np.stack([sol.u(t, pts) for t in times])
-    theta = np.stack([sol.theta(t, pts) for t in times])
-    d_u = np.stack([transport.sym_part(sol.grad_u(t, pts)) for t in times])
-    d_th = np.stack([sol.grad_theta(t, pts) for t in times])
-    ones = np.ones((len(times),) + grid.interior_shape((1,)))
-    return AtomicYoungMeasure(
-        grid=grid, times=times, weights=ones,
-        rho=rho[..., None],
-        u=np.expand_dims(u, axis=1 + d),
-        theta=theta[..., None],
-        d_u=_expand_atom_axis(d_u, d),
-        d_theta=_expand_atom_axis(d_th, d),
-        boundary=sol.boundary,
-    )
+    return _dirac(grid, times, sol.boundary,
+                  np.stack([sol.rho(t, pts) for t in times]),
+                  np.stack([sol.u(t, pts) for t in times]),
+                  np.stack([sol.theta(t, pts) for t in times]),
+                  np.stack([transport.sym_part(sol.grad_u(t, pts)) for t in times]),
+                  np.stack([sol.grad_theta(t, pts) for t in times]))
 
 
 def mix(measures: Sequence[AtomicYoungMeasure],
@@ -352,26 +305,26 @@ def expect(V: AtomicYoungMeasure, observable: Callable) -> np.ndarray:
         flat = np.argmax(~np.isfinite(vals))
         idx = np.unravel_index(int(flat), vals.shape)
         lev, cell, k = idx[0], idx[1:k_axis], idx[k_axis]
-        atom = V.atom(lev, cell, k)
+        atom = idx[: k_axis + 1]
         raise ValueError(
             f"observable returned a non-finite value at time level {lev}, "
-            f"cell {tuple(cell)}, atom {k}: rho={atom.rho}, theta={atom.theta}, "
-            f"u={atom.u.tolist()}")
+            f"cell {tuple(cell)}, atom {k}: rho={float(V.rho[atom])}, "
+            f"theta={float(V.theta[atom])}, u={V.u[atom].tolist()}")
     w = V.weights.reshape(V.weights.shape + (1,) * (vals.ndim - k_axis - 1))
     return np.sum(w * vals, axis=k_axis)
 
 
-def _mean_fields(V: AtomicYoungMeasure) -> dict[str, np.ndarray]:
-    """First moments used by several clause evaluators."""
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...j,...j->...", a, b)
 
-    return {
-        "rho": expect(V, lambda r, u, th, du, dth: r),
-        "u": expect(V, lambda r, u, th, du, dth: u),
-        "mom": expect(V, lambda r, u, th, du, dth: r[..., None] * u),
-        "theta": expect(V, lambda r, u, th, du, dth: th),
-        "d_u": expect(V, lambda r, u, th, du, dth: du),
-        "d_theta": expect(V, lambda r, u, th, du, dth: dth),
-    }
+
+def _ddot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...jk,...jk->...", a, b)
+
+
+def _asymmetric(a: np.ndarray) -> bool:
+    gap = np.max(np.abs(a - np.swapaxes(a, -1, -2)))
+    return gap > _SYM_TOL * (1.0 + np.max(np.abs(a)))
 
 
 # --------------------------------------------------------------------------
@@ -379,28 +332,17 @@ def _mean_fields(V: AtomicYoungMeasure) -> dict[str, np.ndarray]:
 # --------------------------------------------------------------------------
 
 
-def _scalar_free(grid: gridmod.Grid, test: ScalarTest, t: float) -> gridmod.ScalarField:
+def _sampled(grid: gridmod.Grid, test, t: float, field_cls,
+             zero_trace: bool = False):
+    """``test`` at time ``t`` as a synced field of ``field_cls``: sampled on
+    every padded cell, or, for zero-trace data, on the interior and extended
+    oddly across the walls."""
+
+    if zero_trace:
+        vals = np.asarray(test.value(t, grid_points(grid)), dtype=float)
+        return gridmod.sync_odd(field_cls.from_interior(grid, vals))
     vals = np.asarray(test.value(t, grid_points(grid, ghost=True)), dtype=float)
-    return gridmod.ScalarField(grid=grid, data=vals, synced=True)
-
-
-def _vector_free(grid: gridmod.Grid, test: VectorTest, t: float) -> gridmod.VectorField:
-    vals = np.asarray(test.value(t, grid_points(grid, ghost=True)), dtype=float)
-    return gridmod.VectorField(grid=grid, data=vals, synced=True)
-
-
-def _vector_zero_trace(grid: gridmod.Grid, test: VectorTest, t: float) -> gridmod.VectorField:
-    vals = np.asarray(test.value(t, grid_points(grid)), dtype=float)
-    f = gridmod.VectorField.from_interior(grid, vals)
-    return gridmod.sync_odd(f)
-
-
-def _tensor_free(grid: gridmod.Grid, test: TensorTest, t: float) -> gridmod.TensorField:
-    vals = np.asarray(test.value(t, grid_points(grid, ghost=True)), dtype=float)
-    gap = np.max(np.abs(vals - np.swapaxes(vals, -1, -2)))
-    if gap > _SYM_TOL * (1.0 + np.max(np.abs(vals))):
-        raise ValueError(f"matrix test function {test.label!r} must be symmetric")
-    return gridmod.TensorField(grid=grid, data=vals, synced=True)
+    return field_cls(grid=grid, data=vals, synced=True)
 
 
 def _time_integral(vals: np.ndarray, times: np.ndarray, tau_idx: int) -> float:
@@ -409,13 +351,25 @@ def _time_integral(vals: np.ndarray, times: np.ndarray, tau_idx: int) -> float:
     return float(np.trapezoid(vals[: tau_idx + 1], times[: tau_idx + 1]))
 
 
-def _resolve_tau(times: np.ndarray, tau_index: int) -> int:
-    idx = int(tau_index)
-    if idx < 0:
-        idx += len(times)
-    if not 0 <= idx < len(times):
-        raise ValueError(f"tau index {tau_index} outside the saved time levels")
-    return idx
+def _boundary(V: AtomicYoungMeasure,
+              boundary: Optional[gridmod.BoundaryData]) -> gridmod.BoundaryData:
+    boundary = boundary if boundary is not None else V.boundary
+    if boundary is None:
+        raise ValueError("boundary trace data are required to embed the reference temperature")
+    return boundary
+
+
+def _reference(g: gridmod.Grid, theta_ref: ThetaRef,
+               boundary: gridmod.BoundaryData, t: float):
+    """Reference temperature at the cell centers and its gradient, with the
+    ghosts taken from the Dirichlet trace."""
+
+    vals = np.asarray(theta_ref.value(t, grid_points(g)), dtype=float)
+    if np.min(vals) <= 0.0:
+        raise ValueError("reference temperature must stay positive on the domain")
+    ref_f = gridmod.sync_dirichlet(
+        gridmod.ScalarField.from_interior(g, vals), boundary, t)
+    return vals, gridmod.gradient(ref_f)
 
 
 # --------------------------------------------------------------------------
@@ -434,21 +388,21 @@ def check_velocity_compat(V: AtomicYoungMeasure,
     """
 
     g = V.grid
-    means = _mean_fields(V)
-    residuals = []
-    for test in tensors:
-        inner = np.empty(V.n_levels)
-        for k, t in enumerate(V.times):
-            tf = _tensor_free(g, test, float(t))
-            div_t = gridmod.tensor_divergence(tf)
-            t_int = tf.interior
-            term_a = np.einsum("...j,...j->...", means["u"][k], div_t)
-            term_b = np.einsum("...jk,...jk->...", means["d_u"][k], t_int)
-            inner[k] = float(gridmod.integrate(g, -term_a - term_b))
-        residuals.append(_time_integral(inner, V.times, V.n_levels - 1))
+    u = expect(V, lambda r, u, th, du, dth: u)
+    d_u = expect(V, lambda r, u, th, du, dth: du)
+    inner = np.empty((len(tensors), V.n_levels))
+    for k, t in enumerate(V.times):
+        for i, test in enumerate(tensors):
+            tf = _sampled(g, test, float(t), gridmod.TensorField)
+            if _asymmetric(tf.data):
+                raise ValueError(f"matrix test function {test.label!r} must be symmetric")
+            inner[i, k] = float(gridmod.integrate(
+                g, -_dot(u[k], gridmod.tensor_divergence(tf)) - _ddot(d_u[k], tf.interior)))
+    last = V.n_levels - 1
     return ClauseReport(clause="velocity_compat",
                         labels=tuple(t.label for t in tensors),
-                        residuals=np.asarray(residuals))
+                        residuals=np.asarray([_time_integral(row, V.times, last)
+                                              for row in inner]))
 
 
 def check_temperature_compat(V: AtomicYoungMeasure, psis: Sequence[VectorTest],
@@ -464,37 +418,28 @@ def check_temperature_compat(V: AtomicYoungMeasure, psis: Sequence[VectorTest],
     """
 
     g = V.grid
-    boundary = boundary if boundary is not None else V.boundary
-    if boundary is None:
-        raise ValueError("boundary trace data are required to embed the reference temperature")
-    means = _mean_fields(V)
-    pts = grid_points(g)
-    residuals = []
-    as_written = []
-    for test in psis:
-        a_vals = np.empty(V.n_levels)
-        b_vals = np.empty(V.n_levels)
-        for k, t in enumerate(V.times):
-            t = float(t)
-            ref_int = np.asarray(theta_ref.value(t, pts), dtype=float)
-            ref_f = gridmod.sync_dirichlet(
-                gridmod.ScalarField.from_interior(g, ref_int), boundary, t)
-            grad_ref = gridmod.gradient(ref_f)
-            psi_f = _vector_free(g, test, t)
-            div_psi = gridmod.divergence(psi_f)
-            gap = means["theta"][k] - ref_int
-            grad_gap = means["d_theta"][k] - grad_ref
-            a_vals[k] = float(gridmod.integrate(g, gap * div_psi))
-            b_vals[k] = float(gridmod.integrate(
-                g, np.einsum("...j,...j->...", grad_gap, psi_f.interior)))
-        last = V.n_levels - 1
-        residuals.append(_time_integral(-a_vals - b_vals, V.times, last))
-        as_written.append(_time_integral(-a_vals + b_vals, V.times, last))
+    boundary = _boundary(V, boundary)
+    theta = expect(V, lambda r, u, th, du, dth: th)
+    d_theta = expect(V, lambda r, u, th, du, dth: dth)
+    a_vals = np.empty((len(psis), V.n_levels))
+    b_vals = np.empty((len(psis), V.n_levels))
+    for k, t in enumerate(V.times):
+        t = float(t)
+        ref, grad_ref = _reference(g, theta_ref, boundary, t)
+        gap = theta[k] - ref
+        grad_gap = d_theta[k] - grad_ref
+        for i, test in enumerate(psis):
+            psi_f = _sampled(g, test, t, gridmod.VectorField)
+            a_vals[i, k] = float(gridmod.integrate(g, gap * gridmod.divergence(psi_f)))
+            b_vals[i, k] = float(gridmod.integrate(g, _dot(grad_gap, psi_f.interior)))
+    last = V.n_levels - 1
     return ClauseReport(clause="temperature_compat",
                         labels=tuple(t.label for t in psis),
-                        residuals=np.asarray(residuals),
-                        extras={"as_written": np.asarray(as_written),
-                                "theta_ref": theta_ref.label})
+                        residuals=np.asarray([_time_integral(row, V.times, last)
+                                              for row in -a_vals - b_vals]),
+                        extras={"as_written": np.asarray(
+                            [_time_integral(row, V.times, last)
+                             for row in -a_vals + b_vals])})
 
 
 # --------------------------------------------------------------------------
@@ -502,48 +447,71 @@ def check_temperature_compat(V: AtomicYoungMeasure, psis: Sequence[VectorTest],
 # --------------------------------------------------------------------------
 
 
-def continuity_residual(V: AtomicYoungMeasure, psis: Sequence[ScalarTest],
-                        tau_index: int = -1,
-                        source: Optional[StrongSolution] = None) -> ClauseReport:
-    """Signed residuals of the weak mass balance at the chosen time level."""
+def _balance(V: AtomicYoungMeasure, clause: str, tests: Sequence,
+             density: np.ndarray, pair: Callable, bulk: Callable) -> ClauseReport:
+    """Signed residuals of one weak balance law, one per test function.
+
+    For a test ``phi`` the residual is ``II pair(density, phi)`` at the last
+    level minus at the first, minus the time integral of
+    ``II [pair(density, d_t phi) + bulk terms]``.  ``bulk(k, t)`` prepares
+    level ``k`` once and returns a function that yields the level's flux,
+    defect and forcing terms for one test; they are added left to right, so
+    each clause fixes its own summation order.
+    """
 
     g = V.grid
-    tau = _resolve_tau(V.times, tau_index)
-    means = _mean_fields(V)
     pts = grid_points(g)
-    residuals = []
-    for test in psis:
-        bulk = np.empty(tau + 1)
-        for k in range(tau + 1):
-            t = float(V.times[k])
-            psi_f = _scalar_free(g, test, t)
-            grad_psi = gridmod.gradient(psi_f)
-            inner = (means["rho"][k] * np.asarray(test.dt(t, pts), dtype=float)
-                     + np.einsum("...j,...j->...", means["mom"][k], grad_psi))
-            if source is not None:
-                inner = inner + source.f_mass(t, pts) * psi_f.interior
-            bulk[k] = float(gridmod.integrate(g, inner))
-        t0, t1 = float(V.times[0]), float(V.times[tau])
-        end = float(gridmod.integrate(
-            g, means["rho"][tau] * np.asarray(test.value(t1, pts), dtype=float)))
-        start = float(gridmod.integrate(
-            g, means["rho"][0] * np.asarray(test.value(t0, pts), dtype=float)))
-        residuals.append(end - start - _time_integral(bulk, V.times, tau))
-    return ClauseReport(clause="continuity",
-                        labels=tuple(t.label for t in psis),
+    last = V.n_levels - 1
+    rates = np.empty((len(tests), V.n_levels))
+    for k, t in enumerate(V.times):
+        t = float(t)
+        terms = bulk(k, t)
+        for i, test in enumerate(tests):
+            inner = pair(density[k], np.asarray(test.dt(t, pts), dtype=float))
+            for term in terms(test):
+                inner = inner + term
+            rates[i, k] = float(gridmod.integrate(g, inner))
+
+    def held(k: int, test) -> float:
+        vals = np.asarray(test.value(float(V.times[k]), pts), dtype=float)
+        return float(gridmod.integrate(g, pair(density[k], vals)))
+
+    residuals = [held(last, test) - held(0, test) - _time_integral(rate, V.times, last)
+                 for test, rate in zip(tests, rates)]
+    return ClauseReport(clause=clause, labels=tuple(t.label for t in tests),
                         residuals=np.asarray(residuals))
+
+
+def continuity_residual(V: AtomicYoungMeasure, psis: Sequence[ScalarTest],
+                        source: Optional[StrongSolution] = None) -> ClauseReport:
+    """Signed residuals of the weak mass balance over the saved levels."""
+
+    g = V.grid
+    pts = grid_points(g)
+    mom = expect(V, lambda r, u, th, du, dth: r[..., None] * u)
+
+    def bulk(k, t):
+        f_mass = None if source is None else source.f_mass(t, pts)
+
+        def terms(test):
+            psi_f = _sampled(g, test, t, gridmod.ScalarField)
+            yield _dot(mom[k], gridmod.gradient(psi_f))
+            if f_mass is not None:
+                yield f_mass * psi_f.interior
+        return terms
+
+    rho = expect(V, lambda r, u, th, du, dth: r)
+    return _balance(V, "continuity", psis, rho, np.multiply, bulk)
 
 
 def momentum_residual(V: AtomicYoungMeasure, phis: Sequence[VectorTest],
                       model: thermo.ThermoModel,
                       transport_model: transport.TransportModel,
                       r_m: Optional[np.ndarray | DefectBundle] = None,
-                      tau_index: int = -1,
                       source: Optional[StrongSolution] = None) -> ClauseReport:
     """Signed residuals of the weak momentum balance with defect pairing."""
 
     g = V.grid
-    tau = _resolve_tau(V.times, tau_index)
     if isinstance(r_m, DefectBundle):
         r_m = r_m.r_m
     if r_m is not None:
@@ -551,96 +519,62 @@ def momentum_residual(V: AtomicYoungMeasure, phis: Sequence[VectorTest],
         want = (V.n_levels,) + g.interior_shape((g.dim, g.dim))
         if r_m.shape != want:
             raise ValueError(f"matrix defect has shape {r_m.shape}, expected {want}")
-    mom = expect(V, lambda r, u, th, du, dth: r[..., None] * u)
+    for test in phis:
+        if not test.zero_trace:
+            raise ValueError(f"momentum test function {test.label!r} must vanish on the boundary")
+    pts = grid_points(g)
     conv = expect(V, lambda r, u, th, du, dth:
                   r[..., None, None] * u[..., :, None] * u[..., None, :])
     p_mean = expect(V, lambda r, u, th, du, dth: model.p(r, th))
     s_mean = expect(V, lambda r, u, th, du, dth:
                     transport.viscous_stress(transport_model, r, th, du))
-    pts = grid_points(g)
-    residuals = []
-    for test in phis:
-        if not test.zero_trace:
-            raise ValueError(f"momentum test function {test.label!r} must vanish on the boundary")
-        bulk = np.empty(tau + 1)
-        for k in range(tau + 1):
-            t = float(V.times[k])
-            phi_f = _vector_zero_trace(g, test, t)
+
+    def bulk(k, t):
+        f_mom = None if source is None else source.f_mom(t, pts)
+
+        def terms(test):
+            phi_f = _sampled(g, test, t, gridmod.VectorField, zero_trace=True)
             grad_phi = gridmod.grad_vector(phi_f)
-            div_phi = np.einsum("...ii->...", grad_phi)
-            inner = (np.einsum("...j,...j->...", mom[k],
-                               np.asarray(test.dt(t, pts), dtype=float))
-                     + np.einsum("...jk,...jk->...", conv[k], grad_phi)
-                     + p_mean[k] * div_phi
-                     - np.einsum("...jk,...jk->...", s_mean[k], grad_phi))
+            yield _ddot(conv[k], grad_phi)
+            yield p_mean[k] * np.einsum("...ii->...", grad_phi)
+            yield -_ddot(s_mean[k], grad_phi)
             if r_m is not None:
-                inner = inner + np.einsum("...jk,...jk->...", r_m[k], grad_phi)
-            if source is not None:
-                inner = inner + np.einsum("...j,...j->...",
-                                          source.f_mom(t, pts), phi_f.interior)
-            bulk[k] = float(gridmod.integrate(g, inner))
-        t0, t1 = float(V.times[0]), float(V.times[tau])
-        end = float(gridmod.integrate(g, np.einsum(
-            "...j,...j->...", mom[tau], np.asarray(test.value(t1, pts), dtype=float))))
-        start = float(gridmod.integrate(g, np.einsum(
-            "...j,...j->...", mom[0], np.asarray(test.value(t0, pts), dtype=float))))
-        residuals.append(end - start - _time_integral(bulk, V.times, tau))
-    return ClauseReport(clause="momentum",
-                        labels=tuple(t.label for t in phis),
-                        residuals=np.asarray(residuals))
+                yield _ddot(r_m[k], grad_phi)
+            if f_mom is not None:
+                yield _dot(f_mom, phi_f.interior)
+        return terms
+
+    mom = expect(V, lambda r, u, th, du, dth: r[..., None] * u)
+    return _balance(V, "momentum", phis, mom, _dot, bulk)
 
 
 def entropy_mv_residual(V: AtomicYoungMeasure, phis: Sequence[ScalarTest],
                         model: thermo.ThermoModel,
-                        transport_model: transport.TransportModel,
-                        tau_index: int = -1) -> ClauseReport:
+                        transport_model: transport.TransportModel) -> ClauseReport:
     """Signed slack of the weak entropy inequality (admissible when >= -tol)."""
 
     g = V.grid
-    tau = _resolve_tau(V.times, tau_index)
-    rho_s = expect(V, lambda r, u, th, du, dth: model.rho_s(r, th))
+    for test in phis:
+        if not test.nonnegative:
+            raise ValueError(f"entropy test function {test.label!r} must be nonnegative")
     flux = expect(V, lambda r, u, th, du, dth:
                   model.rho_s(r, th)[..., None] * u
                   - (transport_model.kappa(r, th) / th)[..., None] * dth)
     sigma = expect(V, lambda r, u, th, du, dth:
                    transport.entropy_production_density(transport_model, r, th, du, dth))
-    pts = grid_points(g)
-    residuals = []
-    for test in phis:
-        if not test.nonnegative:
-            raise ValueError(f"entropy test function {test.label!r} must be nonnegative")
-        bulk = np.empty(tau + 1)
-        for k in range(tau + 1):
-            t = float(V.times[k])
-            phi_f = _scalar_free(g, test, t)
+
+    def bulk(k, t):
+        def terms(test):
+            phi_f = _sampled(g, test, t, gridmod.ScalarField)
             phi_int = phi_f.interior
             if np.min(phi_int) < -1e-12:
                 raise ValueError(f"entropy test function {test.label!r} must be nonnegative")
-            grad_phi = gridmod.gradient(phi_f)
-            inner = (rho_s[k] * np.asarray(test.dt(t, pts), dtype=float)
-                     + np.einsum("...j,...j->...", flux[k], grad_phi)
-                     + sigma[k] * phi_int)
-            bulk[k] = float(gridmod.integrate(g, inner))
-        t0, t1 = float(V.times[0]), float(V.times[tau])
-        end = float(gridmod.integrate(
-            g, rho_s[tau] * np.asarray(test.value(t1, pts), dtype=float)))
-        start = float(gridmod.integrate(
-            g, rho_s[0] * np.asarray(test.value(t0, pts), dtype=float)))
-        residuals.append(end - start - _time_integral(bulk, V.times, tau))
-    return ClauseReport(clause="entropy",
-                        labels=tuple(t.label for t in phis),
-                        residuals=np.asarray(residuals))
+            yield _dot(flux[k], gridmod.gradient(phi_f))
+            yield sigma[k] * phi_int
+        return terms
 
-
-def _theta_ref_fields(g: gridmod.Grid, theta_ref: ThetaRef,
-                      boundary: gridmod.BoundaryData, t: float):
-    pts = grid_points(g)
-    vals = np.asarray(theta_ref.value(t, pts), dtype=float)
-    if np.min(vals) <= 0.0:
-        raise ValueError("reference temperature must stay positive on the domain")
-    ref_f = gridmod.sync_dirichlet(
-        gridmod.ScalarField.from_interior(g, vals), boundary, t)
-    return vals, gridmod.gradient(ref_f), np.asarray(theta_ref.dt(t, pts), dtype=float)
+    rho_s = expect(V, lambda r, u, th, du, dth: model.rho_s(r, th))
+    return _balance(V, "entropy", phis, rho_s, np.multiply, bulk)
 
 
 def ballistic_mv_residual(V: AtomicYoungMeasure, d_diss: np.ndarray | float,
@@ -654,9 +588,7 @@ def ballistic_mv_residual(V: AtomicYoungMeasure, d_diss: np.ndarray | float,
     """
 
     g = V.grid
-    boundary = boundary if boundary is not None else V.boundary
-    if boundary is None:
-        raise ValueError("boundary trace data are required to embed the reference temperature")
+    boundary = _boundary(V, boundary)
     d_arr = np.broadcast_to(np.asarray(d_diss, dtype=float), V.times.shape).copy()
     if np.any(d_arr < 0.0):
         raise ValueError("dissipation defect must be nonnegative")
@@ -668,33 +600,24 @@ def ballistic_mv_residual(V: AtomicYoungMeasure, d_diss: np.ndarray | float,
                   (transport_model.kappa(r, th) / th)[..., None] * dth)
     sigma = expect(V, lambda r, u, th, du, dth:
                    transport.entropy_production_density(transport_model, r, th, du, dth))
+    pts = grid_points(g)
     n = V.n_levels
     ball = np.empty(n)
-    sig_ref = np.empty(n)
-    ent_dt = np.empty(n)
-    ent_adv = np.empty(n)
-    heat_cpl = np.empty(n)
+    rates = np.empty((4, n))  # sigma*ref, rho_s*d_t ref, entropy and heat flux . grad ref
     for k in range(n):
         t = float(V.times[k])
-        ref, grad_ref, ref_dt = _theta_ref_fields(g, theta_ref, boundary, t)
+        ref, grad_ref = _reference(g, theta_ref, boundary, t)
         ball[k] = float(gridmod.integrate(g, energy[k] - ref * rho_s[k]))
-        sig_ref[k] = float(gridmod.integrate(g, sigma[k] * ref))
-        ent_dt[k] = float(gridmod.integrate(g, rho_s[k] * ref_dt))
-        ent_adv[k] = float(gridmod.integrate(
-            g, np.einsum("...j,...j->...", ent_flux[k], grad_ref)))
-        heat_cpl[k] = float(gridmod.integrate(
-            g, np.einsum("...j,...j->...", heat[k], grad_ref)))
+        rates[:, k] = [float(gridmod.integrate(g, f)) for f in (
+            sigma[k] * ref, rho_s[k] * np.asarray(theta_ref.dt(t, pts), dtype=float),
+            _dot(ent_flux[k], grad_ref), _dot(heat[k], grad_ref))]
     slack = np.empty(n)
     for k in range(n):
-        slack[k] = (ball[0] - ball[k] - d_arr[k]
-                    - _time_integral(sig_ref, V.times, k)
-                    - _time_integral(ent_dt, V.times, k)
-                    - _time_integral(ent_adv, V.times, k)
-                    + _time_integral(heat_cpl, V.times, k))
+        sig_ref, ent_dt, ent_adv, heat_cpl = (_time_integral(r, V.times, k) for r in rates)
+        slack[k] = ball[0] - ball[k] - d_arr[k] - sig_ref - ent_dt - ent_adv + heat_cpl
     return ClauseReport(clause="ballistic",
                         labels=tuple(f"t={t:.6g}" for t in V.times),
-                        residuals=slack,
-                        extras={"ballistic": ball, "theta_ref": theta_ref.label})
+                        residuals=slack, extras={"ballistic": ball})
 
 
 # --------------------------------------------------------------------------
@@ -716,10 +639,9 @@ def defect_compat_check(bundle: DefectBundle,
             raise ValueError(f"defect test function {test.label!r} must vanish on the boundary")
         for k, t in enumerate(bundle.times):
             t = float(t)
-            phi_f = _vector_zero_trace(g, test, t)
+            phi_f = _sampled(g, test, t, gridmod.VectorField, zero_trace=True)
             grad_phi = gridmod.grad_vector(phi_f)
-            pairing = abs(float(gridmod.integrate(
-                g, np.einsum("...jk,...jk->...", bundle.r_m[k], grad_phi))))
+            pairing = abs(float(gridmod.integrate(g, _ddot(bundle.r_m[k], grad_phi))))
             sup_phi = float(np.max(np.linalg.norm(test.value(t, pts), axis=-1)))
             sup_grad = float(np.max(np.sqrt(np.sum(grad_phi ** 2, axis=(-2, -1)))))
             c1_norm = max(sup_phi, sup_grad)
@@ -816,7 +738,6 @@ def defect_from_refinement(trajs: Sequence[Trajectory],
     d = coarse.dim
     coarse_pts = grid_points(coarse)
 
-    d_by_level = np.zeros((len(trajs), n_t))
     r_m = np.zeros((n_t,) + coarse.interior_shape((d, d)))
     d_diss = np.zeros(n_t)
     rm_tot = np.zeros(n_t)
@@ -842,10 +763,8 @@ def defect_from_refinement(trajs: Sequence[Trajectory],
                      + model.rho_e(rho_bar, th_bar))
             gap = e_avg - e_bar
             d_min_raw = min(d_min_raw, float(np.min(gap)))
-            d_val = float(gridmod.integrate(coarse, np.maximum(gap, 0.0)))
-            d_by_level[li, ti] = d_val
             if li == 0:
-                d_diss[ti] = d_val
+                d_diss[ti] = float(gridmod.integrate(coarse, np.maximum(gap, 0.0)))
                 conv = rho[..., None, None] * u[..., :, None] * u[..., None, :]
                 p_fine = model.p(rho, th)
                 flux_avg = (_block_average(conv, factors)
@@ -873,9 +792,5 @@ def defect_from_refinement(trajs: Sequence[Trajectory],
         if np.any(live):
             spread = float(np.max(np.abs(ref_gaps[:, live] - d_diss[live]) / scale[live]))
     bundle = DefectBundle(grid=coarse, times=times, r_m=r_m, d_diss=d_diss, xi=xi)
-    report = RefinementReport(times=times, cells=coarse.cells,
-                              d_by_level=d_by_level,
-                              theta_labels=tuple(r.label for r in theta_refs),
-                              theta_spread=spread,
-                              d_min_raw=float(d_min_raw))
+    report = RefinementReport(theta_spread=spread, d_min_raw=float(d_min_raw))
     return bundle, report

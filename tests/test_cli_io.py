@@ -384,3 +384,40 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
                      "--out", str(tmp_path)])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, profile", [
+    (["mv-check"], "bogus"),
+    (["relenergy"], "bogus"),
+    (["mv-check"], "none"),
+    (["relenergy"], "none"),
+    (["simulate", "--profile", "radiative_decay"], None),
+    (["mv-check", "--profile", "radiative_decay"], None),
+    (["relenergy", "--profile", "radiative_decay"], None),
+], ids=["mv-check-bogus", "relenergy-bogus", "mv-check-none", "relenergy-none",
+        "simulate-radiative_decay", "mv-check-radiative_decay",
+        "relenergy-radiative_decay"])
+def test_bad_comparison_profile_is_a_config_error(tmp_path, capsys, argv, profile):
+    # an unknown profile, none, or a profile the model cannot carry (the
+    # default perfect gas with radiative_decay) exits 2 with one stderr line
+    if profile is not None:
+        ini = tmp_path / "profile.ini"
+        ini.write_text(f"[solver]\nprofile = {profile}\n")
+        argv = argv + ["--config", str(ini)]
+    code = cli.main(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "solver.profile" in err
+    assert "Traceback" not in err
+
+
+def test_bad_profile_leaves_no_traceback_from_the_entry_point(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "nsflab.cli", "mv-check",
+                           "--profile", "radiative_decay", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

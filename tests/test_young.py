@@ -49,9 +49,9 @@ def _field_measure(grid, times, u_field, rho_field=None, theta_field=None,
         boundary=boundary)
 
 
-def _equilibrium_trajectory(n=32, t_end=0.02):
-    sol = manufactured("equilibrium", MODEL, TM, dim=1, theta0=1.0, rho0=1.0)
-    grid = gridmod.Grid(cells=(n,))
+def _equilibrium_trajectory(n=32, t_end=0.02, dim=1):
+    sol = manufactured("equilibrium", MODEL, TM, dim=dim, theta0=1.0, rho0=1.0)
+    grid = gridmod.Grid(cells=(n,) * dim)
     cfg = solver.SolverConfig(t_end=t_end, source=sol, save_every=2)
     return solver.simulate(grid, cfg, MODEL, TM), sol
 
@@ -116,19 +116,6 @@ def test_theta_refs_trace_and_positivity():
 # --------------------------------------------------------------------------
 
 
-def test_phase_atom_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        young.PhaseAtom(rho=1.0, u=np.zeros(2), theta=1.0,
-                        d_u=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                        d_theta=np.zeros(2))
-    with pytest.raises(ValueError, match="rho >= 0"):
-        young.PhaseAtom(rho=-1.0, u=np.zeros(1), theta=1.0,
-                        d_u=np.zeros((1, 1)), d_theta=np.zeros(1))
-    with pytest.raises(ValueError, match="finite"):
-        young.PhaseAtom(rho=np.nan, u=np.zeros(1), theta=1.0,
-                        d_u=np.zeros((1, 1)), d_theta=np.zeros(1))
-
-
 def test_measure_weight_validation():
     grid = gridmod.Grid(cells=(8,))
     times = np.array([0.0])
@@ -143,6 +130,22 @@ def test_measure_weight_validation():
     w[0, 0, 1] = 1.5
     with pytest.raises(ValueError, match="positive"):
         young.AtomicYoungMeasure(weights=w, **good)
+    half = np.full(shape, 0.5)
+    with pytest.raises(ValueError, match="rho >= 0"):
+        young.AtomicYoungMeasure(weights=half, **{**good, "rho": -np.ones(shape)})
+    nan_rho = np.ones(shape)
+    nan_rho[0, 3, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        young.AtomicYoungMeasure(weights=half, **{**good, "rho": nan_rho})
+    grid2 = gridmod.Grid(cells=(4, 4))
+    shape2 = (1,) + grid2.cells + (1,)
+    skew = np.zeros(shape2 + (2, 2))
+    skew[..., 0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        young.AtomicYoungMeasure(
+            grid=grid2, times=times, weights=np.ones(shape2), rho=np.ones(shape2),
+            theta=np.ones(shape2), u=np.zeros(shape2 + (2,)), d_u=skew,
+            d_theta=np.zeros(shape2 + (2,)))
 
 
 def test_dirac_expectation_matches_fields():
@@ -154,8 +157,6 @@ def test_dirac_expectation_matches_fields():
     assert np.array_equal(rho_mean, traj.rho)
     u_sq = young.expect(V, lambda r, u, th, du, dth: np.sum(u * u, axis=-1))
     assert np.allclose(u_sq, np.sum(traj.u ** 2, axis=-1))
-    atom = V.atom(0, (3,), 0)
-    assert atom.rho == traj.rho[0, 3]
 
 
 def test_mix_mean_jensen_and_associativity():
@@ -206,22 +207,40 @@ def test_expect_rejects_nonfinite_with_witness():
 # --------------------------------------------------------------------------
 
 
-def test_equilibrium_dirac_all_clauses_round_off():
-    traj, sol = _equilibrium_trajectory()
+@pytest.mark.parametrize("dim", [1, 2])
+def test_equilibrium_dirac_all_clauses_round_off(dim):
+    traj, sol = _equilibrium_trajectory(n=32 if dim == 1 else 12, dim=dim)
     V = young.dirac_from_trajectory(traj)
     ref = testfuns.theta_ref_constant(1.0)
-    assert young.check_velocity_compat(V, testfuns.tensor_tests(1)).max_abs <= 1e-10
-    tc = young.check_temperature_compat(V, testfuns.flux_tests(1), ref)
+    assert young.check_velocity_compat(V, testfuns.tensor_tests(dim)).max_abs <= 1e-10
+    tc = young.check_temperature_compat(V, testfuns.flux_tests(dim), ref)
     assert tc.max_abs <= 1e-10
     assert np.max(np.abs(tc.extras["as_written"])) <= 1e-10
-    assert young.continuity_residual(V, testfuns.scalar_tests(1),
+    assert young.continuity_residual(V, testfuns.scalar_tests(dim),
                                      source=sol).max_abs <= 1e-10
-    assert young.momentum_residual(V, testfuns.velocity_tests(1), MODEL, TM,
+    assert young.momentum_residual(V, testfuns.velocity_tests(dim), MODEL, TM,
                                    source=sol).max_abs <= 1e-10
-    ent = young.entropy_mv_residual(V, testfuns.entropy_tests(1), MODEL, TM)
+    ent = young.entropy_mv_residual(V, testfuns.entropy_tests(dim), MODEL, TM)
     assert ent.max_abs <= 1e-10
     ball = young.ballistic_mv_residual(V, 0.0, ref, MODEL, TM)
     assert ball.max_abs <= 1e-10
+
+
+def test_temperature_compat_embeds_the_reference_once_per_level():
+    traj, _ = _equilibrium_trajectory(n=8, dim=2)
+    V = young.dirac_from_trajectory(traj)
+    ref = testfuns.theta_ref_constant(1.0)
+    calls = []
+
+    def value(t, pts):
+        calls.append(t)
+        return ref.value(t, pts)
+
+    counted = testfuns.ThetaRef(label=ref.label, value=value, dt=ref.dt)
+    psis = testfuns.flux_tests(2)
+    rep = young.check_temperature_compat(V, psis, counted)
+    assert len(rep.residuals) == len(psis) > 1
+    assert len(calls) == V.n_levels
 
 
 def test_strong_dirac_residuals_decay_second_order():
