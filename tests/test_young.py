@@ -116,6 +116,30 @@ def test_theta_refs_trace_and_positivity():
 # --------------------------------------------------------------------------
 
 
+def test_phase_atom_validation():
+    times = np.array([0.0])
+    grid2 = gridmod.Grid(cells=(4, 4))
+    shape2 = (1,) + grid2.cells + (1,)
+    skew = np.zeros(shape2 + (2, 2))
+    skew[..., 0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        young.AtomicYoungMeasure(
+            grid=grid2, times=times, weights=np.ones(shape2), rho=np.ones(shape2),
+            theta=np.ones(shape2), u=np.zeros(shape2 + (2,)), d_u=skew,
+            d_theta=np.zeros(shape2 + (2,)))
+    grid = gridmod.Grid(cells=(8,))
+    shape = (1,) + grid.cells + (2,)
+    good = dict(grid=grid, times=times, weights=np.full(shape, 0.5),
+                theta=np.ones(shape), u=np.zeros(shape + (1,)),
+                d_u=np.zeros(shape + (1, 1)), d_theta=np.zeros(shape + (1,)))
+    with pytest.raises(ValueError, match="rho >= 0"):
+        young.AtomicYoungMeasure(rho=-np.ones(shape), **good)
+    nan_rho = np.ones(shape)
+    nan_rho[0, 3, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        young.AtomicYoungMeasure(rho=nan_rho, **good)
+
+
 def test_measure_weight_validation():
     grid = gridmod.Grid(cells=(8,))
     times = np.array([0.0])
@@ -130,22 +154,6 @@ def test_measure_weight_validation():
     w[0, 0, 1] = 1.5
     with pytest.raises(ValueError, match="positive"):
         young.AtomicYoungMeasure(weights=w, **good)
-    half = np.full(shape, 0.5)
-    with pytest.raises(ValueError, match="rho >= 0"):
-        young.AtomicYoungMeasure(weights=half, **{**good, "rho": -np.ones(shape)})
-    nan_rho = np.ones(shape)
-    nan_rho[0, 3, 1] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        young.AtomicYoungMeasure(weights=half, **{**good, "rho": nan_rho})
-    grid2 = gridmod.Grid(cells=(4, 4))
-    shape2 = (1,) + grid2.cells + (1,)
-    skew = np.zeros(shape2 + (2, 2))
-    skew[..., 0, 1] = 1.0
-    with pytest.raises(ValueError, match="symmetric"):
-        young.AtomicYoungMeasure(
-            grid=grid2, times=times, weights=np.ones(shape2), rho=np.ones(shape2),
-            theta=np.ones(shape2), u=np.zeros(shape2 + (2,)), d_u=skew,
-            d_theta=np.zeros(shape2 + (2,)))
 
 
 def test_dirac_expectation_matches_fields():
