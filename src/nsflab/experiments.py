@@ -599,7 +599,6 @@ def _budget_terms(traj: solver.Trajectory, spec: ExperimentSpec,
     g = traj.grid
     model = spec.model
     tm = spec.transport_model
-    d = g.dim
     mu_lo = min(tm.mu0, tm.mu1)
     kap_lo = min(tm.kappa1, tm.kappa2)
     beta = tm.beta
@@ -615,7 +614,6 @@ def _budget_terms(traj: solver.Trajectory, spec: ExperimentSpec,
     flux_c = 0.0
     theta_sq_c = 0.0
     entropy_margin = math.inf
-    eye = np.eye(d)
 
     for k in range(traj.n_levels):
         t = float(traj.times[k])
@@ -625,11 +623,12 @@ def _budget_terms(traj: solver.Trajectory, spec: ExperimentSpec,
         grad_u = gridmod.grad_vector(u_f)
         grad_th = gridmod.gradient(th_f)
         div_u = np.einsum("...ii->...", grad_u)
+        u_sq = np.sum(u * u, axis=-1)
 
         e = model.e(rho, theta)
         s = model.s(rho, theta)
         mass = float(gridmod.integrate(g, rho))
-        kin = float(gridmod.integrate(g, rho * np.sum(u * u, axis=-1)))
+        kin = float(gridmod.integrate(g, rho * u_sq))
         internal = float(gridmod.integrate(g, rho * e))
         ent_pow = float(gridmod.integrate(g, np.abs(rho * s) ** _ENTROPY_Q))
         state_sup["mass"] = max(state_sup["mass"], mass)
@@ -638,10 +637,9 @@ def _budget_terms(traj: solver.Trajectory, spec: ExperimentSpec,
         state_sup["entropy_power"] = max(state_sup["entropy_power"], ent_pow)
         sum_sup = max(sum_sup, mass + kin + internal + ent_pow)
 
-        shear_t = (grad_u + np.swapaxes(grad_u, -1, -2)
-                   - (2.0 / d) * div_u[..., None, None] * eye)
-        visc[k] = gridmod.integrate(
-            g, mu_lo * (1.0 + 1.0 / theta) * np.sum(shear_t ** 2, axis=(-2, -1)))
+        # |grad u + grad u^T - (2/d) div u I|^2, exactly (scalings by 2 and 4)
+        shear_sq = 4.0 * np.sum(transport.traceless_sym(grad_u) ** 2, axis=(-2, -1))
+        visc[k] = gridmod.integrate(g, mu_lo * (1.0 + 1.0 / theta) * shear_sq)
         lam = tm.lam(rho, theta)
         bulk[k] = gridmod.integrate(g, lam / (2.0 * theta) * div_u ** 2)
         cond[k] = gridmod.integrate(
@@ -655,12 +653,12 @@ def _budget_terms(traj: solver.Trajectory, spec: ExperimentSpec,
         flux = abs(float(gridmod.integrate(
             g, rho * s_mol * np.sum(u * grad_hat, axis=-1))))
         ball = float(gridmod.integrate(
-            g, 0.5 * rho * np.sum(u * u, axis=-1) + rho * e - hat * rho * s))
+            g, 0.5 * rho * u_sq + rho * e - hat * rho * s))
         flux_c = max(flux_c, flux / (1.0 + max(ball, 0.0)))
         th_sq = float(gridmod.integrate(g, theta ** 2))
         ball_still = float(gridmod.integrate(g, rho * e - hat * rho * s))
         u_h1 = float(gridmod.integrate(
-            g, np.sum(u * u, axis=-1) + np.sum(grad_u ** 2, axis=(-2, -1))))
+            g, u_sq + np.sum(grad_u ** 2, axis=(-2, -1))))
         theta_sq_c = max(theta_sq_c,
                          th_sq / (1.0 + max(ball_still, 0.0) + u_h1))
 

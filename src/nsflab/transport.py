@@ -24,7 +24,6 @@ __all__ = [
     "traceless_sym",
     "viscous_stress",
     "viscous_stress_column",
-    "heat_flux",
     "entropy_production_density",
 ]
 
@@ -222,12 +221,6 @@ def viscous_stress_column(model: TransportModel, rho, theta, normal: np.ndarray,
         else:
             col[j] = mu * (0.5 * (normal[j] + tangential[axis]))
     return col
-
-
-def heat_flux(model: TransportModel, rho, theta, grad_theta: np.ndarray) -> np.ndarray:
-    """Fourier law q = -kappa * grad theta (components on the trailing axis)."""
-    kap = np.asarray(model.kappa(rho, theta), dtype=float)
-    return -kap[..., None] * grad_theta
 
 
 def entropy_production_density(model: TransportModel, rho, theta, d_u: np.ndarray, d_theta: np.ndarray):

@@ -231,8 +231,8 @@ def test_module_entry_point_leaves_stderr_empty():
 
 
 def test_cli_import_loads_no_package_beyond_numpy():
-    # start-up cost: the CLI needs numpy only; the harmonic extension
-    # (apriori) imports scipy when it runs
+    # start-up cost: the CLI needs numpy only, and so does the harmonic
+    # extension that apriori runs
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -240,6 +240,9 @@ def test_cli_import_loads_no_package_beyond_numpy():
              "def top(): return {m.split('.')[0] for m in sys.modules}\n"
              "before = top()\n"
              "import nsflab.cli\n"
+             "from nsflab import grid\n"
+             "grid.harmonic_extension(grid.Grid(cells=(8, 8)),\n"
+             "                        grid.affine_boundary(1.0, 0.3, -0.2))\n"
              "print(sorted(top() - before - set(sys.stdlib_module_names)))")
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True, env=env, check=False)

@@ -172,7 +172,8 @@ def test_harmonic_extension_1d_linear():
 
 
 def test_harmonic_extension_2d_affine_and_max_principle():
-    # the non-square grid pins the axis order of the assembled operator
+    # the non-square grid pins the axis order of the trace evaluation and
+    # the ghost fill
     for cells in ((12, 12), (6, 10)):
         gr = g.Grid(cells=cells)
         bc = g.affine_boundary(1.0, 0.3, -0.2)
@@ -189,6 +190,20 @@ def test_harmonic_extension_constant_trace():
     gr = g.Grid(cells=(8, 8))
     f = g.harmonic_extension(gr, g.constant_boundary(4.0))
     assert np.allclose(f.interior, 4.0, atol=1e-12)
+
+
+def test_harmonic_extension_refuses_non_affine_trace():
+    # the stencil reproduces affine traces only; any other trace must fail
+    # the residual check instead of being returned as an extension
+    def theta(t, pts):
+        return 1.0 + 0.1 * np.sin(np.pi * np.asarray(pts, dtype=float)[..., 0])
+
+    def dtheta(t, pts):
+        return np.zeros(np.asarray(pts).shape[:-1])
+
+    bc = g.BoundaryData(theta=theta, dtheta_dt=dtheta, label="sine")
+    with pytest.raises(RuntimeError, match="harmonic extension residual"):
+        g.harmonic_extension(g.Grid(cells=(8, 8)), bc)
 
 
 def test_boundary_face_points_cached_read_only():

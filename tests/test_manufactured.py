@@ -54,7 +54,9 @@ def _fd_forcings(sol, t=0.3, h=1e-5):
         return transport.viscous_stress(tr, sol.rho(tt, pp), sol.theta(tt, pp), sol.grad_u(tt, pp))
 
     def qflux(tt, pp):
-        return transport.heat_flux(tr, sol.rho(tt, pp), sol.theta(tt, pp), sol.grad_theta(tt, pp))
+        # Fourier law q = -kappa * grad theta
+        kap = tr.kappa(sol.rho(tt, pp), sol.theta(tt, pp))
+        return -np.asarray(kap, dtype=float)[..., None] * sol.grad_theta(tt, pp)
 
     f_mass = ddt(rho) + sum(ddx(lambda tt, pp, k=k: rho(tt, pp) * uk(k)(tt, pp), k) for k in range(d))
     gaps = [np.max(np.abs(f_mass - sol.f_mass(t, pts)))]
