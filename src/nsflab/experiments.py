@@ -422,21 +422,16 @@ def perturbed_state(sol: StrongSolution, grid: gridmod.Grid,
                             u=u0 + eps * du, theta=th0 + eps * bump, t=0.0)
 
 
-def _observed_ranges(trajs: list[solver.Trajectory],
-                     model: thermo.ThermoModel) -> dict[str, float]:
-    rho_lo = math.inf
-    rho_hi = 0.0
-    th_lo = math.inf
-    th_hi = 0.0
-    s_hi = 0.0
-    for traj in trajs:
-        rho_lo = min(rho_lo, float(np.min(traj.rho)))
-        rho_hi = max(rho_hi, float(np.max(traj.rho)))
-        th_lo = min(th_lo, float(np.min(traj.theta)))
-        th_hi = max(th_hi, float(np.max(traj.theta)))
-        s_hi = max(s_hi, float(np.max(np.abs(model.s(traj.rho, traj.theta)))))
-    return {"rho_min": rho_lo, "rho_max": rho_hi, "theta_min": th_lo,
-            "theta_max": th_hi, "s_abs_max": s_hi}
+def _observed_ranges(traj: solver.Trajectory, model: thermo.ThermoModel,
+                     ranges: dict[str, float]) -> None:
+    """Fold one run's state ranges into ``ranges``, |s| one level at a time."""
+    s_hi = max(float(np.max(np.abs(model.s(traj.rho[k], traj.theta[k]))))
+               for k in range(traj.n_levels))
+    ranges["rho_min"] = min(ranges["rho_min"], float(np.min(traj.rho)))
+    ranges["rho_max"] = max(ranges["rho_max"], float(np.max(traj.rho)))
+    ranges["theta_min"] = min(ranges["theta_min"], float(np.min(traj.theta)))
+    ranges["theta_max"] = max(ranges["theta_max"], float(np.max(traj.theta)))
+    ranges["s_abs_max"] = max(ranges["s_abs_max"], s_hi)
 
 
 def run_theorem(spec: ExperimentSpec) -> TheoremReport:
@@ -447,7 +442,8 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     better); perturbed data of size ``eps`` must stay inside
     ``exp(C t) * E(0)`` times the envelope factor, with the fitted constant
     stable across the listed perturbation sizes and across one grid
-    refinement.
+    refinement.  One run's trajectory is alive at a time: everything read
+    from a run is read before the next run starts.
     """
 
     if spec.theorem not in ("1", "2", "3"):
@@ -458,24 +454,37 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     profile = spec.resolved_profile
     sol = manufactured(profile, spec.model, spec.transport_model)
     dim = sol.dim
-    all_trajs: list[solver.Trajectory] = []
+    model = spec.model
+    ranges = {"rho_min": math.inf, "rho_max": 0.0, "theta_min": math.inf,
+              "theta_max": 0.0, "s_abs_max": 0.0}
+    first: dict[str, float] = {}
 
     def run(grid: gridmod.Grid, eps: Optional[float] = None):
         """Solve from the strong data (``perturbed_state`` when ``eps`` is
-        given) and take the run's relative-energy series against ``sol``."""
+        given), fold the run into ``ranges`` and ``first``, and return its
+        relative-energy series against ``sol``."""
         cfg = replace(spec.solver, source=sol)
         initial = None if eps is None else perturbed_state(sol, grid, eps)
-        traj = solver.simulate(grid, cfg, spec.model, spec.transport_model,
+        traj = solver.simulate(grid, cfg, model, spec.transport_model,
                                boundary=sol.boundary, initial=initial)
-        all_trajs.append(traj)
-        return traj, relenergy.rel_energy_series(
-            young.dirac_from_trajectory(traj), sol, spec.model, spec.transport_model)
+        _observed_ranges(traj, model, ranges)
+        if spec.theorem == "2" and not first:
+            rho, theta = traj.rho, traj.theta
+            en = rho * model.e(rho, theta)
+            sn = rho * np.abs(model.s(rho, theta))
+            first["temperature_chain_margin"] = float(
+                np.max(theta ** model.c_v / (rho * np.exp(_ENTROPY_CAP))))
+            first["pressure_quotient_max"] = float(
+                np.max(np.abs(model.p(rho, theta)) / (1.0 + en + sn)))
+        elif spec.theorem == "3" and eps is not None and not first:
+            first["velocity_control_ratio"] = _kp_absorption_ratio(traj, sol)
+        return relenergy.rel_energy_series(traj, sol, model, spec.transport_model)
 
     sup_e: list[float] = []
     hs: list[float] = []
     for n in spec.grids:
         grid = _make_grid(n, dim)
-        _, rep = run(grid)
+        rep = run(grid)
         sup_e.append(float(np.max(rep.e_mv)))
         hs.append(max(grid.h))
     order = _fit_order(np.asarray(hs), np.asarray(sup_e))
@@ -484,11 +493,8 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     e0: list[float] = []
     cs: list[float] = []
     growth: list[float] = []
-    kp_traj: Optional[solver.Trajectory] = None
     for eps in spec.eps_list:
-        traj, rep = run(fine, eps)
-        if kp_traj is None:
-            kp_traj = traj
+        rep = run(fine, eps)
         start = float(rep.e_mv[0])
         if start <= 0.0:
             raise RuntimeError(
@@ -509,13 +515,12 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     c_grid_spread = 0.0
     if len(spec.grids) >= 2:
         idx = int(np.argmax(spec.eps_list))
-        _, rep = run(_make_grid(spec.grids[-2], dim), spec.eps_list[idx])
+        rep = run(_make_grid(spec.grids[-2], dim), spec.eps_list[idx])
         c_coarse = float(rep.gronwall_c)
         denom = max(abs(cs[idx]), abs(c_coarse), 1e-12)
         c_grid_spread = abs(c_coarse - cs[idx]) / denom
 
     checks: dict[str, float] = {}
-    ranges = _observed_ranges(all_trajs, spec.model)
     hyp_ok = True
     if spec.theorem == "1":
         rho_lo, rho_hi, th_lo, th_hi = _STATE_WINDOW
@@ -526,24 +531,17 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
         hyp_ok = window_ok
     elif spec.theorem == "2":
         cap_ok = ranges["s_abs_max"] <= _ENTROPY_CAP
-        c_v = spec.model.c_v
-        theta_pow = all_trajs[0].theta ** c_v
-        chain = float(np.max(theta_pow / (all_trajs[0].rho * np.exp(_ENTROPY_CAP))))
-        pr = spec.model.p(all_trajs[0].rho, all_trajs[0].theta)
-        en = all_trajs[0].rho * spec.model.e(all_trajs[0].rho, all_trajs[0].theta)
-        sn = all_trajs[0].rho * np.abs(spec.model.s(all_trajs[0].rho, all_trajs[0].theta))
         checks["s_abs_max"] = ranges["s_abs_max"]
         checks["entropy_cap"] = _ENTROPY_CAP
         checks["entropy_cap_ok"] = float(cap_ok)
-        checks["temperature_chain_margin"] = chain
-        checks["pressure_quotient_max"] = float(np.max(np.abs(pr) / (1.0 + en + sn)))
-        hyp_ok = cap_ok and chain <= 1.0 + 1e-12
+        checks.update(first)
+        hyp_ok = cap_ok and first["temperature_chain_margin"] <= 1.0 + 1e-12
     else:
         rr = sol.range_report(fine, (0.0, spec.solver.t_end))
         e1 = _radiation_flux_ratio(spec.model.a, rr["u_max"])
         e2 = _kernel_entropy_quotient(spec.model)
         kp_const = young.calibrate_kp_constant(fine)
-        kp_ratio = _kp_absorption_ratio(kp_traj, sol)
+        kp_ratio = first["velocity_control_ratio"]
         checks["flux_absorption_max"] = e1
         checks["flux_absorption_cap"] = _E1_CAP
         checks["entropy_quotient_max"] = e2

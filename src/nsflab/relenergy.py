@@ -33,6 +33,7 @@ from . import grid as gridmod
 from . import thermo
 from . import transport
 from .manufactured import StrongSolution, grid_points
+from .solver import Trajectory
 from .young import AtomicYoungMeasure, DefectBundle
 
 __all__ = [
@@ -439,20 +440,35 @@ _BLOCK_KEYS = ("shear_quad", "shear_coupling", "bulk_quad", "bulk_coupling",
                "heat_quad", "heat_coupling_state", "heat_coupling_coeff")
 
 
-def rel_energy_series(V: AtomicYoungMeasure, sol: StrongSolution,
+def _state_atoms(V: AtomicYoungMeasure | Trajectory) -> tuple[np.ndarray, ...]:
+    """Weights and rho, theta, u atoms of a measure.  A trajectory is read as
+    its Dirac measure: one atom of weight 1 per cell, views of its arrays,
+    the bits of ``young.dirac_from_trajectory``."""
+
+    if isinstance(V, AtomicYoungMeasure):
+        return V.weights, V.rho, V.theta, V.u
+    for name in ("rho", "u", "theta"):
+        if not np.all(np.isfinite(getattr(V, name))):
+            raise ValueError(f"{name} must be finite")
+    return (np.broadcast_to(1.0, V.rho.shape + (1,)), V.rho[..., None],
+            V.theta[..., None], np.expand_dims(V.u, 1 + V.grid.dim))
+
+
+def rel_energy_series(V: AtomicYoungMeasure | Trajectory, sol: StrongSolution,
                       model: thermo.ThermoModel,
                       transport_model: transport.TransportModel,
                       on_level: Optional[Callable[[int, dict, np.ndarray], None]] = None,
                       ) -> RelEnergySeries:
     """Relative energy of ``V`` against ``sol`` at every stored level.
 
-    Raises when the models differ, an atom is not strictly positive, or the
-    energy fails its consistency checks.  ``on_level(lev, sf, chi)`` runs at
-    each level with the comparison-state fields and the atoms' window
-    weights, so a caller extending the pass evaluates ``sol`` once per level.
-    Without a hook only the state and its p, e and s are evaluated; the
-    derivatives, forcings, partials, gradients, stress parts and
-    coefficients are built for the hook alone.
+    A trajectory is read as its Dirac measure; gradient atoms are never read.
+    Raises when the models differ, an atom is not finite or not strictly
+    positive, or the energy fails its consistency checks.  ``on_level(lev,
+    sf, chi)`` runs at each level with the comparison-state fields and the
+    atoms' window weights, so a caller extending the pass evaluates ``sol``
+    once per level.  Without a hook only the state and its p, e and s are
+    evaluated; the derivatives, forcings, partials, gradients, stress parts
+    and coefficients are built for the hook alone.
     """
 
     if sol.model != model:
@@ -460,6 +476,7 @@ def rel_energy_series(V: AtomicYoungMeasure, sol: StrongSolution,
     if sol.transport_model != transport_model:
         raise ValueError("comparison solution and report must share the transport model")
     grid, times, n_levels = V.grid, V.times, V.n_levels
+    weights, rhos, thetas, us = _state_atoms(V)
     e_mv, e_ess = np.zeros(n_levels), np.zeros(n_levels)
     expansion = {k: np.zeros(n_levels) for k in
                  ("ballistic", "cross", "carrier", "closure")}
@@ -467,7 +484,7 @@ def rel_energy_series(V: AtomicYoungMeasure, sol: StrongSolution,
     for lev in range(n_levels):
         t = float(times[lev])
         sf = _strong_state(sol, grid, t, model, full=on_level is not None)
-        w, rho, theta, u = V.weights[lev], V.rho[lev], V.theta[lev], V.u[lev]
+        w, rho, theta, u = weights[lev], rhos[lev], thetas[lev], us[lev]
         if np.any(theta <= 0.0) or np.any(rho <= 0.0):
             raise ValueError("the relative energy needs strictly positive atom states")
 

@@ -1,13 +1,14 @@
 """Gate matrix and the three standing studies."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nsflab import experiments as ex
-from nsflab import solver, thermo, transport
+from nsflab import solver, thermo, transport, young
 
 PG = thermo.PerfectGas(c_v=1.5)
 MR = thermo.MolecularRadiation(a=1.0)
@@ -223,6 +224,43 @@ def test_collapse_claim_three_radiative(claim_three_report):
     assert all(g <= 1.2 for g in rep.growth_factor)
     assert rep.c_spread <= 0.2
     assert rep.c_grid_spread <= 0.3
+
+
+_SMALL_STUDIES = {
+    "1": ex.ExperimentSpec(theorem="1", model=PG, transport_model=AT, grids=(16, 32),
+                           solver=solver.SolverConfig(t_end=0.01, save_every=2)),
+    "3": ex.ExperimentSpec(theorem="3", model=MR, transport_model=PK, grids=(8, 16),
+                           solver=solver.SolverConfig(t_end=0.005, save_every=2)),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(_SMALL_STUDIES))
+def test_claim_study_holds_one_trajectory_at_a_time(theorem, monkeypatch):
+    refs: list[weakref.ref] = []
+    alive_at_start: list[int] = []
+    simulate = solver.simulate
+
+    def tracked(*args, **kwargs):
+        alive_at_start.append(sum(r() is not None for r in refs))
+        traj = simulate(*args, **kwargs)
+        refs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(solver, "simulate", tracked)
+    ex.run_theorem(_SMALL_STUDIES[theorem])
+    assert len(refs) == 5  # two collapse runs, two perturbed, one coarse
+    assert alive_at_start == [0] * 5
+    assert all(r() is None for r in refs)
+
+
+@pytest.mark.parametrize("theorem", sorted(_SMALL_STUDIES))
+def test_claim_study_builds_no_gradient_atoms(theorem, monkeypatch):
+    def refuse(traj):
+        raise AssertionError("the claim studies read no gradient atoms")
+
+    monkeypatch.setattr(young, "dirac_from_trajectory", refuse)
+    rep = ex.run_theorem(_SMALL_STUDIES[theorem])
+    assert len(rep.dirac_sup) == 2 and len(rep.gronwall_c) == 2
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the relative-energy functional, cutoff split, remainder, and report."""
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -481,6 +483,33 @@ def test_energy_series_equals_the_report_bit_for_bit(make):
         d_u=V.d_u, d_theta=V.d_theta, boundary=V.boundary)
     with pytest.raises(ValueError, match="strictly positive atom states"):
         relenergy.rel_energy_series(cold, sol, sol.model, sol.transport_model)
+
+
+@pytest.mark.parametrize("make", [_radiative_trajectory,
+                                  lambda: _perturbed_trajectory(16, eps=5e-3)],
+                         ids=["radiative_decay-2d", "shear-1d"])
+def test_trajectory_series_equals_its_dirac_measure_bit_for_bit(make):
+    traj, sol = make()
+    args = (sol, sol.model, sol.transport_model)
+    direct = relenergy.rel_energy_series(traj, *args)
+    via_measure = relenergy.rel_energy_series(young.dirac_from_trajectory(traj), *args)
+    for key in ("times", "e_mv", "e_ess", "e_res"):
+        assert getattr(direct, key).tobytes() == getattr(via_measure, key).tobytes(), key
+    assert direct.expansion.keys() == via_measure.expansion.keys()
+    for key, vals in direct.expansion.items():
+        assert vals.tobytes() == via_measure.expansion[key].tobytes(), key
+    assert direct.expansion_gap == via_measure.expansion_gap
+    assert direct.gronwall_c == via_measure.gronwall_c
+
+    # a non-finite state is refused by name on both paths
+    for name in ("u", "theta"):
+        vals = getattr(traj, name).copy()
+        vals[1].flat[3] = np.nan
+        bad = replace(traj, **{name: vals})
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            relenergy.rel_energy_series(bad, *args)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            young.dirac_from_trajectory(bad)
 
 
 def test_gronwall_fit_recovers_synthetic_rate():
