@@ -58,14 +58,6 @@ def _asdata(report) -> dict:
     return dataclasses.asdict(report)
 
 
-def _comparison(cfg: configmod.RunConfig, command: str):
-    sol = configmod.build_source(cfg)
-    if sol is None:
-        raise configmod.ConfigError(f"{command} needs a comparison profile; "
-                                    f"solver.profile is {cfg['solver']['profile']!r}")
-    return sol
-
-
 # --------------------------------------------------------------------------
 # simulate
 # --------------------------------------------------------------------------
@@ -84,9 +76,8 @@ def cmd_simulate(args) -> int:
     tm = configmod.build_transport(cfg)
     source = configmod.build_source(cfg)
     grid = configmod.build_grid(cfg)
-    boundary = source.boundary if source is not None else configmod.build_boundary(cfg)
     scfg = configmod.build_solver_config(cfg, source)
-    traj = solver.simulate(grid, scfg, model, tm, boundary=boundary)
+    traj = solver.simulate(grid, scfg, model, tm, boundary=source.boundary)
 
     series: dict[str, np.ndarray] = {"t": traj.times}
     conserved = traj.conserved_series()
@@ -153,8 +144,7 @@ def cmd_mv_check(args) -> int:
 
     model = configmod.build_model(cfg)
     tm = configmod.build_transport(cfg)
-    profile = cfg["solver"]["profile"]
-    sol = _comparison(cfg, "mv-check")
+    sol = configmod.build_source(cfg)
     dim = sol.dim
     grid = gridmod.Grid(cells=(args.cells,) * dim)
     rho0, u0, th0 = sol.on_grid(grid, 0.0)
@@ -192,7 +182,7 @@ def cmd_mv_check(args) -> int:
     }
     ok = all(entry["ok"] for entry in clauses.values())
     reports.write_verdicts(os.path.join(out, "verdict.json"), {
-        "ok": ok, "tol_h": tol, "cells": args.cells, "profile": profile,
+        "ok": ok, "tol_h": tol, "cells": args.cells, "profile": sol.profile,
         "clauses": clauses,
     })
     worst = [name for name, entry in clauses.items() if not entry["ok"]]
@@ -215,8 +205,7 @@ def cmd_relenergy(args) -> int:
 
     model = configmod.build_model(cfg)
     tm = configmod.build_transport(cfg)
-    profile = cfg["solver"]["profile"]
-    sol = _comparison(cfg, "relenergy")
+    sol = configmod.build_source(cfg)
     grid = gridmod.Grid(cells=(args.cells,) * sol.dim)
     init = experiments.perturbed_state(sol, grid, args.eps)
     scfg = configmod.build_solver_config(cfg, sol)
@@ -243,7 +232,7 @@ def cmd_relenergy(args) -> int:
         "gronwall_c": rep.gronwall_c,
         "reduced_c_required": rep.reduced_c_required,
         "e_mv_initial": float(rep.e_mv[0]), "e_mv_final": float(rep.e_mv[-1]),
-        "eps": args.eps, "cells": args.cells, "profile": profile,
+        "eps": args.eps, "cells": args.cells, "profile": sol.profile,
     })
     _status(ok, "relenergy", f"slack_min = {slack_min:.3e} >= -{tol:.1e}"
             if ok else f"slack_min = {slack_min:.3e} < -{tol:.1e}")
@@ -255,9 +244,8 @@ def cmd_relenergy(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _experiment_config(args, theorem: Optional[str]) -> configmod.RunConfig:
+def _experiment_config(args, theorem: str) -> configmod.RunConfig:
     cfg = _base_config(args)
-    cfg = _apply(cfg, "experiment", "theorem", theorem)
     cfg = _apply(cfg, "model", "kind", getattr(args, "model", None))
     cfg = _apply(cfg, "model", "c_v", getattr(args, "c_v", None))
     cfg = _apply(cfg, "model", "a", getattr(args, "a", None))
@@ -274,7 +262,6 @@ def _experiment_config(args, theorem: Optional[str]) -> configmod.RunConfig:
 
     # without an explicit config file, pick the natural pairing per claim
     if not args.config:
-        theorem = cfg["experiment"]["theorem"]
         if getattr(args, "model", None) is None:
             kind = "molecular_radiation" if theorem in ("3", "apriori") else "perfect_gas"
             cfg = cfg.replace_value("model", "kind", kind)
@@ -284,11 +271,11 @@ def _experiment_config(args, theorem: Optional[str]) -> configmod.RunConfig:
     return cfg
 
 
-def _gated_spec(cfg: configmod.RunConfig, out: str,
+def _gated_spec(cfg: configmod.RunConfig, theorem: str, out: str,
                 command: str) -> Optional[experiments.ExperimentSpec]:
     """The study spec, or None once a gate rejection verdict is written."""
     try:
-        return configmod.build_experiment_spec(cfg)
+        return configmod.build_experiment_spec(cfg, theorem)
     except experiments.HypothesisGateError as err:
         reports.write_verdicts(os.path.join(out, "verdict.json"), {
             "ok": False, "accepted": False, "theorem": err.gate.theorem,
@@ -303,7 +290,7 @@ def cmd_wsu(args) -> int:
     cfg = _experiment_config(args, args.theorem)
     out = _resolve_out(args, "wsu")
     _echo_config(cfg, out)
-    spec = _gated_spec(cfg, out, "wsu")
+    spec = _gated_spec(cfg, args.theorem, out, "wsu")
     if spec is None:
         return 1
 
@@ -331,7 +318,7 @@ def cmd_apriori(args) -> int:
     cfg = _experiment_config(args, "apriori")
     out = _resolve_out(args, "apriori")
     _echo_config(cfg, out)
-    spec = _gated_spec(cfg, out, "apriori")
+    spec = _gated_spec(cfg, "apriori", out, "apriori")
     if spec is None:
         return 1
 
@@ -357,7 +344,7 @@ def cmd_defect_study(args) -> int:
     cfg = _experiment_config(args, "defect")
     out = _resolve_out(args, "defect-study")
     _echo_config(cfg, out)
-    spec = _gated_spec(cfg, out, "defect-study")
+    spec = _gated_spec(cfg, "defect", out, "defect-study")
     if spec is None:
         return 1
 

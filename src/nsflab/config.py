@@ -29,7 +29,6 @@ __all__ = [
     "build_model",
     "build_transport",
     "build_grid",
-    "build_boundary",
     "build_source",
     "build_solver_config",
     "build_experiment_spec",
@@ -75,24 +74,15 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "lo": ("floats", ()),
         "hi": ("floats", ()),
     },
-    "boundary": {
-        "kind": ("str", "constant"),
-        "value": ("float", 1.0),
-        "c0": ("float", 1.0),
-        "cx": ("float", 0.0),
-        "cy": ("float", 0.0),
-    },
     "solver": {
         "cfl": ("float", 0.4),
         "t_end": ("float", 0.05),
         "floor": ("float", 1e-10),
         "save_every": ("int", 2),
         "max_steps": ("int", 200_000),
-        "profile": ("str", "shear"),
+        "profile": ("str", ""),
     },
     "experiment": {
-        "theorem": ("str", "1"),
-        "profile": ("str", ""),
         "eps": ("floats", ()),
         "grids": ("ints", ()),
         "theta_scale": ("float", 1.0),
@@ -262,30 +252,17 @@ def build_grid(cfg: RunConfig) -> gridmod.Grid:
     return gridmod.Grid(cells=cells, lo=lo, hi=hi)
 
 
-def build_boundary(cfg: RunConfig) -> gridmod.BoundaryData:
-    block = cfg["boundary"]
-    kind = block["kind"]
-    if kind == "constant":
-        return gridmod.constant_boundary(block["value"])
-    if kind == "affine":
-        return gridmod.affine_boundary(block["c0"], block["cx"], block["cy"])
-    raise ConfigError(
-        f"boundary.kind must be 'constant' or 'affine', got {kind!r}")
+def build_source(cfg: RunConfig, default: str = "shear") -> StrongSolution:
+    """The manufactured comparison flow named by solver.profile; an empty
+    name means ``default``, the command's own profile."""
 
-
-def build_source(cfg: RunConfig) -> Optional[StrongSolution]:
-    """The manufactured comparison flow named by solver.profile, if any."""
-
-    name = cfg["solver"]["profile"]
-    if name in ("", "none"):
-        return None
+    name = cfg["solver"]["profile"] or default
     if name not in profile_names():
         raise ConfigError(
             f"solver.profile {name!r} is not a known comparison profile; "
-            f"choose from {profile_names()} or 'none'")
-    model, transport_model = build_model(cfg), build_transport(cfg)
+            f"choose from {profile_names()}")
     try:
-        return manufactured(name, model, transport_model)
+        return manufactured(name, build_model(cfg), build_transport(cfg))
     except TypeError as err:  # a profile the configured models cannot carry
         raise ConfigError(f"solver.profile {name!r}: {err}") from None
 
@@ -299,15 +276,20 @@ def build_solver_config(cfg: RunConfig,
                                max_steps=block["max_steps"], source=source)
 
 
-def build_experiment_spec(cfg: RunConfig) -> ExperimentSpec:
+def build_experiment_spec(cfg: RunConfig, theorem: str) -> ExperimentSpec:
+    """The gated spec of claim ``theorem``; its comparison profile comes from
+    solver.profile and must build, as in every other command."""
+
     block = cfg["experiment"]
-    return ExperimentSpec(
-        theorem=block["theorem"],
+    spec = ExperimentSpec(
+        theorem=theorem,
         model=build_model(cfg),
         transport_model=build_transport(cfg),
-        profile=block["profile"] or None,
+        profile=cfg["solver"]["profile"] or None,
         eps_list=block["eps"] or None,
         grids=block["grids"] or None,
         solver=build_solver_config(cfg),
         theta_scale=block["theta_scale"],
         theta_tilt=block["theta_tilt"])
+    build_source(cfg, spec.resolved_profile)
+    return spec

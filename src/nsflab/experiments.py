@@ -537,8 +537,10 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
         checks.update(first)
         hyp_ok = cap_ok and first["temperature_chain_margin"] <= 1.0 + 1e-12
     else:
-        rr = sol.range_report(fine, (0.0, spec.solver.t_end))
-        e1 = _radiation_flux_ratio(spec.model.a, rr["u_max"])
+        speeds = (np.sqrt(np.sum(u * u, axis=-1))
+                  for _, u, _ in (sol.on_grid(fine, t) for t in (0.0, spec.solver.t_end)))
+        u_max = float(max(np.max(v) for v in speeds))
+        e1 = _radiation_flux_ratio(spec.model.a, u_max)
         e2 = _kernel_entropy_quotient(spec.model)
         kp_const = young.calibrate_kp_constant(fine)
         kp_ratio = first["velocity_control_ratio"]

@@ -313,17 +313,6 @@ class StrongSolution:
         """Interior (rho, u, theta) arrays at cell centers."""
         return self.state(t, grid_points(grid))
 
-    def range_report(self, grid: gridmod.Grid, times) -> dict[str, float]:
-        """Min/max of rho, theta and max |u| over sampled times (gate input)."""
-        pts = grid_points(grid)
-        r = np.stack([self.rho(t, pts) for t in times])
-        u = np.stack([self.u(t, pts) for t in times])
-        th = np.stack([self.theta(t, pts) for t in times])
-        return {"rho_min": float(np.min(r)), "rho_max": float(np.max(r)),
-                "theta_min": float(np.min(th)), "theta_max": float(np.max(th)),
-                "u_max": float(np.max(np.sqrt(np.sum(u * u, axis=-1)))),
-                "s_abs_max": float(np.max(np.abs(self.model.s(r, th))))}
-
 
 def _check_laws(model, transport_model) -> None:
     """Reject, at build time, a model without a law the forcings call."""

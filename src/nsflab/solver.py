@@ -61,8 +61,8 @@ class FlowState:
         if self.theta.shape != self.grid.interior_shape():
             raise ValueError("theta shape does not match grid")
 
-    def is_positive(self, floor: float = 0.0) -> bool:
-        return bool((self.rho > floor).all() and (self.theta > floor).all())
+    def is_positive(self) -> bool:
+        return bool((self.rho > 0.0).all() and (self.theta > 0.0).all())
 
 
 @dataclass(frozen=True)
@@ -302,10 +302,6 @@ class Trajectory:
     @property
     def n_levels(self) -> int:
         return len(self.times)
-
-    def state(self, k: int) -> FlowState:
-        return FlowState(grid=self.grid, rho=self.rho[k], u=self.u[k],
-                         theta=self.theta[k], t=float(self.times[k]))
 
     def conserved_series(self) -> dict[str, np.ndarray]:
         g = self.grid

@@ -38,7 +38,6 @@ __all__ = [
     "flux_tests",
     "tensor_tests",
     "theta_refs",
-    "theta_ref_constant",
     "theta_ref_from_strong",
 ]
 
@@ -347,19 +346,6 @@ def theta_refs(dim: int, base: tuple[float, float, float] = (1.0, 0.0, 0.0),
         refs.append(ThetaRef(label=f"affine+{a}*bump", value=val,
                              dt=lambda t, pts: _zeros(pts)))
     return refs
-
-
-def theta_ref_constant(c: float) -> ThetaRef:
-    """The constant reference ``c > 0``."""
-
-    if c <= 0.0:
-        raise ValueError("reference temperature must stay positive on the domain")
-
-    return ThetaRef(
-        label=f"const_{c}",
-        value=lambda t, pts: c * np.ones(pts.shape[:-1]),
-        dt=lambda t, pts: np.zeros(pts.shape[:-1]),
-    )
 
 
 def theta_ref_from_strong(sol) -> ThetaRef:

@@ -1,5 +1,6 @@
 """Configuration files, persisted reports, and the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -60,7 +61,6 @@ def test_builders_assemble_the_configured_objects():
     text = (
         "[model]\nkind = molecular_radiation\na = 0.5\nkernel = degenerate\n"
         "[transport]\nkind = power_kappa\nbeta = 2.0\n"
-        "[experiment]\ntheorem = 3\n"
     )
     cfg = config.loads_config(text)
     model = config.build_model(cfg)
@@ -68,9 +68,29 @@ def test_builders_assemble_the_configured_objects():
     assert model.a == 0.5
     assert model.kernel.third_law
     assert tm.beta == 2.0
-    spec = config.build_experiment_spec(cfg)
+    spec = config.build_experiment_spec(cfg, "3")
     assert spec.theorem == "3"
     assert spec.gate.accepted
+
+
+@pytest.mark.parametrize("text, path", [
+    ("[boundary]\nkind = constant\n", "[boundary]"),
+    ("[experiment]\ntheorem = 3\n", "experiment.theorem"),
+    ("[experiment]\nprofile = shear\n", "experiment.profile"),
+], ids=["boundary", "experiment.theorem", "experiment.profile"])
+def test_deleted_keys_are_rejected_by_name(text, path):
+    # an old config-effective.ini naming a key no command reads is refused
+    with pytest.raises(config.ConfigError) as err:
+        config.loads_config(text)
+    assert path in str(err.value)
+
+
+def test_schema_has_one_profile_key_and_no_unread_section():
+    text = config.dumps_config(config.default_config())
+    keys = [line for line in text.splitlines() if " = " in line]
+    assert len(keys) == 35
+    assert sum(line.startswith("profile = ") for line in keys) == 1
+    assert "[boundary]" not in text
 
 
 def test_unlisted_model_kind_is_rejected():
@@ -389,23 +409,32 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv, profile", [
-    (["mv-check"], "bogus"),
-    (["relenergy"], "bogus"),
-    (["mv-check"], "none"),
-    (["relenergy"], "none"),
-    (["simulate", "--profile", "radiative_decay"], None),
-    (["mv-check", "--profile", "radiative_decay"], None),
-    (["relenergy", "--profile", "radiative_decay"], None),
+_MR_PK = "[model]\nkind = molecular_radiation\n[transport]\nkind = power_kappa\n"
+
+
+@pytest.mark.parametrize("argv, profile, pairing", [
+    (["mv-check"], "bogus", ""),
+    (["relenergy"], "bogus", ""),
+    (["mv-check"], "none", ""),
+    (["relenergy"], "none", ""),
+    (["simulate", "--profile", "radiative_decay"], None, ""),
+    (["mv-check", "--profile", "radiative_decay"], None, ""),
+    (["relenergy", "--profile", "radiative_decay"], None, ""),
+    (["wsu", "--theorem", "1"], "bogus", ""),
+    (["apriori"], "bogus", _MR_PK),
+    (["wsu", "--theorem", "1"], "radiative_decay", ""),
 ], ids=["mv-check-bogus", "relenergy-bogus", "mv-check-none", "relenergy-none",
         "simulate-radiative_decay", "mv-check-radiative_decay",
-        "relenergy-radiative_decay"])
-def test_bad_comparison_profile_is_a_config_error(tmp_path, capsys, argv, profile):
-    # an unknown profile, none, or a profile the model cannot carry (the
-    # default perfect gas with radiative_decay) exits 2 with one stderr line
+        "relenergy-radiative_decay", "wsu-1-bogus", "apriori-bogus",
+        "wsu-1-radiative_decay"])
+def test_bad_comparison_profile_is_a_config_error(tmp_path, capsys, argv,
+                                                  profile, pairing):
+    # an unknown profile, or one the model cannot carry (the perfect gas
+    # with radiative_decay), exits 2 with one stderr line in every command
+    # that runs a comparison flow
     if profile is not None:
         ini = tmp_path / "profile.ini"
-        ini.write_text(f"[solver]\nprofile = {profile}\n")
+        ini.write_text(f"{pairing}[solver]\nprofile = {profile}\n")
         argv = argv + ["--config", str(ini)]
     code = cli.main(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
@@ -424,3 +453,31 @@ def test_bad_profile_leaves_no_traceback_from_the_entry_point(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_studies_run_the_configured_profile(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[solver]\nprofile = conduction\n")
+    code = cli.main(["wsu", "--theorem", "1", "--grids", "8,16",
+                     "--t-end", "0.005", "--config", str(ini),
+                     "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code in (0, 1)  # the verdict, pass or fail, names the flow it ran
+    verdict = reports.read_verdicts(tmp_path / "wsu" / "verdict.json")
+    assert verdict["profile"] == "conduction"
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return sorted(action.choices)
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_every_subcommand_takes_out_seed_and_config(command):
+    # the flags that benchmarks/run.py forwards to every command
+    extra = ["--theorem", "1"] if command == "wsu" else []
+    args = cli.build_parser().parse_args(
+        [command, "--out", "X", "--seed", "3", "--config", "Y"] + extra)
+    assert (args.out, args.seed, args.config) == ("X", 3, "Y")

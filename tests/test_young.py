@@ -108,7 +108,7 @@ def test_theta_refs_trace_and_positivity():
     with pytest.raises(ValueError, match="positive"):
         testfuns.theta_refs(1, base=(0.2, 0.0, 0.0), amps=(-0.5,))
     with pytest.raises(ValueError, match="positive"):
-        testfuns.theta_ref_constant(-1.0)
+        testfuns.theta_refs(1, base=(-1.0, 0.0, 0.0), amps=(0.0,))
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_expect_rejects_nonfinite_with_witness():
 def test_equilibrium_dirac_all_clauses_round_off(dim):
     traj, sol = _equilibrium_trajectory(n=32 if dim == 1 else 12, dim=dim)
     V = young.dirac_from_trajectory(traj)
-    ref = testfuns.theta_ref_constant(1.0)
+    ref = testfuns.theta_refs(dim, amps=(0.0,))[0]
     assert young.check_velocity_compat(V, testfuns.tensor_tests(dim)).max_abs <= 1e-10
     tc = young.check_temperature_compat(V, testfuns.flux_tests(dim), ref)
     assert tc.max_abs <= 1e-10
@@ -237,7 +237,7 @@ def test_equilibrium_dirac_all_clauses_round_off(dim):
 def test_temperature_compat_embeds_the_reference_once_per_level():
     traj, _ = _equilibrium_trajectory(n=8, dim=2)
     V = young.dirac_from_trajectory(traj)
-    ref = testfuns.theta_ref_constant(1.0)
+    ref = testfuns.theta_refs(2, amps=(0.0,))[0]
     calls = []
 
     def value(t, pts):
@@ -253,7 +253,7 @@ def test_temperature_compat_embeds_the_reference_once_per_level():
 
 def test_strong_dirac_residuals_decay_second_order():
     sol = manufactured("shear", MODEL, TM)
-    ref = testfuns.theta_ref_constant(1.0)
+    ref = testfuns.theta_refs(1, amps=(0.0,))[0]
 
     def residuals(n, n_times):
         grid = gridmod.Grid(cells=(n,))
@@ -369,7 +369,7 @@ def test_entropy_rejects_sign_violating_tests():
 def test_ballistic_threshold_scan():
     traj = _decay_trajectory(32)
     V = young.dirac_from_trajectory(traj)
-    ref = testfuns.theta_ref_constant(1.0)
+    ref = testfuns.theta_refs(1, amps=(0.0,))[0]
     base = young.ballistic_mv_residual(V, 0.0, ref, MODEL, TM)
     assert np.min(base.residuals) >= -1e-12
     s_final = base.residuals[-1]
@@ -387,7 +387,7 @@ def test_ballistic_threshold_scan():
 def test_initial_energy_vacuum_and_mixture():
     # the ballistic clause's energy at the first level is the initial energy
     grid = gridmod.Grid(cells=(8,))
-    ref = testfuns.theta_ref_constant(1.0)
+    ref = testfuns.theta_refs(1, amps=(0.0,))[0]
 
     def initial_energy(V):
         rep = young.ballistic_mv_residual(V, 0.0, ref, MODEL, TM)
