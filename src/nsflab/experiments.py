@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -315,6 +315,15 @@ def _fit_order(h: np.ndarray, sup: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 
+def _sweep_max(f, x: np.ndarray, y: np.ndarray, rows: int = 32) -> float:
+    """Max of ``f`` over the ``ij`` mesh of ``x`` and ``y``, ``rows`` values
+    of ``x`` at a time: each element is computed as on the whole mesh, so
+    the maximum keeps its bits while the mesh is never built in full."""
+
+    return float(np.max([np.max(f(*np.meshgrid(x[i:i + rows], y, indexing="ij")))
+                         for i in range(0, len(x), rows)]))
+
+
 def _radiation_flux_ratio(a: float, u_ref_mag: float) -> float:
     """Max of 2a*theta*|u| / (theta**2/4 + |u - u_ref|**2 + 2a*theta).
 
@@ -324,12 +333,12 @@ def _radiation_flux_ratio(a: float, u_ref_mag: float) -> float:
     wide state sweep (|u| <= 5) realizes the constant C(u_ref).
     """
 
-    theta = np.geomspace(1e-6, 1e6, 601)
-    u = np.linspace(-5.0, 5.0, 241)
-    th, uu = np.meshgrid(theta, u, indexing="ij")
-    num = 2.0 * a * th * np.abs(uu)
-    den = 0.25 * th * th + (uu - u_ref_mag) ** 2 + 2.0 * a * th
-    return float(np.max(num / den))
+    def quotient(th, uu):
+        num = 2.0 * a * th * np.abs(uu)
+        den = 0.25 * th * th + (uu - u_ref_mag) ** 2 + 2.0 * a * th
+        return num / den
+
+    return _sweep_max(quotient, np.geomspace(1e-6, 1e6, 601), np.linspace(-5.0, 5.0, 241))
 
 
 def _kernel_entropy_quotient(model: thermo.MolecularRadiation) -> float:
@@ -340,37 +349,41 @@ def _kernel_entropy_quotient(model: thermo.MolecularRadiation) -> float:
     along rho -> inf, theta -> 0.
     """
 
-    rho = np.geomspace(1e-4, 1e4, 401)
-    theta = np.geomspace(1e-4, 1e4, 401)
-    r, th = np.meshgrid(rho, theta, indexing="ij")
-    q = r * th ** -1.5
-    s_m = model.kernel.s(q)
-    rho_e_m = 1.5 * th ** 2.5 * model.kernel.p(q)
-    return float(np.max(r * s_m ** 2 / (1.0 + r + rho_e_m)))
+    def quotient(r, th):
+        q = r * th ** -1.5
+        s_m = model.kernel.s(q)
+        rho_e_m = 1.5 * th ** 2.5 * model.kernel.p(q)
+        return r * s_m ** 2 / (1.0 + r + rho_e_m)
+
+    return _sweep_max(quotient, np.geomspace(1e-4, 1e4, 401), np.geomspace(1e-4, 1e4, 401))
 
 
-def _kp_absorption_ratio(traj: solver.Trajectory, sol: StrongSolution) -> float:
+def _velocity_control_terms(state: solver.FlowState,
+                            sol: StrongSolution) -> tuple[float, float]:
+    """integral|u-u_ref|**2 and integral|D0 gap|**2 at one level: the
+    numerator and denominator of the velocity-control quotient."""
+
+    g = state.grid
+    pts = grid_points(g)
+    t = float(state.t)
+    du = state.u - sol.u(t, pts)
+    f = gridmod.sync_odd(gridmod.VectorField.from_interior(g, state.u))
+    d0 = transport.traceless_sym(gridmod.grad_vector(f))
+    d0_ref = transport.traceless_sym(sol.grad_u(t, pts))
+    return (gridmod.integrate(g, np.sum(du * du, axis=-1)),
+            gridmod.integrate(g, np.sum((d0 - d0_ref) ** 2, axis=(-2, -1))))
+
+
+def _kp_absorption_ratio(times, num, den) -> float:
     """Velocity-control quotient integral|u-u_ref|**2 / integral|D0 gap|**2.
 
-    Time-aggregated over the trajectory with trapezoid weights; bounded by
+    Time-aggregated over a run's levels with trapezoid weights; bounded by
     the grid's worst-mode constant when the velocity gap vanishes on the
     boundary.
     """
 
-    g = traj.grid
-    pts = grid_points(g)
-    num = np.zeros(traj.n_levels)
-    den = np.zeros(traj.n_levels)
-    for k in range(traj.n_levels):
-        t = float(traj.times[k])
-        du = traj.u[k] - sol.u(t, pts)
-        f = gridmod.sync_odd(gridmod.VectorField.from_interior(g, traj.u[k]))
-        d0 = transport.traceless_sym(gridmod.grad_vector(f))
-        d0_ref = transport.traceless_sym(sol.grad_u(t, pts))
-        num[k] = gridmod.integrate(g, np.sum(du * du, axis=-1))
-        den[k] = gridmod.integrate(g, np.sum((d0 - d0_ref) ** 2, axis=(-2, -1)))
-    num_t = float(np.trapezoid(num, traj.times))
-    den_t = float(np.trapezoid(den, traj.times))
+    num_t = float(np.trapezoid(num, times))
+    den_t = float(np.trapezoid(den, times))
     if den_t <= 0.0:
         return 0.0
     return num_t / den_t
@@ -422,18 +435,6 @@ def perturbed_state(sol: StrongSolution, grid: gridmod.Grid,
                             u=u0 + eps * du, theta=th0 + eps * bump, t=0.0)
 
 
-def _observed_ranges(traj: solver.Trajectory, model: thermo.ThermoModel,
-                     ranges: dict[str, float]) -> None:
-    """Fold one run's state ranges into ``ranges``, |s| one level at a time."""
-    s_hi = max(float(np.max(np.abs(model.s(traj.rho[k], traj.theta[k]))))
-               for k in range(traj.n_levels))
-    ranges["rho_min"] = min(ranges["rho_min"], float(np.min(traj.rho)))
-    ranges["rho_max"] = max(ranges["rho_max"], float(np.max(traj.rho)))
-    ranges["theta_min"] = min(ranges["theta_min"], float(np.min(traj.theta)))
-    ranges["theta_max"] = max(ranges["theta_max"], float(np.max(traj.theta)))
-    ranges["s_abs_max"] = max(ranges["s_abs_max"], s_hi)
-
-
 def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     """Run the collapse-and-stability study for claims "1", "2" or "3".
 
@@ -442,8 +443,9 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     better); perturbed data of size ``eps`` must stay inside
     ``exp(C t) * E(0)`` times the envelope factor, with the fitted constant
     stable across the listed perturbation sizes and across one grid
-    refinement.  One run's trajectory is alive at a time: everything read
-    from a run is read before the next run starts.
+    refinement.  Each run is read one saved level at a time as the solver
+    makes it: at most two consecutive levels are alive, and only per-level
+    scalars are kept.
     """
 
     if spec.theorem not in ("1", "2", "3"):
@@ -461,24 +463,46 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
 
     def run(grid: gridmod.Grid, eps: Optional[float] = None):
         """Solve from the strong data (``perturbed_state`` when ``eps`` is
-        given), fold the run into ``ranges`` and ``first``, and return its
+        given), fold each level into ``ranges`` (|s| evaluated once per
+        level) and ``first`` as the solver yields it, and return the run's
         relative-energy series against ``sol``."""
-        cfg = replace(spec.solver, source=sol)
-        initial = None if eps is None else perturbed_state(sol, grid, eps)
-        traj = solver.simulate(grid, cfg, model, spec.transport_model,
-                               boundary=sol.boundary, initial=initial)
-        _observed_ranges(traj, model, ranges)
-        if spec.theorem == "2" and not first:
-            rho, theta = traj.rho, traj.theta
-            en = rho * model.e(rho, theta)
-            sn = rho * np.abs(model.s(rho, theta))
-            first["temperature_chain_margin"] = float(
-                np.max(theta ** model.c_v / (rho * np.exp(_ENTROPY_CAP))))
-            first["pressure_quotient_max"] = float(
-                np.max(np.abs(model.p(rho, theta)) / (1.0 + en + sn)))
-        elif spec.theorem == "3" and eps is not None and not first:
-            first["velocity_control_ratio"] = _kp_absorption_ratio(traj, sol)
-        return relenergy.rel_energy_series(traj, sol, model, spec.transport_model)
+        claim2 = spec.theorem == "2" and not first
+        claim3 = spec.theorem == "3" and eps is not None and not first
+        reads: list[tuple[float, ...]] = []
+
+        def fold(states):
+            for state in states:
+                rho, theta = state.rho, state.theta
+                s_abs = np.abs(model.s(rho, theta))
+                ranges["rho_min"] = min(ranges["rho_min"], float(np.min(rho)))
+                ranges["rho_max"] = max(ranges["rho_max"], float(np.max(rho)))
+                ranges["theta_min"] = min(ranges["theta_min"], float(np.min(theta)))
+                ranges["theta_max"] = max(ranges["theta_max"], float(np.max(theta)))
+                ranges["s_abs_max"] = max(ranges["s_abs_max"], float(np.max(s_abs)))
+                if claim2:
+                    en = rho * model.e(rho, theta)
+                    reads.append((
+                        float(np.max(theta ** model.c_v / (rho * np.exp(_ENTROPY_CAP)))),
+                        float(np.max(np.abs(model.p(rho, theta)) / (1.0 + en + rho * s_abs)))))
+                elif claim3:
+                    reads.append((state.t, *_velocity_control_terms(state, sol)))
+                yield state
+
+        # the initial state goes straight to the solver, so no level is held
+        # here while the run marches on
+        rep = relenergy.rel_energy_series(
+            fold(solver.levels(grid, replace(spec.solver, source=sol), model,
+                               spec.transport_model, boundary=sol.boundary,
+                               initial=None if eps is None
+                               else perturbed_state(sol, grid, eps))),
+            sol, model, spec.transport_model)
+        if claim2:
+            margin, quotient = zip(*reads)
+            first["temperature_chain_margin"] = max(margin)
+            first["pressure_quotient_max"] = max(quotient)
+        elif claim3:
+            first["velocity_control_ratio"] = _kp_absorption_ratio(*zip(*reads))
+        return rep
 
     sup_e: list[float] = []
     hs: list[float] = []
@@ -594,9 +618,12 @@ class AprioriReport:
     ok: bool
 
 
-def _budget_terms(traj: solver.Trajectory, spec: ExperimentSpec,
-                  theta_hat: gridmod.ScalarField) -> dict[str, float]:
-    g = traj.grid
+def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
+                  theta_hat: gridmod.ScalarField,
+                  boundary: gridmod.BoundaryData) -> dict[str, float]:
+    """Budget terms of one run, folded one level at a time as ``states``
+    yields them; only the times and per-level scalars are kept."""
+    g = theta_hat.grid
     model = spec.model
     tm = spec.transport_model
     mu_lo = min(tm.mu0, tm.mu1)
@@ -608,18 +635,18 @@ def _budget_terms(traj: solver.Trajectory, spec: ExperimentSpec,
 
     state_sup = {k: 0.0 for k in ("mass", "kinetic", "internal", "entropy_power")}
     sum_sup = 0.0
-    visc = np.zeros(traj.n_levels)
-    bulk = np.zeros(traj.n_levels)
-    cond = np.zeros(traj.n_levels)
+    times: list[float] = []
+    visc: list[float] = []
+    bulk: list[float] = []
+    cond: list[float] = []
     flux_c = 0.0
     theta_sq_c = 0.0
     entropy_margin = math.inf
 
-    for k in range(traj.n_levels):
-        t = float(traj.times[k])
-        rho, u, theta = traj.rho[k], traj.u[k], traj.theta[k]
-        rho_f, u_f, th_f = gridmod.sync_physical(g, rho, u, theta,
-                                                 traj.boundary, t)
+    for state in states:
+        t = float(state.t)
+        rho, u, theta = state.rho, state.u, state.theta
+        rho_f, u_f, th_f = gridmod.sync_physical(g, rho, u, theta, boundary, t)
         grad_u = gridmod.grad_vector(u_f)
         grad_th = gridmod.gradient(th_f)
         div_u = np.einsum("...ii->...", grad_u)
@@ -639,12 +666,13 @@ def _budget_terms(traj: solver.Trajectory, spec: ExperimentSpec,
 
         # |grad u + grad u^T - (2/d) div u I|^2, exactly (scalings by 2 and 4)
         shear_sq = 4.0 * np.sum(transport.traceless_sym(grad_u) ** 2, axis=(-2, -1))
-        visc[k] = gridmod.integrate(g, mu_lo * (1.0 + 1.0 / theta) * shear_sq)
+        times.append(t)
+        visc.append(gridmod.integrate(g, mu_lo * (1.0 + 1.0 / theta) * shear_sq))
         lam = tm.lam(rho, theta)
-        bulk[k] = gridmod.integrate(g, lam / (2.0 * theta) * div_u ** 2)
-        cond[k] = gridmod.integrate(
+        bulk.append(gridmod.integrate(g, lam / (2.0 * theta) * div_u ** 2))
+        cond.append(gridmod.integrate(
             g, kap_lo * (theta ** -2.0 + theta ** (beta - 2.0))
-            * np.sum(grad_th * grad_th, axis=-1))
+            * np.sum(grad_th * grad_th, axis=-1)))
 
         # quotients realizing the two coupling estimates; the additive data
         # constant keeps both denominators positive, so a negative ballistic
@@ -665,7 +693,6 @@ def _budget_terms(traj: solver.Trajectory, spec: ExperimentSpec,
         lhs_e, rhs_e = thermo.entropy_growth_bound(model, rho, theta)
         entropy_margin = min(entropy_margin, float(np.min(rhs_e - lhs_e)))
 
-    times = traj.times
     out = {
         "state_sup": sum_sup,
         "mass_sup": state_sup["mass"],
@@ -716,13 +743,6 @@ def run_apriori(spec: ExperimentSpec, c_fixed: Optional[float] = None) -> Aprior
     hat_hi = -math.inf
     for n in spec.grids:
         grid = _make_grid(n, 2)
-        rho0, u0, th0 = sol.on_grid(grid, 0.0)
-        x = grid_points(grid)[..., 0]
-        init = solver.FlowState(grid=grid, rho=rho0, u=u0,
-                                theta=theta_b * (th0 + tilt * x), t=0.0)
-        cfg = replace(spec.solver, source=None)
-        traj = solver.simulate(grid, cfg, spec.model, spec.transport_model,
-                               boundary=boundary, initial=init)
         theta_hat = gridmod.harmonic_extension(grid, boundary, t=0.0)
         hat_int = theta_hat.interior
         bvals = [np.asarray(boundary.theta(0.0, pts), dtype=float)
@@ -735,7 +755,15 @@ def run_apriori(spec: ExperimentSpec, c_fixed: Optional[float] = None) -> Aprior
         hat_lo = min(hat_lo, float(np.min(hat_int)))
         hat_hi = max(hat_hi, float(np.max(hat_int)))
 
-        terms = _budget_terms(traj, spec, theta_hat)
+        rho0, u0, th0 = sol.on_grid(grid, 0.0)
+        x = grid_points(grid)[..., 0]
+        # the initial state goes straight to the solver, so no level is held
+        # here while the run marches on
+        states = solver.levels(
+            grid, replace(spec.solver, source=None), spec.model, spec.transport_model,
+            boundary=boundary, initial=solver.FlowState(
+                grid=grid, rho=rho0, u=u0, theta=theta_b * (th0 + tilt * x), t=0.0))
+        terms = _budget_terms(states, spec, theta_hat, boundary)
         flux_c = max(flux_c, terms.pop("entropy_flux_c"))
         theta_sq_c = max(theta_sq_c, terms.pop("theta_sq_c"))
         entropy_margin = min(entropy_margin, terms.pop("entropy_bound_margin"))

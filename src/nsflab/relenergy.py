@@ -25,7 +25,7 @@ cells and atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from . import grid as gridmod
 from . import thermo
 from . import transport
 from .manufactured import StrongSolution, grid_points
-from .solver import Trajectory
+from .solver import FlowState
 from .young import AtomicYoungMeasure, DefectBundle
 
 __all__ = [
@@ -440,28 +440,36 @@ _BLOCK_KEYS = ("shear_quad", "shear_coupling", "bulk_quad", "bulk_coupling",
                "heat_quad", "heat_coupling_state", "heat_coupling_coeff")
 
 
-def _state_atoms(V: AtomicYoungMeasure | Trajectory) -> tuple[np.ndarray, ...]:
-    """Weights and rho, theta, u atoms of a measure.  A trajectory is read as
-    its Dirac measure: one atom of weight 1 per cell, views of its arrays,
-    the bits of ``young.dirac_from_trajectory``."""
+def _level_atoms(V: AtomicYoungMeasure | Iterable[FlowState]) -> Iterator[tuple]:
+    """Grid, time, weights and rho, theta, u atoms of each level in turn.  A
+    flow state is read as its Dirac measure: one atom of weight 1 per cell,
+    views of its arrays, the bits of ``young.dirac_from_trajectory``."""
 
     if isinstance(V, AtomicYoungMeasure):
-        return V.weights, V.rho, V.theta, V.u
-    for name in ("rho", "u", "theta"):
-        if not np.all(np.isfinite(getattr(V, name))):
-            raise ValueError(f"{name} must be finite")
-    return (np.broadcast_to(1.0, V.rho.shape + (1,)), V.rho[..., None],
-            V.theta[..., None], np.expand_dims(V.u, 1 + V.grid.dim))
+        for lev in range(V.n_levels):
+            yield (V.grid, float(V.times[lev]), V.weights[lev], V.rho[lev],
+                   V.theta[lev], V.u[lev])
+        return
+    for state in V:
+        for name in ("rho", "u", "theta"):
+            if not np.all(np.isfinite(getattr(state, name))):
+                raise ValueError(f"{name} must be finite")
+        yield (state.grid, float(state.t), np.broadcast_to(1.0, state.rho.shape + (1,)),
+               state.rho[..., None], state.theta[..., None],
+               np.expand_dims(state.u, state.grid.dim))
 
 
-def rel_energy_series(V: AtomicYoungMeasure | Trajectory, sol: StrongSolution,
+def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSolution,
                       model: thermo.ThermoModel,
                       transport_model: transport.TransportModel,
                       on_level: Optional[Callable[[int, dict, np.ndarray], None]] = None,
                       ) -> RelEnergySeries:
-    """Relative energy of ``V`` against ``sol`` at every stored level.
+    """Relative energy of ``V`` against ``sol`` at every level.
 
-    A trajectory is read as its Dirac measure; gradient atoms are never read.
+    ``V`` is a measure or an iterable of flow states, such as
+    ``solver.levels``, read one level at a time: each state is read as its
+    Dirac measure and only per-level scalars are kept, so a run streamed
+    through here is never stored.  Gradient atoms are never read.
     Raises when the models differ, an atom is not finite or not strictly
     positive, or the energy fails its consistency checks.  ``on_level(lev,
     sf, chi)`` runs at each level with the comparison-state fields and the
@@ -475,16 +483,11 @@ def rel_energy_series(V: AtomicYoungMeasure | Trajectory, sol: StrongSolution,
         raise ValueError("comparison solution and report must share the equation of state")
     if sol.transport_model != transport_model:
         raise ValueError("comparison solution and report must share the transport model")
-    grid, times, n_levels = V.grid, V.times, V.n_levels
-    weights, rhos, thetas, us = _state_atoms(V)
-    e_mv, e_ess = np.zeros(n_levels), np.zeros(n_levels)
-    expansion = {k: np.zeros(n_levels) for k in
-                 ("ballistic", "cross", "carrier", "closure")}
+    times, e_mv, e_ess = [], [], []
+    expansion = {k: [] for k in ("ballistic", "cross", "carrier", "closure")}
 
-    for lev in range(n_levels):
-        t = float(times[lev])
+    for lev, (grid, t, w, rho, theta, u) in enumerate(_level_atoms(V)):
         sf = _strong_state(sol, grid, t, model, full=on_level is not None)
-        w, rho, theta, u = weights[lev], rhos[lev], thetas[lev], us[lev]
         if np.any(theta <= 0.0) or np.any(rho <= 0.0):
             raise ValueError("the relative energy needs strictly positive atom states")
 
@@ -496,19 +499,22 @@ def rel_energy_series(V: AtomicYoungMeasure | Trajectory, sol: StrongSolution,
         e_atom = _assemble(rho, u, rho_t, sf["u"][..., None, :], slope[..., None], h_atom,
                            thermo.ballistic_energy(model, rho_t, theta_t, theta_t))
         chi = CutoffParams().chi(rho, theta)
-        e_mv[lev] = gridmod.integrate(grid, _avg(w, e_atom, 0))
-        e_ess[lev] = gridmod.integrate(grid, _avg(w, chi * e_atom, 0))
+        times.append(t)
+        e_mv.append(gridmod.integrate(grid, _avg(w, e_atom, 0)))
+        e_ess.append(gridmod.integrate(grid, _avg(w, chi * e_atom, 0)))
 
         kin = 0.5 * rho * np.sum(u ** 2, axis=-1)
-        expansion["ballistic"][lev] = gridmod.integrate(grid, _avg(w, kin + h_atom, 0))
-        expansion["cross"][lev] = gridmod.integrate(
+        expansion["ballistic"].append(gridmod.integrate(grid, _avg(w, kin + h_atom, 0)))
+        expansion["cross"].append(gridmod.integrate(
             grid, -np.einsum("...k,...k->...",
-                             _avg(w, rho[..., None] * u, 1), sf["u"]))
-        expansion["carrier"][lev] = gridmod.integrate(
-            grid, _avg(w, rho, 0) * (0.5 * np.sum(sf["u"] ** 2, axis=-1) - slope))
-        expansion["closure"][lev] = gridmod.integrate(grid, sf["p"])
+                             _avg(w, rho[..., None] * u, 1), sf["u"])))
+        expansion["carrier"].append(gridmod.integrate(
+            grid, _avg(w, rho, 0) * (0.5 * np.sum(sf["u"] ** 2, axis=-1) - slope)))
+        expansion["closure"].append(gridmod.integrate(grid, sf["p"]))
         if on_level is not None:
             on_level(lev, _with_derived(sf, sol, grid, t, transport_model), chi)
+    times, e_mv, e_ess = np.asarray(times), np.asarray(e_mv), np.asarray(e_ess)
+    expansion = {k: np.asarray(v) for k, v in expansion.items()}
     e_res = e_mv - e_ess
 
     scale = 1.0 + float(np.max(np.abs(e_mv)))

@@ -18,13 +18,21 @@ axis, then the pressure gradient, the cell-centered work terms and the
 forcing; ``tests/golden/rhs.json`` pins the result bit for bit.
 ``_attempt`` reuses the rho*e that ``rhs`` computes, and ``stable_dt``
 evaluates the equation of state's partials once.
+
+``levels`` is the one marching loop: a generator that yields the initial
+state and then each saved level, and keeps only the current state. The
+claim studies and the a priori budget read each level as it arrives and
+drop it, so their storage does not grow with the number of steps.
+``simulate`` stacks what ``levels`` yields into a ``Trajectory`` for the
+readers that need a whole run at once (the weak-form clauses, the defect
+bundles, the CSV series).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -34,7 +42,7 @@ from .manufactured import StrongSolution, grid_points
 
 __all__ = [
     "PositivityError", "FlowState", "SolverConfig", "Trajectory",
-    "rhs", "stable_dt", "step", "simulate", "StrongSolution",
+    "rhs", "stable_dt", "step", "levels", "simulate", "StrongSolution",
 ]
 
 
@@ -318,11 +326,13 @@ class Trajectory:
                 "internal": internal, "total": kin + internal, "entropy": ent}
 
 
-def simulate(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
-             transport_model: transport.TransportModel,
-             boundary: Optional[gridmod.BoundaryData] = None,
-             initial: Optional[FlowState] = None, t0: float = 0.0) -> Trajectory:
-    """March to cfg.t_end, saving every cfg.save_every accepted steps."""
+def levels(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
+           transport_model: transport.TransportModel,
+           boundary: Optional[gridmod.BoundaryData] = None,
+           initial: Optional[FlowState] = None, t0: float = 0.0) -> Iterator[FlowState]:
+    """March to cfg.t_end, yielding the initial state and then every
+    cfg.save_every-th accepted step and the last one; only the current state
+    is kept."""
     if boundary is None:
         if cfg.source is None:
             raise ValueError("either boundary data or a source profile is required")
@@ -330,13 +340,11 @@ def simulate(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
     if initial is None:
         if cfg.source is None:
             raise ValueError("either an initial state or a source profile is required")
-        r0, u0, th0 = cfg.source.on_grid(grid, t0)
-        initial = FlowState(grid=grid, rho=r0, u=u0, theta=th0, t=t0)
+        initial = FlowState(grid, *cfg.source.on_grid(grid, t0), t0)
     boundary.validate_positive(grid, times=(t0, cfg.t_end))
 
-    times = [initial.t]
-    rhos, us, thetas = [initial.rho], [initial.u], [initial.theta]
-    state = initial
+    state, initial = initial, None  # hold the current level only
+    yield state
     n = 0
     while state.t < cfg.t_end - 1e-12:
         dt = min(stable_dt(state, cfg, model, transport_model), cfg.t_end - state.t)
@@ -345,11 +353,19 @@ def simulate(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
         if n > cfg.max_steps:
             raise RuntimeError(f"exceeded max_steps = {cfg.max_steps}")
         if n % cfg.save_every == 0 or state.t >= cfg.t_end - 1e-12:
-            times.append(state.t)
-            rhos.append(state.rho)
-            us.append(state.u)
-            thetas.append(state.theta)
-    return Trajectory(grid=grid, times=np.asarray(times), rho=np.stack(rhos),
-                      u=np.stack(us), theta=np.stack(thetas), model=model,
-                      transport_model=transport_model, boundary=boundary, cfg=cfg)
+            yield state
 
+
+def simulate(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
+             transport_model: transport.TransportModel,
+             boundary: Optional[gridmod.BoundaryData] = None,
+             initial: Optional[FlowState] = None, t0: float = 0.0) -> Trajectory:
+    """The states of :func:`levels`, stacked into a trajectory."""
+    states = list(levels(grid, cfg, model, transport_model, boundary, initial, t0))
+    return Trajectory(grid=grid, times=np.asarray([s.t for s in states]),
+                      rho=np.stack([s.rho for s in states]),
+                      u=np.stack([s.u for s in states]),
+                      theta=np.stack([s.theta for s in states]), model=model,
+                      transport_model=transport_model,
+                      boundary=cfg.source.boundary if boundary is None else boundary,
+                      cfg=cfg)

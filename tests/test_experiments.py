@@ -155,6 +155,37 @@ def test_kernel_entropy_quotient_separates_the_kernels():
     assert ex._kernel_entropy_quotient(MR_IDEAL) > 50.0
 
 
+@pytest.mark.parametrize("a, u_ref", [(1.0, 0.0), (1.0, 1.3), (2.0, 4.9), (1e-8, 1.0)])
+def test_radiation_flux_ratio_sweep_keeps_the_one_shot_bits(a, u_ref):
+    th, uu = np.meshgrid(np.geomspace(1e-6, 1e6, 601), np.linspace(-5.0, 5.0, 241),
+                         indexing="ij")
+    num = 2.0 * a * th * np.abs(uu)
+    den = 0.25 * th * th + (uu - u_ref) ** 2 + 2.0 * a * th
+    assert ex._radiation_flux_ratio(a, u_ref) == float(np.max(num / den))
+
+
+@pytest.mark.parametrize("model", [MR, MR_IDEAL], ids=["third_law", "ideal"])
+def test_kernel_entropy_quotient_sweep_keeps_the_one_shot_bits(model):
+    r, th = np.meshgrid(np.geomspace(1e-4, 1e4, 401), np.geomspace(1e-4, 1e4, 401),
+                        indexing="ij")
+    q = r * th ** -1.5
+    s_m = model.kernel.s(q)
+    rho_e_m = 1.5 * th ** 2.5 * model.kernel.p(q)
+    assert ex._kernel_entropy_quotient(model) == float(
+        np.max(r * s_m ** 2 / (1.0 + r + rho_e_m)))
+
+
+def test_sweep_max_is_exact_for_any_block_size():
+    x, y = np.linspace(-3.0, 2.0, 23), np.geomspace(0.1, 10.0, 5)
+
+    def f(a, b):
+        return np.sin(a) * b
+
+    one_shot = float(np.max(f(*np.meshgrid(x, y, indexing="ij"))))
+    for rows in (1, 4, 22, 23, 100):
+        assert ex._sweep_max(f, x, y, rows) == one_shot
+
+
 def test_fit_order_handles_exact_and_algebraic_decay():
     h = np.array([0.1, 0.05, 0.025])
     assert ex._fit_order(h, np.zeros(3)) == math.inf
@@ -234,23 +265,44 @@ _SMALL_STUDIES = {
 }
 
 
-@pytest.mark.parametrize("theorem", sorted(_SMALL_STUDIES))
-def test_claim_study_holds_one_trajectory_at_a_time(theorem, monkeypatch):
-    refs: list[weakref.ref] = []
-    alive_at_start: list[int] = []
-    simulate = solver.simulate
+_SMALL_APRIORI = ex.ExperimentSpec(theorem="apriori", model=MR, transport_model=PK,
+                                   grids=(8, 16))
+
+
+@pytest.mark.parametrize("study", sorted(_SMALL_STUDIES) + ["apriori"])
+def test_studies_hold_at_most_two_streamed_levels(study, monkeypatch):
+    levels = solver.levels
+    runs: list[list[weakref.ref]] = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the studies stream their levels; they stack no run")
 
     def tracked(*args, **kwargs):
-        alive_at_start.append(sum(r() is not None for r in refs))
-        traj = simulate(*args, **kwargs)
-        refs.append(weakref.ref(traj))
-        return traj
+        run: list[weakref.ref] = []
+        runs.append(run)
+        states = levels(*args, **kwargs)
+        del args, kwargs  # they may hold the initial state
+        for k, state in enumerate(states):
+            # every level of an earlier run, and every level of this run
+            # older than the previous one, is gone (no gc.collect)
+            alive = [(i, j) for i, refs in enumerate(runs)
+                     for j, ref in enumerate(refs) if ref() is not None]
+            assert all(at == (len(runs) - 1, k - 1) for at in alive), (k, alive)
+            run.append(weakref.ref(state))
+            yield state
 
-    monkeypatch.setattr(solver, "simulate", tracked)
-    ex.run_theorem(_SMALL_STUDIES[theorem])
-    assert len(refs) == 5  # two collapse runs, two perturbed, one coarse
-    assert alive_at_start == [0] * 5
-    assert all(r() is None for r in refs)
+    monkeypatch.setattr(solver, "simulate", refuse)
+    monkeypatch.setattr(solver, "levels", tracked)
+    # every accepted step saved, so each run yields several levels
+    every_step = solver.SolverConfig(t_end=0.005, save_every=1)
+    if study == "apriori":
+        ex.run_apriori(replace(_SMALL_APRIORI, solver=every_step))
+        assert len(runs) == 2
+    else:
+        ex.run_theorem(replace(_SMALL_STUDIES[study], solver=every_step))
+        assert len(runs) == 5  # two collapse runs, two perturbed, one coarse
+    assert min(len(refs) for refs in runs) >= 3, [len(refs) for refs in runs]
+    assert all(ref() is None for refs in runs for ref in refs)
 
 
 @pytest.mark.parametrize("theorem", sorted(_SMALL_STUDIES))

@@ -491,7 +491,12 @@ def test_energy_series_equals_the_report_bit_for_bit(make):
 def test_trajectory_series_equals_its_dirac_measure_bit_for_bit(make):
     traj, sol = make()
     args = (sol, sol.model, sol.transport_model)
-    direct = relenergy.rel_energy_series(traj, *args)
+    # the same run again, level by level, from the same initial state
+    initial = solver.FlowState(grid=traj.grid, rho=traj.rho[0], u=traj.u[0],
+                               theta=traj.theta[0], t=float(traj.times[0]))
+    states = list(solver.levels(traj.grid, traj.cfg, traj.model, traj.transport_model,
+                                traj.boundary, initial))
+    direct = relenergy.rel_energy_series(iter(states), *args)
     via_measure = relenergy.rel_energy_series(young.dirac_from_trajectory(traj), *args)
     for key in ("times", "e_mv", "e_ess", "e_res"):
         assert getattr(direct, key).tobytes() == getattr(via_measure, key).tobytes(), key
@@ -503,13 +508,15 @@ def test_trajectory_series_equals_its_dirac_measure_bit_for_bit(make):
 
     # a non-finite state is refused by name on both paths
     for name in ("u", "theta"):
-        vals = getattr(traj, name).copy()
-        vals[1].flat[3] = np.nan
-        bad = replace(traj, **{name: vals})
+        vals = getattr(states[1], name).copy()
+        vals.flat[3] = np.nan
+        bad = states[:1] + [replace(states[1], **{name: vals})] + states[2:]
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             relenergy.rel_energy_series(bad, *args)
+        stacked = getattr(traj, name).copy()
+        stacked[1].flat[3] = np.nan
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            young.dirac_from_trajectory(bad)
+            young.dirac_from_trajectory(replace(traj, **{name: stacked}))
 
 
 def test_gronwall_fit_recovers_synthetic_rate():

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,6 +286,55 @@ def test_simulate_requires_boundary_or_source():
     cfg = solver.SolverConfig(t_end=0.01)
     with pytest.raises(ValueError, match="boundary"):
         solver.simulate(gr, cfg, PG, AFF, initial=st)
+
+
+def _decay_run(save_every=1, max_steps=200_000):
+    gr, st = _decay_state(n=16)
+    cfg = solver.SolverConfig(t_end=0.02, save_every=save_every, max_steps=max_steps)
+    return (gr, cfg, PG, AFF), {"boundary": g.constant_boundary(1.0), "initial": st}
+
+
+def _forced_run(save_every=1):
+    sol = mfg.manufactured("radiative_decay", MR, PK)
+    cfg = solver.SolverConfig(t_end=0.015, source=sol, save_every=save_every)
+    return (g.Grid(cells=(8, 6)), cfg, MR, PK), {}
+
+
+def _assert_stack_of(traj, states):
+    assert traj.times.tobytes() == np.asarray([s.t for s in states]).tobytes()
+    for name in ("rho", "u", "theta"):
+        assert getattr(traj, name).tobytes() == np.stack(
+            [getattr(s, name) for s in states]).tobytes(), name
+
+
+@pytest.mark.parametrize("make", [_decay_run, _forced_run], ids=["decay-1d", "forced-2d"])
+def test_simulate_stacks_the_streamed_levels_bit_for_bit(make):
+    args, kwargs = make()
+    n_steps = len(list(solver.levels(*args, **kwargs))) - 1
+    assert n_steps >= 5
+    # every step, a stride with a partial last save, and only the ends
+    for save_every in (1, n_steps - 2, 10**9):
+        assert save_every == 1 or n_steps % save_every != 0
+        args, kwargs = make(save_every)
+        states = list(solver.levels(*args, **kwargs))
+        assert len(states) == 2 + (n_steps - 1) // save_every
+        if "initial" in kwargs:
+            assert states[0] is kwargs["initial"]
+        _assert_stack_of(solver.simulate(*args, **kwargs), states)
+
+
+def test_levels_and_simulate_stop_at_max_steps():
+    args, kwargs = _decay_run(max_steps=3)
+    states = []
+    with pytest.raises(RuntimeError, match=r"^exceeded max_steps = 3$"):
+        for state in solver.levels(*args, **kwargs):
+            states.append(state)
+    assert len(states) == 4  # the initial state and three steps
+    with pytest.raises(RuntimeError, match=r"^exceeded max_steps = 3$"):
+        solver.simulate(*args, **kwargs)
+    full = solver.simulate(*_decay_run()[0], **kwargs)
+    _assert_stack_of(replace(full, times=full.times[:4], rho=full.rho[:4], u=full.u[:4],
+                             theta=full.theta[:4]), states)
 
 
 def test_save_every_levels():
