@@ -49,7 +49,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "c_v": ("float", 1.5),
         "a": ("float", 1.0),
         "kernel": ("str", "degenerate"),
-        "radiation_exponent": ("int", 2),
     },
     "transport": {
         "kind": ("str", "affine_theta"),
@@ -63,11 +62,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "kappa1": ("float", 0.05),
         "kappa2": ("float", 0.05),
         "beta": ("float", 2.0),
-        "mu_lo": ("float", 0.01),
-        "mu_hi": ("float", 1.0),
-        "lam_hi": ("float", 1.0),
-        "kappa_lo": ("float", 0.01),
-        "kappa_hi": ("float", 1.0),
     },
     "grid": {
         "cells": ("ints", (64,)),
@@ -215,9 +209,7 @@ def build_model(cfg: RunConfig) -> thermo.ThermoModel:
             kernel = thermo.kernel_by_name(block["kernel"])
         except (KeyError, ValueError) as err:
             raise ConfigError(f"model.kernel: {err}") from None
-        return thermo.MolecularRadiation(
-            a=block["a"], kernel=kernel,
-            radiation_exponent=block["radiation_exponent"])
+        return thermo.MolecularRadiation(a=block["a"], kernel=kernel)
     raise ConfigError(
         f"model.kind must be 'perfect_gas' or 'molecular_radiation', got {kind!r}")
 
@@ -235,10 +227,8 @@ def build_transport(cfg: RunConfig) -> transport.TransportModel:
             lambda1=block["lambda1"], kappa1=block["kappa1"],
             kappa2=block["kappa2"], beta=block["beta"])
     if kind == "bounded_general":
-        return transport.BoundedGeneral(
-            mu_lo=block["mu_lo"], mu_hi=block["mu_hi"], lam_hi=block["lam_hi"],
-            kappa_lo=block["kappa_lo"], kappa_hi=block["kappa_hi"],
-            beta=block["beta"])
+        # an envelope with no coefficient law: every command refuses it
+        return transport.BoundedGeneral()
     raise ConfigError(
         "transport.kind must be 'affine_theta', 'power_kappa' or "
         f"'bounded_general', got {kind!r}")

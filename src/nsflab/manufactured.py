@@ -225,24 +225,26 @@ def _buffer(vals, rank: int, base: tuple, dim: int) -> np.ndarray:
     return buf
 
 
-def _compile(space: Callable, jets: Callable, model, transport_model, dim: int):
-    """One callable per field of (t, pts), pts of shape (..., dim), and a
-    callable of (t, pts) for (rho, u, theta) alone.
+def _compile(space: Callable, jets: Callable, model, transport_model, dim: int) -> dict:
+    """One callable per field of (t, pts), pts of shape (..., dim).
 
     A profile is a sum of products of time and space factors:
     ``space(coords)`` returns the jets of its space factors and
     ``jets(time, *factors)`` the (rho, [u_j], theta) jets. Results carry
     components in trailing axes and are read-only. For a read-only pts the
     space factors are kept until pts changes and the last evaluation until
-    (t, pts) changes, so a time level costs one evaluation and a grid its
-    space factors once. The state callable reads that evaluation when it
-    holds (t, pts) and otherwise stops at the jets: no state or coefficient
-    law, no forcing.
+    (t, pts) changes, so all 12 fields of a time level cost one evaluation
+    and a grid its space factors once. A writable pts is evaluated afresh at
+    every call.
     """
     last = [None, None, None]  # t, pts, fields
     factors = [None, None]  # pts, space factor jets
 
-    def state_jets(t, pts, frozen):
+    def evaluate(t, pts):
+        t = float(t)
+        frozen = isinstance(pts, np.ndarray) and not pts.flags.writeable
+        if frozen and pts is last[1] and t == last[0]:
+            return last[2]
         arr = np.asarray(pts, dtype=float)
         if frozen and pts is factors[0]:
             spatial = factors[1]
@@ -250,32 +252,14 @@ def _compile(space: Callable, jets: Callable, model, transport_model, dim: int):
             spatial = space(_coords(arr, dim))
             if frozen:
                 factors[:] = pts, spatial
-        return arr.shape[:-1], jets(_time(t, dim), *spatial)
-
-    def evaluate(t, pts):
-        t = float(t)
-        frozen = isinstance(pts, np.ndarray) and not pts.flags.writeable
-        if frozen and pts is last[1] and t == last[0]:
-            return last[2]
-        base, (rho, u, theta) = state_jets(t, pts, frozen)
-        comps = _fields(model, transport_model, rho, u, theta)
+        comps = _fields(model, transport_model, *jets(_time(t, dim), *spatial))
+        base = arr.shape[:-1]
         out = {name: _buffer(comps[name], rank, base, dim) for name, rank in _SHAPES.items()}
         if frozen:
             last[:] = t, pts, out
         return out
 
-    def state(t, pts):
-        t = float(t)
-        if pts is last[1] and t == last[0]:
-            out = last[2]
-            return out["rho"], out["u"], out["theta"]
-        frozen = isinstance(pts, np.ndarray) and not pts.flags.writeable
-        base, (rho, u, theta) = state_jets(t, pts, frozen)
-        return (_buffer(rho.v, 0, base, dim), _buffer([c.v for c in u], 1, base, dim),
-                _buffer(theta.v, 0, base, dim))
-
-    fns = {name: (lambda t, pts, name=name: evaluate(t, pts)[name]) for name in _SHAPES}
-    return fns, state
+    return {name: (lambda t, pts, name=name: evaluate(t, pts)[name]) for name in _SHAPES}
 
 
 @dataclass(frozen=True)
@@ -292,9 +276,7 @@ class StrongSolution:
     model: thermo.ThermoModel
     transport_model: transport.TransportModel
     boundary: gridmod.BoundaryData
-    params: dict
     _fns: dict = field(repr=False)
-    _state: Callable = field(repr=False)
 
     def __getattr__(self, name: str):
         if name.startswith("_"):
@@ -305,9 +287,13 @@ class StrongSolution:
             raise AttributeError(name) from None
 
     def state(self, t: float, pts):
-        """(rho, u, theta) at (t, pts), bit for bit as the field callables
-        give them, without evaluating the derivatives and forcings."""
-        return self._state(t, pts)
+        """(rho, u, theta) at (t, pts), read from the one evaluation of all
+        the fields there; a writable pts is read through a read-only copy,
+        so that evaluation is made once."""
+        if not (isinstance(pts, np.ndarray) and not pts.flags.writeable):
+            pts = np.array(pts, dtype=float)
+            pts.flags.writeable = False
+        return self.rho(t, pts), self.u(t, pts), self.theta(t, pts)
 
     def on_grid(self, grid: gridmod.Grid, t: float):
         """Interior (rho, u, theta) arrays at cell centers."""
@@ -327,12 +313,11 @@ def _check_laws(model, transport_model) -> None:
             raise TypeError(f"unsupported {what} type {type(obj).__name__}") from err
 
 
-def _build(profile, model, transport_model, boundary, params, dim, space, jets):
+def _build(profile, model, transport_model, boundary, dim, space, jets):
     _check_laws(model, transport_model)
-    fns, state = _compile(space, jets, model, transport_model, dim)
     return StrongSolution(profile=profile, dim=dim, model=model,
                           transport_model=transport_model, boundary=boundary,
-                          params=dict(params), _fns=fns, _state=state)
+                          _fns=_compile(space, jets, model, transport_model, dim))
 
 
 def _profile_equilibrium(model, transport_model, params):
@@ -345,7 +330,7 @@ def _profile_equilibrium(model, transport_model, params):
         return (_Jet.const(rho0, dim), [_Jet.const(0.0, dim)] * dim,
                 _Jet.const(theta0, dim))
 
-    return _build("equilibrium", model, transport_model, boundary, params, dim,
+    return _build("equilibrium", model, transport_model, boundary, dim,
                   lambda x: (), jets)
 
 
@@ -359,7 +344,7 @@ def _profile_conduction(model, transport_model, params):
     def jets(time, x):
         return _Jet.const(1.0, 1), [_Jet.const(0.0, 1)], theta0 + b * x
 
-    return _build("conduction", model, transport_model, boundary, params, 1,
+    return _build("conduction", model, transport_model, boundary, 1,
                   lambda x: (x[0],), jets)
 
 
@@ -380,7 +365,7 @@ def _profile_shear(model, transport_model, params):
         return (1.0 + wave2 * (amp_rho * decay), [wave * (amp_u * decay)],
                 1.0 + wave * (amp_th * decay))
 
-    return _build("shear", model, transport_model, boundary, params, 1, space, jets)
+    return _build("shear", model, transport_model, boundary, 1, space, jets)
 
 
 def _profile_radiative_decay(model, transport_model, params):
@@ -405,7 +390,7 @@ def _profile_radiative_decay(model, transport_model, params):
         theta = 1.0 + bump * (amp_th * _exp(-0.5 * rate * time))
         return rho, u, theta
 
-    return _build("radiative_decay", model, transport_model, boundary, params, 2,
+    return _build("radiative_decay", model, transport_model, boundary, 2,
                   space, jets)
 
 

@@ -248,23 +248,12 @@ def coercivity_check(model: thermo.ThermoModel, params: CutoffParams,
 
 
 def _strong_state(sol: StrongSolution, grid: gridmod.Grid, t: float,
-                  model: thermo.ThermoModel, full: bool = False) -> dict:
+                  model: thermo.ThermoModel) -> dict:
     """Comparison state and its p, e, s at cell centers: all the relative
-    energy itself reads.
+    energy itself reads.  The state is read from the profile's one
+    evaluation at (t, cell centers), which ``_with_derived`` reads too."""
 
-    The state comes from ``sol.state``, which evaluates the profile's jets
-    alone.  A caller that goes on to ``_with_derived`` passes ``full``: the
-    state is then read from the profile's full evaluation, which
-    ``_with_derived`` makes anyway; through ``sol.state`` the jets would be
-    evaluated twice per level (the default ``relenergy`` report took 1.2x
-    as long that way).  Both give the same bits.
-    """
-
-    pts = grid_points(grid)
-    if full:
-        rho, u, theta = sol.rho(t, pts), sol.u(t, pts), sol.theta(t, pts)
-    else:
-        rho, u, theta = sol.state(t, pts)
+    rho, u, theta = sol.state(t, grid_points(grid))
     if np.any(rho <= 0.0) or np.any(theta <= 0.0):
         raise ValueError("comparison state must have positive density and temperature")
     return {"rho": rho, "theta": theta, "u": u, "p": model.p(rho, theta),
@@ -273,16 +262,17 @@ def _strong_state(sol: StrongSolution, grid: gridmod.Grid, t: float,
 
 def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float,
                   transport_model: transport.TransportModel) -> dict:
-    """``state`` extended by the gradients, stress parts and transport
-    coefficients the inequality chain reads."""
+    """``state`` extended by the six equation-of-state partials (``dp_drho``
+    and so on, as ``partials`` keys them), the gradients, stress parts and
+    transport coefficients the inequality chain reads."""
 
     pts = grid_points(grid)
     rho, theta, u = state["rho"], state["theta"], state["u"]
-    ev = thermo.ThermoEval(p=state["p"], e=state["e"], s=state["s"],
-                           **sol.model.partials(rho, theta))
+    dp = sol.model.partials(rho, theta)
     g_u = sol.grad_u(t, pts)
     grad_theta = sol.grad_theta(t, pts)
-    grad_p = ev.dp_drho[..., None] * sol.grad_rho(t, pts) + ev.dp_dtheta[..., None] * grad_theta
+    grad_p = (dp["dp_drho"][..., None] * sol.grad_rho(t, pts)
+              + dp["dp_dtheta"][..., None] * grad_theta)
 
     # Divergence of the comparison viscous stress, recovered from the
     # momentum balance: div S = rho*(du/dt + (u.grad)u) + u*f_mass + grad p - f_mom.
@@ -291,7 +281,7 @@ def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float
              + grad_p - sol.f_mom(t, pts))
 
     return {
-        **state, "ev": ev,
+        **state, **dp,
         "g_u": g_u, "sym_u": transport.sym_part(g_u),
         "d0_u": transport.traceless_sym(g_u),
         "div_u": np.einsum("...ii->...", g_u),
@@ -322,9 +312,8 @@ def _r2_groups(V: AtomicYoungMeasure, level: int, sf: dict,
     rho_t = sf["rho"][..., None]
     theta_t = sf["theta"][..., None]
     u_t = sf["u"][..., None, :]
-    ev_t = sf["ev"]
     s_atom = model.s(rho, theta)
-    s_t = ev_t.s[..., None]
+    s_t = sf["s"][..., None]
     p_atom = model.p(rho, theta)
     dvec = u_t - u
     material = sf["dth_dt"] + np.einsum("...k,...k->...", sf["u"], sf["grad_theta"])
@@ -342,11 +331,11 @@ def _r2_groups(V: AtomicYoungMeasure, level: int, sf: dict,
     g5 = np.einsum("...k,...k->...",
                    _avg(w, (1.0 - rho / rho_t)[..., None] * dvec, 1),
                    sf["grad_p"])
-    p_gap = (ev_t.p[..., None] - ev_t.dp_drho[..., None] * (rho_t - rho)
-             - ev_t.dp_dtheta[..., None] * (theta_t - theta) - p_atom)
+    p_gap = (sf["p"][..., None] - sf["dp_drho"][..., None] * (rho_t - rho)
+             - sf["dp_dtheta"][..., None] * (theta_t - theta) - p_atom)
     g6 = _avg(w, p_gap, 0) * sf["div_u"]
-    s_gap = (s_t - ev_t.ds_drho[..., None] * (rho_t - rho)
-             - ev_t.ds_dtheta[..., None] * (theta_t - theta) - s_atom)
+    s_gap = (s_t - sf["ds_drho"][..., None] * (rho_t - rho)
+             - sf["ds_dtheta"][..., None] * (theta_t - theta) - s_atom)
     g7 = _avg(w, s_gap, 0) * sf["rho"] * material
 
     return {"reynolds": g1, "force_mismatch": g2, "entropy_drift": g3,
@@ -369,7 +358,7 @@ def remainder_R2(V: AtomicYoungMeasure, sol: StrongSolution,
     if abs(V.times[idx] - t) > 1e-9 * (1.0 + abs(t)):
         raise ValueError(f"time {t} is not a stored level of the measure")
     t = float(V.times[idx])
-    sf = _with_derived(_strong_state(sol, V.grid, t, model, full=True), sol, V.grid, t,
+    sf = _with_derived(_strong_state(sol, V.grid, t, model), sol, V.grid, t,
                        transport_model)
     total = sum(_r2_groups(V, idx, sf, model).values())
     return gridmod.ScalarField.from_interior(V.grid, total)
@@ -474,9 +463,10 @@ def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSo
     positive, or the energy fails its consistency checks.  ``on_level(lev,
     sf, chi)`` runs at each level with the comparison-state fields and the
     atoms' window weights, so a caller extending the pass evaluates ``sol``
-    once per level.  Without a hook only the state and its p, e and s are
-    evaluated; the derivatives, forcings, partials, gradients, stress parts
-    and coefficients are built for the hook alone.
+    once per level.  The comparison state comes from one evaluation of
+    ``sol`` per level; without a hook only its p, e and s are added, and the
+    partials, gradients, stress parts and coefficients are built for the hook
+    alone.
     """
 
     if sol.model != model:
@@ -487,7 +477,7 @@ def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSo
     expansion = {k: [] for k in ("ballistic", "cross", "carrier", "closure")}
 
     for lev, (grid, t, w, rho, theta, u) in enumerate(_level_atoms(V)):
-        sf = _strong_state(sol, grid, t, model, full=on_level is not None)
+        sf = _strong_state(sol, grid, t, model)
         if np.any(theta <= 0.0) or np.any(rho <= 0.0):
             raise ValueError("the relative energy needs strictly positive atom states")
 

@@ -133,10 +133,15 @@ def _tangential_at_faces(dcell: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _at_first(bad: np.ndarray, **values: np.ndarray) -> str:
+    """Index of the first cell where ``bad`` holds, and ``values`` there."""
+    idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    return f"cell {idx}: " + ", ".join(f"{k} = {float(v[idx])!r}" for k, v in values.items())
+
+
 def _first_nonpositive(rho: np.ndarray, theta: np.ndarray) -> str:
     """Index, rho and theta of the first cell where rho or theta is not > 0."""
-    idx = tuple(int(i) for i in np.argwhere(~((rho > 0.0) & (theta > 0.0)))[0])
-    return f"cell {idx}: rho = {float(rho[idx])!r}, theta = {float(theta[idx])!r}"
+    return _at_first(~((rho > 0.0) & (theta > 0.0)), rho=rho, theta=theta)
 
 
 def rhs(state: FlowState, model: thermo.ThermoModel,
@@ -242,16 +247,21 @@ def stable_dt(state: FlowState, cfg: SolverConfig, model: thermo.ThermoModel,
     return cfg.cfl * min(dt_adv, dt_diff)
 
 
+def _reject(bad: np.ndarray, what: str, **values: np.ndarray) -> None:
+    if bad.any():
+        raise PositivityError(f"stage state has {what} at " + _at_first(bad, **values))
+
+
 def _decode(grid, rho, mom, rhoe, t, model, theta_guess, floor):
-    if (rho <= floor).any():
-        return None
+    """The stage state of conserved densities (rho, rho u, rho e); raises
+    ``PositivityError`` naming the first cell with rho <= floor, then e <= 0,
+    then theta <= floor."""
+    _reject(rho <= floor, f"rho <= floor ({floor!r})", rho=rho)
     u = mom / rho[..., None]
     e = rhoe / rho
-    if (e <= 0.0).any():
-        return None
+    _reject(e <= 0.0, "e <= 0", e=e)
     theta = thermo.invert_internal_energy(model, rho, e, theta0=theta_guess)
-    if (theta <= floor).any():
-        return None
+    _reject(theta <= floor, f"theta <= floor ({floor!r})", theta=theta)
     return FlowState(grid=grid, rho=rho, u=u, theta=theta, t=t)
 
 
@@ -264,8 +274,6 @@ def _attempt(state, dt, cfg, model, transport_model, boundary):
     rhoe0 = k1[3]
     s1 = _decode(g, rho0 + dt * k1[0], mom0 + dt * k1[1], rhoe0 + dt * k1[2],
                  state.t + dt, model, state.theta, cfg.floor)
-    if s1 is None:
-        return None
     k2 = rhs(s1, model, transport_model, boundary, cfg)
     rho2 = 0.5 * (rho0 + s1.rho + dt * k2[0])
     mom2 = 0.5 * (mom0 + s1.rho[..., None] * s1.u + dt * k2[1])
@@ -282,15 +290,13 @@ def step(state: FlowState, cfg: SolverConfig, model: thermo.ThermoModel,
     if dt < 1e-14 * max(1.0, abs(state.t)):
         raise PositivityError(f"time step underflow (dt = {dt:.3e})")
     try:
-        out = _attempt(state, dt, cfg, model, transport_model, boundary)
+        return _attempt(state, dt, cfg, model, transport_model, boundary)
     except PositivityError:
-        out = None
-    if out is not None:
-        return out
-    out = _attempt(state, 0.5 * dt, cfg, model, transport_model, boundary)
-    if out is None:
-        raise PositivityError("positivity failure after halving dt once")
-    return out
+        pass
+    try:
+        return _attempt(state, 0.5 * dt, cfg, model, transport_model, boundary)
+    except PositivityError as err:
+        raise PositivityError(f"positivity failure after halving dt once: {err}") from err
 
 
 @dataclass(frozen=True)

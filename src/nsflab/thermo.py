@@ -38,7 +38,6 @@ __all__ = [
     "ThermoModel",
     "PerfectGas",
     "MolecularRadiation",
-    "ThermoEval",
     "gibbs_residual",
     "ballistic_energy",
     "conservative_energy",
@@ -125,21 +124,6 @@ def kernel_by_name(name: str) -> PressureKernel:
         raise ValueError(f"unknown pressure kernel {name!r}; known: {sorted(_KERNELS)}") from None
 
 
-@dataclass(frozen=True)
-class ThermoEval:
-    """Pressure, internal energy, entropy and their (rho, theta) partials."""
-
-    p: np.ndarray
-    e: np.ndarray
-    s: np.ndarray
-    dp_drho: np.ndarray
-    dp_dtheta: np.ndarray
-    de_drho: np.ndarray
-    de_dtheta: np.ndarray
-    ds_drho: np.ndarray
-    ds_dtheta: np.ndarray
-
-
 class ThermoModel:
     """Base class for equations of state. Subclasses supply the state laws."""
 
@@ -167,24 +151,6 @@ class ThermoModel:
     def rho_s(self, rho, theta):
         """rho * s(rho, theta), continued by its limit at rho = 0."""
         raise NotImplementedError
-
-    def eval(self, rho, theta) -> ThermoEval:
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        if np.any(rho <= 0.0) or np.any(theta <= 0.0):
-            raise ValueError("eval requires rho > 0 and theta > 0")
-        d = self.partials(rho, theta)
-        return ThermoEval(
-            p=self.p(rho, theta),
-            e=self.e(rho, theta),
-            s=self.s(rho, theta),
-            dp_drho=d["dp_drho"],
-            dp_dtheta=d["dp_dtheta"],
-            de_drho=d["de_drho"],
-            de_dtheta=d["de_dtheta"],
-            ds_drho=d["ds_drho"],
-            ds_dtheta=d["ds_dtheta"],
-        )
 
     def sound_speed_sq(self, rho, theta, partials):
         """Isentropic sound speed squared: dp/drho + theta*(dp/dtheta)^2/(rho^2 de/dtheta),
@@ -240,10 +206,6 @@ class PerfectGas(ThermoModel):
         safe = np.where(rho > 0.0, rho, 1.0)
         out = safe * (self.c_v * np.log(theta) - np.log(safe))
         return np.where(rho > 0.0, out, 0.0)
-
-    def theta_from_entropy(self, rho, s):
-        """Closed-form inverse of s(rho, .) for this law."""
-        return np.exp((np.asarray(s, dtype=float) + np.log(np.asarray(rho, dtype=float))) / self.c_v)
 
 
 @dataclass(frozen=True)
@@ -326,6 +288,15 @@ class MolecularRadiation(ThermoModel):
         return np.where(rho > 0.0, mol, 0.0) + 2.0 * self.a * theta
 
 
+def _positive(rho, theta) -> tuple[np.ndarray, np.ndarray]:
+    """``rho`` and ``theta`` as float arrays, both required to be > 0."""
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
+        raise ValueError("the state laws need rho > 0 and theta > 0")
+    return rho, theta
+
+
 def gibbs_residual(model: ThermoModel, rho, theta):
     """Normalized residuals of the Gibbs relation theta*Ds = De + p*D(1/rho).
 
@@ -335,14 +306,13 @@ def gibbs_residual(model: ThermoModel, rho, theta):
         r_rho   = (theta*ds_drho - de_drho + p/rho**2) / scale,
 
     where scale = 1 + |e| + |theta*s| keeps the residual meaningful across
-    magnitudes.
+    magnitudes. Raises ``ValueError`` unless rho > 0 and theta > 0.
     """
-    ev = model.eval(rho, theta)
-    theta = np.asarray(theta, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    scale = 1.0 + np.abs(ev.e) + np.abs(theta * ev.s)
-    r_theta = (theta * ev.ds_dtheta - ev.de_dtheta) / scale
-    r_rho = (theta * ev.ds_drho - ev.de_drho + ev.p / rho**2) / scale
+    rho, theta = _positive(rho, theta)
+    d = model.partials(rho, theta)
+    scale = 1.0 + np.abs(model.e(rho, theta)) + np.abs(theta * model.s(rho, theta))
+    r_theta = (theta * d["ds_dtheta"] - d["de_dtheta"]) / scale
+    r_rho = (theta * d["ds_drho"] - d["de_drho"] + model.p(rho, theta) / rho**2) / scale
     return r_theta, r_rho
 
 
@@ -422,7 +392,8 @@ def invert_entropy(model: ThermoModel, rho, s_target, theta0=None, max_iter=120)
     Vectorized over arrays; the perfect gas takes its closed form.
     """
     if isinstance(model, PerfectGas):
-        return model.theta_from_entropy(rho, s_target)
+        return np.exp((np.asarray(s_target, dtype=float) + np.log(np.asarray(rho, dtype=float)))
+                      / model.c_v)
     return _invert_monotone(model, "s", rho, s_target, theta0, max_iter)
 
 
@@ -450,14 +421,16 @@ def conservative_partials(model: ThermoModel, rho, entropy, momentum):
     """Gradient of E(rho, S, m): (dE/drho, dE/dS, dE/dm).
 
     dE/drho = -|m|**2/(2 rho**2) + e - theta*s + p/rho,  dE/dS = theta,
-    dE/dm = m/rho; the thermal parts follow from the Gibbs relation.
+    dE/dm = m/rho; the thermal parts follow from the Gibbs relation. Raises
+    ``ValueError`` unless rho and the temperature it inverts to are > 0.
     """
     rho = np.asarray(rho, dtype=float)
     entropy = np.asarray(entropy, dtype=float)
     momentum = np.asarray(momentum, dtype=float)
     theta = invert_entropy(model, rho, entropy / rho)
-    ev = model.eval(rho, theta)
-    dE_drho = -0.5 * np.sum(momentum**2, axis=-1) / rho**2 + ev.e - theta * ev.s + ev.p / rho
+    rho, theta = _positive(rho, theta)
+    dE_drho = (-0.5 * np.sum(momentum**2, axis=-1) / rho**2 + model.e(rho, theta)
+               - theta * model.s(rho, theta) + model.p(rho, theta) / rho)
     dE_dS = theta
     dE_dm = momentum / rho[..., None] if momentum.ndim > rho.ndim else momentum / rho
     return dE_drho, dE_dS, dE_dm

@@ -88,7 +88,7 @@ def test_deleted_keys_are_rejected_by_name(text, path):
 def test_schema_has_one_profile_key_and_no_unread_section():
     text = config.dumps_config(config.default_config())
     keys = [line for line in text.splitlines() if " = " in line]
-    assert len(keys) == 35
+    assert len(keys) == 29
     assert sum(line.startswith("profile = ") for line in keys) == 1
     assert "[boundary]" not in text
 
@@ -400,6 +400,31 @@ def test_config_file_with_unknown_key_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "transport.viscocity" in err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("transport", "mu_lo"), ("transport", "mu_hi"), ("transport", "lam_hi"),
+    ("transport", "kappa_lo"), ("transport", "kappa_hi"), ("model", "radiation_exponent"),
+])
+def test_removed_config_keys_exit_two_by_name(tmp_path, capsys, section, key):
+    # the BoundedGeneral envelope bounds and the one-valued radiation exponent
+    # parametrised no run, so an old file naming them is refused
+    ini = tmp_path / "old.ini"
+    ini.write_text(f"[{section}]\n{key} = 2\n")
+    code = cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{section}.{key}" in err
+
+
+def test_bounded_general_transport_still_fails_the_gate(tmp_path, capsys):
+    code = cli.main(["wsu", "--theorem", "1", "--transport", "bounded_general",
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "envelope bounds" in err
+    verdict = reports.read_verdicts(tmp_path / "wsu" / "verdict.json")
+    assert verdict["accepted"] is False
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):

@@ -262,6 +262,25 @@ def test_fields_at_one_time_level_are_evaluated_once():
     assert np.array_equal(sol.u(0.3, pts), first["u"])
 
 
+def test_state_on_grid_is_the_one_evaluation_of_all_fields(monkeypatch):
+    jets = []
+    time_jet = mfg._time
+    monkeypatch.setattr(mfg, "_time", lambda t, dim: jets.append(t) or time_jet(t, dim))
+    sol = mfg.manufactured("radiative_decay", MR, PK)
+    grid = g.Grid(cells=(6, 5))
+    pts = mfg.grid_points(grid)
+    rho, u, theta = sol.on_grid(grid, 0.3)
+    assert sol.rho(0.3, pts) is rho and sol.u(0.3, pts) is u and sol.theta(0.3, pts) is theta
+    for fn in sol._fns.values():
+        fn(0.3, pts)
+    assert jets == [0.3]
+    # a writable pts is read through one read-only copy: one more evaluation
+    rho_w, u_w, theta_w = sol.state(0.3, pts.copy())
+    assert jets == [0.3, 0.3]
+    assert np.array_equal(rho_w, rho) and np.array_equal(u_w, u)
+    assert np.array_equal(theta_w, theta)
+
+
 with open(os.path.join(os.path.dirname(__file__), "golden", "manufactured.json"),
           encoding="utf-8") as fh:
     GOLDEN = json.load(fh)

@@ -198,7 +198,7 @@ def test_positivity_loss_before_flux_assembly_names_the_cell():
 @settings(max_examples=60, deadline=None)
 def test_decode_rejects_one_nonpositive_cell(model, cells, bad_rho, frac, seed):
     # one cell with rho <= floor (bad_rho) or e <= 0 makes the stage state
-    # undecodable: _decode says so with None instead of raising
+    # undecodable: _decode raises, naming the quantity, that cell and its value
     rng = np.random.default_rng(seed)
     gr = g.Grid(cells=tuple(cells))
     floor = 1e-10
@@ -208,10 +208,14 @@ def test_decode_rejects_one_nonpositive_cell(model, cells, bad_rho, frac, seed):
     cell = tuple(int(rng.integers(n)) for n in gr.cells)
     if bad_rho:
         rho[cell] = frac * floor
+        what, value = f"rho <= floor ({floor!r})", f"rho = {float(rho[cell])!r}"
     else:
         rhoe[cell] = min(frac, 0.0) * rho[cell]
+        what, value = "e <= 0", f"e = {float(rhoe[cell] / rho[cell])!r}"
     theta_guess = np.ones(gr.interior_shape())
-    assert solver._decode(gr, rho, mom, rhoe, 0.0, model, theta_guess, floor) is None
+    with pytest.raises(solver.PositivityError) as info:
+        solver._decode(gr, rho, mom, rhoe, 0.0, model, theta_guess, floor)
+    assert str(info.value) == f"stage state has {what} at cell {cell}: {value}"
 
 
 def _steep_state():
@@ -229,13 +233,17 @@ def test_step_halves_dt_once_after_a_positivity_breach():
     bc = g.constant_boundary(1.0)
     dt = 0.02
     assert dt > 100.0 * solver.stable_dt(st, cfg, PG, AFF)
-    assert solver._attempt(st, dt, cfg, PG, AFF, bc) is None
+    with pytest.raises(solver.PositivityError, match=r"stage state has .* at cell \("):
+        solver._attempt(st, dt, cfg, PG, AFF, bc)
     out = solver.step(st, cfg, PG, AFF, bc, dt=dt)
     assert out.t == 0.5 * dt
     half = solver._attempt(st, 0.5 * dt, cfg, PG, AFF, bc)
     assert np.array_equal(out.rho, half.rho) and np.array_equal(out.theta, half.theta)
-    with pytest.raises(solver.PositivityError, match="positivity failure after halving dt once"):
+    with pytest.raises(solver.PositivityError) as info:
         solver.step(st, cfg, PG, AFF, bc, dt=0.06)
+    _, half_error = _attempt_or_error(st, 0.03, cfg, PG, AFF, bc)
+    assert half_error.startswith("stage state has ")
+    assert str(info.value) == "positivity failure after halving dt once: " + half_error
 
 
 def _attempt_or_error(*args):
@@ -250,8 +258,8 @@ def _attempt_or_error(*args):
 @settings(max_examples=40, deadline=None)
 def test_step_is_the_full_or_the_halved_attempt(model, n, rho_right, amp_u, log_factor):
     # step either returns _attempt(dt) or, when that fails, _attempt(dt/2),
-    # bit for bit, or raises: "after halving dt once" when the halved
-    # attempt is undecodable, its own error when it raises one
+    # bit for bit, or raises "after halving dt once" with the halved
+    # attempt's own error
     gr = g.Grid(cells=(n,))
     x = gr.centers(0)
     st = solver.FlowState(grid=gr, rho=np.where(x < 0.5, 1.0, rho_right),
@@ -263,10 +271,9 @@ def test_step_is_the_full_or_the_halved_attempt(model, n, rho_right, amp_u, log_
     half, half_error = _attempt_or_error(st, 0.5 * dt, cfg, model, AFF, bc)
     expected = full if full is not None else half
     if expected is None:
-        message = half_error or "positivity failure after halving dt once"
         with pytest.raises(solver.PositivityError) as info:
             solver.step(st, cfg, model, AFF, bc, dt=dt)
-        assert str(info.value) == message
+        assert str(info.value) == "positivity failure after halving dt once: " + half_error
         return
     out = solver.step(st, cfg, model, AFF, bc, dt=dt)
     assert out.t == expected.t

@@ -40,12 +40,12 @@ def test_gibbs_residual_small(name):
 def test_partials_match_finite_differences(name):
     model = MODELS[name]
     rho, theta = _states(200, seed=3, lo=1e-2, hi=1e2)
-    ev = model.eval(rho, theta)
+    d = model.partials(rho, theta)
     h = 1e-6
     for fn, d_rho, d_theta in [
-        (model.p, ev.dp_drho, ev.dp_dtheta),
-        (model.e, ev.de_drho, ev.de_dtheta),
-        (model.s, ev.ds_drho, ev.ds_dtheta),
+        (model.p, d["dp_drho"], d["dp_dtheta"]),
+        (model.e, d["de_drho"], d["de_dtheta"]),
+        (model.s, d["ds_drho"], d["ds_dtheta"]),
     ]:
         num_rho = (fn(rho * (1 + h), theta) - fn(rho * (1 - h), theta)) / (2 * h * rho)
         num_theta = (fn(rho, theta * (1 + h)) - fn(rho, theta * (1 + h) - 2 * h * theta)) / (2 * h * theta)
@@ -84,8 +84,10 @@ def test_quartic_radiation_rejected():
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        MODELS["perfect_gas"].eval(np.array([1.0, -2.0]), np.array([1.0, 1.0]))
+    model = MODELS["perfect_gas"]
+    for rho, theta in (([1.0, -2.0], [1.0, 1.0]), ([1.0, 2.0], [0.0, 1.0])):
+        with pytest.raises(ValueError, match="rho > 0 and theta > 0"):
+            thermo.gibbs_residual(model, np.array(rho), np.array(theta))
 
 
 def test_ballistic_energy_frozen_value():
