@@ -40,9 +40,9 @@ def _echo_config(cfg: configmod.RunConfig, out: str) -> None:
 
 
 def _base_config(args) -> configmod.RunConfig:
-    if args.config:
-        return configmod.load_config(args.config)
-    return configmod.default_config()
+    """The config file or the defaults, with ``--seed`` applied."""
+    cfg = configmod.load_config(args.config) if args.config else configmod.default_config()
+    return _apply(cfg, "run", "seed", args.seed)
 
 
 def _apply(cfg: configmod.RunConfig, section: str, key: str, value):
@@ -115,7 +115,7 @@ def cmd_verify_thermo(args) -> int:
     out = _resolve_out(args, "verify-thermo")
     _echo_config(cfg, out)
 
-    seed = args.seed if args.seed is not None else cfg["run"]["seed"]
+    seed = cfg["run"]["seed"]
     model = configmod.build_model(cfg)
     rep = thermo.validate_structure(model, n_samples=args.samples, seed=seed)
     reports.write_verdicts(os.path.join(out, "verdict.json"), {
@@ -140,12 +140,13 @@ def cmd_mv_check(args) -> int:
     cfg = _apply(cfg, "solver", "profile", args.profile)
     cfg = _apply(cfg, "solver", "t_end", args.t_end)
     out = _resolve_out(args, "mv-check")
+    sol = configmod.build_source(cfg)
+    dim = sol.dim
+    cfg = cfg.replace_value("grid", "cells", (args.cells,) * dim)
     _echo_config(cfg, out)
 
     model = configmod.build_model(cfg)
     tm = configmod.build_transport(cfg)
-    sol = configmod.build_source(cfg)
-    dim = sol.dim
     grid = gridmod.Grid(cells=(args.cells,) * dim)
     rho0, u0, th0 = sol.on_grid(grid, 0.0)
     init = solver.FlowState(grid=grid, rho=rho0, u=u0, theta=th0, t=0.0)
@@ -201,11 +202,13 @@ def cmd_relenergy(args) -> int:
     cfg = _apply(cfg, "solver", "profile", args.profile)
     cfg = _apply(cfg, "solver", "t_end", args.t_end)
     out = _resolve_out(args, "relenergy")
+    sol = configmod.build_source(cfg)
+    cfg = cfg.replace_value("grid", "cells", (args.cells,) * sol.dim)
+    cfg = cfg.replace_value("experiment", "eps", (args.eps,))
     _echo_config(cfg, out)
 
     model = configmod.build_model(cfg)
     tm = configmod.build_transport(cfg)
-    sol = configmod.build_source(cfg)
     grid = gridmod.Grid(cells=(args.cells,) * sol.dim)
     init = experiments.perturbed_state(sol, grid, args.eps)
     scfg = configmod.build_solver_config(cfg, sol)

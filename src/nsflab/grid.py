@@ -106,14 +106,13 @@ class Grid:
 class BoundaryData:
     """Dirichlet temperature trace theta_B(t, x) > 0 on all of the boundary.
 
-    ``theta`` maps (t, pts) -> values, where pts has shape (..., dim);
-    ``dtheta_dt`` is its time derivative. Velocity is homogeneous Dirichlet
-    (u = 0) throughout and carries no data here.
+    ``theta`` maps (t, pts) -> values, where pts has shape (..., dim).
+    Velocity is homogeneous Dirichlet (u = 0) throughout and carries no data
+    here. The ballistic clause reads the time derivative of its reference
+    temperature from ``testfuns.ThetaRef.dt``, not from the trace.
     """
 
     theta: Callable[[float, np.ndarray], np.ndarray]
-    dtheta_dt: Callable[[float, np.ndarray], np.ndarray]
-    label: str = "custom"
 
     def validate_positive(self, grid: Grid, times: Sequence[float] = (0.0,)) -> None:
         for t in times:
@@ -131,11 +130,7 @@ def constant_boundary(value: float) -> BoundaryData:
         pts = np.asarray(pts, dtype=float)
         return np.full(pts.shape[:-1], float(value))
 
-    def dtheta(t, pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.zeros(pts.shape[:-1])
-
-    return BoundaryData(theta=theta, dtheta_dt=dtheta, label=f"constant:{value!r}")
+    return BoundaryData(theta=theta)
 
 
 def affine_boundary(c0: float, cx: float, cy: float = 0.0) -> BoundaryData:
@@ -148,11 +143,7 @@ def affine_boundary(c0: float, cx: float, cy: float = 0.0) -> BoundaryData:
             out = out + cy * pts[..., 1]
         return out
 
-    def dtheta(t, pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.zeros(pts.shape[:-1])
-
-    return BoundaryData(theta=theta, dtheta_dt=dtheta, label=f"affine:{c0!r},{cx!r},{cy!r}")
+    return BoundaryData(theta=theta)
 
 
 @functools.lru_cache(maxsize=64)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -406,25 +406,11 @@ def profile_names() -> tuple[str, ...]:
     return tuple(sorted(_PROFILES))
 
 
-def manufactured(profile: str, model, transport_model, boundary=None, **params) -> StrongSolution:
-    """Build the named analytic profile for the given models.
-
-    The profile carries its own compatible boundary trace; an explicit
-    ``boundary`` is accepted only as a consistency assertion and must match
-    the profile trace at the sample points.
-    """
+def manufactured(profile: str, model, transport_model, **params) -> StrongSolution:
+    """Build the named analytic profile for the given models; the profile
+    carries its own compatible boundary trace."""
     try:
         builder = _PROFILES[profile]
     except KeyError:
         raise KeyError(f"unknown profile {profile!r}; have {profile_names()}") from None
-    sol = builder(model, transport_model, params)
-    if boundary is not None:
-        g = gridmod.Grid(cells=(8,) * sol.dim)
-        for side, pts in gridmod.boundary_face_points(g).items():
-            for t in (0.0, 0.5):
-                got = np.asarray(boundary.theta(t, pts), dtype=float)
-                want = np.asarray(sol.boundary.theta(t, pts), dtype=float)
-                if np.max(np.abs(got - want)) > 1e-12:
-                    raise ValueError(f"boundary data incompatible with profile trace on {side}")
-        sol = replace(sol, boundary=boundary)
-    return sol
+    return builder(model, transport_model, params)

@@ -42,7 +42,7 @@ from .manufactured import StrongSolution, grid_points
 
 __all__ = [
     "PositivityError", "FlowState", "SolverConfig", "Trajectory",
-    "rhs", "stable_dt", "step", "levels", "simulate", "StrongSolution",
+    "rhs", "stable_dt", "step", "levels", "simulate",
 ]
 
 
@@ -335,10 +335,10 @@ class Trajectory:
 def levels(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
            transport_model: transport.TransportModel,
            boundary: Optional[gridmod.BoundaryData] = None,
-           initial: Optional[FlowState] = None, t0: float = 0.0) -> Iterator[FlowState]:
-    """March to cfg.t_end, yielding the initial state and then every
-    cfg.save_every-th accepted step and the last one; only the current state
-    is kept."""
+           initial: Optional[FlowState] = None) -> Iterator[FlowState]:
+    """March from t = 0 to cfg.t_end, yielding the initial state and then
+    every cfg.save_every-th accepted step and the last one; only the current
+    state is kept."""
     if boundary is None:
         if cfg.source is None:
             raise ValueError("either boundary data or a source profile is required")
@@ -346,8 +346,8 @@ def levels(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
     if initial is None:
         if cfg.source is None:
             raise ValueError("either an initial state or a source profile is required")
-        initial = FlowState(grid, *cfg.source.on_grid(grid, t0), t0)
-    boundary.validate_positive(grid, times=(t0, cfg.t_end))
+        initial = FlowState(grid, *cfg.source.on_grid(grid, 0.0), 0.0)
+    boundary.validate_positive(grid, times=(0.0, cfg.t_end))
 
     state, initial = initial, None  # hold the current level only
     yield state
@@ -365,9 +365,9 @@ def levels(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
 def simulate(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
              transport_model: transport.TransportModel,
              boundary: Optional[gridmod.BoundaryData] = None,
-             initial: Optional[FlowState] = None, t0: float = 0.0) -> Trajectory:
+             initial: Optional[FlowState] = None) -> Trajectory:
     """The states of :func:`levels`, stacked into a trajectory."""
-    states = list(levels(grid, cfg, model, transport_model, boundary, initial, t0))
+    states = list(levels(grid, cfg, model, transport_model, boundary, initial))
     return Trajectory(grid=grid, times=np.asarray([s.t for s in states]),
                       rho=np.stack([s.rho for s in states]),
                       u=np.stack([s.u for s in states]),

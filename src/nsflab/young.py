@@ -20,7 +20,8 @@ done once per level.
 
 ``calibrate_kp_constant`` gives a grid's Korn-Poincare constant; the claim-3
 study in ``experiments`` compares it with the velocity-control quotient of a
-run.
+run.  ``defect_from_refinement`` estimates a defect bundle by block-averaging
+one fine run onto one coarser grid, level by level.
 
 Discrete-calculus convention: expectations live at cell centers, test-function
 spatial derivatives are formed with the same centered operators as the field
@@ -681,7 +682,7 @@ def calibrate_kp_constant(grid: gridmod.Grid) -> float:
 
 
 # --------------------------------------------------------------------------
-# defects from refinement families
+# defects by coarse-graining a fine run
 # --------------------------------------------------------------------------
 
 
@@ -699,43 +700,35 @@ def _block_average(a: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
     return reshaped.mean(axis=axes)
 
 
-def _nearest_level(traj: Trajectory, t: float) -> int:
-    return int(np.argmin(np.abs(np.asarray(traj.times) - t)))
-
-
-def defect_from_refinement(trajs: Sequence[Trajectory],
+def defect_from_refinement(fine: Trajectory, coarse: gridmod.Grid,
                            model: thermo.ThermoModel,
                            theta_refs: Sequence[ThetaRef] = (),
                            ) -> tuple[DefectBundle, RefinementReport]:
-    """Estimate dissipation and matrix defects by coarse-graining refinements.
+    """Estimate dissipation and matrix defects by coarse-graining a fine run.
 
-    Each trajectory is block-averaged in its conserved variables
-    ``(rho, rho u, rho s)`` onto the coarsest member's grid.  Per coarse cell,
-    the dissipation-defect density is the Jensen gap
-    ``avg(total energy) - total energy(averaged state)`` (nonnegative because
-    total energy is convex in the conserved variables), and the matrix-defect
-    density is the matching gap for ``rho u x u + p I``.  The compatibility
-    weight is ``xi = integral|r_m|_F / D``.  Reference-temperature terms enter
-    the ballistic gap only through in-cell covariance with the entropy, so the
-    estimate's spread across admissible references is reported and expected
-    small.
+    Each level of ``fine`` is block-averaged in its conserved variables
+    ``(rho, rho u, rho s)`` onto ``coarse``, and level k of the bundle is
+    level k of ``fine``.  Per coarse cell, the dissipation-defect density is
+    the Jensen gap ``avg(total energy) - total energy(averaged state)``
+    (nonnegative because total energy is convex in the conserved variables),
+    and the matrix-defect density is the matching gap for ``rho u x u + p I``.
+    The compatibility weight is ``xi = integral|r_m|_F / D``.
+    Reference-temperature terms enter the ballistic gap only through in-cell
+    covariance with the entropy, so the estimate's spread across admissible
+    references is reported and expected small.
     """
 
-    if len(trajs) < 2:
-        raise ValueError("need at least two refinement levels")
-    order = sorted(range(len(trajs)),
-                   key=lambda i: -int(np.prod(trajs[i].grid.cells)))
-    trajs = [trajs[i] for i in order]
-    coarse = trajs[-1].grid
-    for traj in trajs:
-        g = traj.grid
-        if g.dim != coarse.dim or g.lo != coarse.lo or g.hi != coarse.hi:
-            raise ValueError("incompatible grids: refinement members must share the domain")
-        if any(cf % cc for cf, cc in zip(g.cells, coarse.cells)):
-            raise ValueError("incompatible grids: cells must be multiples of the coarsest")
-    times = np.asarray(trajs[-1].times, dtype=float)
+    g = fine.grid
+    if g.dim != coarse.dim or g.lo != coarse.lo or g.hi != coarse.hi:
+        raise ValueError("incompatible grids: the fine run and the coarse grid "
+                         "must share the domain")
+    if any(cf % cc for cf, cc in zip(g.cells, coarse.cells)):
+        raise ValueError("incompatible grids: fine cells must be multiples of the coarse ones")
+    factors = tuple(cf // cc for cf, cc in zip(g.cells, coarse.cells))
+    times = np.asarray(fine.times, dtype=float)
     n_t = len(times)
     d = coarse.dim
+    fine_pts = grid_points(g)
     coarse_pts = grid_points(coarse)
 
     r_m = np.zeros((n_t,) + coarse.interior_shape((d, d)))
@@ -744,44 +737,37 @@ def defect_from_refinement(trajs: Sequence[Trajectory],
     ref_gaps = np.zeros((max(len(theta_refs), 1), n_t))
     d_min_raw = np.inf
 
-    for ti, t in enumerate(times):
-        for li, traj in enumerate(trajs):
-            g = traj.grid
-            k = _nearest_level(traj, float(t))
-            factors = tuple(cf // cc for cf, cc in zip(g.cells, coarse.cells))
-            rho, u, th = traj.rho[k], traj.u[k], traj.theta[k]
-            mom = rho[..., None] * u
-            rho_s = model.rho_s(rho, th)
-            energy = 0.5 * rho * np.sum(u * u, axis=-1) + model.rho_e(rho, th)
-            rho_bar = _block_average(rho, factors)
-            mom_bar = _block_average(mom, factors)
-            rs_bar = _block_average(rho_s, factors)
-            e_avg = _block_average(energy, factors)
-            th_bar = thermo.invert_entropy(model, rho_bar, rs_bar / rho_bar)
-            u_bar = mom_bar / rho_bar[..., None]
-            e_bar = (0.5 * rho_bar * np.sum(u_bar * u_bar, axis=-1)
-                     + model.rho_e(rho_bar, th_bar))
-            gap = e_avg - e_bar
-            d_min_raw = min(d_min_raw, float(np.min(gap)))
-            if li == 0:
-                d_diss[ti] = float(gridmod.integrate(coarse, np.maximum(gap, 0.0)))
-                conv = rho[..., None, None] * u[..., :, None] * u[..., None, :]
-                p_fine = model.p(rho, th)
-                flux_avg = (_block_average(conv, factors)
-                            + _block_average(p_fine, factors)[..., None, None] * np.eye(d))
-                flux_bar = (rho_bar[..., None, None] * u_bar[..., :, None] * u_bar[..., None, :]
-                            + model.p(rho_bar, th_bar)[..., None, None] * np.eye(d))
-                r_m[ti] = flux_avg - flux_bar
-                rm_tot[ti] = float(gridmod.integrate(
-                    coarse, np.sqrt(np.sum(r_m[ti] ** 2, axis=(-2, -1)))))
-                for ri, ref in enumerate(theta_refs):
-                    fine_pts = grid_points(g)
-                    ref_fine = np.asarray(ref.value(float(t), fine_pts), dtype=float)
-                    ref_coarse = np.asarray(ref.value(float(t), coarse_pts), dtype=float)
-                    ball_avg = _block_average(energy - ref_fine * rho_s, factors)
-                    ball_bar = e_bar - ref_coarse * rs_bar
-                    ref_gaps[ri, ti] = float(gridmod.integrate(
-                        coarse, np.maximum(ball_avg - ball_bar, 0.0)))
+    for k, t in enumerate(times):
+        rho, u, th = fine.rho[k], fine.u[k], fine.theta[k]
+        mom = rho[..., None] * u
+        rho_s = model.rho_s(rho, th)
+        energy = 0.5 * rho * np.sum(u * u, axis=-1) + model.rho_e(rho, th)
+        rho_bar = _block_average(rho, factors)
+        mom_bar = _block_average(mom, factors)
+        rs_bar = _block_average(rho_s, factors)
+        e_avg = _block_average(energy, factors)
+        th_bar = thermo.invert_entropy(model, rho_bar, rs_bar / rho_bar)
+        u_bar = mom_bar / rho_bar[..., None]
+        e_bar = (0.5 * rho_bar * np.sum(u_bar * u_bar, axis=-1)
+                 + model.rho_e(rho_bar, th_bar))
+        gap = e_avg - e_bar
+        d_min_raw = min(d_min_raw, float(np.min(gap)))
+        d_diss[k] = float(gridmod.integrate(coarse, np.maximum(gap, 0.0)))
+        conv = rho[..., None, None] * u[..., :, None] * u[..., None, :]
+        flux_avg = (_block_average(conv, factors)
+                    + _block_average(model.p(rho, th), factors)[..., None, None] * np.eye(d))
+        flux_bar = (rho_bar[..., None, None] * u_bar[..., :, None] * u_bar[..., None, :]
+                    + model.p(rho_bar, th_bar)[..., None, None] * np.eye(d))
+        r_m[k] = flux_avg - flux_bar
+        rm_tot[k] = float(gridmod.integrate(
+            coarse, np.sqrt(np.sum(r_m[k] ** 2, axis=(-2, -1)))))
+        for ri, ref in enumerate(theta_refs):
+            ref_fine = np.asarray(ref.value(float(t), fine_pts), dtype=float)
+            ref_coarse = np.asarray(ref.value(float(t), coarse_pts), dtype=float)
+            ball_avg = _block_average(energy - ref_fine * rho_s, factors)
+            ball_bar = e_bar - ref_coarse * rs_bar
+            ref_gaps[ri, k] = float(gridmod.integrate(
+                coarse, np.maximum(ball_avg - ball_bar, 0.0)))
 
     floor = 1e-14 * (1.0 + np.max(d_diss))
     xi = np.where(rm_tot <= floor, 0.0, rm_tot / np.maximum(d_diss, 1e-300))

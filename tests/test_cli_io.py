@@ -281,6 +281,37 @@ def test_verify_thermo_passes_and_writes_verdict(tmp_path, capsys):
     assert (tmp_path / "verify-thermo" / "config-effective.ini").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-thermo", "--samples", "300"],
+    ["simulate", "--cells", "8", "--t-end", "0.001"],
+], ids=["verify-thermo", "simulate"])
+def test_config_echo_records_the_seed_that_ran(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--seed", "7", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / argv[0]
+    assert config.load_config(out / "config-effective.ini")["run"]["seed"] == 7
+    if argv[0] == "verify-thermo":
+        assert reports.read_verdicts(out / "verdict.json")["seed"] == 7
+
+
+def test_mv_check_and_relenergy_echo_the_grid_and_eps_they_ran(tmp_path, capsys):
+    ini = tmp_path / "cells.ini"
+    ini.write_text("[grid]\ncells = 12\n")
+    assert cli.main(["mv-check", "--config", str(ini), "--cells", "24",
+                     "--t-end", "0.002", "--out", str(tmp_path)]) == 0
+    assert cli.main(["relenergy", "--cells", "16", "--eps", "1e-3",
+                     "--t-end", "0.002", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    mv = config.load_config(tmp_path / "mv-check" / "config-effective.ini")
+    assert mv["grid"]["cells"] == (24,)
+    assert reports.read_verdicts(tmp_path / "mv-check" / "verdict.json")["cells"] == 24
+    rel = config.load_config(tmp_path / "relenergy" / "config-effective.ini")
+    assert rel["grid"]["cells"] == (16,)
+    assert rel["experiment"]["eps"] == (1e-3,)
+    verdict = reports.read_verdicts(tmp_path / "relenergy" / "verdict.json")
+    assert (verdict["cells"], verdict["eps"]) == (16, 1e-3)
+
+
 def test_verify_thermo_invalid_heat_capacity_fails(tmp_path, capsys):
     code = cli.main(["verify-thermo", "--model", "perfect_gas", "--c-v", "1.0",
                      "--out", str(tmp_path)])

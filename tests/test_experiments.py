@@ -389,3 +389,25 @@ def test_defect_study_smooth_vanishing_and_oscillation_oracle():
     assert rep.xi_osc == pytest.approx(2.0, rel=0.05)
     assert rep.compat_ok
     assert rep.entropy_defect_rel <= 0.01  # entropy observable: no concentration
+
+
+def test_defect_study_runs_the_solver_on_its_fine_grids_only(monkeypatch):
+    # each coarse member is a grid the fine run is averaged onto, not a run
+    simulate = solver.simulate
+    cells: list[tuple[int, ...]] = []
+
+    def counted(grid, *args, **kwargs):
+        cells.append(grid.cells)
+        return simulate(grid, *args, **kwargs)
+
+    monkeypatch.setattr(ex.solver, "simulate", counted)
+    spec = ex.ExperimentSpec(theorem="defect", model=PG, transport_model=AT)
+    rep = ex.run_defect_study(spec)
+    assert cells == [(64,), (128,)]
+    assert rep.smooth_cells == (16, 32)
+
+
+def test_defect_study_perturbs_nothing():
+    spec = ex.ExperimentSpec(theorem="defect", model=PG, transport_model=AT)
+    assert spec.eps_list == ()
+    assert _SMALL_APRIORI.eps_list == ()

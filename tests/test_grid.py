@@ -198,10 +198,7 @@ def test_harmonic_extension_refuses_non_affine_trace():
     def theta(t, pts):
         return 1.0 + 0.1 * np.sin(np.pi * np.asarray(pts, dtype=float)[..., 0])
 
-    def dtheta(t, pts):
-        return np.zeros(np.asarray(pts).shape[:-1])
-
-    bc = g.BoundaryData(theta=theta, dtheta_dt=dtheta, label="sine")
+    bc = g.BoundaryData(theta=theta)
     with pytest.raises(RuntimeError, match="harmonic extension residual"):
         g.harmonic_extension(g.Grid(cells=(8, 8)), bc)
 

@@ -222,13 +222,6 @@ def test_transport_without_coefficient_law_rejected():
         mfg.manufactured("shear", PG, envelope)
 
 
-def test_explicit_boundary_must_match_trace():
-    ok = mfg.manufactured("shear", PG, AFF, boundary=g.constant_boundary(1.0))
-    assert ok.boundary.label.startswith("constant")
-    with pytest.raises(ValueError, match="incompatible"):
-        mfg.manufactured("shear", PG, AFF, boundary=g.constant_boundary(2.0))
-
-
 SCALAR_FIELDS = ("rho", "theta", "drho_dt", "dtheta_dt", "f_mass", "f_energy")
 VECTOR_FIELDS = ("u", "du_dt", "grad_rho", "grad_theta", "f_mom")
 MATRIX_FIELDS = ("grad_u",)

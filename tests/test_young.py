@@ -458,42 +458,49 @@ def test_defect_from_refinement_smooth_family_vanishes():
     refs = testfuns.theta_refs(1, base=(1.0, 0.0, 0.0), amps=(0.0, 0.15, -0.1))
 
     def ladder(n_fine, n_coarse):
-        trajs = [_decay_trajectory(n, t_end=0.02, save_every=1000)
-                 for n in (n_fine, n_coarse)]
-        bundle, report = young.defect_from_refinement(trajs, MODEL, refs)
+        fine = _decay_trajectory(n_fine, t_end=0.02, save_every=1000)
+        bundle, report = young.defect_from_refinement(
+            fine, gridmod.Grid(cells=(n_coarse,)), MODEL, refs)
+        # level k of the bundle is level k of the fine run
+        np.testing.assert_array_equal(bundle.times, fine.times)
         return bundle, report
 
     b_coarse, rep_coarse = ladder(64, 16)
     b_fine, rep_fine = ladder(128, 32)
+    assert b_coarse.grid.cells == (16,) and b_fine.grid.cells == (32,)
     assert np.all(b_coarse.d_diss >= 0.0)
     assert rep_coarse.d_min_raw >= -1e-9  # Jensen gap stays nonnegative
+    assert rep_fine.d_min_raw >= -1e-9
     # halving the mesoscale cell shrinks the smooth-family defect by >= 2x
     assert np.max(b_fine.d_diss) < 0.5 * np.max(b_coarse.d_diss)
 
 
 def test_defect_from_refinement_oscillation_oracle():
     eps = 0.005
-    trajs = [_synthetic_oscillation(512, eps), _synthetic_oscillation(16, eps)]
+    fine = _synthetic_oscillation(512, eps)
     refs = testfuns.theta_refs(1, base=(1.0, 0.0, 0.0), amps=(0.0, 0.15, -0.1))
-    bundle, report = young.defect_from_refinement(trajs, MODEL, refs)
+    bundle, report = young.defect_from_refinement(
+        fine, gridmod.Grid(cells=(16,)), MODEL, refs)
     # mean of sin^2 over fast oscillation is 1/2: kinetic defect = rho*env^2/4
     x = np.linspace(0.0, 1.0, 200001)
     target = 0.25 * np.trapezoid((1.0 + 0.05 * np.sin(2 * np.pi * x))
                                  * np.sin(np.pi * x) ** 2, x)
     assert bundle.d_diss[0] == pytest.approx(target, rel=0.05)
     assert report.theta_spread <= 0.05
+    assert report.d_min_raw >= -1e-9
     assert bundle.xi[0] == pytest.approx(2.0, rel=0.05)
     # constructed bundle satisfies the compatibility bound by calibration
     assert young.defect_compat_check(bundle, testfuns.velocity_tests(1))
 
 
 def test_defect_from_refinement_input_validation():
-    t1 = _synthetic_oscillation(32, 0.01)
-    with pytest.raises(ValueError, match="two refinement"):
-        young.defect_from_refinement([t1], MODEL)
-    t_odd = _synthetic_oscillation(24, 0.01)  # 24 not a multiple of 32: roles flip
-    with pytest.raises(ValueError, match="incompatible"):
-        young.defect_from_refinement([t1, t_odd], MODEL)
+    fine = _synthetic_oscillation(32, 0.01)
+    with pytest.raises(ValueError, match="incompatible grids.*domain"):
+        young.defect_from_refinement(fine, gridmod.Grid(cells=(16,), hi=(2.0,)), MODEL)
+    with pytest.raises(ValueError, match="incompatible grids.*domain"):
+        young.defect_from_refinement(fine, gridmod.Grid(cells=(16, 16)), MODEL)
+    with pytest.raises(ValueError, match="incompatible grids.*multiples"):
+        young.defect_from_refinement(fine, gridmod.Grid(cells=(24,)), MODEL)
 
 
 # --------------------------------------------------------------------------
