@@ -20,7 +20,6 @@ import numpy as np
 
 from . import config as configmod
 from . import experiments, relenergy, reports, solver, testfuns, thermo, transport, young
-from . import grid as gridmod
 from .manufactured import profile_names
 
 __all__ = ["main", "OUTPUT_ENV"]
@@ -39,9 +38,12 @@ def _echo_config(cfg: configmod.RunConfig, out: str) -> None:
     configmod.save_config(cfg, os.path.join(out, "config-effective.ini"))
 
 
-def _base_config(args) -> configmod.RunConfig:
-    """The config file or the defaults, with ``--seed`` applied."""
-    cfg = configmod.load_config(args.config) if args.config else configmod.default_config()
+def _base_config(args, theorem: Optional[str] = None) -> configmod.RunConfig:
+    """The config file read over the command's defaults (the claim's pairing
+    for a ``theorem``), with ``--seed`` applied."""
+    cfg = configmod.default_config(theorem)
+    if args.config:
+        cfg = configmod.load_config(args.config, cfg)
     return _apply(cfg, "run", "seed", args.seed)
 
 
@@ -147,7 +149,7 @@ def cmd_mv_check(args) -> int:
 
     model = configmod.build_model(cfg)
     tm = configmod.build_transport(cfg)
-    grid = gridmod.Grid(cells=(args.cells,) * dim)
+    grid = configmod.build_grid(cfg)
     rho0, u0, th0 = sol.on_grid(grid, 0.0)
     init = solver.FlowState(grid=grid, rho=rho0, u=u0, theta=th0, t=0.0)
     scfg = configmod.build_solver_config(cfg)
@@ -209,7 +211,7 @@ def cmd_relenergy(args) -> int:
 
     model = configmod.build_model(cfg)
     tm = configmod.build_transport(cfg)
-    grid = gridmod.Grid(cells=(args.cells,) * sol.dim)
+    grid = configmod.build_grid(cfg)
     init = experiments.perturbed_state(sol, grid, args.eps)
     scfg = configmod.build_solver_config(cfg, sol)
     traj = solver.simulate(grid, scfg, model, tm, boundary=sol.boundary,
@@ -248,7 +250,7 @@ def cmd_relenergy(args) -> int:
 
 
 def _experiment_config(args, theorem: str) -> configmod.RunConfig:
-    cfg = _base_config(args)
+    cfg = _base_config(args, theorem)
     cfg = _apply(cfg, "model", "kind", getattr(args, "model", None))
     cfg = _apply(cfg, "model", "c_v", getattr(args, "c_v", None))
     cfg = _apply(cfg, "model", "a", getattr(args, "a", None))
@@ -261,24 +263,20 @@ def _experiment_config(args, theorem: str) -> configmod.RunConfig:
         cfg = cfg.replace_value("experiment", "grids", tuple(args.grids))
     cfg = _apply(cfg, "experiment", "theta_scale", getattr(args, "theta_scale", None))
     cfg = _apply(cfg, "experiment", "theta_tilt", getattr(args, "theta_tilt", None))
-    cfg = _apply(cfg, "solver", "t_end", getattr(args, "t_end", None))
-
-    # without an explicit config file, pick the natural pairing per claim
-    if not args.config:
-        if getattr(args, "model", None) is None:
-            kind = "molecular_radiation" if theorem in ("3", "apriori") else "perfect_gas"
-            cfg = cfg.replace_value("model", "kind", kind)
-        if getattr(args, "transport", None) is None:
-            kind = "power_kappa" if theorem in ("3", "apriori") else "affine_theta"
-            cfg = cfg.replace_value("transport", "kind", kind)
-    return cfg
+    return _apply(cfg, "solver", "t_end", getattr(args, "t_end", None))
 
 
-def _gated_spec(cfg: configmod.RunConfig, theorem: str, out: str,
-                command: str) -> Optional[experiments.ExperimentSpec]:
-    """The study spec, or None once a gate rejection verdict is written."""
+def _run_study(args, theorem: str, command: str, run, outputs) -> int:
+    """Echo the config, gate it, run ``run(spec)`` and persist the report.
+
+    ``outputs(report)`` gives the CSV series by file name and the status
+    detail.  A gate rejection writes only the echo and a rejection verdict.
+    """
+    cfg = _experiment_config(args, theorem)
+    out = _resolve_out(args, command)
+    _echo_config(cfg, out)
     try:
-        return configmod.build_experiment_spec(cfg, theorem)
+        spec = configmod.build_experiment_spec(cfg, theorem)
     except experiments.HypothesisGateError as err:
         reports.write_verdicts(os.path.join(out, "verdict.json"), {
             "ok": False, "accepted": False, "theorem": err.gate.theorem,
@@ -286,82 +284,65 @@ def _gated_spec(cfg: configmod.RunConfig, theorem: str, out: str,
         })
         print(str(err), file=sys.stderr)
         _status(False, command, "hypothesis gate rejected the configuration")
-        return None
+        return 1
+
+    rep = run(spec)
+    series, detail = outputs(rep)
+    for name, columns in series.items():
+        reports.write_series(os.path.join(out, name), columns)
+    data = _asdata(rep)
+    data["accepted"] = rep.gate.accepted
+    reports.write_verdicts(os.path.join(out, "verdict.json"), data)
+    _status(rep.ok, command, detail)
+    return 0 if rep.ok else 1
 
 
 def cmd_wsu(args) -> int:
-    cfg = _experiment_config(args, args.theorem)
-    out = _resolve_out(args, "wsu")
-    _echo_config(cfg, out)
-    spec = _gated_spec(cfg, args.theorem, out, "wsu")
-    if spec is None:
-        return 1
-
-    rep = experiments.run_theorem(spec)
-    reports.write_series(os.path.join(out, "collapse.csv"), {
-        "cells": np.asarray(rep.dirac_cells, dtype=float),
-        "sup_e": np.asarray(rep.dirac_sup),
-    })
-    reports.write_series(os.path.join(out, "stability.csv"), {
-        "eps": np.asarray(rep.eps),
-        "e0": np.asarray(rep.e0),
-        "gronwall_c": np.asarray(rep.gronwall_c),
-        "growth_factor": np.asarray(rep.growth_factor),
-    })
-    data = _asdata(rep)
-    data["accepted"] = rep.gate.accepted
-    reports.write_verdicts(os.path.join(out, "verdict.json"), data)
-    _status(rep.ok, "wsu",
-            f"claim {rep.theorem}: collapse order {rep.dirac_order:.2f}, "
+    def outputs(rep):
+        return {
+            "collapse.csv": {
+                "cells": np.asarray(rep.dirac_cells, dtype=float),
+                "sup_e": np.asarray(rep.dirac_sup),
+            },
+            "stability.csv": {
+                "eps": np.asarray(rep.eps),
+                "e0": np.asarray(rep.e0),
+                "gronwall_c": np.asarray(rep.gronwall_c),
+                "growth_factor": np.asarray(rep.growth_factor),
+            },
+        }, (f"claim {rep.theorem}: collapse order {rep.dirac_order:.2f}, "
             f"C spread {rep.c_spread:.2%}")
-    return 0 if rep.ok else 1
+
+    return _run_study(args, args.theorem, "wsu", experiments.run_theorem, outputs)
 
 
 def cmd_apriori(args) -> int:
-    cfg = _experiment_config(args, "apriori")
-    out = _resolve_out(args, "apriori")
-    _echo_config(cfg, out)
-    spec = _gated_spec(cfg, "apriori", out, "apriori")
-    if spec is None:
-        return 1
+    def outputs(rep):
+        series: dict[str, np.ndarray] = {
+            "cells": np.asarray(rep.cells, dtype=float),
+            "total": np.asarray(rep.totals),
+        }
+        for key, vals in rep.terms.items():
+            series[key] = np.asarray(vals)
+        return {"budget.csv": series}, (
+            f"total <= {rep.c_theta_b:.4g} on {len(rep.cells)} levels"
+            if not rep.needs_recalibration
+            else "bound exceeded; recalibration required")
 
-    rep = experiments.run_apriori(spec, c_fixed=args.c_fixed)
-    series: dict[str, np.ndarray] = {
-        "cells": np.asarray(rep.cells, dtype=float),
-        "total": np.asarray(rep.totals),
-    }
-    for key, vals in rep.terms.items():
-        series[key] = np.asarray(vals)
-    reports.write_series(os.path.join(out, "budget.csv"), series)
-    data = _asdata(rep)
-    data["accepted"] = rep.gate.accepted
-    reports.write_verdicts(os.path.join(out, "verdict.json"), data)
-    detail = (f"total <= {rep.c_theta_b:.4g} on {len(rep.cells)} levels"
-              if not rep.needs_recalibration
-              else "bound exceeded; recalibration required")
-    _status(rep.ok, "apriori", detail)
-    return 0 if rep.ok else 1
+    return _run_study(args, "apriori", "apriori",
+                      lambda spec: experiments.run_apriori(spec, c_fixed=args.c_fixed),
+                      outputs)
 
 
 def cmd_defect_study(args) -> int:
-    cfg = _experiment_config(args, "defect")
-    out = _resolve_out(args, "defect-study")
-    _echo_config(cfg, out)
-    spec = _gated_spec(cfg, "defect", out, "defect-study")
-    if spec is None:
-        return 1
+    def outputs(rep):
+        return {"smooth-defects.csv": {
+            "cells": np.asarray(rep.smooth_cells, dtype=float),
+            "d_max": np.asarray(rep.smooth_d),
+        }}, f"oscillation gap within {rep.osc_rel_err:.2%} of the period average"
 
-    rep = experiments.run_defect_study(spec)
-    reports.write_series(os.path.join(out, "smooth-defects.csv"), {
-        "cells": np.asarray(rep.smooth_cells, dtype=float),
-        "d_max": np.asarray(rep.smooth_d),
-    })
-    data = _asdata(rep)
-    data["accepted"] = rep.gate.accepted
-    reports.write_verdicts(os.path.join(out, "verdict.json"), data)
-    _status(rep.ok, "defect-study",
-            f"oscillation gap within {rep.osc_rel_err:.2%} of the period average")
-    return 0 if rep.ok else 1
+    return _run_study(args, "defect", "defect-study", experiments.run_defect_study,
+                      outputs)
 
 
 # --------------------------------------------------------------------------
@@ -400,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-thermo", parents=[common],
                         help="structural checks of an equation of state")
-    sp.add_argument("--model", choices=("perfect_gas", "molecular_radiation"),
-                    default=None)
+    sp.add_argument("--model", choices=configmod.MODEL_KINDS, default=None)
     sp.add_argument("--c-v", type=float, default=None, dest="c_v")
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--kernel", choices=("ideal", "degenerate"), default=None)
@@ -434,11 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated perturbation sizes")
     sp.add_argument("--grids", type=_int_list, default=None,
                     help="comma-separated cell counts")
-    sp.add_argument("--model", choices=("perfect_gas", "molecular_radiation"),
-                    default=None)
-    sp.add_argument("--transport",
-                    choices=("affine_theta", "power_kappa", "bounded_general"),
-                    default=None)
+    sp.add_argument("--model", choices=configmod.MODEL_KINDS, default=None)
+    sp.add_argument("--transport", choices=configmod.TRANSPORT_KINDS, default=None)
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--kernel", choices=("ideal", "degenerate"), default=None)
     sp.add_argument("--a", type=float, default=None)
@@ -456,11 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--kernel", choices=("ideal", "degenerate"), default=None)
-    sp.add_argument("--transport",
-                    choices=("affine_theta", "power_kappa", "bounded_general"),
-                    default=None)
-    sp.add_argument("--model", choices=("perfect_gas", "molecular_radiation"),
-                    default=None)
+    sp.add_argument("--transport", choices=configmod.TRANSPORT_KINDS, default=None)
+    sp.add_argument("--model", choices=configmod.MODEL_KINDS, default=None)
     sp.add_argument("--t-end", type=float, default=None)
     sp.set_defaults(func=cmd_apriori)
 

@@ -15,11 +15,13 @@ from typing import Optional
 
 from . import grid as gridmod
 from . import solver, thermo, transport
-from .experiments import ExperimentSpec
+from .experiments import CLAIM_DEFAULTS, ExperimentSpec
 from .manufactured import StrongSolution, manufactured, profile_names
 
 __all__ = [
     "ConfigError",
+    "MODEL_KINDS",
+    "TRANSPORT_KINDS",
     "RunConfig",
     "default_config",
     "load_config",
@@ -38,6 +40,9 @@ __all__ = [
 class ConfigError(ValueError):
     """A configuration file failed to parse or violates the schema."""
 
+
+MODEL_KINDS = ("perfect_gas", "molecular_radiation")
+TRANSPORT_KINDS = ("affine_theta", "power_kappa", "bounded_general")
 
 # value kinds: how a raw string is parsed and rendered
 _KINDS = ("str", "int", "float", "ints", "floats")
@@ -65,8 +70,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "grid": {
         "cells": ("ints", (64,)),
-        "lo": ("floats", ()),
-        "hi": ("floats", ()),
     },
     "solver": {
         "cfl": ("float", 0.4),
@@ -138,14 +141,22 @@ def _render(kind: str, value) -> str:
     return str(value) if kind != "float" else repr(float(value))
 
 
-def default_config() -> RunConfig:
+def default_config(theorem: Optional[str] = None) -> RunConfig:
+    """The schema defaults; for a claim ``theorem`` (an id of
+    ``experiments.CLAIM_DEFAULTS``) the model and transport kinds are the
+    claim's own pairing."""
+
     sections = {section: {key: default for key, (_, default) in keys.items()}
                 for section, keys in _SCHEMA.items()}
+    if theorem is not None:
+        sections["model"]["kind"] = CLAIM_DEFAULTS[theorem].model
+        sections["transport"]["kind"] = CLAIM_DEFAULTS[theorem].transport
     return RunConfig(sections=sections)
 
 
-def loads_config(text: str) -> RunConfig:
-    """Parse configuration text; missing keys take schema defaults."""
+def loads_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
+    """Parse configuration text over ``base`` (the schema defaults when
+    None): a key the text does not set keeps its value in ``base``."""
 
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -153,8 +164,7 @@ def loads_config(text: str) -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(f"configuration parse error: {err}") from None
 
-    sections = {section: {key: default for key, (_, default) in keys.items()}
-                for section, keys in _SCHEMA.items()}
+    sections = {s: dict(vals) for s, vals in (base or default_config()).sections.items()}
     for section in parser.sections():
         if section not in _SCHEMA:
             known = ", ".join(sorted(_SCHEMA))
@@ -171,9 +181,9 @@ def loads_config(text: str) -> RunConfig:
     return RunConfig(sections=sections)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, base: Optional[RunConfig] = None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_config(fh.read())
+        return loads_config(fh.read(), base)
 
 
 def dumps_config(cfg: RunConfig) -> str:
@@ -235,11 +245,7 @@ def build_transport(cfg: RunConfig) -> transport.TransportModel:
 
 
 def build_grid(cfg: RunConfig) -> gridmod.Grid:
-    block = cfg["grid"]
-    cells = block["cells"]
-    lo = block["lo"] or None
-    hi = block["hi"] or None
-    return gridmod.Grid(cells=cells, lo=lo, hi=hi)
+    return gridmod.Grid(cells=cfg["grid"]["cells"])
 
 
 def build_source(cfg: RunConfig, default: str = "shear") -> StrongSolution:

@@ -21,7 +21,7 @@ gate never start.  Three runners sit on top:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -43,36 +43,41 @@ __all__ = [
     "run_apriori",
     "run_defect_study",
     "THEOREM_IDS",
+    "ClaimDefaults",
+    "CLAIM_DEFAULTS",
 ]
 
 
-THEOREM_IDS = ("1", "2", "3", "apriori", "defect")
+@dataclass(frozen=True)
+class ClaimDefaults:
+    """What a claim's study runs when its command and config name nothing
+    else: the model and transport kinds (``[model] kind`` and ``[transport]
+    kind``), the comparison profile, the grid ladder and the perturbation
+    sizes."""
 
-_DEFAULT_PROFILES = {
-    "1": "shear",
-    "2": "conduction",
-    "3": "radiative_decay",
-    "apriori": "radiative_decay",
-    "defect": "shear",
-}
+    model: str
+    transport: str
+    profile: str
+    grids: tuple[int, ...]
+    eps: tuple[float, ...] = ()
 
-_DEFAULT_GRIDS = {
-    "1": (32, 64),
-    "2": (32, 64),
-    "3": (16, 32),
-    "apriori": (8, 16, 32),
-    "defect": (64, 128),
-}
 
 # Perturbation sizes default to a decade whose energies sit well above the
 # finest grid's collapse floor, so the fitted growth constant reads the flow
 # and not the discretization error.  The apriori and defect studies perturb
 # nothing, so their default is ().
-_DEFAULT_EPS = {
-    "1": (1e-2, 1e-3),
-    "2": (1e-2, 1e-3),
-    "3": (1e-1, 1e-2),
+CLAIM_DEFAULTS = {
+    "1": ClaimDefaults("perfect_gas", "affine_theta", "shear", (32, 64), (1e-2, 1e-3)),
+    "2": ClaimDefaults("perfect_gas", "affine_theta", "conduction", (32, 64),
+                       (1e-2, 1e-3)),
+    "3": ClaimDefaults("molecular_radiation", "power_kappa", "radiative_decay",
+                       (16, 32), (1e-1, 1e-2)),
+    "apriori": ClaimDefaults("molecular_radiation", "power_kappa", "radiative_decay",
+                             (8, 16, 32)),
+    "defect": ClaimDefaults("perfect_gas", "affine_theta", "shear", (64, 128)),
 }
+
+THEOREM_IDS = tuple(CLAIM_DEFAULTS)
 
 # fixed thresholds of the studies, listed in ExperimentSpec's docstring
 _DIRAC_ORDER_MIN = 1.0
@@ -221,9 +226,11 @@ def check_hypotheses(theorem: str, model: thermo.ThermoModel,
 class ExperimentSpec:
     """One gated study: which claim, which models, which resolutions.
 
-    Construction runs the hypothesis gate and raises
+    Construction runs the hypothesis gate once and raises
     :class:`HypothesisGateError` on rejection, so a spec that exists is a
-    spec that may run.  ``solver`` is the template of every run's solver
+    spec that may run; ``gate`` keeps the accepting result.  ``profile``,
+    ``grids`` and ``eps_list`` left as None take the claim's row of
+    :data:`CLAIM_DEFAULTS`.  ``solver`` is the template of every run's solver
     configuration; the runners set its ``source``.
 
     The studies judge their runs against fixed thresholds (module constants):
@@ -260,23 +267,25 @@ class ExperimentSpec:
     theta_scale: float = 1.0
     theta_tilt: float = 0.2
 
+    gate: GateResult = field(init=False)
+
     def __post_init__(self):
         theorem = str(self.theorem)
         object.__setattr__(self, "theorem", theorem)
         gate = check_hypotheses(theorem, self.model, self.transport_model)
         if not gate.accepted:
             raise HypothesisGateError(gate)
-        grids = self.grids
-        if grids is None:
-            grids = _DEFAULT_GRIDS[theorem]
-        grids = tuple(int(n) for n in grids)
+        object.__setattr__(self, "gate", gate)
+        defaults = CLAIM_DEFAULTS[theorem]
+        grids = tuple(int(n) for n in (self.grids if self.grids is not None
+                                       else defaults.grids))
         if len(grids) < 1 or any(n < 4 for n in grids):
             raise ValueError("grids must list cell counts >= 4")
         if list(grids) != sorted(grids) or len(set(grids)) != len(grids):
             raise ValueError("grids must be strictly increasing cell counts")
         object.__setattr__(self, "grids", grids)
-        eps_src = self.eps_list if self.eps_list is not None else _DEFAULT_EPS.get(theorem, ())
-        eps = tuple(float(e) for e in eps_src)
+        eps = tuple(float(e) for e in (self.eps_list if self.eps_list is not None
+                                       else defaults.eps))
         if any(e <= 0.0 for e in eps):
             raise ValueError("perturbation sizes must be > 0")
         object.__setattr__(self, "eps_list", eps)
@@ -286,12 +295,8 @@ class ExperimentSpec:
             raise ValueError("boundary temperature tilt must lie in [0, 1]")
 
     @property
-    def gate(self) -> GateResult:
-        return check_hypotheses(self.theorem, self.model, self.transport_model)
-
-    @property
     def resolved_profile(self) -> str:
-        return self.profile or _DEFAULT_PROFILES[self.theorem]
+        return self.profile or CLAIM_DEFAULTS[self.theorem].profile
 
 
 def _make_grid(n: int, dim: int) -> gridmod.Grid:

@@ -47,11 +47,11 @@ class StalenessError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered grid on a box, dim in {1, 2}, >= 4 cells per axis."""
+    """Uniform cell-centered grid on the unit box [0, 1]^dim, dim in {1, 2},
+    >= 4 cells per axis: every profile, test family and boundary trace of
+    the package is built for that box."""
 
     cells: tuple[int, ...]
-    lo: tuple[float, ...] = None
-    hi: tuple[float, ...] = None
 
     def __post_init__(self):
         cells = tuple(int(c) for c in np.atleast_1d(self.cells))
@@ -60,14 +60,6 @@ class Grid:
             raise ValueError(f"grid dimension must be 1 or 2, got {len(cells)}")
         if any(c < 4 for c in cells):
             raise ValueError(f"need at least 4 interior cells per axis, got {cells}")
-        lo = tuple(float(v) for v in (self.lo if self.lo is not None else (0.0,) * len(cells)))
-        hi = tuple(float(v) for v in (self.hi if self.hi is not None else (1.0,) * len(cells)))
-        if len(lo) != len(cells) or len(hi) != len(cells):
-            raise ValueError("lo/hi must match the grid dimension")
-        if any(h <= l for l, h in zip(lo, hi)):
-            raise ValueError("need hi > lo on every axis")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
 
     @functools.cached_property
     def dim(self) -> int:
@@ -75,7 +67,7 @@ class Grid:
 
     @functools.cached_property
     def h(self) -> tuple[float, ...]:
-        return tuple((h - l) / c for l, h, c in zip(self.lo, self.hi, self.cells))
+        return tuple(1.0 / c for c in self.cells)
 
     @property
     def cell_volume(self) -> float:
@@ -84,7 +76,7 @@ class Grid:
     def centers(self, axis: int, ghost: bool = False) -> np.ndarray:
         h = self.h[axis]
         n = self.cells[axis]
-        first = self.lo[axis] + 0.5 * h
+        first = 0.5 * h
         xs = first + h * np.arange(n)
         if ghost:
             xs = np.concatenate(([first - h], xs, [xs[-1] + h]))
@@ -151,13 +143,13 @@ def boundary_face_points(grid: Grid) -> Mapping[str, np.ndarray]:
     """Face-midpoint coordinates per side, keyed x_lo/x_hi[/y_lo/y_hi]:
     one read-only mapping of read-only arrays per grid."""
     if grid.dim == 1:
-        out = {"x_lo": np.array([[grid.lo[0]]]), "x_hi": np.array([[grid.hi[0]]])}
+        out = {"x_lo": np.array([[0.0]]), "x_hi": np.array([[1.0]])}
     else:
         xc, yc = grid.centers(0), grid.centers(1)
-        out = {"x_lo": np.stack([np.full_like(yc, grid.lo[0]), yc], axis=-1),
-               "x_hi": np.stack([np.full_like(yc, grid.hi[0]), yc], axis=-1),
-               "y_lo": np.stack([xc, np.full_like(xc, grid.lo[1])], axis=-1),
-               "y_hi": np.stack([xc, np.full_like(xc, grid.hi[1])], axis=-1)}
+        out = {"x_lo": np.stack([np.zeros_like(yc), yc], axis=-1),
+               "x_hi": np.stack([np.ones_like(yc), yc], axis=-1),
+               "y_lo": np.stack([xc, np.zeros_like(xc)], axis=-1),
+               "y_hi": np.stack([xc, np.ones_like(xc)], axis=-1)}
     for pts in out.values():
         pts.flags.writeable = False
     return MappingProxyType(out)

@@ -320,10 +320,8 @@ def _build(profile, model, transport_model, boundary, dim, space, jets):
                           _fns=_compile(space, jets, model, transport_model, dim))
 
 
-def _profile_equilibrium(model, transport_model, params):
-    dim = int(params.get("dim", 1))
-    theta0 = float(params.get("theta0", 1.0))
-    rho0 = float(params.get("rho0", 1.0))
+def _profile_equilibrium(model, transport_model, *, dim=1, theta0=1.0, rho0=1.0):
+    dim, theta0, rho0 = int(dim), float(theta0), float(rho0)
     boundary = gridmod.constant_boundary(theta0)
 
     def jets(time):
@@ -334,9 +332,8 @@ def _profile_equilibrium(model, transport_model, params):
                   lambda x: (), jets)
 
 
-def _profile_conduction(model, transport_model, params):
-    b = float(params.get("slope", 0.5))
-    theta0 = float(params.get("theta0", 1.0))
+def _profile_conduction(model, transport_model, *, slope=0.5, theta0=1.0):
+    b, theta0 = float(slope), float(theta0)
     if theta0 <= 0 or theta0 + b <= 0:
         raise ValueError("conduction profile needs a positive temperature span")
     boundary = gridmod.affine_boundary(theta0, b)
@@ -348,11 +345,9 @@ def _profile_conduction(model, transport_model, params):
                   lambda x: (x[0],), jets)
 
 
-def _profile_shear(model, transport_model, params):
-    amp_u = float(params.get("amp_u", 0.1))
-    amp_th = float(params.get("amp_theta", 0.2))
-    amp_rho = float(params.get("amp_rho", 0.25))
-    rate = float(params.get("rate", 1.0))
+def _profile_shear(model, transport_model, *, amp_u=0.1, amp_theta=0.2, amp_rho=0.25,
+                   rate=1.0):
+    amp_u, amp_th, amp_rho, rate = float(amp_u), float(amp_theta), float(amp_rho), float(rate)
     if not (abs(amp_rho) < 1.0 and abs(amp_th) < 1.0):
         raise ValueError("shear profile amplitudes must keep rho, theta positive")
     boundary = gridmod.constant_boundary(1.0)
@@ -368,13 +363,11 @@ def _profile_shear(model, transport_model, params):
     return _build("shear", model, transport_model, boundary, 1, space, jets)
 
 
-def _profile_radiative_decay(model, transport_model, params):
+def _profile_radiative_decay(model, transport_model, *, amp_u=0.1, amp_theta=0.3,
+                             amp_rho=0.25, rate=1.0):
     if not isinstance(model, thermo.MolecularRadiation):
         raise TypeError("radiative_decay profile requires a MolecularRadiation model")
-    amp_u = float(params.get("amp_u", 0.1))
-    amp_th = float(params.get("amp_theta", 0.3))
-    amp_rho = float(params.get("amp_rho", 0.25))
-    rate = float(params.get("rate", 1.0))
+    amp_u, amp_th, amp_rho, rate = float(amp_u), float(amp_theta), float(amp_rho), float(rate)
     if not (abs(amp_rho) < 1.0 and abs(amp_th) < 1.0):
         raise ValueError("radiative_decay amplitudes must keep rho, theta positive")
     boundary = gridmod.constant_boundary(1.0)
@@ -408,9 +401,14 @@ def profile_names() -> tuple[str, ...]:
 
 def manufactured(profile: str, model, transport_model, **params) -> StrongSolution:
     """Build the named analytic profile for the given models; the profile
-    carries its own compatible boundary trace."""
+    carries its own compatible boundary trace.  ``params`` are the profile's
+    keyword parameters; a keyword the profile does not read is a TypeError."""
     try:
         builder = _PROFILES[profile]
     except KeyError:
         raise KeyError(f"unknown profile {profile!r}; have {profile_names()}") from None
-    return builder(model, transport_model, params)
+    unread = sorted(set(params) - set(builder.__kwdefaults__))
+    if unread:
+        raise TypeError(f"profile {profile!r} does not read {', '.join(unread)}; "
+                        f"it reads {', '.join(builder.__kwdefaults__)}")
+    return builder(model, transport_model, **params)

@@ -667,8 +667,7 @@ def calibrate_kp_constant(grid: gridmod.Grid) -> float:
         raise ValueError("traceless strain control degenerates in one dimension; "
                          "calibrate on a two-dimensional grid")
     pts = grid_points(grid)
-    x = (pts[..., 0] - grid.lo[0]) / (grid.hi[0] - grid.lo[0])
-    y = (pts[..., 1] - grid.lo[1]) / (grid.hi[1] - grid.lo[1])
+    x, y = pts[..., 0], pts[..., 1]
     worst = 0.0
     for kx, ky in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2)):
         u = np.zeros(grid.interior_shape((2,)))
@@ -719,7 +718,7 @@ def defect_from_refinement(fine: Trajectory, coarse: gridmod.Grid,
     """
 
     g = fine.grid
-    if g.dim != coarse.dim or g.lo != coarse.lo or g.hi != coarse.hi:
+    if g.dim != coarse.dim:
         raise ValueError("incompatible grids: the fine run and the coarse grid "
                          "must share the domain")
     if any(cf % cc for cf, cc in zip(g.cells, coarse.cells)):

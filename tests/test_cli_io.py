@@ -88,7 +88,7 @@ def test_deleted_keys_are_rejected_by_name(text, path):
 def test_schema_has_one_profile_key_and_no_unread_section():
     text = config.dumps_config(config.default_config())
     keys = [line for line in text.splitlines() if " = " in line]
-    assert len(keys) == 29
+    assert len(keys) == 27
     assert sum(line.startswith("profile = ") for line in keys) == 1
     assert "[boundary]" not in text
 
@@ -353,16 +353,12 @@ def test_mv_check_reports_every_clause(tmp_path, capsys):
     assert all(entry["ok"] for entry in verdict["clauses"].values())
 
 
-@pytest.mark.parametrize("argv,pairing", [
-    (["mv-check", "--cells", "16"], ""),
-    (["wsu", "--theorem", "2"], ""),
-    (["apriori"], "[model]\nkind = molecular_radiation\n"
-                  "[transport]\nkind = power_kappa\n"),
-    (["defect-study"], ""),
+@pytest.mark.parametrize("argv", [
+    ["mv-check", "--cells", "16"], ["wsu", "--theorem", "2"], ["apriori"], ["defect-study"],
 ], ids=["mv-check", "wsu-2", "apriori", "defect-study"])
-def test_commands_honour_the_config_solver_block(tmp_path, capsys, argv, pairing):
+def test_commands_honour_the_config_solver_block(tmp_path, capsys, argv):
     ini = tmp_path / "run.ini"
-    ini.write_text(pairing + "[solver]\nmax_steps = 1\n")
+    ini.write_text("[solver]\nmax_steps = 1\n")
     code = cli.main(argv + ["--config", str(ini), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
@@ -436,10 +432,12 @@ def test_config_file_with_unknown_key_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("section, key", [
     ("transport", "mu_lo"), ("transport", "mu_hi"), ("transport", "lam_hi"),
     ("transport", "kappa_lo"), ("transport", "kappa_hi"), ("model", "radiation_exponent"),
+    ("grid", "lo"), ("grid", "hi"),
 ])
 def test_removed_config_keys_exit_two_by_name(tmp_path, capsys, section, key):
-    # the BoundedGeneral envelope bounds and the one-valued radiation exponent
-    # parametrised no run, so an old file naming them is refused
+    # the BoundedGeneral envelope bounds, the one-valued radiation exponent
+    # and the grid box (every run lives on the unit box) parametrise no run,
+    # so an old file naming them is refused
     ini = tmp_path / "old.ini"
     ini.write_text(f"[{section}]\n{key} = 2\n")
     code = cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path)])
@@ -465,32 +463,28 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     assert code == 2
 
 
-_MR_PK = "[model]\nkind = molecular_radiation\n[transport]\nkind = power_kappa\n"
-
-
-@pytest.mark.parametrize("argv, profile, pairing", [
-    (["mv-check"], "bogus", ""),
-    (["relenergy"], "bogus", ""),
-    (["mv-check"], "none", ""),
-    (["relenergy"], "none", ""),
-    (["simulate", "--profile", "radiative_decay"], None, ""),
-    (["mv-check", "--profile", "radiative_decay"], None, ""),
-    (["relenergy", "--profile", "radiative_decay"], None, ""),
-    (["wsu", "--theorem", "1"], "bogus", ""),
-    (["apriori"], "bogus", _MR_PK),
-    (["wsu", "--theorem", "1"], "radiative_decay", ""),
+@pytest.mark.parametrize("argv, profile", [
+    (["mv-check"], "bogus"),
+    (["relenergy"], "bogus"),
+    (["mv-check"], "none"),
+    (["relenergy"], "none"),
+    (["simulate", "--profile", "radiative_decay"], None),
+    (["mv-check", "--profile", "radiative_decay"], None),
+    (["relenergy", "--profile", "radiative_decay"], None),
+    (["wsu", "--theorem", "1"], "bogus"),
+    (["apriori"], "bogus"),
+    (["wsu", "--theorem", "1"], "radiative_decay"),
 ], ids=["mv-check-bogus", "relenergy-bogus", "mv-check-none", "relenergy-none",
         "simulate-radiative_decay", "mv-check-radiative_decay",
         "relenergy-radiative_decay", "wsu-1-bogus", "apriori-bogus",
         "wsu-1-radiative_decay"])
-def test_bad_comparison_profile_is_a_config_error(tmp_path, capsys, argv,
-                                                  profile, pairing):
+def test_bad_comparison_profile_is_a_config_error(tmp_path, capsys, argv, profile):
     # an unknown profile, or one the model cannot carry (the perfect gas
     # with radiative_decay), exits 2 with one stderr line in every command
     # that runs a comparison flow
     if profile is not None:
         ini = tmp_path / "profile.ini"
-        ini.write_text(f"{pairing}[solver]\nprofile = {profile}\n")
+        ini.write_text(f"[solver]\nprofile = {profile}\n")
         argv = argv + ["--config", str(ini)]
     code = cli.main(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
@@ -521,6 +515,58 @@ def test_studies_run_the_configured_profile(tmp_path, capsys):
     assert code in (0, 1)  # the verdict, pass or fail, names the flow it ran
     verdict = reports.read_verdicts(tmp_path / "wsu" / "verdict.json")
     assert verdict["profile"] == "conduction"
+
+
+_SMALL_STUDIES = {
+    "wsu": (["wsu", "--theorem", "3", "--grids", "8,16", "--t-end", "0.005"],
+            {"collapse.csv", "stability.csv"}),
+    "apriori": (["apriori", "--grids", "8,16", "--t-end", "0.005"], {"budget.csv"}),
+    "defect-study": (["defect-study", "--grids", "16,32"], {"smooth-defects.csv"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_STUDIES))
+def test_config_file_is_read_over_the_claims_pairing(tmp_path, capsys, command):
+    # a file that names no kind keeps the claim's own model and transport,
+    # and each study writes exactly its series, its verdict and the echo
+    argv, series = _SMALL_STUDIES[command]
+    ini = tmp_path / "run.ini"
+    ini.write_text("[solver]\ncfl = 0.4\n")
+    code = cli.main(argv + ["--config", str(ini), "--out", str(tmp_path)])
+    capsys.readouterr()
+    out = tmp_path / command
+    assert code in (0, 1)  # the verdict, pass or fail, comes from a run
+    assert set(os.listdir(out)) == series | {"verdict.json", "config-effective.ini"}
+    assert reports.read_verdicts(out / "verdict.json")["accepted"] is True
+    echo = config.load_config(out / "config-effective.ini")
+    pairing = (("molecular_radiation", "power_kappa") if command != "defect-study"
+               else ("perfect_gas", "affine_theta"))
+    assert (echo["model"]["kind"], echo["transport"]["kind"]) == pairing
+
+
+def test_config_file_kind_wins_over_the_claims_pairing(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\nkind = perfect_gas\n")
+    code = cli.main(_SMALL_STUDIES["wsu"][0] + ["--config", str(ini),
+                                                "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "radiation" in err
+    out = tmp_path / "wsu"
+    assert set(os.listdir(out)) == {"verdict.json", "config-effective.ini"}
+    verdict = reports.read_verdicts(out / "verdict.json")
+    assert verdict["accepted"] is False and verdict["theorem"] == "3"
+
+
+def test_default_config_carries_the_claims_pairing():
+    assert config.default_config("3")["model"]["kind"] == "molecular_radiation"
+    assert config.default_config("apriori")["transport"]["kind"] == "power_kappa"
+    assert config.default_config("1") == config.default_config()
+    base = config.default_config("3")
+    cfg = config.loads_config("[transport]\nbeta = 1.5\n", base)
+    assert cfg["model"]["kind"] == "molecular_radiation"
+    assert cfg["transport"]["kind"] == "power_kappa"
+    assert cfg["transport"]["beta"] == 1.5
 
 
 def _subcommands():

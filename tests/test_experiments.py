@@ -123,6 +123,21 @@ def test_spec_validation():
         ex.ExperimentSpec(theta_tilt=1.5, **good)
 
 
+def test_spec_keeps_the_gate_it_computes(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    check = ex.check_hypotheses
+    monkeypatch.setattr(ex, "check_hypotheses", counted)
+    spec = ex.ExperimentSpec(theorem="3", model=MR, transport_model=PK)
+    assert len(calls) == 1
+    assert spec.gate.accepted and spec.gate is spec.gate
+    assert len(calls) == 1
+
+
 def test_spec_defaults_resolve_per_claim():
     s1 = ex.ExperimentSpec(theorem="1", model=PG, transport_model=AT)
     assert s1.resolved_profile == "shear"

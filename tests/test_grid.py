@@ -13,8 +13,6 @@ def test_grid_validation():
         g.Grid(cells=(3,))
     with pytest.raises(ValueError):
         g.Grid(cells=(8, 8, 8))
-    with pytest.raises(ValueError):
-        g.Grid(cells=(8,), lo=(1.0,), hi=(0.0,))
     gr = g.Grid(cells=(8, 16))
     assert gr.dim == 2
     assert gr.h == (1.0 / 8.0, 1.0 / 16.0)
@@ -206,7 +204,7 @@ def test_harmonic_extension_refuses_non_affine_trace():
 def test_boundary_face_points_cached_read_only():
     for cells in ((8,), (8, 6)):
         pts = g.boundary_face_points(g.Grid(cells=cells))
-        assert g.boundary_face_points(g.Grid(cells=cells, lo=(0.0,) * len(cells))) is pts
+        assert g.boundary_face_points(g.Grid(cells=cells)) is pts
         with pytest.raises(TypeError):
             pts["x_lo"] = None
         for side in pts.values():
@@ -219,7 +217,7 @@ def test_grid_points_cached_read_only():
 
     for ghost in (False, True):
         pts = grid_points(g.Grid(cells=(8, 6)), ghost)
-        assert grid_points(g.Grid(cells=(8, 6), hi=(1.0, 1.0)), ghost) is pts
+        assert grid_points(g.Grid(cells=(8, 6)), ghost) is pts
         assert pts.shape == ((10, 8, 2) if ghost else (8, 6, 2))
         with pytest.raises(ValueError, match="read-only"):
             pts[...] = 0.0

@@ -202,6 +202,17 @@ def test_amplitude_validation():
         mfg.manufactured("conduction", PG, AFF, slope=-2.0)
 
 
+def test_profile_refuses_keywords_it_does_not_read():
+    # a misspelt amplitude or a dimension the profile cannot take must not
+    # silently build the default profile
+    with pytest.raises(TypeError) as err:
+        mfg.manufactured("shear", PG, AFF, dim=2, amp_rhoo=3.0)
+    assert "amp_rhoo" in str(err.value) and "dim" in str(err.value)
+    with pytest.raises(TypeError, match="slope"):
+        mfg.manufactured("equilibrium", PG, AFF, slope=0.8)
+    assert mfg.manufactured("conduction", PG, AFF, slope=0.8, theta0=1.2).dim == 1
+
+
 def test_any_pressure_kernel_gets_consistent_forcings():
     # P(q) = q + q**(5/3) is Gibbs-compatible with S(q) = -log q; the
     # forcings reach it only through the model's own laws

@@ -496,8 +496,6 @@ def test_defect_from_refinement_oscillation_oracle():
 def test_defect_from_refinement_input_validation():
     fine = _synthetic_oscillation(32, 0.01)
     with pytest.raises(ValueError, match="incompatible grids.*domain"):
-        young.defect_from_refinement(fine, gridmod.Grid(cells=(16,), hi=(2.0,)), MODEL)
-    with pytest.raises(ValueError, match="incompatible grids.*domain"):
         young.defect_from_refinement(fine, gridmod.Grid(cells=(16, 16)), MODEL)
     with pytest.raises(ValueError, match="incompatible grids.*multiples"):
         young.defect_from_refinement(fine, gridmod.Grid(cells=(24,)), MODEL)
