@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import grid as gridmod
 from . import solver, thermo, transport
-from .experiments import CLAIM_DEFAULTS, ExperimentSpec
+from .experiments import CLAIM_DEFAULTS, ExperimentSpec, LadderError
 from .manufactured import StrongSolution, manufactured, profile_names
 
 __all__ = [
@@ -277,15 +277,18 @@ def build_experiment_spec(cfg: RunConfig, theorem: str) -> ExperimentSpec:
     solver.profile and must build, as in every other command."""
 
     block = cfg["experiment"]
-    spec = ExperimentSpec(
-        theorem=theorem,
-        model=build_model(cfg),
-        transport_model=build_transport(cfg),
-        profile=cfg["solver"]["profile"] or None,
-        eps_list=block["eps"] or None,
-        grids=block["grids"] or None,
-        solver=build_solver_config(cfg),
-        theta_scale=block["theta_scale"],
-        theta_tilt=block["theta_tilt"])
+    try:
+        spec = ExperimentSpec(
+            theorem=theorem,
+            model=build_model(cfg),
+            transport_model=build_transport(cfg),
+            profile=cfg["solver"]["profile"] or None,
+            eps_list=block["eps"] or None,
+            grids=block["grids"] or None,
+            solver=build_solver_config(cfg),
+            theta_scale=block["theta_scale"],
+            theta_tilt=block["theta_tilt"])
+    except LadderError as err:
+        raise ConfigError(f"experiment: {err}") from None
     build_source(cfg, spec.resolved_profile)
     return spec

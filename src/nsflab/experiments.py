@@ -16,11 +16,19 @@ gate never start.  Three runners sit on top:
   produce vanishing dissipation defects, an oscillatory velocity produces
   the period-averaged kinetic gap, and the entropy observable shows no
   concentration.
+
+Each runner's simulations are independent of one another, so they are spread
+over one process per CPU in the affinity mask (:func:`_run_tasks`), and their
+results are combined in the serial order: every report is bit-identical to a
+run in one process.  Within a process each run is read one saved level at a
+time, so at most two consecutive levels are alive per process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
@@ -33,6 +41,7 @@ from .manufactured import StrongSolution, grid_points, manufactured
 __all__ = [
     "GateResult",
     "HypothesisGateError",
+    "LadderError",
     "check_hypotheses",
     "ExperimentSpec",
     "TheoremReport",
@@ -115,6 +124,10 @@ class HypothesisGateError(ValueError):
         super().__init__(
             f"hypotheses for claim {gate.theorem!r} rejected: "
             + "; ".join(gate.reasons))
+
+
+class LadderError(ValueError):
+    """A claim's grids or perturbation sizes are too few for its verdicts."""
 
 
 def check_hypotheses(theorem: str, model: thermo.ThermoModel,
@@ -230,8 +243,11 @@ class ExperimentSpec:
     :class:`HypothesisGateError` on rejection, so a spec that exists is a
     spec that may run; ``gate`` keeps the accepting result.  ``profile``,
     ``grids`` and ``eps_list`` left as None take the claim's row of
-    :data:`CLAIM_DEFAULTS`.  ``solver`` is the template of every run's solver
-    configuration; the runners set its ``source``.
+    :data:`CLAIM_DEFAULTS`.  For claims "1"–"3" construction also raises
+    :class:`LadderError` on an empty ``eps_list`` or fewer than two grids, so
+    no run starts for a ladder the verdicts cannot read.  ``solver`` is the
+    template of every run's solver configuration; the runners set its
+    ``source``.
 
     The studies judge their runs against fixed thresholds (module constants):
 
@@ -288,6 +304,16 @@ class ExperimentSpec:
                                        else defaults.eps))
         if any(e <= 0.0 for e in eps):
             raise ValueError("perturbation sizes must be > 0")
+        if theorem in ("1", "2", "3"):
+            if not eps:
+                raise LadderError(
+                    f"claim {theorem!r} needs at least one perturbation size: "
+                    "its stability verdict fits a growth constant per size")
+            if len(grids) < 2:
+                raise LadderError(
+                    f"claim {theorem!r} needs at least two grids: its collapse "
+                    "order is fitted across the ladder and its growth constant "
+                    "is cross-checked on the next-coarser grid")
         object.__setattr__(self, "eps_list", eps)
         if self.theta_scale <= 0.0:
             raise ValueError("boundary temperature scale must be > 0")
@@ -299,17 +325,135 @@ class ExperimentSpec:
         return self.profile or CLAIM_DEFAULTS[self.theorem].profile
 
 
+def _serve(run, share: list, fd: int) -> None:
+    """Body of a forked process: run ``share`` in order, send each outcome
+    ``(ok, result or exception)`` down ``fd`` as it comes, stop at the first
+    failure, and leave by ``os._exit`` so no exit handler of the parent runs
+    twice."""
+
+    code = 1
+    try:
+        with os.fdopen(fd, "wb") as out:
+            for task in share:
+                try:
+                    outcome = (True, run(task))
+                except Exception as err:
+                    outcome = (False, err)
+                out.write(pickle.dumps(outcome))
+                out.flush()
+                if not outcome[0]:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_tasks(run, tasks: Iterable) -> list:
+    """``[run(task) for task in tasks]``, spread over k processes: one per
+    CPU in the affinity mask, at most one per task, and one where the
+    platform cannot fork or report the mask.
+
+    Process j runs tasks j, j + k, j + 2k, ... in order.  The calling
+    process is j = 0; the others are forked and send their pickled outcomes
+    back over a pipe, read whole before they are reaped.  The split depends
+    on the task list alone, so the calling process repeats the same work on
+    every run.  The earliest failing task's exception is
+    raised, as the serial loop would raise it; a forked process that dies
+    before sending a result raises a ``RuntimeError`` naming its exit status.
+    When the calling process's own task fails, each forked process is read
+    only until none of its remaining tasks comes earlier, then killed; no
+    process outlives the call.
+
+    Forking, not spawning: a forked process inherits the built comparison
+    flow and every module as the caller has it, so nothing is imported,
+    rebuilt or sent on the way in, and only the small results cross a pipe.
+    The one thread pool numpy starts, OpenBLAS's, is shut down at a fork.
+    """
+
+    tasks = list(tasks)
+    k = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        k = max(1, min(len(tasks), len(os.sched_getaffinity(0))))
+    if k == 1:
+        return [run(task) for task in tasks]
+    import signal  # loaded only where processes are forked
+
+    outcomes: dict[int, tuple] = {}
+    workers: list[tuple[int, int, object]] = []
+    statuses: dict[int, int] = {}
+    stop = len(tasks)
+    bailing = True
+    try:
+        for j in range(1, k):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _serve(run, tasks[j::k], write_fd)
+            os.close(write_fd)
+            workers.append((j, pid, os.fdopen(read_fd, "rb")))
+        for i in range(0, len(tasks), k):
+            try:
+                outcomes[i] = (True, run(tasks[i]))
+            except Exception as err:
+                outcomes[i] = (False, err)
+                stop = i
+                break
+        # a forked process's tasks past ``stop`` cannot fail first
+        for j, pid, stream in workers:
+            for i in range(j, stop, k):
+                try:
+                    outcomes[i] = pickle.load(stream)
+                except (EOFError, pickle.UnpicklingError):  # the process died
+                    break
+                if not outcomes[i][0]:
+                    break
+        bailing = stop < len(tasks)
+    finally:
+        for j, pid, stream in workers:
+            if bailing:
+                os.kill(pid, signal.SIGKILL)
+            stream.close()
+            statuses[j] = os.waitpid(pid, 0)[1]
+    for j, status in statuses.items():
+        share = range(j, stop, k)
+        missing = [i for i in share if i not in outcomes]
+        if missing and all(outcomes[i][0] for i in share if i in outcomes):
+            code = os.waitstatus_to_exitcode(status)
+            how = (f"exit status {code}" if code >= 0
+                   else f"killed by signal {signal.Signals(-code).name}")
+            outcomes[missing[0]] = (False, RuntimeError(
+                f"the process running study task {missing[0]} ended without "
+                f"its result: {how}"))
+    failed = [i for i in sorted(outcomes) if not outcomes[i][0]]
+    if failed:
+        raise outcomes[failed[0]][1]
+    return [outcomes[i][1] for i in range(len(tasks))]
+
+
+# a run's state ranges before its first level; merged with min/max, which is
+# exact, so per-run ranges combine to the serial fold in any grouping
+_NO_RANGES = {"rho_min": math.inf, "rho_max": 0.0, "theta_min": math.inf,
+              "theta_max": 0.0, "s_abs_max": 0.0}
+
+
+def _merge_ranges(into: dict[str, float], other: dict[str, float]) -> None:
+    for key, value in other.items():
+        into[key] = (min if key.endswith("_min") else max)(into[key], value)
+
+
 def _make_grid(n: int, dim: int) -> gridmod.Grid:
     return gridmod.Grid(cells=(n,) * dim)
 
 
 def _fit_order(h: np.ndarray, sup: np.ndarray) -> float:
-    """Slope of log(sup) against log(h); ``inf`` when the error is zero."""
+    """Slope of log(sup) against log(h) over two or more grids (the spec
+    refuses fewer); ``inf`` when the error is zero."""
 
     sup = np.asarray(sup, dtype=float)
     if np.all(sup <= 1e-13):
         return math.inf
-    if np.any(sup <= 0.0) or len(sup) < 2:
+    if np.any(sup <= 0.0):
         return math.inf if sup[-1] <= 0.0 else 0.0
     return float(np.polyfit(np.log(h), np.log(sup), 1)[0])
 
@@ -447,9 +591,10 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     better); perturbed data of size ``eps`` must stay inside
     ``exp(C t) * E(0)`` times the envelope factor, with the fitted constant
     stable across the listed perturbation sizes and across one grid
-    refinement.  Each run is read one saved level at a time as the solver
-    makes it: at most two consecutive levels are alive, and only per-level
-    scalars are kept.
+    refinement.  The runs are independent and spread over processes by
+    :func:`_run_tasks`.  Each run is read one saved level at a time as the
+    solver makes it: at most two consecutive levels are alive per process,
+    and only per-level scalars are kept.
     """
 
     if spec.theorem not in ("1", "2", "3"):
@@ -461,34 +606,35 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     sol = manufactured(profile, spec.model, spec.transport_model)
     dim = sol.dim
     model = spec.model
-    ranges = {"rho_min": math.inf, "rho_max": 0.0, "theta_min": math.inf,
-              "theta_max": 0.0, "s_abs_max": 0.0}
-    first: dict[str, float] = {}
 
-    def run(grid: gridmod.Grid, eps: Optional[float] = None):
-        """Solve from the strong data (``perturbed_state`` when ``eps`` is
-        given), fold each level into ``ranges`` (|s| evaluated once per
-        level) and ``first`` as the solver yields it, and return the run's
-        relative-energy series against ``sol``."""
-        claim2 = spec.theorem == "2" and not first
-        claim3 = spec.theorem == "3" and eps is not None and not first
+    def run(task):
+        """Solve one task ``(n, eps, claim_reads)``: n cells from the strong
+        data (``perturbed_state`` when ``eps`` is given).  Fold each level
+        into the run's own ranges (|s| evaluated once per level) and, when
+        ``claim_reads``, into the claim's reads, as the solver yields it.
+        Return the run's summary of its relative-energy series against
+        ``sol`` (the sup for a collapse run; E(0), the fitted constant and
+        the envelope growth for a perturbed one), its ranges and its reads."""
+        n, eps, claim_reads = task
+        grid = _make_grid(n, dim)
+        ranges = dict(_NO_RANGES)
         reads: list[tuple[float, ...]] = []
 
         def fold(states):
             for state in states:
                 rho, theta = state.rho, state.theta
                 s_abs = np.abs(model.s(rho, theta))
-                ranges["rho_min"] = min(ranges["rho_min"], float(np.min(rho)))
-                ranges["rho_max"] = max(ranges["rho_max"], float(np.max(rho)))
-                ranges["theta_min"] = min(ranges["theta_min"], float(np.min(theta)))
-                ranges["theta_max"] = max(ranges["theta_max"], float(np.max(theta)))
-                ranges["s_abs_max"] = max(ranges["s_abs_max"], float(np.max(s_abs)))
-                if claim2:
+                _merge_ranges(ranges, {
+                    "rho_min": float(np.min(rho)), "rho_max": float(np.max(rho)),
+                    "theta_min": float(np.min(theta)),
+                    "theta_max": float(np.max(theta)),
+                    "s_abs_max": float(np.max(s_abs))})
+                if claim_reads and spec.theorem == "2":
                     en = rho * model.e(rho, theta)
                     reads.append((
                         float(np.max(theta ** model.c_v / (rho * np.exp(_ENTROPY_CAP)))),
                         float(np.max(np.abs(model.p(rho, theta)) / (1.0 + en + rho * s_abs)))))
-                elif claim3:
+                elif claim_reads:
                     reads.append((state.t, *_velocity_control_terms(state, sol)))
                 yield state
 
@@ -500,29 +646,15 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
                                initial=None if eps is None
                                else perturbed_state(sol, grid, eps))),
             sol, model, spec.transport_model)
-        if claim2:
+        first: dict[str, float] = {}
+        if claim_reads and spec.theorem == "2":
             margin, quotient = zip(*reads)
             first["temperature_chain_margin"] = max(margin)
             first["pressure_quotient_max"] = max(quotient)
-        elif claim3:
+        elif claim_reads:
             first["velocity_control_ratio"] = _kp_absorption_ratio(*zip(*reads))
-        return rep
-
-    sup_e: list[float] = []
-    hs: list[float] = []
-    for n in spec.grids:
-        grid = _make_grid(n, dim)
-        rep = run(grid)
-        sup_e.append(float(np.max(rep.e_mv)))
-        hs.append(max(grid.h))
-    order = _fit_order(np.asarray(hs), np.asarray(sup_e))
-
-    fine = _make_grid(spec.grids[-1], dim)
-    e0: list[float] = []
-    cs: list[float] = []
-    growth: list[float] = []
-    for eps in spec.eps_list:
-        rep = run(fine, eps)
+        if eps is None:
+            return float(np.max(rep.e_mv)), ranges, first
         start = float(rep.e_mv[0])
         if start <= 0.0:
             raise RuntimeError(
@@ -530,23 +662,39 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
                 "perturbation did not register")
         c_fit = float(rep.gronwall_c)
         envelope = start * np.exp(c_fit * rep.times)
-        e0.append(start)
-        cs.append(c_fit)
-        growth.append(float(np.max(rep.e_mv / envelope)))
+        return (start, c_fit, float(np.max(rep.e_mv / envelope))), ranges, first
+
+    # the collapse ladder, the perturbed runs on the finest grid, and one
+    # grid-refinement cross-check of the fitted constant: the largest
+    # perturbation (the one farthest from the collapse floor) repeated on the
+    # next-coarser grid.  Claim "2" reads its hypotheses on the first exact
+    # run, claim "3" on the first perturbed run.
+    n_collapse = len(spec.grids)
+    idx = int(np.argmax(spec.eps_list))
+    runs = ([(n, None) for n in spec.grids]
+            + [(spec.grids[-1], eps) for eps in spec.eps_list]
+            + [(spec.grids[-2], spec.eps_list[idx])])
+    read_at = {"2": 0, "3": n_collapse}.get(spec.theorem)
+    results = _run_tasks(run, [(n, eps, i == read_at)
+                               for i, (n, eps) in enumerate(runs)])
+    ranges = dict(_NO_RANGES)
+    for _, run_ranges, _ in results:
+        _merge_ranges(ranges, run_ranges)
+    first = results[read_at][2] if read_at is not None else {}
+
+    sup_e = [sup for sup, _, _ in results[:n_collapse]]
+    hs = [max(_make_grid(n, dim).h) for n in spec.grids]
+    order = _fit_order(np.asarray(hs), np.asarray(sup_e))
+
+    fine = _make_grid(spec.grids[-1], dim)
+    e0, cs, growth = zip(*(summary for summary, _, _ in results[n_collapse:-1]))
     c_arr = np.asarray(cs)
     scale = float(np.max(np.abs(c_arr)))
     c_spread = 0.0 if scale == 0.0 else float(np.ptp(c_arr)) / scale
 
-    # one grid-refinement cross-check of the fitted constant: repeat the
-    # largest perturbation (the one farthest from the collapse floor) on the
-    # next-coarser grid and compare growth rates
-    c_grid_spread = 0.0
-    if len(spec.grids) >= 2:
-        idx = int(np.argmax(spec.eps_list))
-        rep = run(_make_grid(spec.grids[-2], dim), spec.eps_list[idx])
-        c_coarse = float(rep.gronwall_c)
-        denom = max(abs(cs[idx]), abs(c_coarse), 1e-12)
-        c_grid_spread = abs(c_coarse - cs[idx]) / denom
+    c_coarse = results[-1][0][1]
+    denom = max(abs(cs[idx]), abs(c_coarse), 1e-12)
+    c_grid_spread = abs(c_coarse - cs[idx]) / denom
 
     checks: dict[str, float] = {}
     hyp_ok = True
@@ -723,7 +871,10 @@ def run_apriori(spec: ExperimentSpec, c_fixed: Optional[float] = None) -> Aprior
     ``c_fixed`` skips calibration and validates against the given constant
     instead — the report's ``needs_recalibration`` flag goes up whenever a
     run exceeds it, which is the expected outcome after raising the boundary
-    temperature.
+    temperature.  The runs are spread over processes by :func:`_run_tasks`;
+    each folds its levels as the solver yields them, so at most two
+    consecutive levels are alive per process.  A budget blow-up is checked
+    in grid order once every run is back.
     """
 
     if spec.theorem != "apriori":
@@ -737,15 +888,9 @@ def run_apriori(spec: ExperimentSpec, c_fixed: Optional[float] = None) -> Aprior
     else:
         boundary = gridmod.constant_boundary(theta_b)
 
-    totals: list[float] = []
-    per_term: dict[str, list[float]] = {}
-    flux_c = 0.0
-    theta_sq_c = 0.0
-    entropy_margin = math.inf
-    max_margin = math.inf
-    hat_lo = math.inf
-    hat_hi = -math.inf
-    for n in spec.grids:
+    def run(n: int):
+        """The budget terms of one run on n x n cells, with the interior
+        range of its harmonic extension and its maximum-principle margin."""
         grid = _make_grid(n, 2)
         theta_hat = gridmod.harmonic_extension(grid, boundary, t=0.0)
         hat_int = theta_hat.interior
@@ -753,11 +898,7 @@ def run_apriori(spec: ExperimentSpec, c_fixed: Optional[float] = None) -> Aprior
                  for pts in gridmod.boundary_face_points(grid).values()]
         b_lo = min(float(np.min(v)) for v in bvals)
         b_hi = max(float(np.max(v)) for v in bvals)
-        max_margin = min(max_margin,
-                         float(np.min(hat_int)) - b_lo,
-                         b_hi - float(np.max(hat_int)))
-        hat_lo = min(hat_lo, float(np.min(hat_int)))
-        hat_hi = max(hat_hi, float(np.max(hat_int)))
+        hat_lo, hat_hi = float(np.min(hat_int)), float(np.max(hat_int))
 
         rho0, u0, th0 = sol.on_grid(grid, 0.0)
         x = grid_points(grid)[..., 0]
@@ -767,7 +908,22 @@ def run_apriori(spec: ExperimentSpec, c_fixed: Optional[float] = None) -> Aprior
             grid, replace(spec.solver, source=None), spec.model, spec.transport_model,
             boundary=boundary, initial=solver.FlowState(
                 grid=grid, rho=rho0, u=u0, theta=theta_b * (th0 + tilt * x), t=0.0))
-        terms = _budget_terms(states, spec, theta_hat, boundary)
+        return (_budget_terms(states, spec, theta_hat, boundary), (hat_lo, hat_hi),
+                min(hat_lo - b_lo, b_hi - hat_hi))
+
+    totals: list[float] = []
+    per_term: dict[str, list[float]] = {}
+    flux_c = 0.0
+    theta_sq_c = 0.0
+    entropy_margin = math.inf
+    max_margin = math.inf
+    hat_lo = math.inf
+    hat_hi = -math.inf
+    for n, (terms, (lo, hi), margin) in zip(spec.grids,
+                                            _run_tasks(run, spec.grids)):
+        max_margin = min(max_margin, margin)
+        hat_lo = min(hat_lo, lo)
+        hat_hi = max(hat_hi, hi)
         flux_c = max(flux_c, terms.pop("entropy_flux_c"))
         theta_sq_c = max(theta_sq_c, terms.pop("theta_sq_c"))
         entropy_margin = min(entropy_margin, terms.pop("entropy_bound_margin"))
@@ -886,7 +1042,8 @@ def run_defect_study(spec: ExperimentSpec) -> DefectStudyReport:
     grained onto 16, must produce the kinetic energy gap predicted by period
     averaging; its defect bundle must pass the compatibility bound; and the
     entropy observable must show no concentration.  The solver runs only on
-    the grids of ``spec.grids``.
+    the grids of ``spec.grids``, one process per run where CPUs allow
+    (:func:`_run_tasks`).
     """
 
     if spec.theorem != "defect":
@@ -894,13 +1051,13 @@ def run_defect_study(spec: ExperimentSpec) -> DefectStudyReport:
     gate = spec.gate
     refs = testfuns.theta_refs(1, base=(1.0, 0.0, 0.0), amps=(0.0, 0.15, -0.1))
 
-    smooth_cells: list[int] = []
-    smooth_d: list[float] = []
-    for n in spec.grids:
+    def run(n: int) -> float:
         bundle, _ = young.defect_from_refinement(
             _decay_run(spec, n), gridmod.Grid(cells=(n // 4,)), spec.model, refs)
-        smooth_cells.append(n // 4)
-        smooth_d.append(float(np.max(bundle.d_diss)))
+        return float(np.max(bundle.d_diss))
+
+    smooth_cells = [n // 4 for n in spec.grids]
+    smooth_d = _run_tasks(run, spec.grids)
     vanishing = all(b < a for a, b in zip(smooth_d, smooth_d[1:]))
     if len(smooth_d) >= 2:
         vanishing = vanishing and smooth_d[-1] < 0.75 * smooth_d[0]

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from nsflab import cli, config, reports
+from nsflab import cli, config, reports, solver
 
 
 # --------------------------------------------------------------------------
@@ -461,6 +461,21 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
                      "--out", str(tmp_path)])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("theorem", ["1", "2", "3"])
+def test_wsu_refuses_a_one_grid_ladder_before_any_run(tmp_path, capsys, monkeypatch,
+                                                      theorem):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused ladder runs nothing")
+
+    monkeypatch.setattr(solver, "levels", refuse)
+    code = cli.main(["wsu", "--theorem", theorem, "--grids", "32",
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "needs at least two grids" in err
+    assert not (tmp_path / "wsu" / "verdict.json").exists()
 
 
 @pytest.mark.parametrize("argv, profile", [

@@ -1,6 +1,9 @@
 """Gate matrix and the three standing studies."""
 
 import math
+import os
+import signal
+import time
 import weakref
 from dataclasses import replace
 
@@ -121,6 +124,25 @@ def test_spec_validation():
         ex.ExperimentSpec(theta_scale=0.0, **good)
     with pytest.raises(ValueError, match="tilt"):
         ex.ExperimentSpec(theta_tilt=1.5, **good)
+
+
+def test_spec_refuses_ladders_the_claim_cannot_read(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused ladder runs nothing")
+
+    monkeypatch.setattr(solver, "levels", refuse)
+    for theorem, model, tm in (("1", PG, AT), ("2", PG, AT), ("3", MR, PK)):
+        good = dict(theorem=theorem, model=model, transport_model=tm)
+        with pytest.raises(ValueError, match="at least one perturbation size"):
+            ex.ExperimentSpec(eps_list=(), **good)
+        with pytest.raises(ValueError, match="at least two grids"):
+            ex.ExperimentSpec(grids=(32,), **good)
+        assert ex.ExperimentSpec(grids=(16, 32), **good).grids == (16, 32)
+    # the budget and coarse-graining studies read a single grid
+    assert ex.ExperimentSpec(theorem="apriori", model=MR, transport_model=PK,
+                             grids=(8,)).grids == (8,)
+    assert ex.ExperimentSpec(theorem="defect", model=PG, transport_model=AT,
+                             grids=(64,)).grids == (64,)
 
 
 def test_spec_keeps_the_gate_it_computes(monkeypatch):
@@ -286,6 +308,8 @@ _SMALL_APRIORI = ex.ExperimentSpec(theorem="apriori", model=MR, transport_model=
 
 @pytest.mark.parametrize("study", sorted(_SMALL_STUDIES) + ["apriori"])
 def test_studies_hold_at_most_two_streamed_levels(study, monkeypatch):
+    # one process, so the levels wrapper below sees every run
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     levels = solver.levels
     runs: list[list[weakref.ref]] = []
 
@@ -416,6 +440,8 @@ def test_defect_study_runs_the_solver_on_its_fine_grids_only(monkeypatch):
         return simulate(grid, *args, **kwargs)
 
     monkeypatch.setattr(ex.solver, "simulate", counted)
+    # one process, so the wrapper above sees every run
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     spec = ex.ExperimentSpec(theorem="defect", model=PG, transport_model=AT)
     rep = ex.run_defect_study(spec)
     assert cells == [(64,), (128,)]
@@ -426,3 +452,110 @@ def test_defect_study_perturbs_nothing():
     spec = ex.ExperimentSpec(theorem="defect", model=PG, transport_model=AT)
     assert spec.eps_list == ()
     assert _SMALL_APRIORI.eps_list == ()
+
+
+# --------------------------------------------------------------------------
+# independent runs in parallel processes
+# --------------------------------------------------------------------------
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+_SMALL_DEFECT = ex.ExperimentSpec(theorem="defect", model=PG, transport_model=AT,
+                                  grids=(16, 32))
+
+
+@pytest.mark.parametrize("study", ["1", "3", "apriori", "defect"])
+def test_two_processes_give_the_one_process_report_bit_for_bit(study, monkeypatch):
+    runner, spec = {"1": (ex.run_theorem, _SMALL_STUDIES["1"]),
+                    "3": (ex.run_theorem, _SMALL_STUDIES["3"]),
+                    "apriori": (ex.run_apriori, _SMALL_APRIORI),
+                    "defect": (ex.run_defect_study, _SMALL_DEFECT)}[study]
+    levels = solver.levels
+    here: list[int] = []
+
+    def counted(*args, **kwargs):
+        here.append(os.getpid())
+        return levels(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "levels", counted)
+    reports, runs_here = {}, {}
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        here.clear()
+        reports[n] = runner(spec)
+        runs_here[n] = len(here)
+    assert reports[2] == reports[1]
+    assert repr(reports[2]) == repr(reports[1])  # floats by their shortest repr
+    # the other process ran its share: this one saw only every second run
+    assert runs_here[2] == (runs_here[1] + 1) // 2 < runs_here[1]
+    assert _no_child_left()
+
+
+def test_parallel_runs_return_in_task_order_split_by_position(monkeypatch):
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+    out = ex._run_tasks(lambda t: (t, os.getpid() == parent), range(5))
+    assert out == [(0, True), (1, False), (2, True), (3, False), (4, True)]
+    _cpus(monkeypatch, 8)
+    out = ex._run_tasks(lambda t: (t, os.getpid() == parent), range(3))
+    assert out == [(0, True), (1, False), (2, False)]
+    assert _no_child_left()
+
+
+def _fails_at(bad):
+    def run(task):
+        if task in bad:
+            raise solver.PositivityError(f"density lost positivity in task {task}")
+        return task
+    return run
+
+
+@pytest.mark.parametrize("bad", [{1}, {3}, {1, 2}, {1, 3}, {2, 3}, {4}])
+def test_the_earliest_failing_task_raises_as_in_one_process(bad, monkeypatch):
+    _cpus(monkeypatch, 1)
+    with pytest.raises(solver.PositivityError) as serial:
+        ex._run_tasks(_fails_at(bad), range(5))
+    _cpus(monkeypatch, 2)
+    with pytest.raises(solver.PositivityError) as parallel:
+        ex._run_tasks(_fails_at(bad), range(5))
+    assert str(parallel.value) == str(serial.value) == (
+        f"density lost positivity in task {min(bad)}")
+    assert _no_child_left()
+
+
+def test_a_failure_in_the_calling_process_leaves_no_child(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def run(task):
+        if task == 0:
+            raise ValueError("task 0 failed")
+        time.sleep(60.0)  # the other process is still busy when it is killed
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="task 0 failed"):
+        ex._run_tasks(run, range(4))
+    assert time.monotonic() - start < 30.0
+    assert _no_child_left()
+
+
+def test_a_process_killed_by_a_signal_is_named(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def run(task):
+        if task == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return task
+
+    with pytest.raises(RuntimeError, match="task 1 ended without its result: "
+                                           "killed by signal SIGKILL"):
+        ex._run_tasks(run, range(4))
+    assert _no_child_left()
