@@ -4,8 +4,11 @@ Subcommands: ``simulate``, ``mv-check``, ``relenergy``, ``wsu``, ``apriori``,
 ``defect-study``, ``verify-thermo``.  Every command writes a JSON verdict
 (and, where natural, CSV series and binary snapshots) under
 ``<out>/<command>/`` and exits 0 only if every assertion holds; assertion
-failures exit 1, usage and configuration errors exit 2.  Identical
-(config, seed) pairs produce byte-identical reports.
+failures exit 1, usage and configuration errors exit 2.  Every command builds
+its config one way: the command's defaults row, the ``--config`` file over
+it, and the flags of ``_FLAG_KEYS`` over both; the result is echoed to
+``config-effective.ini``, and re-running with that file alone repeats the run.
+Identical (config, seed) pairs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -27,37 +29,56 @@ __all__ = ["main", "OUTPUT_ENV"]
 OUTPUT_ENV = "NSFLAB_OUT"
 
 
-def _resolve_out(args, command: str) -> str:
-    root = args.out or os.environ.get(OUTPUT_ENV) or "nsflab-out"
-    path = os.path.join(root, command)
-    os.makedirs(path, exist_ok=True)
-    return path
+# flag (argparse dest) -> the config key it sets; a flag left at None sets
+# nothing, so the file's value or the command's default stands
+_FLAG_KEYS = {
+    "seed": ("run", "seed"), "profile": ("solver", "profile"),
+    "t_end": ("solver", "t_end"), "cells": ("grid", "cells"),
+    "model": ("model", "kind"), "c_v": ("model", "c_v"), "a": ("model", "a"),
+    "kernel": ("model", "kernel"), "transport": ("transport", "kind"),
+    "beta": ("transport", "beta"), "eps": ("experiment", "eps"),
+    "grids": ("experiment", "grids"), "theta_scale": ("experiment", "theta_scale"),
+    "theta_tilt": ("experiment", "theta_tilt"),
+}
 
 
-def _echo_config(cfg: configmod.RunConfig, out: str) -> None:
-    configmod.save_config(cfg, os.path.join(out, "config-effective.ini"))
-
-
-def _base_config(args, theorem: Optional[str] = None) -> configmod.RunConfig:
-    """The config file read over the command's defaults (the claim's pairing
-    for a ``theorem``), with ``--seed`` applied."""
-    cfg = configmod.default_config(theorem)
+def _config(args, command: str) -> configmod.RunConfig:
+    """``command``'s defaults row, the ``--config`` file read over it, and
+    the flags applied over both."""
+    cfg = configmod.default_config(command)
     if args.config:
         cfg = configmod.load_config(args.config, cfg)
-    return _apply(cfg, "run", "seed", args.seed)
+    for dest, value in vars(args).items():
+        if dest in _FLAG_KEYS and value is not None:
+            cfg = cfg.replace_value(*_FLAG_KEYS[dest], value)
+    return cfg
 
 
-def _apply(cfg: configmod.RunConfig, section: str, key: str, value):
-    return cfg if value is None else cfg.replace_value(section, key, value)
+def _flow(cfg: configmod.RunConfig):
+    """The comparison flow and grid of a one-run command, and ``cfg`` with
+    the grid's cells written in."""
+    source = configmod.build_source(cfg)
+    grid = configmod.build_grid(cfg, source.dim)
+    return cfg.replace_value("grid", "cells", grid.cells), source, grid
+
+
+def _echo(args, cfg: configmod.RunConfig, command: str) -> str:
+    """Write ``cfg`` to ``<out>/<command>/config-effective.ini``; return
+    that directory."""
+    out = os.path.join(args.out or os.environ.get(OUTPUT_ENV) or "nsflab-out", command)
+    os.makedirs(out, exist_ok=True)
+    configmod.save_config(cfg, os.path.join(out, "config-effective.ini"))
+    return out
+
+
+def _cells(grid):
+    """The verdict's cells: the count of every axis when they agree."""
+    return grid.cells[0] if len(set(grid.cells)) == 1 else list(grid.cells)
 
 
 def _status(ok: bool, label: str, detail: str = "") -> None:
     tail = f" ({detail})" if detail else ""
     print(f"{'PASS' if ok else 'FAIL'}: {label}{tail}")
-
-
-def _asdata(report) -> dict:
-    return dataclasses.asdict(report)
 
 
 # --------------------------------------------------------------------------
@@ -66,18 +87,10 @@ def _asdata(report) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _base_config(args)
-    cfg = _apply(cfg, "solver", "profile", args.profile)
-    cfg = _apply(cfg, "solver", "t_end", args.t_end)
-    if args.cells is not None:
-        cfg = cfg.replace_value("grid", "cells", tuple(args.cells))
-    out = _resolve_out(args, "simulate")
-    _echo_config(cfg, out)
+    cfg, source, grid = _flow(_config(args, "simulate"))
+    out = _echo(args, cfg, "simulate")
 
-    model = configmod.build_model(cfg)
-    tm = configmod.build_transport(cfg)
-    source = configmod.build_source(cfg)
-    grid = configmod.build_grid(cfg)
+    model, tm = source.model, source.transport_model
     scfg = configmod.build_solver_config(cfg, source)
     traj = solver.simulate(grid, scfg, model, tm, boundary=source.boundary)
 
@@ -109,13 +122,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_thermo(args) -> int:
-    cfg = _base_config(args)
-    cfg = _apply(cfg, "model", "kind", args.model)
-    cfg = _apply(cfg, "model", "c_v", args.c_v)
-    cfg = _apply(cfg, "model", "a", args.a)
-    cfg = _apply(cfg, "model", "kernel", args.kernel)
-    out = _resolve_out(args, "verify-thermo")
-    _echo_config(cfg, out)
+    cfg = _config(args, "verify-thermo")
+    out = _echo(args, cfg, "verify-thermo")
 
     seed = cfg["run"]["seed"]
     model = configmod.build_model(cfg)
@@ -138,18 +146,10 @@ def cmd_verify_thermo(args) -> int:
 
 
 def cmd_mv_check(args) -> int:
-    cfg = _base_config(args)
-    cfg = _apply(cfg, "solver", "profile", args.profile)
-    cfg = _apply(cfg, "solver", "t_end", args.t_end)
-    out = _resolve_out(args, "mv-check")
-    sol = configmod.build_source(cfg)
-    dim = sol.dim
-    cfg = cfg.replace_value("grid", "cells", (args.cells,) * dim)
-    _echo_config(cfg, out)
+    cfg, sol, grid = _flow(_config(args, "mv-check"))
+    out = _echo(args, cfg, "mv-check")
 
-    model = configmod.build_model(cfg)
-    tm = configmod.build_transport(cfg)
-    grid = configmod.build_grid(cfg)
+    model, tm = sol.model, sol.transport_model
     rho0, u0, th0 = sol.on_grid(grid, 0.0)
     init = solver.FlowState(grid=grid, rho=rho0, u=u0, theta=th0, t=0.0)
     scfg = configmod.build_solver_config(cfg)
@@ -159,33 +159,28 @@ def cmd_mv_check(args) -> int:
     ref = testfuns.theta_ref_from_strong(sol)
 
     tol = args.tol_scale * max(grid.h)
-    cont = young.continuity_residual(V, testfuns.scalar_tests(dim))
-    mom = young.momentum_residual(V, testfuns.velocity_tests(dim), model, tm)
-    ent = young.entropy_mv_residual(V, testfuns.entropy_tests(dim), model, tm)
-    ball = young.ballistic_mv_residual(V, 0.0, ref, model, tm,
-                                       boundary=sol.boundary)
-    vel = young.check_velocity_compat(V, testfuns.tensor_tests(dim))
-    temp = young.check_temperature_compat(V, testfuns.flux_tests(dim), ref,
-                                          boundary=sol.boundary)
-
-    clauses = {
-        "continuity": {"max_abs": cont.max_abs, "ok": cont.max_abs <= tol,
-                       "residuals": list(cont.residuals)},
-        "momentum": {"max_abs": mom.max_abs, "ok": mom.max_abs <= tol,
-                     "residuals": list(mom.residuals)},
-        "entropy": {"min": ent.min, "ok": ent.min >= -tol,
-                    "residuals": list(ent.residuals)},
-        "ballistic": {"min": ball.min, "ok": ball.min >= -tol,
-                      "residuals": list(ball.residuals)},
-        "velocity_compat": {"max_abs": vel.max_abs, "ok": vel.max_abs <= tol,
-                            "residuals": list(vel.residuals)},
-        "temperature_compat": {"max_abs": temp.max_abs,
-                               "ok": temp.max_abs <= tol,
-                               "residuals": list(temp.residuals)},
-    }
+    dim = grid.dim
+    checks = (  # (name, statistic, report); the "min" clauses are one-sided
+        ("continuity", "max_abs", young.continuity_residual(V, testfuns.scalar_tests(dim))),
+        ("momentum", "max_abs",
+         young.momentum_residual(V, testfuns.velocity_tests(dim), model, tm)),
+        ("entropy", "min",
+         young.entropy_mv_residual(V, testfuns.entropy_tests(dim), model, tm)),
+        ("ballistic", "min",
+         young.ballistic_mv_residual(V, 0.0, ref, model, tm, boundary=sol.boundary)),
+        ("velocity_compat", "max_abs",
+         young.check_velocity_compat(V, testfuns.tensor_tests(dim))),
+        ("temperature_compat", "max_abs", young.check_temperature_compat(
+            V, testfuns.flux_tests(dim), ref, boundary=sol.boundary)),
+    )
+    clauses = {}
+    for name, stat, rep in checks:
+        value = getattr(rep, stat)
+        clauses[name] = {stat: value, "residuals": list(rep.residuals),
+                         "ok": value >= -tol if stat == "min" else value <= tol}
     ok = all(entry["ok"] for entry in clauses.values())
     reports.write_verdicts(os.path.join(out, "verdict.json"), {
-        "ok": ok, "tol_h": tol, "cells": args.cells, "profile": sol.profile,
+        "ok": ok, "tol_h": tol, "cells": _cells(grid), "profile": sol.profile,
         "clauses": clauses,
     })
     worst = [name for name, entry in clauses.items() if not entry["ok"]]
@@ -200,19 +195,15 @@ def cmd_mv_check(args) -> int:
 
 
 def cmd_relenergy(args) -> int:
-    cfg = _base_config(args)
-    cfg = _apply(cfg, "solver", "profile", args.profile)
-    cfg = _apply(cfg, "solver", "t_end", args.t_end)
-    out = _resolve_out(args, "relenergy")
-    sol = configmod.build_source(cfg)
-    cfg = cfg.replace_value("grid", "cells", (args.cells,) * sol.dim)
-    cfg = cfg.replace_value("experiment", "eps", (args.eps,))
-    _echo_config(cfg, out)
+    cfg, sol, grid = _flow(_config(args, "relenergy"))
+    if len(cfg["experiment"]["eps"]) != 1:
+        raise configmod.ConfigError("experiment.eps: relenergy runs exactly one "
+                                    "perturbation size")
+    eps = cfg["experiment"]["eps"][0]
+    out = _echo(args, cfg, "relenergy")
 
-    model = configmod.build_model(cfg)
-    tm = configmod.build_transport(cfg)
-    grid = configmod.build_grid(cfg)
-    init = experiments.perturbed_state(sol, grid, args.eps)
+    model, tm = sol.model, sol.transport_model
+    init = experiments.perturbed_state(sol, grid, eps)
     scfg = configmod.build_solver_config(cfg, sol)
     traj = solver.simulate(grid, scfg, model, tm, boundary=sol.boundary,
                            initial=init)
@@ -237,7 +228,7 @@ def cmd_relenergy(args) -> int:
         "gronwall_c": rep.gronwall_c,
         "reduced_c_required": rep.reduced_c_required,
         "e_mv_initial": float(rep.e_mv[0]), "e_mv_final": float(rep.e_mv[-1]),
-        "eps": args.eps, "cells": args.cells, "profile": sol.profile,
+        "eps": eps, "cells": _cells(grid), "profile": sol.profile,
     })
     _status(ok, "relenergy", f"slack_min = {slack_min:.3e} >= -{tol:.1e}"
             if ok else f"slack_min = {slack_min:.3e} < -{tol:.1e}")
@@ -249,32 +240,14 @@ def cmd_relenergy(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _experiment_config(args, theorem: str) -> configmod.RunConfig:
-    cfg = _base_config(args, theorem)
-    cfg = _apply(cfg, "model", "kind", getattr(args, "model", None))
-    cfg = _apply(cfg, "model", "c_v", getattr(args, "c_v", None))
-    cfg = _apply(cfg, "model", "a", getattr(args, "a", None))
-    cfg = _apply(cfg, "model", "kernel", getattr(args, "kernel", None))
-    cfg = _apply(cfg, "transport", "kind", getattr(args, "transport", None))
-    cfg = _apply(cfg, "transport", "beta", getattr(args, "beta", None))
-    if getattr(args, "eps", None):
-        cfg = cfg.replace_value("experiment", "eps", tuple(args.eps))
-    if getattr(args, "grids", None):
-        cfg = cfg.replace_value("experiment", "grids", tuple(args.grids))
-    cfg = _apply(cfg, "experiment", "theta_scale", getattr(args, "theta_scale", None))
-    cfg = _apply(cfg, "experiment", "theta_tilt", getattr(args, "theta_tilt", None))
-    return _apply(cfg, "solver", "t_end", getattr(args, "t_end", None))
-
-
 def _run_study(args, theorem: str, command: str, run, outputs) -> int:
     """Echo the config, gate it, run ``run(spec)`` and persist the report.
 
     ``outputs(report)`` gives the CSV series by file name and the status
     detail.  A gate rejection writes only the echo and a rejection verdict.
     """
-    cfg = _experiment_config(args, theorem)
-    out = _resolve_out(args, command)
-    _echo_config(cfg, out)
+    cfg = _config(args, theorem)
+    out = _echo(args, cfg, command)
     try:
         spec = configmod.build_experiment_spec(cfg, theorem)
     except experiments.HypothesisGateError as err:
@@ -290,7 +263,7 @@ def _run_study(args, theorem: str, command: str, run, outputs) -> int:
     series, detail = outputs(rep)
     for name, columns in series.items():
         reports.write_series(os.path.join(out, name), columns)
-    data = _asdata(rep)
+    data = dataclasses.asdict(rep)
     data["accepted"] = rep.gate.accepted
     reports.write_verdicts(os.path.join(out, "verdict.json"), data)
     _status(rep.ok, command, detail)
@@ -391,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mv-check", parents=[common],
                         help="weak-form clause residuals of a point measure")
     sp.add_argument("--profile", choices=profile_names(), default=None)
-    sp.add_argument("--cells", type=int, default=48)
-    sp.add_argument("--t-end", type=float, default=0.02)
+    sp.add_argument("--cells", type=_int_list, default=None)
+    sp.add_argument("--t-end", type=float, default=None)
     sp.add_argument("--tol-scale", type=float, default=1.0,
                     help="clause tolerance = tol_scale * h")
     sp.set_defaults(func=cmd_mv_check)
@@ -400,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("relenergy", parents=[common],
                         help="relative-energy inequality chain for a perturbed run")
     sp.add_argument("--profile", choices=profile_names(), default=None)
-    sp.add_argument("--cells", type=int, default=64)
-    sp.add_argument("--eps", type=float, default=5e-3)
+    sp.add_argument("--cells", type=_int_list, default=None)
+    sp.add_argument("--eps", type=_float_list, default=None)
     sp.add_argument("--t-end", type=float, default=None)
     sp.add_argument("--tol-scale", type=float, default=1e-3,
                     help="slack tolerance = tol_scale * h")

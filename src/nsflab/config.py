@@ -3,7 +3,9 @@
 A run is reproducible from its config file plus a seed, so the schema is
 strict: unknown sections or keys are rejected by name, values are parsed by
 declared type, and saving a loaded config reproduces it exactly (floats are
-written in shortest round-trip form).
+written in shortest round-trip form).  Each command starts from its own row
+of defaults (:func:`default_config`), reads its file over that row and its
+flags over both, so the echo of what it ran is one complete config.
 """
 
 from __future__ import annotations
@@ -141,16 +143,32 @@ def _render(kind: str, value) -> str:
     return str(value) if kind != "float" else repr(float(value))
 
 
-def default_config(theorem: Optional[str] = None) -> RunConfig:
-    """The schema defaults; for a claim ``theorem`` (an id of
-    ``experiments.CLAIM_DEFAULTS``) the model and transport kinds are the
-    claim's own pairing."""
+# command -> (section, key) -> the value the command runs where neither its
+# file nor a flag sets one; a key its row leaves out keeps the schema default.
+# A claim's row is its line of experiments.CLAIM_DEFAULTS.
+_ONE_RUN = {("solver", "profile"): "shear"}
+_ROWS = {
+    "simulate": _ONE_RUN,
+    "verify-thermo": {},
+    "mv-check": {**_ONE_RUN, ("solver", "t_end"): 0.02, ("grid", "cells"): (48,)},
+    "relenergy": {**_ONE_RUN, ("grid", "cells"): (64,), ("experiment", "eps"): (5e-3,)},
+    **{claim: {("model", "kind"): row.model, ("transport", "kind"): row.transport,
+               ("solver", "profile"): row.profile, ("experiment", "grids"): row.grids,
+               ("experiment", "eps"): row.eps}
+       for claim, row in CLAIM_DEFAULTS.items()},
+}
+
+
+def default_config(command: Optional[str] = None) -> RunConfig:
+    """The schema defaults, or with ``command`` that command's whole row:
+    ``simulate``, ``verify-thermo``, ``mv-check``, ``relenergy``, or a claim
+    id of ``experiments.CLAIM_DEFAULTS``, whose row fills the model and
+    transport kinds, the profile, the grids and the perturbation sizes."""
 
     sections = {section: {key: default for key, (_, default) in keys.items()}
                 for section, keys in _SCHEMA.items()}
-    if theorem is not None:
-        sections["model"]["kind"] = CLAIM_DEFAULTS[theorem].model
-        sections["transport"]["kind"] = CLAIM_DEFAULTS[theorem].transport
+    for (section, key), value in (_ROWS[command] if command else {}).items():
+        sections[section][key] = value
     return RunConfig(sections=sections)
 
 
@@ -244,15 +262,24 @@ def build_transport(cfg: RunConfig) -> transport.TransportModel:
         f"'bounded_general', got {kind!r}")
 
 
-def build_grid(cfg: RunConfig) -> gridmod.Grid:
-    return gridmod.Grid(cells=cfg["grid"]["cells"])
+def build_grid(cfg: RunConfig, dim: int) -> gridmod.Grid:
+    """The grid of grid.cells for a comparison flow of dimension ``dim``: a
+    single count applies to every axis, any other list gives one per axis."""
+
+    cells = cfg["grid"]["cells"]
+    if len(cells) == 1:
+        cells = cells * dim
+    elif len(cells) != dim:
+        raise ConfigError(
+            f"grid.cells {', '.join(map(str, cells))} does not fit the {dim}D "
+            "comparison flow: give one count, or one per axis")
+    return gridmod.Grid(cells=cells)
 
 
-def build_source(cfg: RunConfig, default: str = "shear") -> StrongSolution:
-    """The manufactured comparison flow named by solver.profile; an empty
-    name means ``default``, the command's own profile."""
+def build_source(cfg: RunConfig, name: Optional[str] = None) -> StrongSolution:
+    """The manufactured comparison flow ``name`` (solver.profile when None)."""
 
-    name = cfg["solver"]["profile"] or default
+    name = cfg["solver"]["profile"] if name is None else name
     if name not in profile_names():
         raise ConfigError(
             f"solver.profile {name!r} is not a known comparison profile; "

@@ -312,6 +312,123 @@ def test_mv_check_and_relenergy_echo_the_grid_and_eps_they_ran(tmp_path, capsys)
     assert (verdict["cells"], verdict["eps"]) == (16, 1e-3)
 
 
+def _spy_runs(monkeypatch):
+    # (cells, t_end) of every solver run a command makes
+    runs, simulate = [], solver.simulate
+
+    def spy(grid, scfg, *args, **kwargs):
+        runs.append((grid.cells, scfg.t_end))
+        return simulate(grid, scfg, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "simulate", spy)
+    return runs
+
+
+_RUN_INI = "[solver]\nt_end = 0.004\n[grid]\ncells = 12\n[experiment]\neps = 0.002\n"
+
+
+def test_mv_check_and_relenergy_run_the_files_grid_end_time_and_eps(
+        tmp_path, capsys, monkeypatch):
+    ini = tmp_path / "run.ini"
+    ini.write_text(_RUN_INI)
+    runs = _spy_runs(monkeypatch)
+    for command in ("mv-check", "relenergy"):
+        assert cli.main([command, "--config", str(ini), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert runs == [((12,), 0.004), ((12,), 0.004)]
+    mv = reports.read_verdicts(tmp_path / "mv-check" / "verdict.json")
+    assert (mv["cells"], mv["tol_h"]) == (12, 1.0 / 12)
+    rel = reports.read_verdicts(tmp_path / "relenergy" / "verdict.json")
+    assert (rel["cells"], rel["eps"], rel["tol_h"]) == (12, 0.002, 1e-3 / 12)
+    for command in ("mv-check", "relenergy"):
+        echo = config.load_config(tmp_path / command / "config-effective.ini")
+        assert (echo["grid"]["cells"], echo["solver"]["t_end"]) == ((12,), 0.004)
+    assert echo["experiment"]["eps"] == (0.002,)
+
+
+def test_mv_check_and_relenergy_flags_win_over_the_file(tmp_path, capsys, monkeypatch):
+    ini = tmp_path / "run.ini"
+    ini.write_text(_RUN_INI)
+    runs = _spy_runs(monkeypatch)
+    flags = ["--cells", "16", "--t-end", "0.002", "--config", str(ini), "--out", str(tmp_path)]
+    assert cli.main(["mv-check"] + flags) == 0
+    assert cli.main(["relenergy", "--eps", "1e-3"] + flags) == 0
+    capsys.readouterr()
+    assert runs == [((16,), 0.002), ((16,), 0.002)]
+    mv = reports.read_verdicts(tmp_path / "mv-check" / "verdict.json")
+    assert (mv["cells"], mv["tol_h"]) == (16, 1.0 / 16)
+    rel = reports.read_verdicts(tmp_path / "relenergy" / "verdict.json")
+    assert (rel["cells"], rel["eps"], rel["tol_h"]) == (16, 1e-3, 1e-3 / 16)
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_relenergy_refuses_more_than_one_perturbation_size(tmp_path, capsys, source):
+    if source == "flag":
+        argv = ["--eps", "1e-3,2e-3"]
+    else:
+        ini = tmp_path / "eps.ini"
+        ini.write_text("[experiment]\neps = 0.001, 0.002\n")
+        argv = ["--config", str(ini)]
+    code = cli.main(["relenergy"] + argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "experiment.eps" in err
+
+
+def test_one_cells_count_spreads_over_every_axis_of_the_flow(tmp_path, capsys):
+    # the molecular-radiation flow is 2D: the default count runs 64 x 64,
+    # and one count given on the command line runs on both axes
+    assert config.build_grid(config.default_config("simulate"), 2).cells == (64, 64)
+    ini = tmp_path / "mr.ini"
+    ini.write_text("[model]\nkind = molecular_radiation\n"
+                   "[transport]\nkind = power_kappa\n")
+    code = cli.main(["simulate", "--config", str(ini), "--profile", "radiative_decay",
+                     "--cells", "8", "--t-end", "0.001", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    out = tmp_path / "simulate"
+    assert reports.read_verdicts(out / "verdict.json")["cells"] == [8, 8]
+    assert config.load_config(out / "config-effective.ini")["grid"]["cells"] == (8, 8)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--cells", "16,16"], ["mv-check", "--cells", "16,16"],
+    ["relenergy", "--cells", "8,8,8"],
+], ids=["simulate", "mv-check", "relenergy"])
+def test_cells_that_do_not_fit_the_flow_are_a_config_error(tmp_path, capsys, argv):
+    code = cli.main(argv + ["--t-end", "0.001", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "grid.cells" in err
+
+
+_ECHO_RUNS = {
+    "simulate": ["simulate", "--cells", "8", "--t-end", "0.002"],
+    "verify-thermo": ["verify-thermo", "--model", "molecular_radiation", "--seed", "3"],
+    "mv-check": ["mv-check", "--cells", "16", "--t-end", "0.002"],
+    "relenergy": ["relenergy", "--cells", "16", "--eps", "2e-3", "--t-end", "0.002"],
+    "wsu": ["wsu", "--theorem", "1", "--grids", "8,16", "--t-end", "0.002"],
+    "apriori": ["apriori", "--grids", "8,16", "--t-end", "0.002"],
+    "defect-study": ["defect-study", "--grids", "16,32"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ECHO_RUNS))
+def test_an_echo_reproduces_its_run(tmp_path, capsys, command):
+    # re-running with config-effective.ini and no other setting (wsu still
+    # names its claim) writes the same files byte for byte
+    first, again = tmp_path / "first", tmp_path / "again"
+    code = cli.main(_ECHO_RUNS[command] + ["--out", str(first)])
+    echo = first / command / "config-effective.ini"
+    claim = ["--theorem", "1"] if command == "wsu" else []
+    assert cli.main([command, *claim, "--config", str(echo), "--out", str(again)]) == code
+    capsys.readouterr()
+    names = sorted(os.listdir(first / command))
+    assert "verdict.json" in names and sorted(os.listdir(again / command)) == names
+    for name in names:
+        assert (again / command / name).read_bytes() == (first / command / name).read_bytes()
+
+
 def test_verify_thermo_invalid_heat_capacity_fails(tmp_path, capsys):
     code = cli.main(["verify-thermo", "--model", "perfect_gas", "--c-v", "1.0",
                      "--out", str(tmp_path)])
@@ -576,7 +693,12 @@ def test_config_file_kind_wins_over_the_claims_pairing(tmp_path, capsys):
 def test_default_config_carries_the_claims_pairing():
     assert config.default_config("3")["model"]["kind"] == "molecular_radiation"
     assert config.default_config("apriori")["transport"]["kind"] == "power_kappa"
-    assert config.default_config("1") == config.default_config()
+    claim, schema = config.default_config("1"), config.default_config()
+    assert (claim["model"], claim["transport"]) == (schema["model"], schema["transport"])
+    # the row fills what the study runs, so the echo records it
+    assert claim["solver"]["profile"] == "shear"
+    assert claim["experiment"]["grids"] == (32, 64)
+    assert claim["experiment"]["eps"] == (1e-2, 1e-3)
     base = config.default_config("3")
     cfg = config.loads_config("[transport]\nbeta = 1.5\n", base)
     assert cfg["model"]["kind"] == "molecular_radiation"
