@@ -273,7 +273,10 @@ def build_grid(cfg: RunConfig, dim: int) -> gridmod.Grid:
         raise ConfigError(
             f"grid.cells {', '.join(map(str, cells))} does not fit the {dim}D "
             "comparison flow: give one count, or one per axis")
-    return gridmod.Grid(cells=cells)
+    try:
+        return gridmod.Grid(cells=cells)
+    except ValueError as err:
+        raise ConfigError(f"grid.cells: {err}") from None
 
 
 def build_source(cfg: RunConfig, name: Optional[str] = None) -> StrongSolution:
@@ -316,6 +319,6 @@ def build_experiment_spec(cfg: RunConfig, theorem: str) -> ExperimentSpec:
             theta_scale=block["theta_scale"],
             theta_tilt=block["theta_tilt"])
     except LadderError as err:
-        raise ConfigError(f"experiment: {err}") from None
+        raise ConfigError(f"experiment.{err}") from None
     build_source(cfg, spec.resolved_profile)
     return spec

@@ -127,7 +127,8 @@ class HypothesisGateError(ValueError):
 
 
 class LadderError(ValueError):
-    """A claim's grids or perturbation sizes are too few for its verdicts."""
+    """A claim's grids or perturbation sizes cannot carry its verdicts; the
+    message starts with the field at fault, "grids: " or "eps: "."""
 
 
 def check_hypotheses(theorem: str, model: thermo.ThermoModel,
@@ -243,11 +244,12 @@ class ExperimentSpec:
     :class:`HypothesisGateError` on rejection, so a spec that exists is a
     spec that may run; ``gate`` keeps the accepting result.  ``profile``,
     ``grids`` and ``eps_list`` left as None take the claim's row of
-    :data:`CLAIM_DEFAULTS`.  For claims "1"–"3" construction also raises
-    :class:`LadderError` on an empty ``eps_list`` or fewer than two grids, so
-    no run starts for a ladder the verdicts cannot read.  ``solver`` is the
-    template of every run's solver configuration; the runners set its
-    ``source``.
+    :data:`CLAIM_DEFAULTS`.  Construction raises :class:`LadderError` on
+    grids that are not strictly increasing counts >= 4 or a perturbation size
+    <= 0, and for claims "1"–"3" on an empty ``eps_list`` or fewer than two
+    grids, so no run starts for a ladder the verdicts cannot read.
+    ``solver`` is the template of every run's solver configuration; the
+    runners set its ``source``.
 
     The studies judge their runs against fixed thresholds (module constants):
 
@@ -296,22 +298,22 @@ class ExperimentSpec:
         grids = tuple(int(n) for n in (self.grids if self.grids is not None
                                        else defaults.grids))
         if len(grids) < 1 or any(n < 4 for n in grids):
-            raise ValueError("grids must list cell counts >= 4")
+            raise LadderError("grids: must list cell counts >= 4")
         if list(grids) != sorted(grids) or len(set(grids)) != len(grids):
-            raise ValueError("grids must be strictly increasing cell counts")
+            raise LadderError("grids: must be strictly increasing cell counts")
         object.__setattr__(self, "grids", grids)
         eps = tuple(float(e) for e in (self.eps_list if self.eps_list is not None
                                        else defaults.eps))
         if any(e <= 0.0 for e in eps):
-            raise ValueError("perturbation sizes must be > 0")
+            raise LadderError("eps: perturbation sizes must be > 0")
         if theorem in ("1", "2", "3"):
             if not eps:
                 raise LadderError(
-                    f"claim {theorem!r} needs at least one perturbation size: "
+                    f"eps: claim {theorem!r} needs at least one perturbation size: "
                     "its stability verdict fits a growth constant per size")
             if len(grids) < 2:
                 raise LadderError(
-                    f"claim {theorem!r} needs at least two grids: its collapse "
+                    f"grids: claim {theorem!r} needs at least two grids: its collapse "
                     "order is fitted across the ladder and its growth constant "
                     "is cross-checked on the next-coarser grid")
         object.__setattr__(self, "eps_list", eps)
@@ -805,7 +807,7 @@ def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
         u_sq = np.sum(u * u, axis=-1)
 
         e = model.e(rho, theta)
-        s = model.s(rho, theta)
+        s, s_mol = model.entropy_parts(rho, theta)
         mass = float(gridmod.integrate(g, rho))
         kin = float(gridmod.integrate(g, rho * u_sq))
         internal = float(gridmod.integrate(g, rho * e))
@@ -829,7 +831,6 @@ def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
         # quotients realizing the two coupling estimates; the additive data
         # constant keeps both denominators positive, so a negative ballistic
         # balance weakens the reading instead of flipping its sign
-        s_mol = model.kernel.s(rho * theta ** -1.5)
         flux = abs(float(gridmod.integrate(
             g, rho * s_mol * np.sum(u * grad_hat, axis=-1))))
         ball = float(gridmod.integrate(
@@ -842,7 +843,7 @@ def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
         theta_sq_c = max(theta_sq_c,
                          th_sq / (1.0 + max(ball_still, 0.0) + u_h1))
 
-        lhs_e, rhs_e = thermo.entropy_growth_bound(model, rho, theta)
+        lhs_e, rhs_e = thermo.entropy_growth_bound(model, rho, theta, s_mol=s_mol)
         entropy_margin = min(entropy_margin, float(np.min(rhs_e - lhs_e)))
 
     out = {

@@ -177,7 +177,7 @@ def _fields(model, transport_model, rho: _Jet, u: list, theta: _Jet) -> dict:
 
     p = model.p(r, th)
     e = model.e(r, th)
-    dp = model.partials(r, th)
+    dp = model.partials(r, th, keys=("dp_drho", "dp_dtheta", "de_drho", "de_dtheta"))
     tm = transport_model
     mu, lam, kap = tm.mu(r, th), tm.lam(r, th), tm.kappa(r, th)
     dmu, dlam, dkap = tm.dmu_dtheta(r, th), tm.dlam_dtheta(r, th), tm.dkappa_dtheta(r, th)

@@ -17,7 +17,8 @@ its terms in a fixed order: convection, then stress or conduction per
 axis, then the pressure gradient, the cell-centered work terms and the
 forcing; ``tests/golden/rhs.json`` pins the result bit for bit.
 ``_attempt`` reuses the rho*e that ``rhs`` computes, and ``stable_dt``
-evaluates the equation of state's partials once.
+evaluates once the three equation-of-state partials it reads (dp/drho,
+dp/dtheta, de/dtheta).
 
 ``levels`` is the one marching loop: a generator that yields the initial
 state and then each saved level, and keeps only the current state. The
@@ -231,7 +232,7 @@ def stable_dt(state: FlowState, cfg: SolverConfig, model: thermo.ThermoModel,
               transport_model: transport.TransportModel) -> float:
     """dt = cfl * min(h/(|u|+c_s), h^2/(2 nu_max)), nu_max dimension-weighted."""
     g = state.grid
-    d = model.partials(state.rho, state.theta)
+    d = model.partials(state.rho, state.theta, keys=("dp_drho", "dp_dtheta", "de_dtheta"))
     c_s = np.sqrt(model.sound_speed_sq(state.rho, state.theta, d))
     dt_adv = np.inf
     for a in range(g.dim):

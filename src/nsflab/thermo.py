@@ -47,9 +47,14 @@ __all__ = [
     "validate_structure",
     "StructureReport",
     "entropy_growth_bound",
+    "PARTIALS",
 ]
 
 _SQRT3 = math.sqrt(3.0)
+
+PARTIALS = ("dp_drho", "dp_dtheta", "de_drho", "de_dtheta", "ds_drho", "ds_dtheta")
+"""The keys of ``ThermoModel.partials``: d(p, e, s)/d(rho, theta)."""
+_ENTROPY_PARTIALS = frozenset(("ds_drho", "ds_dtheta"))
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,10 @@ class ThermoModel:
     def s(self, rho, theta):
         raise NotImplementedError
 
-    def partials(self, rho, theta):
-        """Return the six partial derivatives as a dict."""
+    def partials(self, rho, theta, keys=PARTIALS):
+        """The partial derivatives named in ``keys`` (of ``PARTIALS``), as a
+        dict holding exactly those entries. Each entry is computed the same
+        way whatever else is asked for, so its bits do not depend on ``keys``."""
         raise NotImplementedError
 
     # -- vacuum-safe densities ----------------------------------------------
@@ -154,7 +161,8 @@ class ThermoModel:
 
     def sound_speed_sq(self, rho, theta, partials):
         """Isentropic sound speed squared: dp/drho + theta*(dp/dtheta)^2/(rho^2 de/dtheta),
-        from ``partials``, this model's ``partials(rho, theta)``."""
+        from ``partials``, this model's ``partials`` at (rho, theta) with at
+        least those three entries."""
         d = partials
         return d["dp_drho"] + theta * d["dp_dtheta"] ** 2 / (rho**2 * d["de_dtheta"])
 
@@ -184,11 +192,11 @@ class PerfectGas(ThermoModel):
     def s(self, rho, theta):
         return self.c_v * np.log(np.asarray(theta, dtype=float)) - np.log(np.asarray(rho, dtype=float))
 
-    def partials(self, rho, theta):
+    def partials(self, rho, theta, keys=PARTIALS):
         rho = np.asarray(rho, dtype=float)
         theta = np.asarray(theta, dtype=float)
         one = np.ones(np.broadcast_shapes(rho.shape, theta.shape))
-        return {
+        d = {
             "dp_drho": theta * one,
             "dp_dtheta": rho * one,
             "de_drho": 0.0 * one,
@@ -196,6 +204,7 @@ class PerfectGas(ThermoModel):
             "ds_drho": -1.0 / rho * one,
             "ds_dtheta": self.c_v / theta * one,
         }
+        return {k: d[k] for k in keys}
 
     def rho_e(self, rho, theta):
         return self.c_v * np.asarray(rho, dtype=float) * np.asarray(theta, dtype=float)
@@ -247,31 +256,40 @@ class MolecularRadiation(ThermoModel):
         return 1.5 * theta**2.5 / rho * self.kernel.p(self._q(rho, theta)) + self.a * theta**2 / rho
 
     def s(self, rho, theta):
+        return self.entropy_parts(rho, theta)[0]
+
+    def entropy_parts(self, rho, theta):
+        """The entropy s and its molecular part S(rho/theta**1.5), from one
+        evaluation of S."""
         rho = np.asarray(rho, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        return self.kernel.s(self._q(rho, theta)) + 2.0 * self.a * theta / rho
+        s_mol = self.kernel.s(self._q(rho, theta))
+        return s_mol + 2.0 * self.a * theta / rho, s_mol
 
-    def partials(self, rho, theta):
+    def partials(self, rho, theta, keys=PARTIALS):
         rho = np.asarray(rho, dtype=float)
         theta = np.asarray(theta, dtype=float)
         theta_m15 = theta ** (-1.5)
         q = rho * theta_m15
-        P = self.kernel.p(q)
-        dP = self.kernel.dp(q)
-        dS = self.kernel.ds(q)
         a = self.a
-        # shared subexpressions, associated as in each entry's own formula
-        mol = 2.5 * theta**1.5 * P
+        # shared subexpressions, associated as in each entry's own formula;
+        # the kernel's P and P' feed the p and e entries, S' the s entries
+        if not _ENTROPY_PARTIALS.issuperset(keys):
+            P, dP = self.kernel.p(q), self.kernel.dp(q)
+            mol = 2.5 * theta**1.5 * P
+        if not _ENTROPY_PARTIALS.isdisjoint(keys):
+            dS = self.kernel.ds(q)
         rad = 2.0 * a * theta
         rho_sq = rho**2
-        return {
-            "dp_drho": theta * dP,
-            "dp_dtheta": mol - 1.5 * rho * dP + rad,
-            "de_drho": 1.5 * (theta * dP / rho - theta**2.5 * P / rho_sq) - a * theta**2 / rho_sq,
-            "de_dtheta": 1.5 * (mol / rho - 1.5 * dP) + rad / rho,
-            "ds_drho": dS * theta_m15 - rad / rho_sq,
-            "ds_dtheta": -1.5 * rho * theta ** (-2.5) * dS + 2.0 * a / rho,
+        entries = {
+            "dp_drho": lambda: theta * dP,
+            "dp_dtheta": lambda: mol - 1.5 * rho * dP + rad,
+            "de_drho": lambda: 1.5 * (theta * dP / rho - theta**2.5 * P / rho_sq) - a * theta**2 / rho_sq,
+            "de_dtheta": lambda: 1.5 * (mol / rho - 1.5 * dP) + rad / rho,
+            "ds_drho": lambda: dS * theta_m15 - rad / rho_sq,
+            "ds_dtheta": lambda: -1.5 * rho * theta ** (-2.5) * dS + 2.0 * a / rho,
         }
+        return {k: entries[k]() for k in keys}
 
     def rho_e(self, rho, theta):
         rho = np.asarray(rho, dtype=float)
@@ -309,7 +327,7 @@ def gibbs_residual(model: ThermoModel, rho, theta):
     magnitudes. Raises ``ValueError`` unless rho > 0 and theta > 0.
     """
     rho, theta = _positive(rho, theta)
-    d = model.partials(rho, theta)
+    d = model.partials(rho, theta, keys=("de_drho", "de_dtheta", "ds_drho", "ds_dtheta"))
     scale = 1.0 + np.abs(model.e(rho, theta)) + np.abs(theta * model.s(rho, theta))
     r_theta = (theta * d["ds_dtheta"] - d["de_dtheta"]) / scale
     r_rho = (theta * d["ds_drho"] - d["de_drho"] + model.p(rho, theta) / rho**2) / scale
@@ -339,7 +357,9 @@ def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0, max_iter
     Newton step is at most _RTOL*theta, when its residual is at round-off (an
     ill-conditioned cell gets no closer), or when its bracket has collapsed
     to _RTOL*theta. Each iteration evaluates the law and one
-    ``model.partials`` on the cells still active only.
+    ``model.partials`` (its ``d<law>_dtheta`` entry only) on the cells still
+    active. While every cell is active the arrays are read whole; once a
+    cell is done, the rest are gathered and only they are carried on.
     """
     rho = np.asarray(rho, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -349,35 +369,47 @@ def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0, max_iter
     theta = (np.ones(rho.size) if theta0 is None else
              np.clip(np.broadcast_to(np.asarray(theta0, dtype=float), shape), *_BRACKET).ravel())
     value, slope = getattr(model, law), f"d{law}_dtheta"
-    active = np.arange(rho.size)
+    active = None  # the indices of the cells still active; None while all are
+    r, tgt, th = rho, target, theta
     lo = np.full(rho.size, _BRACKET[0])
     hi = np.full(rho.size, _BRACKET[1])
+    f_tol = 1e-9 * (1.0 + np.abs(tgt))
+    roundoff = _ROUNDOFF * np.abs(tgt)
     for _ in range(max_iter):
-        if active.size == 0:
+        if th.size == 0:
             break
-        r, th, tgt = rho[active], theta[active], target[active]
         f = value(r, th) - tgt
-        d = model.partials(r, th)[slope]
-        lo = np.where(f < 0.0, np.maximum(lo, th), lo)
-        hi = np.where(f > 0.0, np.minimum(hi, th), hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(d > 0.0, f / d, np.nan)
+        abs_f = np.abs(f)
+        d = model.partials(r, th, keys=(slope,))[slope]
+        np.maximum(lo, th, out=lo, where=f < 0.0)
+        np.minimum(hi, th, out=hi, where=f > 0.0)
+        step = np.divide(f, d, out=np.full(f.shape, np.nan), where=d > 0.0)
         # a raw step within _RTOL is taken and ends the cell (the residual
         # test guards against a step shrunk by a huge slope); a residual at
         # round-off or a collapsed bracket ends it where it stands
-        newton = (np.abs(step) <= _RTOL * th) & (np.abs(f) <= 1e-9 * (1.0 + np.abs(tgt)))
-        settled = (np.abs(f) <= _ROUNDOFF * np.abs(tgt)) | (hi - lo <= _RTOL * th)
+        th_tol = _RTOL * th
+        newton = (np.abs(step) <= th_tol) & (abs_f <= f_tol)
+        settled = (abs_f <= roundoff) | (hi - lo <= th_tol)
         cand = th - step
         cand = np.where(newton | ((cand > lo) & (cand < hi)), cand, 0.5 * (lo + hi))
-        theta[active] = np.where(settled & ~newton, th, cand)
+        th = np.where(settled & ~newton, th, cand)
         live = ~(newton | settled)
-        active, lo, hi = active[live], lo[live], hi[live]
-    if active.size:
-        r, th, tgt = rho[active], theta[active], target[active]
+        if active is None:
+            theta = th
+            if live.all():
+                continue
+            active = np.flatnonzero(live)
+        else:
+            theta[active] = th
+            active = active[live]
+        r, tgt, th, lo, hi, f_tol, roundoff = (
+            x[live] for x in (r, tgt, th, lo, hi, f_tol, roundoff))
+    if th.size:
         res = np.abs(value(r, th) - tgt) / (1.0 + np.abs(tgt))
         k = int(np.argmax(res))
         if not res[k] <= 1e3 * _RTOL:
-            cell = tuple(int(i) for i in np.unravel_index(active[k], shape))
+            flat = k if active is None else active[k]
+            cell = tuple(int(i) for i in np.unravel_index(flat, shape))
             raise RuntimeError(
                 f"{_INVERTED[law]} inversion failed to converge in {max_iter} iterations "
                 f"at cell {cell}: rho = {r[k]:.17g}, target {law} = {tgt[k]:.17g}, "
@@ -465,7 +497,7 @@ def validate_structure(model: ThermoModel, n_samples: int = 10_000,
     checks: dict = {}
     first = None
 
-    d = model.partials(rho, theta)
+    d = model.partials(rho, theta, keys=("dp_drho", "de_dtheta"))
     checks["stability_dp_drho"] = int(np.sum(~(d["dp_drho"] > 0.0)))
     checks["stability_de_dtheta"] = int(np.sum(~(d["de_dtheta"] > 0.0)))
 
@@ -524,18 +556,19 @@ def validate_structure(model: ThermoModel, n_samples: int = 10_000,
     return StructureReport(ok=not violations, checks=checks, first_violation=first)
 
 
-def entropy_growth_bound(model, rho, theta, c: float = 3.0):
+def entropy_growth_bound(model, rho, theta, c: float = 3.0, s_mol=None):
     """Evaluate rho*|S(rho/theta**1.5)| against c*(rho + rho*|log rho| + rho*[log theta]_+).
 
     Returns (lhs, rhs) for the molecular entropy part; the quadratic
-    radiation part is controlled by energy, not by this bound. Default c
-    was fixed by a log-uniform sweep over [1e-3, 1e3]**2 for the shipped
-    kernels (observed ratio peaks below 2.8).
+    radiation part is controlled by energy, not by this bound. ``s_mol`` is
+    S(rho/theta**1.5) where the caller has it already (the second value of
+    ``model.entropy_parts``). Default c was fixed by a log-uniform sweep over
+    [1e-3, 1e3]**2 for the shipped kernels (observed ratio peaks below 2.8).
     """
     if not isinstance(model, MolecularRadiation):
         raise TypeError("entropy growth bound applies to MolecularRadiation models")
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    lhs = rho * np.abs(model.kernel.s(rho * theta ** -1.5))
+    lhs = rho * np.abs(model.kernel.s(model._q(rho, theta)) if s_mol is None else s_mol)
     rhs = c * (rho + rho * np.abs(np.log(np.where(rho > 0, rho, 1.0))) + rho * np.maximum(np.log(theta), 0.0))
     return lhs, rhs

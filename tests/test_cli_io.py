@@ -580,6 +580,23 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--cells", "2"], "grid.cells"),
+    (["wsu", "--theorem", "1", "--grids", "16,8"], "experiment.grids"),
+    (["apriori", "--grids", "8,4,16"], "experiment.grids"),
+], ids=["simulate-cells-2", "wsu-1-grids-16-8", "apriori-grids-8-4-16"])
+def test_unusable_grid_counts_are_a_config_error(tmp_path, capsys, monkeypatch,
+                                                      argv, key):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused grid runs nothing")
+
+    monkeypatch.setattr(solver, "levels", refuse)
+    code = cli.main(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"{key}: ")
+
+
 @pytest.mark.parametrize("theorem", ["1", "2", "3"])
 def test_wsu_refuses_a_one_grid_ladder_before_any_run(tmp_path, capsys, monkeypatch,
                                                       theorem):

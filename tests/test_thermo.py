@@ -1,15 +1,16 @@
 """Equation-of-state checks: Gibbs compatibility, convexity, inversions."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nsflab import grid as gridmod
+from nsflab import manufactured as mfg
 from nsflab import solver, thermo, transport
 
 
@@ -212,9 +213,9 @@ class CountingModel(thermo.MolecularRadiation):
 
     sizes: list = field(default_factory=list, compare=False)
 
-    def partials(self, rho, theta):
+    def partials(self, rho, theta, keys=thermo.PARTIALS):
         self.sizes.append(np.broadcast(rho, theta).size)
-        return super().partials(rho, theta)
+        return super().partials(rho, theta, keys)
 
 
 INVERSIONS = {"s": thermo.invert_entropy, "e": thermo.invert_internal_energy}
@@ -276,6 +277,86 @@ def test_inversion_failure_names_the_worst_cell(law, name):
     assert "last theta = " in msg
 
 
+def _gathering_inversion(model, law, rho, target, theta0, max_iter=120):
+    """The safeguarded Newton inversion as it was written before it read
+    whole arrays: every iteration gathers the active cells, asks for all
+    six partials and scatters the cells back. The reference for the bits."""
+    rho = np.asarray(rho, dtype=float)
+    target = np.asarray(target, dtype=float)
+    shape = np.broadcast_shapes(rho.shape, target.shape)
+    rho = np.broadcast_to(rho, shape).ravel()
+    target = np.broadcast_to(target, shape).ravel()
+    theta = (np.ones(rho.size) if theta0 is None else
+             np.clip(np.broadcast_to(np.asarray(theta0, dtype=float), shape),
+                     *thermo._BRACKET).ravel())
+    value, slope = getattr(model, law), f"d{law}_dtheta"
+    active = np.arange(rho.size)
+    lo = np.full(rho.size, thermo._BRACKET[0])
+    hi = np.full(rho.size, thermo._BRACKET[1])
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        r, th, tgt = rho[active], theta[active], target[active]
+        f = value(r, th) - tgt
+        d = model.partials(r, th)[slope]
+        lo = np.where(f < 0.0, np.maximum(lo, th), lo)
+        hi = np.where(f > 0.0, np.minimum(hi, th), hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(d > 0.0, f / d, np.nan)
+        newton = ((np.abs(step) <= thermo._RTOL * th)
+                  & (np.abs(f) <= 1e-9 * (1.0 + np.abs(tgt))))
+        settled = ((np.abs(f) <= thermo._ROUNDOFF * np.abs(tgt))
+                   | (hi - lo <= thermo._RTOL * th))
+        cand = th - step
+        cand = np.where(newton | ((cand > lo) & (cand < hi)), cand, 0.5 * (lo + hi))
+        theta[active] = np.where(settled & ~newton, th, cand)
+        live = ~(newton | settled)
+        active, lo, hi = active[live], lo[live], hi[live]
+    if active.size:
+        r, th, tgt = rho[active], theta[active], target[active]
+        res = np.abs(value(r, th) - tgt) / (1.0 + np.abs(tgt))
+        if not res.max() <= 1e3 * thermo._RTOL:
+            raise RuntimeError("not converged")
+    return theta.reshape(shape)
+
+
+def _outcome(invert):
+    try:
+        return invert().tobytes()
+    except RuntimeError:
+        return "not converged"
+
+
+# start factors on theta: exact, warm, and far ones that need bisection
+_STARTS = [1.0, 1.0 + 1e-12, 1.0 - 1e-6, 1.0 + 1e-3, 0.5, 3.0, 1e-6, 1e-2, 1e2, 1e6]
+
+
+@pytest.mark.parametrize("law", sorted(INVERSIONS))
+@pytest.mark.parametrize("name", ["mol_rad_degenerate", "mol_rad_ideal"])
+@given(cells=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                                st.sampled_from(_STARTS)), min_size=1, max_size=24),
+       cold=st.booleans())
+@settings(max_examples=60, deadline=None)
+@example(cells=[(0.0, 0.0, 1.0 + 1e-3)] * 5, cold=False)  # every cell ends together
+@example(cells=[(0.5, -1.0, 1.0 + 1e-12), (-2.0, 2.5, 1e6), (1.0, 0.3, 0.5)], cold=False)
+def test_inversion_is_the_gathering_loop_bit_for_bit(law, name, cells, cold):
+    # the same theta bits and the same cells evaluated per iteration as the
+    # loop that gathered and scattered on every iteration, from cold, warm
+    # and far starts whose cells end at different iterations
+    base = MODELS[name]
+    model = CountingModel(a=base.a, kernel=base.kernel)
+    rho = 10.0 ** np.array([r for r, _, _ in cells])
+    theta = 10.0 ** np.array([t for _, t, _ in cells])
+    theta0 = None if cold else theta * np.array([k for _, _, k in cells])
+    target = getattr(model, law)(rho, theta)
+    want = _outcome(lambda: _gathering_inversion(model, law, rho, target, theta0))
+    want_sizes = list(model.sizes)
+    model.sizes.clear()
+    got = _outcome(lambda: INVERSIONS[law](model, rho, target, theta0=theta0))
+    assert got == want
+    assert model.sizes == want_sizes
+
+
 def test_invert_entropy_far_bracket():
     # a cold start at theta = 1, five decades below the root, through the
     # safeguarded Newton iteration (the perfect gas takes its closed form)
@@ -301,20 +382,26 @@ def _partials_as_written(model, rho, theta):
     }
 
 
-@pytest.mark.parametrize("name", ["mol_rad_degenerate", "mol_rad_ideal"])
-@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=16))
+@pytest.mark.parametrize("name", ["mol_rad_degenerate", "mol_rad_ideal", "perfect_gas"])
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=16),
+       st.lists(st.sampled_from(thermo.PARTIALS), unique=True, max_size=6))
 @settings(max_examples=60, deadline=None)
-def test_shared_subexpressions_keep_the_partials_bits(name, log_states):
+def test_shared_subexpressions_keep_the_partials_bits(name, log_states, keys):
     # log-uniform (rho, theta) in [1e-3, 1e3]**2; partials computes each
-    # shared power once but must not move a single bit of any entry
+    # shared power once, and only what the named entries read, but must not
+    # move a single bit of any entry
     model = MODELS[name]
     rho = 10.0 ** np.array([r for r, _ in log_states])
     theta = 10.0 ** np.array([t for _, t in log_states])
-    got = model.partials(rho, theta)
-    want = _partials_as_written(model, rho, theta)
-    assert sorted(got) == sorted(want)
-    for key, value in want.items():
-        assert got[key].tobytes() == value.tobytes(), key
+    full = model.partials(rho, theta)
+    assert list(full) == list(thermo.PARTIALS)
+    if isinstance(model, thermo.MolecularRadiation):
+        for key, value in _partials_as_written(model, rho, theta).items():
+            assert full[key].tobytes() == value.tobytes(), key
+    got = model.partials(rho, theta, keys=tuple(keys))
+    assert list(got) == keys
+    for key in keys:
+        assert got[key].tobytes() == full[key].tobytes(), key
 
 
 def test_stable_dt_calls_partials_once():
@@ -326,3 +413,43 @@ def test_stable_dt_calls_partials_once():
                              u=np.zeros((8, 6, 2)), theta=theta, t=0.0)
     solver.stable_dt(state, solver.SolverConfig(), model, transport.PowerKappa())
     assert model.sizes == [rho.size]
+
+
+def _eos_work(forced):
+    """Steps, ``partials`` calls and kernel cell evaluations of a short run on
+    8 x 8 cells with molecular radiation on a counting degenerate kernel:
+    the radiative_decay flow with its forcing, or (unforced) its initial
+    state under a constant wall temperature, as the a priori budget runs."""
+    cells = dict.fromkeys(("p", "dp", "s", "ds"), 0)
+
+    def counted(name):
+        law = getattr(thermo.DEGENERATE_KERNEL, name)
+
+        def evaluate(q):
+            cells[name] += np.size(q)
+            return law(q)
+        return evaluate
+
+    kernel = replace(thermo.DEGENERATE_KERNEL, name="counted",
+                     **{name: counted(name) for name in cells})
+    model = CountingModel(a=1.0, kernel=kernel)
+    sol = mfg.manufactured("radiative_decay", model, transport.PowerKappa())
+    grid = gridmod.Grid(cells=(8, 8))
+    cfg = solver.SolverConfig(t_end=0.01, source=sol if forced else None)
+    boundary = sol.boundary if forced else gridmod.constant_boundary(1.0)
+    initial = solver.FlowState(grid, *sol.on_grid(grid, 0.0), 0.0)
+    model.sizes.clear()
+    cells.update(dict.fromkeys(cells, 0))
+    steps = len(list(solver.levels(grid, cfg, model, transport.PowerKappa(),
+                                   boundary=boundary, initial=initial))) - 1
+    return {"steps": steps, "partials": len(model.sizes), **cells}
+
+
+@pytest.mark.parametrize("forced, work", [
+    (False, {"steps": 4, "partials": 28, "p": 4924, "dp": 1790, "s": 0, "ds": 0}),
+    (True, {"steps": 4, "partials": 32, "p": 5682, "dp": 2041, "s": 0, "ds": 0}),
+], ids=["unforced", "forced"])
+def test_equation_of_state_work_per_run(forced, work):
+    # exact counts: a partials entry or a Newton iteration more or less
+    # shows here; stepping an unforced run needs no entropy partial at all
+    assert _eos_work(forced) == work
