@@ -69,7 +69,7 @@ class Grid:
     def h(self) -> tuple[float, ...]:
         return tuple(1.0 / c for c in self.cells)
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
@@ -88,7 +88,11 @@ class Grid:
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
     def padded_shape(self, trailing: tuple[int, ...] = ()) -> tuple[int, ...]:
-        return tuple(c + 2 for c in self.cells) + trailing
+        return self._padded_cells + trailing
+
+    @functools.cached_property
+    def _padded_cells(self) -> tuple[int, ...]:
+        return tuple(c + 2 for c in self.cells)
 
     def interior_shape(self, trailing: tuple[int, ...] = ()) -> tuple[int, ...]:
         return self.cells + trailing
@@ -119,8 +123,9 @@ def constant_boundary(value: float) -> BoundaryData:
         raise ValueError("boundary temperature must be > 0")
 
     def theta(t, pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.full(pts.shape[:-1], float(value))
+        out = np.empty(np.asarray(pts, dtype=float).shape[:-1])
+        out[...] = value
+        return out
 
     return BoundaryData(theta=theta)
 
@@ -184,6 +189,13 @@ class _Field:
     def from_interior(cls, grid: Grid, values: np.ndarray):
         return cls(grid=grid, data=_padded(grid, values), synced=False)
 
+    @classmethod
+    def _synced(cls, grid: Grid, data: np.ndarray):
+        """A synced field around ``data``, which its caller built padded: unchecked."""
+        field = object.__new__(cls)
+        field.__dict__.update(grid=grid, data=data, synced=True)
+        return field
+
 
 def _padded(grid: Grid, values) -> np.ndarray:
     """``values`` on the interior of a zero ghost-padded array."""
@@ -214,17 +226,12 @@ def _axis_slices(ndim_total: int, axis: int, idx):
     return tuple(sl)
 
 
-def _fill_axis(data: np.ndarray, axis: int, mode: str) -> None:
-    """Fill the two full ghost slabs on ``axis`` in place, so corners stay finite."""
+def _fill_axis(data: np.ndarray, axis: int, odd: bool) -> None:
+    """Fill the two full ghost slabs on ``axis`` in place, so corners stay finite:
+    copies of the nearest interior slabs (zero gradient), negated if ``odd``."""
     lead = (slice(None),) * axis
-    if mode == "zero_gradient":
-        data[lead + (0,)] = data[lead + (1,)]
-        data[lead + (-1,)] = data[lead + (-2,)]
-    elif mode == "reflect_odd":
-        data[lead + (0,)] = -data[lead + (1,)]
-        data[lead + (-1,)] = -data[lead + (-2,)]
-    else:
-        raise ValueError(f"unknown ghost mode {mode!r}")
+    for ghost, inner in ((0, 1), (-1, -2)):
+        data[lead + (ghost,)] = -data[lead + (inner,)] if odd else data[lead + (inner,)]
 
 
 def _corner_fix(data: np.ndarray, spatial_ndim: int) -> None:
@@ -243,25 +250,27 @@ def _dirichlet_faces(grid: Grid, boundary: BoundaryData, t: float, axis: int):
     lo = np.asarray(boundary.theta(t, pts[names[0]]), dtype=float)
     hi = np.asarray(boundary.theta(t, pts[names[1]]), dtype=float)
     if grid.dim == 1:
-        return float(lo.ravel()[0]), float(hi.ravel()[0])
+        return float(lo.flat[0]), float(hi.flat[0])
     return lo, hi
 
 
 def sync_physical(grid: Grid, rho: np.ndarray, u: np.ndarray, theta: np.ndarray,
                   boundary: BoundaryData, t: float) -> tuple[ScalarField, VectorField, ScalarField]:
-    """Build synced (rho, u, theta) fields from interior arrays at time t."""
-    padded = [_padded(grid, values) for values in (rho, u, theta)]
+    """Build synced (rho, u, theta) fields from interior arrays at time t.
+    Every ghost is written, so the padded arrays start empty."""
+    inner = (slice(1, -1),) * grid.dim
+    padded = [np.empty(grid.padded_shape(values.shape[grid.dim:])) for values in (rho, u, theta)]
     rho_p, u_p, th_p = padded
+    rho_p[inner], u_p[inner], th_p[inner] = rho, u, theta
     for axis in range(grid.dim):
-        _fill_axis(rho_p, axis, "zero_gradient")
-        _fill_axis(u_p, axis, "reflect_odd")
+        _fill_axis(rho_p, axis, odd=False)
+        _fill_axis(u_p, axis, odd=True)
         lo, hi = _dirichlet_faces(grid, boundary, t, axis)
         _fill_theta_axis(th_p, grid, axis, lo, hi)
-    for data in padded:
-        _corner_fix(data, grid.dim)
-    return (ScalarField(grid=grid, data=rho_p, synced=True),
-            VectorField(grid=grid, data=u_p, synced=True),
-            ScalarField(grid=grid, data=th_p, synced=True))
+    for data in padded if grid.dim == 2 else ():
+        _corner_fix(data, 2)
+    return (ScalarField._synced(grid, rho_p), VectorField._synced(grid, u_p),
+            ScalarField._synced(grid, th_p))
 
 
 def _fill_theta_axis(data: np.ndarray, grid: Grid, axis: int, face_lo, face_hi) -> None:
@@ -281,7 +290,7 @@ def sync_odd(f: _Field) -> _Field:
     """Ghosts by odd reflection about the boundary faces (zero-trace fields)."""
     data = f.data.copy()
     for axis in range(f.grid.dim):
-        _fill_axis(data, axis, "reflect_odd")
+        _fill_axis(data, axis, odd=True)
     _corner_fix(data, f.grid.dim)
     return replace(f, data=data, synced=True)
 
@@ -359,8 +368,7 @@ def tensor_divergence(T: TensorField) -> np.ndarray:
 def integrate(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Midpoint-rule integral over the domain; trailing axes pass through."""
     values = np.asarray(values, dtype=float)
-    spatial = tuple(range(grid.dim))
-    return np.sum(values, axis=spatial) * grid.cell_volume
+    return np.add.reduce(values, axis=tuple(range(grid.dim))) * grid.cell_volume
 
 
 def harmonic_extension(grid: Grid, boundary: BoundaryData, t: float = 0.0) -> ScalarField:

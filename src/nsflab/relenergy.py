@@ -99,7 +99,7 @@ def _gibbs_slope(rho, theta, p, e, s):
 def _assemble(rho, u, rho_ref, u_ref, slope, h_atom, h_ref):
     """Kinetic part plus the Bregman gap, from the ballistic energies
     ``h_atom`` of the atoms and ``h_ref`` of the comparison state."""
-    kinetic = 0.5 * rho * np.sum((u - u_ref) ** 2, axis=-1)
+    kinetic = 0.5 * rho * np.add.reduce((u - u_ref) ** 2, axis=-1)
     return kinetic + h_atom - slope * (rho - rho_ref) - h_ref
 
 
@@ -179,8 +179,18 @@ class CutoffParams:
         return np.where(outside, 0.0, val)
 
     def chi(self, rho, theta) -> np.ndarray:
-        """Window weight chi(rho, theta) in [0, 1]."""
-        return self._ramp(rho) * self._ramp(theta)
+        """Window weight chi(rho, theta) in [0, 1].  When every state lies in
+        the window, one test of the extremes stands for the two log ramps:
+        the weight there is exactly 1.0."""
+        return self._weight(rho, theta)[0]
+
+    def _weight(self, rho, theta) -> tuple[np.ndarray, bool]:
+        """``chi`` and whether every state lies in the window."""
+        rho, theta = np.asarray(rho, dtype=float), np.asarray(theta, dtype=float)
+        if all(self.delta <= np.minimum.reduce(x, axis=None)
+               and np.maximum.reduce(x, axis=None) <= 1.0 / self.delta for x in (rho, theta)):
+            return np.ones(np.broadcast(rho, theta).shape), True
+        return self._ramp(rho) * self._ramp(theta), False
 
 
 # --------------------------------------------------------------------------
@@ -254,7 +264,7 @@ def _strong_state(sol: StrongSolution, grid: gridmod.Grid, t: float,
     evaluation at (t, cell centers), which ``_with_derived`` reads too."""
 
     rho, u, theta = sol.state(t, grid_points(grid))
-    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
+    if np.fmin.reduce(rho, axis=None) <= 0.0 or np.fmin.reduce(theta, axis=None) <= 0.0:
         raise ValueError("comparison state must have positive density and temperature")
     return {"rho": rho, "theta": theta, "u": u, "p": model.p(rho, theta),
             "e": model.e(rho, theta), "s": model.s(rho, theta)}
@@ -295,7 +305,7 @@ def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float
 
 def _avg(weights: np.ndarray, vals: np.ndarray, ncomp: int) -> np.ndarray:
     w = weights.reshape(weights.shape + (1,) * ncomp)
-    return np.sum(w * vals, axis=-1 - ncomp)
+    return np.add.reduce(w * vals, axis=-1 - ncomp)
 
 
 def _r2_groups(V: AtomicYoungMeasure, level: int, sf: dict,
@@ -425,6 +435,9 @@ class RelEnergyReport(RelEnergySeries):
     reduced_c_required: float
 
 
+_UNIT = np.ones(1)  # the weight of a Dirac atom
+_UNIT.flags.writeable = False
+
 _BLOCK_KEYS = ("shear_quad", "shear_coupling", "bulk_quad", "bulk_coupling",
                "heat_quad", "heat_coupling_state", "heat_coupling_coeff")
 
@@ -432,7 +445,8 @@ _BLOCK_KEYS = ("shear_quad", "shear_coupling", "bulk_quad", "bulk_coupling",
 def _level_atoms(V: AtomicYoungMeasure | Iterable[FlowState]) -> Iterator[tuple]:
     """Grid, time, weights and rho, theta, u atoms of each level in turn.  A
     flow state is read as its Dirac measure: one atom of weight 1 per cell,
-    views of its arrays, the bits of ``young.dirac_from_trajectory``."""
+    views of its arrays, the bits of ``young.dirac_from_trajectory``, its
+    weights one read-only 1.0 broadcast over the cells."""
 
     if isinstance(V, AtomicYoungMeasure):
         for lev in range(V.n_levels):
@@ -440,12 +454,11 @@ def _level_atoms(V: AtomicYoungMeasure | Iterable[FlowState]) -> Iterator[tuple]
                    V.theta[lev], V.u[lev])
         return
     for state in V:
-        for name in ("rho", "u", "theta"):
-            if not np.all(np.isfinite(getattr(state, name))):
+        for name, x in (("rho", state.rho), ("u", state.u), ("theta", state.theta)):
+            if not np.logical_and.reduce(np.isfinite(x), axis=None):
                 raise ValueError(f"{name} must be finite")
-        yield (state.grid, float(state.t), np.broadcast_to(1.0, state.rho.shape + (1,)),
-               state.rho[..., None], state.theta[..., None],
-               np.expand_dims(state.u, state.grid.dim))
+        yield (state.grid, float(state.t), _UNIT[(None,) * state.grid.dim], state.rho[..., None],
+               state.theta[..., None], state.u[..., None, :])
 
 
 def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSolution,
@@ -466,7 +479,8 @@ def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSo
     once per level.  The comparison state comes from one evaluation of
     ``sol`` per level; without a hook only its p, e and s are added, and the
     partials, gradients, stress parts and coefficients are built for the hook
-    alone.
+    alone.  A level whose atoms all lie in the window (``CutoffParams.chi``
+    is 1.0 everywhere) takes ``e_ess`` as ``e_mv``, the same bits.
     """
 
     if sol.model != model:
@@ -475,10 +489,11 @@ def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSo
         raise ValueError("comparison solution and report must share the transport model")
     times, e_mv, e_ess = [], [], []
     expansion = {k: [] for k in ("ballistic", "cross", "carrier", "closure")}
+    window = CutoffParams()
 
     for lev, (grid, t, w, rho, theta, u) in enumerate(_level_atoms(V)):
         sf = _strong_state(sol, grid, t, model)
-        if np.any(theta <= 0.0) or np.any(rho <= 0.0):
+        if np.fmin.reduce(theta, axis=None) <= 0.0 or np.fmin.reduce(rho, axis=None) <= 0.0:
             raise ValueError("the relative energy needs strictly positive atom states")
 
         # rel_energy_density, with the comparison EOS and the atoms'
@@ -488,18 +503,19 @@ def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSo
         h_atom = thermo.ballistic_energy(model, rho, theta, theta_t)
         e_atom = _assemble(rho, u, rho_t, sf["u"][..., None, :], slope[..., None], h_atom,
                            thermo.ballistic_energy(model, rho_t, theta_t, theta_t))
-        chi = CutoffParams().chi(rho, theta)
+        chi, plateau = window._weight(rho, theta)
         times.append(t)
         e_mv.append(gridmod.integrate(grid, _avg(w, e_atom, 0)))
-        e_ess.append(gridmod.integrate(grid, _avg(w, chi * e_atom, 0)))
+        # chi * e_atom is e_atom bit for bit where the weight is 1 everywhere
+        e_ess.append(e_mv[-1] if plateau else gridmod.integrate(grid, _avg(w, chi * e_atom, 0)))
 
-        kin = 0.5 * rho * np.sum(u ** 2, axis=-1)
+        kin = 0.5 * rho * np.add.reduce(u ** 2, axis=-1)
         expansion["ballistic"].append(gridmod.integrate(grid, _avg(w, kin + h_atom, 0)))
         expansion["cross"].append(gridmod.integrate(
             grid, -np.einsum("...k,...k->...",
                              _avg(w, rho[..., None] * u, 1), sf["u"])))
         expansion["carrier"].append(gridmod.integrate(
-            grid, _avg(w, rho, 0) * (0.5 * np.sum(sf["u"] ** 2, axis=-1) - slope)))
+            grid, _avg(w, rho, 0) * (0.5 * np.add.reduce(sf["u"] ** 2, axis=-1) - slope)))
         expansion["closure"].append(gridmod.integrate(grid, sf["p"]))
         if on_level is not None:
             on_level(lev, _with_derived(sf, sol, grid, t, transport_model), chi)

@@ -20,6 +20,13 @@ forcing; ``tests/golden/rhs.json`` pins the result bit for bit.
 evaluates once the three equation-of-state partials it reads (dp/drho,
 dp/dtheta, de/dtheta).
 
+Each stage pays for its checks once. ``rhs`` tests positivity with one
+minimum over each ghost-padded array (a NaN fails it) and reads the
+interior again only to word the error. ``_decode`` tests each of rho, e and
+theta by its two extremes and looks for the offending cell only when that
+fails: a non-finite value, then one at or below its floor, is a
+``PositivityError`` naming the cell, so ``step`` retries it at dt/2.
+
 ``levels`` is the one marching loop: a generator that yields the initial
 state and then each saved level, and keeps only the current state. The
 claim studies and the a priori budget read each level as it arrives and
@@ -62,12 +69,12 @@ class FlowState:
     t: float
 
     def __post_init__(self):
-        d = self.grid.dim
-        if self.rho.shape != self.grid.interior_shape():
+        cells = self.grid.cells
+        if self.rho.shape != cells:
             raise ValueError("rho shape does not match grid")
-        if self.u.shape != self.grid.interior_shape((d,)):
+        if self.u.shape != cells + (self.grid.dim,):
             raise ValueError("u shape does not match grid")
-        if self.theta.shape != self.grid.interior_shape():
+        if self.theta.shape != cells:
             raise ValueError("theta shape does not match grid")
 
     def is_positive(self) -> bool:
@@ -92,12 +99,6 @@ class SolverConfig:
             raise ValueError("t_end must be > 0")
         if self.save_every < 1:
             raise ValueError("save_every must be >= 1")
-
-
-def _slc(a: np.ndarray, axis: int, start, stop) -> np.ndarray:
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(start, stop)
-    return a[tuple(sl)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,7 +131,8 @@ def _tangential_at_faces(dcell: np.ndarray, axis: int) -> np.ndarray:
     tangential derivatives vanish there.
     """
     out = np.zeros(dcell.shape[:axis] + (dcell.shape[axis] + 1,) + dcell.shape[axis + 1:])
-    _slc(out, axis, 1, -1)[...] = 0.5 * (_slc(dcell, axis, 1, None) + _slc(dcell, axis, 0, -1))
+    lead = (slice(None),) * axis
+    out[lead + (slice(1, -1),)] = 0.5 * (dcell[lead + (slice(1, None),)] + dcell[lead + (slice(0, -1),)])
     return out
 
 
@@ -157,13 +159,14 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
     """
     g = state.grid
     d, h = g.dim, g.h
-    if not state.is_positive():
-        raise PositivityError("state lost positivity before flux assembly at "
-                              + _first_nonpositive(state.rho, state.theta))
     rho_f, u_f, th_f = gridmod.sync_physical(g, state.rho, state.u, state.theta,
                                              boundary, state.t)
     rho_p, u_p, th_p = rho_f.data, u_f.data, th_f.data
-    if (th_p <= 0.0).any() or (rho_p <= 0.0).any():
+    # one test on the padded arrays; the interior is read only to word the error
+    if not (np.minimum.reduce(rho_p, axis=None) > 0.0 and np.minimum.reduce(th_p, axis=None) > 0.0):
+        if not state.is_positive():
+            raise PositivityError("state lost positivity before flux assembly at "
+                                  + _first_nonpositive(state.rho, state.theta))
         raise PositivityError("positivity breach in flux assembly: boundary extrapolation "
                               "left rho or theta nonpositive at ghost-padded "
                               + _first_nonpositive(rho_p, th_p))
@@ -176,13 +179,15 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
     rhoe_p = np.multiply(rho_p, e_p, out=dens[1])
     np.multiply(rho_p, u_c, out=dens[2:])
 
-    drho = np.zeros(g.interior_shape())
-    dmom_c = np.zeros((d,) + g.interior_shape())
-    drhoe = np.zeros(g.interior_shape())
+    drho = np.zeros(g.cells)
+    dmom_c = np.zeros((d,) + g.cells)
+    drhoe = np.zeros(g.cells)
 
     # cell-centered velocity gradient for stress work and tangential face terms
     gu_cell = gridmod.grad_vector(u_f)
-    divu_cell = np.einsum("...ii->...", gu_cell)
+    divu_cell = 0.0  # the trace, summed from 0 as einsum sums it
+    for k in range(d):
+        divu_cell = divu_cell + gu_cell[..., k, k]
     gu_c = gu_cell.transpose((d, d + 1) + tuple(range(d)))
 
     for a in range(d):
@@ -209,16 +214,16 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
         kap_face = transport_model.kappa(None, th_face)
         q_face = -kap_face * (th_p[right] - th_p[left]) / h[a]
         drhoe -= (q_face[hi] - q_face[lo]) / h[a]
+    # centered pressure gradient
+    for a in range(d):
+        dmom_c[a] -= gridmod._centered(p_p, g, a)
     dmom = dmom_c.transpose(tuple(range(1, d + 1)) + (0,))
 
-    # centered pressure gradient
-    p_field = gridmod.ScalarField(grid=g, data=p_p, synced=True)
-    dmom -= gridmod.gradient(p_field)
-
     # stress power and pressure work, cell-centered
-    s_cell = transport.viscous_stress(transport_model, state.rho, state.theta, gu_cell)
+    s_cell = transport.viscous_stress(transport_model, state.rho, state.theta, gu_cell,
+                                      divu_cell)
     drhoe += np.einsum("...ij,...ij->...", s_cell, gu_cell)
-    drhoe -= p_field.interior * divu_cell
+    drhoe -= p_p[(slice(1, -1),) * d] * divu_cell
 
     if cfg is not None and cfg.source is not None:
         pts = grid_points(g)
@@ -236,33 +241,41 @@ def stable_dt(state: FlowState, cfg: SolverConfig, model: thermo.ThermoModel,
     c_s = np.sqrt(model.sound_speed_sq(state.rho, state.theta, d))
     dt_adv = np.inf
     for a in range(g.dim):
-        speed = (np.abs(state.u[..., a]) + c_s).max()
-        dt_adv = min(dt_adv, g.h[a] / speed)
+        dt_a = g.h[a] / np.maximum.reduce(np.abs(state.u[..., a]) + c_s, axis=None)
+        dt_adv = dt_a if dt_a < dt_adv else dt_adv
     mu = transport_model.mu(state.rho, state.theta)
     lam = transport_model.lam(state.rho, state.theta)
     kap = transport_model.kappa(state.rho, state.theta)
     nu = np.maximum((2.0 * mu + g.dim * lam) / state.rho, kap / (state.rho * d["de_dtheta"]))
-    nu_max = g.dim * float(nu.max())
+    nu_max = g.dim * float(np.maximum.reduce(nu, axis=None))
     h_min = min(g.h)
     dt_diff = h_min**2 / (2.0 * nu_max) if nu_max > 0 else np.inf
     return cfg.cfl * min(dt_adv, dt_diff)
 
 
-def _reject(bad: np.ndarray, what: str, **values: np.ndarray) -> None:
-    if bad.any():
-        raise PositivityError(f"stage state has {what} at " + _at_first(bad, **values))
+def _require(name: str, x: np.ndarray, floor: Optional[float] = None) -> None:
+    """Raise ``PositivityError`` naming the first cell where ``x`` is not
+    finite, else the first where x <= floor (0 without one); the cells are
+    searched only when the extremes of ``x`` fail that test."""
+    lo = 0.0 if floor is None else floor
+    if lo < np.minimum.reduce(x, axis=None) and np.maximum.reduce(x, axis=None) < np.inf:
+        return
+    bound = "0" if floor is None else f"floor ({floor!r})"
+    for bad, what in ((~np.isfinite(x), f"non-finite {name}"), (x <= lo, f"{name} <= {bound}")):
+        if bad.any():
+            raise PositivityError(f"stage state has {what} at " + _at_first(bad, **{name: x}))
 
 
 def _decode(grid, rho, mom, rhoe, t, model, theta_guess, floor):
     """The stage state of conserved densities (rho, rho u, rho e); raises
-    ``PositivityError`` naming the first cell with rho <= floor, then e <= 0,
-    then theta <= floor."""
-    _reject(rho <= floor, f"rho <= floor ({floor!r})", rho=rho)
+    ``PositivityError`` naming the first cell with a non-finite rho or
+    rho <= floor, then a non-finite e or e <= 0, then theta <= floor."""
+    _require("rho", rho, floor)
     u = mom / rho[..., None]
     e = rhoe / rho
-    _reject(e <= 0.0, "e <= 0", e=e)
+    _require("e", e)
     theta = thermo.invert_internal_energy(model, rho, e, theta0=theta_guess)
-    _reject(theta <= floor, f"theta <= floor ({floor!r})", theta=theta)
+    _require("theta", theta, floor)
     return FlowState(grid=grid, rho=rho, u=u, theta=theta, t=t)
 
 

@@ -61,7 +61,8 @@ _ENTROPY_PARTIALS = frozenset(("ds_drho", "ds_dtheta"))
 class PressureKernel:
     """Molecular pressure kernel P with its Gibbs-compatible entropy kernel S.
 
-    ``p`` and ``dp`` evaluate P and P'; ``s`` and ``ds`` evaluate S and S'.
+    ``p`` and ``dp`` evaluate P and P'; ``s`` and ``ds`` evaluate S and S';
+    each takes a float array.
     ``pbar`` is the limit of P(q)/q**(5/3) as q -> inf (0 if the tail is
     sub-critical). ``third_law`` records whether S(q) -> 0 as q -> inf.
     """
@@ -101,8 +102,8 @@ IDEAL_KERNEL = PressureKernel(
 
 DEGENERATE_KERNEL = PressureKernel(
     name="degenerate",
-    p=lambda q: np.asarray(q, dtype=float) * (1.0 + np.asarray(q, dtype=float)) ** (2.0 / 3.0),
-    dp=lambda q: (1.0 + 5.0 / 3.0 * np.asarray(q, dtype=float)) * (1.0 + np.asarray(q, dtype=float)) ** (-1.0 / 3.0),
+    p=lambda q: q * (1.0 + q) ** (2.0 / 3.0),
+    dp=lambda q: (1.0 + 5.0 / 3.0 * q) * (1.0 + q) ** (-1.0 / 3.0),
     s=_degenerate_s,
     ds=lambda q: -((1.0 + np.asarray(q, dtype=float)) ** (-1.0 / 3.0)) / np.asarray(q, dtype=float),
     pbar=1.0,
@@ -187,7 +188,9 @@ class PerfectGas(ThermoModel):
 
     def e(self, rho, theta):
         rho = np.asarray(rho, dtype=float)
-        return self.c_v * np.asarray(theta, dtype=float) * np.ones_like(rho)
+        e = self.c_v * np.asarray(theta, dtype=float)
+        # broadcast to rho's shape by ones only where that is wider (x * 1.0 is x)
+        return e if e.shape == rho.shape else e * np.ones_like(rho)
 
     def s(self, rho, theta):
         return self.c_v * np.log(np.asarray(theta, dtype=float)) - np.log(np.asarray(rho, dtype=float))
@@ -195,16 +198,16 @@ class PerfectGas(ThermoModel):
     def partials(self, rho, theta, keys=PARTIALS):
         rho = np.asarray(rho, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        one = np.ones(np.broadcast_shapes(rho.shape, theta.shape))
-        d = {
-            "dp_drho": theta * one,
-            "dp_dtheta": rho * one,
-            "de_drho": 0.0 * one,
-            "de_dtheta": self.c_v * one,
-            "ds_drho": -1.0 / rho * one,
-            "ds_dtheta": self.c_v / theta * one,
+        one = np.ones(np.broadcast(rho, theta).shape)
+        entries = {
+            "dp_drho": lambda: theta * one,
+            "dp_dtheta": lambda: rho * one,
+            "de_drho": lambda: 0.0 * one,
+            "de_dtheta": lambda: self.c_v * one,
+            "ds_drho": lambda: -1.0 / rho * one,
+            "ds_dtheta": lambda: self.c_v / theta * one,
         }
-        return {k: d[k] for k in keys}
+        return {k: entries[k]() for k in keys}
 
     def rho_e(self, rho, theta):
         return self.c_v * np.asarray(rho, dtype=float) * np.asarray(theta, dtype=float)
@@ -243,10 +246,11 @@ class MolecularRadiation(ThermoModel):
                 % self.radiation_exponent
             )
 
-    def _q(self, rho, theta):
-        return np.asarray(rho, dtype=float) * np.asarray(theta, dtype=float) ** (-1.5)
+    def _q(self, rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        return rho * theta ** (-1.5)
 
     def p(self, rho, theta):
+        rho = np.asarray(rho, dtype=float)
         theta = np.asarray(theta, dtype=float)
         return theta**2.5 * self.kernel.p(self._q(rho, theta)) + self.a * theta**2
 
@@ -348,6 +352,12 @@ _BRACKET = (1e-12, 1e12)
 _RTOL = 1e-13
 
 
+def _flat(x, shape: tuple) -> np.ndarray:
+    """``x`` as a flat float array of the broadcast ``shape``."""
+    x = np.asarray(x, dtype=float)
+    return (x if x.shape == shape else np.broadcast_to(x, shape)).ravel()
+
+
 def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0, max_iter):
     """Solve ``model.<law>(rho, theta) = target`` for theta, cell by cell.
 
@@ -359,15 +369,19 @@ def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0, max_iter
     to _RTOL*theta. Each iteration evaluates the law and one
     ``model.partials`` (its ``d<law>_dtheta`` entry only) on the cells still
     active. While every cell is active the arrays are read whole; once a
-    cell is done, the rest are gathered and only they are carried on.
+    cell is done, the rest are gathered and only they are carried on. A
+    non-finite rho or target is a ``ValueError`` naming its cell.
     """
-    rho = np.asarray(rho, dtype=float)
-    target = np.asarray(target, dtype=float)
-    shape = np.broadcast_shapes(rho.shape, target.shape)
-    rho = np.broadcast_to(rho, shape).ravel()
-    target = np.broadcast_to(target, shape).ravel()
-    theta = (np.ones(rho.size) if theta0 is None else
-             np.clip(np.broadcast_to(np.asarray(theta0, dtype=float), shape), *_BRACKET).ravel())
+    shape = np.broadcast(rho, target).shape
+    rho, target = _flat(rho, shape), _flat(target, shape)
+    finite = np.isfinite(rho) & np.isfinite(target)
+    if not np.logical_and.reduce(finite):
+        k = int(np.argmin(finite))
+        cell = tuple(int(i) for i in np.unravel_index(k, shape))
+        raise ValueError(f"{_INVERTED[law]} inversion needs a finite rho and target at cell "
+                         f"{cell}: rho = {rho[k]!r}, target {law} = {target[k]!r}")
+    theta = np.minimum(np.maximum(_flat(1.0 if theta0 is None else theta0, shape),
+                                  _BRACKET[0]), _BRACKET[1])
     value, slope = getattr(model, law), f"d{law}_dtheta"
     active = None  # the indices of the cells still active; None while all are
     r, tgt, th = rho, target, theta

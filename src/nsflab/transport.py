@@ -30,14 +30,15 @@ __all__ = [
 
 def sym_part(a: np.ndarray) -> np.ndarray:
     """D(A) = (A + A^T)/2 on the trailing two axes."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def traceless_sym(a: np.ndarray) -> np.ndarray:
-    """D0(A) = D(A) - (tr A / d) I on the trailing two axes."""
+def traceless_sym(a: np.ndarray, trace=None) -> np.ndarray:
+    """D0(A) = D(A) - (tr A / d) I on the trailing two axes; ``trace`` is
+    tr A as ``np.einsum("...ii->...", a)`` gives it, where the caller has it."""
     d = a.shape[-1]
     sym = sym_part(a)
-    mean = np.einsum("...ii->...", a) / d
+    mean = (np.einsum("...ii->...", a) if trace is None else trace) / d
     for k in range(d):
         sym[..., k, k] -= mean
     return sym
@@ -93,13 +94,13 @@ class AffineTheta(TransportModel):
         return self.kappa0 * (1.0 + np.asarray(theta, dtype=float))
 
     def dmu_dtheta(self, rho, theta):
-        return np.full(np.shape(theta), self.c_mu)
+        return self.c_mu + np.zeros(np.asarray(theta).shape)
 
     def dlam_dtheta(self, rho, theta):
-        return np.full(np.shape(theta), self.c_lambda)
+        return self.c_lambda + np.zeros(np.asarray(theta).shape)
 
     def dkappa_dtheta(self, rho, theta):
-        return np.full(np.shape(theta), self.kappa0)
+        return self.kappa0 + np.zeros(np.asarray(theta).shape)
 
 
 @dataclass(frozen=True)
@@ -132,10 +133,10 @@ class PowerKappa(TransportModel):
         return self.kappa1 + self.kappa2 * np.asarray(theta, dtype=float) ** self.beta
 
     def dmu_dtheta(self, rho, theta):
-        return np.full(np.shape(theta), self.mu1)
+        return self.mu1 + np.zeros(np.asarray(theta).shape)
 
     def dlam_dtheta(self, rho, theta):
-        return np.full(np.shape(theta), self.lambda1)
+        return self.lambda1 + np.zeros(np.asarray(theta).shape)
 
     def dkappa_dtheta(self, rho, theta):
         return self.kappa2 * self.beta * np.asarray(theta, dtype=float) ** (self.beta - 1.0)
@@ -188,12 +189,16 @@ class BoundedGeneral(TransportModel):
         self._reject()
 
 
-def viscous_stress(model: TransportModel, rho, theta, grad_u: np.ndarray) -> np.ndarray:
-    """S = mu*D0(grad u) + lam*tr(grad u)*I, on the trailing two axes of grad_u."""
+def viscous_stress(model: TransportModel, rho, theta, grad_u: np.ndarray,
+                   trace=None) -> np.ndarray:
+    """S = mu*D0(grad u) + lam*tr(grad u)*I, on the trailing two axes of grad_u
+    (``trace`` as ``traceless_sym`` reads it)."""
     mu = np.asarray(model.mu(rho, theta), dtype=float)
     lam = np.asarray(model.lam(rho, theta), dtype=float)
-    stress = mu[..., None, None] * traceless_sym(grad_u)
-    bulk = lam * np.einsum("...ii->...", grad_u)
+    if trace is None:
+        trace = np.einsum("...ii->...", grad_u)
+    stress = mu[..., None, None] * traceless_sym(grad_u, trace)
+    bulk = lam * trace
     for k in range(grad_u.shape[-1]):
         stress[..., k, k] += bulk
     return stress

@@ -209,6 +209,61 @@ def test_cutoff_window_support_and_profiles():
             relenergy.CutoffParams(delta=bad)
 
 
+def _window_values(delta, inside_only):
+    """Values inside [delta, 1/delta] and at its ends; unless ``inside_only``,
+    also just outside the ends, on the ramps, far outside, zero, negative,
+    NaN and infinite."""
+    lo, hi = delta, 1.0 / delta
+    inside = st.one_of(st.floats(lo, hi), st.sampled_from([lo, hi]))
+    if inside_only:
+        return inside
+    return st.one_of(inside, st.sampled_from([np.nextafter(lo, 0.0), np.nextafter(hi, np.inf),
+                                              0.5 * lo, 2.0 * hi, 0.0, -0.0, -2.5, np.nan,
+                                              np.inf]),
+                     st.floats(0.5 * lo, 2.0 * hi), st.floats(1e-6, 1e6))
+
+
+@given(st.sampled_from([0.1, 0.25, 0.05]), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_plateau_shortcut_keeps_the_window_weight_bits(delta, rho_inside, theta_inside, data):
+    # chi takes the plateau by one test of the extremes; it must give the
+    # two-ramp product bit for bit: inside the window, at its ends, across
+    # it, outside it and at zero, negative or NaN states
+    params = relenergy.CutoffParams(delta=delta)
+    n = data.draw(st.integers(1, 6), label="n")
+    rho = np.array(data.draw(st.lists(_window_values(delta, rho_inside), min_size=n,
+                                      max_size=n), label="rho"))
+    theta = np.array(data.draw(st.lists(_window_values(delta, theta_inside), min_size=n,
+                                        max_size=n), label="theta"))
+    for r, t in ((rho, theta), (rho[:, None], theta), (rho[0], theta[-1])):
+        want = params._ramp(r) * params._ramp(t)
+        got = params.chi(r, t)
+        assert got.shape == np.shape(want) and got.tobytes() == np.asarray(want).tobytes()
+
+
+def test_plateau_reuses_the_essential_energy_bit_for_bit(monkeypatch):
+    traj, sol = _perturbed_trajectory(16, eps=5e-3)
+    V = young.dirac_from_trajectory(traj)
+    args = (sol, sol.model, sol.transport_model)
+    weight, taken = relenergy.CutoffParams._weight, []
+
+    def spy(self, rho, theta):
+        chi, plateau = weight(self, rho, theta)
+        taken.append(plateau)
+        return chi, plateau
+
+    monkeypatch.setattr(relenergy.CutoffParams, "_weight", spy)
+    fast = relenergy.rel_energy_series(V, *args)
+    assert len(taken) == V.n_levels and all(taken)
+    # the same series with every window weight built from the two ramps
+    monkeypatch.setattr(relenergy.CutoffParams, "_weight",
+                        lambda self, rho, theta: (self._ramp(rho) * self._ramp(theta), False))
+    slow = relenergy.rel_energy_series(V, *args)
+    for key in ("e_mv", "e_ess", "e_res"):
+        assert getattr(fast, key).tobytes() == getattr(slow, key).tobytes(), key
+    assert np.all(fast.e_res == 0.0)
+
+
 # --------------------------------------------------------------------------
 # coercivity of the relative energy
 # --------------------------------------------------------------------------

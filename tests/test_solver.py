@@ -281,6 +281,57 @@ def test_step_is_the_full_or_the_halved_attempt(model, n, rho_right, amp_u, log_
         assert getattr(out, key).tobytes() == getattr(expected, key).tobytes(), key
 
 
+@pytest.mark.parametrize("model", [PG, MR], ids=["perfect_gas", "molecular_radiation"])
+@pytest.mark.parametrize("what", ["rho", "e"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_decode_rejects_a_non_finite_stage_cell(model, what, bad):
+    # NaN fails every comparison, so bounds alone let it through; a
+    # non-finite rho or e is refused by name, as a positivity failure that
+    # step retries at dt/2
+    gr = g.Grid(cells=(6, 5))
+    rho, rhoe = np.full(gr.cells, 1.2), np.full(gr.cells, 2.0)
+    (rho if what == "rho" else rhoe)[3, 1] = bad
+    value = bad if what == "rho" else bad / 1.2
+    with pytest.raises(solver.PositivityError) as info:
+        solver._decode(gr, rho, np.zeros(gr.cells + (2,)), rhoe, 0.0, model,
+                       np.ones(gr.cells), 1e-10)
+    assert str(info.value) == (f"stage state has non-finite {what} at cell (3, 1): "
+                               f"{what} = {value!r}")
+
+
+def test_step_retries_a_stage_that_turns_non_finite(monkeypatch):
+    gr, st = _decay_state(n=16)
+    cfg = solver.SolverConfig(t_end=1.0)
+    bc = g.constant_boundary(1.0)
+    dt = solver.stable_dt(st, cfg, PG, AFF)
+    half = solver._attempt(st, 0.5 * dt, cfg, PG, AFF, bc)
+    rhs, calls = solver.rhs, []
+
+    def spoiled(state, *args):
+        # the second stage of the first attempt sends cell 4 to NaN
+        out = rhs(state, *args)
+        calls.append(state.t)
+        if len(calls) == 2:
+            out[0][4] = np.nan
+        return out
+
+    monkeypatch.setattr(solver, "rhs", spoiled)
+    out = solver.step(st, cfg, PG, AFF, bc, dt=dt)
+    assert len(calls) == 4 and out.t == half.t == 0.5 * dt
+    for key in ("rho", "u", "theta"):
+        assert getattr(out, key).tobytes() == getattr(half, key).tobytes(), key
+
+
+def test_rhs_refuses_a_non_finite_state():
+    gr, st = _decay_state(n=16)
+    theta = st.theta.copy()
+    theta[6] = np.nan
+    bad = solver.FlowState(grid=gr, rho=st.rho, u=st.u, theta=theta, t=0.0)
+    with pytest.raises(solver.PositivityError,
+                       match=r"before flux assembly at cell \(6,\): rho = .*, theta = nan"):
+        solver.rhs(bad, PG, AFF, g.constant_boundary(1.0))
+
+
 def test_dt_underflow_raises():
     gr, st = _decay_state(n=16)
     cfg = solver.SolverConfig(t_end=0.1)

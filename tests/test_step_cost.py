@@ -1,0 +1,58 @@
+"""Exact call counts of a time step and of a streamed relative-energy level.
+
+At the study grids a step costs its number of Python and numpy calls, not
+its flops, and a wall clock on a shared machine cannot resolve a change of
+a few percent.  ``cProfile`` counts every call exactly, so these pins fail
+on any added per-step or per-level call.  Each run is profiled the second
+time it is made, so the per-grid caches are warm and the counts do not
+depend on what ran before.  The step counts are pinned too, so that fewer
+calls cannot come from fewer steps.  A count that falls is good news:
+lower its pin with the change that earned it.
+"""
+
+import cProfile
+import pstats
+
+import pytest
+
+from nsflab import grid as gridmod
+from nsflab import manufactured as mfg
+from nsflab import relenergy, solver, thermo, transport
+
+# name -> (model, transport, profile, cells, t_end)
+RUNS = {
+    "shear-1d-64": (thermo.PerfectGas(c_v=1.5), transport.AffineTheta(), "shear", (64,), 0.05),
+    "radiative_decay-2d-16": (thermo.MolecularRadiation(a=1.0), transport.PowerKappa(),
+                              "radiative_decay", (16, 16), 0.02),
+}
+# name -> (accepted steps, calls marching with save_every = 1, calls when the
+# same march is streamed through rel_energy_series)
+PINNED = {
+    "shear-1d-64": (435, 138094, 188373),
+    "radiative_decay-2d-16": (30, 19214, 23600),
+}
+
+
+def _count(name, stream):
+    model, tm, profile, cells, t_end = RUNS[name]
+    for _ in range(2):
+        sol = mfg.manufactured(profile, model, tm)
+        cfg = solver.SolverConfig(t_end=t_end, source=sol, save_every=1)
+        prof = cProfile.Profile()
+        prof.enable()
+        marched = solver.levels(gridmod.Grid(cells=cells), cfg, model, tm)
+        if stream:
+            n_levels = relenergy.rel_energy_series(marched, sol, model, tm).times.size
+        else:
+            n_levels = 0
+            for _ in marched:
+                n_levels += 1
+        prof.disable()
+    return n_levels - 1, pstats.Stats(prof).total_calls
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_calls_per_step_and_per_level_are_pinned(name):
+    steps, marched, streamed = PINNED[name]
+    assert _count(name, stream=False) == (steps, marched)
+    assert _count(name, stream=True) == (steps, streamed)

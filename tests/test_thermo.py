@@ -453,3 +453,20 @@ def test_equation_of_state_work_per_run(forced, work):
     # exact counts: a partials entry or a Newton iteration more or less
     # shows here; stepping an unforced run needs no entropy partial at all
     assert _eos_work(forced) == work
+
+
+@pytest.mark.parametrize("law", ["e", "s"])
+@pytest.mark.parametrize("where,bad", [("rho", np.nan), ("rho", np.inf), ("target", np.nan),
+                                       ("target", np.inf), ("target", -np.inf)])
+def test_inversion_refuses_a_non_finite_cell(law, where, bad):
+    # a NaN cell used to run the Newton loop to its cap and an infinite
+    # target settled at once on the warm start; both now name the cell
+    model = thermo.MolecularRadiation(a=1.0)
+    rho, theta = np.full((3, 4), 1.1), np.full((3, 4), 0.9)
+    target = getattr(model, law)(rho, theta)
+    (rho if where == "rho" else target)[2, 1] = bad
+    invert = thermo.invert_internal_energy if law == "e" else thermo.invert_entropy
+    name = "internal-energy" if law == "e" else "entropy"
+    with pytest.raises(ValueError, match=rf"{name} inversion needs a finite rho and target at "
+                                         rf"cell \(2, 1\): rho = .*, target {law} = "):
+        invert(model, rho, target, theta0=theta)
