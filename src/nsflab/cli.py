@@ -38,7 +38,8 @@ _FLAG_KEYS = {
     "kernel": ("model", "kernel"), "transport": ("transport", "kind"),
     "beta": ("transport", "beta"), "eps": ("experiment", "eps"),
     "grids": ("experiment", "grids"), "theta_scale": ("experiment", "theta_scale"),
-    "theta_tilt": ("experiment", "theta_tilt"),
+    "theta_tilt": ("experiment", "theta_tilt"), "tol_scale": ("experiment", "tol_scale"),
+    "c_fixed": ("experiment", "c_fixed"), "samples": ("run", "samples"),
 }
 
 
@@ -123,15 +124,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify_thermo(args) -> int:
     cfg = _config(args, "verify-thermo")
+    seed, samples = cfg["run"]["seed"], cfg["run"]["samples"]
+    if samples < 2:
+        raise configmod.ConfigError("run.samples: the convexity check needs at least 2 "
+                                    f"sampled states, got {samples}")
     out = _echo(args, cfg, "verify-thermo")
 
-    seed = cfg["run"]["seed"]
     model = configmod.build_model(cfg)
-    rep = thermo.validate_structure(model, n_samples=args.samples, seed=seed)
+    rep = thermo.validate_structure(model, n_samples=samples, seed=seed)
     reports.write_verdicts(os.path.join(out, "verdict.json"), {
         "ok": rep.ok,
         "model": cfg["model"]["kind"],
-        "samples": args.samples,
+        "samples": samples,
         "seed": seed,
         "first_violation": rep.first_violation or "",
         "checks": rep.checks,
@@ -158,7 +162,7 @@ def cmd_mv_check(args) -> int:
     V = young.dirac_from_trajectory(traj)
     ref = testfuns.theta_ref_from_strong(sol)
 
-    tol = args.tol_scale * max(grid.h)
+    tol = cfg["experiment"]["tol_scale"] * max(grid.h)
     dim = grid.dim
     checks = (  # (name, statistic, report); the "min" clauses are one-sided
         ("continuity", "max_abs", young.continuity_residual(V, testfuns.scalar_tests(dim))),
@@ -200,6 +204,9 @@ def cmd_relenergy(args) -> int:
         raise configmod.ConfigError("experiment.eps: relenergy runs exactly one "
                                     "perturbation size")
     eps = cfg["experiment"]["eps"][0]
+    if not eps > 0.0:
+        raise configmod.ConfigError(f"experiment.eps: the perturbation size must be > 0, "
+                                    f"got {eps!r}")
     out = _echo(args, cfg, "relenergy")
 
     model, tm = sol.model, sol.transport_model
@@ -220,7 +227,7 @@ def cmd_relenergy(args) -> int:
     series["fitted_c"] = np.full(len(rep.times), rep.gronwall_c)
     reports.write_series(os.path.join(out, "series.csv"), series)
 
-    tol = args.tol_scale * max(grid.h)
+    tol = cfg["experiment"]["tol_scale"] * max(grid.h)
     slack_min = float(np.min(rep.slack))
     ok = slack_min >= -tol
     reports.write_verdicts(os.path.join(out, "verdict.json"), {
@@ -302,9 +309,7 @@ def cmd_apriori(args) -> int:
             if not rep.needs_recalibration
             else "bound exceeded; recalibration required")
 
-    return _run_study(args, "apriori", "apriori",
-                      lambda spec: experiments.run_apriori(spec, c_fixed=args.c_fixed),
-                      outputs)
+    return _run_study(args, "apriori", "apriori", experiments.run_apriori, outputs)
 
 
 def cmd_defect_study(args) -> int:
@@ -358,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c-v", type=float, default=None, dest="c_v")
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--kernel", choices=("ideal", "degenerate"), default=None)
-    sp.add_argument("--samples", type=int, default=10_000)
+    sp.add_argument("--samples", type=int, default=None, help="sampled states (default: 10000)")
     sp.set_defaults(func=cmd_verify_thermo)
 
     sp = sub.add_parser("mv-check", parents=[common],
@@ -366,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile", choices=profile_names(), default=None)
     sp.add_argument("--cells", type=_int_list, default=None)
     sp.add_argument("--t-end", type=float, default=None)
-    sp.add_argument("--tol-scale", type=float, default=1.0,
-                    help="clause tolerance = tol_scale * h")
+    sp.add_argument("--tol-scale", type=float, default=None,
+                    help="clause tolerance = tol_scale * h (default: 1)")
     sp.set_defaults(func=cmd_mv_check)
 
     sp = sub.add_parser("relenergy", parents=[common],
@@ -376,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cells", type=_int_list, default=None)
     sp.add_argument("--eps", type=_float_list, default=None)
     sp.add_argument("--t-end", type=float, default=None)
-    sp.add_argument("--tol-scale", type=float, default=1e-3,
-                    help="slack tolerance = tol_scale * h")
+    sp.add_argument("--tol-scale", type=float, default=None,
+                    help="slack tolerance = tol_scale * h (default: 1e-3)")
     sp.set_defaults(func=cmd_relenergy)
 
     sp = sub.add_parser("wsu", parents=[common],

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import grid as gridmod
 from . import solver, thermo, transport
-from .experiments import CLAIM_DEFAULTS, ExperimentSpec, LadderError
+from .experiments import CLAIM_DEFAULTS, ExperimentSpec, SpecError
 from .manufactured import StrongSolution, manufactured, profile_names
 
 __all__ = [
@@ -46,10 +46,8 @@ class ConfigError(ValueError):
 MODEL_KINDS = ("perfect_gas", "molecular_radiation")
 TRANSPORT_KINDS = ("affine_theta", "power_kappa", "bounded_general")
 
-# value kinds: how a raw string is parsed and rendered
-_KINDS = ("str", "int", "float", "ints", "floats")
-
-# section -> key -> (kind, default)
+# section -> key -> (kind, default); the kind says how a raw string is parsed
+# and rendered, and an "opt_float" left empty is None
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "model": {
         "kind": ("str", "perfect_gas"),
@@ -86,9 +84,12 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "grids": ("ints", ()),
         "theta_scale": ("float", 1.0),
         "theta_tilt": ("float", 0.2),
+        "tol_scale": ("float", 1.0),
+        "c_fixed": ("opt_float", None),
     },
     "run": {
         "seed": ("int", 0),
+        "samples": ("int", 10_000),
     },
 }
 
@@ -126,6 +127,8 @@ def _parse(kind: str, raw: str, path: str):
             return int(raw)
         if kind == "float":
             return float(raw)
+        if kind == "opt_float":
+            return float(raw) if raw else None
         items = [p.strip() for p in raw.split(",") if p.strip()]
         if kind == "ints":
             return tuple(int(p) for p in items)
@@ -140,6 +143,8 @@ def _parse(kind: str, raw: str, path: str):
 def _render(kind: str, value) -> str:
     if kind in ("ints", "floats"):
         return ", ".join(repr(v) for v in value)
+    if kind == "opt_float":
+        return "" if value is None else repr(float(value))
     return str(value) if kind != "float" else repr(float(value))
 
 
@@ -150,8 +155,10 @@ _ONE_RUN = {("solver", "profile"): "shear"}
 _ROWS = {
     "simulate": _ONE_RUN,
     "verify-thermo": {},
-    "mv-check": {**_ONE_RUN, ("solver", "t_end"): 0.02, ("grid", "cells"): (48,)},
-    "relenergy": {**_ONE_RUN, ("grid", "cells"): (64,), ("experiment", "eps"): (5e-3,)},
+    "mv-check": {**_ONE_RUN, ("solver", "t_end"): 0.02, ("grid", "cells"): (48,),
+                 ("experiment", "tol_scale"): 1.0},
+    "relenergy": {**_ONE_RUN, ("grid", "cells"): (64,), ("experiment", "eps"): (5e-3,),
+                  ("experiment", "tol_scale"): 1e-3},
     **{claim: {("model", "kind"): row.model, ("transport", "kind"): row.transport,
                ("solver", "profile"): row.profile, ("experiment", "grids"): row.grids,
                ("experiment", "eps"): row.eps}
@@ -296,10 +303,12 @@ def build_source(cfg: RunConfig, name: Optional[str] = None) -> StrongSolution:
 def build_solver_config(cfg: RunConfig,
                         source: Optional[StrongSolution] = None) -> solver.SolverConfig:
     block = cfg["solver"]
-    return solver.SolverConfig(cfl=block["cfl"], t_end=block["t_end"],
-                               floor=block["floor"],
-                               save_every=block["save_every"],
-                               max_steps=block["max_steps"], source=source)
+    try:
+        return solver.SolverConfig(cfl=block["cfl"], t_end=block["t_end"], floor=block["floor"],
+                                   save_every=block["save_every"],
+                                   max_steps=block["max_steps"], source=source)
+    except ValueError as err:  # the message starts with the field at fault
+        raise ConfigError(f"solver.{err}") from None
 
 
 def build_experiment_spec(cfg: RunConfig, theorem: str) -> ExperimentSpec:
@@ -317,8 +326,9 @@ def build_experiment_spec(cfg: RunConfig, theorem: str) -> ExperimentSpec:
             grids=block["grids"] or None,
             solver=build_solver_config(cfg),
             theta_scale=block["theta_scale"],
-            theta_tilt=block["theta_tilt"])
-    except LadderError as err:
+            theta_tilt=block["theta_tilt"],
+            c_fixed=block["c_fixed"])
+    except SpecError as err:
         raise ConfigError(f"experiment.{err}") from None
     build_source(cfg, spec.resolved_profile)
     return spec

@@ -41,7 +41,7 @@ from .manufactured import StrongSolution, grid_points, manufactured
 __all__ = [
     "GateResult",
     "HypothesisGateError",
-    "LadderError",
+    "SpecError",
     "check_hypotheses",
     "ExperimentSpec",
     "TheoremReport",
@@ -126,9 +126,10 @@ class HypothesisGateError(ValueError):
             + "; ".join(gate.reasons))
 
 
-class LadderError(ValueError):
-    """A claim's grids or perturbation sizes cannot carry its verdicts; the
-    message starts with the field at fault, "grids: " or "eps: "."""
+class SpecError(ValueError):
+    """A field of an ``ExperimentSpec`` fails its check (a ladder that cannot
+    carry the claim's verdicts, or a boundary temperature out of range); the
+    message starts with the field at fault, e.g. "grids: " or "eps: "."""
 
 
 def check_hypotheses(theorem: str, model: thermo.ThermoModel,
@@ -244,12 +245,14 @@ class ExperimentSpec:
     :class:`HypothesisGateError` on rejection, so a spec that exists is a
     spec that may run; ``gate`` keeps the accepting result.  ``profile``,
     ``grids`` and ``eps_list`` left as None take the claim's row of
-    :data:`CLAIM_DEFAULTS`.  Construction raises :class:`LadderError` on
+    :data:`CLAIM_DEFAULTS`.  Construction raises :class:`SpecError` on
     grids that are not strictly increasing counts >= 4 or a perturbation size
-    <= 0, and for claims "1"–"3" on an empty ``eps_list`` or fewer than two
-    grids, so no run starts for a ladder the verdicts cannot read.
+    <= 0, for claims "1"–"3" on an empty ``eps_list`` or fewer than two
+    grids, so no run starts for a ladder the verdicts cannot read, and on a
+    ``theta_scale`` <= 0 or a ``theta_tilt`` outside [0, 1].
     ``solver`` is the template of every run's solver configuration; the
-    runners set its ``source``.
+    runners set its ``source``.  The a priori budget alone reads
+    ``c_fixed``: the constant its totals are checked against (None calibrates).
 
     The studies judge their runs against fixed thresholds (module constants):
 
@@ -284,6 +287,7 @@ class ExperimentSpec:
     solver: solver.SolverConfig = solver.SolverConfig(t_end=0.05, save_every=2)
     theta_scale: float = 1.0
     theta_tilt: float = 0.2
+    c_fixed: Optional[float] = None
 
     gate: GateResult = field(init=False)
 
@@ -298,29 +302,29 @@ class ExperimentSpec:
         grids = tuple(int(n) for n in (self.grids if self.grids is not None
                                        else defaults.grids))
         if len(grids) < 1 or any(n < 4 for n in grids):
-            raise LadderError("grids: must list cell counts >= 4")
+            raise SpecError("grids: must list cell counts >= 4")
         if list(grids) != sorted(grids) or len(set(grids)) != len(grids):
-            raise LadderError("grids: must be strictly increasing cell counts")
+            raise SpecError("grids: must be strictly increasing cell counts")
         object.__setattr__(self, "grids", grids)
         eps = tuple(float(e) for e in (self.eps_list if self.eps_list is not None
                                        else defaults.eps))
         if any(e <= 0.0 for e in eps):
-            raise LadderError("eps: perturbation sizes must be > 0")
+            raise SpecError("eps: perturbation sizes must be > 0")
         if theorem in ("1", "2", "3"):
             if not eps:
-                raise LadderError(
+                raise SpecError(
                     f"eps: claim {theorem!r} needs at least one perturbation size: "
                     "its stability verdict fits a growth constant per size")
             if len(grids) < 2:
-                raise LadderError(
+                raise SpecError(
                     f"grids: claim {theorem!r} needs at least two grids: its collapse "
                     "order is fitted across the ladder and its growth constant "
                     "is cross-checked on the next-coarser grid")
         object.__setattr__(self, "eps_list", eps)
-        if self.theta_scale <= 0.0:
-            raise ValueError("boundary temperature scale must be > 0")
+        if not (self.theta_scale > 0.0):
+            raise SpecError("theta_scale: boundary temperature scale must be > 0")
         if not (0.0 <= self.theta_tilt <= 1.0):
-            raise ValueError("boundary temperature tilt must lie in [0, 1]")
+            raise SpecError("theta_tilt: boundary temperature tilt must lie in [0, 1]")
 
     @property
     def resolved_profile(self) -> str:
@@ -618,6 +622,7 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
         ``sol`` (the sup for a collapse run; E(0), the fitted constant and
         the envelope growth for a perturbed one), its ranges and its reads."""
         n, eps, claim_reads = task
+        theorem_2 = claim_reads and spec.theorem == "2"
         grid = _make_grid(n, dim)
         ranges = dict(_NO_RANGES)
         reads: list[tuple[float, ...]] = []
@@ -625,17 +630,18 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
         def fold(states):
             for state in states:
                 rho, theta = state.rho, state.theta
-                s_abs = np.abs(model.s(rho, theta))
+                eos = model.partials(rho, theta, ("s", "e", "p") if theorem_2 else ("s",))
+                s_abs = np.abs(eos["s"])
                 _merge_ranges(ranges, {
                     "rho_min": float(np.min(rho)), "rho_max": float(np.max(rho)),
                     "theta_min": float(np.min(theta)),
                     "theta_max": float(np.max(theta)),
                     "s_abs_max": float(np.max(s_abs))})
-                if claim_reads and spec.theorem == "2":
-                    en = rho * model.e(rho, theta)
+                if theorem_2:
+                    en = rho * eos["e"]
                     reads.append((
                         float(np.max(theta ** model.c_v / (rho * np.exp(_ENTROPY_CAP)))),
-                        float(np.max(np.abs(model.p(rho, theta)) / (1.0 + en + rho * s_abs)))))
+                        float(np.max(np.abs(eos["p"]) / (1.0 + en + rho * s_abs)))))
                 elif claim_reads:
                     reads.append((state.t, *_velocity_control_terms(state, sol)))
                 yield state
@@ -649,7 +655,7 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
                                else perturbed_state(sol, grid, eps))),
             sol, model, spec.transport_model)
         first: dict[str, float] = {}
-        if claim_reads and spec.theorem == "2":
+        if theorem_2:
             margin, quotient = zip(*reads)
             first["temperature_chain_margin"] = max(margin)
             first["pressure_quotient_max"] = max(quotient)
@@ -806,8 +812,9 @@ def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
         div_u = np.einsum("...ii->...", grad_u)
         u_sq = np.sum(u * u, axis=-1)
 
-        e = model.e(rho, theta)
-        s, s_mol = model.entropy_parts(rho, theta)
+        eos = model.partials(rho, theta, ("e", "s"))
+        e, s = eos["e"], eos["s"]
+        rho_s_mol, rhs_e = thermo.entropy_growth_bound(model, rho, theta)
         mass = float(gridmod.integrate(g, rho))
         kin = float(gridmod.integrate(g, rho * u_sq))
         internal = float(gridmod.integrate(g, rho * e))
@@ -832,7 +839,7 @@ def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
         # constant keeps both denominators positive, so a negative ballistic
         # balance weakens the reading instead of flipping its sign
         flux = abs(float(gridmod.integrate(
-            g, rho * s_mol * np.sum(u * grad_hat, axis=-1))))
+            g, rho_s_mol * np.sum(u * grad_hat, axis=-1))))
         ball = float(gridmod.integrate(
             g, 0.5 * rho * u_sq + rho * e - hat * rho * s))
         flux_c = max(flux_c, flux / (1.0 + max(ball, 0.0)))
@@ -843,8 +850,7 @@ def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
         theta_sq_c = max(theta_sq_c,
                          th_sq / (1.0 + max(ball_still, 0.0) + u_h1))
 
-        lhs_e, rhs_e = thermo.entropy_growth_bound(model, rho, theta, s_mol=s_mol)
-        entropy_margin = min(entropy_margin, float(np.min(rhs_e - lhs_e)))
+        entropy_margin = min(entropy_margin, float(np.min(rhs_e - np.abs(rho_s_mol))))
 
     out = {
         "state_sup": sum_sup,
@@ -864,11 +870,11 @@ def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
     return out
 
 
-def run_apriori(spec: ExperimentSpec, c_fixed: Optional[float] = None) -> AprioriReport:
+def run_apriori(spec: ExperimentSpec) -> AprioriReport:
     """Check the decaying-flow energy/entropy budget across a grid ladder.
 
     The budget constant is calibrated on the coarsest run (total times the
-    safety factor) and every finer run must stay below it.  Passing
+    safety factor) and every finer run must stay below it.  A spec's
     ``c_fixed`` skips calibration and validates against the given constant
     instead — the report's ``needs_recalibration`` flag goes up whenever a
     run exceeds it, which is the expected outcome after raising the boundary
@@ -937,11 +943,11 @@ def run_apriori(spec: ExperimentSpec, c_fixed: Optional[float] = None) -> Aprior
                 f"budget blow-up at {n} cells: total {total:.3e} exceeds a "
                 "million times the calibration level")
 
-    if c_fixed is None:
+    if spec.c_fixed is None:
         c_bound = _CALIBRATION_SAFETY * totals[0]
         calibrated = True
     else:
-        c_bound = float(c_fixed)
+        c_bound = float(spec.c_fixed)
         calibrated = False
     within = [t <= c_bound for t in totals]
     needs_recal = not all(within)

@@ -16,12 +16,13 @@ ch. 13). A jet holds its components as the rows of one array and knows
 which rows are structural zeros, so a product or a sin/exp is a few
 whole-array operations with the bits of the same rule written component by
 component. The forcings follow by the chain rule through the state laws of
-``thermo`` (values and ``partials``) and the coefficient laws of
-``transport`` (values and theta-derivatives), so those two modules are the
-only home of the laws. All fields at one (t, pts) come from one evaluation,
-which is memoised, so the fields at a time level are computed once; each
-field's read-only array is built when it is first read, so a solver stage
-that reads the three forcings builds three of the twelve.
+``thermo`` (p, e and their four partials, from one ``partials`` call) and
+the coefficient laws of ``transport`` (values and theta-derivatives), so
+those two modules are the only home of the laws. All fields at one (t, pts)
+come from one evaluation, which is memoised, so the fields at a time level
+are computed once; each field's read-only array is built when it is first
+read, so a solver stage that reads the three forcings builds three of the
+twelve.
 """
 
 from __future__ import annotations
@@ -239,9 +240,8 @@ def _fields(model, transport_model, rho: _Jet, u: list, theta: _Jet) -> dict:
         d0[j][k] = d0[k][j] = (g_u[j][j] - div_u / dim if j == k
                                else 0.5 * (g_u[j][k] + g_u[k][j]))
 
-    p = model.p(r, th)
-    e = model.e(r, th)
-    dp = model.partials(r, th, keys=("dp_drho", "dp_dtheta", "de_drho", "de_dtheta"))
+    dp = model.partials(r, th, ("p", "e", "dp_drho", "dp_dtheta", "de_drho", "de_dtheta"))
+    p, e = dp["p"], dp["e"]
     tm = transport_model
     mu, lam, kap = tm.mu(r, th), tm.lam(r, th), tm.kappa(r, th)
     dmu, dlam, dkap = tm.dmu_dtheta(r, th), tm.dlam_dtheta(r, th), tm.dkappa_dtheta(r, th)

@@ -84,16 +84,18 @@ def rel_energy_density(model: thermo.ThermoModel, rho, theta, u,
     if np.any(rho < 0.0) or np.any(theta <= 0.0):
         raise ValueError("atoms must satisfy rho >= 0 and theta > 0")
 
-    slope = _gibbs_slope(rho_ref, theta_ref, model.p(rho_ref, theta_ref),
-                         model.e(rho_ref, theta_ref), model.s(rho_ref, theta_ref))
-    return _assemble(rho, u, rho_ref, u_ref, slope,
-                     thermo.ballistic_energy(model, rho, theta, theta_ref),
-                     thermo.ballistic_energy(model, rho_ref, theta_ref, theta_ref))
+    ref = _comparison_eos(model, rho_ref, theta_ref)
+    return _assemble(rho, u, rho_ref, u_ref, ref["slope"],
+                     thermo.ballistic_energy(model, rho, theta, theta_ref), ref["h"])
 
 
-def _gibbs_slope(rho, theta, p, e, s):
-    """Gibbs free enthalpy e - theta*s + p/rho of the comparison state."""
-    return e - theta * s + p / rho
+def _comparison_eos(model: thermo.ThermoModel, rho, theta) -> dict:
+    """p and s of a positive comparison state, its Gibbs free enthalpy
+    ``slope`` = e - theta*s + p/rho and its ballistic energy ``h`` =
+    rho*(e - theta*s), from one ``partials`` call."""
+    d = model.partials(rho, theta, ("p", "e", "s", "rho_e", "rho_s"))
+    return {"p": d["p"], "s": d["s"], "slope": d["e"] - theta * d["s"] + d["p"] / rho,
+            "h": d["rho_e"] - theta * d["rho_s"]}
 
 
 def _assemble(rho, u, rho_ref, u_ref, slope, h_atom, h_ref):
@@ -239,8 +241,9 @@ def coercivity_check(model: thermo.ThermoModel, params: CutoffParams,
     chi = params.chi(rho, theta)
     dist_sq = ((rho - rho_ref) ** 2 + (theta - theta_ref) ** 2
                + np.sum((u - u_ref) ** 2, axis=-1))
-    weight = (1.0 + rho + np.abs(model.rho_s(rho, theta))
-              + model.rho_e(rho, theta) + rho * np.sum(u ** 2, axis=-1))
+    eos = model.partials(rho, theta, ("rho_e", "rho_s"))
+    weight = (1.0 + rho + np.abs(eos["rho_s"])
+              + eos["rho_e"] + rho * np.sum(u ** 2, axis=-1))
     minorant = chi * dist_sq + (1.0 - chi) * weight
 
     mask = minorant > 1e-30
@@ -259,15 +262,14 @@ def coercivity_check(model: thermo.ThermoModel, params: CutoffParams,
 
 def _strong_state(sol: StrongSolution, grid: gridmod.Grid, t: float,
                   model: thermo.ThermoModel) -> dict:
-    """Comparison state and its p, e, s at cell centers: all the relative
-    energy itself reads.  The state is read from the profile's one
+    """Comparison state with its ``_comparison_eos`` at cell centers: all the
+    relative energy itself reads.  The state is read from the profile's one
     evaluation at (t, cell centers), which ``_with_derived`` reads too."""
 
     rho, u, theta = sol.state(t, grid_points(grid))
     if np.fmin.reduce(rho, axis=None) <= 0.0 or np.fmin.reduce(theta, axis=None) <= 0.0:
         raise ValueError("comparison state must have positive density and temperature")
-    return {"rho": rho, "theta": theta, "u": u, "p": model.p(rho, theta),
-            "e": model.e(rho, theta), "s": model.s(rho, theta)}
+    return {"rho": rho, "theta": theta, "u": u, **_comparison_eos(model, rho, theta)}
 
 
 def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float,
@@ -322,9 +324,9 @@ def _r2_groups(V: AtomicYoungMeasure, level: int, sf: dict,
     rho_t = sf["rho"][..., None]
     theta_t = sf["theta"][..., None]
     u_t = sf["u"][..., None, :]
-    s_atom = model.s(rho, theta)
+    eos = model.partials(rho, theta, ("s", "p"))
+    s_atom, p_atom = eos["s"], eos["p"]
     s_t = sf["s"][..., None]
-    p_atom = model.p(rho, theta)
     dvec = u_t - u
     material = sf["dth_dt"] + np.einsum("...k,...k->...", sf["u"], sf["grad_theta"])
 
@@ -477,10 +479,11 @@ def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSo
     sf, chi)`` runs at each level with the comparison-state fields and the
     atoms' window weights, so a caller extending the pass evaluates ``sol``
     once per level.  The comparison state comes from one evaluation of
-    ``sol`` per level; without a hook only its p, e and s are added, and the
-    partials, gradients, stress parts and coefficients are built for the hook
-    alone.  A level whose atoms all lie in the window (``CutoffParams.chi``
-    is 1.0 everywhere) takes ``e_ess`` as ``e_mv``, the same bits.
+    ``sol`` per level; without a hook only its p, s, Gibbs slope and
+    ballistic energy are added (one ``partials`` call), and the partials,
+    gradients, stress parts and coefficients are built for the hook alone.
+    A level whose atoms all lie in the window (``CutoffParams.chi`` is 1.0
+    everywhere) takes ``e_ess`` as ``e_mv``, the same bits.
     """
 
     if sol.model != model:
@@ -499,10 +502,10 @@ def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSo
         # rel_energy_density, with the comparison EOS and the atoms'
         # ballistic energy evaluated once for both readings below
         rho_t, theta_t = sf["rho"][..., None], sf["theta"][..., None]
-        slope = _gibbs_slope(sf["rho"], sf["theta"], sf["p"], sf["e"], sf["s"])
+        slope = sf["slope"]
         h_atom = thermo.ballistic_energy(model, rho, theta, theta_t)
         e_atom = _assemble(rho, u, rho_t, sf["u"][..., None, :], slope[..., None], h_atom,
-                           thermo.ballistic_energy(model, rho_t, theta_t, theta_t))
+                           sf["h"][..., None])
         chi, plateau = window._weight(rho, theta)
         times.append(t)
         e_mv.append(gridmod.integrate(grid, _avg(w, e_atom, 0)))
@@ -607,9 +610,10 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
         if defects is not None:
             rates["rm"][lev] = gridmod.integrate(grid, np.einsum(
                 "...jk,...jk->...", defects.r_m[lev], sf["g_u"]))
-        tail = ((1.0 - chi) * (theta + np.abs(model.p(rho, theta))
+        eos = model.partials(rho, theta, ("p", "rho_s"))
+        tail = ((1.0 - chi) * (theta + np.abs(eos["p"])
                                + np.sqrt(np.sum((u - u_t) ** 2, axis=-1))
-                               + np.abs(model.rho_s(rho, theta))
+                               + np.abs(eos["rho_s"])
                                * np.sqrt(np.sum(u ** 2, axis=-1))))
         rates["res_tail"][lev] = gridmod.integrate(grid, _avg(w, tail, 0))
 

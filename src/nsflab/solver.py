@@ -7,12 +7,12 @@ positivity guard. The energy equation is integrated in internal-energy form
 so the entropy production S:grad u - p div u + conduction stays explicit.
 
 ``rhs`` makes one pass per axis over that axis's faces. It evaluates p and
-e once on the ghost-padded state and stacks the conserved densities (rho,
-rho e, rho u_j) component first, so the upwind flux of all of them is
-selected and differenced at once. At each face it builds only the column
-of the viscous stress that the face divergence reads
-(``transport.viscous_stress_column``, from the normal derivative and the
-averaged tangential one), and the compact heat flux. Each tendency takes
+e on the ghost-padded state in one ``model.partials`` call and stacks the
+conserved densities (rho, rho e, rho u_j) component first, so the upwind
+flux of all of them is selected and differenced at once. At each face it
+builds only the column of the viscous stress that the face divergence
+reads (``transport.viscous_stress_column``, from the normal derivative and
+the averaged tangential one), and the compact heat flux. Each tendency takes
 its terms in a fixed order: convection, then stress or conduction per
 axis, then the pressure gradient, the cell-centered work terms and the
 forcing; ``tests/golden/rhs.json`` pins the result bit for bit.
@@ -91,14 +91,15 @@ class SolverConfig:
     max_steps: int = 200_000
 
     def __post_init__(self):
+        # each message starts with the field at fault
         if not (0.0 < self.cfl <= 1.0):
-            raise ValueError("cfl must lie in (0, 1]")
+            raise ValueError("cfl: must lie in (0, 1]")
         if not (self.floor > 0.0):
-            raise ValueError("positivity floor must be > 0")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be > 0")
+            raise ValueError("floor: the positivity floor must be > 0")
+        if not (self.t_end > 0.0):
+            raise ValueError("t_end: must be > 0")
         if self.save_every < 1:
-            raise ValueError("save_every must be >= 1")
+            raise ValueError("save_every: must be >= 1")
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,8 +171,8 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
         raise PositivityError("positivity breach in flux assembly: boundary extrapolation "
                               "left rho or theta nonpositive at ghost-padded "
                               + _first_nonpositive(rho_p, th_p))
-    p_p = model.p(rho_p, th_p)
-    e_p = model.e(rho_p, th_p)
+    eos = model.partials(rho_p, th_p, ("p", "e"))
+    p_p, e_p = eos["p"], eos["e"]
     # component first, so each face array is contiguous per component
     u_c = u_p.transpose((d,) + tuple(range(d)))
     dens = np.empty((2 + d,) + rho_p.shape)  # rho, rho e, rho u_j
@@ -332,16 +333,13 @@ class Trajectory:
         return len(self.times)
 
     def conserved_series(self) -> dict[str, np.ndarray]:
-        g = self.grid
-        mass = np.array([gridmod.integrate(g, self.rho[k]) for k in range(self.n_levels)])
-        mom = np.array([gridmod.integrate(g, self.rho[k][..., None] * self.u[k])
-                        for k in range(self.n_levels)])
-        kin = np.array([gridmod.integrate(g, 0.5 * self.rho[k] * np.sum(self.u[k]**2, axis=-1))
-                        for k in range(self.n_levels)])
-        internal = np.array([gridmod.integrate(g, self.rho[k] * self.model.e(self.rho[k], self.theta[k]))
-                             for k in range(self.n_levels)])
-        ent = np.array([gridmod.integrate(g, self.model.rho_s(self.rho[k], self.theta[k]))
-                        for k in range(self.n_levels)])
+        g, rows = self.grid, []
+        for rho, u, theta in zip(self.rho, self.u, self.theta):
+            eos = self.model.partials(rho, theta, ("e", "rho_s"))
+            rows.append([gridmod.integrate(g, x) for x in (
+                rho, rho[..., None] * u, 0.5 * rho * np.sum(u**2, axis=-1), rho * eos["e"],
+                eos["rho_s"])])
+        mass, mom, kin, internal, ent = (np.array(c) for c in zip(*rows))
         return {"mass": mass, "momentum": mom, "kinetic": kin,
                 "internal": internal, "total": kin + internal, "entropy": ent}
 

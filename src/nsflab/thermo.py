@@ -20,13 +20,21 @@ The entropy kernel S is fixed by the compatibility condition
 S'(q) = -(3/2) * (5/3 * P(q) - P'(q) * q) / q**2, which makes the Gibbs
 relation theta * Ds = De + p * D(1/rho) hold identically.
 
+A model has one evaluation, ``partials(rho, theta, keys)``: the named
+entries of one state among the laws ``p``, ``e``, ``s``, the vacuum-safe
+densities ``rho_e`` and ``rho_s`` and the six ``PARTIALS``. The entries of a
+call share q, the powers of theta and the kernel values P, P', S and S', and
+each keeps its bits whatever else is asked, so a caller asks once for all it
+reads of one state; ``p``, ``e``, ``s``, ``rho_e`` and ``rho_s`` are one-key
+reads.
+
 All state functions are vectorized over numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,8 +61,16 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 
 PARTIALS = ("dp_drho", "dp_dtheta", "de_drho", "de_dtheta", "ds_drho", "ds_dtheta")
-"""The keys of ``ThermoModel.partials``: d(p, e, s)/d(rho, theta)."""
-_ENTROPY_PARTIALS = frozenset(("ds_drho", "ds_dtheta"))
+"""The derivative keys of ``ThermoModel.partials``: d(p, e, s)/d(rho, theta)."""
+_LAWS = frozenset(("p", "e", "s", "rho_e", "rho_s"))
+_VACUUM_SAFE = frozenset(("rho_e", "rho_s"))
+# the entries of MolecularRadiation.partials that read P(q), P'(q), S'(q),
+# theta**2.5 (with a*theta**2) and 2.5*theta**1.5*P
+_READS_P = frozenset(("p", "e", "dp_dtheta", "de_drho", "de_dtheta"))
+_READS_DP = frozenset(("dp_drho", "dp_dtheta", "de_drho", "de_dtheta"))
+_READS_DS = frozenset(("ds_drho", "ds_dtheta"))
+_READS_THETA_25 = frozenset(("p", "e", "rho_e", "de_drho"))
+_READS_MOL = frozenset(("dp_dtheta", "de_dtheta"))
 
 
 @dataclass(frozen=True)
@@ -131,34 +147,24 @@ def kernel_by_name(name: str) -> PressureKernel:
 
 
 class ThermoModel:
-    """Base class for equations of state. Subclasses supply the state laws."""
-
-    kind = "abstract"
-
-    # -- scalar laws, vectorized over numpy arrays ---------------------------
-    def p(self, rho, theta):
-        raise NotImplementedError
-
-    def e(self, rho, theta):
-        raise NotImplementedError
-
-    def s(self, rho, theta):
-        raise NotImplementedError
+    """Base class for equations of state. A subclass writes each entry of
+    ``partials`` once; the laws are one-key reads of it."""
 
     def partials(self, rho, theta, keys=PARTIALS):
-        """The partial derivatives named in ``keys`` (of ``PARTIALS``), as a
-        dict holding exactly those entries. Each entry is computed the same
-        way whatever else is asked for, so its bits do not depend on ``keys``."""
+        """The entries named in ``keys`` at (rho, theta), as a dict in that
+        order: a law ``p``, ``e``, ``s``, a vacuum-safe density (``rho_e`` =
+        rho*e continued by 0 at rho = 0, ``rho_s`` = rho*s continued by its
+        limit there) or one of the six ``PARTIALS``. Each entry is computed
+        the same way whatever else is asked, so its bits do not depend on
+        ``keys``."""
         raise NotImplementedError
 
-    # -- vacuum-safe densities ----------------------------------------------
-    def rho_e(self, rho, theta):
-        """rho * e(rho, theta), continued by 0 at rho = 0."""
-        raise NotImplementedError
-
-    def rho_s(self, rho, theta):
-        """rho * s(rho, theta), continued by its limit at rho = 0."""
-        raise NotImplementedError
+    # one-key reads of partials
+    def p(self, rho, theta): return self.partials(rho, theta, ("p",))["p"]
+    def e(self, rho, theta): return self.partials(rho, theta, ("e",))["e"]
+    def s(self, rho, theta): return self.partials(rho, theta, ("s",))["s"]
+    def rho_e(self, rho, theta): return self.partials(rho, theta, ("rho_e",))["rho_e"]
+    def rho_s(self, rho, theta): return self.partials(rho, theta, ("rho_s",))["rho_s"]
 
     def sound_speed_sq(self, rho, theta, partials):
         """Isentropic sound speed squared: dp/drho + theta*(dp/dtheta)^2/(rho^2 de/dtheta),
@@ -173,7 +179,6 @@ class PerfectGas(ThermoModel):
     """Perfect gas p = rho*theta, e = c_v*theta, s = log(theta**c_v / rho)."""
 
     c_v: float = 1.5
-    kind: str = field(default="perfect_gas", init=False)
 
     def __post_init__(self):
         # c_v <= 1 breaks the entropy coercivity this law is used with.
@@ -183,41 +188,31 @@ class PerfectGas(ThermoModel):
                 f"only controls theta**c_v by rho*theta when c_v exceeds 1); got c_v = {self.c_v}"
             )
 
-    def p(self, rho, theta):
-        return np.asarray(rho, dtype=float) * np.asarray(theta, dtype=float)
-
-    def e(self, rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        e = self.c_v * np.asarray(theta, dtype=float)
-        # broadcast to rho's shape by ones only where that is wider (x * 1.0 is x)
-        return e if e.shape == rho.shape else e * np.ones_like(rho)
-
-    def s(self, rho, theta):
-        return self.c_v * np.log(np.asarray(theta, dtype=float)) - np.log(np.asarray(rho, dtype=float))
-
     def partials(self, rho, theta, keys=PARTIALS):
         rho = np.asarray(rho, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        one = np.ones(np.broadcast(rho, theta).shape)
-        entries = {
-            "dp_drho": lambda: theta * one,
-            "dp_dtheta": lambda: rho * one,
-            "de_drho": lambda: 0.0 * one,
-            "de_dtheta": lambda: self.c_v * one,
-            "ds_drho": lambda: -1.0 / rho * one,
-            "ds_dtheta": lambda: self.c_v / theta * one,
-        }
-        return {k: entries[k]() for k in keys}
-
-    def rho_e(self, rho, theta):
-        return self.c_v * np.asarray(rho, dtype=float) * np.asarray(theta, dtype=float)
-
-    def rho_s(self, rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        safe = np.where(rho > 0.0, rho, 1.0)
-        out = safe * (self.c_v * np.log(theta) - np.log(safe))
-        return np.where(rho > 0.0, out, 0.0)
+        c_v, shape = self.c_v, np.broadcast(rho, theta).shape
+        # each partial and a narrower e are broadcast by ones (x * 1.0 is x)
+        one = np.ones(shape) if set(keys) - _LAWS else None
+        safe = np.where(rho > 0.0, rho, 1.0) if "rho_s" in keys else None
+        out = {}
+        for key in keys:
+            match key:
+                case "p": out[key] = rho * theta
+                case "e": out[key] = (c_v * theta if theta.shape == shape
+                                      else c_v * theta * np.ones(shape))
+                case "s": out[key] = c_v * np.log(theta) - np.log(rho)
+                case "rho_e": out[key] = c_v * rho * theta
+                case "rho_s": out[key] = np.where(
+                    rho > 0.0, safe * (c_v * np.log(theta) - np.log(safe)), 0.0)
+                case "dp_drho": out[key] = theta * one
+                case "dp_dtheta": out[key] = rho * one
+                case "de_drho": out[key] = 0.0 * one
+                case "de_dtheta": out[key] = c_v * one
+                case "ds_drho": out[key] = -1.0 / rho * one
+                case "ds_dtheta": out[key] = c_v / theta * one
+                case _: raise KeyError(key)
+        return out
 
 
 @dataclass(frozen=True)
@@ -233,7 +228,6 @@ class MolecularRadiation(ThermoModel):
     a: float = 1.0
     kernel: PressureKernel = DEGENERATE_KERNEL
     radiation_exponent: int = 2
-    kind: str = field(default="molecular_radiation", init=False)
 
     def __post_init__(self):
         if not (self.a > 0.0):
@@ -246,68 +240,55 @@ class MolecularRadiation(ThermoModel):
                 % self.radiation_exponent
             )
 
-    def _q(self, rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return rho * theta ** (-1.5)
-
-    def p(self, rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        return theta**2.5 * self.kernel.p(self._q(rho, theta)) + self.a * theta**2
-
-    def e(self, rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        return 1.5 * theta**2.5 / rho * self.kernel.p(self._q(rho, theta)) + self.a * theta**2 / rho
-
-    def s(self, rho, theta):
-        return self.entropy_parts(rho, theta)[0]
-
-    def entropy_parts(self, rho, theta):
-        """The entropy s and its molecular part S(rho/theta**1.5), from one
-        evaluation of S."""
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        s_mol = self.kernel.s(self._q(rho, theta))
-        return s_mol + 2.0 * self.a * theta / rho, s_mol
-
     def partials(self, rho, theta, keys=PARTIALS):
         rho = np.asarray(rho, dtype=float)
         theta = np.asarray(theta, dtype=float)
+        a, kernel, asked = self.a, self.kernel, set(keys)
         theta_m15 = theta ** (-1.5)
         q = rho * theta_m15
-        a = self.a
-        # shared subexpressions, associated as in each entry's own formula;
-        # the kernel's P and P' feed the p and e entries, S' the s entries
-        if not _ENTROPY_PARTIALS.issuperset(keys):
-            P, dP = self.kernel.p(q), self.kernel.dp(q)
+        # rho_e and rho_s read the kernel at rho = 1 where rho is not > 0 and
+        # take their molecular part as 0 there; with every rho > 0 they share
+        # the kernel values of the other entries
+        safe = rho
+        if asked & _VACUUM_SAFE:
+            positive = rho > 0.0
+            if not positive.all():
+                safe = np.where(positive, rho, 1.0)
+        shared = safe is rho
+        # each kernel value and power of theta only for an entry that reads
+        # it, associated as in that entry's own formula
+        P = kernel.p(q) if asked & _READS_P or shared and "rho_e" in asked else None
+        S = kernel.s(q) if "s" in asked or shared and "rho_s" in asked else None
+        P_safe = P if shared or "rho_e" not in asked else kernel.p(safe * theta_m15)
+        S_safe = S if shared or "rho_s" not in asked else kernel.s(safe * theta_m15)
+        dP = kernel.dp(q) if asked & _READS_DP else None
+        dS = kernel.ds(q) if asked & _READS_DS else None
+        if asked & _READS_THETA_25:
+            theta_25, rad_e = theta**2.5, a * theta**2
+        if asked & _READS_MOL:
             mol = 2.5 * theta**1.5 * P
-        if not _ENTROPY_PARTIALS.isdisjoint(keys):
-            dS = self.kernel.ds(q)
         rad = 2.0 * a * theta
-        rho_sq = rho**2
-        entries = {
-            "dp_drho": lambda: theta * dP,
-            "dp_dtheta": lambda: mol - 1.5 * rho * dP + rad,
-            "de_drho": lambda: 1.5 * (theta * dP / rho - theta**2.5 * P / rho_sq) - a * theta**2 / rho_sq,
-            "de_dtheta": lambda: 1.5 * (mol / rho - 1.5 * dP) + rad / rho,
-            "ds_drho": lambda: dS * theta_m15 - rad / rho_sq,
-            "ds_dtheta": lambda: -1.5 * rho * theta ** (-2.5) * dS + 2.0 * a / rho,
-        }
-        return {k: entries[k]() for k in keys}
-
-    def rho_e(self, rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        safe = np.where(rho > 0.0, rho, 1.0)
-        mol = 1.5 * theta**2.5 * self.kernel.p(self._q(safe, theta))
-        return np.where(rho > 0.0, mol, 0.0) + self.a * theta**2
-
-    def rho_s(self, rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        safe = np.where(rho > 0.0, rho, 1.0)
-        mol = safe * self.kernel.s(self._q(safe, theta))
-        return np.where(rho > 0.0, mol, 0.0) + 2.0 * self.a * theta
+        out = {}
+        for key in keys:
+            match key:
+                case "p": out[key] = theta_25 * P + rad_e
+                case "e": out[key] = 1.5 * theta_25 / rho * P + rad_e / rho
+                case "s": out[key] = S + rad / rho
+                case "rho_e":
+                    mol_e = 1.5 * theta_25 * P_safe
+                    out[key] = (mol_e if shared else np.where(positive, mol_e, 0.0)) + rad_e
+                case "rho_s":
+                    mol_s = safe * S_safe
+                    out[key] = (mol_s if shared else np.where(positive, mol_s, 0.0)) + rad
+                case "dp_drho": out[key] = theta * dP
+                case "dp_dtheta": out[key] = mol - 1.5 * rho * dP + rad
+                case "de_drho": out[key] = (1.5 * (theta * dP / rho - theta_25 * P / rho**2)
+                                            - rad_e / rho**2)
+                case "de_dtheta": out[key] = 1.5 * (mol / rho - 1.5 * dP) + rad / rho
+                case "ds_drho": out[key] = dS * theta_m15 - rad / rho**2
+                case "ds_dtheta": out[key] = -1.5 * rho * theta ** (-2.5) * dS + 2.0 * a / rho
+                case _: raise KeyError(key)
+        return out
 
 
 def _positive(rho, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -331,17 +312,18 @@ def gibbs_residual(model: ThermoModel, rho, theta):
     magnitudes. Raises ``ValueError`` unless rho > 0 and theta > 0.
     """
     rho, theta = _positive(rho, theta)
-    d = model.partials(rho, theta, keys=("de_drho", "de_dtheta", "ds_drho", "ds_dtheta"))
-    scale = 1.0 + np.abs(model.e(rho, theta)) + np.abs(theta * model.s(rho, theta))
+    d = model.partials(rho, theta, ("p", "e", "s") + PARTIALS[2:])
+    scale = 1.0 + np.abs(d["e"]) + np.abs(theta * d["s"])
     r_theta = (theta * d["ds_dtheta"] - d["de_dtheta"]) / scale
-    r_rho = (theta * d["ds_drho"] - d["de_drho"] + model.p(rho, theta) / rho**2) / scale
+    r_rho = (theta * d["ds_drho"] - d["de_drho"] + d["p"] / rho**2) / scale
     return r_theta, r_rho
 
 
 def ballistic_energy(model: ThermoModel, rho, theta, theta_ref):
     """Ballistic energy density rho*(e - theta_ref*s), vacuum-safe."""
     theta_ref = np.asarray(theta_ref, dtype=float)
-    return model.rho_e(rho, theta) - theta_ref * model.rho_s(rho, theta)
+    d = model.partials(rho, theta, ("rho_e", "rho_s"))
+    return d["rho_e"] - theta_ref * d["rho_s"]
 
 
 _INVERTED = {"s": "entropy", "e": "internal-energy"}
@@ -366,9 +348,9 @@ def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0, max_iter
     bisection (rtsafe, Numerical Recipes 9.4). A cell is done when its raw
     Newton step is at most _RTOL*theta, when its residual is at round-off (an
     ill-conditioned cell gets no closer), or when its bracket has collapsed
-    to _RTOL*theta. Each iteration evaluates the law and one
-    ``model.partials`` (its ``d<law>_dtheta`` entry only) on the cells still
-    active. While every cell is active the arrays are read whole; once a
+    to _RTOL*theta. Each iteration makes one ``model.partials`` call on the
+    cells still active, for the law and its ``d<law>_dtheta`` entry. While
+    every cell is active the arrays are read whole; once a
     cell is done, the rest are gathered and only they are carried on. A
     non-finite rho or target is a ``ValueError`` naming its cell.
     """
@@ -382,7 +364,8 @@ def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0, max_iter
                          f"{cell}: rho = {rho[k]!r}, target {law} = {target[k]!r}")
     theta = np.minimum(np.maximum(_flat(1.0 if theta0 is None else theta0, shape),
                                   _BRACKET[0]), _BRACKET[1])
-    value, slope = getattr(model, law), f"d{law}_dtheta"
+    slope = f"d{law}_dtheta"
+    keys = (law, slope)
     active = None  # the indices of the cells still active; None while all are
     r, tgt, th = rho, target, theta
     lo = np.full(rho.size, _BRACKET[0])
@@ -392,9 +375,9 @@ def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0, max_iter
     for _ in range(max_iter):
         if th.size == 0:
             break
-        f = value(r, th) - tgt
+        v = model.partials(r, th, keys)
+        f, d = v[law] - tgt, v[slope]
         abs_f = np.abs(f)
-        d = model.partials(r, th, keys=(slope,))[slope]
         np.maximum(lo, th, out=lo, where=f < 0.0)
         np.minimum(hi, th, out=hi, where=f > 0.0)
         step = np.divide(f, d, out=np.full(f.shape, np.nan), where=d > 0.0)
@@ -419,7 +402,7 @@ def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0, max_iter
         r, tgt, th, lo, hi, f_tol, roundoff = (
             x[live] for x in (r, tgt, th, lo, hi, f_tol, roundoff))
     if th.size:
-        res = np.abs(value(r, th) - tgt) / (1.0 + np.abs(tgt))
+        res = np.abs(getattr(model, law)(r, th) - tgt) / (1.0 + np.abs(tgt))
         k = int(np.argmax(res))
         if not res[k] <= 1e3 * _RTOL:
             flat = k if active is None else active[k]
@@ -455,9 +438,7 @@ def conservative_energy(model: ThermoModel, rho, entropy, momentum):
 
     ``momentum`` carries its components in the trailing axis.
     """
-    rho = np.asarray(rho, dtype=float)
-    entropy = np.asarray(entropy, dtype=float)
-    momentum = np.asarray(momentum, dtype=float)
+    rho, entropy, momentum = (np.asarray(x, dtype=float) for x in (rho, entropy, momentum))
     theta = invert_entropy(model, rho, entropy / rho)
     kinetic = 0.5 * np.sum(momentum**2, axis=-1) / rho
     return kinetic + model.rho_e(rho, theta)
@@ -470,13 +451,12 @@ def conservative_partials(model: ThermoModel, rho, entropy, momentum):
     dE/dm = m/rho; the thermal parts follow from the Gibbs relation. Raises
     ``ValueError`` unless rho and the temperature it inverts to are > 0.
     """
-    rho = np.asarray(rho, dtype=float)
-    entropy = np.asarray(entropy, dtype=float)
-    momentum = np.asarray(momentum, dtype=float)
+    rho, entropy, momentum = (np.asarray(x, dtype=float) for x in (rho, entropy, momentum))
     theta = invert_entropy(model, rho, entropy / rho)
     rho, theta = _positive(rho, theta)
-    dE_drho = (-0.5 * np.sum(momentum**2, axis=-1) / rho**2 + model.e(rho, theta)
-               - theta * model.s(rho, theta) + model.p(rho, theta) / rho)
+    d = model.partials(rho, theta, ("p", "e", "s"))
+    dE_drho = (-0.5 * np.sum(momentum**2, axis=-1) / rho**2 + d["e"] - theta * d["s"]
+               + d["p"] / rho)
     dE_dS = theta
     dE_dm = momentum / rho[..., None] if momentum.ndim > rho.ndim else momentum / rho
     return dE_drho, dE_dS, dE_dm
@@ -509,7 +489,6 @@ def validate_structure(model: ThermoModel, n_samples: int = 10_000,
     rho = _sample_log_uniform(rng, n_samples)
     theta = _sample_log_uniform(rng, n_samples)
     checks: dict = {}
-    first = None
 
     d = model.partials(rho, theta, keys=("dp_drho", "de_dtheta"))
     checks["stability_dp_drho"] = int(np.sum(~(d["dp_drho"] > 0.0)))
@@ -538,51 +517,40 @@ def validate_structure(model: ThermoModel, n_samples: int = 10_000,
     if isinstance(model, MolecularRadiation):
         k = model.kernel
         q = np.sort(_sample_log_uniform(rng, n_samples, 1e-4, 1e4))
-        p0 = float(k.p(np.asarray([1e-300]))[0])
-        checks["kernel_P_at_0"] = p0
+        checks["kernel_P_at_0"] = float(k.p(np.asarray([1e-300]))[0])
         checks["kernel_dP_nonpositive"] = int(np.sum(~(k.dp(q) > 0.0)))
         ratio = (5.0 / 3.0 * k.p(q) - k.dp(q) * q) / q
         checks["kernel_ratio_out_of_range"] = int(np.sum(~((ratio > 0.0) & (ratio < 10.0))))
         checks["kernel_dS_nonnegative"] = int(np.sum(~(k.ds(q) < 0.0)))
-        sv = k.s(q)
-        checks["kernel_S_not_decreasing"] = int(np.sum(~(np.diff(sv) < 0.0)))
+        checks["kernel_S_not_decreasing"] = int(np.sum(~(np.diff(k.s(q)) < 0.0)))
         checks["kernel_pbar"] = k.pbar
 
-    violations = [
-        name
-        for name in (
-            "stability_dp_drho",
-            "stability_de_dtheta",
-            "convexity_violations",
-            "kernel_dP_nonpositive",
-            "kernel_ratio_out_of_range",
-            "kernel_dS_nonnegative",
-            "kernel_S_not_decreasing",
-        )
-        if checks.get(name, 0) != 0
-    ]
+    # the counts that must be 0, then the two tolerances, in reporting order
+    violations = [name for name in ("stability_dp_drho", "stability_de_dtheta",
+                                    "convexity_violations", "kernel_dP_nonpositive",
+                                    "kernel_ratio_out_of_range", "kernel_dS_nonnegative",
+                                    "kernel_S_not_decreasing") if checks.get(name, 0) != 0]
     if checks["gibbs_max_residual"] > 1e-8:
         violations.append("gibbs_max_residual")
-    if "kernel_P_at_0" in checks and abs(checks["kernel_P_at_0"]) > 1e-12:
+    if abs(checks.get("kernel_P_at_0", 0.0)) > 1e-12:
         violations.append("kernel_P_at_0")
-    if violations:
-        first = violations[0]
-    return StructureReport(ok=not violations, checks=checks, first_violation=first)
+    return StructureReport(ok=not violations, checks=checks,
+                           first_violation=violations[0] if violations else None)
 
 
-def entropy_growth_bound(model, rho, theta, c: float = 3.0, s_mol=None):
-    """Evaluate rho*|S(rho/theta**1.5)| against c*(rho + rho*|log rho| + rho*[log theta]_+).
+def entropy_growth_bound(model, rho, theta, c: float = 3.0):
+    """The molecular entropy density rho*S(rho/theta**1.5) and its bound
+    c*(rho + rho*|log rho| + rho*[log theta]_+).
 
-    Returns (lhs, rhs) for the molecular entropy part; the quadratic
-    radiation part is controlled by energy, not by this bound. ``s_mol`` is
-    S(rho/theta**1.5) where the caller has it already (the second value of
-    ``model.entropy_parts``). Default c was fixed by a log-uniform sweep over
-    [1e-3, 1e3]**2 for the shipped kernels (observed ratio peaks below 2.8).
+    Returns (rho*S, rhs); the bound holds where |rho*S| <= rhs. The quadratic
+    radiation part is controlled by energy, not by this bound. Default c was
+    fixed by a log-uniform sweep over [1e-3, 1e3]**2 for the shipped kernels
+    (observed ratio peaks below 2.8).
     """
     if not isinstance(model, MolecularRadiation):
         raise TypeError("entropy growth bound applies to MolecularRadiation models")
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    lhs = rho * np.abs(model.kernel.s(model._q(rho, theta)) if s_mol is None else s_mol)
+    lhs = rho * model.kernel.s(rho * theta ** (-1.5))
     rhs = c * (rho + rho * np.abs(np.log(np.where(rho > 0, rho, 1.0))) + rho * np.maximum(np.log(theta), 0.0))
     return lhs, rhs

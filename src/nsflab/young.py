@@ -558,8 +558,9 @@ def entropy_mv_residual(V: AtomicYoungMeasure, phis: Sequence[ScalarTest],
     for test in phis:
         if not test.nonnegative:
             raise ValueError(f"entropy test function {test.label!r} must be nonnegative")
+    atoms_rho_s = model.rho_s(V.rho, V.theta)
     flux = expect(V, lambda r, u, th, du, dth:
-                  model.rho_s(r, th)[..., None] * u
+                  atoms_rho_s[..., None] * u
                   - (transport_model.kappa(r, th) / th)[..., None] * dth)
     sigma = expect(V, lambda r, u, th, du, dth:
                    transport.entropy_production_density(transport_model, r, th, du, dth))
@@ -574,7 +575,7 @@ def entropy_mv_residual(V: AtomicYoungMeasure, phis: Sequence[ScalarTest],
             yield sigma[k] * phi_int
         return terms
 
-    rho_s = expect(V, lambda r, u, th, du, dth: model.rho_s(r, th))
+    rho_s = expect(V, lambda r, u, th, du, dth: atoms_rho_s)
     return _balance(V, "entropy", phis, rho_s, np.multiply, bulk)
 
 
@@ -593,10 +594,11 @@ def ballistic_mv_residual(V: AtomicYoungMeasure, d_diss: np.ndarray | float,
     d_arr = np.broadcast_to(np.asarray(d_diss, dtype=float), V.times.shape).copy()
     if np.any(d_arr < 0.0):
         raise ValueError("dissipation defect must be nonnegative")
+    atoms = model.partials(V.rho, V.theta, ("rho_e", "rho_s"))
     energy = expect(V, lambda r, u, th, du, dth:
-                    0.5 * r * np.sum(u * u, axis=-1) + model.rho_e(r, th))
-    rho_s = expect(V, lambda r, u, th, du, dth: model.rho_s(r, th))
-    ent_flux = expect(V, lambda r, u, th, du, dth: model.rho_s(r, th)[..., None] * u)
+                    0.5 * r * np.sum(u * u, axis=-1) + atoms["rho_e"])
+    rho_s = expect(V, lambda r, u, th, du, dth: atoms["rho_s"])
+    ent_flux = expect(V, lambda r, u, th, du, dth: atoms["rho_s"][..., None] * u)
     heat = expect(V, lambda r, u, th, du, dth:
                   (transport_model.kappa(r, th) / th)[..., None] * dth)
     sigma = expect(V, lambda r, u, th, du, dth:
@@ -739,24 +741,25 @@ def defect_from_refinement(fine: Trajectory, coarse: gridmod.Grid,
     for k, t in enumerate(times):
         rho, u, th = fine.rho[k], fine.u[k], fine.theta[k]
         mom = rho[..., None] * u
-        rho_s = model.rho_s(rho, th)
-        energy = 0.5 * rho * np.sum(u * u, axis=-1) + model.rho_e(rho, th)
+        fine_eos = model.partials(rho, th, ("rho_s", "rho_e", "p"))
+        rho_s = fine_eos["rho_s"]
+        energy = 0.5 * rho * np.sum(u * u, axis=-1) + fine_eos["rho_e"]
         rho_bar = _block_average(rho, factors)
         mom_bar = _block_average(mom, factors)
         rs_bar = _block_average(rho_s, factors)
         e_avg = _block_average(energy, factors)
         th_bar = thermo.invert_entropy(model, rho_bar, rs_bar / rho_bar)
         u_bar = mom_bar / rho_bar[..., None]
-        e_bar = (0.5 * rho_bar * np.sum(u_bar * u_bar, axis=-1)
-                 + model.rho_e(rho_bar, th_bar))
+        bar_eos = model.partials(rho_bar, th_bar, ("rho_e", "p"))
+        e_bar = 0.5 * rho_bar * np.sum(u_bar * u_bar, axis=-1) + bar_eos["rho_e"]
         gap = e_avg - e_bar
         d_min_raw = min(d_min_raw, float(np.min(gap)))
         d_diss[k] = float(gridmod.integrate(coarse, np.maximum(gap, 0.0)))
         conv = rho[..., None, None] * u[..., :, None] * u[..., None, :]
         flux_avg = (_block_average(conv, factors)
-                    + _block_average(model.p(rho, th), factors)[..., None, None] * np.eye(d))
+                    + _block_average(fine_eos["p"], factors)[..., None, None] * np.eye(d))
         flux_bar = (rho_bar[..., None, None] * u_bar[..., :, None] * u_bar[..., None, :]
-                    + model.p(rho_bar, th_bar)[..., None, None] * np.eye(d))
+                    + bar_eos["p"][..., None, None] * np.eye(d))
         r_m[k] = flux_avg - flux_bar
         rm_tot[k] = float(gridmod.integrate(
             coarse, np.sqrt(np.sum(r_m[k] ** 2, axis=(-2, -1)))))

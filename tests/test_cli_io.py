@@ -88,7 +88,7 @@ def test_deleted_keys_are_rejected_by_name(text, path):
 def test_schema_has_one_profile_key_and_no_unread_section():
     text = config.dumps_config(config.default_config())
     keys = [line for line in text.splitlines() if " = " in line]
-    assert len(keys) == 27
+    assert len(keys) == 30
     assert sum(line.startswith("profile = ") for line in keys) == 1
     assert "[boundary]" not in text
 
@@ -404,11 +404,13 @@ def test_cells_that_do_not_fit_the_flow_are_a_config_error(tmp_path, capsys, arg
 
 _ECHO_RUNS = {
     "simulate": ["simulate", "--cells", "8", "--t-end", "0.002"],
-    "verify-thermo": ["verify-thermo", "--model", "molecular_radiation", "--seed", "3"],
-    "mv-check": ["mv-check", "--cells", "16", "--t-end", "0.002"],
-    "relenergy": ["relenergy", "--cells", "16", "--eps", "2e-3", "--t-end", "0.002"],
+    "verify-thermo": ["verify-thermo", "--model", "molecular_radiation", "--seed", "3",
+                      "--samples", "500"],
+    "mv-check": ["mv-check", "--cells", "16", "--t-end", "0.002", "--tol-scale", "1e-6"],
+    "relenergy": ["relenergy", "--cells", "16", "--eps", "2e-3", "--t-end", "0.002",
+                  "--tol-scale", "0.5"],
     "wsu": ["wsu", "--theorem", "1", "--grids", "8,16", "--t-end", "0.002"],
-    "apriori": ["apriori", "--grids", "8,16", "--t-end", "0.002"],
+    "apriori": ["apriori", "--grids", "8,16", "--t-end", "0.002", "--c-fixed", "1e-3"],
     "defect-study": ["defect-study", "--grids", "16,32"],
 }
 
@@ -584,11 +586,21 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     (["simulate", "--cells", "2"], "grid.cells"),
     (["wsu", "--theorem", "1", "--grids", "16,8"], "experiment.grids"),
     (["apriori", "--grids", "8,4,16"], "experiment.grids"),
-], ids=["simulate-cells-2", "wsu-1-grids-16-8", "apriori-grids-8-4-16"])
+    # other values their checks refuse exit 2 the same way
+    (["apriori", "--theta-tilt", "2"], "experiment.theta_tilt"),
+    (["apriori", "--theta-scale", "0"], "experiment.theta_scale"),
+    (["mv-check", "--t-end", "-1"], "solver.t_end"),
+    (["wsu", "--theorem", "1", "--t-end", "-1"], "solver.t_end"),
+    (["verify-thermo", "--samples", "0"], "run.samples"),
+    (["relenergy", "--eps", "0"], "experiment.eps"),
+    (["wsu", "--theorem", "1", "--eps", "0"], "experiment.eps"),
+], ids=["simulate-cells-2", "wsu-1-grids-16-8", "apriori-grids-8-4-16",
+        "apriori-theta-tilt-2", "apriori-theta-scale-0", "mv-check-t-end-neg",
+        "wsu-1-t-end-neg", "verify-thermo-samples-0", "relenergy-eps-0", "wsu-1-eps-0"])
 def test_unusable_grid_counts_are_a_config_error(tmp_path, capsys, monkeypatch,
                                                       argv, key):
     def refuse(*args, **kwargs):
-        raise AssertionError("a refused grid runs nothing")
+        raise AssertionError("a refused value runs nothing")
 
     monkeypatch.setattr(solver, "levels", refuse)
     code = cli.main(argv + ["--out", str(tmp_path)])

@@ -387,7 +387,7 @@ def test_apriori_hotter_boundary_needs_recalibration():
     spec = ex.ExperimentSpec(theorem="apriori", model=MR, transport_model=PK,
                              grids=(8, 16))
     base = ex.run_apriori(spec)
-    hot = ex.run_apriori(replace(spec, theta_scale=2.0), c_fixed=base.c_theta_b)
+    hot = ex.run_apriori(replace(spec, theta_scale=2.0, c_fixed=base.c_theta_b))
     assert not hot.calibrated
     assert hot.needs_recalibration
     assert not hot.ok

@@ -193,14 +193,15 @@ def test_sound_speed_perfect_gas():
 def test_entropy_growth_bound_regimes():
     ideal = MODELS["mol_rad_ideal"]
     rho = np.logspace(-3, 3, 400)
-    # theta = 1 slice: S(rho) = -log(rho), so lhs = rho|log rho| <= rhs at c = 1
+    # theta = 1 slice: S(rho) = -log(rho), so |lhs| = rho|log rho| <= rhs at c = 1
     lhs, rhs = thermo.entropy_growth_bound(ideal, rho, np.ones_like(rho), c=1.0)
-    assert np.all(lhs <= rhs)
+    assert lhs.tobytes() == (-rho * np.log(rho)).tobytes()
+    assert np.all(np.abs(lhs) <= rhs)
 
     degen = MODELS["mol_rad_degenerate"]
     rho, theta = _states(4000, seed=17, lo=1e-3, hi=1e3)
     lhs, rhs = thermo.entropy_growth_bound(degen, rho, theta)
-    assert np.all(lhs <= rhs + 1e-12)
+    assert np.all(np.abs(lhs) <= rhs + 1e-12)
 
     # rhs arithmetic pinned: rho = e, theta = 1 gives c*(e + e) = 2*c*e
     _, rhs_e = thermo.entropy_growth_bound(degen, np.e, 1.0, c=3.0)
@@ -233,7 +234,9 @@ def test_warm_inversion_does_not_stall(law):
     rho = np.exp(rng.uniform(np.log(0.5), np.log(2.0), (32, 32)))
     theta = np.exp(rng.uniform(np.log(0.5), np.log(2.0), (32, 32)))
     warm = theta * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, (32, 32)))
-    back = INVERSIONS[law](model, rho, getattr(model, law)(rho, theta), theta0=warm)
+    target = getattr(model, law)(rho, theta)
+    model.sizes.clear()  # the law is read through partials; count the inversion alone
+    back = INVERSIONS[law](model, rho, target, theta0=warm)
     assert back.shape == (32, 32)
     assert np.max(np.abs(back - theta) / theta) <= 1e-10
     assert sum(model.sizes) <= EVAL_BUDGET * rho.size
@@ -279,8 +282,9 @@ def test_inversion_failure_names_the_worst_cell(law, name):
 
 def _gathering_inversion(model, law, rho, target, theta0, max_iter=120):
     """The safeguarded Newton inversion as it was written before it read
-    whole arrays: every iteration gathers the active cells, asks for all
-    six partials and scatters the cells back. The reference for the bits."""
+    whole arrays: every iteration gathers the active cells, asks for the law
+    and all six partials in one call and scatters the cells back. The
+    reference for the bits."""
     rho = np.asarray(rho, dtype=float)
     target = np.asarray(target, dtype=float)
     shape = np.broadcast_shapes(rho.shape, target.shape)
@@ -297,8 +301,8 @@ def _gathering_inversion(model, law, rho, target, theta0, max_iter=120):
         if active.size == 0:
             break
         r, th, tgt = rho[active], theta[active], target[active]
-        f = value(r, th) - tgt
-        d = model.partials(r, th)[slope]
+        v = model.partials(r, th, (law,) + thermo.PARTIALS)
+        f, d = v[law] - tgt, v[slope]
         lo = np.where(f < 0.0, np.maximum(lo, th), lo)
         hi = np.where(f > 0.0, np.minimum(hi, th), hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -349,6 +353,7 @@ def test_inversion_is_the_gathering_loop_bit_for_bit(law, name, cells, cold):
     theta = 10.0 ** np.array([t for _, t, _ in cells])
     theta0 = None if cold else theta * np.array([k for _, _, k in cells])
     target = getattr(model, law)(rho, theta)
+    model.sizes.clear()
     want = _outcome(lambda: _gathering_inversion(model, law, rho, target, theta0))
     want_sizes = list(model.sizes)
     model.sizes.clear()
@@ -382,14 +387,41 @@ def _partials_as_written(model, rho, theta):
     }
 
 
+def _laws_as_written(model, rho, theta):
+    """Each law as its own method computed it before ``partials`` held every
+    entry: the reference for their bits, ``rho_e`` and ``rho_s`` at rho = 0 too."""
+    safe = np.where(rho > 0.0, rho, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # p, e, s at rho = 0
+        if isinstance(model, thermo.PerfectGas):
+            c_v = model.c_v
+            return {
+                "p": rho * theta, "e": c_v * theta, "s": c_v * np.log(theta) - np.log(rho),
+                "rho_e": c_v * rho * theta,
+                "rho_s": np.where(rho > 0.0, safe * (c_v * np.log(theta) - np.log(safe)), 0.0),
+            }
+        k, a = model.kernel, model.a
+        q, q_safe = rho * theta ** (-1.5), safe * theta ** (-1.5)
+        return {
+            "p": theta**2.5 * k.p(q) + a * theta**2,
+            "e": 1.5 * theta**2.5 / rho * k.p(q) + a * theta**2 / rho,
+            "s": k.s(q) + 2.0 * a * theta / rho,
+            "rho_e": np.where(rho > 0.0, 1.5 * theta**2.5 * k.p(q_safe), 0.0) + a * theta**2,
+            "rho_s": np.where(rho > 0.0, safe * k.s(q_safe), 0.0) + 2.0 * a * theta,
+        }
+
+
+_LAWS = ("p", "e", "s", "rho_e", "rho_s")
+
+
 @pytest.mark.parametrize("name", ["mol_rad_degenerate", "mol_rad_ideal", "perfect_gas"])
 @given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=16),
-       st.lists(st.sampled_from(thermo.PARTIALS), unique=True, max_size=6))
+       st.lists(st.sampled_from(_LAWS + thermo.PARTIALS), unique=True, max_size=11),
+       st.lists(st.booleans(), min_size=1, max_size=16))
 @settings(max_examples=60, deadline=None)
-def test_shared_subexpressions_keep_the_partials_bits(name, log_states, keys):
+def test_shared_subexpressions_keep_the_partials_bits(name, log_states, keys, vacuum):
     # log-uniform (rho, theta) in [1e-3, 1e3]**2; partials computes each
-    # shared power once, and only what the named entries read, but must not
-    # move a single bit of any entry
+    # shared value once, and only what the named entries read, but must not
+    # move a single bit of any entry, law or derivative
     model = MODELS[name]
     rho = 10.0 ** np.array([r for r, _ in log_states])
     theta = 10.0 ** np.array([t for _, t in log_states])
@@ -398,10 +430,26 @@ def test_shared_subexpressions_keep_the_partials_bits(name, log_states, keys):
     if isinstance(model, thermo.MolecularRadiation):
         for key, value in _partials_as_written(model, rho, theta).items():
             assert full[key].tobytes() == value.tobytes(), key
+    alone = {key: model.partials(rho, theta, (key,))[key] for key in _LAWS + thermo.PARTIALS}
+    for key, value in _laws_as_written(model, rho, theta).items():
+        assert alone[key].tobytes() == value.tobytes(), key
+        assert getattr(model, key)(rho, theta).tobytes() == value.tobytes(), key
     got = model.partials(rho, theta, keys=tuple(keys))
     assert list(got) == keys
     for key in keys:
-        assert got[key].tobytes() == full[key].tobytes(), key
+        assert got[key].tobytes() == alone[key].tobytes(), key
+        if key in full:
+            assert got[key].tobytes() == full[key].tobytes(), key
+    # vacuum cells: rho_e and rho_s continue to rho = 0, and an entry asked
+    # beside them still reads the kernel at the true density
+    rho_v = np.where(np.resize(np.array(vacuum), rho.shape), 0.0, rho)
+    want = _laws_as_written(model, rho_v, theta)
+    mixed = model.partials(rho_v, theta, ("rho_s", "p", "dp_drho", "rho_e"))
+    for key in ("rho_s", "p", "rho_e"):
+        single = model.partials(rho_v, theta, (key,))[key]
+        assert single.tobytes() == want[key].tobytes() == mixed[key].tobytes(), key
+    assert (mixed["dp_drho"].tobytes()
+            == model.partials(rho_v, theta, ("dp_drho",))["dp_drho"].tobytes())
 
 
 def test_stable_dt_calls_partials_once():
@@ -446,8 +494,8 @@ def _eos_work(forced):
 
 
 @pytest.mark.parametrize("forced, work", [
-    (False, {"steps": 4, "partials": 28, "p": 4924, "dp": 1790, "s": 0, "ds": 0}),
-    (True, {"steps": 4, "partials": 32, "p": 5682, "dp": 2041, "s": 0, "ds": 0}),
+    (False, {"steps": 4, "partials": 36, "p": 2590, "dp": 1790, "s": 0, "ds": 0}),
+    (True, {"steps": 4, "partials": 40, "p": 2841, "dp": 2041, "s": 0, "ds": 0}),
 ], ids=["unforced", "forced"])
 def test_equation_of_state_work_per_run(forced, work):
     # exact counts: a partials entry or a Newton iteration more or less
