@@ -6,8 +6,11 @@ Subcommands: ``simulate``, ``mv-check``, ``relenergy``, ``wsu``, ``apriori``,
 ``<out>/<command>/`` and exits 0 only if every assertion holds; assertion
 failures exit 1, usage and configuration errors exit 2.  Every command builds
 its config one way: the command's defaults row, the ``--config`` file over
-it, and the flags of ``_FLAG_KEYS`` over both; the result is echoed to
-``config-effective.ini``, and re-running with that file alone repeats the run.
+it, and the flags over both.  A flag and a file key are one setting: each
+flag of ``_FLAGS`` sets one schema key, parsed and offered the choices of
+that key as a file value is, and its help names the key.  The result is
+echoed to ``config-effective.ini``, and re-running with that file alone
+repeats the run.
 Identical (config, seed) pairs produce byte-identical reports.
 """
 
@@ -21,25 +24,26 @@ import sys
 import numpy as np
 
 from . import config as configmod
-from . import experiments, relenergy, reports, solver, testfuns, thermo, transport, young
-from .manufactured import profile_names
+from . import experiments, relenergy, reports, solver, testfuns, thermo, young
 
 __all__ = ["main", "OUTPUT_ENV"]
 
 OUTPUT_ENV = "NSFLAB_OUT"
 
 
-# flag (argparse dest) -> the config key it sets; a flag left at None sets
-# nothing, so the file's value or the command's default stands
-_FLAG_KEYS = {
-    "seed": ("run", "seed"), "profile": ("solver", "profile"),
-    "t_end": ("solver", "t_end"), "cells": ("grid", "cells"),
+# flag (its argparse dest; the flag itself is "--" and the dest with "-" for
+# "_") -> the config key it sets, parsed and offered the choices of that key
+# as a file value is; a flag not given sets nothing, so the file's value or
+# the command's default stands
+_FLAGS = {
+    "seed": ("run", "seed"), "samples": ("run", "samples"),
     "model": ("model", "kind"), "c_v": ("model", "c_v"), "a": ("model", "a"),
     "kernel": ("model", "kernel"), "transport": ("transport", "kind"),
-    "beta": ("transport", "beta"), "eps": ("experiment", "eps"),
-    "grids": ("experiment", "grids"), "theta_scale": ("experiment", "theta_scale"),
-    "theta_tilt": ("experiment", "theta_tilt"), "tol_scale": ("experiment", "tol_scale"),
-    "c_fixed": ("experiment", "c_fixed"), "samples": ("run", "samples"),
+    "beta": ("transport", "beta"), "cells": ("grid", "cells"),
+    "profile": ("solver", "profile"), "t_end": ("solver", "t_end"),
+    "eps": ("experiment", "eps"), "grids": ("experiment", "grids"),
+    "theta_scale": ("experiment", "theta_scale"), "theta_tilt": ("experiment", "theta_tilt"),
+    "tol_scale": ("experiment", "tol_scale"), "c_fixed": ("experiment", "c_fixed"),
 }
 
 
@@ -49,9 +53,10 @@ def _config(args, command: str) -> configmod.RunConfig:
     cfg = configmod.default_config(command)
     if args.config:
         cfg = configmod.load_config(args.config, cfg)
-    for dest, value in vars(args).items():
-        if dest in _FLAG_KEYS and value is not None:
-            cfg = cfg.replace_value(*_FLAG_KEYS[dest], value)
+    for dest, (section, key) in _FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            cfg = cfg.replace_value(section, key, value)
     return cfg
 
 
@@ -328,99 +333,54 @@ def cmd_defect_study(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+# subcommand -> (runner, help line, the flags of _FLAGS it reads beside --seed)
+_COMMANDS = {
+    "simulate": (cmd_simulate, "run one flow and persist series + final snapshot",
+                 ("profile", "t_end", "cells")),
+    "verify-thermo": (cmd_verify_thermo, "structural checks of an equation of state",
+                      ("model", "c_v", "a", "kernel", "samples")),
+    "mv-check": (cmd_mv_check, "weak-form clause residuals of a point measure",
+                 ("profile", "cells", "t_end", "tol_scale")),
+    "relenergy": (cmd_relenergy, "relative-energy inequality chain for a perturbed run",
+                  ("profile", "cells", "eps", "t_end", "tol_scale")),
+    "wsu": (cmd_wsu, "weak-strong collapse and stability study",
+            ("eps", "grids", "model", "transport", "beta", "kernel", "a", "c_v", "t_end")),
+    "apriori": (cmd_apriori, "energy/entropy budget of a decaying flow",
+                ("grids", "theta_scale", "theta_tilt", "c_fixed", "beta", "a", "kernel",
+                 "transport", "model", "t_end")),
+    "defect-study": (cmd_defect_study, "coarse-graining defects of refinement families",
+                     ("grids",)),
+}
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
+def _flag_type(section: str, key: str):
+    """The argparse type of a flag: the schema's parser of its key."""
+
+    def parse(raw: str):
+        try:
+            return configmod.parse_value(section, key, raw)
+        except configmod.ConfigError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsflab",
         description="Desk-scale studies of compressible heat-conducting flow.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None,
-                        help=f"output root (default: ${OUTPUT_ENV} or ./nsflab-out)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for sampled checks (default: config value)")
-    common.add_argument("--config", default=None,
-                        help="INI configuration file (defaults otherwise)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", parents=[common],
-                        help="run one flow and persist series + final snapshot")
-    sp.add_argument("--profile", choices=profile_names(), default=None)
-    sp.add_argument("--t-end", type=float, default=None)
-    sp.add_argument("--cells", type=_int_list, default=None,
-                    help="comma-separated cell counts per axis")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("verify-thermo", parents=[common],
-                        help="structural checks of an equation of state")
-    sp.add_argument("--model", choices=configmod.MODEL_KINDS, default=None)
-    sp.add_argument("--c-v", type=float, default=None, dest="c_v")
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--kernel", choices=("ideal", "degenerate"), default=None)
-    sp.add_argument("--samples", type=int, default=None, help="sampled states (default: 10000)")
-    sp.set_defaults(func=cmd_verify_thermo)
-
-    sp = sub.add_parser("mv-check", parents=[common],
-                        help="weak-form clause residuals of a point measure")
-    sp.add_argument("--profile", choices=profile_names(), default=None)
-    sp.add_argument("--cells", type=_int_list, default=None)
-    sp.add_argument("--t-end", type=float, default=None)
-    sp.add_argument("--tol-scale", type=float, default=None,
-                    help="clause tolerance = tol_scale * h (default: 1)")
-    sp.set_defaults(func=cmd_mv_check)
-
-    sp = sub.add_parser("relenergy", parents=[common],
-                        help="relative-energy inequality chain for a perturbed run")
-    sp.add_argument("--profile", choices=profile_names(), default=None)
-    sp.add_argument("--cells", type=_int_list, default=None)
-    sp.add_argument("--eps", type=_float_list, default=None)
-    sp.add_argument("--t-end", type=float, default=None)
-    sp.add_argument("--tol-scale", type=float, default=None,
-                    help="slack tolerance = tol_scale * h (default: 1e-3)")
-    sp.set_defaults(func=cmd_relenergy)
-
-    sp = sub.add_parser("wsu", parents=[common],
-                        help="weak-strong collapse and stability study")
-    sp.add_argument("--theorem", choices=("1", "2", "3"), required=True)
-    sp.add_argument("--eps", type=_float_list, default=None,
-                    help="comma-separated perturbation sizes")
-    sp.add_argument("--grids", type=_int_list, default=None,
-                    help="comma-separated cell counts")
-    sp.add_argument("--model", choices=configmod.MODEL_KINDS, default=None)
-    sp.add_argument("--transport", choices=configmod.TRANSPORT_KINDS, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--kernel", choices=("ideal", "degenerate"), default=None)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--c-v", type=float, default=None, dest="c_v")
-    sp.add_argument("--t-end", type=float, default=None)
-    sp.set_defaults(func=cmd_wsu)
-
-    sp = sub.add_parser("apriori", parents=[common],
-                        help="energy/entropy budget of a decaying flow")
-    sp.add_argument("--grids", type=_int_list, default=None)
-    sp.add_argument("--theta-scale", type=float, default=None)
-    sp.add_argument("--theta-tilt", type=float, default=None)
-    sp.add_argument("--c-fixed", type=float, default=None,
-                    help="validate against this constant instead of calibrating")
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--kernel", choices=("ideal", "degenerate"), default=None)
-    sp.add_argument("--transport", choices=configmod.TRANSPORT_KINDS, default=None)
-    sp.add_argument("--model", choices=configmod.MODEL_KINDS, default=None)
-    sp.add_argument("--t-end", type=float, default=None)
-    sp.set_defaults(func=cmd_apriori)
-
-    sp = sub.add_parser("defect-study", parents=[common],
-                        help="coarse-graining defects of refinement families")
-    sp.add_argument("--grids", type=_int_list, default=None)
-    sp.set_defaults(func=cmd_defect_study)
-
+    for command, (run, summary, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        sp.set_defaults(func=run)
+        sp.add_argument("--out", help=f"output root (default: ${OUTPUT_ENV} or ./nsflab-out)")
+        sp.add_argument("--config", help="INI configuration file (the flags win over it)")
+        if command == "wsu":
+            sp.add_argument("--theorem", choices=("1", "2", "3"), required=True)
+        for dest in ("seed",) + flags:
+            section, key = _FLAGS[dest]
+            sp.add_argument("--" + dest.replace("_", "-"), type=_flag_type(section, key),
+                            choices=configmod.CHOICES.get((section, key)),
+                            help=f"sets [{section}] {key}")
     return parser
 
 

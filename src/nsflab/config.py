@@ -24,7 +24,9 @@ __all__ = [
     "ConfigError",
     "MODEL_KINDS",
     "TRANSPORT_KINDS",
+    "CHOICES",
     "RunConfig",
+    "parse_value",
     "default_config",
     "load_config",
     "loads_config",
@@ -45,6 +47,9 @@ class ConfigError(ValueError):
 
 MODEL_KINDS = ("perfect_gas", "molecular_radiation")
 TRANSPORT_KINDS = ("affine_theta", "power_kappa", "bounded_general")
+# (section, key) -> the closed value set of a str key, as the builders read it
+CHOICES = {("model", "kind"): MODEL_KINDS, ("model", "kernel"): tuple(thermo.KERNELS),
+           ("transport", "kind"): TRANSPORT_KINDS, ("solver", "profile"): profile_names()}
 
 # section -> key -> (kind, default); the kind says how a raw string is parsed
 # and rendered, and an "opt_float" left empty is None
@@ -111,11 +116,17 @@ class RunConfig:
 
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"unknown configuration key {section}.{key}")
-        kind = _SCHEMA[section][key][0]
-        rendered = _render(kind, value)
         out = {s: dict(vals) for s, vals in self.sections.items()}
-        out[section][key] = _parse(kind, rendered, f"{section}.{key}")
+        out[section][key] = parse_value(section, key,
+                                        _render(_SCHEMA[section][key][0], value))
         return RunConfig(sections=out)
+
+
+def parse_value(section: str, key: str, raw: str):
+    """``raw`` parsed by the schema kind of ``section.key``, as a file value
+    or a flag is; a malformed value is a ``ConfigError`` naming the key."""
+
+    return _parse(_SCHEMA[section][key][0], raw, f"{section}.{key}")
 
 
 def _parse(kind: str, raw: str, path: str):
@@ -201,8 +212,7 @@ def loads_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
                 raise ConfigError(
                     f"unknown configuration key {section}.{key}; "
                     f"known keys in [{section}]: {known}")
-            kind = _SCHEMA[section][key][0]
-            sections[section][key] = _parse(kind, raw, f"{section}.{key}")
+            sections[section][key] = parse_value(section, key, raw)
     return RunConfig(sections=sections)
 
 
@@ -245,8 +255,7 @@ def build_model(cfg: RunConfig) -> thermo.ThermoModel:
         except (KeyError, ValueError) as err:
             raise ConfigError(f"model.kernel: {err}") from None
         return thermo.MolecularRadiation(a=block["a"], kernel=kernel)
-    raise ConfigError(
-        f"model.kind must be 'perfect_gas' or 'molecular_radiation', got {kind!r}")
+    raise ConfigError(f"model.kind must be one of {', '.join(MODEL_KINDS)}, got {kind!r}")
 
 
 def build_transport(cfg: RunConfig) -> transport.TransportModel:
@@ -265,8 +274,7 @@ def build_transport(cfg: RunConfig) -> transport.TransportModel:
         # an envelope with no coefficient law: every command refuses it
         return transport.BoundedGeneral()
     raise ConfigError(
-        "transport.kind must be 'affine_theta', 'power_kappa' or "
-        f"'bounded_general', got {kind!r}")
+        f"transport.kind must be one of {', '.join(TRANSPORT_KINDS)}, got {kind!r}")
 
 
 def build_grid(cfg: RunConfig, dim: int) -> gridmod.Grid:

@@ -248,7 +248,8 @@ class ExperimentSpec:
     :data:`CLAIM_DEFAULTS`.  Construction raises :class:`SpecError` on
     grids that are not strictly increasing counts >= 4 or a perturbation size
     <= 0, for claims "1"–"3" on an empty ``eps_list`` or fewer than two
-    grids, so no run starts for a ladder the verdicts cannot read, and on a
+    grids, for claim "defect" on a grid that is not a multiple of 4 >= 16,
+    so no run starts for a ladder the verdicts cannot read, and on a
     ``theta_scale`` <= 0 or a ``theta_tilt`` outside [0, 1].
     ``solver`` is the template of every run's solver configuration; the
     runners set its ``source``.  The a priori budget alone reads
@@ -305,6 +306,9 @@ class ExperimentSpec:
             raise SpecError("grids: must list cell counts >= 4")
         if list(grids) != sorted(grids) or len(set(grids)) != len(grids):
             raise SpecError("grids: must be strictly increasing cell counts")
+        if theorem == "defect" and any(n < 16 or n % 4 for n in grids):
+            raise SpecError("grids: the defect study coarse-grains each grid onto a quarter "
+                            "of its cells, at least 4, so it needs multiples of 4 that are >= 16")
         object.__setattr__(self, "grids", grids)
         eps = tuple(float(e) for e in (self.eps_list if self.eps_list is not None
                                        else defaults.eps))

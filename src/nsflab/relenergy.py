@@ -89,13 +89,16 @@ def rel_energy_density(model: thermo.ThermoModel, rho, theta, u,
                      thermo.ballistic_energy(model, rho, theta, theta_ref), ref["h"])
 
 
-def _comparison_eos(model: thermo.ThermoModel, rho, theta) -> dict:
-    """p and s of a positive comparison state, its Gibbs free enthalpy
-    ``slope`` = e - theta*s + p/rho and its ballistic energy ``h`` =
-    rho*(e - theta*s), from one ``partials`` call."""
-    d = model.partials(rho, theta, ("p", "e", "s", "rho_e", "rho_s"))
-    return {"p": d["p"], "s": d["s"], "slope": d["e"] - theta * d["s"] + d["p"] / rho,
-            "h": d["rho_e"] - theta * d["rho_s"]}
+def _comparison_eos(model: thermo.ThermoModel, rho, theta, partials: bool = False) -> dict:
+    """p, e, s, rho_e and rho_s of a positive comparison state (with
+    ``partials`` also the six ``thermo.PARTIALS``) from one ``partials``
+    call, its Gibbs free enthalpy ``slope`` = e - theta*s + p/rho and its
+    ballistic energy ``h`` = rho*(e - theta*s)."""
+    d = model.partials(rho, theta, ("p", "e", "s", "rho_e", "rho_s")
+                       + (thermo.PARTIALS if partials else ()))
+    d["slope"] = d["e"] - theta * d["s"] + d["p"] / rho
+    d["h"] = d["rho_e"] - theta * d["rho_s"]
+    return d
 
 
 def _assemble(rho, u, rho_ref, u_ref, slope, h_atom, h_ref):
@@ -261,30 +264,31 @@ def coercivity_check(model: thermo.ThermoModel, params: CutoffParams,
 
 
 def _strong_state(sol: StrongSolution, grid: gridmod.Grid, t: float,
-                  model: thermo.ThermoModel) -> dict:
+                  model: thermo.ThermoModel, partials: bool = False) -> dict:
     """Comparison state with its ``_comparison_eos`` at cell centers: all the
-    relative energy itself reads.  The state is read from the profile's one
+    relative energy itself reads, and with ``partials`` the six partials
+    ``_with_derived`` reads.  The state is read from the profile's one
     evaluation at (t, cell centers), which ``_with_derived`` reads too."""
 
     rho, u, theta = sol.state(t, grid_points(grid))
     if np.fmin.reduce(rho, axis=None) <= 0.0 or np.fmin.reduce(theta, axis=None) <= 0.0:
         raise ValueError("comparison state must have positive density and temperature")
-    return {"rho": rho, "theta": theta, "u": u, **_comparison_eos(model, rho, theta)}
+    return {"rho": rho, "theta": theta, "u": u,
+            **_comparison_eos(model, rho, theta, partials)}
 
 
 def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float,
                   transport_model: transport.TransportModel) -> dict:
-    """``state`` extended by the six equation-of-state partials (``dp_drho``
-    and so on, as ``partials`` keys them), the gradients, stress parts and
-    transport coefficients the inequality chain reads."""
+    """``state``, a ``_strong_state`` with its partials, extended by the
+    gradients, stress parts and transport coefficients the inequality chain
+    reads."""
 
     pts = grid_points(grid)
     rho, theta, u = state["rho"], state["theta"], state["u"]
-    dp = sol.model.partials(rho, theta)
     g_u = sol.grad_u(t, pts)
     grad_theta = sol.grad_theta(t, pts)
-    grad_p = (dp["dp_drho"][..., None] * sol.grad_rho(t, pts)
-              + dp["dp_dtheta"][..., None] * grad_theta)
+    grad_p = (state["dp_drho"][..., None] * sol.grad_rho(t, pts)
+              + state["dp_dtheta"][..., None] * grad_theta)
 
     # Divergence of the comparison viscous stress, recovered from the
     # momentum balance: div S = rho*(du/dt + (u.grad)u) + u*f_mass + grad p - f_mom.
@@ -293,7 +297,7 @@ def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float
              + grad_p - sol.f_mom(t, pts))
 
     return {
-        **state, **dp,
+        **state,
         "g_u": g_u, "sym_u": transport.sym_part(g_u),
         "d0_u": transport.traceless_sym(g_u),
         "div_u": np.einsum("...ii->...", g_u),
@@ -311,20 +315,18 @@ def _avg(weights: np.ndarray, vals: np.ndarray, ncomp: int) -> np.ndarray:
 
 
 def _r2_groups(V: AtomicYoungMeasure, level: int, sf: dict,
-               model: thermo.ThermoModel) -> dict[str, np.ndarray]:
-    """The seven quadratic remainder groups, each a per-cell density."""
+               eos: dict) -> dict[str, np.ndarray]:
+    """The seven quadratic remainder groups, each a per-cell density, from
+    the atoms' ``eos``: their ``s`` and ``p`` as ``partials`` gives them."""
 
     w = V.weights[level]
     rho = V.rho[level]
     theta = V.theta[level]
     u = V.u[level]
-    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
-        raise ValueError("remainder terms need strictly positive atom states")
 
     rho_t = sf["rho"][..., None]
     theta_t = sf["theta"][..., None]
     u_t = sf["u"][..., None, :]
-    eos = model.partials(rho, theta, ("s", "p"))
     s_atom, p_atom = eos["s"], eos["p"]
     s_t = sf["s"][..., None]
     dvec = u_t - u
@@ -370,9 +372,12 @@ def remainder_R2(V: AtomicYoungMeasure, sol: StrongSolution,
     if abs(V.times[idx] - t) > 1e-9 * (1.0 + abs(t)):
         raise ValueError(f"time {t} is not a stored level of the measure")
     t = float(V.times[idx])
-    sf = _with_derived(_strong_state(sol, V.grid, t, model), sol, V.grid, t,
+    sf = _with_derived(_strong_state(sol, V.grid, t, model, partials=True), sol, V.grid, t,
                        transport_model)
-    total = sum(_r2_groups(V, idx, sf, model).values())
+    rho, theta = V.rho[idx], V.theta[idx]
+    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
+        raise ValueError("remainder terms need strictly positive atom states")
+    total = sum(_r2_groups(V, idx, sf, model.partials(rho, theta, ("s", "p"))).values())
     return gridmod.ScalarField.from_interior(V.grid, total)
 
 
@@ -466,7 +471,7 @@ def _level_atoms(V: AtomicYoungMeasure | Iterable[FlowState]) -> Iterator[tuple]
 def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSolution,
                       model: thermo.ThermoModel,
                       transport_model: transport.TransportModel,
-                      on_level: Optional[Callable[[int, dict, np.ndarray], None]] = None,
+                      on_level: Optional[Callable[[int, dict, np.ndarray, dict], None]] = None,
                       ) -> RelEnergySeries:
     """Relative energy of ``V`` against ``sol`` at every level.
 
@@ -476,12 +481,14 @@ def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSo
     through here is never stored.  Gradient atoms are never read.
     Raises when the models differ, an atom is not finite or not strictly
     positive, or the energy fails its consistency checks.  ``on_level(lev,
-    sf, chi)`` runs at each level with the comparison-state fields and the
-    atoms' window weights, so a caller extending the pass evaluates ``sol``
-    once per level.  The comparison state comes from one evaluation of
-    ``sol`` per level; without a hook only its p, s, Gibbs slope and
-    ballistic energy are added (one ``partials`` call), and the partials,
-    gradients, stress parts and coefficients are built for the hook alone.
+    sf, chi, eos)`` runs at each level with the comparison-state fields, the
+    atoms' window weights and their ``p``, ``s``, ``rho_e`` and ``rho_s``, so
+    a caller extending the pass evaluates ``sol`` and each state once per
+    level.  The comparison state comes from one evaluation of ``sol`` per
+    level; without a hook only its p, s, Gibbs slope and ballistic energy
+    are added and only the atoms' ``rho_e`` and ``rho_s`` are asked (one
+    ``partials`` call per state each), and the partials, gradients, stress
+    parts and coefficients are built for the hook alone.
     A level whose atoms all lie in the window (``CutoffParams.chi`` is 1.0
     everywhere) takes ``e_ess`` as ``e_mv``, the same bits.
     """
@@ -493,17 +500,20 @@ def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSo
     times, e_mv, e_ess = [], [], []
     expansion = {k: [] for k in ("ballistic", "cross", "carrier", "closure")}
     window = CutoffParams()
+    atom_keys = ("rho_e", "rho_s") if on_level is None else ("p", "s", "rho_e", "rho_s")
 
     for lev, (grid, t, w, rho, theta, u) in enumerate(_level_atoms(V)):
-        sf = _strong_state(sol, grid, t, model)
+        sf = _strong_state(sol, grid, t, model, partials=on_level is not None)
         if np.fmin.reduce(theta, axis=None) <= 0.0 or np.fmin.reduce(rho, axis=None) <= 0.0:
             raise ValueError("the relative energy needs strictly positive atom states")
 
         # rel_energy_density, with the comparison EOS and the atoms'
-        # ballistic energy evaluated once for both readings below
+        # ballistic energy (thermo.ballistic_energy) evaluated once for both
+        # readings below
         rho_t, theta_t = sf["rho"][..., None], sf["theta"][..., None]
         slope = sf["slope"]
-        h_atom = thermo.ballistic_energy(model, rho, theta, theta_t)
+        eos = model.partials(rho, theta, atom_keys)
+        h_atom = eos["rho_e"] - theta_t * eos["rho_s"]
         e_atom = _assemble(rho, u, rho_t, sf["u"][..., None, :], slope[..., None], h_atom,
                            sf["h"][..., None])
         chi, plateau = window._weight(rho, theta)
@@ -521,7 +531,7 @@ def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSo
             grid, _avg(w, rho, 0) * (0.5 * np.add.reduce(sf["u"] ** 2, axis=-1) - slope)))
         expansion["closure"].append(gridmod.integrate(grid, sf["p"]))
         if on_level is not None:
-            on_level(lev, _with_derived(sf, sol, grid, t, transport_model), chi)
+            on_level(lev, _with_derived(sf, sol, grid, t, transport_model), chi, eos)
     times, e_mv, e_ess = np.asarray(times), np.asarray(e_mv), np.asarray(e_ess)
     expansion = {k: np.asarray(v) for k, v in expansion.items()}
     e_res = e_mv - e_ess
@@ -566,7 +576,7 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
     rates = {k: np.zeros(n_levels) for k in
              _BLOCK_KEYS + ("r2", "rm", "res_tail")}
 
-    def chain_level(lev: int, sf: dict, chi: np.ndarray) -> None:
+    def chain_level(lev: int, sf: dict, chi: np.ndarray, eos: dict) -> None:
         w, rho, theta, u = V.weights[lev], V.rho[lev], V.theta[lev], V.u[lev]
         d_u, d_theta = V.d_u[lev], V.d_theta[lev]
         theta_t = sf["theta"][..., None]
@@ -606,11 +616,10 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
 
         # remainder, defect pairing, and residual tail rates
         rates["r2"][lev] = gridmod.integrate(
-            grid, sum(_r2_groups(V, lev, sf, model).values()))
+            grid, sum(_r2_groups(V, lev, sf, eos).values()))
         if defects is not None:
             rates["rm"][lev] = gridmod.integrate(grid, np.einsum(
                 "...jk,...jk->...", defects.r_m[lev], sf["g_u"]))
-        eos = model.partials(rho, theta, ("p", "rho_s"))
         tail = ((1.0 - chi) * (theta + np.abs(eos["p"])
                                + np.sqrt(np.sum((u - u_t) ** 2, axis=-1))
                                + np.abs(eos["rho_s"])

@@ -43,6 +43,7 @@ __all__ = [
     "PressureKernel",
     "IDEAL_KERNEL",
     "DEGENERATE_KERNEL",
+    "KERNELS",
     "ThermoModel",
     "PerfectGas",
     "MolecularRadiation",
@@ -136,14 +137,15 @@ of that point). The loss is the inversion's, not this formula's: writing P as
 q**(5/3)*exp((2/3)*log1p(1/q)) gives 5.3e-8 on the same states.
 """
 
-_KERNELS = {k.name: k for k in (IDEAL_KERNEL, DEGENERATE_KERNEL)}
+KERNELS = {k.name: k for k in (IDEAL_KERNEL, DEGENERATE_KERNEL)}
+"""The shipped pressure kernels by name."""
 
 
 def kernel_by_name(name: str) -> PressureKernel:
     try:
-        return _KERNELS[name]
+        return KERNELS[name]
     except KeyError:
-        raise ValueError(f"unknown pressure kernel {name!r}; known: {sorted(_KERNELS)}") from None
+        raise ValueError(f"unknown pressure kernel {name!r}; known: {sorted(KERNELS)}") from None
 
 
 class ThermoModel:
@@ -300,6 +302,9 @@ def _positive(rho, theta) -> tuple[np.ndarray, np.ndarray]:
     return rho, theta
 
 
+_GIBBS_KEYS = ("p", "e", "s") + PARTIALS[2:]
+
+
 def gibbs_residual(model: ThermoModel, rho, theta):
     """Normalized residuals of the Gibbs relation theta*Ds = De + p*D(1/rho).
 
@@ -312,7 +317,11 @@ def gibbs_residual(model: ThermoModel, rho, theta):
     magnitudes. Raises ``ValueError`` unless rho > 0 and theta > 0.
     """
     rho, theta = _positive(rho, theta)
-    d = model.partials(rho, theta, ("p", "e", "s") + PARTIALS[2:])
+    return _gibbs(model.partials(rho, theta, _GIBBS_KEYS), rho, theta)
+
+
+def _gibbs(d: dict, rho, theta):
+    """``gibbs_residual`` from ``d``, a ``partials`` dict with ``_GIBBS_KEYS``."""
     scale = 1.0 + np.abs(d["e"]) + np.abs(theta * d["s"])
     r_theta = (theta * d["ds_dtheta"] - d["de_dtheta"]) / scale
     r_rho = (theta * d["ds_drho"] - d["de_drho"] + d["p"] / rho**2) / scale
@@ -490,11 +499,12 @@ def validate_structure(model: ThermoModel, n_samples: int = 10_000,
     theta = _sample_log_uniform(rng, n_samples)
     checks: dict = {}
 
-    d = model.partials(rho, theta, keys=("dp_drho", "de_dtheta"))
+    # the stability signs and the Gibbs residuals read one evaluation
+    d = model.partials(rho, theta, ("dp_drho",) + _GIBBS_KEYS)
     checks["stability_dp_drho"] = int(np.sum(~(d["dp_drho"] > 0.0)))
     checks["stability_de_dtheta"] = int(np.sum(~(d["de_dtheta"] > 0.0)))
 
-    r_th, r_rho = gibbs_residual(model, rho, theta)
+    r_th, r_rho = _gibbs(d, rho, theta)
     checks["gibbs_max_residual"] = float(max(np.max(np.abs(r_th)), np.max(np.abs(r_rho))))
 
     # midpoint convexity of E in conservative variables

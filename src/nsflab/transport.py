@@ -11,7 +11,7 @@ on theta only; rho is accepted for interface uniformity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +47,6 @@ def traceless_sym(a: np.ndarray, trace=None) -> np.ndarray:
 class TransportModel:
     """Base class: positive, continuously differentiable coefficient laws."""
 
-    kind = "abstract"
-
     def mu(self, rho, theta):
         raise NotImplementedError
 
@@ -76,7 +74,6 @@ class AffineTheta(TransportModel):
     c_mu: float = 0.05
     c_lambda: float = 0.05
     kappa0: float = 0.05
-    kind: str = field(default="affine_theta", init=False)
 
     def __post_init__(self):
         if not (self.c_mu > 0.0 and self.kappa0 > 0.0):
@@ -114,7 +111,6 @@ class PowerKappa(TransportModel):
     kappa1: float = 0.05
     kappa2: float = 0.05
     beta: float = 2.0
-    kind: str = field(default="power_kappa", init=False)
 
     def __post_init__(self):
         if not (self.mu0 > 0.0 and self.kappa1 > 0.0):
@@ -146,47 +142,17 @@ class PowerKappa(TransportModel):
 class BoundedGeneral(TransportModel):
     """Envelope-only transport class used by validators, never by the solver.
 
-    Declares two-sided bounds mu_lo*(1+theta) <= mu <= mu_hi*(1+theta),
-    0 <= lam <= lam_hi*(1+theta), kappa_lo*(1+theta**beta) <= kappa <=
-    kappa_hi*(1+theta**beta). The hypothesis gate rejects a study that
-    selects it, since a flow needs a concrete coefficient law; asking it for
-    a coefficient raises ``TypeError``.
+    Stands for a law known only through two-sided bounds such as
+    mu_lo*(1+theta) <= mu <= mu_hi*(1+theta) and kappa_lo*(1+theta**beta) <=
+    kappa <= kappa_hi*(1+theta**beta). The hypothesis gate rejects a study
+    that selects it, since a flow needs a concrete coefficient law; asking
+    it for a coefficient raises ``TypeError``.
     """
 
-    mu_lo: float = 0.01
-    mu_hi: float = 1.0
-    lam_hi: float = 1.0
-    kappa_lo: float = 0.01
-    kappa_hi: float = 1.0
-    beta: float = 2.0
-    kind: str = field(default="bounded_general", init=False)
-
-    def __post_init__(self):
-        if not (0.0 < self.mu_lo <= self.mu_hi):
-            raise ValueError("need 0 < mu_lo <= mu_hi")
-        if not (0.0 < self.kappa_lo <= self.kappa_hi):
-            raise ValueError("need 0 < kappa_lo <= kappa_hi")
-
-    def _reject(self):
+    def _reject(self, rho, theta):
         raise TypeError("BoundedGeneral is an envelope validator; it has no coefficient law")
 
-    def mu(self, rho, theta):
-        self._reject()
-
-    def lam(self, rho, theta):
-        self._reject()
-
-    def kappa(self, rho, theta):
-        self._reject()
-
-    def dmu_dtheta(self, rho, theta):
-        self._reject()
-
-    def dlam_dtheta(self, rho, theta):
-        self._reject()
-
-    def dkappa_dtheta(self, rho, theta):
-        self._reject()
+    mu = lam = kappa = dmu_dtheta = dlam_dtheta = dkappa_dtheta = _reject
 
 
 def viscous_stress(model: TransportModel, rho, theta, grad_u: np.ndarray,

@@ -594,9 +594,14 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     (["verify-thermo", "--samples", "0"], "run.samples"),
     (["relenergy", "--eps", "0"], "experiment.eps"),
     (["wsu", "--theorem", "1", "--eps", "0"], "experiment.eps"),
+    # defect-study coarse-grains each grid onto a quarter of its cells
+    (["defect-study", "--grids", "8"], "experiment.grids"),
+    (["defect-study", "--grids", "18"], "experiment.grids"),
+    (["defect-study", "--grids", "64,66"], "experiment.grids"),
 ], ids=["simulate-cells-2", "wsu-1-grids-16-8", "apriori-grids-8-4-16",
         "apriori-theta-tilt-2", "apriori-theta-scale-0", "mv-check-t-end-neg",
-        "wsu-1-t-end-neg", "verify-thermo-samples-0", "relenergy-eps-0", "wsu-1-eps-0"])
+        "wsu-1-t-end-neg", "verify-thermo-samples-0", "relenergy-eps-0", "wsu-1-eps-0",
+        "defect-study-grids-8", "defect-study-grids-18", "defect-study-grids-64-66"])
 def test_unusable_grid_counts_are_a_config_error(tmp_path, capsys, monkeypatch,
                                                       argv, key):
     def refuse(*args, **kwargs):
@@ -749,3 +754,43 @@ def test_every_subcommand_takes_out_seed_and_config(command):
     args = cli.build_parser().parse_args(
         [command, "--out", "X", "--seed", "3", "--config", "Y"] + extra)
     assert (args.out, args.seed, args.config) == ("X", 3, "Y")
+
+
+# schema kind -> (a flag value, the value it parses to); a str key offers
+# its choices instead
+_FLAG_VALUES = {"int": ("7", 7), "float": ("0.375", 0.375), "opt_float": ("0.375", 0.375),
+                "ints": ("16,32", (16, 32)), "floats": ("0.25,0.125", (0.25, 0.125))}
+# command -> the defaults row it reads (wsu with --theorem 1)
+_ROWS = {"wsu": "1", "defect-study": "defect"}
+
+
+@pytest.mark.parametrize("command, dest", [
+    (command, dest) for command, (_, _, flags) in cli._COMMANDS.items()
+    for dest in ("seed",) + flags])
+def test_every_flag_sets_its_key_and_round_trips_through_the_echo(tmp_path, capsys,
+                                                                 command, dest):
+    # a flag sets exactly its key, a value its key refuses exits 2, and the
+    # echo of the result, read back over the command's row, is the same config
+    section, key = cli._FLAGS[dest]
+    row = _ROWS.get(command, command)
+    base = config.default_config(row)
+    kind = config._SCHEMA[section][key][0]
+    if kind == "str":
+        value = next(c for c in config.CHOICES[(section, key)] if c != base.get(section, key))
+        text = value
+    else:
+        text, value = _FLAG_VALUES[kind]
+    flag = "--" + dest.replace("_", "-")
+    claim = ["--theorem", "1"] if command == "wsu" else []
+    parser = cli.build_parser()
+
+    cfg = cli._config(parser.parse_args([command, *claim, flag, text]), row)
+    assert cfg.sections == {**base.sections, section: {**base[section], key: value}}
+
+    with pytest.raises(SystemExit) as err:
+        parser.parse_args([command, *claim, flag, "bogus"])
+    assert err.value.code == 2 and flag in capsys.readouterr().err
+
+    echo = tmp_path / "config-effective.ini"
+    config.save_config(cfg, echo)
+    assert cli._config(parser.parse_args([command, *claim, "--config", str(echo)]), row) == cfg

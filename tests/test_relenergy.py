@@ -1,6 +1,6 @@
 """Tests for the relative-energy functional, cutoff split, remainder, and report."""
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import mpmath
 import numpy as np
@@ -572,6 +572,36 @@ def test_trajectory_series_equals_its_dirac_measure_bit_for_bit(make):
         stacked[1].flat[3] = np.nan
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             young.dirac_from_trajectory(replace(traj, **{name: stacked}))
+
+
+@dataclass(frozen=True)
+class _CountingGas(thermo.PerfectGas):
+    """Perfect gas that records the shape of every state ``partials`` evaluates."""
+
+    shapes: list = field(default_factory=list, compare=False)
+
+    def partials(self, rho, theta, keys=thermo.PARTIALS):
+        self.shapes.append(np.broadcast(rho, theta).shape)
+        return super().partials(rho, theta, keys)
+
+
+def test_each_state_is_evaluated_once_per_level():
+    # the comparison state's entries and partials come from one call and the
+    # atoms' from one more, which the chain reads too; the run and the
+    # profile evaluate an equal model of their own, so only the pass counts
+    run_model, model = _CountingGas(), _CountingGas()
+    sol = manufactured("shear", run_model, TM)
+    grid = gridmod.Grid(cells=(16,))
+    traj = solver.simulate(grid, solver.SolverConfig(t_end=0.01, source=sol), run_model, TM,
+                           boundary=sol.boundary,
+                           initial=experiments.perturbed_state(sol, grid, 5e-3))
+    V = young.dirac_from_trajectory(traj)
+    assert V.n_levels >= 3
+    relenergy.rel_energy_inequality_report(V, None, sol, model, TM)
+    assert model.shapes == [(16,), (16, 1)] * V.n_levels
+    model.shapes.clear()
+    relenergy.rel_energy_series(V, sol, model, TM)
+    assert model.shapes == [(16,), (16, 1)] * V.n_levels
 
 
 def test_gronwall_fit_recovers_synthetic_rate():

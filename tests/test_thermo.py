@@ -463,6 +463,14 @@ def test_stable_dt_calls_partials_once():
     assert model.sizes == [rho.size]
 
 
+def test_validate_structure_evaluates_its_samples_once():
+    # the stability signs come from the call that gives the Gibbs residuals;
+    # the convexity check evaluates its half-size pairs on their own
+    model = CountingModel()
+    assert thermo.validate_structure(model, n_samples=200, seed=1).ok
+    assert model.sizes.count(200) == 1
+
+
 def _eos_work(forced):
     """Steps, ``partials`` calls and kernel cell evaluations of a short run on
     8 x 8 cells with molecular radiation on a counting degenerate kernel:

@@ -66,7 +66,7 @@ def test_entropy_production_orthogonal_split():
 
 
 def test_bounded_general_is_validator_only():
-    env = transport.BoundedGeneral(mu_lo=0.01, mu_hi=1.0, lam_hi=1.0, kappa_lo=0.01, kappa_hi=1.0, beta=2.0)
+    env = transport.BoundedGeneral()
     for law in ("mu", "dmu_dtheta", "dlam_dtheta", "dkappa_dtheta"):
         with pytest.raises(TypeError, match="envelope validator"):
             getattr(env, law)(1.0, 1.0)
