@@ -620,8 +620,8 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     def run(task):
         """Solve one task ``(n, eps, claim_reads)``: n cells from the strong
         data (``perturbed_state`` when ``eps`` is given).  Fold each level
-        into the run's own ranges (|s| evaluated once per level) and, when
-        ``claim_reads``, into the claim's reads, as the solver yields it.
+        into the run's own ranges (claims 1 and 2; |s| once per level) and,
+        when ``claim_reads``, into the claim's reads, as the solver yields it.
         Return the run's summary of its relative-energy series against
         ``sol`` (the sup for a collapse run; E(0), the fitted constant and
         the envelope growth for a perturbed one), its ranges and its reads."""
@@ -634,13 +634,14 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
         def fold(states):
             for state in states:
                 rho, theta = state.rho, state.theta
-                eos = model.partials(rho, theta, ("s", "e", "p") if theorem_2 else ("s",))
-                s_abs = np.abs(eos["s"])
-                _merge_ranges(ranges, {
-                    "rho_min": float(np.min(rho)), "rho_max": float(np.max(rho)),
-                    "theta_min": float(np.min(theta)),
-                    "theta_max": float(np.max(theta)),
-                    "s_abs_max": float(np.max(s_abs))})
+                if spec.theorem != "3":
+                    eos = model.partials(rho, theta, ("s", "e", "p") if theorem_2 else ("s",))
+                    s_abs = np.abs(eos["s"])
+                    _merge_ranges(ranges, {
+                        "rho_min": float(np.min(rho)), "rho_max": float(np.max(rho)),
+                        "theta_min": float(np.min(theta)),
+                        "theta_max": float(np.max(theta)),
+                        "s_abs_max": float(np.max(s_abs))})
                 if theorem_2:
                     en = rho * eos["e"]
                     reads.append((

@@ -357,10 +357,9 @@ def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0, max_iter
     bisection (rtsafe, Numerical Recipes 9.4). A cell is done when its raw
     Newton step is at most _RTOL*theta, when its residual is at round-off (an
     ill-conditioned cell gets no closer), or when its bracket has collapsed
-    to _RTOL*theta. Each iteration makes one ``model.partials`` call on the
-    cells still active, for the law and its ``d<law>_dtheta`` entry. While
-    every cell is active the arrays are read whole; once a
-    cell is done, the rest are gathered and only they are carried on. A
+    to _RTOL*theta. Each iteration makes one ``model.partials`` call on all
+    cells, for the law and its ``d<law>_dtheta`` entry; a ``live`` mask marks
+    the cells still iterating, and a cell that is done keeps its theta. A
     non-finite rho or target is a ``ValueError`` naming its cell.
     """
     shape = np.broadcast(rho, target).shape
@@ -375,51 +374,39 @@ def _invert_monotone(model: ThermoModel, law: str, rho, target, theta0, max_iter
                                   _BRACKET[0]), _BRACKET[1])
     slope = f"d{law}_dtheta"
     keys = (law, slope)
-    active = None  # the indices of the cells still active; None while all are
-    r, tgt, th = rho, target, theta
+    live = np.ones(rho.size, dtype=bool)
     lo = np.full(rho.size, _BRACKET[0])
     hi = np.full(rho.size, _BRACKET[1])
-    f_tol = 1e-9 * (1.0 + np.abs(tgt))
-    roundoff = _ROUNDOFF * np.abs(tgt)
+    f_tol = 1e-9 * (1.0 + np.abs(target))
+    roundoff = _ROUNDOFF * np.abs(target)
     for _ in range(max_iter):
-        if th.size == 0:
+        if not live.any():
             break
-        v = model.partials(r, th, keys)
-        f, d = v[law] - tgt, v[slope]
+        v = model.partials(rho, theta, keys)
+        f, d = v[law] - target, v[slope]
         abs_f = np.abs(f)
-        np.maximum(lo, th, out=lo, where=f < 0.0)
-        np.minimum(hi, th, out=hi, where=f > 0.0)
+        np.maximum(lo, theta, out=lo, where=f < 0.0)
+        np.minimum(hi, theta, out=hi, where=f > 0.0)
         step = np.divide(f, d, out=np.full(f.shape, np.nan), where=d > 0.0)
         # a raw step within _RTOL is taken and ends the cell (the residual
         # test guards against a step shrunk by a huge slope); a residual at
         # round-off or a collapsed bracket ends it where it stands
-        th_tol = _RTOL * th
+        th_tol = _RTOL * theta
         newton = (np.abs(step) <= th_tol) & (abs_f <= f_tol)
         settled = (abs_f <= roundoff) | (hi - lo <= th_tol)
-        cand = th - step
+        cand = theta - step
         cand = np.where(newton | ((cand > lo) & (cand < hi)), cand, 0.5 * (lo + hi))
-        th = np.where(settled & ~newton, th, cand)
-        live = ~(newton | settled)
-        if active is None:
-            theta = th
-            if live.all():
-                continue
-            active = np.flatnonzero(live)
-        else:
-            theta[active] = th
-            active = active[live]
-        r, tgt, th, lo, hi, f_tol, roundoff = (
-            x[live] for x in (r, tgt, th, lo, hi, f_tol, roundoff))
-    if th.size:
-        res = np.abs(getattr(model, law)(r, th) - tgt) / (1.0 + np.abs(tgt))
-        k = int(np.argmax(res))
+        theta = np.where(live & (newton | ~settled), cand, theta)
+        live &= ~(newton | settled)
+    if live.any():
+        res = np.abs(getattr(model, law)(rho, theta) - target) / (1.0 + np.abs(target))
+        k = int(np.argmax(np.where(live, res, -np.inf)))
         if not res[k] <= 1e3 * _RTOL:
-            flat = k if active is None else active[k]
-            cell = tuple(int(i) for i in np.unravel_index(flat, shape))
+            cell = tuple(int(i) for i in np.unravel_index(k, shape))
             raise RuntimeError(
                 f"{_INVERTED[law]} inversion failed to converge in {max_iter} iterations "
-                f"at cell {cell}: rho = {r[k]:.17g}, target {law} = {tgt[k]:.17g}, "
-                f"last theta = {th[k]:.17g} (relative residual {res[k]:.3e})")
+                f"at cell {cell}: rho = {rho[k]:.17g}, target {law} = {target[k]:.17g}, "
+                f"last theta = {theta[k]:.17g} (relative residual {res[k]:.3e})")
     return theta.reshape(shape)
 
 
@@ -499,7 +486,8 @@ def validate_structure(model: ThermoModel, n_samples: int = 10_000,
     theta = _sample_log_uniform(rng, n_samples)
     checks: dict = {}
 
-    # the stability signs and the Gibbs residuals read one evaluation
+    # the stability signs, the Gibbs residuals and the convexity pairs'
+    # entropies read one evaluation
     d = model.partials(rho, theta, ("dp_drho",) + _GIBBS_KEYS)
     checks["stability_dp_drho"] = int(np.sum(~(d["dp_drho"] > 0.0)))
     checks["stability_de_dtheta"] = int(np.sum(~(d["de_dtheta"] > 0.0)))
@@ -510,11 +498,10 @@ def validate_structure(model: ThermoModel, n_samples: int = 10_000,
     # midpoint convexity of E in conservative variables
     m = n_samples // 2
     rho_a, rho_b = rho[:m], rho[m : 2 * m]
-    th_a, th_b = theta[:m], theta[m : 2 * m]
     u_a = rng.uniform(-3.0, 3.0, size=(m, 1))
     u_b = rng.uniform(-3.0, 3.0, size=(m, 1))
-    Sa = rho_a * model.s(rho_a, th_a)
-    Sb = rho_b * model.s(rho_b, th_b)
+    Sa = rho_a * d["s"][:m]
+    Sb = rho_b * d["s"][m : 2 * m]
     ma_ = rho_a[:, None] * u_a
     mb_ = rho_b[:, None] * u_b
     Ea = conservative_energy(model, rho_a, Sa, ma_)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import CountingModel
 from nsflab import experiments as ex
 from nsflab import solver, thermo, transport, young
 
@@ -342,6 +343,16 @@ def test_studies_hold_at_most_two_streamed_levels(study, monkeypatch):
         assert len(runs) == 5  # two collapse runs, two perturbed, one coarse
     assert min(len(refs) for refs in runs) >= 3, [len(refs) for refs in runs]
     assert all(ref() is None for refs in runs for ref in refs)
+
+
+def test_claim_three_folds_no_state_range(monkeypatch):
+    # only claims 1 and 2 report the rho, theta and |s| ranges; claim 3's
+    # verdict reads none, so no level is evaluated for its entropy alone
+    _cpus(monkeypatch, 1)  # every run in this process, where the model counts
+    model = CountingModel(a=1.0)
+    rep = ex.run_theorem(replace(_SMALL_STUDIES["3"], model=model))
+    assert len(rep.dirac_sup) == 2 and model.keys
+    assert ("s",) not in model.keys
 
 
 @pytest.mark.parametrize("theorem", sorted(_SMALL_STUDIES))

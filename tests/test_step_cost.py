@@ -37,8 +37,8 @@ RUNS = {
 # same march is streamed through rel_energy_series, or None for an unforced run)
 PINNED = {
     "shear-1d-64": (435, 128949, 170948),
-    "radiative_decay-2d-16": (30, 16504, 19871),
-    "radiative_decay-2d-16-unforced": (30, 13682, None),
+    "radiative_decay-2d-16": (30, 15634, 19001),
+    "radiative_decay-2d-16-unforced": (30, 12842, None),
 }
 
 

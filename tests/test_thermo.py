@@ -1,7 +1,7 @@
 """Equation-of-state checks: Gibbs compatibility, convexity, inversions."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import CountingModel
 from nsflab import grid as gridmod
 from nsflab import manufactured as mfg
 from nsflab import solver, thermo, transport
@@ -208,17 +209,6 @@ def test_entropy_growth_bound_regimes():
     assert rhs_e == pytest.approx(6.0 * np.e, rel=1e-14)
 
 
-@dataclass(frozen=True)
-class CountingModel(thermo.MolecularRadiation):
-    """Molecular-radiation law that records how many cells reach ``partials``."""
-
-    sizes: list = field(default_factory=list, compare=False)
-
-    def partials(self, rho, theta, keys=thermo.PARTIALS):
-        self.sizes.append(np.broadcast(rho, theta).size)
-        return super().partials(rho, theta, keys)
-
-
 INVERSIONS = {"s": thermo.invert_entropy, "e": thermo.invert_internal_energy}
 # cell evaluations per inverted cell from a warm start within 1e-6 of the root
 EVAL_BUDGET = 8
@@ -343,10 +333,15 @@ _STARTS = [1.0, 1.0 + 1e-12, 1.0 - 1e-6, 1.0 + 1e-3, 0.5, 3.0, 1e-6, 1e-2, 1e2, 
 @settings(max_examples=60, deadline=None)
 @example(cells=[(0.0, 0.0, 1.0 + 1e-3)] * 5, cold=False)  # every cell ends together
 @example(cells=[(0.5, -1.0, 1.0 + 1e-12), (-2.0, 2.5, 1e6), (1.0, 0.3, 0.5)], cold=False)
+# all cells but a few end on the same iteration: those few start on their
+# root and settle on the first
+@example(cells=[(0.1 * i - 1.0, 0.07 * i - 0.5, 1.0 + 1e-6) for i in range(20)]
+         + [(0.4, -0.3, 1.0), (-1.5, 1.2, 1.0), (2.0, 0.8, 1.0)], cold=False)
 def test_inversion_is_the_gathering_loop_bit_for_bit(law, name, cells, cold):
-    # the same theta bits and the same cells evaluated per iteration as the
-    # loop that gathered and scattered on every iteration, from cold, warm
-    # and far starts whose cells end at different iterations
+    # the same theta bits and the same number of partials calls as the loop
+    # that gathered and scattered on every iteration, from cold, warm and far
+    # starts whose cells end at different iterations; every call reads all
+    # cells, and a cell that is done keeps its theta
     base = MODELS[name]
     model = CountingModel(a=base.a, kernel=base.kernel)
     rho = 10.0 ** np.array([r for r, _, _ in cells])
@@ -355,11 +350,11 @@ def test_inversion_is_the_gathering_loop_bit_for_bit(law, name, cells, cold):
     target = getattr(model, law)(rho, theta)
     model.sizes.clear()
     want = _outcome(lambda: _gathering_inversion(model, law, rho, target, theta0))
-    want_sizes = list(model.sizes)
+    want_calls = len(model.sizes)
     model.sizes.clear()
     got = _outcome(lambda: INVERSIONS[law](model, rho, target, theta0=theta0))
     assert got == want
-    assert model.sizes == want_sizes
+    assert model.sizes == [rho.size] * want_calls
 
 
 def test_invert_entropy_far_bracket():
@@ -464,11 +459,13 @@ def test_stable_dt_calls_partials_once():
 
 
 def test_validate_structure_evaluates_its_samples_once():
-    # the stability signs come from the call that gives the Gibbs residuals;
-    # the convexity check evaluates its half-size pairs on their own
+    # the stability signs and the convexity pairs' entropies come from the
+    # call that gives the Gibbs residuals; the convexity check evaluates only
+    # its energies (and their inversions) on the half-size pairs
     model = CountingModel()
     assert thermo.validate_structure(model, n_samples=200, seed=1).ok
     assert model.sizes.count(200) == 1
+    assert ("s",) not in model.keys
 
 
 def _eos_work(forced):
@@ -502,8 +499,8 @@ def _eos_work(forced):
 
 
 @pytest.mark.parametrize("forced, work", [
-    (False, {"steps": 4, "partials": 36, "p": 2590, "dp": 1790, "s": 0, "ds": 0}),
-    (True, {"steps": 4, "partials": 40, "p": 2841, "dp": 2041, "s": 0, "ds": 0}),
+    (False, {"steps": 4, "partials": 36, "p": 2592, "dp": 1792, "s": 0, "ds": 0}),
+    (True, {"steps": 4, "partials": 40, "p": 2848, "dp": 2048, "s": 0, "ds": 0}),
 ], ids=["unforced", "forced"])
 def test_equation_of_state_work_per_run(forced, work):
     # exact counts: a partials entry or a Newton iteration more or less
