@@ -1,17 +1,19 @@
 """Command-line front end: runs, checks, and studies with persisted reports.
 
 Subcommands: ``simulate``, ``mv-check``, ``relenergy``, ``wsu``, ``apriori``,
-``defect-study``, ``verify-thermo``.  Every command writes a JSON verdict
-(and, where natural, CSV series and binary snapshots) under
-``<out>/<command>/`` and exits 0 only if every assertion holds; assertion
-failures exit 1, usage and configuration errors exit 2.  Every command builds
-its config one way: the command's defaults row, the ``--config`` file over
-it, and the flags over both.  A flag and a file key are one setting: each
-flag of ``_FLAGS`` sets one schema key, parsed and offered the choices of
-that key as a file value is, and its help names the key.  The result is
-echoed to ``config-effective.ini``, and re-running with that file alone
-repeats the run.
-Identical (config, seed) pairs produce byte-identical reports.
+``defect-study``, ``verify-thermo``.  Every command builds its config one
+way: the command's defaults row, the ``--config`` file over it, and the
+flags over both.  A flag and a file key are one setting: each flag of
+``_FLAGS`` sets one schema key, parsed and offered the choices of that key
+as a file value is, and its help names the key.
+
+Every command then takes one path, :func:`_run`, under ``<out>/<command>/``:
+a refused value exits 2 and writes nothing; a hypothesis-gate rejection
+writes the echo ``config-effective.ini`` and a rejection ``verdict.json``
+and exits 1; a run writes the echo, its CSV series and binary snapshots,
+and ``verdict.json``, and exits 0 only if every assertion holds, else 1.
+Re-running with the echo alone repeats the run, and identical (config,
+seed) pairs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -82,129 +84,139 @@ def _cells(grid):
     return grid.cells[0] if len(set(grid.cells)) == 1 else list(grid.cells)
 
 
-def _status(ok: bool, label: str, detail: str = "") -> None:
-    tail = f" ({detail})" if detail else ""
-    print(f"{'PASS' if ok else 'FAIL'}: {label}{tail}")
+def _rejected(err: experiments.HypothesisGateError):
+    """The run of a configuration the hypothesis gate rejected: its reasons
+    on stderr and a rejection verdict."""
+
+    def run():
+        print(str(err), file=sys.stderr)
+        return False, "hypothesis gate rejected the configuration", {"verdict.json": {
+            "ok": False, "accepted": False, "theorem": err.gate.theorem,
+            "reasons": list(err.gate.reasons),
+        }}
+    return run
 
 
-# --------------------------------------------------------------------------
-# simulate
-# --------------------------------------------------------------------------
+def _run(args, command: str, row: str, build) -> int:
+    """Read the config over defaults ``row``, build, echo, run, write.
 
-
-def cmd_simulate(args) -> int:
-    cfg, source, grid = _flow(_config(args, "simulate"))
-    out = _echo(args, cfg, "simulate")
-
-    model, tm = source.model, source.transport_model
-    scfg = configmod.build_solver_config(cfg, source)
-    traj = solver.simulate(grid, scfg, model, tm, boundary=source.boundary)
-
-    series: dict[str, np.ndarray] = {"t": traj.times}
-    conserved = traj.conserved_series()
-    for name in ("mass", "kinetic", "internal", "total", "entropy"):
-        series[name] = conserved[name]
-    axes = "xy"
-    for j in range(grid.dim):
-        series[f"momentum_{axes[j]}"] = conserved["momentum"][:, j]
-    reports.write_series(os.path.join(out, "series.csv"), series)
-    reports.write_snapshot(os.path.join(out, "final-state.bin"), {
-        "rho": traj.rho[-1], "u": traj.u[-1], "theta": traj.theta[-1],
-        "t": np.asarray(float(traj.times[-1])),
-    })
-    reports.write_verdicts(os.path.join(out, "verdict.json"), {
-        "completed": True,
-        "levels": traj.n_levels,
-        "t_final": float(traj.times[-1]),
-        "cells": list(grid.cells),
-    })
-    _status(True, "simulate", f"{traj.n_levels} levels to t = {traj.times[-1]:g}")
-    return 0
-
-
-# --------------------------------------------------------------------------
-# verify-thermo
-# --------------------------------------------------------------------------
-
-
-def cmd_verify_thermo(args) -> int:
-    cfg = _config(args, "verify-thermo")
-    seed, samples = cfg["run"]["seed"], cfg["run"]["samples"]
-    if samples < 2:
-        raise configmod.ConfigError("run.samples: the convexity check needs at least 2 "
-                                    f"sampled states, got {samples}")
-    out = _echo(args, cfg, "verify-thermo")
-
-    model = configmod.build_model(cfg)
-    rep = thermo.validate_structure(model, n_samples=samples, seed=seed)
-    reports.write_verdicts(os.path.join(out, "verdict.json"), {
-        "ok": rep.ok,
-        "model": cfg["model"]["kind"],
-        "samples": samples,
-        "seed": seed,
-        "first_violation": rep.first_violation or "",
-        "checks": rep.checks,
-    })
-    _status(rep.ok, "verify-thermo", rep.first_violation or "all structure checks hold")
-    return 0 if rep.ok else 1
-
-
-# --------------------------------------------------------------------------
-# mv-check
-# --------------------------------------------------------------------------
-
-
-def cmd_mv_check(args) -> int:
-    cfg, sol, grid = _flow(_config(args, "mv-check"))
-    out = _echo(args, cfg, "mv-check")
-
-    model, tm = sol.model, sol.transport_model
-    rho0, u0, th0 = sol.on_grid(grid, 0.0)
-    init = solver.FlowState(grid=grid, rho=rho0, u=u0, theta=th0, t=0.0)
-    scfg = configmod.build_solver_config(cfg)
-    traj = solver.simulate(grid, scfg, model, tm, boundary=sol.boundary,
-                           initial=init)
-    V = young.dirac_from_trajectory(traj)
-    ref = testfuns.theta_ref_from_strong(sol)
-
-    tol = cfg["experiment"]["tol_scale"] * max(grid.h)
-    dim = grid.dim
-    checks = (  # (name, statistic, report); the "min" clauses are one-sided
-        ("continuity", "max_abs", young.continuity_residual(V, testfuns.scalar_tests(dim))),
-        ("momentum", "max_abs",
-         young.momentum_residual(V, testfuns.velocity_tests(dim), model, tm)),
-        ("entropy", "min",
-         young.entropy_mv_residual(V, testfuns.entropy_tests(dim), model, tm)),
-        ("ballistic", "min",
-         young.ballistic_mv_residual(V, 0.0, ref, model, tm, boundary=sol.boundary)),
-        ("velocity_compat", "max_abs",
-         young.check_velocity_compat(V, testfuns.tensor_tests(dim))),
-        ("temperature_compat", "max_abs", young.check_temperature_compat(
-            V, testfuns.flux_tests(dim), ref, boundary=sol.boundary)),
-    )
-    clauses = {}
-    for name, stat, rep in checks:
-        value = getattr(rep, stat)
-        clauses[name] = {stat: value, "residuals": list(rep.residuals),
-                         "ok": value >= -tol if stat == "min" else value <= tol}
-    ok = all(entry["ok"] for entry in clauses.values())
-    reports.write_verdicts(os.path.join(out, "verdict.json"), {
-        "ok": ok, "tol_h": tol, "cells": _cells(grid), "profile": sol.profile,
-        "clauses": clauses,
-    })
-    worst = [name for name, entry in clauses.items() if not entry["ok"]]
-    _status(ok, "mv-check", "all clauses admissible" if ok
-            else "violated: " + ", ".join(worst))
+    ``build(cfg)`` makes every check and returns the config to echo and a
+    ``run()`` that gives ``(ok, status detail, files by name)``; each file is
+    written by its extension, and the status line is printed last.  A refused value raises ``ConfigError`` before
+    anything is written; a gate rejection writes the echo and a rejection
+    verdict.
+    """
+    cfg = _config(args, row)
+    try:
+        cfg, run = build(cfg)
+    except experiments.HypothesisGateError as err:
+        run = _rejected(err)
+    out = _echo(args, cfg, command)
+    ok, detail, files = run()
+    # looked up per call, so a wrapped reports writer is the one called
+    writers = {".csv": reports.write_series, ".bin": reports.write_snapshot,
+               ".json": reports.write_verdicts}
+    for name, data in files.items():
+        writers[os.path.splitext(name)[1]](os.path.join(out, name), data)
+    print(f"{'PASS' if ok else 'FAIL'}: {command} ({detail})")
     return 0 if ok else 1
 
 
 # --------------------------------------------------------------------------
-# relenergy
+# the one-run commands
 # --------------------------------------------------------------------------
 
 
-def cmd_relenergy(args) -> int:
-    cfg, sol, grid = _flow(_config(args, "relenergy"))
+def _simulate(cfg):
+    cfg, source, grid = _flow(cfg)
+    scfg = configmod.build_solver_config(cfg, source)
+
+    def run():
+        traj = solver.simulate(grid, scfg, source.model, source.transport_model,
+                               boundary=source.boundary)
+        series: dict[str, np.ndarray] = {"t": traj.times}
+        conserved = traj.conserved_series()
+        for name in ("mass", "kinetic", "internal", "total", "entropy"):
+            series[name] = conserved[name]
+        axes = "xy"
+        for j in range(grid.dim):
+            series[f"momentum_{axes[j]}"] = conserved["momentum"][:, j]
+        t_final = float(traj.times[-1])
+        snapshot = {"rho": traj.rho[-1], "u": traj.u[-1], "theta": traj.theta[-1],
+                    "t": np.asarray(t_final)}
+        verdict = {"completed": True, "levels": traj.n_levels, "t_final": t_final,
+                   "cells": list(grid.cells)}
+        return True, f"{traj.n_levels} levels to t = {t_final:g}", {
+            "series.csv": series, "final-state.bin": snapshot, "verdict.json": verdict}
+    return cfg, run
+
+
+def _verify_thermo(cfg):
+    seed, samples = cfg["run"]["seed"], cfg["run"]["samples"]
+    if samples < 2:
+        raise configmod.ConfigError("run.samples: the convexity check needs at least 2 "
+                                    f"sampled states, got {samples}")
+    model = configmod.build_model(cfg)
+
+    def run():
+        rep = thermo.validate_structure(model, n_samples=samples, seed=seed)
+        verdict = {
+            "ok": rep.ok,
+            "model": cfg["model"]["kind"],
+            "samples": samples,
+            "seed": seed,
+            "first_violation": rep.first_violation or "",
+            "checks": rep.checks,
+        }
+        detail = rep.first_violation or "all structure checks hold"
+        return rep.ok, detail, {"verdict.json": verdict}
+    return cfg, run
+
+
+def _mv_check(cfg):
+    cfg, sol, grid = _flow(cfg)
+    scfg = configmod.build_solver_config(cfg)  # unforced: the clauses see the bare flow
+    tol = cfg["experiment"]["tol_scale"] * max(grid.h)
+
+    def run():
+        model, tm = sol.model, sol.transport_model
+        rho0, u0, th0 = sol.on_grid(grid, 0.0)
+        init = solver.FlowState(grid=grid, rho=rho0, u=u0, theta=th0, t=0.0)
+        traj = solver.simulate(grid, scfg, model, tm, boundary=sol.boundary,
+                               initial=init)
+        V = young.dirac_from_trajectory(traj)
+        ref = testfuns.theta_ref_from_strong(sol)
+        dim = grid.dim
+        checks = (  # (name, statistic, report); the "min" clauses are one-sided
+            ("continuity", "max_abs", young.continuity_residual(V, testfuns.scalar_tests(dim))),
+            ("momentum", "max_abs",
+             young.momentum_residual(V, testfuns.velocity_tests(dim), model, tm)),
+            ("entropy", "min",
+             young.entropy_mv_residual(V, testfuns.entropy_tests(dim), model, tm)),
+            ("ballistic", "min",
+             young.ballistic_mv_residual(V, 0.0, ref, model, tm, boundary=sol.boundary)),
+            ("velocity_compat", "max_abs",
+             young.check_velocity_compat(V, testfuns.tensor_tests(dim))),
+            ("temperature_compat", "max_abs", young.check_temperature_compat(
+                V, testfuns.flux_tests(dim), ref, boundary=sol.boundary)),
+        )
+        clauses = {}
+        for name, stat, rep in checks:
+            value = getattr(rep, stat)
+            clauses[name] = {stat: value, "residuals": list(rep.residuals),
+                             "ok": value >= -tol if stat == "min" else value <= tol}
+        ok = all(entry["ok"] for entry in clauses.values())
+        worst = [name for name, entry in clauses.items() if not entry["ok"]]
+        detail = "all clauses admissible" if ok else "violated: " + ", ".join(worst)
+        return ok, detail, {"verdict.json": {
+            "ok": ok, "tol_h": tol, "cells": _cells(grid), "profile": sol.profile,
+            "clauses": clauses,
+        }}
+    return cfg, run
+
+
+def _relenergy(cfg):
+    cfg, sol, grid = _flow(cfg)
     if len(cfg["experiment"]["eps"]) != 1:
         raise configmod.ConfigError("experiment.eps: relenergy runs exactly one "
                                     "perturbation size")
@@ -212,39 +224,39 @@ def cmd_relenergy(args) -> int:
     if not eps > 0.0:
         raise configmod.ConfigError(f"experiment.eps: the perturbation size must be > 0, "
                                     f"got {eps!r}")
-    out = _echo(args, cfg, "relenergy")
-
-    model, tm = sol.model, sol.transport_model
-    init = experiments.perturbed_state(sol, grid, eps)
     scfg = configmod.build_solver_config(cfg, sol)
-    traj = solver.simulate(grid, scfg, model, tm, boundary=sol.boundary,
-                           initial=init)
-    V = young.dirac_from_trajectory(traj)
-    rep = relenergy.rel_energy_inequality_report(V, None, sol, model, tm)
-
-    series: dict[str, np.ndarray] = {
-        "t": rep.times, "e_mv": rep.e_mv, "e_ess": rep.e_ess, "e_res": rep.e_res,
-    }
-    for key, vals in rep.blocks.items():
-        series[key] = vals
-    series["r2"] = rep.r2_cum
-    series["slack"] = rep.slack
-    series["fitted_c"] = np.full(len(rep.times), rep.gronwall_c)
-    reports.write_series(os.path.join(out, "series.csv"), series)
-
     tol = cfg["experiment"]["tol_scale"] * max(grid.h)
-    slack_min = float(np.min(rep.slack))
-    ok = slack_min >= -tol
-    reports.write_verdicts(os.path.join(out, "verdict.json"), {
-        "ok": ok, "slack_min": slack_min, "tol_h": tol,
-        "gronwall_c": rep.gronwall_c,
-        "reduced_c_required": rep.reduced_c_required,
-        "e_mv_initial": float(rep.e_mv[0]), "e_mv_final": float(rep.e_mv[-1]),
-        "eps": eps, "cells": _cells(grid), "profile": sol.profile,
-    })
-    _status(ok, "relenergy", f"slack_min = {slack_min:.3e} >= -{tol:.1e}"
-            if ok else f"slack_min = {slack_min:.3e} < -{tol:.1e}")
-    return 0 if ok else 1
+
+    def run():
+        model, tm = sol.model, sol.transport_model
+        init = experiments.perturbed_state(sol, grid, eps)
+        traj = solver.simulate(grid, scfg, model, tm, boundary=sol.boundary,
+                               initial=init)
+        V = young.dirac_from_trajectory(traj)
+        rep = relenergy.rel_energy_inequality_report(V, None, sol, model, tm)
+
+        series: dict[str, np.ndarray] = {
+            "t": rep.times, "e_mv": rep.e_mv, "e_ess": rep.e_ess, "e_res": rep.e_res,
+        }
+        for key, vals in rep.blocks.items():
+            series[key] = vals
+        series["r2"] = rep.r2_cum
+        series["slack"] = rep.slack
+        series["fitted_c"] = np.full(len(rep.times), rep.gronwall_c)
+
+        slack_min = float(np.min(rep.slack))
+        ok = slack_min >= -tol
+        verdict = {
+            "ok": ok, "slack_min": slack_min, "tol_h": tol,
+            "gronwall_c": rep.gronwall_c,
+            "reduced_c_required": rep.reduced_c_required,
+            "e_mv_initial": float(rep.e_mv[0]), "e_mv_final": float(rep.e_mv[-1]),
+            "eps": eps, "cells": _cells(grid), "profile": sol.profile,
+        }
+        detail = (f"slack_min = {slack_min:.3e} >= -{tol:.1e}" if ok
+                  else f"slack_min = {slack_min:.3e} < -{tol:.1e}")
+        return ok, detail, {"series.csv": series, "verdict.json": verdict}
+    return cfg, run
 
 
 # --------------------------------------------------------------------------
@@ -252,80 +264,58 @@ def cmd_relenergy(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _run_study(args, theorem: str, command: str, run, outputs) -> int:
-    """Echo the config, gate it, run ``run(spec)`` and persist the report.
+def _study(claim: str, runner, outputs):
+    """The build of a study of ``claim``: the gated spec, and a run of
+    ``runner(spec)`` whose report ``outputs`` turns into its CSV series by
+    file name and the status detail; the verdict is the whole report."""
 
-    ``outputs(report)`` gives the CSV series by file name and the status
-    detail.  A gate rejection writes only the echo and a rejection verdict.
-    """
-    cfg = _config(args, theorem)
-    out = _echo(args, cfg, command)
-    try:
-        spec = configmod.build_experiment_spec(cfg, theorem)
-    except experiments.HypothesisGateError as err:
-        reports.write_verdicts(os.path.join(out, "verdict.json"), {
-            "ok": False, "accepted": False, "theorem": err.gate.theorem,
-            "reasons": list(err.gate.reasons),
-        })
-        print(str(err), file=sys.stderr)
-        _status(False, command, "hypothesis gate rejected the configuration")
-        return 1
+    def build(cfg):
+        spec = configmod.build_experiment_spec(cfg, claim)
 
-    rep = run(spec)
-    series, detail = outputs(rep)
-    for name, columns in series.items():
-        reports.write_series(os.path.join(out, name), columns)
-    data = dataclasses.asdict(rep)
-    data["accepted"] = rep.gate.accepted
-    reports.write_verdicts(os.path.join(out, "verdict.json"), data)
-    _status(rep.ok, command, detail)
-    return 0 if rep.ok else 1
+        def run():
+            rep = runner(spec)
+            files, detail = outputs(rep)
+            verdict = dataclasses.asdict(rep)
+            verdict["accepted"] = rep.gate.accepted
+            return rep.ok, detail, {**files, "verdict.json": verdict}
+        return cfg, run
+    return build
 
 
-def cmd_wsu(args) -> int:
-    def outputs(rep):
-        return {
-            "collapse.csv": {
-                "cells": np.asarray(rep.dirac_cells, dtype=float),
-                "sup_e": np.asarray(rep.dirac_sup),
-            },
-            "stability.csv": {
-                "eps": np.asarray(rep.eps),
-                "e0": np.asarray(rep.e0),
-                "gronwall_c": np.asarray(rep.gronwall_c),
-                "growth_factor": np.asarray(rep.growth_factor),
-            },
-        }, (f"claim {rep.theorem}: collapse order {rep.dirac_order:.2f}, "
-            f"C spread {rep.c_spread:.2%}")
-
-    return _run_study(args, args.theorem, "wsu", experiments.run_theorem, outputs)
+def _wsu_outputs(rep):
+    return {
+        "collapse.csv": {
+            "cells": np.asarray(rep.dirac_cells, dtype=float),
+            "sup_e": np.asarray(rep.dirac_sup),
+        },
+        "stability.csv": {
+            "eps": np.asarray(rep.eps),
+            "e0": np.asarray(rep.e0),
+            "gronwall_c": np.asarray(rep.gronwall_c),
+            "growth_factor": np.asarray(rep.growth_factor),
+        },
+    }, (f"claim {rep.theorem}: collapse order {rep.dirac_order:.2f}, "
+        f"C spread {rep.c_spread:.2%}")
 
 
-def cmd_apriori(args) -> int:
-    def outputs(rep):
-        series: dict[str, np.ndarray] = {
-            "cells": np.asarray(rep.cells, dtype=float),
-            "total": np.asarray(rep.totals),
-        }
-        for key, vals in rep.terms.items():
-            series[key] = np.asarray(vals)
-        return {"budget.csv": series}, (
-            f"total <= {rep.c_theta_b:.4g} on {len(rep.cells)} levels"
-            if not rep.needs_recalibration
-            else "bound exceeded; recalibration required")
-
-    return _run_study(args, "apriori", "apriori", experiments.run_apriori, outputs)
+def _apriori_outputs(rep):
+    series: dict[str, np.ndarray] = {
+        "cells": np.asarray(rep.cells, dtype=float),
+        "total": np.asarray(rep.totals),
+    }
+    for key, vals in rep.terms.items():
+        series[key] = np.asarray(vals)
+    return {"budget.csv": series}, (
+        f"total <= {rep.c_theta_b:.4g} on {len(rep.cells)} levels"
+        if not rep.needs_recalibration
+        else "bound exceeded; recalibration required")
 
 
-def cmd_defect_study(args) -> int:
-    def outputs(rep):
-        return {"smooth-defects.csv": {
-            "cells": np.asarray(rep.smooth_cells, dtype=float),
-            "d_max": np.asarray(rep.smooth_d),
-        }}, f"oscillation gap within {rep.osc_rel_err:.2%} of the period average"
-
-    return _run_study(args, "defect", "defect-study", experiments.run_defect_study,
-                      outputs)
+def _defect_outputs(rep):
+    return {"smooth-defects.csv": {
+        "cells": np.asarray(rep.smooth_cells, dtype=float),
+        "d_max": np.asarray(rep.smooth_d),
+    }}, f"oscillation gap within {rep.osc_rel_err:.2%} of the period average"
 
 
 # --------------------------------------------------------------------------
@@ -333,24 +323,31 @@ def cmd_defect_study(args) -> int:
 # --------------------------------------------------------------------------
 
 
-# subcommand -> (runner, help line, the flags of _FLAGS it reads beside --seed)
+# subcommand -> (build, help line, the flags of _FLAGS it reads beside --seed);
+# wsu's build is one per claim of --theorem
 _COMMANDS = {
-    "simulate": (cmd_simulate, "run one flow and persist series + final snapshot",
+    "simulate": (_simulate, "run one flow and persist series + final snapshot",
                  ("profile", "t_end", "cells")),
-    "verify-thermo": (cmd_verify_thermo, "structural checks of an equation of state",
+    "verify-thermo": (_verify_thermo, "structural checks of an equation of state",
                       ("model", "c_v", "a", "kernel", "samples")),
-    "mv-check": (cmd_mv_check, "weak-form clause residuals of a point measure",
+    "mv-check": (_mv_check, "weak-form clause residuals of a point measure",
                  ("profile", "cells", "t_end", "tol_scale")),
-    "relenergy": (cmd_relenergy, "relative-energy inequality chain for a perturbed run",
+    "relenergy": (_relenergy, "relative-energy inequality chain for a perturbed run",
                   ("profile", "cells", "eps", "t_end", "tol_scale")),
-    "wsu": (cmd_wsu, "weak-strong collapse and stability study",
+    "wsu": ({claim: _study(claim, experiments.run_theorem, _wsu_outputs)
+             for claim in ("1", "2", "3")},
+            "weak-strong collapse and stability study",
             ("eps", "grids", "model", "transport", "beta", "kernel", "a", "c_v", "t_end")),
-    "apriori": (cmd_apriori, "energy/entropy budget of a decaying flow",
+    "apriori": (_study("apriori", experiments.run_apriori, _apriori_outputs),
+                "energy/entropy budget of a decaying flow",
                 ("grids", "theta_scale", "theta_tilt", "c_fixed", "beta", "a", "kernel",
                  "transport", "model", "t_end")),
-    "defect-study": (cmd_defect_study, "coarse-graining defects of refinement families",
-                     ("grids",)),
+    "defect-study": (_study("defect", experiments.run_defect_study, _defect_outputs),
+                     "coarse-graining defects of refinement families", ("grids",)),
 }
+# subcommand -> the defaults row it reads, where that is not its own name;
+# wsu reads the row of its --theorem claim
+_ROWS = {"defect-study": "defect"}
 
 
 def _flag_type(section: str, key: str):
@@ -369,13 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nsflab",
         description="Desk-scale studies of compressible heat-conducting flow.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (run, summary, flags) in _COMMANDS.items():
+    for command, (_, summary, flags) in _COMMANDS.items():
         sp = sub.add_parser(command, help=summary)
-        sp.set_defaults(func=run)
         sp.add_argument("--out", help=f"output root (default: ${OUTPUT_ENV} or ./nsflab-out)")
         sp.add_argument("--config", help="INI configuration file (the flags win over it)")
         if command == "wsu":
-            sp.add_argument("--theorem", choices=("1", "2", "3"), required=True)
+            sp.add_argument("--theorem", choices=tuple(_COMMANDS["wsu"][0]), required=True)
         for dest in ("seed",) + flags:
             section, key = _FLAGS[dest]
             sp.add_argument("--" + dest.replace("_", "-"), type=_flag_type(section, key),
@@ -390,12 +386,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    build, _, _ = _COMMANDS[args.command]
+    row = _ROWS.get(args.command, args.command)
+    if args.command == "wsu":
+        row, build = args.theorem, build[args.theorem]
     try:
-        return args.func(args)
-    except configmod.ConfigError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+        return _run(args, args.command, row, build)
+    except (configmod.ConfigError, FileNotFoundError) as err:
         print(str(err), file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as err:

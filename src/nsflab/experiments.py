@@ -247,9 +247,9 @@ class ExperimentSpec:
     ``grids`` and ``eps_list`` left as None take the claim's row of
     :data:`CLAIM_DEFAULTS`.  Construction raises :class:`SpecError` on
     grids that are not strictly increasing counts >= 4 or a perturbation size
-    <= 0, for claims "1"–"3" on an empty ``eps_list`` or fewer than two
-    grids, for claim "defect" on a grid that is not a multiple of 4 >= 16,
-    so no run starts for a ladder the verdicts cannot read, and on a
+    <= 0, for claims "1"–"3" on fewer than two perturbation sizes or fewer
+    than two grids, for claim "defect" on a grid that is not a multiple of
+    4 >= 16, so no run starts for a ladder the verdicts cannot read, and on a
     ``theta_scale`` <= 0 or a ``theta_tilt`` outside [0, 1].
     ``solver`` is the template of every run's solver configuration; the
     runners set its ``source``.  The a priori budget alone reads
@@ -315,10 +315,10 @@ class ExperimentSpec:
         if any(e <= 0.0 for e in eps):
             raise SpecError("eps: perturbation sizes must be > 0")
         if theorem in ("1", "2", "3"):
-            if not eps:
+            if len(eps) < 2:
                 raise SpecError(
-                    f"eps: claim {theorem!r} needs at least one perturbation size: "
-                    "its stability verdict fits a growth constant per size")
+                    f"eps: claim {theorem!r} needs at least two perturbation sizes: "
+                    "its stability verdict compares the growth constants fitted per size")
             if len(grids) < 2:
                 raise SpecError(
                     f"grids: claim {theorem!r} needs at least two grids: its collapse "
@@ -895,10 +895,7 @@ def run_apriori(spec: ExperimentSpec) -> AprioriReport:
     sol = manufactured(spec.resolved_profile, spec.model, spec.transport_model)
     theta_b = spec.theta_scale
     tilt = spec.theta_tilt
-    if tilt > 0.0:
-        boundary = gridmod.affine_boundary(theta_b, theta_b * tilt)
-    else:
-        boundary = gridmod.constant_boundary(theta_b)
+    boundary = gridmod.affine_boundary(theta_b, theta_b * tilt)
 
     def run(n: int):
         """The budget terms of one run on n x n cells, with the interior

@@ -565,14 +565,25 @@ def test_removed_config_keys_exit_two_by_name(tmp_path, capsys, section, key):
     assert f"{section}.{key}" in err
 
 
-def test_bounded_general_transport_still_fails_the_gate(tmp_path, capsys):
-    code = cli.main(["wsu", "--theorem", "1", "--transport", "bounded_general",
-                     "--out", str(tmp_path)])
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["mv-check"], ["relenergy"], ["wsu", "--theorem", "1"], ["apriori"],
+    ["defect-study"],
+], ids=["simulate", "mv-check", "relenergy", "wsu-1", "apriori", "defect-study"])
+def test_bounded_general_transport_is_refused_by_every_command(tmp_path, capsys, argv):
+    # the envelope has no coefficient law, so no command can run it: the
+    # flag does not offer it and a file value is a config error
+    out = tmp_path / "out"
+    if "transport" in cli._COMMANDS[argv[0]][2]:
+        assert cli.main(argv + ["--transport", "bounded_general", "--out", str(out)]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+    ini = tmp_path / "bg.ini"
+    ini.write_text("[transport]\nkind = bounded_general\n")
+    code = cli.main(argv + ["--config", str(ini), "--out", str(out)])
     err = capsys.readouterr().err
-    assert code == 1
-    assert "envelope bounds" in err
-    verdict = reports.read_verdicts(tmp_path / "wsu" / "verdict.json")
-    assert verdict["accepted"] is False
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("transport.kind must be one of affine_theta, power_kappa")
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):
@@ -594,6 +605,8 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     (["verify-thermo", "--samples", "0"], "run.samples"),
     (["relenergy", "--eps", "0"], "experiment.eps"),
     (["wsu", "--theorem", "1", "--eps", "0"], "experiment.eps"),
+    # a claim's stability verdict compares the constants of two sizes
+    (["wsu", "--theorem", "1", "--eps", "0.01"], "experiment.eps"),
     # defect-study coarse-grains each grid onto a quarter of its cells
     (["defect-study", "--grids", "8"], "experiment.grids"),
     (["defect-study", "--grids", "18"], "experiment.grids"),
@@ -601,6 +614,7 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
 ], ids=["simulate-cells-2", "wsu-1-grids-16-8", "apriori-grids-8-4-16",
         "apriori-theta-tilt-2", "apriori-theta-scale-0", "mv-check-t-end-neg",
         "wsu-1-t-end-neg", "verify-thermo-samples-0", "relenergy-eps-0", "wsu-1-eps-0",
+        "wsu-1-one-eps",
         "defect-study-grids-8", "defect-study-grids-18", "defect-study-grids-64-66"])
 def test_unusable_grid_counts_are_a_config_error(tmp_path, capsys, monkeypatch,
                                                       argv, key):
@@ -612,6 +626,24 @@ def test_unusable_grid_counts_are_a_config_error(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and err.startswith(f"{key}: ")
+    assert not (tmp_path / argv[0]).exists()  # a refused value writes nothing
+
+
+def test_a_refused_rerun_leaves_the_echo_beside_its_verdict(tmp_path, capsys):
+    # a refused re-run into the same directory must not replace the echo
+    # of the run whose verdict is still there
+    run = ["wsu", "--theorem", "1", "--grids", "8,16", "--t-end", "0.002"]
+    assert cli.main(run + ["--out", str(tmp_path / "first")]) in (0, 1)
+    assert cli.main(["wsu", "--theorem", "1", "--grids", "32",
+                     "--out", str(tmp_path / "first")]) == 2
+    echo = tmp_path / "first" / "wsu" / "config-effective.ini"
+    assert config.load_config(echo)["experiment"]["grids"] == (8, 16)
+    assert cli.main(["wsu", "--theorem", "1", "--config", str(echo),
+                     "--out", str(tmp_path / "again")]) in (0, 1)
+    capsys.readouterr()
+    for name in ("verdict.json", "collapse.csv", "stability.csv"):
+        again = (tmp_path / "again" / "wsu" / name).read_bytes()
+        assert again == (tmp_path / "first" / "wsu" / name).read_bytes()
 
 
 @pytest.mark.parametrize("theorem", ["1", "2", "3"])

@@ -134,8 +134,9 @@ def test_spec_refuses_ladders_the_claim_cannot_read(monkeypatch):
     monkeypatch.setattr(solver, "levels", refuse)
     for theorem, model, tm in (("1", PG, AT), ("2", PG, AT), ("3", MR, PK)):
         good = dict(theorem=theorem, model=model, transport_model=tm)
-        with pytest.raises(ValueError, match="at least one perturbation size"):
-            ex.ExperimentSpec(eps_list=(), **good)
+        for eps in ((), (1e-2,)):  # one size has no spread of the fitted constant
+            with pytest.raises(ValueError, match="^eps: .* at least two perturbation sizes"):
+                ex.ExperimentSpec(eps_list=eps, **good)
         with pytest.raises(ValueError, match="at least two grids"):
             ex.ExperimentSpec(grids=(32,), **good)
         assert ex.ExperimentSpec(grids=(16, 32), **good).grids == (16, 32)
