@@ -374,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--theorem", choices=tuple(_COMMANDS["wsu"][0]), required=True)
         for dest in ("seed",) + flags:
             section, key = _FLAGS[dest]
+            choices = configmod.CHOICES.get((section, key))  # shown; parse_value refuses
             sp.add_argument("--" + dest.replace("_", "-"), type=_flag_type(section, key),
-                            choices=configmod.CHOICES.get((section, key)),
+                            metavar="{" + ",".join(choices) + "}" if choices else None,
                             help=f"sets [{section}] {key}")
     return parser
 
@@ -392,7 +393,7 @@ def main(argv=None) -> int:
         row, build = args.theorem, build[args.theorem]
     try:
         return _run(args, args.command, row, build)
-    except (configmod.ConfigError, FileNotFoundError) as err:
+    except configmod.ConfigError as err:
         print(str(err), file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as err:

@@ -2,7 +2,8 @@
 
 A run is reproducible from its config file plus a seed, so the schema is
 strict: unknown sections or keys are rejected by name, values are parsed by
-declared type, and saving a loaded config reproduces it exactly (floats are
+declared type (finite numbers, closed sets within ``CHOICES``) and refused
+by their key, and saving a loaded config reproduces it exactly (floats are
 written in shortest round-trip form).  Each command starts from its own row
 of defaults (:func:`default_config`), reads its file over that row and its
 flags over both, so the echo of what it ran is one complete config.
@@ -12,12 +13,13 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import grid as gridmod
 from . import solver, thermo, transport
-from .experiments import CLAIM_DEFAULTS, ExperimentSpec, SpecError
+from .experiments import CLAIM_DEFAULTS, ExperimentSpec, HypothesisGateError
 from .manufactured import StrongSolution, manufactured, profile_names
 
 __all__ = [
@@ -124,30 +126,45 @@ class RunConfig:
 
 def parse_value(section: str, key: str, raw: str):
     """``raw`` parsed by the schema kind of ``section.key``, as a file value
-    or a flag is; a malformed value is a ``ConfigError`` naming the key."""
+    or a flag is.  A malformed or non-finite number, or a closed-set value
+    outside ``CHOICES`` other than the key's schema default (an empty
+    solver.profile means the claim's own), is a ``ConfigError`` that starts
+    with the key."""
 
-    return _parse(_SCHEMA[section][key][0], raw, f"{section}.{key}")
+    kind, default = _SCHEMA[section][key]
+    path = f"{section}.{key}"
+    value = _parse(kind, raw.strip(), path)
+    choices = CHOICES.get((section, key))
+    if choices is not None and value != default and value not in choices:
+        raise ConfigError(f"{path} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+# kind -> what a value of that kind must be, as a refusal names it
+_KINDS = {"int": "an integer", "float": "a finite number", "opt_float": "a finite number or empty",
+          "ints": "a comma-separated list of integers",
+          "floats": "a comma-separated list of finite numbers"}
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
 
 
 def _parse(kind: str, raw: str, path: str):
-    raw = raw.strip()
+    items = [p.strip() for p in raw.split(",") if p.strip()]
     try:
-        if kind == "str":
-            return raw
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "opt_float":
-            return float(raw) if raw else None
-        items = [p.strip() for p in raw.split(",") if p.strip()]
-        if kind == "ints":
-            return tuple(int(p) for p in items)
-        if kind == "floats":
-            return tuple(float(p) for p in items)
+        match kind:
+            case "str": return raw
+            case "int": return int(raw)
+            case "float": return _finite(raw)
+            case "opt_float": return _finite(raw) if raw else None
+            case "ints": return tuple(int(p) for p in items)
+            case "floats": return tuple(_finite(p) for p in items)
     except ValueError:
-        raise ConfigError(
-            f"value {raw!r} for {path} is not a valid {kind}") from None
+        raise ConfigError(f"{path} must be {_KINDS[kind]}, got {raw!r}") from None
     raise ConfigError(f"unknown value kind {kind!r} for {path}")
 
 
@@ -216,8 +233,15 @@ def loads_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
 
 
 def load_config(path, base: Optional[RunConfig] = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_config(fh.read(), base)
+    """Parse the UTF-8 file ``path`` over ``base``; an unreadable one is refused by name."""
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        why = err.strerror if isinstance(err, OSError) else "not UTF-8 text"
+        raise ConfigError(f"configuration file {path}: {why}") from None
+    return loads_config(text, base)
 
 
 def dumps_config(cfg: RunConfig) -> str:
@@ -243,34 +267,36 @@ def save_config(cfg: RunConfig, path) -> None:
 # --------------------------------------------------------------------------
 
 
+def _construct(section: str, cls, **fields):
+    """``cls(**fields)``: the one place a constructor's refusal becomes a
+    config error.  Its ``ValueError`` starts with the field at fault, so
+    ``section.`` before it names the key; a hypothesis-gate rejection is no
+    config error and passes through, to be written as a verdict."""
+
+    try:
+        return cls(**fields)
+    except HypothesisGateError:
+        raise
+    except ValueError as err:
+        raise ConfigError(f"{section}.{err}") from None
+
+
 def build_model(cfg: RunConfig) -> thermo.ThermoModel:
     block = cfg["model"]
-    kind = block["kind"]
-    if kind == "perfect_gas":
-        return thermo.PerfectGas(c_v=block["c_v"])
-    if kind == "molecular_radiation":
-        try:
-            kernel = thermo.kernel_by_name(block["kernel"])
-        except (KeyError, ValueError) as err:
-            raise ConfigError(f"model.kernel: {err}") from None
-        return thermo.MolecularRadiation(a=block["a"], kernel=kernel)
-    raise ConfigError(f"model.kind must be one of {', '.join(MODEL_KINDS)}, got {kind!r}")
+    if block["kind"] == "perfect_gas":
+        return _construct("model", thermo.PerfectGas, c_v=block["c_v"])
+    return _construct("model", thermo.MolecularRadiation, a=block["a"],
+                      kernel=thermo.KERNELS[block["kernel"]])
 
 
 def build_transport(cfg: RunConfig) -> transport.TransportModel:
     block = cfg["transport"]
-    kind = block["kind"]
-    if kind == "affine_theta":
-        return transport.AffineTheta(c_mu=block["c_mu"],
-                                     c_lambda=block["c_lambda"],
-                                     kappa0=block["kappa0"])
-    if kind == "power_kappa":
-        return transport.PowerKappa(
-            mu0=block["mu0"], mu1=block["mu1"], lambda0=block["lambda0"],
-            lambda1=block["lambda1"], kappa1=block["kappa1"],
-            kappa2=block["kappa2"], beta=block["beta"])
-    raise ConfigError(
-        f"transport.kind must be one of {', '.join(TRANSPORT_KINDS)}, got {kind!r}")
+    if block["kind"] == "affine_theta":
+        return _construct("transport", transport.AffineTheta, c_mu=block["c_mu"],
+                          c_lambda=block["c_lambda"], kappa0=block["kappa0"])
+    return _construct("transport", transport.PowerKappa, **{
+        key: block[key] for key in ("mu0", "mu1", "lambda0", "lambda1", "kappa1",
+                                    "kappa2", "beta")})
 
 
 def build_grid(cfg: RunConfig, dim: int) -> gridmod.Grid:
@@ -282,22 +308,18 @@ def build_grid(cfg: RunConfig, dim: int) -> gridmod.Grid:
         cells = cells * dim
     elif len(cells) != dim:
         raise ConfigError(
-            f"grid.cells {', '.join(map(str, cells))} does not fit the {dim}D "
-            "comparison flow: give one count, or one per axis")
-    try:
-        return gridmod.Grid(cells=cells)
-    except ValueError as err:
-        raise ConfigError(f"grid.cells: {err}") from None
+            f"grid.cells: {len(cells)} counts do not fit the {dim}D comparison flow: "
+            "give one count, or one per axis")
+    return _construct("grid", gridmod.Grid, cells=cells)
 
 
 def build_source(cfg: RunConfig, name: Optional[str] = None) -> StrongSolution:
     """The manufactured comparison flow ``name`` (solver.profile when None)."""
 
     name = cfg["solver"]["profile"] if name is None else name
-    if name not in profile_names():
-        raise ConfigError(
-            f"solver.profile {name!r} is not a known comparison profile; "
-            f"choose from {profile_names()}")
+    if not name:
+        raise ConfigError("solver.profile: this command runs one comparison flow; "
+                          f"choose from {', '.join(profile_names())}")
     try:
         return manufactured(name, build_model(cfg), build_transport(cfg))
     except TypeError as err:  # a profile the configured models cannot carry
@@ -307,12 +329,9 @@ def build_source(cfg: RunConfig, name: Optional[str] = None) -> StrongSolution:
 def build_solver_config(cfg: RunConfig,
                         source: Optional[StrongSolution] = None) -> solver.SolverConfig:
     block = cfg["solver"]
-    try:
-        return solver.SolverConfig(cfl=block["cfl"], t_end=block["t_end"], floor=block["floor"],
-                                   save_every=block["save_every"],
-                                   max_steps=block["max_steps"], source=source)
-    except ValueError as err:  # the message starts with the field at fault
-        raise ConfigError(f"solver.{err}") from None
+    return _construct("solver", solver.SolverConfig, cfl=block["cfl"], t_end=block["t_end"],
+                      floor=block["floor"], save_every=block["save_every"],
+                      max_steps=block["max_steps"], source=source)
 
 
 def build_experiment_spec(cfg: RunConfig, theorem: str) -> ExperimentSpec:
@@ -320,19 +339,11 @@ def build_experiment_spec(cfg: RunConfig, theorem: str) -> ExperimentSpec:
     solver.profile and must build, as in every other command."""
 
     block = cfg["experiment"]
-    try:
-        spec = ExperimentSpec(
-            theorem=theorem,
-            model=build_model(cfg),
-            transport_model=build_transport(cfg),
-            profile=cfg["solver"]["profile"] or None,
-            eps_list=block["eps"] or None,
-            grids=block["grids"] or None,
-            solver=build_solver_config(cfg),
-            theta_scale=block["theta_scale"],
-            theta_tilt=block["theta_tilt"],
-            c_fixed=block["c_fixed"])
-    except SpecError as err:
-        raise ConfigError(f"experiment.{err}") from None
+    spec = _construct(
+        "experiment", ExperimentSpec, theorem=theorem, model=build_model(cfg),
+        transport_model=build_transport(cfg), profile=cfg["solver"]["profile"] or None,
+        eps_list=block["eps"] or None, grids=block["grids"] or None,
+        solver=build_solver_config(cfg), theta_scale=block["theta_scale"],
+        theta_tilt=block["theta_tilt"], c_fixed=block["c_fixed"])
     build_source(cfg, spec.resolved_profile)
     return spec

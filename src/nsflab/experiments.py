@@ -41,7 +41,6 @@ from .manufactured import StrongSolution, grid_points, manufactured
 __all__ = [
     "GateResult",
     "HypothesisGateError",
-    "SpecError",
     "check_hypotheses",
     "ExperimentSpec",
     "TheoremReport",
@@ -124,12 +123,6 @@ class HypothesisGateError(ValueError):
         super().__init__(
             f"hypotheses for claim {gate.theorem!r} rejected: "
             + "; ".join(gate.reasons))
-
-
-class SpecError(ValueError):
-    """A field of an ``ExperimentSpec`` fails its check (a ladder that cannot
-    carry the claim's verdicts, or a boundary temperature out of range); the
-    message starts with the field at fault, e.g. "grids: " or "eps: "."""
 
 
 def check_hypotheses(theorem: str, model: thermo.ThermoModel,
@@ -245,7 +238,8 @@ class ExperimentSpec:
     :class:`HypothesisGateError` on rejection, so a spec that exists is a
     spec that may run; ``gate`` keeps the accepting result.  ``profile``,
     ``grids`` and ``eps_list`` left as None take the claim's row of
-    :data:`CLAIM_DEFAULTS`.  Construction raises :class:`SpecError` on
+    :data:`CLAIM_DEFAULTS`.  Construction raises a ``ValueError`` whose
+    message starts with the field at fault ("grids: ", "eps: ") on
     grids that are not strictly increasing counts >= 4 or a perturbation size
     <= 0, for claims "1"–"3" on fewer than two perturbation sizes or fewer
     than two grids, for claim "defect" on a grid that is not a multiple of
@@ -303,32 +297,32 @@ class ExperimentSpec:
         grids = tuple(int(n) for n in (self.grids if self.grids is not None
                                        else defaults.grids))
         if len(grids) < 1 or any(n < 4 for n in grids):
-            raise SpecError("grids: must list cell counts >= 4")
+            raise ValueError("grids: must list cell counts >= 4")
         if list(grids) != sorted(grids) or len(set(grids)) != len(grids):
-            raise SpecError("grids: must be strictly increasing cell counts")
+            raise ValueError("grids: must be strictly increasing cell counts")
         if theorem == "defect" and any(n < 16 or n % 4 for n in grids):
-            raise SpecError("grids: the defect study coarse-grains each grid onto a quarter "
+            raise ValueError("grids: the defect study coarse-grains each grid onto a quarter "
                             "of its cells, at least 4, so it needs multiples of 4 that are >= 16")
         object.__setattr__(self, "grids", grids)
         eps = tuple(float(e) for e in (self.eps_list if self.eps_list is not None
                                        else defaults.eps))
         if any(e <= 0.0 for e in eps):
-            raise SpecError("eps: perturbation sizes must be > 0")
+            raise ValueError("eps: perturbation sizes must be > 0")
         if theorem in ("1", "2", "3"):
             if len(eps) < 2:
-                raise SpecError(
+                raise ValueError(
                     f"eps: claim {theorem!r} needs at least two perturbation sizes: "
                     "its stability verdict compares the growth constants fitted per size")
             if len(grids) < 2:
-                raise SpecError(
+                raise ValueError(
                     f"grids: claim {theorem!r} needs at least two grids: its collapse "
                     "order is fitted across the ladder and its growth constant "
                     "is cross-checked on the next-coarser grid")
         object.__setattr__(self, "eps_list", eps)
         if not (self.theta_scale > 0.0):
-            raise SpecError("theta_scale: boundary temperature scale must be > 0")
+            raise ValueError("theta_scale: boundary temperature scale must be > 0")
         if not (0.0 <= self.theta_tilt <= 1.0):
-            raise SpecError("theta_tilt: boundary temperature tilt must lie in [0, 1]")
+            raise ValueError("theta_tilt: boundary temperature tilt must lie in [0, 1]")
 
     @property
     def resolved_profile(self) -> str:

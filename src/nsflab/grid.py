@@ -57,9 +57,9 @@ class Grid:
         cells = tuple(int(c) for c in np.atleast_1d(self.cells))
         object.__setattr__(self, "cells", cells)
         if len(cells) not in (1, 2):
-            raise ValueError(f"grid dimension must be 1 or 2, got {len(cells)}")
+            raise ValueError(f"cells: grid dimension must be 1 or 2, got {len(cells)}")
         if any(c < 4 for c in cells):
-            raise ValueError(f"need at least 4 interior cells per axis, got {cells}")
+            raise ValueError(f"cells: need at least 4 interior cells per axis, got {cells}")
 
     @functools.cached_property
     def dim(self) -> int:

@@ -100,6 +100,8 @@ class SolverConfig:
             raise ValueError("t_end: must be > 0")
         if self.save_every < 1:
             raise ValueError("save_every: must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("max_steps: must be >= 1")
 
 
 @functools.lru_cache(maxsize=None)

@@ -186,7 +186,7 @@ class PerfectGas(ThermoModel):
         # c_v <= 1 breaks the entropy coercivity this law is used with.
         if not (self.c_v > 1.0):
             raise ValueError(
-                f"perfect gas requires c_v > 1 (the entropy bound |s| <= s_bar "
+                f"c_v: perfect gas requires c_v > 1 (the entropy bound |s| <= s_bar "
                 f"only controls theta**c_v by rho*theta when c_v exceeds 1); got c_v = {self.c_v}"
             )
 
@@ -233,12 +233,12 @@ class MolecularRadiation(ThermoModel):
 
     def __post_init__(self):
         if not (self.a > 0.0):
-            raise ValueError(f"radiation constant a must be > 0, got {self.a}")
+            raise ValueError(f"a: radiation constant a must be > 0, got {self.a}")
         if self.radiation_exponent != 2:
             raise ValueError(
-                "radiation pressure must be quadratic (p_R = a*theta**2): the entropy flux "
-                "rho*s_R*|u| of a theta**%d law cannot be absorbed by the dissipation and "
-                "ballistic terms, so the uniqueness estimate does not close"
+                "radiation_exponent: radiation pressure must be quadratic (p_R = a*theta**2): "
+                "the entropy flux rho*s_R*|u| of a theta**%d law cannot be absorbed by the "
+                "dissipation and ballistic terms, so the uniqueness estimate does not close"
                 % self.radiation_exponent
             )
 

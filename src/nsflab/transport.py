@@ -76,10 +76,12 @@ class AffineTheta(TransportModel):
     kappa0: float = 0.05
 
     def __post_init__(self):
-        if not (self.c_mu > 0.0 and self.kappa0 > 0.0):
-            raise ValueError("c_mu and kappa0 must be > 0")
-        if self.c_lambda < 0.0:
-            raise ValueError("c_lambda must be >= 0")
+        # each message starts with the field at fault
+        for name in ("c_mu", "kappa0"):
+            if not (getattr(self, name) > 0.0):
+                raise ValueError(f"{name}: must be > 0")
+        if not (self.c_lambda >= 0.0):
+            raise ValueError("c_lambda: must be >= 0")
 
     def mu(self, rho, theta):
         return self.c_mu * (1.0 + np.asarray(theta, dtype=float))
@@ -113,11 +115,13 @@ class PowerKappa(TransportModel):
     beta: float = 2.0
 
     def __post_init__(self):
-        if not (self.mu0 > 0.0 and self.kappa1 > 0.0):
-            raise ValueError("mu0 and kappa1 must be > 0")
+        # each message starts with the field at fault
+        for name in ("mu0", "kappa1"):
+            if not (getattr(self, name) > 0.0):
+                raise ValueError(f"{name}: must be > 0")
         for name in ("mu1", "lambda0", "lambda1", "kappa2"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not (getattr(self, name) >= 0.0):
+                raise ValueError(f"{name}: must be >= 0")
 
     def mu(self, rho, theta):
         return self.mu0 + self.mu1 * np.asarray(theta, dtype=float)

@@ -346,12 +346,6 @@ def _sampled(grid: gridmod.Grid, test, t: float, field_cls,
     return field_cls(grid=grid, data=vals, synced=True)
 
 
-def _time_integral(vals: np.ndarray, times: np.ndarray, tau_idx: int) -> float:
-    if tau_idx == 0:
-        return 0.0
-    return float(np.trapezoid(vals[: tau_idx + 1], times[: tau_idx + 1]))
-
-
 def _boundary(V: AtomicYoungMeasure,
               boundary: Optional[gridmod.BoundaryData]) -> gridmod.BoundaryData:
     boundary = boundary if boundary is not None else V.boundary
@@ -399,11 +393,9 @@ def check_velocity_compat(V: AtomicYoungMeasure,
                 raise ValueError(f"matrix test function {test.label!r} must be symmetric")
             inner[i, k] = float(gridmod.integrate(
                 g, -_dot(u[k], gridmod.tensor_divergence(tf)) - _ddot(d_u[k], tf.interior)))
-    last = V.n_levels - 1
     return ClauseReport(clause="velocity_compat",
                         labels=tuple(t.label for t in tensors),
-                        residuals=np.asarray([_time_integral(row, V.times, last)
-                                              for row in inner]))
+                        residuals=np.trapezoid(inner, V.times))
 
 
 def check_temperature_compat(V: AtomicYoungMeasure, psis: Sequence[VectorTest],
@@ -433,14 +425,10 @@ def check_temperature_compat(V: AtomicYoungMeasure, psis: Sequence[VectorTest],
             psi_f = _sampled(g, test, t, gridmod.VectorField)
             a_vals[i, k] = float(gridmod.integrate(g, gap * gridmod.divergence(psi_f)))
             b_vals[i, k] = float(gridmod.integrate(g, _dot(grad_gap, psi_f.interior)))
-    last = V.n_levels - 1
     return ClauseReport(clause="temperature_compat",
                         labels=tuple(t.label for t in psis),
-                        residuals=np.asarray([_time_integral(row, V.times, last)
-                                              for row in -a_vals - b_vals]),
-                        extras={"as_written": np.asarray(
-                            [_time_integral(row, V.times, last)
-                             for row in -a_vals + b_vals])})
+                        residuals=np.trapezoid(-a_vals - b_vals, V.times),
+                        extras={"as_written": np.trapezoid(-a_vals + b_vals, V.times)})
 
 
 # --------------------------------------------------------------------------
@@ -477,8 +465,8 @@ def _balance(V: AtomicYoungMeasure, clause: str, tests: Sequence,
         vals = np.asarray(test.value(float(V.times[k]), pts), dtype=float)
         return float(gridmod.integrate(g, pair(density[k], vals)))
 
-    residuals = [held(last, test) - held(0, test) - _time_integral(rate, V.times, last)
-                 for test, rate in zip(tests, rates)]
+    residuals = [held(last, test) - held(0, test) - span
+                 for test, span in zip(tests, np.trapezoid(rates, V.times))]
     return ClauseReport(clause=clause, labels=tuple(t.label for t in tests),
                         residuals=np.asarray(residuals))
 
@@ -616,7 +604,7 @@ def ballistic_mv_residual(V: AtomicYoungMeasure, d_diss: np.ndarray | float,
             _dot(ent_flux[k], grad_ref), _dot(heat[k], grad_ref))]
     slack = np.empty(n)
     for k in range(n):
-        sig_ref, ent_dt, ent_adv, heat_cpl = (_time_integral(r, V.times, k) for r in rates)
+        sig_ref, ent_dt, ent_adv, heat_cpl = np.trapezoid(rates[:, :k + 1], V.times[:k + 1])
         slack[k] = ball[0] - ball[k] - d_arr[k] - sig_ref - ent_dt - ent_adv + heat_cpl
     return ClauseReport(clause="ballistic",
                         labels=tuple(f"t={t:.6g}" for t in V.times),
