@@ -459,6 +459,30 @@ def test_mv_check_reports_every_clause(tmp_path, capsys):
     assert all(entry["ok"] for entry in verdict["clauses"].values())
 
 
+def test_mv_check_pins_the_two_dimensional_clauses(tmp_path, capsys):
+    # the one command that reaches the 2D test families and clauses; values
+    # pinned with the golden file's rtol/atol convention
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\nkind = molecular_radiation\n"
+                   "[transport]\nkind = power_kappa\n")
+    code = cli.main(["mv-check", "--config", str(ini), "--profile", "radiative_decay",
+                     "--cells", "16", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    clauses = reports.read_verdicts(tmp_path / "mv-check" / "verdict.json")["clauses"]
+    pinned = {
+        "continuity": ("max_abs", 8.594368117440833e-06),
+        "momentum": ("max_abs", 3.5470310751188356e-06),
+        "entropy": ("min", -1.401434417148146e-04),
+        "ballistic": ("min", 0.0),
+        "temperature_compat": ("max_abs", 4.700023549454869e-06),
+        "velocity_compat": ("max_abs", 1.6330070331730809e-06),
+    }
+    for name, (stat, value) in pinned.items():
+        got = clauses[name][stat]
+        assert abs(got - value) <= 1e-13 + 1e-9 * abs(value), (name, got, value)
+
+
 @pytest.mark.parametrize("argv", [
     ["mv-check", "--cells", "16"], ["wsu", "--theorem", "2"], ["apriori"], ["defect-study"],
 ], ids=["mv-check", "wsu-2", "apriori", "defect-study"])
