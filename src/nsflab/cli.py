@@ -28,7 +28,7 @@ import numpy as np
 from . import config as configmod
 from . import experiments, relenergy, reports, solver, testfuns, thermo, young
 
-__all__ = ["main", "OUTPUT_ENV"]
+__all__ = ["main", "build_parser", "OUTPUT_ENV"]
 
 OUTPUT_ENV = "NSFLAB_OUT"
 

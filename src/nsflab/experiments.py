@@ -323,6 +323,8 @@ class ExperimentSpec:
             raise ValueError("theta_scale: boundary temperature scale must be > 0")
         if not (0.0 <= self.theta_tilt <= 1.0):
             raise ValueError("theta_tilt: boundary temperature tilt must lie in [0, 1]")
+        if self.c_fixed is not None and not self.c_fixed > 0.0:
+            raise ValueError("c_fixed: must be > 0")
 
     @property
     def resolved_profile(self) -> str:
@@ -811,9 +813,10 @@ def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
         div_u = np.einsum("...ii->...", grad_u)
         u_sq = np.sum(u * u, axis=-1)
 
-        eos = model.partials(rho, theta, ("e", "s"))
+        eos = model.partials(rho, theta, ("e", "s", "s_mol"))
         e, s = eos["e"], eos["s"]
-        rho_s_mol, rhs_e = thermo.entropy_growth_bound(model, rho, theta)
+        rho_s_mol = rho * eos["s_mol"]
+        rhs_e = thermo.entropy_growth_bound(model, rho, theta)
         mass = float(gridmod.integrate(g, rho))
         kin = float(gridmod.integrate(g, rho * u_sq))
         internal = float(gridmod.integrate(g, rho * e))

@@ -26,11 +26,14 @@ __all__ = [
     "BoundaryData",
     "constant_boundary",
     "affine_boundary",
+    "boundary_face_points",
     "ScalarField",
     "VectorField",
     "TensorField",
     "StalenessError",
     "sync_physical",
+    "sync_odd",
+    "sync_dirichlet",
     "gradient",
     "grad_vector",
     "divergence",
@@ -104,8 +107,9 @@ class BoundaryData:
 
     ``theta`` maps (t, pts) -> values, where pts has shape (..., dim).
     Velocity is homogeneous Dirichlet (u = 0) throughout and carries no data
-    here. The ballistic clause reads the time derivative of its reference
-    temperature from ``testfuns.ThetaRef.dt``, not from the trace.
+    here. The wall clauses of ``young`` take it as a required argument; the
+    ballistic clause reads the time derivative of its reference temperature
+    from that reference's ``testfuns.SpaceTimeFn.dt``, not from the trace.
     """
 
     theta: Callable[[float, np.ndarray], np.ndarray]

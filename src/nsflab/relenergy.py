@@ -34,7 +34,7 @@ from . import thermo
 from . import transport
 from .manufactured import StrongSolution, grid_points
 from .solver import FlowState
-from .young import AtomicYoungMeasure, DefectBundle
+from .young import AtomicYoungMeasure, DefectBundle, check_defects
 
 __all__ = [
     "CutoffParams",
@@ -566,12 +566,8 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
     """
 
     grid, times, n_levels = V.grid, V.times, V.n_levels
-    if defects is not None:
-        if len(defects.times) != n_levels or not np.allclose(defects.times, times):
-            raise ValueError("defect history must live on the measure's time levels")
-        d_diss = np.asarray(defects.d_diss, dtype=float)
-    else:
-        d_diss = np.zeros(n_levels)
+    check_defects(V, defects)
+    d_diss = np.zeros(n_levels) if defects is None else defects.d_diss
 
     rates = {k: np.zeros(n_levels) for k in
              _BLOCK_KEYS + ("r2", "rm", "res_tail")}

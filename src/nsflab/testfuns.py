@@ -1,17 +1,13 @@
 """Finite families of space-time test functions for weak-form checks.
 
-Every object packs analytic callables over ``(t, pts)`` where ``pts`` has
-shape ``(..., d)`` (cell-center coordinates, ghost centers included when the
-caller samples a padded grid):
-
-* scalar tests: ``value -> (...,)``
-* vector tests: ``value -> (..., d)``
-* tensor tests: ``value -> (..., d, d)``, symmetric by construction
-
-Scalar and vector tests and the reference temperatures also carry their
-analytic time derivative ``dt``.  Spatial derivatives are not part of a test:
-the weak-form clauses in ``young`` form them with the grid's own centred
-operators, so the integrated-by-parts residuals telescope.
+Every test function and reference temperature is one :class:`SpaceTimeFn`:
+analytic callables ``value`` and ``dt`` (its time derivative) over
+``(t, pts)``, where ``pts`` has shape ``(..., d)`` (cell-center coordinates,
+ghost centers included when the caller samples a padded grid).  A family's
+values are scalar ``(...,)``, vector ``(..., d)`` or, for the velocity-gradient
+tests, symmetric matrix ``(..., d, d)``.  Spatial derivatives are not part of
+a test: the weak-form clauses in ``young`` form them with the grid's own
+centred operators, so the integrated-by-parts residuals telescope.
 
 Each spatial shape is emitted twice, with time factors ``1`` and ``t``, so the
 trapezoidal time quadrature used by the residual evaluators is exact on the
@@ -28,10 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "ScalarTest",
-    "VectorTest",
-    "TensorTest",
-    "ThetaRef",
+    "SpaceTimeFn",
     "scalar_tests",
     "entropy_tests",
     "velocity_tests",
@@ -46,70 +39,32 @@ SpaceFn = Callable[[Array], Array]
 
 
 @dataclass(frozen=True)
-class ScalarTest:
-    """Scalar test function with analytic time derivative."""
-
-    label: str
-    value: Callable[[float, Array], Array]
-    dt: Callable[[float, Array], Array]
-    nonnegative: bool = False
-
-
-@dataclass(frozen=True)
-class VectorTest:
-    """Vector test function with analytic time derivative."""
+class SpaceTimeFn:
+    """A test function or reference temperature with analytic time
+    derivative; ``zero_trace`` marks one that vanishes on the boundary
+    (momentum), ``nonnegative`` one that stays >= 0 (entropy)."""
 
     label: str
     value: Callable[[float, Array], Array]
     dt: Callable[[float, Array], Array]
     zero_trace: bool = False
-
-
-@dataclass(frozen=True)
-class TensorTest:
-    """Symmetric-matrix test function (no boundary condition)."""
-
-    label: str
-    value: Callable[[float, Array], Array]
-
-
-@dataclass(frozen=True)
-class ThetaRef:
-    """Positive reference temperature with analytic time derivative."""
-
-    label: str
-    value: Callable[[float, Array], Array]
-    dt: Callable[[float, Array], Array]
+    nonnegative: bool = False
 
 
 def _ones(pts: Array) -> Array:
     return np.ones(pts.shape[:-1])
 
 
-def _zeros(pts: Array) -> Array:
-    return np.zeros(pts.shape[:-1])
+def _with_time(bases: Sequence[tuple[str, SpaceFn]], **flags) -> list[SpaceTimeFn]:
+    """Emit (steady, linear-in-time) variants of each spatial shape."""
 
-
-def _zeros_vec(pts: Array) -> Array:
-    return np.zeros(pts.shape[:-1] + (pts.shape[-1],))
-
-
-def _with_time(label: str, f: SpaceFn, cls, zero_shape, **flags):
-    """Emit (steady, linear-in-time) variants of one spatial shape."""
-
-    steady = cls(
-        label=f"{label}*1",
-        value=lambda t, pts: f(pts),
-        dt=lambda t, pts: zero_shape(pts),
-        **flags,
-    )
-    linear = cls(
-        label=f"{label}*t",
-        value=lambda t, pts: t * f(pts),
-        dt=lambda t, pts: f(pts),
-        **flags,
-    )
-    return [steady, linear]
+    out = []
+    for label, f in bases:
+        out.append(SpaceTimeFn(f"{label}*1", lambda t, pts, f=f: f(pts),
+                               lambda t, pts, f=f: np.zeros_like(f(pts)), **flags))
+        out.append(SpaceTimeFn(f"{label}*t", lambda t, pts, f=f: t * f(pts),
+                               lambda t, pts, f=f: f(pts), **flags))
+    return out
 
 
 def _scalar_bases(dim: int) -> Sequence[tuple[str, SpaceFn]]:
@@ -132,13 +87,10 @@ def _scalar_bases(dim: int) -> Sequence[tuple[str, SpaceFn]]:
     ]
 
 
-def scalar_tests(dim: int) -> list[ScalarTest]:
+def scalar_tests(dim: int) -> list[SpaceTimeFn]:
     """C^1 scalar tests with free boundary values (continuity identity)."""
 
-    out: list[ScalarTest] = []
-    for label, f in _scalar_bases(dim):
-        out += _with_time(label, f, ScalarTest, _zeros)
-    return out
+    return _with_time(_scalar_bases(dim))
 
 
 def _entropy_bases(dim: int) -> Sequence[tuple[str, SpaceFn]]:
@@ -160,13 +112,10 @@ def _entropy_bases(dim: int) -> Sequence[tuple[str, SpaceFn]]:
     ]
 
 
-def entropy_tests(dim: int) -> list[ScalarTest]:
+def entropy_tests(dim: int) -> list[SpaceTimeFn]:
     """Nonnegative scalar tests vanishing on the boundary (entropy identity)."""
 
-    out: list[ScalarTest] = []
-    for label, f in _entropy_bases(dim):
-        out += _with_time(label, f, ScalarTest, _zeros, nonnegative=True)
-    return out
+    return _with_time(_entropy_bases(dim), nonnegative=True)
 
 
 def _vector_bases_zero_trace(dim: int) -> Sequence[tuple[str, SpaceFn]]:
@@ -199,13 +148,10 @@ def _vector_bases_zero_trace(dim: int) -> Sequence[tuple[str, SpaceFn]]:
             ("swirl", v_mix)]
 
 
-def velocity_tests(dim: int) -> list[VectorTest]:
+def velocity_tests(dim: int) -> list[SpaceTimeFn]:
     """C^1 vector tests vanishing on the boundary (momentum identity)."""
 
-    out: list[VectorTest] = []
-    for label, f in _vector_bases_zero_trace(dim):
-        out += _with_time(label, f, VectorTest, _zeros_vec, zero_trace=True)
-    return out
+    return _with_time(_vector_bases_zero_trace(dim), zero_trace=True)
 
 
 def _vector_bases_free(dim: int) -> Sequence[tuple[str, SpaceFn]]:
@@ -239,13 +185,10 @@ def _vector_bases_free(dim: int) -> Sequence[tuple[str, SpaceFn]]:
             ("trig", v_trig)]
 
 
-def flux_tests(dim: int) -> list[VectorTest]:
+def flux_tests(dim: int) -> list[SpaceTimeFn]:
     """C^1 vector tests with free boundary values (temperature identity)."""
 
-    out: list[VectorTest] = []
-    for label, f in _vector_bases_free(dim):
-        out += _with_time(label, f, VectorTest, _zeros_vec)
-    return out
+    return _with_time(_vector_bases_free(dim))
 
 
 def _tensor_bases(dim: int):
@@ -294,16 +237,10 @@ def _tensor_bases(dim: int):
             ("trig", t_trig)]
 
 
-def tensor_tests(dim: int) -> list[TensorTest]:
+def tensor_tests(dim: int) -> list[SpaceTimeFn]:
     """Symmetric C^1 matrix tests (velocity-gradient compatibility)."""
 
-    out: list[TensorTest] = []
-    for label, f in _tensor_bases(dim):
-        out.append(TensorTest(label=f"{label}*1",
-                              value=lambda t, pts, f=f: f(pts)))
-        out.append(TensorTest(label=f"{label}*t",
-                              value=lambda t, pts, f=f: t * f(pts)))
-    return out
+    return _with_time(_tensor_bases(dim))
 
 
 def _bump(dim: int) -> SpaceFn:
@@ -314,7 +251,7 @@ def _bump(dim: int) -> SpaceFn:
 
 
 def theta_refs(dim: int, base: tuple[float, float, float] = (1.0, 0.0, 0.0),
-               amps: Sequence[float] = (0.0, 0.15, -0.1)) -> list[ThetaRef]:
+               amps: Sequence[float] = (0.0, 0.15, -0.1)) -> list[SpaceTimeFn]:
     """Steady positive references sharing the affine boundary trace ``base``.
 
     Each member is ``base(x) + a * bump(x)`` where the bump vanishes on the
@@ -335,7 +272,7 @@ def theta_refs(dim: int, base: tuple[float, float, float] = (1.0, 0.0, 0.0),
     axes = [np.linspace(0.0, 1.0, 33)] * dim
     lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
-    refs: list[ThetaRef] = []
+    refs: list[SpaceTimeFn] = []
     for a in amps:
         def val(t, pts, a=a):
             return base_val(pts) + a * bump(pts)
@@ -343,13 +280,13 @@ def theta_refs(dim: int, base: tuple[float, float, float] = (1.0, 0.0, 0.0),
         if np.min(val(0.0, lattice)) <= 0.0:
             raise ValueError(
                 "reference temperature must stay positive on the domain")
-        refs.append(ThetaRef(label=f"affine+{a}*bump", value=val,
-                             dt=lambda t, pts: _zeros(pts)))
+        refs.append(SpaceTimeFn(label=f"affine+{a}*bump", value=val,
+                                dt=lambda t, pts: np.zeros(pts.shape[:-1])))
     return refs
 
 
-def theta_ref_from_strong(sol) -> ThetaRef:
+def theta_ref_from_strong(sol) -> SpaceTimeFn:
     """Wrap a smooth solution's temperature as a reference profile."""
 
-    return ThetaRef(label=f"strong_{sol.profile}", value=sol.theta,
+    return SpaceTimeFn(label=f"strong_{sol.profile}", value=sol.theta,
                     dt=sol.dtheta_dt)

@@ -22,8 +22,9 @@ relation theta * Ds = De + p * D(1/rho) hold identically.
 
 A model has one evaluation, ``partials(rho, theta, keys)``: the named
 entries of one state among the laws ``p``, ``e``, ``s``, the vacuum-safe
-densities ``rho_e`` and ``rho_s`` and the six ``PARTIALS``. The entries of a
-call share q, the powers of theta and the kernel values P, P', S and S', and
+densities ``rho_e`` and ``rho_s``, the six ``PARTIALS`` and, for
+``MolecularRadiation`` only, the molecular entropy ``s_mol`` = S(q). The
+entries of a call share q, the powers of theta and the kernel values P, P', S and S', and
 each keeps its bits whatever else is asked, so a caller asks once for all it
 reads of one state; ``p``, ``e``, ``s``, ``rho_e`` and ``rho_s`` are one-key
 reads.
@@ -44,6 +45,7 @@ __all__ = [
     "IDEAL_KERNEL",
     "DEGENERATE_KERNEL",
     "KERNELS",
+    "kernel_by_name",
     "ThermoModel",
     "PerfectGas",
     "MolecularRadiation",
@@ -156,7 +158,8 @@ class ThermoModel:
         """The entries named in ``keys`` at (rho, theta), as a dict in that
         order: a law ``p``, ``e``, ``s``, a vacuum-safe density (``rho_e`` =
         rho*e continued by 0 at rho = 0, ``rho_s`` = rho*s continued by its
-        limit there) or one of the six ``PARTIALS``. Each entry is computed
+        limit there), one of the six ``PARTIALS``, or a key of the model's
+        own (``MolecularRadiation``'s ``s_mol``). Each entry is computed
         the same way whatever else is asked, so its bits do not depend on
         ``keys``."""
         raise NotImplementedError
@@ -260,7 +263,8 @@ class MolecularRadiation(ThermoModel):
         # each kernel value and power of theta only for an entry that reads
         # it, associated as in that entry's own formula
         P = kernel.p(q) if asked & _READS_P or shared and "rho_e" in asked else None
-        S = kernel.s(q) if "s" in asked or shared and "rho_s" in asked else None
+        S = (kernel.s(q) if "s" in asked or "s_mol" in asked or shared and "rho_s" in asked
+             else None)
         P_safe = P if shared or "rho_e" not in asked else kernel.p(safe * theta_m15)
         S_safe = S if shared or "rho_s" not in asked else kernel.s(safe * theta_m15)
         dP = kernel.dp(q) if asked & _READS_DP else None
@@ -276,6 +280,7 @@ class MolecularRadiation(ThermoModel):
                 case "p": out[key] = theta_25 * P + rad_e
                 case "e": out[key] = 1.5 * theta_25 / rho * P + rad_e / rho
                 case "s": out[key] = S + rad / rho
+                case "s_mol": out[key] = S
                 case "rho_e":
                     mol_e = 1.5 * theta_25 * P_safe
                     out[key] = (mol_e if shared else np.where(positive, mol_e, 0.0)) + rad_e
@@ -536,11 +541,12 @@ def validate_structure(model: ThermoModel, n_samples: int = 10_000,
 
 
 def entropy_growth_bound(model, rho, theta, c: float = 3.0):
-    """The molecular entropy density rho*S(rho/theta**1.5) and its bound
-    c*(rho + rho*|log rho| + rho*[log theta]_+).
+    """The bound c*(rho + rho*|log rho| + rho*[log theta]_+) on the molecular
+    entropy density rho*S(rho/theta**1.5), which is rho times the model's
+    ``partials`` entry ``s_mol``.
 
-    Returns (rho*S, rhs); the bound holds where |rho*S| <= rhs. The quadratic
-    radiation part is controlled by energy, not by this bound. Default c was
+    The bound holds where |rho*S| <= it. The quadratic radiation part is
+    controlled by energy, not by this bound. Default c was
     fixed by a log-uniform sweep over [1e-3, 1e3]**2 for the shipped kernels
     (observed ratio peaks below 2.8).
     """
@@ -548,6 +554,5 @@ def entropy_growth_bound(model, rho, theta, c: float = 3.0):
         raise TypeError("entropy growth bound applies to MolecularRadiation models")
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    lhs = rho * model.kernel.s(rho * theta ** (-1.5))
-    rhs = c * (rho + rho * np.abs(np.log(np.where(rho > 0, rho, 1.0))) + rho * np.maximum(np.log(theta), 0.0))
-    return lhs, rhs
+    return c * (rho + rho * np.abs(np.log(np.where(rho > 0, rho, 1.0)))
+                + rho * np.maximum(np.log(theta), 0.0))

@@ -639,6 +639,10 @@ def _schema_rows():
                  id="apriori-theta-tilt-2"),
     pytest.param(["apriori", "--theta-scale", "0"], None, "experiment.theta_scale",
                  id="apriori-theta-scale-0"),
+    pytest.param(["apriori", "--c-fixed=-1"], None, "experiment.c_fixed",
+                 id="apriori-c-fixed-neg"),
+    pytest.param(["apriori"], "[experiment]\nc_fixed = 0\n", "experiment.c_fixed",
+                 id="apriori-c-fixed-0"),
     pytest.param(["mv-check", "--t-end", "-1"], None, "solver.t_end", id="mv-check-t-end-neg"),
     pytest.param(["wsu", "--theorem", "1", "--t-end", "-1"], None, "solver.t_end",
                  id="wsu-1-t-end-neg"),

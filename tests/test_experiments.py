@@ -409,6 +409,33 @@ def test_apriori_hotter_boundary_needs_recalibration():
     assert hot_cal.ok
 
 
+def test_apriori_reads_the_molecular_entropy_once_per_level(monkeypatch):
+    # the budget's entropy, its entropy flux and the growth bound's left side
+    # share one kernel entropy per level; stepping the unforced run reads none
+    _cpus(monkeypatch, 1)  # every run in this process, where the kernel counts
+    calls = []
+
+    def s(q):
+        calls.append(np.size(q))
+        return thermo.DEGENERATE_KERNEL.s(q)
+
+    kernel = replace(thermo.DEGENERATE_KERNEL, name="counted", s=s)
+    spec = replace(_SMALL_APRIORI, model=thermo.MolecularRadiation(a=1.0, kernel=kernel))
+    levels = solver.levels
+    yielded = []
+
+    def counted_levels(*args, **kwargs):
+        for state in levels(*args, **kwargs):
+            yielded.append(state.rho.size)
+            yield state
+
+    monkeypatch.setattr(solver, "levels", counted_levels)
+    calls.clear()
+    ex.run_apriori(spec)
+    assert len(yielded) > len(spec.grids)
+    assert calls == yielded
+
+
 def test_apriori_constant_boundary_degenerates_gracefully():
     spec = ex.ExperimentSpec(theorem="apriori", model=MR, transport_model=PK,
                              grids=(8,), theta_tilt=0.0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsflab import grid as gridmod
-from nsflab import experiments, relenergy, solver, thermo, transport, young
+from nsflab import experiments, relenergy, solver, testfuns, thermo, transport, young
 from nsflab.manufactured import grid_points, manufactured
 
 MODEL = thermo.PerfectGas(c_v=1.5)
@@ -28,8 +28,7 @@ def _random_states(rng, n, lo=0.2, hi=5.0, u_span=2.0, dim=1):
     return rho, theta, u
 
 
-def _const_measure(grid, times, rho=1.0, u0=0.0, theta=1.0,
-                   boundary=gridmod.constant_boundary(1.0)):
+def _const_measure(grid, times, rho=1.0, u0=0.0, theta=1.0):
     shape = (len(times),) + grid.cells + (1,)
     d = grid.dim
     u = np.zeros(shape + (d,))
@@ -38,8 +37,7 @@ def _const_measure(grid, times, rho=1.0, u0=0.0, theta=1.0,
         grid=grid, times=np.asarray(times, dtype=float),
         weights=np.ones(shape), rho=np.full(shape, float(rho)),
         theta=np.full(shape, float(theta)), u=u,
-        d_u=np.zeros(shape + (d, d)), d_theta=np.zeros(shape + (d,)),
-        boundary=boundary)
+        d_u=np.zeros(shape + (d, d)), d_theta=np.zeros(shape + (d,)))
 
 
 def _shifted_dirac(sol, grid, times, d_rho, d_theta, d_u):
@@ -51,7 +49,7 @@ def _shifted_dirac(sol, grid, times, d_rho, d_theta, d_u):
         rho=base.rho + d_rho[None, ..., None],
         theta=base.theta + d_theta[None, ..., None],
         u=base.u + d_u[None, ..., None, :],
-        d_u=base.d_u, d_theta=base.d_theta, boundary=base.boundary)
+        d_u=base.d_u, d_theta=base.d_theta)
 
 
 def _perturbed_trajectory(n, eps, t_end=0.05, save_every=2):
@@ -479,6 +477,15 @@ def test_report_defect_history_enters_both_sides():
     with pytest.raises(ValueError, match="defect history must live"):
         relenergy.rel_energy_inequality_report(V, stale, sol, MODEL, TM)
 
+    coarse = gridmod.Grid(cells=(16,))
+    elsewhere = young.DefectBundle(grid=coarse, times=V.times,
+                                   r_m=np.zeros((n_levels,) + coarse.interior_shape((d, d))),
+                                   d_diss=diss, xi=np.zeros(n_levels))
+    with pytest.raises(ValueError, match="measure's grid"):
+        relenergy.rel_energy_inequality_report(V, elsewhere, sol, MODEL, TM)
+    with pytest.raises(ValueError, match="measure's grid"):
+        young.momentum_residual(V, testfuns.velocity_tests(1), MODEL, TM, defects=elsewhere)
+
 
 def test_report_rejects_mismatched_models_and_bad_atoms():
     sol = manufactured("shear", MODEL, TM)
@@ -490,8 +497,7 @@ def test_report_rejects_mismatched_models_and_bad_atoms():
     with pytest.raises(ValueError, match="share the transport model"):
         relenergy.rel_energy_inequality_report(
             V, None, sol, MODEL, transport.PowerKappa())
-    cold = _const_measure(grid, [0.0], theta=0.0,
-                          boundary=sol.boundary)
+    cold = _const_measure(grid, [0.0], theta=0.0)
     with pytest.raises(ValueError, match="strictly positive atom states"):
         relenergy.rel_energy_inequality_report(cold, None, sol, MODEL, TM)
 
@@ -535,7 +541,7 @@ def test_energy_series_equals_the_report_bit_for_bit(make):
     cold = young.AtomicYoungMeasure(
         grid=V.grid, times=V.times, weights=V.weights, rho=V.rho,
         theta=np.where(V.theta > V.theta.min(), V.theta, 0.0), u=V.u,
-        d_u=V.d_u, d_theta=V.d_theta, boundary=V.boundary)
+        d_u=V.d_u, d_theta=V.d_theta)
     with pytest.raises(ValueError, match="strictly positive atom states"):
         relenergy.rel_energy_series(cold, sol, sol.model, sol.transport_model)
 

@@ -195,17 +195,20 @@ def test_entropy_growth_bound_regimes():
     ideal = MODELS["mol_rad_ideal"]
     rho = np.logspace(-3, 3, 400)
     # theta = 1 slice: S(rho) = -log(rho), so |lhs| = rho|log rho| <= rhs at c = 1
-    lhs, rhs = thermo.entropy_growth_bound(ideal, rho, np.ones_like(rho), c=1.0)
+    theta = np.ones_like(rho)
+    lhs = rho * ideal.partials(rho, theta, ("s_mol",))["s_mol"]
+    rhs = thermo.entropy_growth_bound(ideal, rho, theta, c=1.0)
     assert lhs.tobytes() == (-rho * np.log(rho)).tobytes()
     assert np.all(np.abs(lhs) <= rhs)
 
     degen = MODELS["mol_rad_degenerate"]
     rho, theta = _states(4000, seed=17, lo=1e-3, hi=1e3)
-    lhs, rhs = thermo.entropy_growth_bound(degen, rho, theta)
+    lhs = rho * degen.partials(rho, theta, ("s_mol",))["s_mol"]
+    rhs = thermo.entropy_growth_bound(degen, rho, theta)
     assert np.all(np.abs(lhs) <= rhs + 1e-12)
 
     # rhs arithmetic pinned: rho = e, theta = 1 gives c*(e + e) = 2*c*e
-    _, rhs_e = thermo.entropy_growth_bound(degen, np.e, 1.0, c=3.0)
+    rhs_e = thermo.entropy_growth_bound(degen, np.e, 1.0, c=3.0)
     assert rhs_e == pytest.approx(6.0 * np.e, rel=1e-14)
 
 

@@ -17,7 +17,7 @@ BND = gridmod.constant_boundary(1.0)
 # --------------------------------------------------------------------------
 
 
-def _const_measure(grid, times, rho=1.0, u0=0.0, theta=1.0, boundary=BND):
+def _const_measure(grid, times, rho=1.0, u0=0.0, theta=1.0):
     shape = (len(times),) + grid.cells + (1,)
     d = grid.dim
     u = np.zeros(shape + (d,))
@@ -26,12 +26,10 @@ def _const_measure(grid, times, rho=1.0, u0=0.0, theta=1.0, boundary=BND):
         grid=grid, times=np.asarray(times, dtype=float),
         weights=np.ones(shape), rho=np.full(shape, float(rho)),
         theta=np.full(shape, float(theta)), u=u,
-        d_u=np.zeros(shape + (d, d)), d_theta=np.zeros(shape + (d,)),
-        boundary=boundary)
+        d_u=np.zeros(shape + (d, d)), d_theta=np.zeros(shape + (d,)))
 
 
-def _field_measure(grid, times, u_field, rho_field=None, theta_field=None,
-                   boundary=BND):
+def _field_measure(grid, times, u_field, rho_field=None, theta_field=None):
     """Single-atom measure with prescribed interior fields, zero gradients."""
 
     shape = (len(times),) + grid.cells + (1,)
@@ -45,8 +43,7 @@ def _field_measure(grid, times, u_field, rho_field=None, theta_field=None,
     return young.AtomicYoungMeasure(
         grid=grid, times=np.asarray(times, dtype=float),
         weights=np.ones(shape), rho=rho, theta=theta, u=u,
-        d_u=np.zeros(shape + (d, d)), d_theta=np.zeros(shape + (d,)),
-        boundary=boundary)
+        d_u=np.zeros(shape + (d, d)), d_theta=np.zeros(shape + (d,)))
 
 
 def _equilibrium_trajectory(n=32, t_end=0.02, dim=1):
@@ -81,7 +78,8 @@ def test_testfun_derivatives_match_finite_differences(dim):
     pts = rng.uniform(0.2, 0.8, size=(40, dim))
     t = 0.37
     for test in (testfuns.scalar_tests(dim) + testfuns.entropy_tests(dim)
-                 + testfuns.velocity_tests(dim) + testfuns.flux_tests(dim)):
+                 + testfuns.velocity_tests(dim) + testfuns.flux_tests(dim)
+                 + testfuns.tensor_tests(dim)):
         assert np.allclose(test.dt(t, pts), _fd_time(test.value, t, pts), atol=1e-6)
     for ref in testfuns.theta_refs(dim, base=(1.0, 0.2, -0.1)[: dim + 1] + (0.0,) * (2 - dim)):
         assert np.allclose(ref.dt(t, pts), _fd_time(ref.value, t, pts), atol=1e-6)
@@ -161,9 +159,9 @@ def test_dirac_expectation_matches_fields():
     V = young.dirac_from_trajectory(traj)
     assert V.weights.shape[-1] == 1
     assert np.all(V.weights == 1.0)
-    rho_mean = young.expect(V, lambda r, u, th, du, dth: r)
+    rho_mean = young.expect(V, V.rho)
     assert np.array_equal(rho_mean, traj.rho)
-    u_sq = young.expect(V, lambda r, u, th, du, dth: np.sum(u * u, axis=-1))
+    u_sq = young.expect(V, np.sum(V.u * V.u, axis=-1))
     assert np.allclose(u_sq, np.sum(traj.u ** 2, axis=-1))
 
 
@@ -173,17 +171,18 @@ def test_mix_mean_jensen_and_associativity():
     v1 = _const_measure(grid, times, rho=1.0)
     v3 = _const_measure(grid, times, rho=3.0)
     mixed = young.mix([v1, v3], [0.5, 0.5])
-    mean = young.expect(mixed, lambda r, u, th, du, dth: r)
+    mean = young.expect(mixed, mixed.rho)
     assert np.allclose(mean, 2.0)
-    second = young.expect(mixed, lambda r, u, th, du, dth: r ** 2)
+    second = young.expect(mixed, mixed.rho ** 2)
     assert np.allclose(second, 5.0)
     assert np.min(second - mean ** 2) > 0.9  # strict Jensen gap for r^2
     single = young.mix([v1], [1.0])
-    assert np.allclose(young.expect(single, lambda r, u, th, du, dth: r), 1.0)
+    assert np.allclose(young.expect(single, single.rho), 1.0)
     nested = young.mix([young.mix([v1, v3], [0.5, 0.5]), v3], [0.5, 0.5])
     flat = young.mix([v1, v3], [0.25, 0.75])
-    for obs in (lambda r, u, th, du, dth: r, lambda r, u, th, du, dth: r ** 2):
-        assert np.allclose(young.expect(nested, obs), young.expect(flat, obs))
+    for power in (1, 2):
+        assert np.allclose(young.expect(nested, nested.rho ** power),
+                           young.expect(flat, flat.rho ** power))
     with pytest.raises(ValueError, match="sum to 1"):
         young.mix([v1, v3], [0.7, 0.7])
 
@@ -193,11 +192,12 @@ def test_expect_monotone_and_linear():
     mixed = young.mix([_const_measure(grid, [0.0], rho=1.0, u0=0.5),
                        _const_measure(grid, [0.0], rho=2.0, u0=-1.0)],
                       [0.3, 0.7])
-    f = young.expect(mixed, lambda r, u, th, du, dth: r)
-    g = young.expect(mixed, lambda r, u, th, du, dth: r + np.abs(u[..., 0]))
+    r, u = mixed.rho, mixed.u[..., 0]
+    f = young.expect(mixed, r)
+    g = young.expect(mixed, r + np.abs(u))
     assert np.all(f <= g + 1e-15)
-    lin = young.expect(mixed, lambda r, u, th, du, dth: 2.0 * r + 3.0 * u[..., 0])
-    u_mean = young.expect(mixed, lambda r, u, th, du, dth: u[..., 0])
+    lin = young.expect(mixed, 2.0 * r + 3.0 * u)
+    u_mean = young.expect(mixed, u)
     assert np.allclose(lin, 2.0 * f + 3.0 * u_mean)
 
 
@@ -206,8 +206,14 @@ def test_expect_rejects_nonfinite_with_witness():
     V = _const_measure(grid, [0.0], rho=0.0, theta=1.0)
     with pytest.raises(ValueError, match="non-finite") as err:
         with np.errstate(divide="ignore"):
-            young.expect(V, lambda r, u, th, du, dth: 1.0 / r)
+            young.expect(V, 1.0 / V.rho)
     assert "rho=0.0" in str(err.value)
+
+
+def test_expect_rejects_values_off_the_atom_layout():
+    V = _const_measure(gridmod.Grid(cells=(8,)), [0.0, 0.1])
+    with pytest.raises(ValueError, match="atom layout"):
+        young.expect(V, V.rho[0])
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +227,7 @@ def test_equilibrium_dirac_all_clauses_round_off(dim):
     V = young.dirac_from_trajectory(traj)
     ref = testfuns.theta_refs(dim, amps=(0.0,))[0]
     assert young.check_velocity_compat(V, testfuns.tensor_tests(dim)).max_abs <= 1e-10
-    tc = young.check_temperature_compat(V, testfuns.flux_tests(dim), ref)
+    tc = young.check_temperature_compat(V, testfuns.flux_tests(dim), ref, sol.boundary)
     assert tc.max_abs <= 1e-10
     assert np.max(np.abs(tc.extras["as_written"])) <= 1e-10
     assert young.continuity_residual(V, testfuns.scalar_tests(dim),
@@ -230,12 +236,12 @@ def test_equilibrium_dirac_all_clauses_round_off(dim):
                                    source=sol).max_abs <= 1e-10
     ent = young.entropy_mv_residual(V, testfuns.entropy_tests(dim), MODEL, TM)
     assert ent.max_abs <= 1e-10
-    ball = young.ballistic_mv_residual(V, 0.0, ref, MODEL, TM)
+    ball = young.ballistic_mv_residual(V, 0.0, ref, MODEL, TM, sol.boundary)
     assert ball.max_abs <= 1e-10
 
 
 def test_temperature_compat_embeds_the_reference_once_per_level():
-    traj, _ = _equilibrium_trajectory(n=8, dim=2)
+    traj, sol = _equilibrium_trajectory(n=8, dim=2)
     V = young.dirac_from_trajectory(traj)
     ref = testfuns.theta_refs(2, amps=(0.0,))[0]
     calls = []
@@ -244,9 +250,9 @@ def test_temperature_compat_embeds_the_reference_once_per_level():
         calls.append(t)
         return ref.value(t, pts)
 
-    counted = testfuns.ThetaRef(label=ref.label, value=value, dt=ref.dt)
+    counted = testfuns.SpaceTimeFn(label=ref.label, value=value, dt=ref.dt)
     psis = testfuns.flux_tests(2)
-    rep = young.check_temperature_compat(V, psis, counted)
+    rep = young.check_temperature_compat(V, psis, counted, sol.boundary)
     assert len(rep.residuals) == len(psis) > 1
     assert len(calls) == V.n_levels
 
@@ -258,7 +264,7 @@ def test_strong_dirac_residuals_decay_second_order():
     def residuals(n, n_times):
         grid = gridmod.Grid(cells=(n,))
         V = young.dirac_from_strong(sol, grid, np.linspace(0.0, 0.05, n_times))
-        tc = young.check_temperature_compat(V, testfuns.flux_tests(1), ref)
+        tc = young.check_temperature_compat(V, testfuns.flux_tests(1), ref, sol.boundary)
         return {
             "vc": young.check_velocity_compat(V, testfuns.tensor_tests(1)).max_abs,
             "tc": tc.max_abs,
@@ -284,7 +290,7 @@ def test_temperature_compat_matching_reference_is_zero():
     grid = gridmod.Grid(cells=(24,))
     V = young.dirac_from_strong(sol, grid, [0.0, 0.3])
     ref = testfuns.theta_ref_from_strong(sol)
-    rep = young.check_temperature_compat(V, testfuns.flux_tests(1), ref)
+    rep = young.check_temperature_compat(V, testfuns.flux_tests(1), ref, sol.boundary)
     assert rep.max_abs <= 1e-12
     assert np.max(np.abs(rep.extras["as_written"])) <= 1e-12
 
@@ -293,14 +299,14 @@ def test_velocity_compat_zero_tensor_and_corruption():
     sol = manufactured("shear", MODEL, TM)
     grid = gridmod.Grid(cells=(32,))
     V = young.dirac_from_strong(sol, grid, np.linspace(0.0, 0.05, 9))
-    zero = testfuns.TensorTest(label="zero",
-                               value=lambda t, p: np.zeros(p.shape[:-1] + (1, 1)))
+    zero = testfuns.SpaceTimeFn(label="zero",
+                                value=lambda t, p: np.zeros(p.shape[:-1] + (1, 1)),
+                                dt=lambda t, p: np.zeros(p.shape[:-1] + (1, 1)))
     assert young.check_velocity_compat(V, [zero]).max_abs == 0.0
     honest = young.check_velocity_compat(V, testfuns.tensor_tests(1)).max_abs
     corrupted = young.AtomicYoungMeasure(
         grid=V.grid, times=V.times, weights=V.weights, rho=V.rho, u=V.u,
-        theta=V.theta, d_u=V.d_u + 0.5 * np.eye(1), d_theta=V.d_theta,
-        boundary=V.boundary)
+        theta=V.theta, d_u=V.d_u + 0.5 * np.eye(1), d_theta=V.d_theta)
     flagged = young.check_velocity_compat(corrupted, testfuns.tensor_tests(1)).max_abs
     assert honest < 1e-4
     assert flagged > 1e-3
@@ -310,10 +316,11 @@ def test_velocity_compat_zero_tensor_and_corruption():
 def test_asymmetric_tensor_rejected():
     grid = gridmod.Grid(cells=(8, 8))
     V = _const_measure(grid, [0.0])
-    skew = testfuns.TensorTest(
+    skew = testfuns.SpaceTimeFn(
         label="skew",
         value=lambda t, p: np.broadcast_to(np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                                           p.shape[:-1] + (2, 2)))
+                                           p.shape[:-1] + (2, 2)),
+        dt=lambda t, p: np.zeros(p.shape[:-1] + (2, 2)))
     with pytest.raises(ValueError, match="symmetric"):
         young.check_velocity_compat(V, [skew])
 
@@ -333,15 +340,24 @@ def test_momentum_defect_pairing_restores_oscillation_flux():
     osc = young.mix([_field_measure(grid, times, v[..., None]),
                      _field_measure(grid, times, -v[..., None])], [0.5, 0.5])
     bary = _field_measure(grid, times, 0.0 * v[..., None])
-    assert np.max(np.abs(young.expect(
-        osc, lambda r, u, th, du, dth: r[..., None] * u))) == 0.0
+    assert np.max(np.abs(young.expect(osc, osc.rho[..., None] * osc.u))) == 0.0
     phis = testfuns.velocity_tests(1)
     r_m = np.zeros((3,) + grid.cells + (1, 1))
     r_m[..., 0, 0] = v ** 2  # Reynolds stress of the +/- v mixture at rho = 1
+    reynolds = young.DefectBundle(grid=grid, times=times, r_m=r_m,
+                                  d_diss=np.zeros(3), xi=np.zeros(3))
     res_osc = young.momentum_residual(osc, phis, MODEL, TM)
-    res_bary = young.momentum_residual(bary, phis, MODEL, TM, r_m=r_m)
+    res_bary = young.momentum_residual(bary, phis, MODEL, TM, defects=reynolds)
     assert res_osc.max_abs > 1e-3
     assert np.max(np.abs(res_osc.residuals - res_bary.residuals)) <= 1e-13
+    # a bundle matches the measure's levels as tightly as mix matches measures
+    drifted = young.DefectBundle(grid=grid, times=times + [0.0, 5e-7, 0.0], r_m=r_m,
+                                 d_diss=np.zeros(3), xi=np.zeros(3))
+    with pytest.raises(ValueError, match="time levels"):
+        young.momentum_residual(bary, phis, MODEL, TM, defects=drifted)
+    with pytest.raises(ValueError, match="time levels"):
+        young.mix([bary, _field_measure(grid, drifted.times, 0.0 * v[..., None])],
+                  [0.5, 0.5])
 
 
 def test_entropy_residual_decay_run_lower_bound():
@@ -358,10 +374,10 @@ def test_entropy_residual_decay_run_lower_bound():
 def test_entropy_rejects_sign_violating_tests():
     grid = gridmod.Grid(cells=(8,))
     V = _const_measure(grid, [0.0, 0.1])
-    bad = testfuns.ScalarTest(label="negative",
-                              value=lambda t, p: -np.ones(p.shape[:-1]),
-                              dt=lambda t, p: np.zeros(p.shape[:-1]),
-                              nonnegative=False)
+    bad = testfuns.SpaceTimeFn(label="negative",
+                               value=lambda t, p: -np.ones(p.shape[:-1]),
+                               dt=lambda t, p: np.zeros(p.shape[:-1]),
+                               nonnegative=False)
     with pytest.raises(ValueError, match="nonnegative"):
         young.entropy_mv_residual(V, [bad], MODEL, TM)
 
@@ -370,7 +386,7 @@ def test_ballistic_threshold_scan():
     traj = _decay_trajectory(32)
     V = young.dirac_from_trajectory(traj)
     ref = testfuns.theta_refs(1, amps=(0.0,))[0]
-    base = young.ballistic_mv_residual(V, 0.0, ref, MODEL, TM)
+    base = young.ballistic_mv_residual(V, 0.0, ref, MODEL, TM, BND)
     assert np.min(base.residuals) >= -1e-12
     s_final = base.residuals[-1]
     assert s_final > 0.0  # the scheme dissipates, leaving room for a defect
@@ -378,10 +394,10 @@ def test_ballistic_threshold_scan():
     d_ok[-1] = 0.5 * s_final
     d_too_big = np.zeros(V.n_levels)
     d_too_big[-1] = 2.0 * s_final
-    assert young.ballistic_mv_residual(V, d_ok, ref, MODEL, TM).residuals[-1] >= 0.0
-    assert young.ballistic_mv_residual(V, d_too_big, ref, MODEL, TM).residuals[-1] < 0.0
+    assert young.ballistic_mv_residual(V, d_ok, ref, MODEL, TM, BND).residuals[-1] >= 0.0
+    assert young.ballistic_mv_residual(V, d_too_big, ref, MODEL, TM, BND).residuals[-1] < 0.0
     with pytest.raises(ValueError, match="nonnegative"):
-        young.ballistic_mv_residual(V, -1.0, ref, MODEL, TM)
+        young.ballistic_mv_residual(V, -1.0, ref, MODEL, TM, BND)
 
 
 def test_initial_energy_vacuum_and_mixture():
@@ -390,7 +406,7 @@ def test_initial_energy_vacuum_and_mixture():
     ref = testfuns.theta_refs(1, amps=(0.0,))[0]
 
     def initial_energy(V):
-        rep = young.ballistic_mv_residual(V, 0.0, ref, MODEL, TM)
+        rep = young.ballistic_mv_residual(V, 0.0, ref, MODEL, TM, BND)
         return rep.extras["ballistic"][0]
 
     vac = _const_measure(grid, [0.0], rho=0.0, u0=5.0, theta=1.0)
@@ -429,14 +445,14 @@ def test_defect_compat_zero_and_forced_violation():
     zero = young.DefectBundle(grid=grid, times=times,
                               r_m=np.zeros((2,) + grid.cells + (1, 1)),
                               d_diss=np.array([2.0, 3.0]), xi=np.array([0.5, 7.0]))
-    assert young.defect_compat_check(zero, phis)
+    assert young.defect_compat_check(zero, phis).ok
     x = grid_points(grid)[..., 0]
     r_bad = np.zeros((2,) + grid.cells + (1, 1))
     r_bad[..., 0, 0] = 0.01 * x
     bad = young.DefectBundle(grid=grid, times=times, r_m=r_bad,
                              d_diss=np.zeros(2), xi=np.zeros(2))
     rep = young.defect_compat_check(bad, phis)
-    assert not rep
+    assert not rep.ok
     assert rep.violations
     assert rep.worst_margin < 0.0
 
@@ -490,7 +506,7 @@ def test_defect_from_refinement_oscillation_oracle():
     assert report.d_min_raw >= -1e-9
     assert bundle.xi[0] == pytest.approx(2.0, rel=0.05)
     # constructed bundle satisfies the compatibility bound by calibration
-    assert young.defect_compat_check(bundle, testfuns.velocity_tests(1))
+    assert young.defect_compat_check(bundle, testfuns.velocity_tests(1)).ok
 
 
 def test_defect_from_refinement_input_validation():
