@@ -1075,13 +1075,11 @@ def run_defect_study(spec: ExperimentSpec) -> DefectStudyReport:
         fine, gridmod.Grid(cells=(n_coarse,)), spec.model, refs)
     osc_d = float(bundle.d_diss[0])
 
-    # brute-force period average of the fast factor, then the slow envelope
-    tau = np.linspace(0.0, 2.0 * np.pi, 20001)
-    fast_mean = float(np.trapezoid(np.sin(tau) ** 2, tau)) / (2.0 * np.pi)
-    x = np.linspace(0.0, 1.0, 200001)
-    oracle = float(np.trapezoid(
-        0.5 * (1.0 + 0.05 * np.sin(2.0 * np.pi * x))
-        * fast_mean * np.sin(np.pi * x) ** 2, x))
+    # the kinetic defect in the limit eps -> 0: the fast factor averages to
+    # <sin^2> = 1/2 over a period, leaving int 1/2 rho * 1/2 * sin^2(pi x) dx
+    # with rho = 1 + 0.05 sin(2 pi x); int sin^2(pi x) dx = 1/2 and
+    # int sin(2 pi x) sin^2(pi x) dx = 0, so the oracle is 1/4 * 1/2 = 1/8
+    oracle = 0.125
     rel_err = abs(osc_d - oracle) / oracle
 
     compat = young.defect_compat_check(bundle, testfuns.velocity_tests(1))

@@ -9,11 +9,12 @@ tests, symmetric matrix ``(..., d, d)``.  Spatial derivatives are not part of
 a test: the weak-form clauses in ``young`` form them with the grid's own
 centred operators, so the integrated-by-parts residuals telescope.
 
-Each spatial shape is emitted twice, with time factors ``1`` and ``t``, so the
-trapezoidal time quadrature used by the residual evaluators is exact on the
-steady and linear-in-time pieces.  Families are deliberately small: the weak
-identities are affine in the test function, so a handful of independent shapes
-already pins down the residual scale.
+Each spatial shape is emitted twice, with time factors ``1`` and ``t``: the
+trapezoidal time quadrature of the clauses is exact on both, and as every
+test is affine in time, ``young`` samples ``value(0)`` and ``dt`` once per
+grid and contracts them with all levels at once.  Families are deliberately
+small: the weak identities are affine in the test function, so a handful of
+independent shapes already pins down the residual scale.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ SpaceFn = Callable[[Array], Array]
 class SpaceTimeFn:
     """A test function or reference temperature with analytic time
     derivative; ``zero_trace`` marks one that vanishes on the boundary
-    (momentum), ``nonnegative`` one that stays >= 0 (entropy)."""
+    (momentum), ``nonnegative`` one that stays >= 0 (entropy).  A test
+    function must be affine in time; a reference temperature need not be."""
 
     label: str
     value: Callable[[float, Array], Array]

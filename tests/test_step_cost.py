@@ -1,4 +1,5 @@
-"""Exact call counts of a time step and of a streamed relative-energy level.
+"""Exact call counts of a time step, of a streamed relative-energy level,
+and of the six weak-form clauses of ``mv-check``.
 
 At the study grids a step costs its number of Python and numpy calls, not
 its flops, and a wall clock on a shared machine cannot resolve a change of
@@ -15,12 +16,13 @@ lower its pin with the change that earned it.
 """
 
 import cProfile
+import dataclasses
 
 import pytest
 
 from nsflab import grid as gridmod
 from nsflab import manufactured as mfg
-from nsflab import relenergy, solver, thermo, transport
+from nsflab import config, relenergy, solver, testfuns, thermo, transport, young
 
 # name -> (model, transport, profile, cells, t_end, forced); an unforced run
 # starts from the profile's initial state under a constant wall temperature
@@ -72,3 +74,66 @@ def test_calls_per_step_and_per_level_are_pinned(name):
     assert _count(name, stream=False) == (steps, marched)
     if streamed is not None:
         assert _count(name, stream=True) == (steps, streamed)
+
+
+# the six mv-check clauses, each called as mv-check calls it
+CLAUSES = {
+    "continuity": lambda V, sol: young.continuity_residual(V, testfuns.scalar_tests(1)),
+    "momentum": lambda V, sol: young.momentum_residual(
+        V, testfuns.velocity_tests(1), sol.model, sol.transport_model),
+    "entropy": lambda V, sol: young.entropy_mv_residual(
+        V, testfuns.entropy_tests(1), sol.model, sol.transport_model),
+    "ballistic": lambda V, sol: young.ballistic_mv_residual(
+        V, 0.0, testfuns.theta_ref_from_strong(sol), sol.model, sol.transport_model,
+        boundary=sol.boundary),
+    "velocity_compat": lambda V, sol: young.check_velocity_compat(V, testfuns.tensor_tests(1)),
+    "temperature_compat": lambda V, sol: young.check_temperature_compat(
+        V, testfuns.flux_tests(1), testfuns.theta_ref_from_strong(sol), boundary=sol.boundary),
+}
+# clause -> (calls on the default 1D mv-check measure, 51 levels; calls per
+# level more); the same run marched four times as long has 196 levels.  A
+# clause that reads no reference temperature makes the same calls on both:
+# it samples its tests once per grid.  A wall clause grows only by
+# evaluating the reference once per level, and the ballistic clause its time
+# derivative too.
+CLAUSE_CALLS = {
+    "ballistic": (5736, 108),
+    "continuity": (1205, 0),
+    "entropy": (695, 0),
+    "momentum": (1273, 0),
+    "temperature_compat": (6560, 103),
+    "velocity_compat": (1305, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def mv_check_measures():
+    """The default mv-check measure and the one marched four times as long."""
+    out = []
+    for scale in (1, 4):
+        cfg = config.default_config("mv-check")
+        cfg = cfg.replace_value("solver", "t_end", scale * cfg["solver"]["t_end"])
+        sol = config.build_source(cfg)
+        grid = config.build_grid(cfg, sol.dim)
+        init = solver.FlowState(grid, *sol.on_grid(grid, 0.0), 0.0)
+        traj = solver.simulate(grid, config.build_solver_config(cfg), sol.model,
+                               sol.transport_model, boundary=sol.boundary, initial=init)
+        out.append((young.dirac_from_trajectory(traj), sol))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CLAUSES))
+def test_clause_calls_are_pinned(mv_check_measures, name):
+    counts = []
+    for V, sol in mv_check_measures:
+        for _ in range(2):
+            # on a fresh grid, as every run above is: a grid cache then
+            # compares it with its equal key whatever ran before
+            V = dataclasses.replace(V, grid=gridmod.Grid(cells=V.grid.cells))
+            prof = cProfile.Profile()
+            prof.enable()
+            CLAUSES[name](V, sol)
+            prof.disable()
+        counts.append((V.n_levels, sum(entry.callcount for entry in prof.getstats())))
+    calls, per_level = CLAUSE_CALLS[name]
+    assert counts == [(51, calls), (196, calls + 145 * per_level)]

@@ -1,5 +1,7 @@
 """Tests for phase-space measures, defects, and weak-form residuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -244,17 +246,24 @@ def test_temperature_compat_embeds_the_reference_once_per_level():
     traj, sol = _equilibrium_trajectory(n=8, dim=2)
     V = young.dirac_from_trajectory(traj)
     ref = testfuns.theta_refs(2, amps=(0.0,))[0]
-    calls = []
+    calls = {"value": [], "dt": []}
 
-    def value(t, pts):
-        calls.append(t)
-        return ref.value(t, pts)
+    def counting(name):
+        def fn(t, pts):
+            calls[name].append(t)
+            return getattr(ref, name)(t, pts)
+        return fn
 
-    counted = testfuns.SpaceTimeFn(label=ref.label, value=value, dt=ref.dt)
+    counted = testfuns.SpaceTimeFn(label=ref.label, value=counting("value"),
+                                   dt=counting("dt"))
     psis = testfuns.flux_tests(2)
     rep = young.check_temperature_compat(V, psis, counted, sol.boundary)
     assert len(rep.residuals) == len(psis) > 1
-    assert len(calls) == V.n_levels
+    assert calls == {"value": list(V.times), "dt": []}
+    calls["value"].clear()
+    ball = young.ballistic_mv_residual(V, 0.0, counted, MODEL, TM, sol.boundary)
+    assert len(ball.residuals) == V.n_levels > 1
+    assert calls == {"value": list(V.times), "dt": list(V.times)}
 
 
 def test_strong_dirac_residuals_decay_second_order():
@@ -282,6 +291,120 @@ def test_strong_dirac_residuals_decay_second_order():
     # the sign variant written with + on the gradient pairing does not decay
     assert coarse["tc_aw"] > 100.0 * coarse["tc"]
     assert fine["tc_aw"] > 0.5 * coarse["tc_aw"]
+
+
+def _ii(grid, a, b):
+    """II a.b by the midpoint rule, every component axis contracted."""
+    prod = np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
+    return float(gridmod.integrate(grid, prod.reshape(grid.cells + (-1,)).sum(axis=-1)))
+
+
+def _loop(V, tests, cls, derivative, pairs):
+    """(tests, levels) sums of II level_k . part(test at t_k) over ``pairs`` of
+    (per-level array, part): the loop the clauses replaced, which samples
+    every test at every level."""
+    g, pts = V.grid, grid_points(V.grid)
+    out = np.zeros((len(tests), V.n_levels))
+    for i, test in enumerate(tests):
+        for k, t in enumerate(V.times):
+            if test.zero_trace:
+                f = gridmod.sync_odd(cls.from_interior(g, test.value(t, pts)))
+            else:
+                f = cls(grid=g, data=np.asarray(test.value(t, grid_points(g, ghost=True)),
+                                                dtype=float), synced=True)
+            parts = {"value": f.interior, "derivative": derivative(f), "dt": test.dt(t, pts)}
+            out[i, k] = sum(_ii(g, levels[k], parts[part]) for levels, part in pairs)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_clauses_match_the_per_level_loop(dim):
+    # a two-atom measure on uneven levels that do not start at 0, with a
+    # forcing and a matrix defect; the contractions sum in another order,
+    # so the loop's residuals are matched to rounding
+    if dim == 1:
+        model, tm, sol = MODEL, TM, manufactured("shear", MODEL, TM)
+    else:
+        model, tm = thermo.MolecularRadiation(a=1.0), transport.PowerKappa()
+        sol = manufactured("radiative_decay", model, tm)
+    grid = gridmod.Grid(cells=(16,) if dim == 1 else (8, 8))
+    times = np.array([0.01, 0.02, 0.035, 0.05])
+    one = young.dirac_from_strong(sol, grid, times)
+    V = young.mix([one, dataclasses.replace(one, u=-0.5 * one.u, theta=1.1 * one.theta)],
+                  [0.3, 0.7])
+    E = lambda vals: young.expect(V, vals)  # noqa: E731
+    pts = grid_points(grid)
+    per_level = lambda fn: np.stack([fn(t, pts) for t in times])  # noqa: E731
+    close = dict(rtol=1e-10, atol=1e-12)
+
+    def balance(tests, cls, derivative, density, *bulk):
+        held = _loop(V, tests, cls, derivative, [(density, "value")])
+        rates = _loop(V, tests, cls, derivative, [(density, "dt"), *bulk])
+        return held[:, -1] - held[:, 0] - np.trapezoid(rates, times)
+
+    psis = testfuns.scalar_tests(dim)
+    np.testing.assert_allclose(
+        young.continuity_residual(V, psis, source=sol).residuals,
+        balance(psis, gridmod.ScalarField, gridmod.gradient, E(V.rho),
+                (E(V.rho[..., None] * V.u), "derivative"), (per_level(sol.f_mass), "value")),
+        **close)
+
+    phis = testfuns.velocity_tests(dim)
+    r_m = 0.01 * np.ones((len(times),) + grid.interior_shape((dim, dim)))
+    defects = young.DefectBundle(grid=grid, times=times, r_m=r_m,
+                                 d_diss=np.zeros(4), xi=np.zeros(4))
+    stress = (E(V.rho[..., None, None] * V.u[..., :, None] * V.u[..., None, :])
+              + E(model.p(V.rho, V.theta))[..., None, None] * np.eye(dim)
+              - E(transport.viscous_stress(tm, V.rho, V.theta, V.d_u)) + r_m)
+    np.testing.assert_allclose(
+        young.momentum_residual(V, phis, model, tm, defects=defects, source=sol).residuals,
+        balance(phis, gridmod.VectorField, gridmod.grad_vector, E(V.rho[..., None] * V.u),
+                (stress, "derivative"), (per_level(sol.f_mom), "value")),
+        **close)
+
+    ents = testfuns.entropy_tests(dim)
+    rho_s = model.rho_s(V.rho, V.theta)
+    flux = E(rho_s[..., None] * V.u
+             - (tm.kappa(V.rho, V.theta) / V.theta)[..., None] * V.d_theta)
+    sigma = E(transport.entropy_production_density(tm, V.rho, V.theta, V.d_u, V.d_theta))
+    np.testing.assert_allclose(
+        young.entropy_mv_residual(V, ents, model, tm).residuals,
+        balance(ents, gridmod.ScalarField, gridmod.gradient, E(rho_s),
+                (flux, "derivative"), (sigma, "value")),
+        **close)
+
+    tensors = testfuns.tensor_tests(dim)
+    inner = _loop(V, tensors, gridmod.TensorField, gridmod.tensor_divergence,
+                  [(-E(V.u), "derivative"), (-E(V.d_u), "value")])
+    np.testing.assert_allclose(young.check_velocity_compat(V, tensors).residuals,
+                               np.trapezoid(inner, times), **close)
+
+    ref = testfuns.theta_ref_from_strong(sol)
+    ref_vals = per_level(ref.value)
+    grad_ref = np.stack([gridmod.gradient(gridmod.sync_dirichlet(
+        gridmod.ScalarField.from_interior(grid, r), sol.boundary, t))
+        for t, r in zip(times, ref_vals)])
+    flux_tests = testfuns.flux_tests(dim)
+    a = _loop(V, flux_tests, gridmod.VectorField, gridmod.divergence,
+              [(E(V.theta) - ref_vals, "derivative")])
+    b = _loop(V, flux_tests, gridmod.VectorField, gridmod.divergence,
+              [(E(V.d_theta) - grad_ref, "value")])
+    tc = young.check_temperature_compat(V, flux_tests, ref, sol.boundary)
+    np.testing.assert_allclose(tc.residuals, np.trapezoid(-a - b, times), **close)
+    np.testing.assert_allclose(tc.extras["as_written"], np.trapezoid(-a + b, times), **close)
+
+    # the ballistic slack at level k, its time integral taken over levels 0..k
+    d_diss = np.array([0.0, 1e-4, 2e-4, 3e-4])
+    energy = E(0.5 * V.rho * np.sum(V.u * V.u, axis=-1) + model.rho_e(V.rho, V.theta))
+    ball = np.array([_ii(grid, energy[k] - ref_vals[k] * E(rho_s)[k], 1.0) for k in range(4)])
+    rates = np.array([_ii(grid, sigma[k], ref_vals[k])
+                      + _ii(grid, E(rho_s)[k], ref.dt(t, pts))
+                      + _ii(grid, flux[k], grad_ref[k]) for k, t in enumerate(times)])
+    slack = [ball[0] - ball[k] - d_diss[k] - np.trapezoid(rates[:k + 1], times[:k + 1])
+             for k in range(4)]
+    np.testing.assert_allclose(
+        young.ballistic_mv_residual(V, d_diss, ref, model, tm, sol.boundary).residuals,
+        slack, **close)
 
 
 def test_temperature_compat_matching_reference_is_zero():
@@ -398,6 +521,25 @@ def test_ballistic_threshold_scan():
     assert young.ballistic_mv_residual(V, d_too_big, ref, MODEL, TM, BND).residuals[-1] < 0.0
     with pytest.raises(ValueError, match="nonnegative"):
         young.ballistic_mv_residual(V, -1.0, ref, MODEL, TM, BND)
+
+
+def test_ballistic_refuses_a_mis_sized_dissipation_defect():
+    V = _const_measure(gridmod.Grid(cells=(8,)), [0.0, 0.1, 0.2])
+    ref = testfuns.theta_refs(1, amps=(0.0,))[0]
+    with pytest.raises(ValueError, match="d_diss has 2 values for 3 time levels"):
+        young.ballistic_mv_residual(V, np.zeros(2), ref, MODEL, TM, BND)
+    per_level = young.ballistic_mv_residual(V, np.zeros(3), ref, MODEL, TM, BND)
+    assert np.array_equal(per_level.residuals,
+                          young.ballistic_mv_residual(V, 0.0, ref, MODEL, TM, BND).residuals)
+
+
+def test_clauses_refuse_a_test_not_affine_in_time():
+    # the clauses sample a test once, as value(0) + t * dt
+    V = _const_measure(gridmod.Grid(cells=(8,)), [0.0, 0.1])
+    square = testfuns.SpaceTimeFn(label="t2", value=lambda t, p: t * t * np.ones(p.shape[:-1]),
+                                  dt=lambda t, p: 2.0 * t * np.ones(p.shape[:-1]))
+    with pytest.raises(ValueError, match="'t2' must be affine in time"):
+        young.continuity_residual(V, [square])
 
 
 def test_initial_energy_vacuum_and_mixture():
