@@ -8,10 +8,12 @@ flags over both.  A flag and a file key are one setting: each flag of
 as a file value is, and its help names the key.
 
 Every command then takes one path, :func:`_run`, under ``<out>/<command>/``:
-a refused value exits 2 and writes nothing; a hypothesis-gate rejection
-writes the echo ``config-effective.ini`` and a rejection ``verdict.json``
-and exits 1; a run writes the echo, its CSV series and binary snapshots,
-and ``verdict.json``, and exits 0 only if every assertion holds, else 1.
+a refused value exits 2 and writes nothing (a study runs the lists its
+config gives, so an emptied grid list, eps list or profile is refused); a
+hypothesis-gate rejection writes the echo ``config-effective.ini`` and a
+rejection ``verdict.json`` and exits 1; a run writes the echo, its CSV
+series and binary snapshots, and ``verdict.json``, and exits 0 only if
+every assertion holds, else 1.
 Re-running with the echo alone repeats the run, and identical (config,
 seed) pairs produce byte-identical reports.
 """
@@ -127,6 +129,14 @@ def _run(args, command: str, row: str, build) -> int:
 # --------------------------------------------------------------------------
 
 
+def _tol(cfg: configmod.RunConfig, grid) -> float:
+    """An audit's tolerance: experiment.tol_scale times the widest cell."""
+    scale = cfg["experiment"]["tol_scale"]
+    if scale < 0.0:
+        raise configmod.ConfigError(f"experiment.tol_scale: must be >= 0, got {scale!r}")
+    return scale * max(grid.h)
+
+
 def _simulate(cfg):
     cfg, source, grid = _flow(cfg)
     scfg = configmod.build_solver_config(cfg, source)
@@ -156,6 +166,8 @@ def _verify_thermo(cfg):
     if samples < 2:
         raise configmod.ConfigError("run.samples: the convexity check needs at least 2 "
                                     f"sampled states, got {samples}")
+    if seed < 0:
+        raise configmod.ConfigError(f"run.seed: must be >= 0, got {seed}")
     model = configmod.build_model(cfg)
 
     def run():
@@ -176,7 +188,7 @@ def _verify_thermo(cfg):
 def _mv_check(cfg):
     cfg, sol, grid = _flow(cfg)
     scfg = configmod.build_solver_config(cfg)  # unforced: the clauses see the bare flow
-    tol = cfg["experiment"]["tol_scale"] * max(grid.h)
+    tol = _tol(cfg, grid)
 
     def run():
         model, tm = sol.model, sol.transport_model
@@ -225,7 +237,7 @@ def _relenergy(cfg):
         raise configmod.ConfigError(f"experiment.eps: the perturbation size must be > 0, "
                                     f"got {eps!r}")
     scfg = configmod.build_solver_config(cfg, sol)
-    tol = cfg["experiment"]["tol_scale"] * max(grid.h)
+    tol = _tol(cfg, grid)
 
     def run():
         model, tm = sol.model, sol.transport_model

@@ -6,7 +6,9 @@ declared type (finite numbers, closed sets within ``CHOICES``) and refused
 by their key, and saving a loaded config reproduces it exactly (floats are
 written in shortest round-trip form).  Each command starts from its own row
 of defaults (:func:`default_config`), reads its file over that row and its
-flags over both, so the echo of what it ran is one complete config.
+flags over both, so the echo of what it ran is one complete config.  The
+builders take the values as they are: a study refuses an emptied grid
+list, eps list or profile rather than fall back to its claim's row.
 """
 
 from __future__ import annotations
@@ -109,9 +111,6 @@ class RunConfig:
 
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
-
-    def get(self, section: str, key: str):
-        return self.sections[section][key]
 
     def replace_value(self, section: str, key: str, value) -> "RunConfig":
         """Copy with one value swapped (validated against the schema kind)."""
@@ -313,10 +312,11 @@ def build_grid(cfg: RunConfig, dim: int) -> gridmod.Grid:
     return _construct("grid", gridmod.Grid, cells=cells)
 
 
-def build_source(cfg: RunConfig, name: Optional[str] = None) -> StrongSolution:
-    """The manufactured comparison flow ``name`` (solver.profile when None)."""
+def build_source(cfg: RunConfig) -> StrongSolution:
+    """The manufactured comparison flow of solver.profile; an empty profile
+    is refused."""
 
-    name = cfg["solver"]["profile"] if name is None else name
+    name = cfg["solver"]["profile"]
     if not name:
         raise ConfigError("solver.profile: this command runs one comparison flow; "
                           f"choose from {', '.join(profile_names())}")
@@ -335,15 +335,17 @@ def build_solver_config(cfg: RunConfig,
 
 
 def build_experiment_spec(cfg: RunConfig, theorem: str) -> ExperimentSpec:
-    """The gated spec of claim ``theorem``; its comparison profile comes from
-    solver.profile and must build, as in every other command."""
+    """The gated spec of claim ``theorem`` with the grids, perturbation sizes
+    and profile the config lists, as given: an emptied grid or eps list is
+    refused by the spec, and an emptied profile, or one the models cannot
+    carry, by :func:`build_source`, after the gate has had its say."""
 
     block = cfg["experiment"]
     spec = _construct(
         "experiment", ExperimentSpec, theorem=theorem, model=build_model(cfg),
-        transport_model=build_transport(cfg), profile=cfg["solver"]["profile"] or None,
-        eps_list=block["eps"] or None, grids=block["grids"] or None,
+        transport_model=build_transport(cfg), profile=cfg["solver"]["profile"],
+        eps_list=block["eps"], grids=block["grids"],
         solver=build_solver_config(cfg), theta_scale=block["theta_scale"],
         theta_tilt=block["theta_tilt"], c_fixed=block["c_fixed"])
-    build_source(cfg, spec.resolved_profile)
+    build_source(cfg)
     return spec

@@ -294,6 +294,8 @@ class ExperimentSpec:
             raise HypothesisGateError(gate)
         object.__setattr__(self, "gate", gate)
         defaults = CLAIM_DEFAULTS[theorem]
+        if self.profile is None:
+            object.__setattr__(self, "profile", defaults.profile)
         grids = tuple(int(n) for n in (self.grids if self.grids is not None
                                        else defaults.grids))
         if len(grids) < 1 or any(n < 4 for n in grids):
@@ -325,10 +327,6 @@ class ExperimentSpec:
             raise ValueError("theta_tilt: boundary temperature tilt must lie in [0, 1]")
         if self.c_fixed is not None and not self.c_fixed > 0.0:
             raise ValueError("c_fixed: must be > 0")
-
-    @property
-    def resolved_profile(self) -> str:
-        return self.profile or CLAIM_DEFAULTS[self.theorem].profile
 
 
 def _serve(run, share: list, fd: int) -> None:
@@ -446,10 +444,6 @@ _NO_RANGES = {"rho_min": math.inf, "rho_max": 0.0, "theta_min": math.inf,
 def _merge_ranges(into: dict[str, float], other: dict[str, float]) -> None:
     for key, value in other.items():
         into[key] = (min if key.endswith("_min") else max)(into[key], value)
-
-
-def _make_grid(n: int, dim: int) -> gridmod.Grid:
-    return gridmod.Grid(cells=(n,) * dim)
 
 
 def _fit_order(h: np.ndarray, sup: np.ndarray) -> float:
@@ -608,7 +602,7 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
             "run_theorem handles claims '1', '2' and '3'; use run_apriori or "
             "run_defect_study for the budget and coarse-graining studies")
     gate = spec.gate
-    profile = spec.resolved_profile
+    profile = spec.profile
     sol = manufactured(profile, spec.model, spec.transport_model)
     dim = sol.dim
     model = spec.model
@@ -623,7 +617,7 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
         the envelope growth for a perturbed one), its ranges and its reads."""
         n, eps, claim_reads = task
         theorem_2 = claim_reads and spec.theorem == "2"
-        grid = _make_grid(n, dim)
+        grid = gridmod.Grid(cells=(n,) * dim)
         ranges = dict(_NO_RANGES)
         reads: list[tuple[float, ...]] = []
 
@@ -692,10 +686,10 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     first = results[read_at][2] if read_at is not None else {}
 
     sup_e = [sup for sup, _, _ in results[:n_collapse]]
-    hs = [max(_make_grid(n, dim).h) for n in spec.grids]
+    hs = [max(gridmod.Grid(cells=(n,) * dim).h) for n in spec.grids]
     order = _fit_order(np.asarray(hs), np.asarray(sup_e))
 
-    fine = _make_grid(spec.grids[-1], dim)
+    fine = gridmod.Grid(cells=(spec.grids[-1],) * dim)
     e0, cs, growth = zip(*(summary for summary, _, _ in results[n_collapse:-1]))
     c_arr = np.asarray(cs)
     scale = float(np.max(np.abs(c_arr)))
@@ -889,7 +883,7 @@ def run_apriori(spec: ExperimentSpec) -> AprioriReport:
     if spec.theorem != "apriori":
         raise ValueError("run_apriori requires a spec built for claim 'apriori'")
     gate = spec.gate
-    sol = manufactured(spec.resolved_profile, spec.model, spec.transport_model)
+    sol = manufactured(spec.profile, spec.model, spec.transport_model)
     theta_b = spec.theta_scale
     tilt = spec.theta_tilt
     boundary = gridmod.affine_boundary(theta_b, theta_b * tilt)
@@ -897,7 +891,7 @@ def run_apriori(spec: ExperimentSpec) -> AprioriReport:
     def run(n: int):
         """The budget terms of one run on n x n cells, with the interior
         range of its harmonic extension and its maximum-principle margin."""
-        grid = _make_grid(n, 2)
+        grid = gridmod.Grid(cells=(n, n))
         theta_hat = gridmod.harmonic_extension(grid, boundary, t=0.0)
         hat_int = theta_hat.interior
         bvals = [np.asarray(boundary.theta(0.0, pts), dtype=float)
@@ -1029,11 +1023,8 @@ def _entropy_coarsening_gap(fine: solver.Trajectory, factor: int,
 
     rho = fine.rho[0]
     theta = fine.theta[0]
-    rs = rho * model.s(rho, theta)
-    shape = (rho.shape[0] // factor, factor)
-    avg_rs = rs.reshape(shape).mean(axis=-1)
-    rho_bar = rho.reshape(shape).mean(axis=-1)
-    th_bar = theta.reshape(shape).mean(axis=-1)
+    avg_rs, rho_bar, th_bar = (young._block_average(a, (factor,))
+                               for a in (rho * model.s(rho, theta), rho, theta))
     gap = np.abs(avg_rs - rho_bar * model.s(rho_bar, th_bar))
     denom = float(np.sum(np.abs(avg_rs))) + 1e-300
     return float(np.sum(gap)) / denom

@@ -26,7 +26,9 @@ reference temperature take the Dirichlet trace ``boundary`` as an argument.
 ``calibrate_kp_constant`` gives a grid's Korn-Poincare constant; the claim-3
 study in ``experiments`` compares it with the velocity-control quotient of a
 run.  ``defect_from_refinement`` estimates a defect bundle by block-averaging
-one fine run onto one coarser grid, level by level.
+every level of one fine run onto one coarser grid as one array, and
+``defect_compat_check`` bounds the bundle's pairings with the same sampled
+test family and contractions the clauses use.
 
 Discrete-calculus convention: expectations live at cell centers, test-function
 spatial derivatives are formed with the same centered operators as the field
@@ -352,11 +354,11 @@ def _sampled(grid: gridmod.Grid, fn: Callable, t: float, zero_trace: bool, field
     return field_cls(grid=grid, data=vals, synced=True)
 
 
-def _family(V: AtomicYoungMeasure, tests: Sequence[SpaceTimeFn], field_cls,
+def _family(V: AtomicYoungMeasure | DefectBundle, tests: Sequence[SpaceTimeFn], field_cls,
             derivative: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """The tests as whole arrays: interior samples and their centred
-    ``derivative``, each stacked ``(2, tests, *cells, *components)`` with the
-    value at ``t = 0`` first and the time derivative second.
+    """The tests as whole arrays on ``V``'s grid: interior samples and their
+    centred ``derivative``, each stacked ``(2, tests, *cells, *components)``
+    with the value at ``t = 0`` first and the time derivative second.
 
     The clauses evaluate a test at level ``k`` as ``value(0) + t_k dt``, so
     every test must be affine in time, as the families' ``f*1`` and ``f*t``
@@ -396,10 +398,11 @@ def _against(g: gridmod.Grid, levels: np.ndarray, family: np.ndarray,
     return at0 + rate * times
 
 
-def _per_level(V: AtomicYoungMeasure, *fns: Callable) -> list[np.ndarray]:
-    """Each ``fn(t, cell centers)`` stacked over the measure's levels.  The
-    fns are evaluated level by level, so a strong solution's memo of its
-    last time level serves all of them."""
+def _per_level(V: AtomicYoungMeasure | DefectBundle | Trajectory,
+               *fns: Callable) -> list[np.ndarray]:
+    """Each ``fn(t, cell centers)`` stacked over the levels of ``V``'s grid
+    and times.  The fns are evaluated level by level, so a strong
+    solution's memo of its last time level serves all of them."""
 
     pts = grid_points(V.grid)
     rows = [[np.asarray(fn(float(t), pts), dtype=float) for fn in fns] for t in V.times]
@@ -595,31 +598,26 @@ def ballistic_mv_residual(V: AtomicYoungMeasure, d_diss: np.ndarray | float,
 def defect_compat_check(bundle: DefectBundle,
                         phis: Sequence[SpaceTimeFn]) -> DefectCompatReport:
     """Check |pairing of r_m with grad phi| <= xi * D * ||phi||_C1 levelwise,
-    up to a relative slack of 1e-12."""
+    up to a relative slack of 1e-12; violations come in (test, level) order."""
 
-    g = bundle.grid
-    pts = grid_points(g)
-    worst = np.inf
-    violations = []
     for test in phis:
         if not test.zero_trace:
             raise ValueError(f"defect test function {test.label!r} must vanish on the boundary")
-        for k, t in enumerate(bundle.times):
-            t = float(t)
-            phi_f = _sampled(g, test.value, t, test.zero_trace, gridmod.VectorField)
-            grad_phi = gridmod.grad_vector(phi_f)
-            pairing = abs(float(gridmod.integrate(
-                g, np.einsum("...jk,...jk->...", bundle.r_m[k], grad_phi))))
-            sup_phi = float(np.max(np.linalg.norm(test.value(t, pts), axis=-1)))
-            sup_grad = float(np.max(np.sqrt(np.sum(grad_phi ** 2, axis=(-2, -1)))))
-            c1_norm = max(sup_phi, sup_grad)
-            bound = float(bundle.xi[k] * bundle.d_diss[k]) * c1_norm
-            margin = bound + 1e-12 * (1.0 + bound) - pairing
-            worst = min(worst, margin)
-            if margin < 0.0:
-                violations.append((test.label, k, pairing, bound))
-    return DefectCompatReport(ok=not violations, worst_margin=float(worst),
-                              violations=tuple(violations))
+    vals, grads = _family(bundle, phis, gridmod.VectorField, gridmod.grad_vector)
+    pairing = np.abs(_against(bundle.grid, bundle.r_m, grads, bundle.times))
+
+    def sup(family: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+        """``(tests, levels)`` sup over cells of the norm of ``value(0) + t dt``."""
+        t = bundle.times.reshape((-1,) + (1,) * (family.ndim - 2))
+        norm = np.sqrt(np.sum((family[0][:, None] + t * family[1][:, None]) ** 2, axis=axes))
+        return norm.reshape(pairing.shape + (-1,)).max(axis=-1)
+
+    bound = (bundle.xi * bundle.d_diss) * np.maximum(sup(vals, (-1,)), sup(grads, (-2, -1)))
+    margin = bound + 1e-12 * (1.0 + bound) - pairing
+    violations = tuple((phis[i].label, int(k), float(pairing[i, k]), float(bound[i, k]))
+                       for i, k in np.argwhere(margin < 0.0))
+    return DefectCompatReport(ok=not violations, worst_margin=float(np.min(margin)),
+                              violations=violations)
 
 
 def calibrate_kp_constant(grid: gridmod.Grid) -> float:
@@ -653,17 +651,12 @@ def calibrate_kp_constant(grid: gridmod.Grid) -> float:
 
 
 def _block_average(a: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
-    """Average over blocks of shape ``factors``; trailing axes pass through."""
+    """Average the leading axes over blocks of shape ``factors``; trailing
+    axes pass through."""
 
-    dim = len(factors)
-    shape = a.shape
-    new = []
-    for ax in range(dim):
-        new.extend([shape[ax] // factors[ax], factors[ax]])
-    new.extend(shape[dim:])
-    reshaped = a.reshape(tuple(new))
-    axes = tuple(2 * ax + 1 for ax in range(dim))
-    return reshaped.mean(axis=axes)
+    blocks = [n for size, f in zip(a.shape, factors) for n in (size // f, f)]
+    return a.reshape(tuple(blocks) + a.shape[len(factors):]).mean(
+        axis=tuple(range(1, 2 * len(factors), 2)))
 
 
 def defect_from_refinement(fine: Trajectory, coarse: gridmod.Grid,
@@ -672,12 +665,13 @@ def defect_from_refinement(fine: Trajectory, coarse: gridmod.Grid,
                            ) -> tuple[DefectBundle, RefinementReport]:
     """Estimate dissipation and matrix defects by coarse-graining a fine run.
 
-    Each level of ``fine`` is block-averaged in its conserved variables
-    ``(rho, rho u, rho s)`` onto ``coarse``, and level k of the bundle is
-    level k of ``fine``.  Per coarse cell, the dissipation-defect density is
-    the Jensen gap ``avg(total energy) - total energy(averaged state)``
-    (nonnegative because total energy is convex in the conserved variables),
-    and the matrix-defect density is the matching gap for ``rho u x u + p I``.
+    Every level of ``fine`` is block-averaged at once in its conserved
+    variables ``(rho, rho u, rho s)`` onto ``coarse``, and level k of the
+    bundle is level k of ``fine``.  Per coarse cell, the dissipation-defect
+    density is the Jensen gap ``avg(total energy) - total energy(averaged
+    state)`` (nonnegative because total energy is convex in the conserved
+    variables), and the matrix-defect density is the matching gap for
+    ``rho u x u + p I``.
     The compatibility weight is ``xi = integral|r_m|_F / D``.
     Reference-temperature terms enter the ballistic gap only through in-cell
     covariance with the entropy, so the estimate's spread across admissible
@@ -690,60 +684,42 @@ def defect_from_refinement(fine: Trajectory, coarse: gridmod.Grid,
                          "must share the domain")
     if any(cf % cc for cf, cc in zip(g.cells, coarse.cells)):
         raise ValueError("incompatible grids: fine cells must be multiples of the coarse ones")
-    factors = tuple(cf // cc for cf, cc in zip(g.cells, coarse.cells))
-    times = np.asarray(fine.times, dtype=float)
-    n_t = len(times)
-    d = coarse.dim
-    fine_pts = grid_points(g)
-    coarse_pts = grid_points(coarse)
+    # the level axis leads and is kept; each block spans fine cells only
+    factors = (1,) + tuple(cf // cc for cf, cc in zip(g.cells, coarse.cells))
+    eye = np.eye(coarse.dim)
+    rho, u = fine.rho, fine.u
+    fine_eos = model.partials(rho, fine.theta, ("rho_s", "rho_e", "p"))
+    rho_s = fine_eos["rho_s"]
+    energy = 0.5 * rho * np.sum(u * u, axis=-1) + fine_eos["rho_e"]
+    rho_bar = _block_average(rho, factors)
+    rs_bar = _block_average(rho_s, factors)
+    th_bar = thermo.invert_entropy(model, rho_bar, rs_bar / rho_bar)
+    u_bar = _block_average(rho[..., None] * u, factors) / rho_bar[..., None]
+    bar_eos = model.partials(rho_bar, th_bar, ("rho_e", "p"))
+    e_bar = 0.5 * rho_bar * np.sum(u_bar * u_bar, axis=-1) + bar_eos["rho_e"]
+    gap = _block_average(energy, factors) - e_bar
+    flux_avg = (_block_average(rho[..., None, None] * u[..., :, None] * u[..., None, :], factors)
+                + _block_average(fine_eos["p"], factors)[..., None, None] * eye)
+    flux_bar = (rho_bar[..., None, None] * u_bar[..., :, None] * u_bar[..., None, :]
+                + bar_eos["p"][..., None, None] * eye)
+    r_m = flux_avg - flux_bar
 
-    r_m = np.zeros((n_t,) + coarse.interior_shape((d, d)))
-    d_diss = np.zeros(n_t)
-    rm_tot = np.zeros(n_t)
-    ref_gaps = np.zeros((max(len(theta_refs), 1), n_t))
-    d_min_raw = np.inf
-
-    for k, t in enumerate(times):
-        rho, u, th = fine.rho[k], fine.u[k], fine.theta[k]
-        mom = rho[..., None] * u
-        fine_eos = model.partials(rho, th, ("rho_s", "rho_e", "p"))
-        rho_s = fine_eos["rho_s"]
-        energy = 0.5 * rho * np.sum(u * u, axis=-1) + fine_eos["rho_e"]
-        rho_bar = _block_average(rho, factors)
-        mom_bar = _block_average(mom, factors)
-        rs_bar = _block_average(rho_s, factors)
-        e_avg = _block_average(energy, factors)
-        th_bar = thermo.invert_entropy(model, rho_bar, rs_bar / rho_bar)
-        u_bar = mom_bar / rho_bar[..., None]
-        bar_eos = model.partials(rho_bar, th_bar, ("rho_e", "p"))
-        e_bar = 0.5 * rho_bar * np.sum(u_bar * u_bar, axis=-1) + bar_eos["rho_e"]
-        gap = e_avg - e_bar
-        d_min_raw = min(d_min_raw, float(np.min(gap)))
-        d_diss[k] = float(gridmod.integrate(coarse, np.maximum(gap, 0.0)))
-        conv = rho[..., None, None] * u[..., :, None] * u[..., None, :]
-        flux_avg = (_block_average(conv, factors)
-                    + _block_average(fine_eos["p"], factors)[..., None, None] * np.eye(d))
-        flux_bar = (rho_bar[..., None, None] * u_bar[..., :, None] * u_bar[..., None, :]
-                    + bar_eos["p"][..., None, None] * np.eye(d))
-        r_m[k] = flux_avg - flux_bar
-        rm_tot[k] = float(gridmod.integrate(
-            coarse, np.sqrt(np.sum(r_m[k] ** 2, axis=(-2, -1)))))
-        for ri, ref in enumerate(theta_refs):
-            ref_fine = np.asarray(ref.value(float(t), fine_pts), dtype=float)
-            ref_coarse = np.asarray(ref.value(float(t), coarse_pts), dtype=float)
-            ball_avg = _block_average(energy - ref_fine * rho_s, factors)
-            ball_bar = e_bar - ref_coarse * rs_bar
-            ref_gaps[ri, k] = float(gridmod.integrate(
-                coarse, np.maximum(ball_avg - ball_bar, 0.0)))
-
+    # transposed, the cells lead: the integrals of every level
+    d_diss = gridmod.integrate(coarse, np.maximum(gap, 0.0).T)
+    rm_tot = gridmod.integrate(coarse, np.sqrt(np.sum(r_m ** 2, axis=(-2, -1))).T)
     floor = 1e-14 * (1.0 + np.max(d_diss))
     xi = np.where(rm_tot <= floor, 0.0, rm_tot / np.maximum(d_diss, 1e-300))
+    bundle = DefectBundle(grid=coarse, times=fine.times, r_m=r_m, d_diss=d_diss, xi=xi)
     spread = 0.0
-    if theta_refs:
-        scale = np.maximum(d_diss, 1e-300)
-        live = d_diss > floor
-        if np.any(live):
-            spread = float(np.max(np.abs(ref_gaps[:, live] - d_diss[live]) / scale[live]))
-    bundle = DefectBundle(grid=coarse, times=times, r_m=r_m, d_diss=d_diss, xi=xi)
-    report = RefinementReport(theta_spread=spread, d_min_raw=float(d_min_raw))
-    return bundle, report
+    live = d_diss > floor
+    if theta_refs and np.any(live):
+        values = [ref.value for ref in theta_refs]
+        ref_gaps = np.stack([
+            gridmod.integrate(coarse, np.maximum(
+                _block_average(energy - ref_fine * rho_s, factors)
+                - (e_bar - ref_coarse * rs_bar), 0.0).T)
+            for ref_fine, ref_coarse in zip(_per_level(fine, *values),
+                                            _per_level(bundle, *values))])
+        spread = float(np.max(np.abs(ref_gaps[:, live] - d_diss[live])
+                              / np.maximum(d_diss, 1e-300)[live]))
+    return bundle, RefinementReport(theta_spread=spread, d_min_raw=float(np.min(gap)))

@@ -63,7 +63,7 @@ def test_builders_assemble_the_configured_objects():
         "[model]\nkind = molecular_radiation\na = 0.5\nkernel = degenerate\n"
         "[transport]\nkind = power_kappa\nbeta = 2.0\n"
     )
-    cfg = config.loads_config(text)
+    cfg = config.loads_config(text, config.default_config("3"))
     model = config.build_model(cfg)
     tm = config.build_transport(cfg)
     assert model.a == 0.5
@@ -661,6 +661,22 @@ def _schema_rows():
                  id="defect-study-grids-18"),
     pytest.param(["defect-study", "--grids", "64,66"], None, "experiment.grids",
                  id="defect-study-grids-64-66"),
+    # a study runs what its config lists: an emptied list or profile is refused
+    pytest.param(["wsu", "--theorem", "1", "--grids", ""], None, "experiment.grids",
+                 id="wsu-1-grids-empty"),
+    pytest.param(["wsu", "--theorem", "1", "--eps", ""], None, "experiment.eps",
+                 id="wsu-1-eps-empty"),
+    pytest.param(["defect-study", "--grids", ""], None, "experiment.grids",
+                 id="defect-study-grids-empty"),
+    pytest.param(["apriori"], "[solver]\nprofile =\n", "solver.profile",
+                 id="apriori-profile-empty"),
+    # a negative tolerance scale or seed
+    pytest.param(["mv-check", "--tol-scale", "-1"], None, "experiment.tol_scale",
+                 id="mv-check-tol-scale-neg"),
+    pytest.param(["relenergy", "--tol-scale", "-0.5"], None, "experiment.tol_scale",
+                 id="relenergy-tol-scale-neg"),
+    pytest.param(["verify-thermo", "--seed", "-1"], None, "run.seed",
+                 id="verify-thermo-seed-neg"),
     pytest.param(["simulate", "--cells", ""], None, "grid.cells", id="simulate-cells-empty"),
     pytest.param(["simulate", "--cells", "8,8"], None, "grid.cells", id="simulate-cells-2d"),
     pytest.param(["mv-check"], "[solver]\nprofile =\n", "solver.profile",
@@ -904,7 +920,7 @@ def test_every_flag_sets_its_key_and_round_trips_through_the_echo(tmp_path, caps
     base = config.default_config(row)
     kind = config._SCHEMA[section][key][0]
     if kind == "str":
-        value = next(c for c in config.CHOICES[(section, key)] if c != base.get(section, key))
+        value = next(c for c in config.CHOICES[(section, key)] if c != base[section][key])
         text = value
     else:
         text, value = _FLAG_VALUES[kind]

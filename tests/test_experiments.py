@@ -164,16 +164,16 @@ def test_spec_keeps_the_gate_it_computes(monkeypatch):
 
 def test_spec_defaults_resolve_per_claim():
     s1 = ex.ExperimentSpec(theorem="1", model=PG, transport_model=AT)
-    assert s1.resolved_profile == "shear"
+    assert s1.profile == "shear"
     assert s1.grids == (32, 64)
     assert s1.eps_list == (1e-2, 1e-3)
     s3 = ex.ExperimentSpec(theorem="3", model=MR, transport_model=PK)
-    assert s3.resolved_profile == "radiative_decay"
+    assert s3.profile == "radiative_decay"
     assert s3.grids == (16, 32)
     assert s3.eps_list == (1e-1, 1e-2)
     sa = ex.ExperimentSpec(theorem="apriori", model=MR, transport_model=PK)
     assert sa.grids == (8, 16, 32)
-    assert sa.resolved_profile == "radiative_decay"
+    assert sa.profile == "radiative_decay"
 
 
 # --------------------------------------------------------------------------

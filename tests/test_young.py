@@ -659,6 +659,128 @@ def test_defect_from_refinement_input_validation():
         young.defect_from_refinement(fine, gridmod.Grid(cells=(24,)), MODEL)
 
 
+
+def _block_mean(a, factors):
+    """Means over blocks of shape ``factors``; trailing axes pass through."""
+    shape = []
+    for n, f in zip(a.shape, factors):
+        shape += [n // f, f]
+    axes = tuple(range(1, 2 * len(factors), 2))
+    return a.reshape(tuple(shape) + a.shape[len(factors):]).mean(axis=axes)
+
+
+def _refinement_loop(fine, coarse, model, theta_refs):
+    """The level-by-level coarse-graining ``defect_from_refinement``
+    replaced: one level of the fine run at a time, as (bundle, report)."""
+    g, d = fine.grid, coarse.dim
+    factors = tuple(cf // cc for cf, cc in zip(g.cells, coarse.cells))
+    times = np.asarray(fine.times, dtype=float)
+    n_t = len(times)
+    r_m = np.zeros((n_t,) + coarse.interior_shape((d, d)))
+    d_diss, rm_tot = np.zeros(n_t), np.zeros(n_t)
+    ref_gaps = np.zeros((max(len(theta_refs), 1), n_t))
+    d_min_raw = np.inf
+    for k, t in enumerate(times):
+        rho, u, th = fine.rho[k], fine.u[k], fine.theta[k]
+        eos = model.partials(rho, th, ("rho_s", "rho_e", "p"))
+        energy = 0.5 * rho * np.sum(u * u, axis=-1) + eos["rho_e"]
+        rho_bar = _block_mean(rho, factors)
+        rs_bar = _block_mean(eos["rho_s"], factors)
+        th_bar = thermo.invert_entropy(model, rho_bar, rs_bar / rho_bar)
+        u_bar = _block_mean(rho[..., None] * u, factors) / rho_bar[..., None]
+        bar = model.partials(rho_bar, th_bar, ("rho_e", "p"))
+        e_bar = 0.5 * rho_bar * np.sum(u_bar * u_bar, axis=-1) + bar["rho_e"]
+        gap = _block_mean(energy, factors) - e_bar
+        d_min_raw = min(d_min_raw, float(np.min(gap)))
+        d_diss[k] = float(gridmod.integrate(coarse, np.maximum(gap, 0.0)))
+        conv = rho[..., None, None] * u[..., :, None] * u[..., None, :]
+        flux_avg = (_block_mean(conv, factors)
+                    + _block_mean(eos["p"], factors)[..., None, None] * np.eye(d))
+        flux_bar = (rho_bar[..., None, None] * u_bar[..., :, None] * u_bar[..., None, :]
+                    + bar["p"][..., None, None] * np.eye(d))
+        r_m[k] = flux_avg - flux_bar
+        rm_tot[k] = float(gridmod.integrate(coarse, np.sqrt(np.sum(r_m[k] ** 2, axis=(-2, -1)))))
+        for ri, ref in enumerate(theta_refs):
+            ref_fine = ref.value(float(t), grid_points(g))
+            ref_coarse = ref.value(float(t), grid_points(coarse))
+            ball_avg = _block_mean(energy - ref_fine * eos["rho_s"], factors)
+            ref_gaps[ri, k] = float(gridmod.integrate(
+                coarse, np.maximum(ball_avg - (e_bar - ref_coarse * rs_bar), 0.0)))
+    floor = 1e-14 * (1.0 + np.max(d_diss))
+    xi = np.where(rm_tot <= floor, 0.0, rm_tot / np.maximum(d_diss, 1e-300))
+    spread = 0.0
+    live = d_diss > floor
+    if theta_refs and np.any(live):
+        spread = float(np.max(np.abs(ref_gaps[:, live] - d_diss[live])
+                              / np.maximum(d_diss, 1e-300)[live]))
+    return (young.DefectBundle(grid=coarse, times=times, r_m=r_m, d_diss=d_diss, xi=xi),
+            young.RefinementReport(theta_spread=spread, d_min_raw=float(d_min_raw)))
+
+
+def _compat_loop(bundle, phis):
+    """The per-(test x level) bound ``defect_compat_check`` replaced, which
+    samples every test at every level: (worst margin, violations)."""
+    g, pts = bundle.grid, grid_points(bundle.grid)
+    worst, violations = np.inf, []
+    for test in phis:
+        for k, t in enumerate(bundle.times):
+            phi = test.value(float(t), pts)
+            grad_phi = gridmod.grad_vector(gridmod.sync_odd(
+                gridmod.VectorField.from_interior(g, phi)))
+            pairing = abs(float(gridmod.integrate(
+                g, np.einsum("...jk,...jk->...", bundle.r_m[k], grad_phi))))
+            c1_norm = max(float(np.max(np.linalg.norm(phi, axis=-1))),
+                          float(np.max(np.sqrt(np.sum(grad_phi ** 2, axis=(-2, -1))))))
+            bound = float(bundle.xi[k] * bundle.d_diss[k]) * c1_norm
+            margin = bound + 1e-12 * (1.0 + bound) - pairing
+            worst = min(worst, margin)
+            if margin < 0.0:
+                violations.append((test.label, k, pairing, bound))
+    return worst, violations
+
+
+def _radiative_run():
+    model, tm = thermo.MolecularRadiation(a=1.0), transport.PowerKappa()
+    sol = manufactured("radiative_decay", model, tm)
+    cfg = solver.SolverConfig(t_end=0.01, save_every=3, source=sol)
+    return solver.simulate(gridmod.Grid(cells=(16, 16)), cfg, model, tm)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_defects_match_the_per_level_loop(dim):
+    # multi-level runs, with theta references, coarse-grained onto two grids:
+    # the whole-array bundle and report are the loop's bit for bit, and the
+    # bound is checked as the loop checks it, the pairings summed in another
+    # order
+    if dim == 1:
+        fine, model = _decay_trajectory(64, t_end=0.02, save_every=4), MODEL
+        coarse = [(16,), (32,)]
+    else:
+        fine = _radiative_run()
+        model, coarse = fine.model, [(4, 4), (8, 8)]
+    assert fine.n_levels >= 5
+    refs = testfuns.theta_refs(dim)
+    phis = testfuns.velocity_tests(dim)
+    for cells in coarse:
+        grid = gridmod.Grid(cells=cells)
+        bundle, report = young.defect_from_refinement(fine, grid, model, refs)
+        want, want_report = _refinement_loop(fine, grid, model, refs)
+        for name in ("times", "r_m", "d_diss", "xi"):
+            np.testing.assert_array_equal(getattr(bundle, name), getattr(want, name))
+        assert report == want_report
+        assert np.all(bundle.d_diss > 0.0) and report.theta_spread > 0.0
+        # a violating bundle: its compatibility weight zeroed
+        for b in (bundle, dataclasses.replace(bundle, xi=0.0 * bundle.xi)):
+            rep = young.defect_compat_check(b, phis)
+            worst, violations = _compat_loop(b, phis)
+            assert rep.worst_margin == pytest.approx(worst, rel=0.0, abs=1e-14)
+            assert [v[:2] for v in rep.violations] == [v[:2] for v in violations]
+            np.testing.assert_allclose(np.reshape([v[2:] for v in rep.violations], (-1, 2)),
+                                       np.reshape([v[2:] for v in violations], (-1, 2)),
+                                       rtol=0.0, atol=1e-14)
+            assert rep.ok == (not violations)
+        assert rep.violations
+
 # --------------------------------------------------------------------------
 # velocity control
 # --------------------------------------------------------------------------
