@@ -1046,11 +1046,10 @@ def run_defect_study(spec: ExperimentSpec) -> DefectStudyReport:
     if spec.theorem != "defect":
         raise ValueError("run_defect_study requires a spec built for claim 'defect'")
     gate = spec.gate
-    refs = testfuns.theta_refs(1, base=(1.0, 0.0, 0.0), amps=(0.0, 0.15, -0.1))
 
     def run(n: int) -> float:
         bundle, _ = young.defect_from_refinement(
-            _decay_run(spec, n), gridmod.Grid(cells=(n // 4,)), spec.model, refs)
+            _decay_run(spec, n), gridmod.Grid(cells=(n // 4,)), spec.model)
         return float(np.max(bundle.d_diss))
 
     smooth_cells = [n // 4 for n in spec.grids]
@@ -1062,6 +1061,8 @@ def run_defect_study(spec: ExperimentSpec) -> DefectStudyReport:
     eps = _OSC_EPS
     n_fine, n_coarse = 512, 16
     fine = _oscillation_snapshot(spec, n_fine, eps)
+    # only this run's report is read, so only it is given the theta references
+    refs = testfuns.theta_refs(1, base=(1.0, 0.0, 0.0), amps=(0.0, 0.15, -0.1))
     bundle, report = young.defect_from_refinement(
         fine, gridmod.Grid(cells=(n_coarse,)), spec.model, refs)
     osc_d = float(bundle.d_diss[0])

@@ -9,13 +9,18 @@ midpoint rule. Ghost fill encodes the physical boundary conditions:
   * density is zero-gradient.
 
 Fields carry a ``synced`` flag; the differential operators take synced
-fields only and return plain interior arrays.
+fields only and return plain interior arrays. There are two, each one
+kernel for every rank: ``gradient`` appends the derivative axis to a
+scalar, vector or tensor field, and ``divergence`` contracts it with the
+last component axis of a vector or tensor field. ``grad_vector`` and
+``tensor_divergence`` are the same functions under their rank-specific
+names, kept because the benchmark tracer looks all four names up.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -186,8 +191,7 @@ class _Field:
 
     @property
     def interior(self) -> np.ndarray:
-        sl = tuple(slice(1, -1) for _ in range(self.grid.dim))
-        return self.data[sl]
+        return self.data[(slice(1, -1),) * self.grid.dim]
 
     @classmethod
     def from_interior(cls, grid: Grid, values: np.ndarray):
@@ -224,38 +228,36 @@ class TensorField(_Field):
     _component_axes = 2
 
 
-def _axis_slices(ndim_total: int, axis: int, idx):
-    sl = [slice(None)] * ndim_total
-    sl[axis] = idx
-    return tuple(sl)
-
-
 def _fill_axis(data: np.ndarray, axis: int, odd: bool) -> None:
-    """Fill the two full ghost slabs on ``axis`` in place, so corners stay finite:
-    copies of the nearest interior slabs (zero gradient), negated if ``odd``."""
+    """Fill the two full ghost slabs on ``axis`` in place: copies of the
+    nearest interior slabs (zero gradient), negated if ``odd``.  Filled axis
+    after axis, every 2D corner ends up equal to its diagonal neighbour."""
     lead = (slice(None),) * axis
     for ghost, inner in ((0, 1), (-1, -2)):
         data[lead + (ghost,)] = -data[lead + (inner,)] if odd else data[lead + (inner,)]
 
 
-def _corner_fix(data: np.ndarray, spatial_ndim: int) -> None:
-    # diagonal zero-gradient copy; corners are never read by axis stencils
-    if spatial_ndim != 2:
-        return
-    data[0, 0, ...] = data[1, 1, ...]
-    data[0, -1, ...] = data[1, -2, ...]
-    data[-1, 0, ...] = data[-2, 1, ...]
-    data[-1, -1, ...] = data[-2, -2, ...]
+# grid dimension -> (side, ghost slab, adjacent interior slab) of the
+# Dirichlet fill; the 1D slabs are one-cell slices, so they take the trace's
+# one value as a 2D slab takes a row of them
+_DIRICHLET_SLABS = {
+    1: (("x_lo", np.s_[:1], np.s_[1:2]), ("x_hi", np.s_[-1:], np.s_[-2:-1])),
+    2: (("x_lo", np.s_[0, 1:-1], np.s_[1, 1:-1]), ("x_hi", np.s_[-1, 1:-1], np.s_[-2, 1:-1]),
+        ("y_lo", np.s_[1:-1, 0], np.s_[1:-1, 1]), ("y_hi", np.s_[1:-1, -1], np.s_[1:-1, -2])),
+}
 
 
-def _dirichlet_faces(grid: Grid, boundary: BoundaryData, t: float, axis: int):
-    pts = boundary_face_points(grid)
-    names = (("x_lo", "x_hi"), ("y_lo", "y_hi"))[axis]
-    lo = np.asarray(boundary.theta(t, pts[names[0]]), dtype=float)
-    hi = np.asarray(boundary.theta(t, pts[names[1]]), dtype=float)
-    if grid.dim == 1:
-        return float(lo.flat[0]), float(hi.flat[0])
-    return lo, hi
+def _fill_dirichlet(data: np.ndarray, grid: Grid, boundary: BoundaryData, t: float) -> None:
+    """Fill the ghosts of a temperature array in place: ghost =
+    2*theta_B(face) - interior on every face, then each 2D corner from its
+    diagonal neighbour, as the axis fills leave the other fields' corners."""
+    faces = boundary_face_points(grid)
+    for side, ghost, inner in _DIRICHLET_SLABS[grid.dim]:
+        data[ghost] = 2.0 * np.asarray(boundary.theta(t, faces[side]), dtype=float) - data[inner]
+    if grid.dim == 2:
+        # rows and columns 0 and n + 1 from 1 and n
+        n0, n1 = grid.cells
+        data[::n0 + 1, ::n1 + 1] = data[1:-1:n0 - 1, 1:-1:n1 - 1]
 
 
 def sync_physical(grid: Grid, rho: np.ndarray, u: np.ndarray, theta: np.ndarray,
@@ -263,31 +265,15 @@ def sync_physical(grid: Grid, rho: np.ndarray, u: np.ndarray, theta: np.ndarray,
     """Build synced (rho, u, theta) fields from interior arrays at time t.
     Every ghost is written, so the padded arrays start empty."""
     inner = (slice(1, -1),) * grid.dim
-    padded = [np.empty(grid.padded_shape(values.shape[grid.dim:])) for values in (rho, u, theta)]
-    rho_p, u_p, th_p = padded
+    rho_p, u_p, th_p = [np.empty(grid.padded_shape(values.shape[grid.dim:]))
+                        for values in (rho, u, theta)]
     rho_p[inner], u_p[inner], th_p[inner] = rho, u, theta
     for axis in range(grid.dim):
         _fill_axis(rho_p, axis, odd=False)
         _fill_axis(u_p, axis, odd=True)
-        lo, hi = _dirichlet_faces(grid, boundary, t, axis)
-        _fill_theta_axis(th_p, grid, axis, lo, hi)
-    for data in padded if grid.dim == 2 else ():
-        _corner_fix(data, 2)
+    _fill_dirichlet(th_p, grid, boundary, t)
     return (ScalarField._synced(grid, rho_p), VectorField._synced(grid, u_p),
             ScalarField._synced(grid, th_p))
-
-
-def _fill_theta_axis(data: np.ndarray, grid: Grid, axis: int, face_lo, face_hi) -> None:
-    if grid.dim == 1:
-        data[0] = 2.0 * face_lo - data[1]
-        data[-1] = 2.0 * face_hi - data[-2]
-        return
-    if axis == 0:
-        data[0, 1:-1] = 2.0 * face_lo - data[1, 1:-1]
-        data[-1, 1:-1] = 2.0 * face_hi - data[-2, 1:-1]
-    else:
-        data[1:-1, 0] = 2.0 * face_lo - data[1:-1, 1]
-        data[1:-1, -1] = 2.0 * face_hi - data[1:-1, -2]
 
 
 def sync_odd(f: _Field) -> _Field:
@@ -295,18 +281,14 @@ def sync_odd(f: _Field) -> _Field:
     data = f.data.copy()
     for axis in range(f.grid.dim):
         _fill_axis(data, axis, odd=True)
-    _corner_fix(data, f.grid.dim)
-    return replace(f, data=data, synced=True)
+    return type(f)._synced(f.grid, data)
 
 
 def sync_dirichlet(f: ScalarField, boundary: BoundaryData, t: float) -> ScalarField:
     """Ghosts from the Dirichlet trace: ghost = 2*theta_B(face) - interior."""
     data = f.data.copy()
-    for axis in range(f.grid.dim):
-        lo, hi = _dirichlet_faces(f.grid, boundary, t, axis)
-        _fill_theta_axis(data, f.grid, axis, lo, hi)
-    _corner_fix(data, f.grid.dim)
-    return replace(f, data=data, synced=True)
+    _fill_dirichlet(data, f.grid, boundary, t)
+    return type(f)._synced(f.grid, data)
 
 
 def _require_synced(f: _Field) -> None:
@@ -330,43 +312,31 @@ def _centered_slices(dim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slic
     return tuple(plus), tuple(minus)
 
 
-def gradient(f: ScalarField) -> np.ndarray:
-    """Second-order centered gradient of a scalar field, shape (*cells, dim)."""
+def gradient(f: _Field) -> np.ndarray:
+    """Centered gradient of a synced field of any rank, the derivative axis
+    appended: shape (*cells, *components, dim), (grad u)_{jk} = d u_j / d x_k."""
     _require_synced(f)
-    out = np.empty(f.grid.interior_shape((f.grid.dim,)))
-    for k in range(f.grid.dim):
-        out[..., k] = _centered(f.data, f.grid, k)
+    g = f.grid
+    out = np.empty(g.interior_shape(f.data.shape[g.dim:] + (g.dim,)))
+    for k in range(g.dim):
+        out[..., k] = _centered(f.data, g, k)
     return out
 
 
-def grad_vector(v: VectorField) -> np.ndarray:
-    """(grad u)_{jk} = d u_j / d x_k, second-order centered."""
-    _require_synced(v)
-    d = v.grid.dim
-    out = np.empty(v.grid.interior_shape((d, d)))
-    for k in range(d):
-        out[..., :, k] = _centered(v.data, v.grid, k)
+def divergence(f: _Field) -> np.ndarray:
+    """Centered divergence of a synced vector or tensor field over its last
+    component axis: div u = sum_k d u_k / d x_k, (div T)_j = sum_k d T_{jk} / d x_k."""
+    _require_synced(f)
+    out = _centered(f.data[..., 0], f.grid, 0)
+    for k in range(1, f.grid.dim):
+        out = out + _centered(f.data[..., k], f.grid, k)
     return out
 
 
-def divergence(v: VectorField) -> np.ndarray:
-    """div u = sum_k d u_k / d x_k, second-order centered."""
-    _require_synced(v)
-    acc = None
-    for k in range(v.grid.dim):
-        term = _centered(v.data[..., k], v.grid, k)
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def tensor_divergence(T: TensorField) -> np.ndarray:
-    """(div T)_j = sum_k d T_{jk} / d x_k, second-order centered."""
-    _require_synced(T)
-    d = T.grid.dim
-    out = np.zeros(T.grid.interior_shape((d,)))
-    for k in range(d):
-        out += _centered(T.data[..., :, k], T.grid, k)
-    return out
+# the rank-specific names of the two operators, which the benchmark tracer
+# still looks up
+grad_vector = gradient
+tensor_divergence = divergence
 
 
 def integrate(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -402,15 +372,11 @@ def harmonic_extension(grid: Grid, boundary: BoundaryData, t: float = 0.0) -> Sc
 def laplacian_residual(f: ScalarField) -> float:
     """Max-norm of the discrete Laplacian of a synced scalar field."""
     _require_synced(f)
+    g = f.grid
+    mid = (slice(1, -1),) * g.dim
     acc = None
-    for axis in range(f.grid.dim):
-        nd = f.data.ndim
-        plus = _axis_slices(nd, axis, slice(2, None))
-        mid = _axis_slices(nd, axis, slice(1, -1))
-        minus = _axis_slices(nd, axis, slice(0, -2))
-        term = (f.data[plus] - 2.0 * f.data[mid] + f.data[minus]) / f.grid.h[axis] ** 2
-        # restrict remaining axes to interior
-        sl = tuple(slice(1, -1) if k != axis else slice(None) for k in range(f.grid.dim))
-        term = term[sl]
+    for axis in range(g.dim):
+        plus, minus = _centered_slices(g.dim, axis)
+        term = (f.data[plus] - 2.0 * f.data[mid] + f.data[minus]) / g.h[axis] ** 2
         acc = term if acc is None else acc + term
     return float(np.max(np.abs(acc)))

@@ -221,3 +221,126 @@ def test_grid_points_cached_read_only():
         assert pts.shape == ((10, 8, 2) if ghost else (8, 6, 2))
         with pytest.raises(ValueError, match="read-only"):
             pts[...] = 0.0
+
+
+# The operator bodies and the Laplacian check as they were written per rank,
+# kept as references: the one kernel per operator must agree with them to
+# the last bit, signed zeros included.
+
+
+def _ref_centered(data, gr, axis):
+    plus = [slice(1, -1)] * gr.dim
+    minus = list(plus)
+    plus[axis], minus[axis] = slice(2, None), slice(0, -2)
+    return (data[tuple(plus)] - data[tuple(minus)]) / (2.0 * gr.h[axis])
+
+
+def _ref_gradient(f):
+    out = np.empty(f.grid.interior_shape((f.grid.dim,)))
+    for k in range(f.grid.dim):
+        out[..., k] = _ref_centered(f.data, f.grid, k)
+    return out
+
+
+def _ref_grad_vector(v):
+    d = v.grid.dim
+    out = np.empty(v.grid.interior_shape((d, d)))
+    for k in range(d):
+        out[..., :, k] = _ref_centered(v.data, v.grid, k)
+    return out
+
+
+def _ref_divergence(v):
+    acc = None
+    for k in range(v.grid.dim):
+        term = _ref_centered(v.data[..., k], v.grid, k)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _ref_tensor_divergence(T):
+    d = T.grid.dim
+    out = np.zeros(T.grid.interior_shape((d,)))
+    for k in range(d):
+        out += _ref_centered(T.data[..., :, k], T.grid, k)
+    return out
+
+
+def _ref_laplacian_residual(f):
+    def along(axis, idx):
+        sl = [slice(None)] * f.data.ndim
+        sl[axis] = idx
+        return tuple(sl)
+
+    acc = None
+    for axis in range(f.grid.dim):
+        plus, mid, minus = along(axis, slice(2, None)), along(axis, slice(1, -1)), along(
+            axis, slice(0, -2))
+        term = (f.data[plus] - 2.0 * f.data[mid] + f.data[minus]) / f.grid.h[axis] ** 2
+        term = term[tuple(slice(1, -1) if k != axis else slice(None) for k in range(f.grid.dim))]
+        acc = term if acc is None else acc + term
+    return float(np.max(np.abs(acc)))
+
+
+def _with_zeros(rng, values, dim):
+    """``values`` with about a third of its entries exactly 0, the first and
+    last cell's among them, so an odd fill makes -0.0 ghosts."""
+    values = np.where(rng.random(values.shape) < 0.3, 0.0, values)
+    values[(0,) * dim] = values[(-1,) * dim] = 0.0
+    return values
+
+
+def _synced_fields(cells, seed):
+    """Random scalar, vector and tensor fields, each synced every way that
+    applies to it: (field, how) pairs."""
+    gr, bc, rho, u, theta = _random_state(cells, seed)
+    rng = np.random.default_rng(seed + 1)
+    d = gr.dim
+    rho, u = _with_zeros(rng, rho, d), _with_zeros(rng, u, d)
+    tensor = _with_zeros(rng, rng.uniform(-2.0, 2.0, size=gr.interior_shape((d, d))), d)
+    rf, uf, tf = g.sync_physical(gr, rho, u, theta, bc, t=0.0)
+    out = [(rf, "physical rho"), (uf, "physical u"), (tf, "physical theta"),
+           (g.sync_dirichlet(g.ScalarField.from_interior(gr, rho), bc, 0.0), "dirichlet")]
+    for cls, values in ((g.ScalarField, rho), (g.VectorField, u), (g.TensorField, tensor)):
+        out.append((g.sync_odd(cls.from_interior(gr, values)), f"odd {cls.__name__}"))
+    return out
+
+
+@pytest.mark.parametrize("cells", [(4,), (9,), (4, 4), (6, 5), (5, 8)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_operators_match_the_per_rank_bodies_bit_for_bit(cells, seed):
+    assert g.grad_vector is g.gradient and g.tensor_divergence is g.divergence
+    fields = _synced_fields(cells, seed)
+    assert any(np.signbit(f.data[f.data == 0.0]).any() for f, _ in fields)
+    for f, how in fields:
+        rank = f.data.ndim - f.grid.dim
+        grad = g.gradient(f)
+        if rank == 0:
+            assert grad.tobytes() == _ref_gradient(f).tobytes(), how
+            assert (np.float64(g.laplacian_residual(f)).tobytes()
+                    == np.float64(_ref_laplacian_residual(f)).tobytes()), how
+        elif rank == 1:
+            assert grad.tobytes() == _ref_grad_vector(f).tobytes(), how
+            assert g.divergence(f).tobytes() == _ref_divergence(f).tobytes(), how
+        else:
+            # one kernel sums the terms as the vector body did; the tensor
+            # body's zero start differed only by turning a sum of -0.0
+            # terms into +0.0, which adding 0.0 does too
+            assert ((g.divergence(f) + 0.0).tobytes()
+                    == _ref_tensor_divergence(f).tobytes()), how
+            # no per-rank body took a tensor's gradient: each component's
+            # scalar gradient, the derivative axis appended
+            for c in np.ndindex(f.data.shape[f.grid.dim:]):
+                comp = g.ScalarField(grid=f.grid, data=np.ascontiguousarray(f.data[(...,) + c]),
+                                     synced=True)
+                assert grad[..., c[0], c[1], :].tobytes() == _ref_gradient(comp).tobytes(), how
+
+
+@pytest.mark.parametrize("cells", [(4, 4), (6, 5), (5, 8)])
+def test_every_2d_corner_equals_its_diagonal_neighbour(cells):
+    for seed in range(3):
+        for f, how in _synced_fields(cells, seed):
+            data = f.data
+            for (i, j), (k, m) in (((0, 0), (1, 1)), ((0, -1), (1, -2)),
+                                   ((-1, 0), (-2, 1)), ((-1, -1), (-2, -2))):
+                assert data[i, j].tobytes() == data[k, m].tobytes(), (how, i, j)

@@ -85,6 +85,29 @@ def test_rhs_matches_golden_bits(name):
             f"{name} {key}: {np.count_nonzero(got[key] != want)} values moved")
 
 
+with open(os.path.join(os.path.dirname(__file__), "golden", "step.json"), encoding="utf-8") as fh:
+    STEP_PINNED = json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(STEP_PINNED))
+def test_step_matches_golden_bits(name):
+    # golden/step.json holds one whole step of _rhs_case (default config for
+    # the unforced case): the dt stable_dt chooses and the state step makes
+    # from it.  Every bit must hold, so a drift in the ghost fill, the
+    # operators, stable_dt or the temperature inversion fails here
+    st, model, tm, bc, cfg = _rhs_case(name)
+    cfg = cfg or solver.SolverConfig()
+    pin = STEP_PINNED[name]
+    assert solver.stable_dt(st, cfg, model, tm) == pin["dt"]
+    new = solver.step(st, cfg, model, tm, bc)
+    assert new.t == pin["t"]
+    for key in ("rho", "u", "theta"):
+        want = np.asarray(pin[key], dtype=float)
+        assert getattr(new, key).shape == want.shape, key
+        assert getattr(new, key).tobytes() == want.tobytes(), (
+            f"{name} {key}: {np.count_nonzero(getattr(new, key) != want)} values moved")
+
+
 def test_constant_state_rhs_is_zero():
     gr = g.Grid(cells=(16,))
     st = solver.FlowState(grid=gr, rho=np.full(16, 2.0), u=np.zeros((16, 1)),

@@ -38,9 +38,9 @@ RUNS = {
 # name -> (accepted steps, calls marching with save_every = 1, calls when the
 # same march is streamed through rel_energy_series, or None for an unforced run)
 PINNED = {
-    "shear-1d-64": (435, 128949, 170942),
-    "radiative_decay-2d-16": (30, 15634, 18995),
-    "radiative_decay-2d-16-unforced": (30, 12842, None),
+    "shear-1d-64": (435, 128079, 170072),
+    "radiative_decay-2d-16": (30, 15094, 18455),
+    "radiative_decay-2d-16-unforced": (30, 12302, None),
 }
 
 
@@ -97,12 +97,12 @@ CLAUSES = {
 # evaluating the reference once per level, and the ballistic clause its time
 # derivative too.
 CLAUSE_CALLS = {
-    "ballistic": (5736, 108),
-    "continuity": (1205, 0),
-    "entropy": (695, 0),
-    "momentum": (1273, 0),
-    "temperature_compat": (6560, 103),
-    "velocity_compat": (1305, 0),
+    "ballistic": (5328, 100),
+    "continuity": (1165, 0),
+    "entropy": (679, 0),
+    "momentum": (1165, 0),
+    "temperature_compat": (6120, 95),
+    "velocity_compat": (1241, 0),
 }
 
 
