@@ -241,10 +241,11 @@ class ExperimentSpec:
     :data:`CLAIM_DEFAULTS`.  Construction raises a ``ValueError`` whose
     message starts with the field at fault ("grids: ", "eps: ") on
     grids that are not strictly increasing counts >= 4 or a perturbation size
-    <= 0, for claims "1"–"3" on fewer than two perturbation sizes or fewer
-    than two grids, for claim "defect" on a grid that is not a multiple of
-    4 >= 16, so no run starts for a ladder the verdicts cannot read, and on a
-    ``theta_scale`` <= 0 or a ``theta_tilt`` outside [0, 1].
+    <= 0, for claims "1"–"3" on fewer than two perturbation sizes, for every
+    claim but "apriori" given ``c_fixed`` on fewer than two grids, for
+    claim "defect" on a grid that is not a multiple of 4 >= 16, so no run
+    starts for a ladder the verdicts cannot read, and on a ``theta_scale``
+    <= 0 or a ``theta_tilt`` outside [0, 1].
     ``solver`` is the template of every run's solver configuration; the
     runners set its ``source``.  The a priori budget alone reads
     ``c_fixed``: the constant its totals are checked against (None calibrates).
@@ -305,6 +306,13 @@ class ExperimentSpec:
         if theorem == "defect" and any(n < 16 or n % 4 for n in grids):
             raise ValueError("grids: the defect study coarse-grains each grid onto a quarter "
                             "of its cells, at least 4, so it needs multiples of 4 that are >= 16")
+        ladder = {"defect": "its smooth defects must shrink along the ladder",
+                  "apriori": "a budget constant calibrated on one grid checks its total "
+                             "against itself, so one grid needs a c_fixed"}.get(
+            theorem, "its collapse order is fitted across the ladder and its growth "
+                     "constant is cross-checked on the next-coarser grid")
+        if len(grids) < 2 and (theorem != "apriori" or self.c_fixed is None):
+            raise ValueError(f"grids: claim {theorem!r} needs at least two grids: {ladder}")
         object.__setattr__(self, "grids", grids)
         eps = tuple(float(e) for e in (self.eps_list if self.eps_list is not None
                                        else defaults.eps))
@@ -315,11 +323,6 @@ class ExperimentSpec:
                 raise ValueError(
                     f"eps: claim {theorem!r} needs at least two perturbation sizes: "
                     "its stability verdict compares the growth constants fitted per size")
-            if len(grids) < 2:
-                raise ValueError(
-                    f"grids: claim {theorem!r} needs at least two grids: its collapse "
-                    "order is fitted across the ladder and its growth constant "
-                    "is cross-checked on the next-coarser grid")
         object.__setattr__(self, "eps_list", eps)
         if not (self.theta_scale > 0.0):
             raise ValueError("theta_scale: boundary temperature scale must be > 0")
@@ -1054,9 +1057,8 @@ def run_defect_study(spec: ExperimentSpec) -> DefectStudyReport:
 
     smooth_cells = [n // 4 for n in spec.grids]
     smooth_d = _run_tasks(run, spec.grids)
-    vanishing = all(b < a for a, b in zip(smooth_d, smooth_d[1:]))
-    if len(smooth_d) >= 2:
-        vanishing = vanishing and smooth_d[-1] < 0.75 * smooth_d[0]
+    vanishing = (all(b < a for a, b in zip(smooth_d, smooth_d[1:]))
+                 and smooth_d[-1] < 0.75 * smooth_d[0])
 
     eps = _OSC_EPS
     n_fine, n_coarse = 512, 16

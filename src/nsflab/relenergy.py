@@ -12,20 +12,21 @@ in conservative variables.  This module provides
   energy against the standard quadratic/weight minorant,
 * the quadratic remainder collecting every error term of the energy-chain
   expansion,
-* the energy-only series ``rel_energy_series`` (energy, window split,
-  four-piece expansion, fitted growth rate) that the theorem studies read, and
-* a per-time-level report of the full inequality chain built on that
-  series: quadratic dissipation blocks, coupling blocks, defect pairings,
-  remainder, residual tail and slack.
+* the energy series ``rel_energy_series`` (energy, window split, four-piece
+  expansion, fitted growth rate), which reads a stream of flow states, and
+* ``rel_energy_inequality_report``, which reads a measure level by level:
+  that series plus the full inequality chain (dissipation and coupling
+  blocks, defect pairings, remainder, residual tail and slack).
 
-All evaluators are pure functions of immutable snapshots and vectorize over
-cells and atoms.
+Both evaluate each level with one kernel, so a flow state and its Dirac
+measure give the same bits.  All evaluators are pure functions of immutable
+snapshots and vectorize over cells and atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -264,31 +265,25 @@ def coercivity_check(model: thermo.ThermoModel, params: CutoffParams,
 
 
 def _strong_state(sol: StrongSolution, grid: gridmod.Grid, t: float,
-                  model: thermo.ThermoModel, partials: bool = False) -> dict:
-    """Comparison state with its ``_comparison_eos`` at cell centers: all the
-    relative energy itself reads, and with ``partials`` the six partials
-    ``_with_derived`` reads.  The state is read from the profile's one
-    evaluation at (t, cell centers), which ``_with_derived`` reads too."""
-
-    rho, u, theta = sol.state(t, grid_points(grid))
-    if np.fmin.reduce(rho, axis=None) <= 0.0 or np.fmin.reduce(theta, axis=None) <= 0.0:
-        raise ValueError("comparison state must have positive density and temperature")
-    return {"rho": rho, "theta": theta, "u": u,
-            **_comparison_eos(model, rho, theta, partials)}
-
-
-def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float,
-                  transport_model: transport.TransportModel) -> dict:
-    """``state``, a ``_strong_state`` with its partials, extended by the
-    gradients, stress parts and transport coefficients the inequality chain
-    reads."""
+                  model: thermo.ThermoModel,
+                  transport_model: Optional[transport.TransportModel] = None) -> dict:
+    """Comparison state with its ``_comparison_eos`` from the profile's one
+    evaluation at (t, cell centers): all the relative energy reads.  With
+    ``transport_model`` also the six partials, gradients, stress parts and
+    transport coefficients the inequality chain reads."""
 
     pts = grid_points(grid)
-    rho, theta, u = state["rho"], state["theta"], state["u"]
+    rho, u, theta = sol.state(t, pts)
+    if np.fmin.reduce(rho, axis=None) <= 0.0 or np.fmin.reduce(theta, axis=None) <= 0.0:
+        raise ValueError("comparison state must have positive density and temperature")
+    sf = {"rho": rho, "theta": theta, "u": u,
+          **_comparison_eos(model, rho, theta, transport_model is not None)}
+    if transport_model is None:
+        return sf
     g_u = sol.grad_u(t, pts)
     grad_theta = sol.grad_theta(t, pts)
-    grad_p = (state["dp_drho"][..., None] * sol.grad_rho(t, pts)
-              + state["dp_dtheta"][..., None] * grad_theta)
+    grad_p = (sf["dp_drho"][..., None] * sol.grad_rho(t, pts)
+              + sf["dp_dtheta"][..., None] * grad_theta)
 
     # Divergence of the comparison viscous stress, recovered from the
     # momentum balance: div S = rho*(du/dt + (u.grad)u) + u*f_mass + grad p - f_mom.
@@ -297,7 +292,7 @@ def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float
              + grad_p - sol.f_mom(t, pts))
 
     return {
-        **state,
+        **sf,
         "g_u": g_u, "sym_u": transport.sym_part(g_u),
         "d0_u": transport.traceless_sym(g_u),
         "div_u": np.einsum("...ii->...", g_u),
@@ -309,20 +304,24 @@ def _with_derived(state: dict, sol: StrongSolution, grid: gridmod.Grid, t: float
     }
 
 
+def _atom_eos(model: thermo.ThermoModel, rho: np.ndarray, theta: np.ndarray,
+              keys: tuple[str, ...]) -> dict:
+    """The atoms' ``keys`` from one ``partials`` call, if every atom is positive."""
+    if np.fmin.reduce(theta, axis=None) <= 0.0 or np.fmin.reduce(rho, axis=None) <= 0.0:
+        raise ValueError("the relative energy needs strictly positive atom states")
+    return model.partials(rho, theta, keys)
+
+
 def _avg(weights: np.ndarray, vals: np.ndarray, ncomp: int) -> np.ndarray:
     w = weights.reshape(weights.shape + (1,) * ncomp)
     return np.add.reduce(w * vals, axis=-1 - ncomp)
 
 
-def _r2_groups(V: AtomicYoungMeasure, level: int, sf: dict,
-               eos: dict) -> dict[str, np.ndarray]:
-    """The seven quadratic remainder groups, each a per-cell density, from
-    the atoms' ``eos``: their ``s`` and ``p`` as ``partials`` gives them."""
-
-    w = V.weights[level]
-    rho = V.rho[level]
-    theta = V.theta[level]
-    u = V.u[level]
+def _r2_groups(w: np.ndarray, rho: np.ndarray, theta: np.ndarray, u: np.ndarray,
+               sf: dict, eos: dict) -> dict[str, np.ndarray]:
+    """The seven quadratic remainder groups of one level's atoms, each a
+    per-cell density, from the atoms' ``eos``: their ``s`` and ``p`` as
+    ``partials`` gives them."""
 
     rho_t = sf["rho"][..., None]
     theta_t = sf["theta"][..., None]
@@ -371,18 +370,15 @@ def remainder_R2(V: AtomicYoungMeasure, sol: StrongSolution,
     idx = int(np.argmin(np.abs(V.times - t)))
     if abs(V.times[idx] - t) > 1e-9 * (1.0 + abs(t)):
         raise ValueError(f"time {t} is not a stored level of the measure")
-    t = float(V.times[idx])
-    sf = _with_derived(_strong_state(sol, V.grid, t, model, partials=True), sol, V.grid, t,
-                       transport_model)
+    sf = _strong_state(sol, V.grid, float(V.times[idx]), model, transport_model)
     rho, theta = V.rho[idx], V.theta[idx]
-    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
-        raise ValueError("remainder terms need strictly positive atom states")
-    total = sum(_r2_groups(V, idx, sf, model.partials(rho, theta, ("s", "p"))).values())
+    eos = _atom_eos(model, rho, theta, ("s", "p"))
+    total = sum(_r2_groups(V.weights[idx], rho, theta, V.u[idx], sf, eos).values())
     return gridmod.ScalarField.from_interior(V.grid, total)
 
 
 # --------------------------------------------------------------------------
-# inequality-chain report
+# energy series and inequality-chain report
 # --------------------------------------------------------------------------
 
 
@@ -442,6 +438,7 @@ class RelEnergyReport(RelEnergySeries):
     reduced_c_required: float
 
 
+_WINDOW = CutoffParams()
 _UNIT = np.ones(1)  # the weight of a Dirac atom
 _UNIT.flags.writeable = False
 
@@ -449,102 +446,83 @@ _BLOCK_KEYS = ("shear_quad", "shear_coupling", "bulk_quad", "bulk_coupling",
                "heat_quad", "heat_coupling_state", "heat_coupling_coeff")
 
 
-def _level_atoms(V: AtomicYoungMeasure | Iterable[FlowState]) -> Iterator[tuple]:
-    """Grid, time, weights and rho, theta, u atoms of each level in turn.  A
-    flow state is read as its Dirac measure: one atom of weight 1 per cell,
-    views of its arrays, the bits of ``young.dirac_from_trajectory``, its
-    weights one read-only 1.0 broadcast over the cells."""
-
-    if isinstance(V, AtomicYoungMeasure):
-        for lev in range(V.n_levels):
-            yield (V.grid, float(V.times[lev]), V.weights[lev], V.rho[lev],
-                   V.theta[lev], V.u[lev])
-        return
-    for state in V:
-        for name, x in (("rho", state.rho), ("u", state.u), ("theta", state.theta)):
-            if not np.logical_and.reduce(np.isfinite(x), axis=None):
-                raise ValueError(f"{name} must be finite")
-        yield (state.grid, float(state.t), _UNIT[(None,) * state.grid.dim], state.rho[..., None],
-               state.theta[..., None], state.u[..., None, :])
-
-
-def rel_energy_series(V: AtomicYoungMeasure | Iterable[FlowState], sol: StrongSolution,
-                      model: thermo.ThermoModel,
-                      transport_model: transport.TransportModel,
-                      on_level: Optional[Callable[[int, dict, np.ndarray, dict], None]] = None,
-                      ) -> RelEnergySeries:
-    """Relative energy of ``V`` against ``sol`` at every level.
-
-    ``V`` is a measure or an iterable of flow states, such as
-    ``solver.levels``, read one level at a time: each state is read as its
-    Dirac measure and only per-level scalars are kept, so a run streamed
-    through here is never stored.  Gradient atoms are never read.
-    Raises when the models differ, an atom is not finite or not strictly
-    positive, or the energy fails its consistency checks.  ``on_level(lev,
-    sf, chi, eos)`` runs at each level with the comparison-state fields, the
-    atoms' window weights and their ``p``, ``s``, ``rho_e`` and ``rho_s``, so
-    a caller extending the pass evaluates ``sol`` and each state once per
-    level.  The comparison state comes from one evaluation of ``sol`` per
-    level; without a hook only its p, s, Gibbs slope and ballistic energy
-    are added and only the atoms' ``rho_e`` and ``rho_s`` are asked (one
-    ``partials`` call per state each), and the partials, gradients, stress
-    parts and coefficients are built for the hook alone.
-    A level whose atoms all lie in the window (``CutoffParams.chi`` is 1.0
-    everywhere) takes ``e_ess`` as ``e_mv``, the same bits.
-    """
-
+def _check_models(sol: StrongSolution, model: thermo.ThermoModel,
+                  transport_model: transport.TransportModel) -> None:
     if sol.model != model:
         raise ValueError("comparison solution and report must share the equation of state")
     if sol.transport_model != transport_model:
         raise ValueError("comparison solution and report must share the transport model")
-    times, e_mv, e_ess = [], [], []
-    expansion = {k: [] for k in ("ballistic", "cross", "carrier", "closure")}
-    window = CutoffParams()
-    atom_keys = ("rho_e", "rho_s") if on_level is None else ("p", "s", "rho_e", "rho_s")
 
-    for lev, (grid, t, w, rho, theta, u) in enumerate(_level_atoms(V)):
-        sf = _strong_state(sol, grid, t, model, partials=on_level is not None)
-        if np.fmin.reduce(theta, axis=None) <= 0.0 or np.fmin.reduce(rho, axis=None) <= 0.0:
-            raise ValueError("the relative energy needs strictly positive atom states")
 
-        # rel_energy_density, with the comparison EOS and the atoms'
-        # ballistic energy (thermo.ballistic_energy) evaluated once for both
-        # readings below
-        rho_t, theta_t = sf["rho"][..., None], sf["theta"][..., None]
-        slope = sf["slope"]
-        eos = model.partials(rho, theta, atom_keys)
-        h_atom = eos["rho_e"] - theta_t * eos["rho_s"]
-        e_atom = _assemble(rho, u, rho_t, sf["u"][..., None, :], slope[..., None], h_atom,
-                           sf["h"][..., None])
-        chi, plateau = window._weight(rho, theta)
-        times.append(t)
-        e_mv.append(gridmod.integrate(grid, _avg(w, e_atom, 0)))
-        # chi * e_atom is e_atom bit for bit where the weight is 1 everywhere
-        e_ess.append(e_mv[-1] if plateau else gridmod.integrate(grid, _avg(w, chi * e_atom, 0)))
+def _energy(grid: gridmod.Grid, w: np.ndarray, rho: np.ndarray, theta: np.ndarray,
+            u: np.ndarray, sf: dict, eos: dict) -> tuple[tuple, np.ndarray]:
+    """One level's ``e_mv``, ``e_ess`` and four expansion pieces, and the
+    atoms' window weights ``chi``: ``rel_energy_density`` from the comparison
+    EOS of ``sf`` and the atoms' ``rho_e`` and ``rho_s``, read once for both
+    integrals.  Where ``chi`` is 1.0 everywhere, ``e_ess`` is ``e_mv``, the
+    same bits."""
 
-        kin = 0.5 * rho * np.add.reduce(u ** 2, axis=-1)
-        expansion["ballistic"].append(gridmod.integrate(grid, _avg(w, kin + h_atom, 0)))
-        expansion["cross"].append(gridmod.integrate(
-            grid, -np.einsum("...k,...k->...",
-                             _avg(w, rho[..., None] * u, 1), sf["u"])))
-        expansion["carrier"].append(gridmod.integrate(
-            grid, _avg(w, rho, 0) * (0.5 * np.add.reduce(sf["u"] ** 2, axis=-1) - slope)))
-        expansion["closure"].append(gridmod.integrate(grid, sf["p"]))
-        if on_level is not None:
-            on_level(lev, _with_derived(sf, sol, grid, t, transport_model), chi, eos)
-    times, e_mv, e_ess = np.asarray(times), np.asarray(e_mv), np.asarray(e_ess)
-    expansion = {k: np.asarray(v) for k, v in expansion.items()}
-    e_res = e_mv - e_ess
+    slope = sf["slope"]
+    h_atom = eos["rho_e"] - sf["theta"][..., None] * eos["rho_s"]
+    e_atom = _assemble(rho, u, sf["rho"][..., None], sf["u"][..., None, :], slope[..., None],
+                       h_atom, sf["h"][..., None])
+    chi, plateau = _WINDOW._weight(rho, theta)
+    e_mv = gridmod.integrate(grid, _avg(w, e_atom, 0))
+    e_ess = e_mv if plateau else gridmod.integrate(grid, _avg(w, chi * e_atom, 0))
 
+    kin = 0.5 * rho * np.add.reduce(u ** 2, axis=-1)
+    ballistic = gridmod.integrate(grid, _avg(w, kin + h_atom, 0))
+    cross = gridmod.integrate(
+        grid, -np.einsum("...k,...k->...", _avg(w, rho[..., None] * u, 1), sf["u"]))
+    carrier = gridmod.integrate(
+        grid, _avg(w, rho, 0) * (0.5 * np.add.reduce(sf["u"] ** 2, axis=-1) - slope))
+    return (e_mv, e_ess, ballistic, cross, carrier, gridmod.integrate(grid, sf["p"])), chi
+
+
+def _series(times: list, rows: list) -> RelEnergySeries:
+    """The series of per-level ``_energy`` rows, if they pass their checks."""
+
+    times = np.array(times, dtype=float)
+    e_mv, e_ess, *pieces = (np.asarray(col) for col in zip(*rows))
+    expansion = dict(zip(("ballistic", "cross", "carrier", "closure"), pieces))
     scale = 1.0 + float(np.max(np.abs(e_mv)))
     if float(np.min(e_mv)) < -1e-10 * scale:
         raise ValueError("relative energy must be nonnegative for admissible measures")
     closure_gap = float(np.max(np.abs(e_mv - sum(expansion.values()))))
     if closure_gap > 1e-8 * scale:
         raise ValueError("energy expansion terms fail to reassemble the energy")
-    return RelEnergySeries(times=times, e_mv=e_mv, e_ess=e_ess, e_res=e_res,
+    return RelEnergySeries(times=times, e_mv=e_mv, e_ess=e_ess, e_res=e_mv - e_ess,
                            expansion=expansion, expansion_gap=closure_gap,
                            gronwall_c=fit_gronwall_constant(times, e_mv))
+
+
+def rel_energy_series(states: Iterable[FlowState], sol: StrongSolution,
+                      model: thermo.ThermoModel,
+                      transport_model: transport.TransportModel) -> RelEnergySeries:
+    """Relative energy of a stream of flow states against ``sol``.
+
+    ``states``, such as ``solver.levels``, is read one state at a time, each
+    as its Dirac measure (the bits of ``young.dirac_from_trajectory``), and
+    only per-level scalars are kept, so a streamed run is never stored.  Per
+    state ``sol`` is evaluated once and the atoms' ``rho_e`` and ``rho_s``
+    come from one ``partials`` call.  Raises when the models differ, a state
+    is not finite or not strictly positive, or the energy fails its checks.
+    A measure's energy, the same bits, is the report's.
+    """
+
+    _check_models(sol, model, transport_model)
+    times, rows = [], []
+    for state in states:
+        for name, x in (("rho", state.rho), ("u", state.u), ("theta", state.theta)):
+            if not np.logical_and.reduce(np.isfinite(x), axis=None):
+                raise ValueError(f"{name} must be finite")
+        t, rho, theta = float(state.t), state.rho[..., None], state.theta[..., None]
+        sf = _strong_state(sol, state.grid, t, model)
+        eos = _atom_eos(model, rho, theta, ("rho_e", "rho_s"))
+        times.append(t)
+        rows.append(_energy(state.grid, _UNIT[(None,) * state.grid.dim], rho, theta,
+                            state.u[..., None, :], sf, eos)[0])
+    return _series(times, rows)
 
 
 def rel_energy_inequality_report(V: AtomicYoungMeasure,
@@ -555,24 +533,30 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
                                  ) -> RelEnergyReport:
     """Evaluate the full relative-energy inequality chain level by level.
 
-    The energy comes from :func:`rel_energy_series`; the chain is built on
-    top of it from the same comparison-state fields.  The comparison
-    temperature in the ballistic pairing is the comparison state's own
-    temperature field.  ``defects`` supplies the dissipation history and the
-    matrix defect paired against the comparison velocity gradient; ``None``
-    means both vanish (point masses of resolved fields).
+    Each level's energy comes from the kernel of :func:`rel_energy_series`,
+    and the chain is built on the same comparison fields and atom partials.
+    The comparison temperature in the ballistic pairing is the comparison
+    state's own temperature field.  ``defects`` supplies the dissipation
+    history and the matrix defect paired against the comparison velocity
+    gradient; ``None`` means both vanish (point masses of resolved fields).
     """
 
     grid, times, n_levels = V.grid, V.times, V.n_levels
+    _check_models(sol, model, transport_model)
     check_defects(V, defects)
     d_diss = np.zeros(n_levels) if defects is None else defects.d_diss
 
     rates = {k: np.zeros(n_levels) for k in
              _BLOCK_KEYS + ("r2", "rm", "res_tail")}
 
-    def chain_level(lev: int, sf: dict, chi: np.ndarray, eos: dict) -> None:
+    def level(lev: int) -> tuple:
+        # one level's energy row, its chain rates written into rates; its
+        # arrays are dropped on return, so one level's are alive at a time
         w, rho, theta, u = V.weights[lev], V.rho[lev], V.theta[lev], V.u[lev]
         d_u, d_theta = V.d_u[lev], V.d_theta[lev]
+        sf = _strong_state(sol, grid, float(times[lev]), model, transport_model)
+        eos = _atom_eos(model, rho, theta, ("p", "s", "rho_e", "rho_s"))
+        row, chi = _energy(grid, w, rho, theta, u, sf, eos)
         theta_t = sf["theta"][..., None]
         u_t = sf["u"][..., None, :]
 
@@ -610,7 +594,7 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
 
         # remainder, defect pairing, and residual tail rates
         rates["r2"][lev] = gridmod.integrate(
-            grid, sum(_r2_groups(V, lev, sf, eos).values()))
+            grid, sum(_r2_groups(w, rho, theta, u, sf, eos).values()))
         if defects is not None:
             rates["rm"][lev] = gridmod.integrate(grid, np.einsum(
                 "...jk,...jk->...", defects.r_m[lev], sf["g_u"]))
@@ -619,8 +603,9 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
                                + np.abs(eos["rho_s"])
                                * np.sqrt(np.sum(u ** 2, axis=-1))))
         rates["res_tail"][lev] = gridmod.integrate(grid, _avg(w, tail, 0))
+        return row
 
-    series = rel_energy_series(V, sol, model, transport_model, chain_level)
+    series = _series(times, [level(lev) for lev in range(n_levels)])
     e_mv = series.e_mv
     cum = {k: _cum_trapz(v, times) for k, v in rates.items()}
     blocks = {k: cum[k] for k in _BLOCK_KEYS}

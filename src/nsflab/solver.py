@@ -335,13 +335,13 @@ class Trajectory:
         return len(self.times)
 
     def conserved_series(self) -> dict[str, np.ndarray]:
-        g, rows = self.grid, []
-        for rho, u, theta in zip(self.rho, self.u, self.theta):
-            eos = self.model.partials(rho, theta, ("e", "rho_s"))
-            rows.append([gridmod.integrate(g, x) for x in (
+        g, rho, u = self.grid, self.rho, self.u
+        eos = self.model.partials(rho, self.theta, ("e", "rho_s"))
+        # each level summed over its cells as gridmod.integrate sums one level
+        mass, mom, kin, internal, ent = (
+            np.add.reduce(x, axis=tuple(range(1, g.dim + 1))) * g.cell_volume for x in (
                 rho, rho[..., None] * u, 0.5 * rho * np.sum(u**2, axis=-1), rho * eos["e"],
-                eos["rho_s"])])
-        mass, mom, kin, internal, ent = (np.array(c) for c in zip(*rows))
+                eos["rho_s"]))
         return {"mass": mass, "momentum": mom, "kinetic": kin,
                 "internal": internal, "total": kin + internal, "entropy": ent}
 

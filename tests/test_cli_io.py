@@ -661,6 +661,11 @@ def _schema_rows():
                  id="defect-study-grids-18"),
     pytest.param(["defect-study", "--grids", "64,66"], None, "experiment.grids",
                  id="defect-study-grids-64-66"),
+    # one grid leaves a ladder verdict nothing to compare
+    pytest.param(["defect-study", "--grids", "64"], None, "experiment.grids",
+                 id="defect-study-grids-64"),
+    pytest.param(["apriori", "--grids", "16"], None, "experiment.grids",
+                 id="apriori-grids-16"),
     # a study runs what its config lists: an emptied list or profile is refused
     pytest.param(["wsu", "--theorem", "1", "--grids", ""], None, "experiment.grids",
                  id="wsu-1-grids-empty"),

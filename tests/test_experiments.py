@@ -140,11 +140,15 @@ def test_spec_refuses_ladders_the_claim_cannot_read(monkeypatch):
         with pytest.raises(ValueError, match="at least two grids"):
             ex.ExperimentSpec(grids=(32,), **good)
         assert ex.ExperimentSpec(grids=(16, 32), **good).grids == (16, 32)
-    # the budget and coarse-graining studies read a single grid
+    # one grid leaves the coarse-graining study nothing to compare, and a
+    # budget constant calibrated on it is checked against itself; a fixed
+    # constant makes one budget grid meaningful
+    with pytest.raises(ValueError, match="^grids: claim 'defect' needs at least two grids"):
+        ex.ExperimentSpec(theorem="defect", model=PG, transport_model=AT, grids=(64,))
+    with pytest.raises(ValueError, match="^grids: claim 'apriori' needs at least two grids"):
+        ex.ExperimentSpec(theorem="apriori", model=MR, transport_model=PK, grids=(8,))
     assert ex.ExperimentSpec(theorem="apriori", model=MR, transport_model=PK,
-                             grids=(8,)).grids == (8,)
-    assert ex.ExperimentSpec(theorem="defect", model=PG, transport_model=AT,
-                             grids=(64,)).grids == (64,)
+                             grids=(8,), c_fixed=1.0).grids == (8,)
 
 
 def test_spec_keeps_the_gate_it_computes(monkeypatch):
@@ -438,7 +442,7 @@ def test_apriori_reads_the_molecular_entropy_once_per_level(monkeypatch):
 
 def test_apriori_constant_boundary_degenerates_gracefully():
     spec = ex.ExperimentSpec(theorem="apriori", model=MR, transport_model=PK,
-                             grids=(8,), theta_tilt=0.0)
+                             grids=(8,), theta_tilt=0.0, c_fixed=1.0)
     rep = ex.run_apriori(spec)
     lo, hi = rep.harmonic_range
     assert lo == pytest.approx(1.0, abs=1e-10)

@@ -1,5 +1,7 @@
 """Tests for the relative-energy functional, cutoff split, remainder, and report."""
 
+import json
+import os
 from dataclasses import dataclass, field, replace
 
 import mpmath
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsflab import grid as gridmod
-from nsflab import experiments, relenergy, solver, testfuns, thermo, transport, young
+from nsflab import config, experiments, relenergy, solver, testfuns, thermo, transport, young
 from nsflab.manufactured import grid_points, manufactured
 
 MODEL = thermo.PerfectGas(c_v=1.5)
@@ -67,6 +69,13 @@ def _perturbed_trajectory(n, eps, t_end=0.05, save_every=2):
     traj = solver.simulate(grid, cfg, MODEL, TM, boundary=sol.boundary,
                            initial=init)
     return traj, sol
+
+
+def _states(traj):
+    """The stored levels of a trajectory as flow states, views of its arrays."""
+
+    return [solver.FlowState(grid=traj.grid, rho=rho, u=u, theta=theta, t=float(t))
+            for rho, u, theta, t in zip(traj.rho, traj.u, traj.theta, traj.times)]
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +250,7 @@ def test_plateau_shortcut_keeps_the_window_weight_bits(delta, rho_inside, theta_
 
 def test_plateau_reuses_the_essential_energy_bit_for_bit(monkeypatch):
     traj, sol = _perturbed_trajectory(16, eps=5e-3)
-    V = young.dirac_from_trajectory(traj)
+    states = _states(traj)
     args = (sol, sol.model, sol.transport_model)
     weight, taken = relenergy.CutoffParams._weight, []
 
@@ -251,12 +260,12 @@ def test_plateau_reuses_the_essential_energy_bit_for_bit(monkeypatch):
         return chi, plateau
 
     monkeypatch.setattr(relenergy.CutoffParams, "_weight", spy)
-    fast = relenergy.rel_energy_series(V, *args)
-    assert len(taken) == V.n_levels and all(taken)
+    fast = relenergy.rel_energy_series(states, *args)
+    assert len(taken) == traj.n_levels and all(taken)
     # the same series with every window weight built from the two ramps
     monkeypatch.setattr(relenergy.CutoffParams, "_weight",
                         lambda self, rho, theta: (self._ramp(rho) * self._ramp(theta), False))
-    slow = relenergy.rel_energy_series(V, *args)
+    slow = relenergy.rel_energy_series(states, *args)
     for key in ("e_mv", "e_ess", "e_res"):
         assert getattr(fast, key).tobytes() == getattr(slow, key).tobytes(), key
     assert np.all(fast.e_res == 0.0)
@@ -520,9 +529,9 @@ def _radiative_trajectory():
                          ids=["radiative_decay-2d", "shear-1d"])
 def test_energy_series_equals_the_report_bit_for_bit(make):
     traj, sol = make()
-    V = young.dirac_from_trajectory(traj)
+    V, states = young.dirac_from_trajectory(traj), _states(traj)
     assert V.n_levels >= 3
-    series = relenergy.rel_energy_series(V, sol, sol.model, sol.transport_model)
+    series = relenergy.rel_energy_series(states, sol, sol.model, sol.transport_model)
     rep = relenergy.rel_energy_inequality_report(V, None, sol, sol.model,
                                                  sol.transport_model)
     for key in ("times", "e_mv", "e_ess", "e_res"):
@@ -534,14 +543,12 @@ def test_energy_series_equals_the_report_bit_for_bit(make):
     assert series.e_mv[0] > 0.0
 
     with pytest.raises(ValueError, match="share the equation of state"):
-        relenergy.rel_energy_series(V, sol, thermo.PerfectGas(c_v=1.4),
+        relenergy.rel_energy_series(states, sol, thermo.PerfectGas(c_v=1.4),
                                     sol.transport_model)
     with pytest.raises(ValueError, match="share the transport model"):
-        relenergy.rel_energy_series(V, sol, sol.model, transport.AffineTheta(c_mu=0.2))
-    cold = young.AtomicYoungMeasure(
-        grid=V.grid, times=V.times, weights=V.weights, rho=V.rho,
-        theta=np.where(V.theta > V.theta.min(), V.theta, 0.0), u=V.u,
-        d_u=V.d_u, d_theta=V.d_theta)
+        relenergy.rel_energy_series(states, sol, sol.model, transport.AffineTheta(c_mu=0.2))
+    cold = [replace(s, theta=np.where(s.theta > traj.theta.min(), s.theta, 0.0))
+            for s in states]
     with pytest.raises(ValueError, match="strictly positive atom states"):
         relenergy.rel_energy_series(cold, sol, sol.model, sol.transport_model)
 
@@ -558,7 +565,8 @@ def test_trajectory_series_equals_its_dirac_measure_bit_for_bit(make):
     states = list(solver.levels(traj.grid, traj.cfg, traj.model, traj.transport_model,
                                 traj.boundary, initial))
     direct = relenergy.rel_energy_series(iter(states), *args)
-    via_measure = relenergy.rel_energy_series(young.dirac_from_trajectory(traj), *args)
+    via_measure = relenergy.rel_energy_inequality_report(young.dirac_from_trajectory(traj),
+                                                         None, *args)
     for key in ("times", "e_mv", "e_ess", "e_res"):
         assert getattr(direct, key).tobytes() == getattr(via_measure, key).tobytes(), key
     assert direct.expansion.keys() == via_measure.expansion.keys()
@@ -567,7 +575,7 @@ def test_trajectory_series_equals_its_dirac_measure_bit_for_bit(make):
     assert direct.expansion_gap == via_measure.expansion_gap
     assert direct.gronwall_c == via_measure.gronwall_c
 
-    # a non-finite state is refused by name on both paths
+    # a non-finite state is refused by name by the series and by the measure
     for name in ("u", "theta"):
         vals = getattr(states[1], name).copy()
         vals.flat[3] = np.nan
@@ -606,8 +614,77 @@ def test_each_state_is_evaluated_once_per_level():
     relenergy.rel_energy_inequality_report(V, None, sol, model, TM)
     assert model.shapes == [(16,), (16, 1)] * V.n_levels
     model.shapes.clear()
-    relenergy.rel_energy_series(V, sol, model, TM)
+    relenergy.rel_energy_series(_states(traj), sol, model, TM)
     assert model.shapes == [(16,), (16, 1)] * V.n_levels
+
+
+def _default_relenergy_measure():
+    """The measure ``relenergy`` reports on at its defaults."""
+
+    cfg = config.default_config("relenergy")
+    sol = config.build_source(cfg)
+    grid = config.build_grid(cfg, sol.dim)
+    traj = solver.simulate(grid, config.build_solver_config(cfg, sol), sol.model,
+                           sol.transport_model, boundary=sol.boundary,
+                           initial=experiments.perturbed_state(
+                               sol, grid, cfg["experiment"]["eps"][0]))
+    return young.dirac_from_trajectory(traj), None, sol
+
+
+def _mixed_measure_with_defects():
+    """Two Dirac measures off the shear profile mixed, the second partly
+    outside the window, with the defects of a perturbed run coarse-grained
+    onto the measure's grid: the non-Dirac path with nonzero ``r_m`` and
+    ``d_diss``."""
+
+    fine, sol = _perturbed_trajectory(32, eps=5e-2)
+    coarse = gridmod.Grid(cells=(16,))
+    bundle, _ = young.defect_from_refinement(fine, coarse, MODEL)
+    x = grid_points(coarse)[..., 0]
+    near = _shifted_dirac(sol, coarse, fine.times, 0.05 * np.sin(2 * np.pi * x),
+                          0.05 * np.sin(np.pi * x), 0.05 * np.sin(np.pi * x)[..., None])
+    far = _shifted_dirac(sol, coarse, fine.times, 9.5 + 0.5 * x, 0.1 * x,
+                         -0.2 * np.cos(np.pi * x)[..., None])
+    return young.mix([near, far], [0.7, 0.3]), bundle, sol
+
+
+def _radiative_measure():
+    traj, sol = _radiative_trajectory()
+    return young.dirac_from_trajectory(traj), None, sol
+
+
+GOLDEN_MEASURES = {"relenergy-default": _default_relenergy_measure,
+                   "shear-mix-defects": _mixed_measure_with_defects,
+                   "radiative_decay-2d": _radiative_measure}
+
+with open(os.path.join(os.path.dirname(__file__), "golden", "relenergy.json"),
+          encoding="utf-8") as fh:
+    REPORT_PINNED = json.load(fh)
+
+
+def _report_entries(rep):
+    """Every array and number of a report, the dicts flattened by key."""
+
+    out = {}
+    for key, val in vars(rep).items():
+        for name, arr in (val.items() if isinstance(val, dict) else [(None, val)]):
+            out[key if name is None else f"{key}.{name}"] = np.asarray(arr, dtype=float)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MEASURES))
+def test_report_matches_golden_bits(name):
+    # golden/relenergy.json holds every entry of the report on each measure,
+    # written by json (repr round-trip floats): a refactor must keep every bit
+    V, defects, sol = GOLDEN_MEASURES[name]()
+    got = _report_entries(relenergy.rel_energy_inequality_report(
+        V, defects, sol, sol.model, sol.transport_model))
+    assert got.keys() == REPORT_PINNED[name].keys()
+    for key, want in REPORT_PINNED[name].items():
+        want = np.asarray(want, dtype=float)
+        assert got[key].shape == want.shape, key
+        assert got[key].tobytes() == want.tobytes(), (
+            f"{name} {key}: {np.count_nonzero(got[key] != want)} values moved")
 
 
 def test_gronwall_fit_recovers_synthetic_rate():

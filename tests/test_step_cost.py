@@ -1,5 +1,6 @@
 """Exact call counts of a time step, of a streamed relative-energy level,
-and of the six weak-form clauses of ``mv-check``.
+of the six weak-form clauses of ``mv-check``, and of the relative-energy
+report of ``relenergy``.
 
 At the study grids a step costs its number of Python and numpy calls, not
 its flops, and a wall clock on a shared machine cannot resolve a change of
@@ -10,19 +11,24 @@ depend on what ran before.  The calls are summed over the profiler's own
 entries, one per function: ``pstats`` keys functions by file, line and
 name, so functions that share those (the ``__init__`` that ``dataclasses``
 generates for each class) overwrite each other there, and its total would
-depend on which of them ran last.  The step counts are pinned too, so that
+depend on which of them ran last.  The garbage collector is held off while
+a run is profiled: a collection runs every installed gc callback
+(hypothesis installs one), so a count would otherwise depend on whether a
+collection fell inside the run.  The step counts are pinned too, so that
 fewer calls cannot come from fewer steps.  A count that falls is good news:
 lower its pin with the change that earned it.
 """
 
+import contextlib
 import cProfile
 import dataclasses
+import gc
 
 import pytest
 
 from nsflab import grid as gridmod
 from nsflab import manufactured as mfg
-from nsflab import config, relenergy, solver, testfuns, thermo, transport, young
+from nsflab import config, experiments, relenergy, solver, testfuns, thermo, transport, young
 
 # name -> (model, transport, profile, cells, t_end, forced); an unforced run
 # starts from the profile's initial state under a constant wall temperature
@@ -38,10 +44,19 @@ RUNS = {
 # name -> (accepted steps, calls marching with save_every = 1, calls when the
 # same march is streamed through rel_energy_series, or None for an unforced run)
 PINNED = {
-    "shear-1d-64": (435, 128079, 170072),
-    "radiative_decay-2d-16": (30, 15094, 18455),
+    "shear-1d-64": (435, 128079, 168330),
+    "radiative_decay-2d-16": (30, 15094, 18333),
     "radiative_decay-2d-16-unforced": (30, 12302, None),
 }
+
+
+@contextlib.contextmanager
+def _collector_off():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _count(name, stream):
@@ -55,16 +70,17 @@ def _count(name, stream):
             boundary = gridmod.constant_boundary(1.0)
             initial = solver.FlowState(grid, *sol.on_grid(grid, 0.0), 0.0)
         prof = cProfile.Profile()
-        prof.enable()
-        marched = solver.levels(gridmod.Grid(cells=cells), cfg, model, tm,
-                                boundary=boundary, initial=initial)
-        if stream:
-            n_levels = relenergy.rel_energy_series(marched, sol, model, tm).times.size
-        else:
-            n_levels = 0
-            for _ in marched:
-                n_levels += 1
-        prof.disable()
+        with _collector_off():
+            prof.enable()
+            marched = solver.levels(gridmod.Grid(cells=cells), cfg, model, tm,
+                                    boundary=boundary, initial=initial)
+            if stream:
+                n_levels = relenergy.rel_energy_series(marched, sol, model, tm).times.size
+            else:
+                n_levels = 0
+                for _ in marched:
+                    n_levels += 1
+            prof.disable()
     return n_levels - 1, sum(entry.callcount for entry in prof.getstats())
 
 
@@ -131,9 +147,41 @@ def test_clause_calls_are_pinned(mv_check_measures, name):
             # compares it with its equal key whatever ran before
             V = dataclasses.replace(V, grid=gridmod.Grid(cells=V.grid.cells))
             prof = cProfile.Profile()
-            prof.enable()
-            CLAUSES[name](V, sol)
-            prof.disable()
+            with _collector_off():
+                prof.enable()
+                CLAUSES[name](V, sol)
+                prof.disable()
         counts.append((V.n_levels, sum(entry.callcount for entry in prof.getstats())))
     calls, per_level = CLAUSE_CALLS[name]
     assert counts == [(51, calls), (196, calls + 145 * per_level)]
+
+
+# calls of rel_energy_inequality_report on the default relenergy measure, 221
+# levels, and calls per level more on the same run marched four times as
+# long, 853 levels
+REPORT_CALLS = (85884, 387)
+
+
+def test_report_calls_are_pinned():
+    counts = []
+    for scale in (1, 4):
+        cfg = config.default_config("relenergy")
+        cfg = cfg.replace_value("solver", "t_end", scale * cfg["solver"]["t_end"])
+        sol = config.build_source(cfg)
+        grid = config.build_grid(cfg, sol.dim)
+        traj = solver.simulate(grid, config.build_solver_config(cfg, sol), sol.model,
+                               sol.transport_model, boundary=sol.boundary,
+                               initial=experiments.perturbed_state(
+                                   sol, grid, cfg["experiment"]["eps"][0]))
+        V = young.dirac_from_trajectory(traj)
+        for _ in range(2):
+            V = dataclasses.replace(V, grid=gridmod.Grid(cells=V.grid.cells))
+            prof = cProfile.Profile()
+            with _collector_off():
+                prof.enable()
+                relenergy.rel_energy_inequality_report(V, None, sol, sol.model,
+                                                       sol.transport_model)
+                prof.disable()
+        counts.append((V.n_levels, sum(entry.callcount for entry in prof.getstats())))
+    calls, per_level = REPORT_CALLS
+    assert counts == [(221, calls), (853, calls + 632 * per_level)]
