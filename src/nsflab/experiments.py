@@ -450,15 +450,16 @@ def _merge_ranges(into: dict[str, float], other: dict[str, float]) -> None:
 
 
 def _fit_order(h: np.ndarray, sup: np.ndarray) -> float:
-    """Slope of log(sup) against log(h) over two or more grids (the spec
-    refuses fewer); ``inf`` when the error is zero."""
+    """Least-squares slope of log(sup) against log(h) over two or more grids
+    (the spec refuses fewer), the closed-form ``relenergy.fit_slope``
+    sum(dlog h * dlog sup) / sum(dlog h**2), centred; ``inf`` when the error is zero."""
 
     sup = np.asarray(sup, dtype=float)
     if np.all(sup <= 1e-13):
         return math.inf
     if np.any(sup <= 0.0):
         return math.inf if sup[-1] <= 0.0 else 0.0
-    return float(np.polyfit(np.log(h), np.log(sup), 1)[0])
+    return relenergy.fit_slope(np.log(h), np.log(sup))
 
 
 # --------------------------------------------------------------------------

@@ -49,6 +49,7 @@ __all__ = [
     "rel_energy_series",
     "rel_energy_inequality_report",
     "fit_gronwall_constant",
+    "fit_slope",
 ]
 
 
@@ -382,16 +383,28 @@ def remainder_R2(V: AtomicYoungMeasure, sol: StrongSolution,
 # --------------------------------------------------------------------------
 
 
+def fit_slope(x, y) -> float:
+    """Least-squares slope of y against x in closed form, the centred
+    sum(dx * dy) / sum(dx**2), by ufunc reductions (no BLAS or LAPACK);
+    the caller supplies two or more distinct x."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = x - np.add.reduce(x) / x.size
+    dy = y - np.add.reduce(y) / y.size
+    return float(np.add.reduce(dx * dy) / np.add.reduce(dx * dx))
+
+
 def fit_gronwall_constant(times: np.ndarray, e_mv: np.ndarray) -> float:
-    """Least-squares exponential growth rate of a positive energy series."""
+    """Least-squares exponential growth rate of a positive energy series:
+    the closed-form ``fit_slope`` sum(dt * dlog e) / sum(dt**2), centred,
+    over the finite positive levels; 0.0 below two distinct such times."""
 
     times = np.asarray(times, dtype=float)
     e_mv = np.asarray(e_mv, dtype=float)
     mask = np.isfinite(e_mv) & (e_mv > 0.0)
     if np.count_nonzero(mask) < 2 or np.ptp(times[mask]) == 0.0:
         return 0.0
-    coeffs = np.polynomial.polynomial.polyfit(times[mask], np.log(e_mv[mask]), 1)
-    return float(coeffs[1])
+    return fit_slope(times[mask], np.log(e_mv[mask]))
 
 
 def _cum_trapz(series: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ All state functions are vectorized over numpy arrays.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -472,8 +473,12 @@ class StructureReport:
     first_violation: str | None
 
 
+def _uniform(rng: random.Random, lo: float, hi: float, n: int) -> np.ndarray:
+    return lo + (hi - lo) * np.array([rng.random() for _ in range(n)])
+
+
 def _sample_log_uniform(rng, n, lo=1e-3, hi=1e3):
-    return np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
+    return np.exp(_uniform(rng, math.log(lo), math.log(hi), n))
 
 
 def validate_structure(model: ThermoModel, n_samples: int = 10_000,
@@ -484,9 +489,10 @@ def validate_structure(model: ThermoModel, n_samples: int = 10_000,
     dp/drho > 0, de/dtheta > 0 (stability); midpoint convexity of the
     conservative energy; Gibbs residuals small; and for molecular kernels the
     hypotheses P(0) = 0, P' > 0, 0 < (5/3 P - P' q)/q < 10, S' < 0,
-    and monotone decrease of S along increasing q.
+    and monotone decrease of S along increasing q. ``random.Random(seed)``
+    draws rho, theta, the two velocity halves, then q, in that order.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     rho = _sample_log_uniform(rng, n_samples)
     theta = _sample_log_uniform(rng, n_samples)
     checks: dict = {}
@@ -503,8 +509,8 @@ def validate_structure(model: ThermoModel, n_samples: int = 10_000,
     # midpoint convexity of E in conservative variables
     m = n_samples // 2
     rho_a, rho_b = rho[:m], rho[m : 2 * m]
-    u_a = rng.uniform(-3.0, 3.0, size=(m, 1))
-    u_b = rng.uniform(-3.0, 3.0, size=(m, 1))
+    u_a = _uniform(rng, -3.0, 3.0, m)[:, None]
+    u_b = _uniform(rng, -3.0, 3.0, m)[:, None]
     Sa = rho_a * d["s"][:m]
     Sb = rho_b * d["s"][m : 2 * m]
     ma_ = rho_a[:, None] * u_a

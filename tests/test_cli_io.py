@@ -265,6 +265,43 @@ def test_cli_import_loads_no_package_beyond_numpy():
     assert proc.stdout.strip() == "['nsflab']"
 
 
+def test_verify_thermo_does_not_load_numpy_random(tmp_path):
+    # numpy.random pages in about 5 MB of extension modules, which would set
+    # the command's peak memory; this pytest process has loaded it already,
+    # so the check runs in an interpreter of its own
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys\n"
+             "from nsflab import cli\n"
+             f"code = cli.main(['verify-thermo', '--samples', '300', '--out', {str(tmp_path)!r}])\n"
+             "assert 'numpy.random' not in sys.modules, 'numpy.random was loaded'\n"
+             "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["wsu", "--theorem", "1"], ["relenergy"]],
+                         ids=["wsu-1", "relenergy"])
+def test_default_slope_fits_reach_no_lapack(tmp_path, capsys, monkeypatch, argv):
+    # the Gronwall rate and the order in h are closed-form fits; a least-
+    # squares solve would page in LAPACK in every claim process.  Every
+    # loaded numpy module that binds lstsq (np.polyfit reads its own import)
+    # gets the refusal, and the forked claim workers inherit it
+    lstsq = np.linalg.lstsq
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.lstsq reached")
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("numpy")
+                and getattr(module, "lstsq", None) is lstsq):
+            monkeypatch.setattr(module, "lstsq", refuse)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+
 def test_verify_thermo_passes_and_writes_verdict(tmp_path, capsys):
     code = cli.main(["verify-thermo", "--samples", "500",
                      "--out", str(tmp_path)])

@@ -699,6 +699,19 @@ def test_gronwall_fit_recovers_synthetic_rate():
     assert relenergy.fit_gronwall_constant(np.zeros(1), np.ones(1)) == 0.0
 
 
+@pytest.mark.parametrize("n", [3, 50, 400])
+def test_fit_slope_is_the_least_squares_slope(n):
+    rng = np.random.default_rng(n)
+    x = np.log(np.sort(rng.uniform(1e-3, 1.0, n)))
+    y = 1.7 - 2.3 * x + 0.05 * rng.standard_normal(n)
+    assert relenergy.fit_slope(x, y) == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
+
+
+def test_fit_slope_is_exact_on_two_points():
+    assert relenergy.fit_slope([1.0, 3.0], [2.0, -4.0]) == -3.0
+    assert relenergy.fit_slope(np.array([0.5, 2.0]), np.array([1.0, 7.0])) == 4.0
+
+
 # --------------------------------------------------------------------------
 # structural hypotheses used by the uniqueness estimates
 # --------------------------------------------------------------------------

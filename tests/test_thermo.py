@@ -164,6 +164,54 @@ def test_validate_structure_passes(name):
     assert rep.checks["convexity_violations"] == 0
 
 
+def _draws(monkeypatch, model, seed, n_samples=400):
+    """Each uniform draw of ``validate_structure`` as (lo, hi, values)."""
+    draws = []
+    uniform = thermo._uniform
+
+    def recording(rng, lo, hi, n):
+        values = uniform(rng, lo, hi, n)
+        draws.append((lo, hi, values))
+        return values
+
+    with monkeypatch.context() as patch:
+        patch.setattr(thermo, "_uniform", recording)
+        thermo.validate_structure(model, n_samples=n_samples, seed=seed)
+    return draws
+
+
+def test_validate_structure_is_seeded():
+    model = MODELS["mol_rad_degenerate"]
+    first = thermo.validate_structure(model, n_samples=500, seed=3)
+    assert thermo.validate_structure(model, n_samples=500, seed=3) == first
+
+
+def test_validate_structure_draws_each_state_in_its_range(monkeypatch):
+    # rho, theta, the two velocity halves, then the kernel arguments q
+    draws = _draws(monkeypatch, MODELS["mol_rad_degenerate"], seed=0)
+    state, q = (math.log(1e-3), math.log(1e3)), (math.log(1e-4), math.log(1e4))
+    assert [(lo, hi, v.size) for lo, hi, v in draws] == [
+        (*state, 400), (*state, 400), (-3.0, 3.0, 200), (-3.0, 3.0, 200), (*q, 400)]
+    for lo, hi, values in draws:
+        assert np.all((lo <= values) & (values <= hi))
+        assert np.ptp(values) > 0.9 * (hi - lo)
+
+
+def test_validate_structure_seeds_draw_different_states(monkeypatch):
+    model = MODELS["mol_rad_degenerate"]
+    zero, one = (_draws(monkeypatch, model, seed) for seed in (0, 1))
+    for (_, _, a), (_, _, b) in zip(zero, one, strict=True):
+        assert not np.any(a == b)
+
+
+@pytest.mark.parametrize("model", [thermo.PerfectGas(c_v=1.5), thermo.MolecularRadiation(a=1.0)],
+                         ids=["perfect_gas", "molecular_radiation"])
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_structure_passes_at_the_default_sample_count(model, seed):
+    rep = thermo.validate_structure(model, seed=seed)
+    assert rep.ok, rep.first_violation
+
+
 @given(
     rho_a=st.floats(0.05, 20.0), rho_b=st.floats(0.05, 20.0),
     th_a=st.floats(0.05, 20.0), th_b=st.floats(0.05, 20.0),
