@@ -21,7 +21,9 @@ Each runner's simulations are independent of one another, so they are spread
 over one process per CPU in the affinity mask (:func:`_run_tasks`), and their
 results are combined in the serial order: every report is bit-identical to a
 run in one process.  Within a process each run is read one saved level at a
-time, so at most two consecutive levels are alive per process.
+time, so at most two consecutive levels are alive per process.  Every study
+reads its runs the same way: each level gives one row of scalars, and the
+study reduces the rows once, after the run.
 """
 
 from __future__ import annotations
@@ -438,17 +440,6 @@ def _run_tasks(run, tasks: Iterable) -> list:
     return [outcomes[i][1] for i in range(len(tasks))]
 
 
-# a run's state ranges before its first level; merged with min/max, which is
-# exact, so per-run ranges combine to the serial fold in any grouping
-_NO_RANGES = {"rho_min": math.inf, "rho_max": 0.0, "theta_min": math.inf,
-              "theta_max": 0.0, "s_abs_max": 0.0}
-
-
-def _merge_ranges(into: dict[str, float], other: dict[str, float]) -> None:
-    for key, value in other.items():
-        into[key] = (min if key.endswith("_min") else max)(into[key], value)
-
-
 def _fit_order(h: np.ndarray, sup: np.ndarray) -> float:
     """Least-squares slope of log(sup) against log(h) over two or more grids
     (the spec refuses fewer), the closed-form ``relenergy.fit_slope``
@@ -511,18 +502,19 @@ def _kernel_entropy_quotient(model: thermo.MolecularRadiation) -> float:
 
 
 def _velocity_control_terms(state: solver.FlowState,
-                            sol: StrongSolution) -> tuple[float, float]:
-    """integral|u-u_ref|**2 and integral|D0 gap|**2 at one level: the
-    numerator and denominator of the velocity-control quotient."""
+                            sol: StrongSolution) -> tuple[float, float, float]:
+    """Claim 3 at one level: its time, integral|u-u_ref|**2 and
+    integral|D0 gap|**2, the numerator and denominator of the
+    velocity-control quotient."""
 
     g = state.grid
     pts = grid_points(g)
     t = float(state.t)
     du = state.u - sol.u(t, pts)
     f = gridmod.sync_odd(gridmod.VectorField.from_interior(g, state.u))
-    d0 = transport.traceless_sym(gridmod.grad_vector(f))
+    d0 = transport.traceless_sym(gridmod.gradient(f))
     d0_ref = transport.traceless_sym(sol.grad_u(t, pts))
-    return (gridmod.integrate(g, np.sum(du * du, axis=-1)),
+    return (t, gridmod.integrate(g, np.sum(du * du, axis=-1)),
             gridmod.integrate(g, np.sum((d0 - d0_ref) ** 2, axis=(-2, -1))))
 
 
@@ -597,8 +589,13 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     stable across the listed perturbation sizes and across one grid
     refinement.  The runs are independent and spread over processes by
     :func:`_run_tasks`.  Each run is read one saved level at a time as the
-    solver makes it: at most two consecutive levels are alive per process,
-    and only per-level scalars are kept.
+    solver makes it, so at most two consecutive levels are alive per
+    process.  A run's task carries the claim's reader for that run, or
+    None: claim "1" reads its state window and max |s| on every run, claim
+    "2" max |s| on every run and its two chain quotients on the first exact
+    run, and claim "3" its velocity-control terms on the first perturbed
+    run.  A reader turns each level into one row of scalars, and the rows
+    are reduced once, after the runs.
     """
 
     if spec.theorem not in ("1", "2", "3"):
@@ -612,56 +609,31 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     model = spec.model
 
     def run(task):
-        """Solve one task ``(n, eps, claim_reads)``: n cells from the strong
-        data (``perturbed_state`` when ``eps`` is given).  Fold each level
-        into the run's own ranges (claims 1 and 2; |s| once per level) and,
-        when ``claim_reads``, into the claim's reads, as the solver yields it.
-        Return the run's summary of its relative-energy series against
-        ``sol`` (the sup for a collapse run; E(0), the fitted constant and
-        the envelope growth for a perturbed one), its ranges and its reads."""
-        n, eps, claim_reads = task
-        theorem_2 = claim_reads and spec.theorem == "2"
+        """Solve one task ``(n, eps, read)``: n cells from the strong data
+        (``perturbed_state`` when ``eps`` is given).  ``read``, when given,
+        turns each level into one row of the claim's scalars as the solver
+        yields it.  Return the run's summary of its relative-energy series
+        against ``sol`` (the sup for a collapse run; E(0), the fitted
+        constant and the envelope growth for a perturbed one) and its rows."""
+        n, eps, read = task
         grid = gridmod.Grid(cells=(n,) * dim)
-        ranges = dict(_NO_RANGES)
-        reads: list[tuple[float, ...]] = []
+        rows: list[tuple[float, ...]] = []
 
-        def fold(states):
+        def reading(states):
             for state in states:
-                rho, theta = state.rho, state.theta
-                if spec.theorem != "3":
-                    eos = model.partials(rho, theta, ("s", "e", "p") if theorem_2 else ("s",))
-                    s_abs = np.abs(eos["s"])
-                    _merge_ranges(ranges, {
-                        "rho_min": float(np.min(rho)), "rho_max": float(np.max(rho)),
-                        "theta_min": float(np.min(theta)),
-                        "theta_max": float(np.max(theta)),
-                        "s_abs_max": float(np.max(s_abs))})
-                if theorem_2:
-                    en = rho * eos["e"]
-                    reads.append((
-                        float(np.max(theta ** model.c_v / (rho * np.exp(_ENTROPY_CAP)))),
-                        float(np.max(np.abs(eos["p"]) / (1.0 + en + rho * s_abs)))))
-                elif claim_reads:
-                    reads.append((state.t, *_velocity_control_terms(state, sol)))
+                rows.append(read(state, sol))
                 yield state
 
         # the initial state goes straight to the solver, so no level is held
         # here while the run marches on
-        rep = relenergy.rel_energy_series(
-            fold(solver.levels(grid, replace(spec.solver, source=sol), model,
+        states = solver.levels(grid, replace(spec.solver, source=sol), model,
                                spec.transport_model, boundary=sol.boundary,
                                initial=None if eps is None
-                               else perturbed_state(sol, grid, eps))),
-            sol, model, spec.transport_model)
-        first: dict[str, float] = {}
-        if theorem_2:
-            margin, quotient = zip(*reads)
-            first["temperature_chain_margin"] = max(margin)
-            first["pressure_quotient_max"] = max(quotient)
-        elif claim_reads:
-            first["velocity_control_ratio"] = _kp_absorption_ratio(*zip(*reads))
+                               else perturbed_state(sol, grid, eps))
+        rep = relenergy.rel_energy_series(states if read is None else reading(states),
+                                          sol, model, spec.transport_model)
         if eps is None:
-            return float(np.max(rep.e_mv)), ranges, first
+            return float(np.max(rep.e_mv)), rows
         start = float(rep.e_mv[0])
         if start <= 0.0:
             raise RuntimeError(
@@ -669,56 +641,79 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
                 "perturbation did not register")
         c_fit = float(rep.gronwall_c)
         envelope = start * np.exp(c_fit * rep.times)
-        return (start, c_fit, float(np.max(rep.e_mv / envelope))), ranges, first
+        return (start, c_fit, float(np.max(rep.e_mv / envelope))), rows
+
+    def s_max(state, sol):
+        """Claim 2 at one level: max |s|."""
+        return (float(np.max(np.abs(model.partials(state.rho, state.theta, ("s",))["s"]))),)
+
+    def window(state, sol):
+        """Claim 1 at one level: the rho and theta ranges and max |s|."""
+        rho, theta = state.rho, state.theta
+        s_abs = np.abs(model.partials(rho, theta, ("s",))["s"])
+        return (float(np.min(rho)), float(np.max(rho)), float(np.min(theta)),
+                float(np.max(theta)), float(np.max(s_abs)))
+
+    def chain(state, sol):
+        """Claim 2 at one level of its first run: max |s| and the two
+        quotients of the temperature and pressure chains."""
+        rho, theta = state.rho, state.theta
+        eos = model.partials(rho, theta, ("s", "e", "p"))
+        s_abs = np.abs(eos["s"])
+        return (float(np.max(s_abs)),
+                float(np.max(theta ** model.c_v / (rho * np.exp(_ENTROPY_CAP)))),
+                float(np.max(np.abs(eos["p"]) / (1.0 + rho * eos["e"] + rho * s_abs))))
 
     # the collapse ladder, the perturbed runs on the finest grid, and one
     # grid-refinement cross-check of the fitted constant: the largest
     # perturbation (the one farthest from the collapse floor) repeated on the
-    # next-coarser grid.  Claim "2" reads its hypotheses on the first exact
-    # run, claim "3" on the first perturbed run.
+    # next-coarser grid
     n_collapse = len(spec.grids)
     idx = int(np.argmax(spec.eps_list))
     runs = ([(n, None) for n in spec.grids]
             + [(spec.grids[-1], eps) for eps in spec.eps_list]
             + [(spec.grids[-2], spec.eps_list[idx])])
-    read_at = {"2": 0, "3": n_collapse}.get(spec.theorem)
-    results = _run_tasks(run, [(n, eps, i == read_at)
-                               for i, (n, eps) in enumerate(runs)])
-    ranges = dict(_NO_RANGES)
-    for _, run_ranges, _ in results:
-        _merge_ranges(ranges, run_ranges)
-    first = results[read_at][2] if read_at is not None else {}
+    if spec.theorem == "1":
+        reads = [window] * len(runs)
+    elif spec.theorem == "2":
+        reads = [chain] + [s_max] * (len(runs) - 1)
+    else:
+        reads = [None] * len(runs)
+        reads[n_collapse] = _velocity_control_terms
+    summaries, rows = zip(*_run_tasks(run, [(n, eps, read) for (n, eps), read
+                                             in zip(runs, reads)]))
 
-    sup_e = [sup for sup, _, _ in results[:n_collapse]]
+    sup_e = summaries[:n_collapse]
     hs = [max(gridmod.Grid(cells=(n,) * dim).h) for n in spec.grids]
     order = _fit_order(np.asarray(hs), np.asarray(sup_e))
 
     fine = gridmod.Grid(cells=(spec.grids[-1],) * dim)
-    e0, cs, growth = zip(*(summary for summary, _, _ in results[n_collapse:-1]))
+    e0, cs, growth = zip(*summaries[n_collapse:-1])
     c_arr = np.asarray(cs)
     scale = float(np.max(np.abs(c_arr)))
     c_spread = 0.0 if scale == 0.0 else float(np.ptp(c_arr)) / scale
 
-    c_coarse = results[-1][0][1]
+    c_coarse = summaries[-1][1]
     denom = max(abs(cs[idx]), abs(c_coarse), 1e-12)
     c_grid_spread = abs(c_coarse - cs[idx]) / denom
 
-    checks: dict[str, float] = {}
-    hyp_ok = True
     if spec.theorem == "1":
+        columns = zip(*(row for run_rows in rows for row in run_rows))
+        checks = {key: reduce(column) for key, reduce, column in zip(
+            ("rho_min", "rho_max", "theta_min", "theta_max", "s_abs_max"),
+            (min, max, min, max, max), columns)}
         rho_lo, rho_hi, th_lo, th_hi = _STATE_WINDOW
-        window_ok = (rho_lo <= ranges["rho_min"] and ranges["rho_max"] <= rho_hi
-                     and th_lo <= ranges["theta_min"] and ranges["theta_max"] <= th_hi)
-        checks.update(ranges)
-        checks["state_window_ok"] = float(window_ok)
-        hyp_ok = window_ok
+        hyp_ok = (rho_lo <= checks["rho_min"] and checks["rho_max"] <= rho_hi
+                  and th_lo <= checks["theta_min"] and checks["theta_max"] <= th_hi)
+        checks["state_window_ok"] = float(hyp_ok)
     elif spec.theorem == "2":
-        cap_ok = ranges["s_abs_max"] <= _ENTROPY_CAP
-        checks["s_abs_max"] = ranges["s_abs_max"]
-        checks["entropy_cap"] = _ENTROPY_CAP
-        checks["entropy_cap_ok"] = float(cap_ok)
-        checks.update(first)
-        hyp_ok = cap_ok and first["temperature_chain_margin"] <= 1.0 + 1e-12
+        s_abs_max = max(row[0] for run_rows in rows for row in run_rows)
+        _, margin, quotient = zip(*rows[0])
+        checks = {"s_abs_max": s_abs_max, "entropy_cap": _ENTROPY_CAP,
+                  "entropy_cap_ok": float(s_abs_max <= _ENTROPY_CAP),
+                  "temperature_chain_margin": max(margin),
+                  "pressure_quotient_max": max(quotient)}
+        hyp_ok = s_abs_max <= _ENTROPY_CAP and max(margin) <= 1.0 + 1e-12
     else:
         speeds = (np.sqrt(np.sum(u * u, axis=-1))
                   for _, u, _ in (sol.on_grid(fine, t) for t in (0.0, spec.solver.t_end)))
@@ -726,14 +721,12 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
         e1 = _radiation_flux_ratio(spec.model.a, u_max)
         e2 = _kernel_entropy_quotient(spec.model)
         kp_const = young.calibrate_kp_constant(fine)
-        kp_ratio = first["velocity_control_ratio"]
-        checks["flux_absorption_max"] = e1
-        checks["flux_absorption_cap"] = _E1_CAP
-        checks["entropy_quotient_max"] = e2
-        checks["entropy_quotient_cap"] = _E2_CAP
-        checks["velocity_control_ratio"] = kp_ratio
-        checks["velocity_control_constant"] = kp_const
-        checks["kernel_third_law"] = float(spec.model.kernel.third_law)
+        kp_ratio = _kp_absorption_ratio(*zip(*rows[n_collapse]))
+        checks = {"flux_absorption_max": e1, "flux_absorption_cap": _E1_CAP,
+                  "entropy_quotient_max": e2, "entropy_quotient_cap": _E2_CAP,
+                  "velocity_control_ratio": kp_ratio,
+                  "velocity_control_constant": kp_const,
+                  "kernel_third_law": float(spec.model.kernel.third_law)}
         hyp_ok = (e1 <= _E1_CAP and e2 <= _E2_CAP
                   and kp_ratio <= kp_const)
 
@@ -778,10 +771,12 @@ class AprioriReport:
 
 
 def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
-                  theta_hat: gridmod.ScalarField,
-                  boundary: gridmod.BoundaryData) -> dict[str, float]:
-    """Budget terms of one run, folded one level at a time as ``states``
-    yields them; only the times and per-level scalars are kept."""
+                  theta_hat: gridmod.ScalarField, boundary: gridmod.BoundaryData
+                  ) -> tuple[dict[str, float], float, float, float, float]:
+    """The budget of one run: its terms, their total, the entropy-flux and
+    theta**2 coupling constants and the entropy-bound margin.  Each level
+    gives one row of scalars as ``states`` yields it, and the rows are
+    reduced once the run ends."""
     g = theta_hat.grid
     model = spec.model
     tm = spec.transport_model
@@ -791,22 +786,12 @@ def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
 
     grad_hat = gridmod.gradient(theta_hat)
     hat = theta_hat.interior
-
-    state_sup = {k: 0.0 for k in ("mass", "kinetic", "internal", "entropy_power")}
-    sum_sup = 0.0
-    times: list[float] = []
-    visc: list[float] = []
-    bulk: list[float] = []
-    cond: list[float] = []
-    flux_c = 0.0
-    theta_sq_c = 0.0
-    entropy_margin = math.inf
-
+    rows = []
     for state in states:
         t = float(state.t)
         rho, u, theta = state.rho, state.u, state.theta
         rho_f, u_f, th_f = gridmod.sync_physical(g, rho, u, theta, boundary, t)
-        grad_u = gridmod.grad_vector(u_f)
+        grad_u = gridmod.gradient(u_f)
         grad_th = gridmod.gradient(th_f)
         div_u = np.einsum("...ii->...", grad_u)
         u_sq = np.sum(u * u, axis=-1)
@@ -819,21 +804,10 @@ def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
         kin = float(gridmod.integrate(g, rho * u_sq))
         internal = float(gridmod.integrate(g, rho * e))
         ent_pow = float(gridmod.integrate(g, np.abs(rho * s) ** _ENTROPY_Q))
-        state_sup["mass"] = max(state_sup["mass"], mass)
-        state_sup["kinetic"] = max(state_sup["kinetic"], kin)
-        state_sup["internal"] = max(state_sup["internal"], internal)
-        state_sup["entropy_power"] = max(state_sup["entropy_power"], ent_pow)
-        sum_sup = max(sum_sup, mass + kin + internal + ent_pow)
 
         # |grad u + grad u^T - (2/d) div u I|^2, exactly (scalings by 2 and 4)
         shear_sq = 4.0 * np.sum(transport.traceless_sym(grad_u) ** 2, axis=(-2, -1))
-        times.append(t)
-        visc.append(gridmod.integrate(g, mu_lo * (1.0 + 1.0 / theta) * shear_sq))
         lam = tm.lam(rho, theta)
-        bulk.append(gridmod.integrate(g, lam / (2.0 * theta) * div_u ** 2))
-        cond.append(gridmod.integrate(
-            g, kap_lo * (theta ** -2.0 + theta ** (beta - 2.0))
-            * np.sum(grad_th * grad_th, axis=-1)))
 
         # quotients realizing the two coupling estimates; the additive data
         # constant keeps both denominators positive, so a negative ballistic
@@ -842,32 +816,30 @@ def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
             g, rho_s_mol * np.sum(u * grad_hat, axis=-1))))
         ball = float(gridmod.integrate(
             g, 0.5 * rho * u_sq + rho * e - hat * rho * s))
-        flux_c = max(flux_c, flux / (1.0 + max(ball, 0.0)))
         th_sq = float(gridmod.integrate(g, theta ** 2))
         ball_still = float(gridmod.integrate(g, rho * e - hat * rho * s))
         u_h1 = float(gridmod.integrate(
             g, u_sq + np.sum(grad_u ** 2, axis=(-2, -1))))
-        theta_sq_c = max(theta_sq_c,
-                         th_sq / (1.0 + max(ball_still, 0.0) + u_h1))
 
-        entropy_margin = min(entropy_margin, float(np.min(rhs_e - np.abs(rho_s_mol))))
+        rows.append((
+            t, mass + kin + internal + ent_pow, mass, kin, internal, ent_pow,
+            gridmod.integrate(g, mu_lo * (1.0 + 1.0 / theta) * shear_sq),
+            gridmod.integrate(g, lam / (2.0 * theta) * div_u ** 2),
+            gridmod.integrate(g, kap_lo * (theta ** -2.0 + theta ** (beta - 2.0))
+                              * np.sum(grad_th * grad_th, axis=-1)),
+            flux / (1.0 + max(ball, 0.0)),
+            th_sq / (1.0 + max(ball_still, 0.0) + u_h1),
+            float(np.min(rhs_e - np.abs(rho_s_mol)))))
 
-    out = {
-        "state_sup": sum_sup,
-        "mass_sup": state_sup["mass"],
-        "kinetic_sup": state_sup["kinetic"],
-        "internal_sup": state_sup["internal"],
-        "entropy_power_sup": state_sup["entropy_power"],
-        "shear_block": float(np.trapezoid(visc, times)),
-        "bulk_block": float(np.trapezoid(bulk, times)),
-        "conduction_block": float(np.trapezoid(cond, times)),
-        "entropy_flux_c": flux_c,
-        "theta_sq_c": theta_sq_c,
-        "entropy_bound_margin": entropy_margin,
-    }
-    out["total"] = (out["state_sup"] + out["shear_block"] + out["bulk_block"]
-                    + out["conduction_block"])
-    return out
+    times, *sups, visc, bulk, cond, flux_c, theta_sq_c, margin = zip(*rows)
+    terms = dict(zip(("state_sup", "mass_sup", "kinetic_sup", "internal_sup",
+                      "entropy_power_sup"), map(max, sups)))
+    for key, rate in (("shear_block", visc), ("bulk_block", bulk),
+                      ("conduction_block", cond)):
+        terms[key] = float(np.trapezoid(rate, times))
+    total = (terms["state_sup"] + terms["shear_block"] + terms["bulk_block"]
+             + terms["conduction_block"])
+    return terms, total, max(flux_c), max(theta_sq_c), min(margin)
 
 
 def run_apriori(spec: ExperimentSpec) -> AprioriReport:
@@ -879,9 +851,11 @@ def run_apriori(spec: ExperimentSpec) -> AprioriReport:
     instead — the report's ``needs_recalibration`` flag goes up whenever a
     run exceeds it, which is the expected outcome after raising the boundary
     temperature.  The runs are spread over processes by :func:`_run_tasks`;
-    each folds its levels as the solver yields them, so at most two
-    consecutive levels are alive per process.  A budget blow-up is checked
-    in grid order once every run is back.
+    each reduces its levels, read as the solver yields them, to one budget
+    (:func:`_budget_terms`), so at most two consecutive levels are alive per
+    process.  Once every run is back, a budget blow-up is checked in grid
+    order and each reported quantity is reduced over the runs in one
+    expression.
     """
 
     if spec.theorem != "apriori":
@@ -893,8 +867,9 @@ def run_apriori(spec: ExperimentSpec) -> AprioriReport:
     boundary = gridmod.affine_boundary(theta_b, theta_b * tilt)
 
     def run(n: int):
-        """The budget terms of one run on n x n cells, with the interior
-        range of its harmonic extension and its maximum-principle margin."""
+        """The budget of one run on n x n cells (:func:`_budget_terms`), the
+        interior range of its harmonic extension and its maximum-principle
+        margin."""
         grid = gridmod.Grid(cells=(n, n))
         theta_hat = gridmod.harmonic_extension(grid, boundary, t=0.0)
         hat_int = theta_hat.interior
@@ -912,29 +887,12 @@ def run_apriori(spec: ExperimentSpec) -> AprioriReport:
             grid, replace(spec.solver, source=None), spec.model, spec.transport_model,
             boundary=boundary, initial=solver.FlowState(
                 grid=grid, rho=rho0, u=u0, theta=theta_b * (th0 + tilt * x), t=0.0))
-        return (_budget_terms(states, spec, theta_hat, boundary), (hat_lo, hat_hi),
+        return (*_budget_terms(states, spec, theta_hat, boundary), hat_lo, hat_hi,
                 min(hat_lo - b_lo, b_hi - hat_hi))
 
-    totals: list[float] = []
-    per_term: dict[str, list[float]] = {}
-    flux_c = 0.0
-    theta_sq_c = 0.0
-    entropy_margin = math.inf
-    max_margin = math.inf
-    hat_lo = math.inf
-    hat_hi = -math.inf
-    for n, (terms, (lo, hi), margin) in zip(spec.grids,
-                                            _run_tasks(run, spec.grids)):
-        max_margin = min(max_margin, margin)
-        hat_lo = min(hat_lo, lo)
-        hat_hi = max(hat_hi, hi)
-        flux_c = max(flux_c, terms.pop("entropy_flux_c"))
-        theta_sq_c = max(theta_sq_c, terms.pop("theta_sq_c"))
-        entropy_margin = min(entropy_margin, terms.pop("entropy_bound_margin"))
-        total = terms.pop("total")
-        totals.append(total)
-        for key, val in terms.items():
-            per_term.setdefault(key, []).append(val)
+    terms, totals, flux_c, theta_sq_c, entropy_margin, hat_lo, hat_hi, max_margin = zip(
+        *_run_tasks(run, spec.grids))
+    for n, total in zip(spec.grids, totals):
         if total > 1e6 * max(1.0, totals[0]):
             raise RuntimeError(
                 f"budget blow-up at {n} cells: total {total:.3e} exceeds a "
@@ -946,19 +904,18 @@ def run_apriori(spec: ExperimentSpec) -> AprioriReport:
     else:
         c_bound = float(spec.c_fixed)
         calibrated = False
-    within = [t <= c_bound for t in totals]
-    needs_recal = not all(within)
+    needs_recal = not all(t <= c_bound for t in totals)
 
     ok = bool(gate.accepted and not needs_recal
-              and max_margin >= -1e-12 and entropy_margin >= 0.0)
+              and min(max_margin) >= -1e-12 and min(entropy_margin) >= 0.0)
     return AprioriReport(
-        gate=gate, cells=tuple(spec.grids), totals=tuple(totals),
-        terms={k: tuple(v) for k, v in per_term.items()},
+        gate=gate, cells=tuple(spec.grids), totals=totals,
+        terms={key: tuple(run_terms[key] for run_terms in terms) for key in terms[0]},
         c_theta_b=c_bound, calibrated=calibrated,
         needs_recalibration=needs_recal, theta_b=theta_b, theta_tilt=tilt,
-        max_principle_margin=max_margin, harmonic_range=(hat_lo, hat_hi),
-        entropy_bound_margin=entropy_margin, entropy_flux_c=flux_c,
-        theta_sq_c=theta_sq_c, q_exponent=_ENTROPY_Q,
+        max_principle_margin=min(max_margin), harmonic_range=(min(hat_lo), max(hat_hi)),
+        entropy_bound_margin=min(entropy_margin), entropy_flux_c=max(flux_c),
+        theta_sq_c=max(theta_sq_c), q_exponent=_ENTROPY_Q,
         beta=spec.transport_model.beta, ok=ok)
 
 

@@ -14,7 +14,8 @@ kernel for every rank: ``gradient`` appends the derivative axis to a
 scalar, vector or tensor field, and ``divergence`` contracts it with the
 last component axis of a vector or tensor field. ``grad_vector`` and
 ``tensor_divergence`` are the same functions under their rank-specific
-names, kept because the benchmark tracer looks all four names up.
+names, kept only because the benchmark tracer looks all four names up; no
+other module of the package names them.
 """
 
 from __future__ import annotations

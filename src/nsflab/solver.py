@@ -187,7 +187,7 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
     drhoe = np.zeros(g.cells)
 
     # cell-centered velocity gradient for stress work and tangential face terms
-    gu_cell = gridmod.grad_vector(u_f)
+    gu_cell = gridmod.gradient(u_f)
     divu_cell = 0.0  # the trace, summed from 0 as einsum sums it
     for k in range(d):
         divu_cell = divu_cell + gu_cell[..., k, k]

@@ -238,7 +238,7 @@ def dirac_from_trajectory(traj: Trajectory) -> AtomicYoungMeasure:
         _, u_f, th_f = gridmod.sync_physical(g, traj.rho[k], traj.u[k],
                                              traj.theta[k], traj.boundary,
                                              float(traj.times[k]))
-        d_u[k] = transport.sym_part(gridmod.grad_vector(u_f))
+        d_u[k] = transport.sym_part(gridmod.gradient(u_f))
         d_th[k] = gridmod.gradient(th_f)
     return _dirac(g, np.asarray(traj.times, dtype=float), traj.rho, traj.u,
                   traj.theta, d_u, d_th)
@@ -440,7 +440,7 @@ def check_velocity_compat(V: AtomicYoungMeasure,
     """
 
     g = V.grid
-    vals, divs = _family(V, tensors, gridmod.TensorField, gridmod.tensor_divergence)
+    vals, divs = _family(V, tensors, gridmod.TensorField, gridmod.divergence)
     for test, at0, rate in zip(tensors, *vals):
         if _asymmetric(at0) or _asymmetric(rate):
             raise ValueError(f"matrix test function {test.label!r} must be symmetric")
@@ -517,7 +517,7 @@ def momentum_residual(V: AtomicYoungMeasure, phis: Sequence[SpaceTimeFn],
     for test in phis:
         if not test.zero_trace:
             raise ValueError(f"momentum test function {test.label!r} must vanish on the boundary")
-    vals, grads = _family(V, phis, gridmod.VectorField, gridmod.grad_vector)
+    vals, grads = _family(V, phis, gridmod.VectorField, gridmod.gradient)
     # convection, pressure and viscous stress (and the defect) pair with grad phi
     flux = (expect(V, V.rho[..., None, None] * V.u[..., :, None] * V.u[..., None, :])
             + expect(V, model.p(V.rho, V.theta))[..., None, None] * np.eye(V.grid.dim)
@@ -603,7 +603,7 @@ def defect_compat_check(bundle: DefectBundle,
     for test in phis:
         if not test.zero_trace:
             raise ValueError(f"defect test function {test.label!r} must vanish on the boundary")
-    vals, grads = _family(bundle, phis, gridmod.VectorField, gridmod.grad_vector)
+    vals, grads = _family(bundle, phis, gridmod.VectorField, gridmod.gradient)
     pairing = np.abs(_against(bundle.grid, bundle.r_m, grads, bundle.times))
 
     def sup(family: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -638,7 +638,7 @@ def calibrate_kp_constant(grid: gridmod.Grid) -> float:
         u = np.zeros(grid.interior_shape((2,)))
         u[..., 0] = np.sin(np.pi * kx * x) * np.sin(np.pi * ky * y)
         f = gridmod.sync_odd(gridmod.VectorField.from_interior(grid, u))
-        d0 = transport.traceless_sym(gridmod.grad_vector(f))
+        d0 = transport.traceless_sym(gridmod.gradient(f))
         num = float(gridmod.integrate(grid, np.sum(u ** 2, axis=-1)))
         den = float(gridmod.integrate(grid, np.sum(d0 ** 2, axis=(-2, -1))))
         worst = max(worst, num / den)

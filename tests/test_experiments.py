@@ -5,7 +5,7 @@ import os
 import signal
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -303,6 +303,8 @@ def test_collapse_claim_three_radiative(claim_three_report):
 _SMALL_STUDIES = {
     "1": ex.ExperimentSpec(theorem="1", model=PG, transport_model=AT, grids=(16, 32),
                            solver=solver.SolverConfig(t_end=0.01, save_every=2)),
+    "2": ex.ExperimentSpec(theorem="2", model=PG, transport_model=AT, grids=(16, 32),
+                           solver=solver.SolverConfig(t_end=0.01, save_every=2)),
     "3": ex.ExperimentSpec(theorem="3", model=MR, transport_model=PK, grids=(8, 16),
                            solver=solver.SolverConfig(t_end=0.005, save_every=2)),
 }
@@ -358,6 +360,73 @@ def test_claim_three_folds_no_state_range(monkeypatch):
     rep = ex.run_theorem(replace(_SMALL_STUDIES["3"], model=model))
     assert len(rep.dirac_sup) == 2 and model.keys
     assert ("s",) not in model.keys
+
+
+@dataclass(frozen=True)
+class _KeyedGas(thermo.PerfectGas):
+    """Perfect gas that records the keys of every ``partials`` call."""
+
+    keys: list = field(default_factory=list, compare=False)
+
+    def partials(self, rho, theta, keys=thermo.PARTIALS):
+        self.keys.append(tuple(keys))
+        return super().partials(rho, theta, keys)
+
+
+@pytest.mark.parametrize("theorem", sorted(_SMALL_STUDIES))
+def test_each_claim_reads_its_runs(theorem, monkeypatch):
+    # which runs (collapse ladder, perturbed runs, coarse cross-check) each
+    # claim reads, level by level: the keys of its entropy evaluations and
+    # its velocity-control calls
+    _cpus(monkeypatch, 1)  # every run in this process, where the spies count
+    spec = _SMALL_STUDIES[theorem]
+    if theorem != "3":
+        spec = replace(spec, model=_KeyedGas(c_v=1.5))
+    levels, control = solver.levels, ex._velocity_control_terms
+    runs: list[dict] = []
+
+    def tracked(*args, **kwargs):
+        for state in levels(*args, **kwargs):
+            runs[-1]["states"].append(state)
+            yield state
+
+    def started(*args, **kwargs):
+        runs.append({"states": [], "at": len(getattr(spec.model, "keys", ())),
+                     "control": []})
+        return tracked(*args, **kwargs)
+
+    def spied(state, sol):
+        runs[-1]["control"].append(state.t)
+        return control(state, sol)
+
+    monkeypatch.setattr(solver, "levels", started)
+    monkeypatch.setattr(ex, "_velocity_control_terms", spied)
+    rep = ex.run_theorem(spec)
+    assert len(runs) == 5  # two collapse runs, two perturbed, one coarse
+    for i, run in enumerate(runs):
+        n_levels = len(run["states"])
+        assert n_levels >= 2
+        if theorem == "3":
+            expected = [state.t for state in run["states"]] if i == 2 else []
+            assert run["control"] == expected, i
+            continue
+        assert run["control"] == []
+        end = runs[i + 1]["at"] if i + 1 < len(runs) else len(spec.model.keys)
+        keys = spec.model.keys[run["at"]:end]
+        read = ("s", "e", "p") if theorem == "2" and i == 0 else ("s",)
+        assert keys.count(read) == n_levels, (i, keys)
+        assert {("s",), ("s", "e", "p")} & set(keys) == {read}, (i, keys)
+    if theorem == "1":
+        states = [state for run in runs for state in run["states"]]
+        checks = rep.hypothesis_checks
+        for name, values in (("rho", [s.rho for s in states]),
+                             ("theta", [s.theta for s in states])):
+            assert checks[f"{name}_min"] == min(float(np.min(v)) for v in values)
+            assert checks[f"{name}_max"] == max(float(np.max(v)) for v in values)
+    if theorem != "3":
+        assert rep.hypothesis_checks["s_abs_max"] == max(
+            float(np.max(np.abs(spec.model.s(s.rho, s.theta))))
+            for run in runs for s in run["states"])
 
 
 @pytest.mark.parametrize("theorem", sorted(_SMALL_STUDIES))
@@ -516,9 +585,10 @@ _SMALL_DEFECT = ex.ExperimentSpec(theorem="defect", model=PG, transport_model=AT
                                   grids=(16, 32))
 
 
-@pytest.mark.parametrize("study", ["1", "3", "apriori", "defect"])
+@pytest.mark.parametrize("study", ["1", "2", "3", "apriori", "defect"])
 def test_two_processes_give_the_one_process_report_bit_for_bit(study, monkeypatch):
     runner, spec = {"1": (ex.run_theorem, _SMALL_STUDIES["1"]),
+                    "2": (ex.run_theorem, _SMALL_STUDIES["2"]),
                     "3": (ex.run_theorem, _SMALL_STUDIES["3"]),
                     "apriori": (ex.run_apriori, _SMALL_APRIORI),
                     "defect": (ex.run_defect_study, _SMALL_DEFECT)}[study]

@@ -1,5 +1,8 @@
 """Grid, ghost policy, discrete operator, and harmonic-extension checks."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -344,3 +347,12 @@ def test_every_2d_corner_equals_its_diagonal_neighbour(cells):
             for (i, j), (k, m) in (((0, 0), (1, 1)), ((0, -1), (1, -2)),
                                    ((-1, 0), (-2, 1)), ((-1, -1), (-2, -2))):
                 assert data[i, j].tobytes() == data[k, m].tobytes(), (how, i, j)
+
+
+def test_only_grid_names_the_rank_specific_aliases():
+    # the package calls each operator by one name, gradient or divergence;
+    # the aliases stay in grid for the benchmark tracer alone
+    named = [path.name for path in sorted(Path(g.__file__).parent.glob("*.py"))
+             if path.name != "grid.py"
+             and re.search(r"\b(grad_vector|tensor_divergence)\b", path.read_text())]
+    assert named == []

@@ -1,6 +1,6 @@
 """Exact call counts of a time step, of a streamed relative-energy level,
-of the six weak-form clauses of ``mv-check``, and of the relative-energy
-report of ``relenergy``.
+of the six weak-form clauses of ``mv-check``, of the relative-energy
+report of ``relenergy``, and of the small claim and budget studies.
 
 At the study grids a step costs its number of Python and numpy calls, not
 its flops, and a wall clock on a shared machine cannot resolve a change of
@@ -23,8 +23,10 @@ import contextlib
 import cProfile
 import dataclasses
 import gc
+import os
 
 import pytest
+from test_experiments import _SMALL_APRIORI, _SMALL_STUDIES
 
 from nsflab import grid as gridmod
 from nsflab import manufactured as mfg
@@ -185,3 +187,22 @@ def test_report_calls_are_pinned():
         counts.append((V.n_levels, sum(entry.callcount for entry in prof.getstats())))
     calls, per_level = REPORT_CALLS
     assert counts == [(221, calls), (853, calls + 632 * per_level)]
+
+
+# study -> calls of one small study, every run in one process: the claim
+# studies of tests/test_experiments.py and its a priori budget
+STUDY_CALLS = {"1": 30501, "2": 25212, "3": 21559, "apriori": 48139}
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_CALLS))
+def test_study_calls_are_pinned(study, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    runner, spec = ((experiments.run_apriori, _SMALL_APRIORI) if study == "apriori"
+                    else (experiments.run_theorem, _SMALL_STUDIES[study]))
+    for _ in range(2):
+        prof = cProfile.Profile()
+        with _collector_off():
+            prof.enable()
+            runner(spec)
+            prof.disable()
+    assert sum(entry.callcount for entry in prof.getstats()) == STUDY_CALLS[study]
