@@ -35,7 +35,7 @@ from . import thermo
 from . import transport
 from .manufactured import StrongSolution, grid_points
 from .solver import FlowState
-from .young import AtomicYoungMeasure, DefectBundle, check_defects
+from .young import AtomicYoungMeasure, DefectBundle, _cum_trapz, check_defects
 
 __all__ = [
     "CutoffParams",
@@ -405,13 +405,6 @@ def fit_gronwall_constant(times: np.ndarray, e_mv: np.ndarray) -> float:
     if np.count_nonzero(mask) < 2 or np.ptp(times[mask]) == 0.0:
         return 0.0
     return fit_slope(times[mask], np.log(e_mv[mask]))
-
-
-def _cum_trapz(series: np.ndarray, times: np.ndarray) -> np.ndarray:
-    if len(times) == 1:
-        return np.zeros(1)
-    inc = 0.5 * (series[1:] + series[:-1]) * np.diff(times)
-    return np.concatenate([[0.0], np.cumsum(inc)])
 
 
 @dataclass(frozen=True)

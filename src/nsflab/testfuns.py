@@ -1,20 +1,19 @@
-"""Finite families of space-time test functions for weak-form checks.
+"""Finite families of spatial test-function shapes for weak-form checks.
 
-Every test function and reference temperature is one :class:`SpaceTimeFn`:
-analytic callables ``value`` and ``dt`` (its time derivative) over
-``(t, pts)``, where ``pts`` has shape ``(..., d)`` (cell-center coordinates,
-ghost centers included when the caller samples a padded grid).  A family's
-values are scalar ``(...,)``, vector ``(..., d)`` or, for the velocity-gradient
-tests, symmetric matrix ``(..., d, d)``.  Spatial derivatives are not part of
-a test: the weak-form clauses in ``young`` form them with the grid's own
-centred operators, so the integrated-by-parts residuals telescope.
-
-Each spatial shape is emitted twice, with time factors ``1`` and ``t``: the
-trapezoidal time quadrature of the clauses is exact on both, and as every
-test is affine in time, ``young`` samples ``value(0)`` and ``dt`` once per
-grid and contracts them with all levels at once.  Families are deliberately
-small: the weak identities are affine in the test function, so a handful of
+A test function is a :class:`Shape`: a label and an analytic callable ``f``
+over ``pts`` of shape ``(..., d)`` (cell-center coordinates, ghost centers
+included when the caller samples a padded grid).  A family's values are
+scalar ``(...,)``, vector ``(..., d)`` or, for the velocity-gradient tests,
+symmetric matrix ``(..., d, d)``.  The weak-form clauses in ``young`` pair
+every shape with the time factors ``1`` and ``t``, the members ``label*1``
+and ``label*t``, on which their trapezoidal time quadrature is exact, and
+form spatial derivatives with the grid's own centred operators, so the
+integrated-by-parts residuals telescope.  Families are deliberately small:
+the weak identities are affine in the test function, so a handful of
 independent shapes already pins down the residual scale.
+
+A reference temperature is a :class:`SpaceTimeFn`, with analytic callables
+``value`` and ``dt`` (its time derivative) over ``(t, pts)``.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "Shape",
     "SpaceTimeFn",
     "scalar_tests",
     "entropy_tests",
@@ -40,33 +40,28 @@ SpaceFn = Callable[[Array], Array]
 
 
 @dataclass(frozen=True)
-class SpaceTimeFn:
-    """A test function or reference temperature with analytic time
-    derivative; ``zero_trace`` marks one that vanishes on the boundary
-    (momentum), ``nonnegative`` one that stays >= 0 (entropy).  A test
-    function must be affine in time; a reference temperature need not be."""
+class Shape:
+    """A spatial test-function shape; ``zero_trace`` marks one that vanishes
+    on the boundary (momentum), ``nonnegative`` one that stays >= 0
+    (entropy)."""
 
     label: str
-    value: Callable[[float, Array], Array]
-    dt: Callable[[float, Array], Array]
+    f: SpaceFn
     zero_trace: bool = False
     nonnegative: bool = False
 
 
+@dataclass(frozen=True)
+class SpaceTimeFn:
+    """A reference temperature with analytic time derivative."""
+
+    label: str
+    value: Callable[[float, Array], Array]
+    dt: Callable[[float, Array], Array]
+
+
 def _ones(pts: Array) -> Array:
     return np.ones(pts.shape[:-1])
-
-
-def _with_time(bases: Sequence[tuple[str, SpaceFn]], **flags) -> list[SpaceTimeFn]:
-    """Emit (steady, linear-in-time) variants of each spatial shape."""
-
-    out = []
-    for label, f in bases:
-        out.append(SpaceTimeFn(f"{label}*1", lambda t, pts, f=f: f(pts),
-                               lambda t, pts, f=f: np.zeros_like(f(pts)), **flags))
-        out.append(SpaceTimeFn(f"{label}*t", lambda t, pts, f=f: t * f(pts),
-                               lambda t, pts, f=f: f(pts), **flags))
-    return out
 
 
 def _scalar_bases(dim: int) -> Sequence[tuple[str, SpaceFn]]:
@@ -89,10 +84,10 @@ def _scalar_bases(dim: int) -> Sequence[tuple[str, SpaceFn]]:
     ]
 
 
-def scalar_tests(dim: int) -> list[SpaceTimeFn]:
+def scalar_tests(dim: int) -> list[Shape]:
     """C^1 scalar tests with free boundary values (continuity identity)."""
 
-    return _with_time(_scalar_bases(dim))
+    return [Shape(label, f) for label, f in _scalar_bases(dim)]
 
 
 def _entropy_bases(dim: int) -> Sequence[tuple[str, SpaceFn]]:
@@ -114,10 +109,10 @@ def _entropy_bases(dim: int) -> Sequence[tuple[str, SpaceFn]]:
     ]
 
 
-def entropy_tests(dim: int) -> list[SpaceTimeFn]:
+def entropy_tests(dim: int) -> list[Shape]:
     """Nonnegative scalar tests vanishing on the boundary (entropy identity)."""
 
-    return _with_time(_entropy_bases(dim), nonnegative=True)
+    return [Shape(label, f, nonnegative=True) for label, f in _entropy_bases(dim)]
 
 
 def _vector_bases_zero_trace(dim: int) -> Sequence[tuple[str, SpaceFn]]:
@@ -150,10 +145,10 @@ def _vector_bases_zero_trace(dim: int) -> Sequence[tuple[str, SpaceFn]]:
             ("swirl", v_mix)]
 
 
-def velocity_tests(dim: int) -> list[SpaceTimeFn]:
+def velocity_tests(dim: int) -> list[Shape]:
     """C^1 vector tests vanishing on the boundary (momentum identity)."""
 
-    return _with_time(_vector_bases_zero_trace(dim), zero_trace=True)
+    return [Shape(label, f, zero_trace=True) for label, f in _vector_bases_zero_trace(dim)]
 
 
 def _vector_bases_free(dim: int) -> Sequence[tuple[str, SpaceFn]]:
@@ -187,10 +182,10 @@ def _vector_bases_free(dim: int) -> Sequence[tuple[str, SpaceFn]]:
             ("trig", v_trig)]
 
 
-def flux_tests(dim: int) -> list[SpaceTimeFn]:
+def flux_tests(dim: int) -> list[Shape]:
     """C^1 vector tests with free boundary values (temperature identity)."""
 
-    return _with_time(_vector_bases_free(dim))
+    return [Shape(label, f) for label, f in _vector_bases_free(dim)]
 
 
 def _tensor_bases(dim: int):
@@ -239,10 +234,10 @@ def _tensor_bases(dim: int):
             ("trig", t_trig)]
 
 
-def tensor_tests(dim: int) -> list[SpaceTimeFn]:
+def tensor_tests(dim: int) -> list[Shape]:
     """Symmetric C^1 matrix tests (velocity-gradient compatibility)."""
 
-    return _with_time(_tensor_bases(dim))
+    return [Shape(label, f) for label, f in _tensor_bases(dim)]
 
 
 def _bump(dim: int) -> SpaceFn:

@@ -15,13 +15,15 @@ measure-valued formulation against finite families of test functions:
 * the defect compatibility bound.
 
 Each clause averages, with :func:`expect`, only the per-atom arrays it reads.
-Every test is affine in time, ``value(0) + t dt``, so it is sampled once per
-grid with its centred gradient or divergence, and a clause's per-level
-integrals are ``einsum`` contractions of (levels x cells) by (cells x tests),
-the ``dt`` part scaled by each level's time, under the trapezoid rule.  Only
-the reference temperature, its time derivative and forcings are evaluated
-per level.  A measure carries no wall data: the clauses that embed a
-reference temperature take the Dirichlet trace ``boundary`` as an argument.
+A test function is a spatial shape (``testfuns.Shape``) paired with the time
+factors ``1`` and ``t``: each shape is sampled once per grid with its centred
+gradient or divergence, and a clause's per-level integrals are ``einsum``
+contractions of (levels x cells) by (cells x shapes), giving the ``label*1``
+row and, scaled by each level's time, the ``label*t`` row, under the
+trapezoid rule.  Only the reference temperature, its time derivative and
+forcings are evaluated per level.  A measure carries no wall data: the
+clauses that embed a reference temperature take the Dirichlet trace
+``boundary`` as an argument.
 
 ``calibrate_kp_constant`` gives a grid's Korn-Poincare constant; the claim-3
 study in ``experiments`` compares it with the velocity-control quotient of a
@@ -51,7 +53,7 @@ from . import thermo
 from . import transport
 from .manufactured import StrongSolution, grid_points
 from .solver import Trajectory
-from .testfuns import SpaceTimeFn
+from .testfuns import Shape, SpaceTimeFn
 
 __all__ = [
     "AtomicYoungMeasure",
@@ -342,60 +344,54 @@ def _asymmetric(a: np.ndarray) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _sampled(grid: gridmod.Grid, fn: Callable, t: float, zero_trace: bool, field_cls):
-    """``fn(t, .)`` as a synced field of ``field_cls``: sampled on every
-    padded cell, or, for a zero-trace test, on the interior and extended
-    oddly across the walls."""
-
-    if zero_trace:
-        vals = np.asarray(fn(t, grid_points(grid)), dtype=float)
-        return gridmod.sync_odd(field_cls.from_interior(grid, vals))
-    vals = np.asarray(fn(t, grid_points(grid, ghost=True)), dtype=float)
-    return field_cls(grid=grid, data=vals, synced=True)
-
-
-def _family(V: AtomicYoungMeasure | DefectBundle, tests: Sequence[SpaceTimeFn], field_cls,
+def _family(grid: gridmod.Grid, shapes: Sequence[Shape], field_cls,
             derivative: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """The tests as whole arrays on ``V``'s grid: interior samples and their
-    centred ``derivative``, each stacked ``(2, tests, *cells, *components)``
-    with the value at ``t = 0`` first and the time derivative second.
+    """The shapes as whole arrays on ``grid``: interior samples and their
+    centred ``derivative``, each stacked ``(shapes, *cells, *components)``.
+    A shape is sampled on every padded cell, or, a zero-trace one, on the
+    interior and extended oddly across the walls."""
 
-    The clauses evaluate a test at level ``k`` as ``value(0) + t_k dt``, so
-    every test must be affine in time, as the families' ``f*1`` and ``f*t``
-    members are; one that is not at the last level is refused.
-    """
-
-    g = V.grid
-    pts = grid_points(g)
-    t_end = float(V.times[-1])
-    vals, ders = [], []
-    for test in tests:
-        fields = [_sampled(g, fn, 0.0, test.zero_trace, field_cls)
-                  for fn in (test.value, test.dt)]
-        at0, rate = (f.interior for f in fields)
-        if not np.allclose(test.value(t_end, pts), at0 + t_end * rate,
-                           rtol=1e-12, atol=1e-12):
-            raise ValueError(f"test function {test.label!r} must be affine in time")
-        vals.append((at0, rate))
-        ders.append([derivative(f) for f in fields])
-    return np.stack(vals, axis=1), np.stack(ders, axis=1)
+    fields = []
+    for shape in shapes:
+        if shape.zero_trace:
+            vals = np.asarray(shape.f(grid_points(grid)), dtype=float)
+            fields.append(gridmod.sync_odd(field_cls.from_interior(grid, vals)))
+        else:
+            vals = np.asarray(shape.f(grid_points(grid, ghost=True)), dtype=float)
+            fields.append(field_cls(grid=grid, data=vals, synced=True))
+    return np.stack([f.interior for f in fields]), np.stack([derivative(f) for f in fields])
 
 
-def _contract(g: gridmod.Grid, levels: np.ndarray, tests: np.ndarray) -> np.ndarray:
-    """``(tests, levels)`` midpoint integrals of every level paired with
-    every test: their product summed over cells and components."""
+def _contract(g: gridmod.Grid, levels: np.ndarray, shapes: np.ndarray) -> np.ndarray:
+    """``(shapes, levels)`` midpoint integrals of every level paired with
+    every shape: their product summed over cells and components."""
 
     return np.einsum("lc,ic->il", levels.reshape(len(levels), -1),
-                     tests.reshape(len(tests), -1)) * g.cell_volume
+                     shapes.reshape(len(shapes), -1)) * g.cell_volume
+
+
+def _rows(one: np.ndarray, per_t: np.ndarray) -> np.ndarray:
+    """``(2 * shapes, levels)`` test rows from two ``(shapes, levels)``
+    arrays: per shape, its ``label*1`` row from ``one``, then its ``label*t``
+    row from ``per_t``."""
+
+    return np.stack([one, per_t], axis=1).reshape(-1, one.shape[-1])
 
 
 def _against(g: gridmod.Grid, levels: np.ndarray, family: np.ndarray,
              times: np.ndarray) -> np.ndarray:
-    """``(tests, levels)`` integrals of every level against the tests at
-    that level's time, ``value(0) + t dt``."""
+    """``(2 * shapes, levels)`` integrals of every level against every test:
+    a shape times 1, and times the level's time."""
 
-    at0, rate = (_contract(g, levels, part) for part in family)
-    return at0 + rate * times
+    paired = _contract(g, levels, family)
+    return _rows(paired, paired * times)
+
+
+def _cum_trapz(series: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trapezoidal integral of ``series`` from the first level to each level."""
+
+    inc = 0.5 * (series[1:] + series[:-1]) * np.diff(times)
+    return np.concatenate([[0.0], inc.cumsum()])
 
 
 def _per_level(V: AtomicYoungMeasure | DefectBundle | Trajectory,
@@ -430,7 +426,7 @@ def _references(V: AtomicYoungMeasure, theta_ref: SpaceTimeFn,
 
 
 def check_velocity_compat(V: AtomicYoungMeasure,
-                          tensors: Sequence[SpaceTimeFn]) -> ClauseReport:
+                          tensors: Sequence[Shape]) -> ClauseReport:
     """Pair mean velocity against mean velocity gradient via matrix tests.
 
     For each symmetric matrix test the signed residual
@@ -440,16 +436,16 @@ def check_velocity_compat(V: AtomicYoungMeasure,
     """
 
     g = V.grid
-    vals, divs = _family(V, tensors, gridmod.TensorField, gridmod.divergence)
-    for test, at0, rate in zip(tensors, *vals):
-        if _asymmetric(at0) or _asymmetric(rate):
-            raise ValueError(f"matrix test function {test.label!r} must be symmetric")
+    vals, divs = _family(g, tensors, gridmod.TensorField, gridmod.divergence)
+    for shape, val in zip(tensors, vals):
+        if _asymmetric(val):
+            raise ValueError(f"matrix test function {shape.label!r} must be symmetric")
     inner = (_against(g, -expect(V, V.u), divs, V.times)
              + _against(g, -expect(V, V.d_u), vals, V.times))
     return ClauseReport(residuals=np.trapezoid(inner, V.times))
 
 
-def check_temperature_compat(V: AtomicYoungMeasure, psis: Sequence[SpaceTimeFn],
+def check_temperature_compat(V: AtomicYoungMeasure, psis: Sequence[Shape],
                              theta_ref: SpaceTimeFn,
                              boundary: gridmod.BoundaryData) -> ClauseReport:
     """Pair the temperature gap (theta - ref) against vector tests.
@@ -462,7 +458,7 @@ def check_temperature_compat(V: AtomicYoungMeasure, psis: Sequence[SpaceTimeFn],
     """
 
     g = V.grid
-    vals, divs = _family(V, psis, gridmod.VectorField, gridmod.divergence)
+    vals, divs = _family(g, psis, gridmod.VectorField, gridmod.divergence)
     ref, grad_ref = _references(V, theta_ref, boundary)
     a_vals = _against(g, expect(V, V.theta) - ref, divs, V.times)
     b_vals = _against(g, expect(V, V.d_theta) - grad_ref, vals, V.times)
@@ -481,12 +477,14 @@ def _balance(V: AtomicYoungMeasure, vals: np.ndarray, density: np.ndarray,
 
     For a test ``phi`` the residual is ``II density.phi`` at the last level
     minus at the first, minus the time integral of ``II [density.d_t phi +
-    bulk terms]``.  ``vals`` holds the tests' samples (:func:`_family`); each
+    bulk terms]``.  ``vals`` holds the shapes' samples (:func:`_family`), so
+    ``d_t phi`` is zero for ``label*1`` and the shape for ``label*t``; each
     bulk term is a per-level array and the family part it pairs with.
     """
 
     g, times = V.grid, V.times
-    rates = _contract(g, density, vals[1])
+    paired = _contract(g, density, vals)
+    rates = _rows(np.zeros_like(paired), paired)
     for levels, family in bulk:
         rates = rates + _against(g, levels, family, times)
     ends = [0, -1]
@@ -494,18 +492,18 @@ def _balance(V: AtomicYoungMeasure, vals: np.ndarray, density: np.ndarray,
     return ClauseReport(residuals=held[:, 1] - held[:, 0] - np.trapezoid(rates, times))
 
 
-def continuity_residual(V: AtomicYoungMeasure, psis: Sequence[SpaceTimeFn],
+def continuity_residual(V: AtomicYoungMeasure, psis: Sequence[Shape],
                         source: Optional[StrongSolution] = None) -> ClauseReport:
     """Signed residuals of the weak mass balance over the saved levels."""
 
-    vals, grads = _family(V, psis, gridmod.ScalarField, gridmod.gradient)
+    vals, grads = _family(V.grid, psis, gridmod.ScalarField, gridmod.gradient)
     bulk = [(expect(V, V.rho[..., None] * V.u), grads)]
     if source is not None:
         bulk.append((*_per_level(V, source.f_mass), vals))
     return _balance(V, vals, expect(V, V.rho), *bulk)
 
 
-def momentum_residual(V: AtomicYoungMeasure, phis: Sequence[SpaceTimeFn],
+def momentum_residual(V: AtomicYoungMeasure, phis: Sequence[Shape],
                       model: thermo.ThermoModel,
                       transport_model: transport.TransportModel,
                       defects: Optional[DefectBundle] = None,
@@ -514,10 +512,10 @@ def momentum_residual(V: AtomicYoungMeasure, phis: Sequence[SpaceTimeFn],
     defect of ``defects`` (none when None) against the test gradients."""
 
     check_defects(V, defects)
-    for test in phis:
-        if not test.zero_trace:
-            raise ValueError(f"momentum test function {test.label!r} must vanish on the boundary")
-    vals, grads = _family(V, phis, gridmod.VectorField, gridmod.gradient)
+    for shape in phis:
+        if not shape.zero_trace:
+            raise ValueError(f"momentum test function {shape.label!r} must vanish on the boundary")
+    vals, grads = _family(V.grid, phis, gridmod.VectorField, gridmod.gradient)
     # convection, pressure and viscous stress (and the defect) pair with grad phi
     flux = (expect(V, V.rho[..., None, None] * V.u[..., :, None] * V.u[..., None, :])
             + expect(V, model.p(V.rho, V.theta))[..., None, None] * np.eye(V.grid.dim)
@@ -541,18 +539,19 @@ def _entropy_fluxes(V: AtomicYoungMeasure, atoms_rho_s: np.ndarray,
         transport_model, V.rho, V.theta, V.d_u, V.d_theta))
 
 
-def entropy_mv_residual(V: AtomicYoungMeasure, phis: Sequence[SpaceTimeFn],
+def entropy_mv_residual(V: AtomicYoungMeasure, phis: Sequence[Shape],
                         model: thermo.ThermoModel,
                         transport_model: transport.TransportModel) -> ClauseReport:
     """Signed slack of the weak entropy inequality (admissible when >= -tol)."""
 
-    for test in phis:
-        if not test.nonnegative:
-            raise ValueError(f"entropy test function {test.label!r} must be nonnegative")
-    vals, grads = _family(V, phis, gridmod.ScalarField, gridmod.gradient)
-    for test, at0, rate in zip(phis, *vals):
-        if np.min(at0 + np.multiply.outer(V.times, rate)) < -1e-12:
-            raise ValueError(f"entropy test function {test.label!r} must be nonnegative")
+    for shape in phis:
+        if not shape.nonnegative:
+            raise ValueError(f"entropy test function {shape.label!r} must be nonnegative")
+    vals, grads = _family(V.grid, phis, gridmod.ScalarField, gridmod.gradient)
+    factors = np.append(1.0, V.times)  # label*1, and label*t at every level
+    for shape, val in zip(phis, vals):
+        if np.min(np.multiply.outer(factors, val)) < -1e-12:
+            raise ValueError(f"entropy test function {shape.label!r} must be nonnegative")
     atoms_rho_s = model.rho_s(V.rho, V.theta)
     flux, sigma = _entropy_fluxes(V, atoms_rho_s, transport_model)
     return _balance(V, vals, expect(V, atoms_rho_s), (flux, grads), (sigma, vals))
@@ -584,9 +583,7 @@ def ballistic_mv_residual(V: AtomicYoungMeasure, d_diss: np.ndarray | float,
     ball = gridmod.integrate(V.grid, (energy - ref * rho_s).T)
     rates = gridmod.integrate(V.grid, (sigma * ref + rho_s * ref_dt
                                        + np.sum(flux * grad_ref, axis=-1)).T)
-    spent = np.concatenate(([0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1])
-                                             * np.diff(V.times))))
-    return ClauseReport(residuals=ball[0] - ball - d_arr - spent,
+    return ClauseReport(residuals=ball[0] - ball - d_arr - _cum_trapz(rates, V.times),
                         extras={"ballistic": ball})
 
 
@@ -596,25 +593,30 @@ def ballistic_mv_residual(V: AtomicYoungMeasure, d_diss: np.ndarray | float,
 
 
 def defect_compat_check(bundle: DefectBundle,
-                        phis: Sequence[SpaceTimeFn]) -> DefectCompatReport:
+                        phis: Sequence[Shape]) -> DefectCompatReport:
     """Check |pairing of r_m with grad phi| <= xi * D * ||phi||_C1 levelwise,
-    up to a relative slack of 1e-12; violations come in (test, level) order."""
+    up to a relative slack of 1e-12; violations come in (test, level) order,
+    the tests ``label*1`` and ``label*t`` of each shape in turn."""
 
-    for test in phis:
-        if not test.zero_trace:
-            raise ValueError(f"defect test function {test.label!r} must vanish on the boundary")
-    vals, grads = _family(bundle, phis, gridmod.VectorField, gridmod.gradient)
+    for shape in phis:
+        if not shape.zero_trace:
+            raise ValueError(f"defect test function {shape.label!r} must vanish on the boundary")
+    vals, grads = _family(bundle.grid, phis, gridmod.VectorField, gridmod.gradient)
     pairing = np.abs(_against(bundle.grid, bundle.r_m, grads, bundle.times))
+    factors = np.stack([np.ones_like(bundle.times), bundle.times])
 
     def sup(family: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-        """``(tests, levels)`` sup over cells of the norm of ``value(0) + t dt``."""
-        t = bundle.times.reshape((-1,) + (1,) * (family.ndim - 2))
-        norm = np.sqrt(np.sum((family[0][:, None] + t * family[1][:, None]) ** 2, axis=axes))
+        """``(2 * shapes, levels)`` sup over cells of the norm of each shape
+        times 1 and times every level's time."""
+        members = (family[:, None, None]
+                   * factors.reshape(factors.shape + (1,) * (family.ndim - 1)))
+        norm = np.sqrt(np.sum(members ** 2, axis=axes))
         return norm.reshape(pairing.shape + (-1,)).max(axis=-1)
 
     bound = (bundle.xi * bundle.d_diss) * np.maximum(sup(vals, (-1,)), sup(grads, (-2, -1)))
     margin = bound + 1e-12 * (1.0 + bound) - pairing
-    violations = tuple((phis[i].label, int(k), float(pairing[i, k]), float(bound[i, k]))
+    labels = [f"{shape.label}*{factor}" for shape in phis for factor in "1t"]
+    violations = tuple((labels[i], int(k), float(pairing[i, k]), float(bound[i, k]))
                        for i, k in np.argwhere(margin < 0.0))
     return DefectCompatReport(ok=not violations, worst_margin=float(np.min(margin)),
                               violations=violations)

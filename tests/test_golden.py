@@ -6,6 +6,11 @@ is a dotted path into the verdict, where an integer part indexes a list; a
 ``series.csv`` key names a column and pins its last row.  Non-finite values
 must match exactly.  A change that moves a value updates the file and
 explains the move in ``CHANGES.md``; it does not widen a tolerance.
+
+``golden/clauses.json`` pins every residual of every ``mv-check`` clause,
+in order, for the default 1D run and a 2D molecular-radiation run: each
+must equal its repr float bit for bit, so a reordered or swapped test
+function fails even where the pinned ``max_abs``/``min`` would not.
 """
 
 import json
@@ -19,6 +24,10 @@ from nsflab import cli, reports
 with open(os.path.join(os.path.dirname(__file__), "golden", "defaults.json"),
           encoding="utf-8") as fh:
     PINNED = json.load(fh)
+
+with open(os.path.join(os.path.dirname(__file__), "golden", "clauses.json"),
+          encoding="utf-8") as fh:
+    CLAUSES_PINNED = json.load(fh)
 
 CASES = [(argv, source, key)
          for argv, files in PINNED.items()
@@ -62,3 +71,25 @@ def test_default_output_matches_golden_value(runs, argv, source, key):
         return
     assert abs(got - pin["value"]) <= pin["atol"] + pin["rtol"] * abs(pin["value"]), (
         f"{argv} {source} {key}: {got!r} moved from the golden {pin['value']!r}")
+
+
+def _clauses(root) -> dict:
+    verdict = reports.read_verdicts(os.path.join(root, "mv-check", "verdict.json"))
+    return {name: entry["residuals"] for name, entry in verdict["clauses"].items()}
+
+
+def test_default_mv_check_residuals_match_golden_bits(runs):
+    root, code = runs["mv-check"]
+    assert code == 0
+    assert _clauses(root) == CLAUSES_PINNED["mv-check"]
+
+
+def test_two_dimensional_mv_check_residuals_match_golden_bits(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\nkind = molecular_radiation\n"
+                   "[transport]\nkind = power_kappa\n")
+    code = cli.main(["mv-check", "--config", str(ini), "--profile", "radiative_decay",
+                     "--cells", "16", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert _clauses(tmp_path) == CLAUSES_PINNED["mv-check-2d"]

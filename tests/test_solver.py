@@ -191,7 +191,7 @@ def test_entropy_production_nonnegative_along_run():
                                            traj.boundary, float(traj.times[k]))
         sigma = transport.entropy_production_density(
             AFF, traj.rho[k], traj.theta[k],
-            transport.sym_part(g.grad_vector(u_f)),
+            transport.sym_part(g.gradient(u_f)),
             g.gradient(th_f))
         assert np.min(sigma) >= 0.0
 

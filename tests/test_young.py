@@ -70,6 +70,22 @@ def _decay_trajectory(n, t_end=0.05, save_every=4):
 # --------------------------------------------------------------------------
 
 
+def _with_time(shapes):
+    """Each shape as the two time-dependent tests the clauses pair it with,
+    ``label*1`` (value f, dt 0) and ``label*t`` (value t f, dt f): (test,
+    zero_trace) pairs, the reference the per-level loops below sample."""
+    out = []
+    for shape in shapes:
+        f = shape.f
+        out.append((testfuns.SpaceTimeFn(f"{shape.label}*1", lambda t, pts, f=f: f(pts),
+                                         lambda t, pts, f=f: np.zeros_like(f(pts))),
+                    shape.zero_trace))
+        out.append((testfuns.SpaceTimeFn(f"{shape.label}*t", lambda t, pts, f=f: t * f(pts),
+                                         lambda t, pts, f=f: f(pts)),
+                    shape.zero_trace))
+    return out
+
+
 def _fd_time(fn, t, pts, h=1e-6):
     return (np.asarray(fn(t + h, pts)) - np.asarray(fn(t - h, pts))) / (2 * h)
 
@@ -79,9 +95,9 @@ def test_testfun_derivatives_match_finite_differences(dim):
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.2, 0.8, size=(40, dim))
     t = 0.37
-    for test in (testfuns.scalar_tests(dim) + testfuns.entropy_tests(dim)
-                 + testfuns.velocity_tests(dim) + testfuns.flux_tests(dim)
-                 + testfuns.tensor_tests(dim)):
+    for test, _ in _with_time(testfuns.scalar_tests(dim) + testfuns.entropy_tests(dim)
+                              + testfuns.velocity_tests(dim) + testfuns.flux_tests(dim)
+                              + testfuns.tensor_tests(dim)):
         assert np.allclose(test.dt(t, pts), _fd_time(test.value, t, pts), atol=1e-6)
     for ref in testfuns.theta_refs(dim, base=(1.0, 0.2, -0.1)[: dim + 1] + (0.0,) * (2 - dim)):
         assert np.allclose(ref.dt(t, pts), _fd_time(ref.value, t, pts), atol=1e-6)
@@ -90,13 +106,15 @@ def test_testfun_derivatives_match_finite_differences(dim):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_zero_trace_families_vanish_on_boundary(dim):
     grid = gridmod.Grid(cells=(8,) * dim)
-    for test in testfuns.velocity_tests(dim):
+    for shape in testfuns.velocity_tests(dim):
+        assert shape.zero_trace
         for pts in gridmod.boundary_face_points(grid).values():
-            assert np.max(np.abs(test.value(0.7, pts))) < 1e-13
-    for test in testfuns.entropy_tests(dim):
+            assert np.max(np.abs(shape.f(pts))) < 1e-13
+    for shape in testfuns.entropy_tests(dim):
+        assert shape.nonnegative
         for pts in gridmod.boundary_face_points(grid).values():
-            assert np.max(np.abs(test.value(0.7, pts))) < 1e-13
-        sample = test.value(0.5, np.random.default_rng(0).uniform(0, 1, (50, dim)))
+            assert np.max(np.abs(shape.f(pts))) < 1e-13
+        sample = shape.f(np.random.default_rng(0).uniform(0, 1, (50, dim)))
         assert np.min(sample) >= 0.0
 
 
@@ -258,7 +276,7 @@ def test_temperature_compat_embeds_the_reference_once_per_level():
                                    dt=counting("dt"))
     psis = testfuns.flux_tests(2)
     rep = young.check_temperature_compat(V, psis, counted, sol.boundary)
-    assert len(rep.residuals) == len(psis) > 1
+    assert len(rep.residuals) == 2 * len(psis) > 2
     assert calls == {"value": list(V.times), "dt": []}
     calls["value"].clear()
     ball = young.ballistic_mv_residual(V, 0.0, counted, MODEL, TM, sol.boundary)
@@ -302,12 +320,12 @@ def _ii(grid, a, b):
 def _loop(V, tests, cls, derivative, pairs):
     """(tests, levels) sums of II level_k . part(test at t_k) over ``pairs`` of
     (per-level array, part): the loop the clauses replaced, which samples
-    every test at every level."""
+    every test of :func:`_with_time` at every level."""
     g, pts = V.grid, grid_points(V.grid)
     out = np.zeros((len(tests), V.n_levels))
-    for i, test in enumerate(tests):
+    for i, (test, zero_trace) in enumerate(tests):
         for k, t in enumerate(V.times):
-            if test.zero_trace:
+            if zero_trace:
                 f = gridmod.sync_odd(cls.from_interior(g, test.value(t, pts)))
             else:
                 f = cls(grid=g, data=np.asarray(test.value(t, grid_points(g, ghost=True)),
@@ -345,7 +363,7 @@ def test_clauses_match_the_per_level_loop(dim):
     psis = testfuns.scalar_tests(dim)
     np.testing.assert_allclose(
         young.continuity_residual(V, psis, source=sol).residuals,
-        balance(psis, gridmod.ScalarField, gridmod.gradient, E(V.rho),
+        balance(_with_time(psis), gridmod.ScalarField, gridmod.gradient, E(V.rho),
                 (E(V.rho[..., None] * V.u), "derivative"), (per_level(sol.f_mass), "value")),
         **close)
 
@@ -358,7 +376,8 @@ def test_clauses_match_the_per_level_loop(dim):
               - E(transport.viscous_stress(tm, V.rho, V.theta, V.d_u)) + r_m)
     np.testing.assert_allclose(
         young.momentum_residual(V, phis, model, tm, defects=defects, source=sol).residuals,
-        balance(phis, gridmod.VectorField, gridmod.grad_vector, E(V.rho[..., None] * V.u),
+        balance(_with_time(phis), gridmod.VectorField, gridmod.gradient,
+                E(V.rho[..., None] * V.u),
                 (stress, "derivative"), (per_level(sol.f_mom), "value")),
         **close)
 
@@ -369,12 +388,12 @@ def test_clauses_match_the_per_level_loop(dim):
     sigma = E(transport.entropy_production_density(tm, V.rho, V.theta, V.d_u, V.d_theta))
     np.testing.assert_allclose(
         young.entropy_mv_residual(V, ents, model, tm).residuals,
-        balance(ents, gridmod.ScalarField, gridmod.gradient, E(rho_s),
+        balance(_with_time(ents), gridmod.ScalarField, gridmod.gradient, E(rho_s),
                 (flux, "derivative"), (sigma, "value")),
         **close)
 
     tensors = testfuns.tensor_tests(dim)
-    inner = _loop(V, tensors, gridmod.TensorField, gridmod.tensor_divergence,
+    inner = _loop(V, _with_time(tensors), gridmod.TensorField, gridmod.divergence,
                   [(-E(V.u), "derivative"), (-E(V.d_u), "value")])
     np.testing.assert_allclose(young.check_velocity_compat(V, tensors).residuals,
                                np.trapezoid(inner, times), **close)
@@ -385,9 +404,9 @@ def test_clauses_match_the_per_level_loop(dim):
         gridmod.ScalarField.from_interior(grid, r), sol.boundary, t))
         for t, r in zip(times, ref_vals)])
     flux_tests = testfuns.flux_tests(dim)
-    a = _loop(V, flux_tests, gridmod.VectorField, gridmod.divergence,
+    a = _loop(V, _with_time(flux_tests), gridmod.VectorField, gridmod.divergence,
               [(E(V.theta) - ref_vals, "derivative")])
-    b = _loop(V, flux_tests, gridmod.VectorField, gridmod.divergence,
+    b = _loop(V, _with_time(flux_tests), gridmod.VectorField, gridmod.divergence,
               [(E(V.d_theta) - grad_ref, "value")])
     tc = young.check_temperature_compat(V, flux_tests, ref, sol.boundary)
     np.testing.assert_allclose(tc.residuals, np.trapezoid(-a - b, times), **close)
@@ -422,9 +441,7 @@ def test_velocity_compat_zero_tensor_and_corruption():
     sol = manufactured("shear", MODEL, TM)
     grid = gridmod.Grid(cells=(32,))
     V = young.dirac_from_strong(sol, grid, np.linspace(0.0, 0.05, 9))
-    zero = testfuns.SpaceTimeFn(label="zero",
-                                value=lambda t, p: np.zeros(p.shape[:-1] + (1, 1)),
-                                dt=lambda t, p: np.zeros(p.shape[:-1] + (1, 1)))
+    zero = testfuns.Shape(label="zero", f=lambda p: np.zeros(p.shape[:-1] + (1, 1)))
     assert young.check_velocity_compat(V, [zero]).max_abs == 0.0
     honest = young.check_velocity_compat(V, testfuns.tensor_tests(1)).max_abs
     corrupted = young.AtomicYoungMeasure(
@@ -439,11 +456,9 @@ def test_velocity_compat_zero_tensor_and_corruption():
 def test_asymmetric_tensor_rejected():
     grid = gridmod.Grid(cells=(8, 8))
     V = _const_measure(grid, [0.0])
-    skew = testfuns.SpaceTimeFn(
+    skew = testfuns.Shape(
         label="skew",
-        value=lambda t, p: np.broadcast_to(np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                                           p.shape[:-1] + (2, 2)),
-        dt=lambda t, p: np.zeros(p.shape[:-1] + (2, 2)))
+        f=lambda p: np.broadcast_to(np.array([[0.0, 1.0], [-1.0, 0.0]]), p.shape[:-1] + (2, 2)))
     with pytest.raises(ValueError, match="symmetric"):
         young.check_velocity_compat(V, [skew])
 
@@ -497,12 +512,12 @@ def test_entropy_residual_decay_run_lower_bound():
 def test_entropy_rejects_sign_violating_tests():
     grid = gridmod.Grid(cells=(8,))
     V = _const_measure(grid, [0.0, 0.1])
-    bad = testfuns.SpaceTimeFn(label="negative",
-                               value=lambda t, p: -np.ones(p.shape[:-1]),
-                               dt=lambda t, p: np.zeros(p.shape[:-1]),
-                               nonnegative=False)
-    with pytest.raises(ValueError, match="nonnegative"):
-        young.entropy_mv_residual(V, [bad], MODEL, TM)
+    # refused by its flag, and, flagged, by its samples
+    for flagged in (False, True):
+        bad = testfuns.Shape(label="negative", f=lambda p: -np.ones(p.shape[:-1]),
+                             nonnegative=flagged)
+        with pytest.raises(ValueError, match="'negative' must be nonnegative"):
+            young.entropy_mv_residual(V, [bad], MODEL, TM)
 
 
 def test_ballistic_threshold_scan():
@@ -531,15 +546,6 @@ def test_ballistic_refuses_a_mis_sized_dissipation_defect():
     per_level = young.ballistic_mv_residual(V, np.zeros(3), ref, MODEL, TM, BND)
     assert np.array_equal(per_level.residuals,
                           young.ballistic_mv_residual(V, 0.0, ref, MODEL, TM, BND).residuals)
-
-
-def test_clauses_refuse_a_test_not_affine_in_time():
-    # the clauses sample a test once, as value(0) + t * dt
-    V = _const_measure(gridmod.Grid(cells=(8,)), [0.0, 0.1])
-    square = testfuns.SpaceTimeFn(label="t2", value=lambda t, p: t * t * np.ones(p.shape[:-1]),
-                                  dt=lambda t, p: 2.0 * t * np.ones(p.shape[:-1]))
-    with pytest.raises(ValueError, match="'t2' must be affine in time"):
-        young.continuity_residual(V, [square])
 
 
 def test_initial_energy_vacuum_and_mixture():
@@ -717,15 +723,16 @@ def _refinement_loop(fine, coarse, model, theta_refs):
             young.RefinementReport(theta_spread=spread, d_min_raw=float(d_min_raw)))
 
 
-def _compat_loop(bundle, phis):
+def _compat_loop(bundle, tests):
     """The per-(test x level) bound ``defect_compat_check`` replaced, which
-    samples every test at every level: (worst margin, violations)."""
+    samples every test of :func:`_with_time` at every level: (worst margin,
+    violations)."""
     g, pts = bundle.grid, grid_points(bundle.grid)
     worst, violations = np.inf, []
-    for test in phis:
+    for test, _ in tests:
         for k, t in enumerate(bundle.times):
             phi = test.value(float(t), pts)
-            grad_phi = gridmod.grad_vector(gridmod.sync_odd(
+            grad_phi = gridmod.gradient(gridmod.sync_odd(
                 gridmod.VectorField.from_interior(g, phi)))
             pairing = abs(float(gridmod.integrate(
                 g, np.einsum("...jk,...jk->...", bundle.r_m[k], grad_phi))))
@@ -772,7 +779,7 @@ def test_defects_match_the_per_level_loop(dim):
         # a violating bundle: its compatibility weight zeroed
         for b in (bundle, dataclasses.replace(bundle, xi=0.0 * bundle.xi)):
             rep = young.defect_compat_check(b, phis)
-            worst, violations = _compat_loop(b, phis)
+            worst, violations = _compat_loop(b, _with_time(phis))
             assert rep.worst_margin == pytest.approx(worst, rel=0.0, abs=1e-14)
             assert [v[:2] for v in rep.violations] == [v[:2] for v in violations]
             np.testing.assert_allclose(np.reshape([v[2:] for v in rep.violations], (-1, 2)),
@@ -796,7 +803,7 @@ def test_korn_poincare_inequality_with_calibrated_constant():
         u = np.zeros(grid.interior_shape((2,)))
         u[..., j] = np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
         f = gridmod.sync_odd(gridmod.VectorField.from_interior(grid, u))
-        d0 = transport.traceless_sym(gridmod.grad_vector(f))
+        d0 = transport.traceless_sym(gridmod.gradient(f))
         lhs = float(gridmod.integrate(grid, np.sum(u ** 2, axis=-1)))
         rhs = c_p * float(gridmod.integrate(grid, np.sum(d0 ** 2, axis=(-2, -1))))
         assert 0.0 < lhs <= rhs
