@@ -35,7 +35,7 @@ from . import thermo
 from . import transport
 from .manufactured import StrongSolution, grid_points
 from .solver import FlowState
-from .young import AtomicYoungMeasure, DefectBundle, _cum_trapz, check_defects
+from .young import AtomicYoungMeasure, DefectBundle, _avg, _cum_trapz, check_defects
 
 __all__ = [
     "CutoffParams",
@@ -311,11 +311,6 @@ def _atom_eos(model: thermo.ThermoModel, rho: np.ndarray, theta: np.ndarray,
     if np.fmin.reduce(theta, axis=None) <= 0.0 or np.fmin.reduce(rho, axis=None) <= 0.0:
         raise ValueError("the relative energy needs strictly positive atom states")
     return model.partials(rho, theta, keys)
-
-
-def _avg(weights: np.ndarray, vals: np.ndarray, ncomp: int) -> np.ndarray:
-    w = weights.reshape(weights.shape + (1,) * ncomp)
-    return np.add.reduce(w * vals, axis=-1 - ncomp)
 
 
 def _r2_groups(w: np.ndarray, rho: np.ndarray, theta: np.ndarray, u: np.ndarray,

@@ -64,66 +64,65 @@ def _ones(pts: Array) -> Array:
     return np.ones(pts.shape[:-1])
 
 
-def _scalar_bases(dim: int) -> Sequence[tuple[str, SpaceFn]]:
-    pi = np.pi
-    if dim == 1:
-        return [
-            ("one", _ones),
-            ("x", lambda p: p[..., 0]),
-            ("x2", lambda p: p[..., 0] ** 2),
-            ("sin_pix", lambda p: np.sin(pi * p[..., 0])),
-            ("cos_pix", lambda p: np.cos(pi * p[..., 0])),
-        ]
-    return [
-        ("one", _ones),
-        ("x", lambda p: p[..., 0]),
-        ("y", lambda p: p[..., 1]),
-        ("xy", lambda p: p[..., 0] * p[..., 1]),
-        ("sin_pix_cos_piy",
-         lambda p: np.sin(pi * p[..., 0]) * np.cos(pi * p[..., 1])),
-    ]
-
-
 def scalar_tests(dim: int) -> list[Shape]:
     """C^1 scalar tests with free boundary values (continuity identity)."""
 
-    return [Shape(label, f) for label, f in _scalar_bases(dim)]
-
-
-def _entropy_bases(dim: int) -> Sequence[tuple[str, SpaceFn]]:
     pi = np.pi
     if dim == 1:
         return [
-            ("sin2_pix", lambda p: np.sin(pi * p[..., 0]) ** 2),
-            ("bump4", lambda p: 16.0 * (p[..., 0] * (1.0 - p[..., 0])) ** 2),
+            Shape("one", _ones),
+            Shape("x", lambda p: p[..., 0]),
+            Shape("x2", lambda p: p[..., 0] ** 2),
+            Shape("sin_pix", lambda p: np.sin(pi * p[..., 0])),
+            Shape("cos_pix", lambda p: np.cos(pi * p[..., 0])),
         ]
-
-    def s2(v: Array) -> Array:
-        return np.sin(pi * v) ** 2
-
     return [
-        ("sin2_pix_sin2_piy", lambda p: s2(p[..., 0]) * s2(p[..., 1])),
-        ("bump4_xy",
-         lambda p: 16.0 * (p[..., 0] * (1.0 - p[..., 0])) ** 2
-         * (p[..., 1] * (1.0 - p[..., 1])) ** 2 * 16.0),
+        Shape("one", _ones),
+        Shape("x", lambda p: p[..., 0]),
+        Shape("y", lambda p: p[..., 1]),
+        Shape("xy", lambda p: p[..., 0] * p[..., 1]),
+        Shape("sin_pix_cos_piy",
+              lambda p: np.sin(pi * p[..., 0]) * np.cos(pi * p[..., 1])),
     ]
 
 
 def entropy_tests(dim: int) -> list[Shape]:
     """Nonnegative scalar tests vanishing on the boundary (entropy identity)."""
 
-    return [Shape(label, f, nonnegative=True) for label, f in _entropy_bases(dim)]
-
-
-def _vector_bases_zero_trace(dim: int) -> Sequence[tuple[str, SpaceFn]]:
     pi = np.pi
     if dim == 1:
-        def mk(fn):
-            return lambda p: np.stack([fn(p[..., 0])], axis=-1)
+        return [
+            Shape("sin2_pix", lambda p: np.sin(pi * p[..., 0]) ** 2, nonnegative=True),
+            Shape("bump4", lambda p: 16.0 * (p[..., 0] * (1.0 - p[..., 0])) ** 2,
+                  nonnegative=True),
+        ]
 
-        return [("sin_pix", mk(lambda x: np.sin(pi * x))),
-                ("sin_2pix", mk(lambda x: np.sin(2.0 * pi * x))),
-                ("parab", mk(lambda x: 4.0 * x * (1.0 - x)))]
+    def s2(v: Array) -> Array:
+        return np.sin(pi * v) ** 2
+
+    return [
+        Shape("sin2_pix_sin2_piy", lambda p: s2(p[..., 0]) * s2(p[..., 1]),
+              nonnegative=True),
+        Shape("bump4_xy",
+              lambda p: 16.0 * (p[..., 0] * (1.0 - p[..., 0])) ** 2
+              * (p[..., 1] * (1.0 - p[..., 1])) ** 2 * 16.0, nonnegative=True),
+    ]
+
+
+def _along_x(fn: Callable[[Array], Array]) -> SpaceFn:
+    """The 1D vector field whose one component is ``fn(x)``."""
+
+    return lambda p: np.stack([fn(p[..., 0])], axis=-1)
+
+
+def velocity_tests(dim: int) -> list[Shape]:
+    """C^1 vector tests vanishing on the boundary (momentum identity)."""
+
+    pi = np.pi
+    if dim == 1:
+        return [Shape("sin_pix", _along_x(lambda x: np.sin(pi * x)), zero_trace=True),
+                Shape("sin_2pix", _along_x(lambda x: np.sin(2.0 * pi * x)), zero_trace=True),
+                Shape("parab", _along_x(lambda x: 4.0 * x * (1.0 - x)), zero_trace=True)]
 
     def sp_(v):
         return np.sin(pi * v)
@@ -141,26 +140,20 @@ def _vector_bases_zero_trace(dim: int) -> Sequence[tuple[str, SpaceFn]]:
         return np.stack([np.sin(2.0 * pi * x) * sp_(y),
                          -sp_(x) * np.sin(2.0 * pi * y)], axis=-1)
 
-    return [("sinsin_ex", one_comp(0)), ("sinsin_ey", one_comp(1)),
-            ("swirl", v_mix)]
+    return [Shape("sinsin_ex", one_comp(0), zero_trace=True),
+            Shape("sinsin_ey", one_comp(1), zero_trace=True),
+            Shape("swirl", v_mix, zero_trace=True)]
 
 
-def velocity_tests(dim: int) -> list[Shape]:
-    """C^1 vector tests vanishing on the boundary (momentum identity)."""
+def flux_tests(dim: int) -> list[Shape]:
+    """C^1 vector tests with free boundary values (temperature identity)."""
 
-    return [Shape(label, f, zero_trace=True) for label, f in _vector_bases_zero_trace(dim)]
-
-
-def _vector_bases_free(dim: int) -> Sequence[tuple[str, SpaceFn]]:
     pi = np.pi
     if dim == 1:
-        def mk(fn):
-            return lambda p: np.stack([fn(p[..., 0])], axis=-1)
-
-        return [("e1", mk(lambda x: np.ones_like(x))),
-                ("x_e1", mk(lambda x: x)),
-                ("sin_pix_e1", mk(lambda x: np.sin(pi * x))),
-                ("cos_pix_e1", mk(lambda x: np.cos(pi * x)))]
+        return [Shape("e1", _along_x(lambda x: np.ones_like(x))),
+                Shape("x_e1", _along_x(lambda x: x)),
+                Shape("sin_pix_e1", _along_x(lambda x: np.sin(pi * x))),
+                Shape("cos_pix_e1", _along_x(lambda x: np.cos(pi * x)))]
 
     def const(j):
         def val(p):
@@ -178,27 +171,23 @@ def _vector_bases_free(dim: int) -> Sequence[tuple[str, SpaceFn]]:
         return np.stack([np.sin(pi * x) * np.cos(pi * y),
                          np.cos(pi * x) * np.sin(pi * y)], axis=-1)
 
-    return [("e1", const(0)), ("e2", const(1)), ("radial", v_lin),
-            ("trig", v_trig)]
+    return [Shape("e1", const(0)), Shape("e2", const(1)), Shape("radial", v_lin),
+            Shape("trig", v_trig)]
 
 
-def flux_tests(dim: int) -> list[Shape]:
-    """C^1 vector tests with free boundary values (temperature identity)."""
+def tensor_tests(dim: int) -> list[Shape]:
+    """Symmetric C^1 matrix tests (velocity-gradient compatibility)."""
 
-    return [Shape(label, f) for label, f in _vector_bases_free(dim)]
-
-
-def _tensor_bases(dim: int):
     pi = np.pi
     if dim == 1:
         def mk(fn):
             return lambda p: fn(p[..., 0])[..., None, None]
 
         return [
-            ("id", mk(np.ones_like)),
-            ("x", mk(lambda x: x)),
-            ("sin_pix", mk(lambda x: np.sin(pi * x))),
-            ("cos_2pix", mk(lambda x: np.cos(2.0 * pi * x))),
+            Shape("id", mk(np.ones_like)),
+            Shape("x", mk(lambda x: x)),
+            Shape("sin_pix", mk(lambda x: np.sin(pi * x))),
+            Shape("cos_2pix", mk(lambda x: np.cos(2.0 * pi * x))),
         ]
 
     def t_id(p):
@@ -230,14 +219,8 @@ def _tensor_bases(dim: int):
         out[..., 1, 0] = off
         return out
 
-    return [("id", t_id), ("diag_xy", t_diag), ("offdiag", t_off),
-            ("trig", t_trig)]
-
-
-def tensor_tests(dim: int) -> list[Shape]:
-    """Symmetric C^1 matrix tests (velocity-gradient compatibility)."""
-
-    return [Shape(label, f) for label, f in _tensor_bases(dim)]
+    return [Shape("id", t_id), Shape("diag_xy", t_diag), Shape("offdiag", t_off),
+            Shape("trig", t_trig)]
 
 
 def _bump(dim: int) -> SpaceFn:

@@ -250,14 +250,10 @@ def dirac_from_strong(sol: StrongSolution, grid: gridmod.Grid,
                       times: Sequence[float]) -> AtomicYoungMeasure:
     """One atom per cell sampled from a smooth solution with exact gradients."""
 
-    pts = grid_points(grid)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    return _dirac(grid, times,
-                  np.stack([sol.rho(t, pts) for t in times]),
-                  np.stack([sol.u(t, pts) for t in times]),
-                  np.stack([sol.theta(t, pts) for t in times]),
-                  np.stack([transport.sym_part(sol.grad_u(t, pts)) for t in times]),
-                  np.stack([sol.grad_theta(t, pts) for t in times]))
+    return _dirac(grid, times, *_per_level(
+        grid, times, sol.rho, sol.u, sol.theta,
+        lambda t, pts: transport.sym_part(sol.grad_u(t, pts)), sol.grad_theta))
 
 
 def mix(measures: Sequence[AtomicYoungMeasure],
@@ -315,8 +311,15 @@ def expect(V: AtomicYoungMeasure, values: np.ndarray) -> np.ndarray:
             f"non-finite per-atom value at time level {lev}, "
             f"cell {tuple(cell)}, atom {k}: rho={float(V.rho[atom])}, "
             f"theta={float(V.theta[atom])}, u={V.u[atom].tolist()}")
-    w = V.weights.reshape(V.weights.shape + (1,) * (vals.ndim - k_axis - 1))
-    return np.sum(w * vals, axis=k_axis)
+    return _avg(V.weights, vals, vals.ndim - k_axis - 1)
+
+
+def _avg(weights: np.ndarray, vals: np.ndarray, ncomp: int) -> np.ndarray:
+    """Atom average of ``vals`` with ``ncomp`` trailing component axes, the
+    atom axis just before them, unchecked."""
+
+    w = weights.reshape(weights.shape + (1,) * ncomp)
+    return np.add.reduce(w * vals, axis=-1 - ncomp)
 
 
 def check_defects(V: AtomicYoungMeasure, defects: Optional[DefectBundle]) -> None:
@@ -394,14 +397,14 @@ def _cum_trapz(series: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], inc.cumsum()])
 
 
-def _per_level(V: AtomicYoungMeasure | DefectBundle | Trajectory,
+def _per_level(grid: gridmod.Grid, times: np.ndarray,
                *fns: Callable) -> list[np.ndarray]:
-    """Each ``fn(t, cell centers)`` stacked over the levels of ``V``'s grid
-    and times.  The fns are evaluated level by level, so a strong
-    solution's memo of its last time level serves all of them."""
+    """Each ``fn(t, cell centers)`` stacked over ``times`` on ``grid``.  The
+    fns are evaluated level by level, so a strong solution's memo of its
+    last time level serves all of them."""
 
-    pts = grid_points(V.grid)
-    rows = [[np.asarray(fn(float(t), pts), dtype=float) for fn in fns] for t in V.times]
+    pts = grid_points(grid)
+    rows = [[np.asarray(fn(float(t), pts), dtype=float) for fn in fns] for t in times]
     return [np.stack(col) for col in zip(*rows)]
 
 
@@ -411,7 +414,7 @@ def _references(V: AtomicYoungMeasure, theta_ref: SpaceTimeFn,
     gradient, with the ghosts taken from the Dirichlet trace, and ``more``
     per-level fields evaluated alongside (:func:`_per_level`)."""
 
-    vals, *rest = _per_level(V, theta_ref.value, *more)
+    vals, *rest = _per_level(V.grid, V.times, theta_ref.value, *more)
     if np.min(vals) <= 0.0:
         raise ValueError("reference temperature must stay positive on the domain")
     grads = [gridmod.gradient(gridmod.sync_dirichlet(
@@ -499,7 +502,7 @@ def continuity_residual(V: AtomicYoungMeasure, psis: Sequence[Shape],
     vals, grads = _family(V.grid, psis, gridmod.ScalarField, gridmod.gradient)
     bulk = [(expect(V, V.rho[..., None] * V.u), grads)]
     if source is not None:
-        bulk.append((*_per_level(V, source.f_mass), vals))
+        bulk.append((*_per_level(V.grid, V.times, source.f_mass), vals))
     return _balance(V, vals, expect(V, V.rho), *bulk)
 
 
@@ -524,7 +527,7 @@ def momentum_residual(V: AtomicYoungMeasure, phis: Sequence[Shape],
         flux = flux + defects.r_m
     bulk = [(flux, grads)]
     if source is not None:
-        bulk.append((*_per_level(V, source.f_mom), vals))
+        bulk.append((*_per_level(V.grid, V.times, source.f_mom), vals))
     return _balance(V, vals, expect(V, V.rho[..., None] * V.u), *bulk)
 
 
@@ -720,8 +723,8 @@ def defect_from_refinement(fine: Trajectory, coarse: gridmod.Grid,
             gridmod.integrate(coarse, np.maximum(
                 _block_average(energy - ref_fine * rho_s, factors)
                 - (e_bar - ref_coarse * rs_bar), 0.0).T)
-            for ref_fine, ref_coarse in zip(_per_level(fine, *values),
-                                            _per_level(bundle, *values))])
+            for ref_fine, ref_coarse in zip(_per_level(g, fine.times, *values),
+                                            _per_level(coarse, fine.times, *values))])
         spread = float(np.max(np.abs(ref_gaps[:, live] - d_diss[live])
                               / np.maximum(d_diss, 1e-300)[live]))
     return bundle, RefinementReport(theta_spread=spread, d_min_raw=float(np.min(gap)))

@@ -11,8 +11,13 @@ explains the move in ``CHANGES.md``; it does not widen a tolerance.
 in order, for the default 1D run and a 2D molecular-radiation run: each
 must equal its repr float bit for bit, so a reordered or swapped test
 function fails even where the pinned ``max_abs``/``min`` would not.
+
+``tests/test_acceptance.py`` is pinned by its SHA-256, so an edit to the
+acceptance file, which the ROADMAP keeps unchanged, fails here in the same
+diff.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -93,3 +98,15 @@ def test_two_dimensional_mv_check_residuals_match_golden_bits(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert _clauses(tmp_path) == CLAUSES_PINNED["mv-check-2d"]
+
+
+# SHA-256 of tests/test_acceptance.py at its last intended edit
+ACCEPTANCE_SHA256 = "7b4fa8db99e66065c8f7c22058d8087ebdf1de76746a9f68dbb7e43adcc34927"
+
+
+def test_acceptance_file_is_unchanged():
+    with open(os.path.join(os.path.dirname(__file__), "test_acceptance.py"), "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == ACCEPTANCE_SHA256, (
+        "tests/test_acceptance.py changed: the ROADMAP keeps the acceptance "
+        "file byte-unchanged under every gate")

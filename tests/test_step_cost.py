@@ -115,12 +115,12 @@ CLAUSES = {
 # evaluating the reference once per level, and the ballistic clause its time
 # derivative too.
 CLAUSE_CALLS = {
-    "ballistic": (5325, 100),
-    "continuity": (281, 0),
-    "entropy": (336, 0),
-    "momentum": (371, 0),
-    "temperature_compat": (5173, 95),
-    "velocity_compat": (303, 0),
+    "ballistic": (5305, 100),
+    "continuity": (269, 0),
+    "entropy": (319, 0),
+    "momentum": (349, 0),
+    "temperature_compat": (5161, 95),
+    "velocity_compat": (291, 0),
 }
 
 

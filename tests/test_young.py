@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nsflab import grid as gridmod
+from nsflab import manufactured as mfg
 from nsflab import solver, testfuns, thermo, transport, young
 from nsflab.manufactured import grid_points, manufactured
 
@@ -134,6 +135,45 @@ def test_theta_refs_trace_and_positivity():
 # --------------------------------------------------------------------------
 
 
+# family -> dim -> (label, zero_trace, nonnegative) of each shape, in order
+FAMILY_SHAPES = {
+    "scalar_tests": {
+        1: [("one", False, False), ("x", False, False), ("x2", False, False),
+            ("sin_pix", False, False), ("cos_pix", False, False)],
+        2: [("one", False, False), ("x", False, False), ("y", False, False),
+            ("xy", False, False), ("sin_pix_cos_piy", False, False)],
+    },
+    "entropy_tests": {
+        1: [("sin2_pix", False, True), ("bump4", False, True)],
+        2: [("sin2_pix_sin2_piy", False, True), ("bump4_xy", False, True)],
+    },
+    "velocity_tests": {
+        1: [("sin_pix", True, False), ("sin_2pix", True, False), ("parab", True, False)],
+        2: [("sinsin_ex", True, False), ("sinsin_ey", True, False), ("swirl", True, False)],
+    },
+    "flux_tests": {
+        1: [("e1", False, False), ("x_e1", False, False), ("sin_pix_e1", False, False),
+            ("cos_pix_e1", False, False)],
+        2: [("e1", False, False), ("e2", False, False), ("radial", False, False),
+            ("trig", False, False)],
+    },
+    "tensor_tests": {
+        1: [("id", False, False), ("x", False, False), ("sin_pix", False, False),
+            ("cos_2pix", False, False)],
+        2: [("id", False, False), ("diag_xy", False, False), ("offdiag", False, False),
+            ("trig", False, False)],
+    },
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", sorted(FAMILY_SHAPES))
+def test_family_labels_and_flags_are_pinned(family, dim):
+    shapes = getattr(testfuns, family)(dim)
+    assert [(s.label, s.zero_trace, s.nonnegative) for s in shapes] \
+        == FAMILY_SHAPES[family][dim]
+
+
 def test_phase_atom_validation():
     times = np.array([0.0])
     grid2 = gridmod.Grid(cells=(4, 4))
@@ -172,6 +212,28 @@ def test_measure_weight_validation():
     w[0, 0, 1] = 1.5
     with pytest.raises(ValueError, match="positive"):
         young.AtomicYoungMeasure(weights=w, **good)
+
+
+def test_strong_dirac_evaluates_the_solution_once_per_level(monkeypatch):
+    calls = []
+    fields = mfg._fields
+    monkeypatch.setattr(mfg, "_fields", lambda *a: calls.append(1) or fields(*a))
+    sol = manufactured("shear", MODEL, TM)
+    grid = gridmod.Grid(cells=(64,))
+    times = np.linspace(0.0, 0.25, 26)
+    V = young.dirac_from_strong(sol, grid, times)
+    assert len(calls) == 26
+    # the reference: each field stacked over the times in turn
+    pts = grid_points(grid)
+    want = [np.stack([fn(t, pts) for t in times])
+            for fn in (sol.rho, sol.u, sol.theta,
+                       lambda t, p: transport.sym_part(sol.grad_u(t, p)), sol.grad_theta)]
+    got = [V.rho[..., 0], V.u[..., 0, :], V.theta[..., 0], V.d_u[..., 0, :, :],
+           V.d_theta[..., 0, :]]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert V.weights.tobytes() == np.ones_like(V.rho).tobytes()
+    assert V.times.tobytes() == times.tobytes()
 
 
 def test_dirac_expectation_matches_fields():
