@@ -12,7 +12,7 @@ a refused value exits 2 and writes nothing (a study runs the lists its
 config gives, so an emptied grid list, eps list or profile is refused); a
 hypothesis-gate rejection writes the echo ``config-effective.ini`` and a
 rejection ``verdict.json`` and exits 1; a run writes the echo, its CSV
-series and binary snapshots, and ``verdict.json``, and exits 0 only if
+series and ``.npy`` snapshots, and ``verdict.json``, and exits 0 only if
 every assertion holds, else 1.
 Re-running with the echo alone repeats the run, and identical (config,
 seed) pairs produce byte-identical reports.
@@ -116,7 +116,7 @@ def _run(args, command: str, row: str, build) -> int:
     out = _echo(args, cfg, command)
     ok, detail, files = run()
     # looked up per call, so a wrapped reports writer is the one called
-    writers = {".csv": reports.write_series, ".bin": reports.write_snapshot,
+    writers = {".csv": reports.write_series, ".npy": reports.write_snapshot,
                ".json": reports.write_verdicts}
     for name, data in files.items():
         writers[os.path.splitext(name)[1]](os.path.join(out, name), data)
@@ -157,7 +157,7 @@ def _simulate(cfg):
         verdict = {"completed": True, "levels": traj.n_levels, "t_final": t_final,
                    "cells": list(grid.cells)}
         return True, f"{traj.n_levels} levels to t = {t_final:g}", {
-            "series.csv": series, "final-state.bin": snapshot, "verdict.json": verdict}
+            "series.csv": series, "final-state.npy": snapshot, "verdict.json": verdict}
     return cfg, run
 
 

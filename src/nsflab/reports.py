@@ -1,39 +1,22 @@
-"""Deterministic persistence: CSV series, JSON verdicts, binary snapshots.
+"""Deterministic persistence in NumPy's own formats: CSV series, JSON verdicts, snapshots.
 
 Every writer is byte-deterministic for identical inputs: column order is the
 caller's insertion order, JSON keys are sorted, floats are rendered in their
-shortest round-trip form (17 significant digits for CSV), and snapshots are
-raw little-endian buffers behind a self-describing header.
+shortest round-trip form (17 significant digits for CSV), and a snapshot is
+one ``.npy`` record with a named field per array.  Each output opens without
+nsflab: a series with ``np.loadtxt(path, delimiter=",", skiprows=1)``, a
+snapshot with ``np.load(path)``, a verdict with ``json.load``.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from typing import Mapping
 
 import numpy as np
 
-__all__ = [
-    "SNAPSHOT_MAGIC",
-    "SNAPSHOT_VERSION",
-    "format_float",
-    "write_series",
-    "read_series",
-    "write_verdicts",
-    "read_verdicts",
-    "write_snapshot",
-    "read_snapshot",
-]
-
-SNAPSHOT_MAGIC = b"NSFB"
-SNAPSHOT_VERSION = 1
-
-
-def format_float(value: float) -> str:
-    """Render with 17 significant digits: parses back to the same double."""
-
-    return f"{float(value):.17g}"
+__all__ = ["write_series", "read_series", "write_verdicts", "read_verdicts",
+           "write_snapshot", "read_snapshot"]
 
 
 # --------------------------------------------------------------------------
@@ -53,26 +36,25 @@ def write_series(path, columns: Mapping[str, np.ndarray]) -> None:
         if len(arr) != length:
             raise ValueError(
                 f"column {name!r} has {len(arr)} entries; expected {length}")
-    lines = [",".join(names)]
-    for k in range(length):
-        lines.append(",".join(format_float(arr[k]) for arr in arrays))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, np.column_stack(arrays), fmt="%.17g", delimiter=",",
+                   header=",".join(names), comments="")
 
 
 def read_series(path) -> dict[str, np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        lines = [line for line in fh if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty series file")
-    names = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    for k, row in enumerate(rows):
-        if len(row) != len(names):
-            raise ValueError(
-                f"{path}: row {k + 1} has {len(row)} fields; header has {len(names)}")
-    data = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    data = data.reshape(-1, len(names))
+    names = lines[0].strip().split(",")
+    try:
+        # np.loadtxt warns on an empty body, so a header-only series skips it
+        data = (np.loadtxt(lines[1:], delimiter=",", ndmin=2) if lines[1:]
+                else np.empty((0, len(names))))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    if data.shape[1] != len(names):
+        raise ValueError(f"{path}: rows have {data.shape[1]} fields; header has {len(names)}")
     return {name: data[:, j].copy() for j, name in enumerate(names)}
 
 
@@ -105,78 +87,38 @@ def read_verdicts(path) -> dict:
 
 
 # --------------------------------------------------------------------------
-# binary field snapshots
+# field snapshots
 # --------------------------------------------------------------------------
-#
-# layout (all little-endian):
-#   magic   4 bytes  b"NSFB"
-#   version u32
-#   nfields u32
-#   then per field:
-#     name_len  u16, name utf-8
-#     dtype_len u16, dtype string (numpy .str, e.g. "<f8")
-#     ndim      u32, dims u64 * ndim
-#     payload   raw C-order buffer
 
 
 def write_snapshot(path, fields: Mapping[str, np.ndarray]) -> None:
-    chunks = [SNAPSHOT_MAGIC, struct.pack("<II", SNAPSHOT_VERSION, len(fields))]
-    for name, raw in fields.items():
-        # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d,
-        # and tobytes(order="C") already emits contiguous bytes
-        arr = np.asarray(raw)
-        name_b = name.encode("utf-8")
-        dtype_b = arr.dtype.str.encode("ascii")
-        chunks.append(struct.pack("<H", len(name_b)))
-        chunks.append(name_b)
-        chunks.append(struct.pack("<H", len(dtype_b)))
-        chunks.append(dtype_b)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(arr.tobytes(order="C"))
+    """Write ``fields`` as one 0-d ``.npy`` record: a named field per array,
+    with its dtype and shape, in insertion order."""
+
+    arrays = {name: np.asarray(raw) for name, raw in fields.items()}
+    for name, arr in arrays.items():
+        if not name:  # numpy would rename it "f0"
+            raise ValueError(f"{path}: a snapshot field needs a non-empty name")
+        if arr.dtype.hasobject:
+            raise ValueError(f"{path}: snapshot field {name!r} holds Python objects")
+    record = np.empty((), dtype=[(name, arr.dtype, arr.shape) for name, arr in arrays.items()])
+    for name, arr in arrays.items():
+        record[name] = arr
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
-
-
-class _Cursor:
-    def __init__(self, buf: bytes, label: str):
-        self.buf = buf
-        self.pos = 0
-        self.label = label
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise ValueError(f"{self.label}: truncated snapshot file")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        np.save(fh, record, allow_pickle=False)
 
 
 def read_snapshot(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
-        cur = _Cursor(fh.read(), str(path))
-    if cur.take(4) != SNAPSHOT_MAGIC:
-        raise ValueError(f"{path}: not a field snapshot (bad magic)")
-    version, nfields = cur.unpack("<II")
-    if version != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"{path}: snapshot format version {version} is not supported; "
-            f"this reader handles version {SNAPSHOT_VERSION}")
-    fields: dict[str, np.ndarray] = {}
-    for _ in range(nfields):
-        (name_len,) = cur.unpack("<H")
-        name = cur.take(name_len).decode("utf-8")
-        (dtype_len,) = cur.unpack("<H")
-        dtype = np.dtype(cur.take(dtype_len).decode("ascii"))
-        (ndim,) = cur.unpack("<I")
-        dims = cur.unpack(f"<{ndim}Q") if ndim else ()
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-        payload = cur.take(nbytes)
-        arr = np.frombuffer(payload, dtype=dtype)
-        fields[name] = arr.reshape(dims).copy() if ndim else arr.copy().reshape(())
-    if cur.pos != len(cur.buf):
-        raise ValueError(f"{path}: {len(cur.buf) - cur.pos} trailing bytes after the last field")
-    return fields
+        try:
+            record = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as err:
+            # a read that failed at the end of the file ran out of bytes
+            what = "unreadable" if fh.read(1) else "truncated"
+            raise ValueError(f"{path}: {what} snapshot file ({err})") from None
+        trailing = len(fh.read())
+    if trailing:
+        raise ValueError(f"{path}: {trailing} trailing bytes after the record")
+    if record.shape != () or record.dtype.names is None:
+        raise ValueError(f"{path}: not one record of named fields")
+    return {name: record[name].copy() for name in record.dtype.names}

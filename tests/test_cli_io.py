@@ -110,7 +110,17 @@ def test_series_round_trip_is_exact(tmp_path):
     back = reports.read_series(path)
     assert list(back) == ["t", "value", "flag"]  # insertion order preserved
     for name in cols:
-        np.testing.assert_array_equal(back[name], cols[name])
+        # bits, not values: assert_array_equal takes a -0.0 read back as 0.0
+        assert back[name].tobytes() == cols[name].tobytes(), name
+
+
+def test_header_only_series_round_trips(tmp_path):
+    path = tmp_path / "series.csv"
+    reports.write_series(path, {"t": np.array([]), "mass": np.array([])})
+    assert path.read_text() == "t,mass\n"
+    back = reports.read_series(path)
+    assert list(back) == ["t", "mass"]
+    assert all(col.shape == (0,) and col.dtype == np.float64 for col in back.values())
 
 
 def test_series_header_keeps_column_order(tmp_path):
@@ -155,7 +165,7 @@ def test_verdicts_refuse_unserializable_objects(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# binary snapshots
+# .npy snapshots
 # --------------------------------------------------------------------------
 
 
@@ -171,7 +181,7 @@ def _sample_fields():
 
 
 def test_snapshot_round_trip_is_bit_exact(tmp_path):
-    path = tmp_path / "state.bin"
+    path = tmp_path / "state.npy"
     fields = _sample_fields()
     reports.write_snapshot(path, fields)
     back = reports.read_snapshot(path)
@@ -183,39 +193,71 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path):
 
 
 def test_snapshot_write_is_deterministic(tmp_path):
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+    p1, p2 = tmp_path / "a.npy", tmp_path / "b.npy"
     reports.write_snapshot(p1, _sample_fields())
     reports.write_snapshot(p2, _sample_fields())
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_snapshot_rejects_bad_magic(tmp_path):
-    path = tmp_path / "state.bin"
+    path = tmp_path / "state.npy"
     reports.write_snapshot(path, _sample_fields())
     blob = bytearray(path.read_bytes())
     blob[:4] = b"XXXX"
     path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(ValueError, match=r"state\.npy: .*magic"):
         reports.read_snapshot(path)
 
 
 def test_snapshot_version_bump_is_an_explicit_error(tmp_path):
-    path = tmp_path / "state.bin"
+    path = tmp_path / "state.npy"
     reports.write_snapshot(path, _sample_fields())
     blob = bytearray(path.read_bytes())
-    blob[4] = reports.SNAPSHOT_VERSION + 1  # little-endian version word
+    assert blob[6:8] == b"\x01\x00"  # the .npy major and minor version bytes
+    blob[6] = 4  # numpy reads major versions 1 to 3
     path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(ValueError, match=r"state\.npy: .*version"):
         reports.read_snapshot(path)
 
 
 def test_snapshot_truncation_is_detected(tmp_path):
-    path = tmp_path / "state.bin"
+    path = tmp_path / "state.npy"
     reports.write_snapshot(path, _sample_fields())
     blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) - 16])
-    with pytest.raises(ValueError, match="truncated"):
+    for cut in (16, len(blob) - 20):  # inside the payload, inside the header
+        path.write_bytes(blob[: len(blob) - cut])
+        with pytest.raises(ValueError, match=r"state\.npy: truncated"):
+            reports.read_snapshot(path)
+
+
+def test_snapshot_trailing_bytes_are_refused(tmp_path):
+    path = tmp_path / "state.npy"
+    reports.write_snapshot(path, _sample_fields())
+    path.write_bytes(path.read_bytes() + b"\x00" * 3)
+    with pytest.raises(ValueError, match=r"state\.npy: 3 trailing bytes"):
         reports.read_snapshot(path)
+
+
+def test_snapshot_must_be_one_record_of_named_fields(tmp_path):
+    path = tmp_path / "state.npy"
+    np.save(path, np.arange(3.0))
+    with pytest.raises(ValueError, match=r"state\.npy: not one record of named fields"):
+        reports.read_snapshot(path)
+
+
+def test_snapshot_refuses_an_empty_field_name(tmp_path):
+    path = tmp_path / "state.npy"
+    # numpy would store the field as "f0"
+    with pytest.raises(ValueError, match="non-empty name"):
+        reports.write_snapshot(path, {"rho": np.ones(3), "": np.zeros(3)})
+    assert not path.exists()
+
+
+def test_snapshot_refuses_an_object_field(tmp_path):
+    path = tmp_path / "state.npy"
+    with pytest.raises(ValueError, match="'tags' holds Python objects"):
+        reports.write_snapshot(path, {"rho": np.ones(3), "tags": np.array(["a", None])})
+    assert not path.exists()
 
 
 # --------------------------------------------------------------------------
@@ -551,7 +593,7 @@ def test_simulate_persists_series_and_snapshot(tmp_path, capsys):
     series = reports.read_series(tmp_path / "simulate" / "series.csv")
     # the forced run tracks the reference mass to discretization accuracy
     assert series["mass"] == pytest.approx(series["mass"][0], rel=1e-4)
-    state = reports.read_snapshot(tmp_path / "simulate" / "final-state.bin")
+    state = reports.read_snapshot(tmp_path / "simulate" / "final-state.npy")
     assert set(state) == {"rho", "u", "theta", "t"}
     assert state["rho"].shape == (24,)
     assert np.all(state["rho"] > 0) and np.all(state["theta"] > 0)
