@@ -240,12 +240,11 @@ def _relenergy(cfg):
     tol = _tol(cfg, grid)
 
     def run():
-        model, tm = sol.model, sol.transport_model
-        init = experiments.perturbed_state(sol, grid, eps)
-        traj = solver.simulate(grid, scfg, model, tm, boundary=sol.boundary,
-                               initial=init)
+        traj = solver.simulate(grid, scfg, sol.model, sol.transport_model,
+                               boundary=sol.boundary,
+                               initial=experiments.perturbed_state(sol, grid, eps))
         V = young.dirac_from_trajectory(traj)
-        rep = relenergy.rel_energy_inequality_report(V, None, sol, model, tm)
+        rep = relenergy.rel_energy_inequality_report(V, None, sol)
 
         series: dict[str, np.ndarray] = {
             "t": rep.times, "e_mv": rep.e_mv, "e_ess": rep.e_ess, "e_res": rep.e_res,

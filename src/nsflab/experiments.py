@@ -511,7 +511,7 @@ def _velocity_control_terms(state: solver.FlowState,
     pts = grid_points(g)
     t = float(state.t)
     du = state.u - sol.u(t, pts)
-    f = gridmod.sync_odd(gridmod.VectorField.from_interior(g, state.u))
+    f = gridmod.sync_odd(gridmod.Field.from_interior(g, state.u))
     d0 = transport.traceless_sym(gridmod.gradient(f))
     d0_ref = transport.traceless_sym(sol.grad_u(t, pts))
     return (t, gridmod.integrate(g, np.sum(du * du, axis=-1)),
@@ -630,8 +630,7 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
                                spec.transport_model, boundary=sol.boundary,
                                initial=None if eps is None
                                else perturbed_state(sol, grid, eps))
-        rep = relenergy.rel_energy_series(states if read is None else reading(states),
-                                          sol, model, spec.transport_model)
+        rep = relenergy.rel_energy_series(states if read is None else reading(states), sol)
         if eps is None:
             return float(np.max(rep.e_mv)), rows
         start = float(rep.e_mv[0])
@@ -771,7 +770,7 @@ class AprioriReport:
 
 
 def _budget_terms(states: Iterable[solver.FlowState], spec: ExperimentSpec,
-                  theta_hat: gridmod.ScalarField, boundary: gridmod.BoundaryData
+                  theta_hat: gridmod.Field, boundary: gridmod.BoundaryData
                   ) -> tuple[dict[str, float], float, float, float, float]:
     """The budget of one run: its terms, their total, the entropy-flux and
     theta**2 coupling constants and the entropy-bound margin.  Each level
@@ -1008,8 +1007,7 @@ def run_defect_study(spec: ExperimentSpec) -> DefectStudyReport:
     gate = spec.gate
 
     def run(n: int) -> float:
-        bundle, _ = young.defect_from_refinement(
-            _decay_run(spec, n), gridmod.Grid(cells=(n // 4,)), spec.model)
+        bundle, _ = young.defect_from_refinement(_decay_run(spec, n), gridmod.Grid(cells=(n // 4,)))
         return float(np.max(bundle.d_diss))
 
     smooth_cells = [n // 4 for n in spec.grids]
@@ -1022,8 +1020,7 @@ def run_defect_study(spec: ExperimentSpec) -> DefectStudyReport:
     fine = _oscillation_snapshot(spec, n_fine, eps)
     # only this run's report is read, so only it is given the theta references
     refs = testfuns.theta_refs(1, base=(1.0, 0.0, 0.0), amps=(0.0, 0.15, -0.1))
-    bundle, report = young.defect_from_refinement(
-        fine, gridmod.Grid(cells=(n_coarse,)), spec.model, refs)
+    bundle, report = young.defect_from_refinement(fine, gridmod.Grid(cells=(n_coarse,)), refs)
     osc_d = float(bundle.d_diss[0])
 
     # the kinetic defect in the limit eps -> 0: the fast factor averages to

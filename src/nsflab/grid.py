@@ -8,11 +8,12 @@ midpoint rule. Ghost fill encodes the physical boundary conditions:
   * temperature is Dirichlet-filled from the boundary trace theta_B > 0,
   * density is zero-gradient.
 
-Fields carry a ``synced`` flag; the differential operators take synced
-fields only and return plain interior arrays. There are two, each one
-kernel for every rank: ``gradient`` appends the derivative axis to a
-scalar, vector or tensor field, and ``divergence`` contracts it with the
-last component axis of a vector or tensor field. ``grad_vector`` and
+A ``Field`` is one ghost-padded array and a ``synced`` flag; its rank is
+the number of its array's trailing component axes. The differential
+operators take synced fields only and return plain interior arrays. There
+are two, each one kernel for every rank: ``gradient`` appends the
+derivative axis to a field of any rank, and ``divergence`` contracts it
+with the last component axis of a vector or tensor field. ``grad_vector`` and
 ``tensor_divergence`` are the same functions under their rank-specific
 names, kept only because the benchmark tracer looks all four names up; no
 other module of the package names them.
@@ -33,9 +34,7 @@ __all__ = [
     "constant_boundary",
     "affine_boundary",
     "boundary_face_points",
-    "ScalarField",
-    "VectorField",
-    "TensorField",
+    "Field",
     "StalenessError",
     "sync_physical",
     "sync_odd",
@@ -175,58 +174,37 @@ def boundary_face_points(grid: Grid) -> Mapping[str, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class _Field:
+class Field:
+    """A ghost-padded array on ``grid``: the padded cells, then any trailing
+    component axes (none for a scalar, one for a vector, two for a tensor)."""
+
     grid: Grid
     data: np.ndarray  # ghost-padded
     synced: bool = False
 
-    _component_axes = 0
-
     def __post_init__(self):
         expect = self.grid.padded_shape(self.data.shape[self.grid.dim :])
-        if self.data.shape != expect or self.data.ndim != self.grid.dim + self._component_axes:
-            raise ValueError(
-                f"{type(self).__name__} data shape {self.data.shape} does not match padded {expect} "
-                f"with {self._component_axes} component axes"
-            )
+        if self.data.shape != expect:
+            raise ValueError(f"Field data shape {self.data.shape} does not match padded {expect}")
 
     @property
     def interior(self) -> np.ndarray:
         return self.data[(slice(1, -1),) * self.grid.dim]
 
     @classmethod
-    def from_interior(cls, grid: Grid, values: np.ndarray):
-        return cls(grid=grid, data=_padded(grid, values), synced=False)
+    def from_interior(cls, grid: Grid, values: np.ndarray) -> "Field":
+        """``values`` on the interior of a zero ghost-padded array, unsynced."""
+        values = np.asarray(values, dtype=float)
+        data = np.zeros(grid.padded_shape(values.shape[grid.dim :]))
+        data[(slice(1, -1),) * grid.dim] = values
+        return cls(grid=grid, data=data, synced=False)
 
     @classmethod
-    def _synced(cls, grid: Grid, data: np.ndarray):
+    def _synced(cls, grid: Grid, data: np.ndarray) -> "Field":
         """A synced field around ``data``, which its caller built padded: unchecked."""
         field = object.__new__(cls)
         field.__dict__.update(grid=grid, data=data, synced=True)
         return field
-
-
-def _padded(grid: Grid, values) -> np.ndarray:
-    """``values`` on the interior of a zero ghost-padded array."""
-    values = np.asarray(values, dtype=float)
-    data = np.zeros(grid.padded_shape(values.shape[grid.dim :]))
-    data[(slice(1, -1),) * grid.dim] = values
-    return data
-
-
-@dataclass(frozen=True)
-class ScalarField(_Field):
-    _component_axes = 0
-
-
-@dataclass(frozen=True)
-class VectorField(_Field):
-    _component_axes = 1
-
-
-@dataclass(frozen=True)
-class TensorField(_Field):
-    _component_axes = 2
 
 
 def _fill_axis(data: np.ndarray, axis: int, odd: bool) -> None:
@@ -262,7 +240,7 @@ def _fill_dirichlet(data: np.ndarray, grid: Grid, boundary: BoundaryData, t: flo
 
 
 def sync_physical(grid: Grid, rho: np.ndarray, u: np.ndarray, theta: np.ndarray,
-                  boundary: BoundaryData, t: float) -> tuple[ScalarField, VectorField, ScalarField]:
+                  boundary: BoundaryData, t: float) -> tuple[Field, Field, Field]:
     """Build synced (rho, u, theta) fields from interior arrays at time t.
     Every ghost is written, so the padded arrays start empty."""
     inner = (slice(1, -1),) * grid.dim
@@ -273,28 +251,27 @@ def sync_physical(grid: Grid, rho: np.ndarray, u: np.ndarray, theta: np.ndarray,
         _fill_axis(rho_p, axis, odd=False)
         _fill_axis(u_p, axis, odd=True)
     _fill_dirichlet(th_p, grid, boundary, t)
-    return (ScalarField._synced(grid, rho_p), VectorField._synced(grid, u_p),
-            ScalarField._synced(grid, th_p))
+    return Field._synced(grid, rho_p), Field._synced(grid, u_p), Field._synced(grid, th_p)
 
 
-def sync_odd(f: _Field) -> _Field:
+def sync_odd(f: Field) -> Field:
     """Ghosts by odd reflection about the boundary faces (zero-trace fields)."""
     data = f.data.copy()
     for axis in range(f.grid.dim):
         _fill_axis(data, axis, odd=True)
-    return type(f)._synced(f.grid, data)
+    return Field._synced(f.grid, data)
 
 
-def sync_dirichlet(f: ScalarField, boundary: BoundaryData, t: float) -> ScalarField:
+def sync_dirichlet(f: Field, boundary: BoundaryData, t: float) -> Field:
     """Ghosts from the Dirichlet trace: ghost = 2*theta_B(face) - interior."""
     data = f.data.copy()
     _fill_dirichlet(data, f.grid, boundary, t)
-    return type(f)._synced(f.grid, data)
+    return Field._synced(f.grid, data)
 
 
-def _require_synced(f: _Field) -> None:
+def _require_synced(f: Field) -> None:
     if not f.synced:
-        raise StalenessError(f"{type(f).__name__} ghosts are stale; sync before differentiating")
+        raise StalenessError("Field ghosts are stale; sync before differentiating")
 
 
 def _centered(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -313,7 +290,7 @@ def _centered_slices(dim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slic
     return tuple(plus), tuple(minus)
 
 
-def gradient(f: _Field) -> np.ndarray:
+def gradient(f: Field) -> np.ndarray:
     """Centered gradient of a synced field of any rank, the derivative axis
     appended: shape (*cells, *components, dim), (grad u)_{jk} = d u_j / d x_k."""
     _require_synced(f)
@@ -324,7 +301,7 @@ def gradient(f: _Field) -> np.ndarray:
     return out
 
 
-def divergence(f: _Field) -> np.ndarray:
+def divergence(f: Field) -> np.ndarray:
     """Centered divergence of a synced vector or tensor field over its last
     component axis: div u = sum_k d u_k / d x_k, (div T)_j = sum_k d T_{jk} / d x_k."""
     _require_synced(f)
@@ -346,7 +323,7 @@ def integrate(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.add.reduce(values, axis=tuple(range(grid.dim))) * grid.cell_volume
 
 
-def harmonic_extension(grid: Grid, boundary: BoundaryData, t: float = 0.0) -> ScalarField:
+def harmonic_extension(grid: Grid, boundary: BoundaryData, t: float = 0.0) -> Field:
     """Discrete harmonic extension of the Dirichlet data theta_B(t, .).
 
     Every trace the package builds (``constant_boundary``,
@@ -359,7 +336,7 @@ def harmonic_extension(grid: Grid, boundary: BoundaryData, t: float = 0.0) -> Sc
     """
     boundary.validate_positive(grid, times=(t,))
     sol = np.asarray(boundary.theta(t, np.stack(grid.mesh(), axis=-1)), dtype=float)
-    out = sync_dirichlet(ScalarField.from_interior(grid, sol), boundary, t)
+    out = sync_dirichlet(Field.from_interior(grid, sol), boundary, t)
 
     scale = 1.0
     for pts in boundary_face_points(grid).values():
@@ -370,7 +347,7 @@ def harmonic_extension(grid: Grid, boundary: BoundaryData, t: float = 0.0) -> Sc
     return out
 
 
-def laplacian_residual(f: ScalarField) -> float:
+def laplacian_residual(f: Field) -> float:
     """Max-norm of the discrete Laplacian of a synced scalar field."""
     _require_synced(f)
     g = f.grid

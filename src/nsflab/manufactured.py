@@ -8,7 +8,9 @@ residual of the conservation system
     d_t(rho u) + div(rho u x u) + grad p - div S             = f_mom
     d_t(rho e) + div(rho e u) + div q - S:grad u + p div u   = f_energy
 
-so the triple solves the forced system exactly. A profile is written in
+so the triple solves the forced system exactly. The four profiles are
+fixed flows: their amplitudes, rates and slopes are literals, and only
+``equilibrium`` takes a keyword, its dimension. A profile is written in
 truncated Taylor jets over (t, x, y): value, first partials and second
 spatial partials, carried through +, -, x, sin and exp by forward-mode
 differentiation (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
@@ -20,9 +22,10 @@ component. The forcings follow by the chain rule through the state laws of
 the coefficient laws of ``transport`` (values and theta-derivatives), so
 those two modules are the only home of the laws. All fields at one (t, pts)
 come from one evaluation, which is memoised, so the fields at a time level
-are computed once; each field's read-only array is built when it is first
-read, so a solver stage that reads the three forcings builds three of the
-twelve.
+are computed once, and those of a steady flow (``equilibrium``,
+``conduction``) once per point set; each field's read-only array is built
+when it is first read, so a solver stage that reads the three forcings
+builds three of the twelve.
 """
 
 from __future__ import annotations
@@ -315,15 +318,17 @@ def _compile(space: Callable, jets: Callable, model, transport_model, dim: int) 
     space factors are kept until pts changes and the last evaluation until
     (t, pts) changes, so all 12 fields of a time level cost one evaluation
     and a grid its space factors once; a field's array is built when it is
-    first read. A writable pts is evaluated afresh at every call.
+    first read. A steady flow, one whose jets all have a structural-zero
+    time derivative, keeps its last evaluation until pts changes, whatever
+    t is. A writable pts is evaluated afresh at every call.
     """
-    last = [None, None, None]  # t, pts, fields
+    last = [None, None, None, False]  # t, pts, fields, steady
     factors = [None, None]  # pts, space factor jets
 
     def evaluate(name, t, pts):
         t = float(t)
         frozen = type(pts) is np.ndarray and not pts.flags.writeable
-        if frozen and pts is last[1] and t == last[0]:
+        if frozen and pts is last[1] and (t == last[0] or last[3]):
             return last[2][name]
         arr = np.asarray(pts, dtype=float)
         if frozen and pts is factors[0]:
@@ -332,11 +337,14 @@ def _compile(space: Callable, jets: Callable, model, transport_model, dim: int) 
             spatial = space(_coords(arr, dim))
             if frozen:
                 factors[:] = pts, spatial
+        rho, u, theta = jets(_time(t, dim), *spatial)
         out = _Level()
-        out.comps = _fields(model, transport_model, *jets(_time(t, dim), *spatial))
+        out.comps = _fields(model, transport_model, rho, u, theta)
         out.base, out.dim = arr.shape[:-1], dim
         if frozen:
-            last[:] = t, pts, out
+            # row 1 of a jet is its time derivative
+            steady = 1 in rho.zero and 1 in theta.zero and all(1 in c.zero for c in u)
+            last[:] = t, pts, out, steady
         return out[name]
 
     return {name: functools.partial(evaluate, name) for name in _SHAPES}
@@ -400,56 +408,44 @@ def _build(profile, model, transport_model, boundary, dim, space, jets):
                           _fns=_compile(space, jets, model, transport_model, dim))
 
 
-def _profile_equilibrium(model, transport_model, *, dim=1, theta0=1.0, rho0=1.0):
-    dim, theta0, rho0 = int(dim), float(theta0), float(rho0)
-    boundary = gridmod.constant_boundary(theta0)
+def _profile_equilibrium(model, transport_model, *, dim=1):
+    dim = int(dim)
+    boundary = gridmod.constant_boundary(1.0)
 
     def jets(time):
-        return (_Jet.const(rho0, dim), [_Jet.const(0.0, dim)] * dim,
-                _Jet.const(theta0, dim))
+        return _Jet.const(1.0, dim), [_Jet.const(0.0, dim)] * dim, _Jet.const(1.0, dim)
 
     return _build("equilibrium", model, transport_model, boundary, dim,
                   lambda x: (), jets)
 
 
-def _profile_conduction(model, transport_model, *, slope=0.5, theta0=1.0):
-    b, theta0 = float(slope), float(theta0)
-    if theta0 <= 0 or theta0 + b <= 0:
-        raise ValueError("conduction profile needs a positive temperature span")
-    boundary = gridmod.affine_boundary(theta0, b)
+def _profile_conduction(model, transport_model):
+    boundary = gridmod.affine_boundary(1.0, 0.5)
 
     def jets(time, x):
-        return _Jet.const(1.0, 1), [_Jet.const(0.0, 1)], theta0 + b * x
+        return _Jet.const(1.0, 1), [_Jet.const(0.0, 1)], 1.0 + 0.5 * x
 
     return _build("conduction", model, transport_model, boundary, 1,
                   lambda x: (x[0],), jets)
 
 
-def _profile_shear(model, transport_model, *, amp_u=0.1, amp_theta=0.2, amp_rho=0.25,
-                   rate=1.0):
-    amp_u, amp_th, amp_rho, rate = float(amp_u), float(amp_theta), float(amp_rho), float(rate)
-    if not (abs(amp_rho) < 1.0 and abs(amp_th) < 1.0):
-        raise ValueError("shear profile amplitudes must keep rho, theta positive")
+def _profile_shear(model, transport_model):
     boundary = gridmod.constant_boundary(1.0)
 
     def space(x):
         return _sin(math.pi * x[0]), _sin(2.0 * math.pi * x[0])
 
     def jets(time, wave, wave2):
-        decay = _exp(-rate * time)
-        return (1.0 + wave2 * (amp_rho * decay), [wave * (amp_u * decay)],
-                1.0 + wave * (amp_th * decay))
+        decay = _exp(-1.0 * time)
+        return (1.0 + wave2 * (0.25 * decay), [wave * (0.1 * decay)],
+                1.0 + wave * (0.2 * decay))
 
     return _build("shear", model, transport_model, boundary, 1, space, jets)
 
 
-def _profile_radiative_decay(model, transport_model, *, amp_u=0.1, amp_theta=0.3,
-                             amp_rho=0.25, rate=1.0):
+def _profile_radiative_decay(model, transport_model):
     if not isinstance(model, thermo.MolecularRadiation):
         raise TypeError("radiative_decay profile requires a MolecularRadiation model")
-    amp_u, amp_th, amp_rho, rate = float(amp_u), float(amp_theta), float(amp_rho), float(rate)
-    if not (abs(amp_rho) < 1.0 and abs(amp_th) < 1.0):
-        raise ValueError("radiative_decay amplitudes must keep rho, theta positive")
     boundary = gridmod.constant_boundary(1.0)
 
     def space(x):
@@ -457,10 +453,10 @@ def _profile_radiative_decay(model, transport_model, *, amp_u=0.1, amp_theta=0.3
                 _sin(2.0 * math.pi * x[0]) * _sin(2.0 * math.pi * x[1]))
 
     def jets(time, bump, wave):
-        decay = _exp(-rate * time)
-        rho = 1.0 + wave * (amp_rho * decay)
-        u = [bump * (amp_u * decay), bump * (-0.8 * amp_u * decay)]
-        theta = 1.0 + bump * (amp_th * _exp(-0.5 * rate * time))
+        decay = _exp(-1.0 * time)
+        rho = 1.0 + wave * (0.25 * decay)
+        u = [bump * (0.1 * decay), bump * (-0.8 * 0.1 * decay)]  # -0.8 * 0.1 != -0.08
+        theta = 1.0 + bump * (0.3 * _exp(-0.5 * time))
         return rho, u, theta
 
     return _build("radiative_decay", model, transport_model, boundary, 2,
@@ -482,13 +478,15 @@ def profile_names() -> tuple[str, ...]:
 def manufactured(profile: str, model, transport_model, **params) -> StrongSolution:
     """Build the named analytic profile for the given models; the profile
     carries its own compatible boundary trace.  ``params`` are the profile's
-    keyword parameters; a keyword the profile does not read is a TypeError."""
+    keyword parameters (only ``equilibrium`` has one, ``dim``); a keyword the
+    profile does not read is a TypeError."""
     try:
         builder = _PROFILES[profile]
     except KeyError:
         raise KeyError(f"unknown profile {profile!r}; have {profile_names()}") from None
-    unread = sorted(set(params) - set(builder.__kwdefaults__))
+    reads = builder.__kwdefaults__ or {}
+    unread = sorted(set(params) - set(reads))
     if unread:
         raise TypeError(f"profile {profile!r} does not read {', '.join(unread)}; "
-                        f"it reads {', '.join(builder.__kwdefaults__)}")
+                        f"it reads {', '.join(reads) or 'no keyword'}")
     return builder(model, transport_model, **params)

@@ -18,9 +18,11 @@ in conservative variables.  This module provides
   that series plus the full inequality chain (dissipation and coupling
   blocks, defect pairings, remainder, residual tail and slack).
 
-Both evaluate each level with one kernel, so a flow state and its Dirac
-measure give the same bits.  All evaluators are pure functions of immutable
-snapshots and vectorize over cells and atoms.
+Both take the constitutive laws from the comparison flow alone
+(``StrongSolution.model`` and ``.transport_model``), the laws its forcings
+were built from, and evaluate each level with one kernel, so a flow state
+and its Dirac measure give the same bits.  All evaluators are pure
+functions of immutable snapshots and vectorize over cells and atoms.
 """
 
 from __future__ import annotations
@@ -355,7 +357,7 @@ def _r2_groups(w: np.ndarray, rho: np.ndarray, theta: np.ndarray, u: np.ndarray,
 def remainder_R2(V: AtomicYoungMeasure, sol: StrongSolution,
                  model: thermo.ThermoModel,
                  transport_model: transport.TransportModel,
-                 t: float) -> gridmod.ScalarField:
+                 t: float) -> gridmod.Field:
     """Quadratic remainder density at the stored time level closest to ``t``.
 
     Every group carries at least two difference factors between the measure
@@ -370,7 +372,7 @@ def remainder_R2(V: AtomicYoungMeasure, sol: StrongSolution,
     rho, theta = V.rho[idx], V.theta[idx]
     eos = _atom_eos(model, rho, theta, ("s", "p"))
     total = sum(_r2_groups(V.weights[idx], rho, theta, V.u[idx], sf, eos).values())
-    return gridmod.ScalarField.from_interior(V.grid, total)
+    return gridmod.Field.from_interior(V.grid, total)
 
 
 # --------------------------------------------------------------------------
@@ -447,14 +449,6 @@ _BLOCK_KEYS = ("shear_quad", "shear_coupling", "bulk_quad", "bulk_coupling",
                "heat_quad", "heat_coupling_state", "heat_coupling_coeff")
 
 
-def _check_models(sol: StrongSolution, model: thermo.ThermoModel,
-                  transport_model: transport.TransportModel) -> None:
-    if sol.model != model:
-        raise ValueError("comparison solution and report must share the equation of state")
-    if sol.transport_model != transport_model:
-        raise ValueError("comparison solution and report must share the transport model")
-
-
 def _energy(grid: gridmod.Grid, w: np.ndarray, rho: np.ndarray, theta: np.ndarray,
             u: np.ndarray, sf: dict, eos: dict) -> tuple[tuple, np.ndarray]:
     """One level's ``e_mv``, ``e_ess`` and four expansion pieces, and the
@@ -497,21 +491,20 @@ def _series(times: list, rows: list) -> RelEnergySeries:
                            gronwall_c=fit_gronwall_constant(times, e_mv))
 
 
-def rel_energy_series(states: Iterable[FlowState], sol: StrongSolution,
-                      model: thermo.ThermoModel,
-                      transport_model: transport.TransportModel) -> RelEnergySeries:
-    """Relative energy of a stream of flow states against ``sol``.
+def rel_energy_series(states: Iterable[FlowState], sol: StrongSolution) -> RelEnergySeries:
+    """Relative energy of a stream of flow states against ``sol``, under
+    the equation of state ``sol.model`` the comparison flow carries.
 
     ``states``, such as ``solver.levels``, is read one state at a time, each
     as its Dirac measure (the bits of ``young.dirac_from_trajectory``), and
     only per-level scalars are kept, so a streamed run is never stored.  Per
     state ``sol`` is evaluated once and the atoms' ``rho_e`` and ``rho_s``
-    come from one ``partials`` call.  Raises when the models differ, a state
-    is not finite or not strictly positive, or the energy fails its checks.
-    A measure's energy, the same bits, is the report's.
+    come from one ``partials`` call.  Raises when a state is not finite or
+    not strictly positive, or the energy fails its checks.  A measure's
+    energy, the same bits, is the report's.
     """
 
-    _check_models(sol, model, transport_model)
+    model = sol.model
     times, rows = [], []
     for state in states:
         for name, x in (("rho", state.rho), ("u", state.u), ("theta", state.theta)):
@@ -528,22 +521,21 @@ def rel_energy_series(states: Iterable[FlowState], sol: StrongSolution,
 
 def rel_energy_inequality_report(V: AtomicYoungMeasure,
                                  defects: Optional[DefectBundle],
-                                 sol: StrongSolution,
-                                 model: thermo.ThermoModel,
-                                 transport_model: transport.TransportModel,
-                                 ) -> RelEnergyReport:
+                                 sol: StrongSolution) -> RelEnergyReport:
     """Evaluate the full relative-energy inequality chain level by level.
 
     Each level's energy comes from the kernel of :func:`rel_energy_series`,
-    and the chain is built on the same comparison fields and atom partials.
-    The comparison temperature in the ballistic pairing is the comparison
-    state's own temperature field.  ``defects`` supplies the dissipation
-    history and the matrix defect paired against the comparison velocity
-    gradient; ``None`` means both vanish (point masses of resolved fields).
+    and the chain is built on the same comparison fields and atom partials,
+    under the laws ``sol.model`` and ``sol.transport_model`` the comparison
+    flow carries.  The comparison temperature in the ballistic pairing is
+    the comparison state's own temperature field.  ``defects`` supplies the
+    dissipation history and the matrix defect paired against the comparison
+    velocity gradient; ``None`` means both vanish (point masses of resolved
+    fields).
     """
 
     grid, times, n_levels = V.grid, V.times, V.n_levels
-    _check_models(sol, model, transport_model)
+    model, transport_model = sol.model, sol.transport_model
     check_defects(V, defects)
     d_diss = np.zeros(n_levels) if defects is None else defects.d_diss
 

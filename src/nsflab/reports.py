@@ -2,7 +2,8 @@
 
 Every writer is byte-deterministic for identical inputs: column order is the
 caller's insertion order, JSON keys are sorted, floats are rendered in their
-shortest round-trip form (17 significant digits for CSV), and a snapshot is
+shortest round-trip form (17 significant digits for CSV), a verdict is
+RFC 8259 JSON with a non-finite float written as ``null``, and a snapshot is
 one ``.npy`` record with a named field per array.  Each output opens without
 nsflab: a series with ``np.loadtxt(path, delimiter=",", skiprows=1)``, a
 snapshot with ``np.load(path)``, a verdict with ``json.load``.
@@ -11,6 +12,7 @@ snapshot with ``np.load(path)``, a verdict with ``json.load``.
 from __future__ import annotations
 
 import json
+import math
 from typing import Mapping
 
 import numpy as np
@@ -63,20 +65,24 @@ def read_series(path) -> dict[str, np.ndarray]:
 # --------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
+def _strict(obj):
+    """``obj`` as plain JSON values: numpy arrays and scalars as Python ones,
+    and a non-finite float as None, which RFC 8259 JSON writes as ``null``."""
+    if isinstance(obj, Mapping):
+        return {key: _strict(val) for key, val in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_strict(val) for val in obj]
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (str, int)):  # bool is an int
+        return obj
     raise TypeError(f"cannot serialize {type(obj).__name__} into a verdict file")
 
 
 def write_verdicts(path, verdicts: Mapping) -> None:
-    text = json.dumps(verdicts, indent=2, sort_keys=True, default=_jsonable)
+    text = json.dumps(_strict(verdicts), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 

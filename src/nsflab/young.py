@@ -28,7 +28,8 @@ clauses that embed a reference temperature take the Dirichlet trace
 ``calibrate_kp_constant`` gives a grid's Korn-Poincare constant; the claim-3
 study in ``experiments`` compares it with the velocity-control quotient of a
 run.  ``defect_from_refinement`` estimates a defect bundle by block-averaging
-every level of one fine run onto one coarser grid as one array, and
+every level of one fine run onto one coarser grid as one array, under the
+run's own equation of state, and
 ``defect_compat_check`` bounds the bundle's pairings with the same sampled
 test family and contractions the clauses use.
 
@@ -347,7 +348,7 @@ def _asymmetric(a: np.ndarray) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _family(grid: gridmod.Grid, shapes: Sequence[Shape], field_cls,
+def _family(grid: gridmod.Grid, shapes: Sequence[Shape],
             derivative: Callable) -> tuple[np.ndarray, np.ndarray]:
     """The shapes as whole arrays on ``grid``: interior samples and their
     centred ``derivative``, each stacked ``(shapes, *cells, *components)``.
@@ -358,10 +359,10 @@ def _family(grid: gridmod.Grid, shapes: Sequence[Shape], field_cls,
     for shape in shapes:
         if shape.zero_trace:
             vals = np.asarray(shape.f(grid_points(grid)), dtype=float)
-            fields.append(gridmod.sync_odd(field_cls.from_interior(grid, vals)))
+            fields.append(gridmod.sync_odd(gridmod.Field.from_interior(grid, vals)))
         else:
             vals = np.asarray(shape.f(grid_points(grid, ghost=True)), dtype=float)
-            fields.append(field_cls(grid=grid, data=vals, synced=True))
+            fields.append(gridmod.Field(grid=grid, data=vals, synced=True))
     return np.stack([f.interior for f in fields]), np.stack([derivative(f) for f in fields])
 
 
@@ -418,7 +419,7 @@ def _references(V: AtomicYoungMeasure, theta_ref: SpaceTimeFn,
     if np.min(vals) <= 0.0:
         raise ValueError("reference temperature must stay positive on the domain")
     grads = [gridmod.gradient(gridmod.sync_dirichlet(
-        gridmod.ScalarField.from_interior(V.grid, ref), boundary, float(t)))
+        gridmod.Field.from_interior(V.grid, ref), boundary, float(t)))
         for t, ref in zip(V.times, vals)]
     return [vals, np.stack(grads), *rest]
 
@@ -439,7 +440,7 @@ def check_velocity_compat(V: AtomicYoungMeasure,
     """
 
     g = V.grid
-    vals, divs = _family(g, tensors, gridmod.TensorField, gridmod.divergence)
+    vals, divs = _family(g, tensors, gridmod.divergence)
     for shape, val in zip(tensors, vals):
         if _asymmetric(val):
             raise ValueError(f"matrix test function {shape.label!r} must be symmetric")
@@ -461,7 +462,7 @@ def check_temperature_compat(V: AtomicYoungMeasure, psis: Sequence[Shape],
     """
 
     g = V.grid
-    vals, divs = _family(g, psis, gridmod.VectorField, gridmod.divergence)
+    vals, divs = _family(g, psis, gridmod.divergence)
     ref, grad_ref = _references(V, theta_ref, boundary)
     a_vals = _against(g, expect(V, V.theta) - ref, divs, V.times)
     b_vals = _against(g, expect(V, V.d_theta) - grad_ref, vals, V.times)
@@ -499,7 +500,7 @@ def continuity_residual(V: AtomicYoungMeasure, psis: Sequence[Shape],
                         source: Optional[StrongSolution] = None) -> ClauseReport:
     """Signed residuals of the weak mass balance over the saved levels."""
 
-    vals, grads = _family(V.grid, psis, gridmod.ScalarField, gridmod.gradient)
+    vals, grads = _family(V.grid, psis, gridmod.gradient)
     bulk = [(expect(V, V.rho[..., None] * V.u), grads)]
     if source is not None:
         bulk.append((*_per_level(V.grid, V.times, source.f_mass), vals))
@@ -518,7 +519,7 @@ def momentum_residual(V: AtomicYoungMeasure, phis: Sequence[Shape],
     for shape in phis:
         if not shape.zero_trace:
             raise ValueError(f"momentum test function {shape.label!r} must vanish on the boundary")
-    vals, grads = _family(V.grid, phis, gridmod.VectorField, gridmod.gradient)
+    vals, grads = _family(V.grid, phis, gridmod.gradient)
     # convection, pressure and viscous stress (and the defect) pair with grad phi
     flux = (expect(V, V.rho[..., None, None] * V.u[..., :, None] * V.u[..., None, :])
             + expect(V, model.p(V.rho, V.theta))[..., None, None] * np.eye(V.grid.dim)
@@ -550,7 +551,7 @@ def entropy_mv_residual(V: AtomicYoungMeasure, phis: Sequence[Shape],
     for shape in phis:
         if not shape.nonnegative:
             raise ValueError(f"entropy test function {shape.label!r} must be nonnegative")
-    vals, grads = _family(V.grid, phis, gridmod.ScalarField, gridmod.gradient)
+    vals, grads = _family(V.grid, phis, gridmod.gradient)
     factors = np.append(1.0, V.times)  # label*1, and label*t at every level
     for shape, val in zip(phis, vals):
         if np.min(np.multiply.outer(factors, val)) < -1e-12:
@@ -604,7 +605,7 @@ def defect_compat_check(bundle: DefectBundle,
     for shape in phis:
         if not shape.zero_trace:
             raise ValueError(f"defect test function {shape.label!r} must vanish on the boundary")
-    vals, grads = _family(bundle.grid, phis, gridmod.VectorField, gridmod.gradient)
+    vals, grads = _family(bundle.grid, phis, gridmod.gradient)
     pairing = np.abs(_against(bundle.grid, bundle.r_m, grads, bundle.times))
     factors = np.stack([np.ones_like(bundle.times), bundle.times])
 
@@ -642,7 +643,7 @@ def calibrate_kp_constant(grid: gridmod.Grid) -> float:
     for kx, ky in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2)):
         u = np.zeros(grid.interior_shape((2,)))
         u[..., 0] = np.sin(np.pi * kx * x) * np.sin(np.pi * ky * y)
-        f = gridmod.sync_odd(gridmod.VectorField.from_interior(grid, u))
+        f = gridmod.sync_odd(gridmod.Field.from_interior(grid, u))
         d0 = transport.traceless_sym(gridmod.gradient(f))
         num = float(gridmod.integrate(grid, np.sum(u ** 2, axis=-1)))
         den = float(gridmod.integrate(grid, np.sum(d0 ** 2, axis=(-2, -1))))
@@ -665,14 +666,14 @@ def _block_average(a: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
 
 
 def defect_from_refinement(fine: Trajectory, coarse: gridmod.Grid,
-                           model: thermo.ThermoModel,
                            theta_refs: Sequence[SpaceTimeFn] = (),
                            ) -> tuple[DefectBundle, RefinementReport]:
     """Estimate dissipation and matrix defects by coarse-graining a fine run.
 
     Every level of ``fine`` is block-averaged at once in its conserved
-    variables ``(rho, rho u, rho s)`` onto ``coarse``, and level k of the
-    bundle is level k of ``fine``.  Per coarse cell, the dissipation-defect
+    variables ``(rho, rho u, rho s)``, under the run's own equation of state
+    ``fine.model``, onto ``coarse``, and level k of the bundle is level k of
+    ``fine``.  Per coarse cell, the dissipation-defect
     density is the Jensen gap ``avg(total energy) - total energy(averaged
     state)`` (nonnegative because total energy is convex in the conserved
     variables), and the matrix-defect density is the matching gap for
@@ -683,7 +684,7 @@ def defect_from_refinement(fine: Trajectory, coarse: gridmod.Grid,
     references is reported and expected small.
     """
 
-    g = fine.grid
+    g, model = fine.grid, fine.model
     if g.dim != coarse.dim:
         raise ValueError("incompatible grids: the fine run and the coarse grid "
                          "must share the domain")

@@ -159,6 +159,20 @@ def test_verdicts_round_trip_and_are_deterministic(tmp_path):
     assert back["nested"]["sup"] == [1e-9]
 
 
+def test_verdicts_write_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "v.json"
+    reports.write_verdicts(path, {
+        "order": float("inf"), "gap": np.float64(np.nan), "low": -np.inf,
+        "sup": np.array([1.5, np.inf]), "pair": (np.float32(0.5), np.int64(2)),
+        "ok": True, "count": 3, "note": None})
+    text = path.read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    back = json.loads(text, parse_constant=lambda token: pytest.fail(token))
+    assert back == {"order": None, "gap": None, "low": None, "sup": [1.5, None],
+                    "pair": [0.5, 2], "ok": True, "count": 3, "note": None}
+    assert back["ok"] is True
+
+
 def test_verdicts_refuse_unserializable_objects(tmp_path):
     with pytest.raises(TypeError):
         reports.write_verdicts(tmp_path / "x.json", {"bad": object()})

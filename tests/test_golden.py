@@ -3,9 +3,10 @@
 ``golden/defaults.json`` maps a command line -> output file -> key -> the
 pinned ``value`` with its own ``rtol`` and ``atol``.  A ``verdict.json`` key
 is a dotted path into the verdict, where an integer part indexes a list; a
-``series.csv`` key names a column and pins its last row.  Non-finite values
-must match exactly.  A change that moves a value updates the file and
-explains the move in ``CHANGES.md``; it does not widen a tolerance.
+``series.csv`` key names a column and pins its last row.  A ``null`` pin,
+a non-finite value that the verdict writes as ``null``, must match
+exactly.  A change that moves a value updates the file and explains the
+move in ``CHANGES.md``; it does not widen a tolerance.
 
 ``golden/clauses.json`` pins every residual of every ``mv-check`` clause,
 in order, for the default 1D run and a 2D molecular-radiation run: each
@@ -23,7 +24,6 @@ diff.
 
 import hashlib
 import json
-import math
 import os
 
 import numpy as np
@@ -76,8 +76,8 @@ def test_default_output_matches_golden_value(runs, argv, source, key):
     for part in key.split(".") if source == "verdict.json" else (key,):
         got = got[int(part)] if isinstance(got, list) else got[part]
     pin = PINNED[argv][source][key]
-    if not math.isfinite(pin["value"]):
-        assert got == pin["value"], f"{argv} {source} {key}: {got!r} is not {pin['value']!r}"
+    if pin["value"] is None:
+        assert got is None, f"{argv} {source} {key}: {got!r} is not null"
         return
     assert abs(got - pin["value"]) <= pin["atol"] + pin["rtol"] * abs(pin["value"]), (
         f"{argv} {source} {key}: {got!r} moved from the golden {pin['value']!r}")
@@ -110,14 +110,7 @@ def _not_json(token: str):
     raise ValueError(f"{token} is not RFC 8259 JSON")
 
 
-# wsu --theorem 2 writes "dirac_order": Infinity, which RFC 8259 (and jq)
-# rejects; a representation for it would move that key's golden pin
-STRICT_JSON = [pytest.param(argv, marks=pytest.mark.xfail(
-    strict=True, raises=ValueError, reason="dirac_order is written as Infinity"))
-    if argv == "wsu --theorem 2" else argv for argv in PINNED]
-
-
-@pytest.mark.parametrize("argv", STRICT_JSON)
+@pytest.mark.parametrize("argv", list(PINNED))
 def test_default_verdict_is_strict_json(runs, argv):
     (path,) = _outputs(runs, argv, "verdict.json")
     with open(path, encoding="utf-8") as fh:

@@ -30,16 +30,28 @@ def test_integrate_and_boundary_measure():
 
 def test_staleness_error():
     gr = g.Grid(cells=(8,))
-    f = g.ScalarField.from_interior(gr, np.ones(8))
+    f = g.Field.from_interior(gr, np.ones(8))
     with pytest.raises(g.StalenessError):
         g.gradient(f)
+
+
+def test_field_rank_is_its_trailing_axes_and_the_cells_must_be_padded():
+    gr = g.Grid(cells=(6, 5))
+    for trailing in ((), (2,), (2, 2)):
+        f = g.Field.from_interior(gr, np.ones(gr.interior_shape(trailing)))
+        assert f.data.shape == (8, 7) + trailing and f.interior.shape == (6, 5) + trailing
+        assert not f.synced and np.all(f.data[0] == 0.0)
+    with pytest.raises(ValueError, match="does not match padded"):
+        g.Field(grid=gr, data=np.ones((6, 5)))
+    with pytest.raises(ValueError, match="does not match padded"):
+        g.Field(grid=gr, data=np.ones((8, 6, 2)))
 
 
 def test_gradient_exact_for_quadratic():
     gr = g.Grid(cells=(12,))
     x = gr.centers(0)
     (xg,) = gr.mesh(ghost=True)
-    f = g.ScalarField(grid=gr, data=2.0 * xg**2 - xg + 1.0, synced=True)
+    f = g.Field(grid=gr, data=2.0 * xg**2 - xg + 1.0, synced=True)
     got = g.gradient(f)[..., 0]
     assert np.allclose(got, 4.0 * x - 1.0, atol=1e-12)
 
@@ -48,7 +60,7 @@ def test_operators_2d_linear_fields_exact():
     gr = g.Grid(cells=(8, 8))
     X, Y = gr.mesh(ghost=True)
     u = np.stack([2.0 * X + 3.0 * Y, -X + 0.5 * Y], axis=-1)
-    uf = g.VectorField(grid=gr, data=u, synced=True)
+    uf = g.Field(grid=gr, data=u, synced=True)
     J = g.gradient(uf)
     assert np.allclose(J[..., 0, 0], 2.0, atol=1e-12)
     assert np.allclose(J[..., 0, 1], 3.0, atol=1e-12)
@@ -57,7 +69,7 @@ def test_operators_2d_linear_fields_exact():
     div = g.divergence(uf)
     assert np.allclose(div, 2.5, atol=1e-12)
     T = np.stack([np.stack([X, Y], axis=-1), np.stack([X * 0, X + Y], axis=-1)], axis=-2)
-    Tf = g.TensorField(grid=gr, data=T, synced=True)
+    Tf = g.Field(grid=gr, data=T, synced=True)
     dv = g.divergence(Tf)
     assert np.allclose(dv[..., 0], 2.0, atol=1e-12)  # dT00/dx + dT01/dy
     assert np.allclose(dv[..., 1], 1.0, atol=1e-12)
@@ -69,7 +81,7 @@ def test_gradient_convergence_order():
         gr = g.Grid(cells=(n,))
         x = gr.centers(0)
         (xg,) = gr.mesh(ghost=True)
-        f = g.ScalarField(grid=gr, data=np.sin(2 * np.pi * xg), synced=True)
+        f = g.Field(grid=gr, data=np.sin(2 * np.pi * xg), synced=True)
         got = g.gradient(f)[..., 0]
         errs.append(np.max(np.abs(got - 2 * np.pi * np.cos(2 * np.pi * x))))
     order = np.log2(errs[0] / errs[1])
@@ -303,9 +315,9 @@ def _synced_fields(cells, seed):
     tensor = _with_zeros(rng, rng.uniform(-2.0, 2.0, size=gr.interior_shape((d, d))), d)
     rf, uf, tf = g.sync_physical(gr, rho, u, theta, bc, t=0.0)
     out = [(rf, "physical rho"), (uf, "physical u"), (tf, "physical theta"),
-           (g.sync_dirichlet(g.ScalarField.from_interior(gr, rho), bc, 0.0), "dirichlet")]
-    for cls, values in ((g.ScalarField, rho), (g.VectorField, u), (g.TensorField, tensor)):
-        out.append((g.sync_odd(cls.from_interior(gr, values)), f"odd {cls.__name__}"))
+           (g.sync_dirichlet(g.Field.from_interior(gr, rho), bc, 0.0), "dirichlet")]
+    for rank, values in (("scalar", rho), ("vector", u), ("tensor", tensor)):
+        out.append((g.sync_odd(g.Field.from_interior(gr, values)), f"odd {rank}"))
     return out
 
 
@@ -334,8 +346,8 @@ def test_operators_match_the_per_rank_bodies_bit_for_bit(cells, seed):
             # no per-rank body took a tensor's gradient: each component's
             # scalar gradient, the derivative axis appended
             for c in np.ndindex(f.data.shape[f.grid.dim:]):
-                comp = g.ScalarField(grid=f.grid, data=np.ascontiguousarray(f.data[(...,) + c]),
-                                     synced=True)
+                comp = g.Field(grid=f.grid, data=np.ascontiguousarray(f.data[(...,) + c]),
+                               synced=True)
                 assert grad[..., c[0], c[1], :].tobytes() == _ref_gradient(comp).tobytes(), how
 
 

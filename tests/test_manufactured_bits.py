@@ -338,6 +338,23 @@ def test_one_evaluation_per_time_level_whatever_is_read(profile, model, tm, cell
     assert len(calls) == len(orders)
 
 
+@pytest.mark.parametrize("profile,evaluations", [("conduction", 1), ("shear", 10)])
+def test_a_steady_flow_is_evaluated_once_per_point_set(profile, evaluations, monkeypatch):
+    # conduction's jets have no time-derivative row, so its one evaluation
+    # serves every time level; shear decays in time and is evaluated per level
+    calls = []
+    fields = mfg._fields
+    monkeypatch.setattr(mfg, "_fields", lambda *a: calls.append(1) or fields(*a))
+    sol = mfg.manufactured(profile, PG, AFF)
+    pts = mfg.grid_points(gridmod.Grid(cells=(32,)))
+    levels = [sol.state(0.01 * k, pts) + (sol.f_energy(0.01 * k, pts),) for k in range(10)]
+    assert len(calls) == evaluations
+    fresh = mfg.manufactured(profile, PG, AFF)
+    for k, level in enumerate(levels):
+        want = fresh.state(0.01 * k, pts.copy()) + (fresh.f_energy(0.01 * k, pts.copy()),)
+        assert [a.tobytes() for a in level] == [a.tobytes() for a in want]
+
+
 def _jet_expressions(time, x, y, sin, exp):
     """Products of factors in different and in shared variables, negative
     scales, sums of jets and nested sin/exp: every rule a jet has."""

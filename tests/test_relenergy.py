@@ -251,7 +251,6 @@ def test_plateau_shortcut_keeps_the_window_weight_bits(delta, rho_inside, theta_
 def test_plateau_reuses_the_essential_energy_bit_for_bit(monkeypatch):
     traj, sol = _perturbed_trajectory(16, eps=5e-3)
     states = _states(traj)
-    args = (sol, sol.model, sol.transport_model)
     weight, taken = relenergy.CutoffParams._weight, []
 
     def spy(self, rho, theta):
@@ -260,12 +259,12 @@ def test_plateau_reuses_the_essential_energy_bit_for_bit(monkeypatch):
         return chi, plateau
 
     monkeypatch.setattr(relenergy.CutoffParams, "_weight", spy)
-    fast = relenergy.rel_energy_series(states, *args)
+    fast = relenergy.rel_energy_series(states, sol)
     assert len(taken) == traj.n_levels and all(taken)
     # the same series with every window weight built from the two ramps
     monkeypatch.setattr(relenergy.CutoffParams, "_weight",
                         lambda self, rho, theta: (self._ramp(rho) * self._ramp(theta), False))
-    slow = relenergy.rel_energy_series(states, *args)
+    slow = relenergy.rel_energy_series(states, sol)
     for key in ("e_mv", "e_ess", "e_res"):
         assert getattr(fast, key).tobytes() == getattr(slow, key).tobytes(), key
     assert np.all(fast.e_res == 0.0)
@@ -386,8 +385,7 @@ def test_report_is_identically_zero_on_resolved_equilibrium():
     grid = gridmod.Grid(cells=(32,))
     cfg = solver.SolverConfig(t_end=0.02, source=sol, save_every=2)
     traj = solver.simulate(grid, cfg, MODEL, TM)
-    rep = relenergy.rel_energy_inequality_report(
-        young.dirac_from_trajectory(traj), None, sol, MODEL, TM)
+    rep = relenergy.rel_energy_inequality_report(young.dirac_from_trajectory(traj), None, sol)
     assert np.all(rep.e_mv == 0.0)
     assert np.all(rep.slack == 0.0)
     assert np.all(rep.lhs == 0.0)
@@ -402,7 +400,7 @@ def test_report_dirac_at_smooth_solution_is_exact():
     grid = gridmod.Grid(cells=(48,))
     times = np.linspace(0.0, 0.05, 6)
     V = young.dirac_from_strong(sol, grid, times)
-    rep = relenergy.rel_energy_inequality_report(V, None, sol, MODEL, TM)
+    rep = relenergy.rel_energy_inequality_report(V, None, sol)
     assert np.all(rep.e_mv == 0.0)
     assert np.all(rep.r2_cum == 0.0)
     assert np.all(rep.slack == 0.0)
@@ -418,7 +416,7 @@ def test_report_dirac_at_smooth_solution_is_exact():
 def test_report_perturbed_run_satisfies_the_inequality(n):
     traj, sol = _perturbed_trajectory(n, eps=5e-3)
     V = young.dirac_from_trajectory(traj)
-    rep = relenergy.rel_energy_inequality_report(V, None, sol, MODEL, TM)
+    rep = relenergy.rel_energy_inequality_report(V, None, sol)
     h = 1.0 / n
     assert rep.e_mv[0] > 0.0
     assert np.min(rep.e_mv) >= 0.0
@@ -437,8 +435,7 @@ def test_report_gronwall_constant_stable_under_perturbation_size():
     fits = []
     for eps in (5e-3, 1e-2):
         traj, sol = _perturbed_trajectory(32, eps=eps)
-        rep = relenergy.rel_energy_inequality_report(
-            young.dirac_from_trajectory(traj), None, sol, MODEL, TM)
+        rep = relenergy.rel_energy_inequality_report(young.dirac_from_trajectory(traj), None, sol)
         fits.append(rep.gronwall_c)
     assert all(c < 0.0 for c in fits)
     assert abs(fits[0] - fits[1]) <= 0.2 * max(abs(c) for c in fits)
@@ -448,7 +445,7 @@ def test_report_window_split_and_residual_tail_for_far_atoms():
     sol = manufactured("equilibrium", MODEL, TM, dim=1)
     grid = gridmod.Grid(cells=(16,))
     far = _const_measure(grid, [0.0, 0.01], rho=25.0)
-    rep = relenergy.rel_energy_inequality_report(far, None, sol, MODEL, TM)
+    rep = relenergy.rel_energy_inequality_report(far, None, sol)
     assert np.all(rep.e_ess == 0.0)
     assert np.allclose(rep.e_res, rep.e_mv)
     assert np.min(rep.e_mv) > 0.0
@@ -461,7 +458,7 @@ def test_report_window_split_and_residual_tail_for_far_atoms():
 def test_report_defect_history_enters_both_sides():
     traj, sol = _perturbed_trajectory(32, eps=5e-3)
     V = young.dirac_from_trajectory(traj)
-    base = relenergy.rel_energy_inequality_report(V, None, sol, MODEL, TM)
+    base = relenergy.rel_energy_inequality_report(V, None, sol)
 
     n_levels = V.n_levels
     d = V.grid.dim
@@ -469,14 +466,14 @@ def test_report_defect_history_enters_both_sides():
     diss = np.full(n_levels, 0.5)
     bundle = young.DefectBundle(grid=V.grid, times=V.times, r_m=r_m,
                                 d_diss=diss, xi=np.zeros(n_levels))
-    shifted = relenergy.rel_energy_inequality_report(V, bundle, sol, MODEL, TM)
+    shifted = relenergy.rel_energy_inequality_report(V, bundle, sol)
     assert np.allclose(shifted.slack, base.slack - 0.5)
     assert np.allclose(shifted.lhs, base.lhs + 0.5)
 
     r_m_live = np.full((n_levels,) + V.grid.interior_shape((d, d)), 0.02)
     live = young.DefectBundle(grid=V.grid, times=V.times, r_m=r_m_live,
                               d_diss=np.zeros(n_levels), xi=np.zeros(n_levels))
-    paired = relenergy.rel_energy_inequality_report(V, live, sol, MODEL, TM)
+    paired = relenergy.rel_energy_inequality_report(V, live, sol)
     assert paired.rm_cum[-1] != 0.0
     assert np.allclose(paired.rhs, paired.e_mv[0] + paired.rm_cum
                        + paired.r2_cum)
@@ -484,14 +481,14 @@ def test_report_defect_history_enters_both_sides():
     stale = young.DefectBundle(grid=V.grid, times=V.times + 1.0, r_m=r_m,
                                d_diss=diss, xi=np.zeros(n_levels))
     with pytest.raises(ValueError, match="defect history must live"):
-        relenergy.rel_energy_inequality_report(V, stale, sol, MODEL, TM)
+        relenergy.rel_energy_inequality_report(V, stale, sol)
 
     coarse = gridmod.Grid(cells=(16,))
     elsewhere = young.DefectBundle(grid=coarse, times=V.times,
                                    r_m=np.zeros((n_levels,) + coarse.interior_shape((d, d))),
                                    d_diss=diss, xi=np.zeros(n_levels))
     with pytest.raises(ValueError, match="measure's grid"):
-        relenergy.rel_energy_inequality_report(V, elsewhere, sol, MODEL, TM)
+        relenergy.rel_energy_inequality_report(V, elsewhere, sol)
     with pytest.raises(ValueError, match="measure's grid"):
         young.momentum_residual(V, testfuns.velocity_tests(1), MODEL, TM, defects=elsewhere)
 
@@ -500,15 +497,9 @@ def test_report_rejects_mismatched_models_and_bad_atoms():
     sol = manufactured("shear", MODEL, TM)
     grid = gridmod.Grid(cells=(16,))
     V = young.dirac_from_strong(sol, grid, [0.0])
-    with pytest.raises(ValueError, match="share the equation of state"):
-        relenergy.rel_energy_inequality_report(
-            V, None, sol, thermo.PerfectGas(c_v=1.4), TM)
-    with pytest.raises(ValueError, match="share the transport model"):
-        relenergy.rel_energy_inequality_report(
-            V, None, sol, MODEL, transport.PowerKappa())
     cold = _const_measure(grid, [0.0], theta=0.0)
     with pytest.raises(ValueError, match="strictly positive atom states"):
-        relenergy.rel_energy_inequality_report(cold, None, sol, MODEL, TM)
+        relenergy.rel_energy_inequality_report(cold, None, sol)
 
 
 def _radiative_trajectory():
@@ -531,9 +522,8 @@ def test_energy_series_equals_the_report_bit_for_bit(make):
     traj, sol = make()
     V, states = young.dirac_from_trajectory(traj), _states(traj)
     assert V.n_levels >= 3
-    series = relenergy.rel_energy_series(states, sol, sol.model, sol.transport_model)
-    rep = relenergy.rel_energy_inequality_report(V, None, sol, sol.model,
-                                                 sol.transport_model)
+    series = relenergy.rel_energy_series(states, sol)
+    rep = relenergy.rel_energy_inequality_report(V, None, sol)
     for key in ("times", "e_mv", "e_ess", "e_res"):
         assert np.array_equal(getattr(series, key), getattr(rep, key)), key
     assert series.expansion.keys() == rep.expansion.keys()
@@ -542,15 +532,10 @@ def test_energy_series_equals_the_report_bit_for_bit(make):
     assert series.gronwall_c == rep.gronwall_c
     assert series.e_mv[0] > 0.0
 
-    with pytest.raises(ValueError, match="share the equation of state"):
-        relenergy.rel_energy_series(states, sol, thermo.PerfectGas(c_v=1.4),
-                                    sol.transport_model)
-    with pytest.raises(ValueError, match="share the transport model"):
-        relenergy.rel_energy_series(states, sol, sol.model, transport.AffineTheta(c_mu=0.2))
     cold = [replace(s, theta=np.where(s.theta > traj.theta.min(), s.theta, 0.0))
             for s in states]
     with pytest.raises(ValueError, match="strictly positive atom states"):
-        relenergy.rel_energy_series(cold, sol, sol.model, sol.transport_model)
+        relenergy.rel_energy_series(cold, sol)
 
 
 @pytest.mark.parametrize("make", [_radiative_trajectory,
@@ -558,15 +543,14 @@ def test_energy_series_equals_the_report_bit_for_bit(make):
                          ids=["radiative_decay-2d", "shear-1d"])
 def test_trajectory_series_equals_its_dirac_measure_bit_for_bit(make):
     traj, sol = make()
-    args = (sol, sol.model, sol.transport_model)
     # the same run again, level by level, from the same initial state
     initial = solver.FlowState(grid=traj.grid, rho=traj.rho[0], u=traj.u[0],
                                theta=traj.theta[0], t=float(traj.times[0]))
     states = list(solver.levels(traj.grid, traj.cfg, traj.model, traj.transport_model,
                                 traj.boundary, initial))
-    direct = relenergy.rel_energy_series(iter(states), *args)
+    direct = relenergy.rel_energy_series(iter(states), sol)
     via_measure = relenergy.rel_energy_inequality_report(young.dirac_from_trajectory(traj),
-                                                         None, *args)
+                                                         None, sol)
     for key in ("times", "e_mv", "e_ess", "e_res"):
         assert getattr(direct, key).tobytes() == getattr(via_measure, key).tobytes(), key
     assert direct.expansion.keys() == via_measure.expansion.keys()
@@ -581,7 +565,7 @@ def test_trajectory_series_equals_its_dirac_measure_bit_for_bit(make):
         vals.flat[3] = np.nan
         bad = states[:1] + [replace(states[1], **{name: vals})] + states[2:]
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            relenergy.rel_energy_series(bad, *args)
+            relenergy.rel_energy_series(bad, sol)
         stacked = getattr(traj, name).copy()
         stacked[1].flat[3] = np.nan
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -600,22 +584,24 @@ class _CountingGas(thermo.PerfectGas):
 
 
 def test_each_state_is_evaluated_once_per_level():
-    # the comparison state's entries and partials come from one call and the
-    # atoms' from one more, which the chain reads too; the run and the
-    # profile evaluate an equal model of their own, so only the pass counts
+    # per level: the profile's one evaluation, the comparison state's entries
+    # and partials from one call and the atoms' from one more, which the
+    # chain reads too; the run marches an equal profile and model of its
+    # own, so only the pass counts
     run_model, model = _CountingGas(), _CountingGas()
-    sol = manufactured("shear", run_model, TM)
+    run_sol, sol = manufactured("shear", run_model, TM), manufactured("shear", model, TM)
     grid = gridmod.Grid(cells=(16,))
-    traj = solver.simulate(grid, solver.SolverConfig(t_end=0.01, source=sol), run_model, TM,
-                           boundary=sol.boundary,
-                           initial=experiments.perturbed_state(sol, grid, 5e-3))
+    traj = solver.simulate(grid, solver.SolverConfig(t_end=0.01, source=run_sol), run_model,
+                           TM, boundary=run_sol.boundary,
+                           initial=experiments.perturbed_state(run_sol, grid, 5e-3))
     V = young.dirac_from_trajectory(traj)
     assert V.n_levels >= 3
-    relenergy.rel_energy_inequality_report(V, None, sol, model, TM)
-    assert model.shapes == [(16,), (16, 1)] * V.n_levels
+    model.shapes.clear()  # the build's check of the laws
+    relenergy.rel_energy_inequality_report(V, None, sol)
+    assert model.shapes == [(16,), (16,), (16, 1)] * V.n_levels
     model.shapes.clear()
-    relenergy.rel_energy_series(_states(traj), sol, model, TM)
-    assert model.shapes == [(16,), (16, 1)] * V.n_levels
+    relenergy.rel_energy_series(_states(traj), sol)
+    assert model.shapes == [(16,), (16,), (16, 1)] * V.n_levels
 
 
 def _default_relenergy_measure():
@@ -639,7 +625,7 @@ def _mixed_measure_with_defects():
 
     fine, sol = _perturbed_trajectory(32, eps=5e-2)
     coarse = gridmod.Grid(cells=(16,))
-    bundle, _ = young.defect_from_refinement(fine, coarse, MODEL)
+    bundle, _ = young.defect_from_refinement(fine, coarse)
     x = grid_points(coarse)[..., 0]
     near = _shifted_dirac(sol, coarse, fine.times, 0.05 * np.sin(2 * np.pi * x),
                           0.05 * np.sin(np.pi * x), 0.05 * np.sin(np.pi * x)[..., None])
@@ -677,8 +663,7 @@ def test_report_matches_golden_bits(name):
     # golden/relenergy.json holds every entry of the report on each measure,
     # written by json (repr round-trip floats): a refactor must keep every bit
     V, defects, sol = GOLDEN_MEASURES[name]()
-    got = _report_entries(relenergy.rel_energy_inequality_report(
-        V, defects, sol, sol.model, sol.transport_model))
+    got = _report_entries(relenergy.rel_energy_inequality_report(V, defects, sol))
     assert got.keys() == REPORT_PINNED[name].keys()
     for key, want in REPORT_PINNED[name].items():
         want = np.asarray(want, dtype=float)

@@ -50,7 +50,7 @@ def _field_measure(grid, times, u_field, rho_field=None, theta_field=None):
 
 
 def _equilibrium_trajectory(n=32, t_end=0.02, dim=1):
-    sol = manufactured("equilibrium", MODEL, TM, dim=dim, theta0=1.0, rho0=1.0)
+    sol = manufactured("equilibrium", MODEL, TM, dim=dim)
     grid = gridmod.Grid(cells=(n,) * dim)
     cfg = solver.SolverConfig(t_end=t_end, source=sol, save_every=2)
     return solver.simulate(grid, cfg, MODEL, TM), sol
@@ -379,7 +379,7 @@ def _ii(grid, a, b):
     return float(gridmod.integrate(grid, prod.reshape(grid.cells + (-1,)).sum(axis=-1)))
 
 
-def _loop(V, tests, cls, derivative, pairs):
+def _loop(V, tests, derivative, pairs):
     """(tests, levels) sums of II level_k . part(test at t_k) over ``pairs`` of
     (per-level array, part): the loop the clauses replaced, which samples
     every test of :func:`_with_time` at every level."""
@@ -388,10 +388,10 @@ def _loop(V, tests, cls, derivative, pairs):
     for i, (test, zero_trace) in enumerate(tests):
         for k, t in enumerate(V.times):
             if zero_trace:
-                f = gridmod.sync_odd(cls.from_interior(g, test.value(t, pts)))
+                f = gridmod.sync_odd(gridmod.Field.from_interior(g, test.value(t, pts)))
             else:
-                f = cls(grid=g, data=np.asarray(test.value(t, grid_points(g, ghost=True)),
-                                                dtype=float), synced=True)
+                f = gridmod.Field(grid=g, data=np.asarray(
+                    test.value(t, grid_points(g, ghost=True)), dtype=float), synced=True)
             parts = {"value": f.interior, "derivative": derivative(f), "dt": test.dt(t, pts)}
             out[i, k] = sum(_ii(g, levels[k], parts[part]) for levels, part in pairs)
     return out
@@ -417,15 +417,15 @@ def test_clauses_match_the_per_level_loop(dim):
     per_level = lambda fn: np.stack([fn(t, pts) for t in times])  # noqa: E731
     close = dict(rtol=1e-10, atol=1e-12)
 
-    def balance(tests, cls, derivative, density, *bulk):
-        held = _loop(V, tests, cls, derivative, [(density, "value")])
-        rates = _loop(V, tests, cls, derivative, [(density, "dt"), *bulk])
+    def balance(tests, derivative, density, *bulk):
+        held = _loop(V, tests, derivative, [(density, "value")])
+        rates = _loop(V, tests, derivative, [(density, "dt"), *bulk])
         return held[:, -1] - held[:, 0] - np.trapezoid(rates, times)
 
     psis = testfuns.scalar_tests(dim)
     np.testing.assert_allclose(
         young.continuity_residual(V, psis, source=sol).residuals,
-        balance(_with_time(psis), gridmod.ScalarField, gridmod.gradient, E(V.rho),
+        balance(_with_time(psis), gridmod.gradient, E(V.rho),
                 (E(V.rho[..., None] * V.u), "derivative"), (per_level(sol.f_mass), "value")),
         **close)
 
@@ -438,7 +438,7 @@ def test_clauses_match_the_per_level_loop(dim):
               - E(transport.viscous_stress(tm, V.rho, V.theta, V.d_u)) + r_m)
     np.testing.assert_allclose(
         young.momentum_residual(V, phis, model, tm, defects=defects, source=sol).residuals,
-        balance(_with_time(phis), gridmod.VectorField, gridmod.gradient,
+        balance(_with_time(phis), gridmod.gradient,
                 E(V.rho[..., None] * V.u),
                 (stress, "derivative"), (per_level(sol.f_mom), "value")),
         **close)
@@ -450,12 +450,12 @@ def test_clauses_match_the_per_level_loop(dim):
     sigma = E(transport.entropy_production_density(tm, V.rho, V.theta, V.d_u, V.d_theta))
     np.testing.assert_allclose(
         young.entropy_mv_residual(V, ents, model, tm).residuals,
-        balance(_with_time(ents), gridmod.ScalarField, gridmod.gradient, E(rho_s),
+        balance(_with_time(ents), gridmod.gradient, E(rho_s),
                 (flux, "derivative"), (sigma, "value")),
         **close)
 
     tensors = testfuns.tensor_tests(dim)
-    inner = _loop(V, _with_time(tensors), gridmod.TensorField, gridmod.divergence,
+    inner = _loop(V, _with_time(tensors), gridmod.divergence,
                   [(-E(V.u), "derivative"), (-E(V.d_u), "value")])
     np.testing.assert_allclose(young.check_velocity_compat(V, tensors).residuals,
                                np.trapezoid(inner, times), **close)
@@ -463,12 +463,12 @@ def test_clauses_match_the_per_level_loop(dim):
     ref = testfuns.theta_ref_from_strong(sol)
     ref_vals = per_level(ref.value)
     grad_ref = np.stack([gridmod.gradient(gridmod.sync_dirichlet(
-        gridmod.ScalarField.from_interior(grid, r), sol.boundary, t))
+        gridmod.Field.from_interior(grid, r), sol.boundary, t))
         for t, r in zip(times, ref_vals)])
     flux_tests = testfuns.flux_tests(dim)
-    a = _loop(V, _with_time(flux_tests), gridmod.VectorField, gridmod.divergence,
+    a = _loop(V, _with_time(flux_tests), gridmod.divergence,
               [(E(V.theta) - ref_vals, "derivative")])
-    b = _loop(V, _with_time(flux_tests), gridmod.VectorField, gridmod.divergence,
+    b = _loop(V, _with_time(flux_tests), gridmod.divergence,
               [(E(V.d_theta) - grad_ref, "value")])
     tc = young.check_temperature_compat(V, flux_tests, ref, sol.boundary)
     np.testing.assert_allclose(tc.residuals, np.trapezoid(-a - b, times), **close)
@@ -686,7 +686,7 @@ def test_defect_from_refinement_smooth_family_vanishes():
     def ladder(n_fine, n_coarse):
         fine = _decay_trajectory(n_fine, t_end=0.02, save_every=1000)
         bundle, report = young.defect_from_refinement(
-            fine, gridmod.Grid(cells=(n_coarse,)), MODEL, refs)
+            fine, gridmod.Grid(cells=(n_coarse,)), refs)
         # level k of the bundle is level k of the fine run
         np.testing.assert_array_equal(bundle.times, fine.times)
         return bundle, report
@@ -705,8 +705,7 @@ def test_defect_from_refinement_oscillation_oracle():
     eps = 0.005
     fine = _synthetic_oscillation(512, eps)
     refs = testfuns.theta_refs(1, base=(1.0, 0.0, 0.0), amps=(0.0, 0.15, -0.1))
-    bundle, report = young.defect_from_refinement(
-        fine, gridmod.Grid(cells=(16,)), MODEL, refs)
+    bundle, report = young.defect_from_refinement(fine, gridmod.Grid(cells=(16,)), refs)
     # mean of sin^2 over fast oscillation is 1/2: kinetic defect = rho*env^2/4
     x = np.linspace(0.0, 1.0, 200001)
     target = 0.25 * np.trapezoid((1.0 + 0.05 * np.sin(2 * np.pi * x))
@@ -722,9 +721,9 @@ def test_defect_from_refinement_oscillation_oracle():
 def test_defect_from_refinement_input_validation():
     fine = _synthetic_oscillation(32, 0.01)
     with pytest.raises(ValueError, match="incompatible grids.*domain"):
-        young.defect_from_refinement(fine, gridmod.Grid(cells=(16, 16)), MODEL)
+        young.defect_from_refinement(fine, gridmod.Grid(cells=(16, 16)))
     with pytest.raises(ValueError, match="incompatible grids.*multiples"):
-        young.defect_from_refinement(fine, gridmod.Grid(cells=(24,)), MODEL)
+        young.defect_from_refinement(fine, gridmod.Grid(cells=(24,)))
 
 
 
@@ -737,10 +736,10 @@ def _block_mean(a, factors):
     return a.reshape(tuple(shape) + a.shape[len(factors):]).mean(axis=axes)
 
 
-def _refinement_loop(fine, coarse, model, theta_refs):
+def _refinement_loop(fine, coarse, theta_refs):
     """The level-by-level coarse-graining ``defect_from_refinement``
     replaced: one level of the fine run at a time, as (bundle, report)."""
-    g, d = fine.grid, coarse.dim
+    g, d, model = fine.grid, coarse.dim, fine.model
     factors = tuple(cf // cc for cf, cc in zip(g.cells, coarse.cells))
     times = np.asarray(fine.times, dtype=float)
     n_t = len(times)
@@ -795,7 +794,7 @@ def _compat_loop(bundle, tests):
         for k, t in enumerate(bundle.times):
             phi = test.value(float(t), pts)
             grad_phi = gridmod.gradient(gridmod.sync_odd(
-                gridmod.VectorField.from_interior(g, phi)))
+                gridmod.Field.from_interior(g, phi)))
             pairing = abs(float(gridmod.integrate(
                 g, np.einsum("...jk,...jk->...", bundle.r_m[k], grad_phi))))
             c1_norm = max(float(np.max(np.linalg.norm(phi, axis=-1))),
@@ -822,18 +821,16 @@ def test_defects_match_the_per_level_loop(dim):
     # bound is checked as the loop checks it, the pairings summed in another
     # order
     if dim == 1:
-        fine, model = _decay_trajectory(64, t_end=0.02, save_every=4), MODEL
-        coarse = [(16,), (32,)]
+        fine, coarse = _decay_trajectory(64, t_end=0.02, save_every=4), [(16,), (32,)]
     else:
-        fine = _radiative_run()
-        model, coarse = fine.model, [(4, 4), (8, 8)]
+        fine, coarse = _radiative_run(), [(4, 4), (8, 8)]
     assert fine.n_levels >= 5
     refs = testfuns.theta_refs(dim)
     phis = testfuns.velocity_tests(dim)
     for cells in coarse:
         grid = gridmod.Grid(cells=cells)
-        bundle, report = young.defect_from_refinement(fine, grid, model, refs)
-        want, want_report = _refinement_loop(fine, grid, model, refs)
+        bundle, report = young.defect_from_refinement(fine, grid, refs)
+        want, want_report = _refinement_loop(fine, grid, refs)
         for name in ("times", "r_m", "d_diss", "xi"):
             np.testing.assert_array_equal(getattr(bundle, name), getattr(want, name))
         assert report == want_report
@@ -864,7 +861,7 @@ def test_korn_poincare_inequality_with_calibrated_constant():
     for j in range(2):
         u = np.zeros(grid.interior_shape((2,)))
         u[..., j] = np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
-        f = gridmod.sync_odd(gridmod.VectorField.from_interior(grid, u))
+        f = gridmod.sync_odd(gridmod.Field.from_interior(grid, u))
         d0 = transport.traceless_sym(gridmod.gradient(f))
         lhs = float(gridmod.integrate(grid, np.sum(u ** 2, axis=-1)))
         rhs = c_p * float(gridmod.integrate(grid, np.sum(d0 ** 2, axis=(-2, -1))))
