@@ -13,7 +13,8 @@ config gives, so an emptied grid list, eps list or profile is refused); a
 hypothesis-gate rejection writes the echo ``config-effective.ini`` and a
 rejection ``verdict.json`` and exits 1; a run writes the echo, its CSV
 series and ``.npy`` snapshots, and ``verdict.json``, and exits 0 only if
-every assertion holds, else 1.
+every assertion holds, else 1: :func:`_run` judges the run's ``reports.Bound``
+records (``mv-check``'s and ``relenergy``'s are built here) and writes them.
 Re-running with the echo alone repeats the run, and identical (config,
 seed) pairs produce byte-identical reports.
 """
@@ -92,7 +93,7 @@ def _rejected(err: experiments.HypothesisGateError):
 
     def run():
         print(str(err), file=sys.stderr)
-        return False, "hypothesis gate rejected the configuration", {"verdict.json": {
+        return [], "hypothesis gate rejected the configuration", {"verdict.json": {
             "ok": False, "accepted": False, "theorem": err.gate.theorem,
             "reasons": list(err.gate.reasons),
         }}
@@ -103,10 +104,11 @@ def _run(args, command: str, row: str, build) -> int:
     """Read the config over defaults ``row``, build, echo, run, write.
 
     ``build(cfg)`` makes every check and returns the config to echo and a
-    ``run()`` that gives ``(ok, status detail, files by name)``; each file is
-    written by its extension, and the status line is printed last.  A refused value raises ``ConfigError`` before
-    anything is written; a gate rejection writes the echo and a rejection
-    verdict.
+    ``run()`` that gives ``(Bound records, status detail, files by name)``;
+    each file is written by its extension, and the status line is printed
+    last, naming the first failing record in place of the detail.  A refused
+    value raises ``ConfigError`` before anything is written; a gate rejection
+    writes the echo and a rejection verdict.
     """
     cfg = _config(args, row)
     try:
@@ -114,13 +116,16 @@ def _run(args, command: str, row: str, build) -> int:
     except experiments.HypothesisGateError as err:
         run = _rejected(err)
     out = _echo(args, cfg, command)
-    ok, detail, files = run()
+    bounds, detail, files = run()
+    verdict = files["verdict.json"]  # a study's and a rejection's say if the gate accepted
+    ok, failed = reports.Bound.judge(bounds, verdict.get("accepted", True))
+    verdict["bounds"] = [{**vars(b), "holds": b.holds} for b in bounds]
     # looked up per call, so a wrapped reports writer is the one called
     writers = {".csv": reports.write_series, ".npy": reports.write_snapshot,
                ".json": reports.write_verdicts}
     for name, data in files.items():
         writers[os.path.splitext(name)[1]](os.path.join(out, name), data)
-    print(f"{'PASS' if ok else 'FAIL'}: {command} ({detail})")
+    print(f"{'PASS' if ok else 'FAIL'}: {command} ({failed or detail})")
     return 0 if ok else 1
 
 
@@ -156,7 +161,7 @@ def _simulate(cfg):
                     "t": np.asarray(t_final)}
         verdict = {"completed": True, "levels": traj.n_levels, "t_final": t_final,
                    "cells": list(grid.cells)}
-        return True, f"{traj.n_levels} levels to t = {t_final:g}", {
+        return [], f"{traj.n_levels} levels to t = {t_final:g}", {
             "series.csv": series, "final-state.npy": snapshot, "verdict.json": verdict}
     return cfg, run
 
@@ -172,16 +177,9 @@ def _verify_thermo(cfg):
 
     def run():
         rep = thermo.validate_structure(model, n_samples=samples, seed=seed)
-        verdict = {
-            "ok": rep.ok,
-            "model": cfg["model"]["kind"],
-            "samples": samples,
-            "seed": seed,
-            "first_violation": rep.first_violation or "",
-            "checks": rep.checks,
-        }
-        detail = rep.first_violation or "all structure checks hold"
-        return rep.ok, detail, {"verdict.json": verdict}
+        verdict = {"ok": rep.ok, "model": cfg["model"]["kind"], "samples": samples, "seed": seed,
+                   "first_violation": rep.first_violation or "", "checks": rep.checks}
+        return rep.bounds, "all structure checks hold", {"verdict.json": verdict}
     return cfg, run
 
 
@@ -212,17 +210,14 @@ def _mv_check(cfg):
             ("temperature_compat", "max_abs", young.check_temperature_compat(
                 V, testfuns.flux_tests(dim), ref, boundary=sol.boundary)),
         )
-        clauses = {}
-        for name, stat, rep in checks:
-            value = getattr(rep, stat)
-            clauses[name] = {stat: value, "residuals": list(rep.residuals),
-                             "ok": value >= -tol if stat == "min" else value <= tol}
-        ok = all(entry["ok"] for entry in clauses.values())
-        worst = [name for name, entry in clauses.items() if not entry["ok"]]
-        detail = "all clauses admissible" if ok else "violated: " + ", ".join(worst)
-        return ok, detail, {"verdict.json": {
-            "ok": ok, "tol_h": tol, "cells": _cells(grid), "profile": sol.profile,
-            "clauses": clauses,
+        bounds = [reports.Bound(f"{name}.{stat}", getattr(rep, stat),
+                                *((">=", -tol) if stat == "min" else ("<=", tol)))
+                  for name, stat, rep in checks]
+        clauses = {name: {stat: bound.value, "residuals": list(rep.residuals), "ok": bound.holds}
+                   for (name, stat, rep), bound in zip(checks, bounds)}
+        return bounds, "all clauses admissible", {"verdict.json": {
+            "ok": reports.Bound.judge(bounds)[0], "tol_h": tol, "cells": _cells(grid),
+            "profile": sol.profile, "clauses": clauses,
         }}
     return cfg, run
 
@@ -246,27 +241,21 @@ def _relenergy(cfg):
         V = young.dirac_from_trajectory(traj)
         rep = relenergy.rel_energy_inequality_report(V, None, sol)
 
-        series: dict[str, np.ndarray] = {
-            "t": rep.times, "e_mv": rep.e_mv, "e_ess": rep.e_ess, "e_res": rep.e_res,
-        }
-        for key, vals in rep.blocks.items():
-            series[key] = vals
-        series["r2"] = rep.r2_cum
-        series["slack"] = rep.slack
-        series["fitted_c"] = np.full(len(rep.times), rep.gronwall_c)
+        series = {"t": rep.times, "e_mv": rep.e_mv, "e_ess": rep.e_ess, "e_res": rep.e_res,
+                  **rep.blocks, "r2": rep.r2_cum, "slack": rep.slack,
+                  "fitted_c": np.full(len(rep.times), rep.gronwall_c)}
 
         slack_min = float(np.min(rep.slack))
-        ok = slack_min >= -tol
+        bounds = [reports.Bound("slack_min", slack_min, ">=", -tol)]
         verdict = {
-            "ok": ok, "slack_min": slack_min, "tol_h": tol,
+            "ok": reports.Bound.judge(bounds)[0], "slack_min": slack_min, "tol_h": tol,
             "gronwall_c": rep.gronwall_c,
             "reduced_c_required": rep.reduced_c_required,
             "e_mv_initial": float(rep.e_mv[0]), "e_mv_final": float(rep.e_mv[-1]),
             "eps": eps, "cells": _cells(grid), "profile": sol.profile,
         }
-        detail = (f"slack_min = {slack_min:.3e} >= -{tol:.1e}" if ok
-                  else f"slack_min = {slack_min:.3e} < -{tol:.1e}")
-        return ok, detail, {"series.csv": series, "verdict.json": verdict}
+        return bounds, f"slack_min = {slack_min:.3e} >= -{tol:.1e}", {
+            "series.csv": series, "verdict.json": verdict}
     return cfg, run
 
 
@@ -278,7 +267,8 @@ def _relenergy(cfg):
 def _study(claim: str, runner, outputs):
     """The build of a study of ``claim``: the gated spec, and a run of
     ``runner(spec)`` whose report ``outputs`` turns into its CSV series by
-    file name and the status detail; the verdict is the whole report."""
+    file name and the status detail; the verdict is the whole report, and
+    its records are the report's ``bounds``."""
 
     def build(cfg):
         spec = configmod.build_experiment_spec(cfg, claim)
@@ -288,7 +278,7 @@ def _study(claim: str, runner, outputs):
             files, detail = outputs(rep)
             verdict = dataclasses.asdict(rep)
             verdict["accepted"] = rep.gate.accepted
-            return rep.ok, detail, {**files, "verdict.json": verdict}
+            return rep.bounds, detail, {**files, "verdict.json": verdict}
         return cfg, run
     return build
 
@@ -310,16 +300,9 @@ def _wsu_outputs(rep):
 
 
 def _apriori_outputs(rep):
-    series: dict[str, np.ndarray] = {
-        "cells": np.asarray(rep.cells, dtype=float),
-        "total": np.asarray(rep.totals),
-    }
-    for key, vals in rep.terms.items():
-        series[key] = np.asarray(vals)
-    return {"budget.csv": series}, (
-        f"total <= {rep.c_theta_b:.4g} on {len(rep.cells)} levels"
-        if not rep.needs_recalibration
-        else "bound exceeded; recalibration required")
+    series = {"cells": np.asarray(rep.cells, dtype=float), "total": np.asarray(rep.totals),
+              **{key: np.asarray(vals) for key, vals in rep.terms.items()}}
+    return {"budget.csv": series}, f"total <= {rep.c_theta_b:.4g} on {len(rep.cells)} levels"
 
 
 def _defect_outputs(rep):

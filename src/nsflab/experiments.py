@@ -23,7 +23,9 @@ results are combined in the serial order: every report is bit-identical to a
 run in one process.  Within a process each run is read one saved level at a
 time, so at most two consecutive levels are alive per process.  Every study
 reads its runs the same way: each level gives one row of scalars, and the
-study reduces the rows once, after the run.
+study reduces the rows once, after the run, to the report's ``bounds``:
+the ``reports.Bound`` records that ``Bound.judge`` turns into its ``ok``, and
+off which every flag it keeps is read.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 from . import grid as gridmod
 from . import relenergy, solver, testfuns, thermo, transport, young
 from .manufactured import StrongSolution, grid_points, manufactured
+from .reports import Bound
 
 __all__ = [
     "GateResult",
@@ -252,7 +255,8 @@ class ExperimentSpec:
     runners set its ``source``.  The a priori budget alone reads
     ``c_fixed``: the constant its totals are checked against (None calibrates).
 
-    The studies judge their runs against fixed thresholds (module constants):
+    The studies judge their runs against fixed thresholds (module constants);
+    the first eight are bounds of claim reports' ``Bound`` records:
 
     * ``_DIRAC_ORDER_MIN = 1``: the collapse error of the shared-data runs
       vanishes at first order or better in h.
@@ -555,6 +559,7 @@ class TheoremReport:
     c_spread: float
     c_grid_spread: float
     hypothesis_checks: dict[str, float]
+    bounds: tuple[Bound, ...]
     ok: bool
 
 
@@ -696,23 +701,28 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
     denom = max(abs(cs[idx]), abs(c_coarse), 1e-12)
     c_grid_spread = abs(c_coarse - cs[idx]) / denom
 
+    bounds = [Bound("dirac_order", order, ">=", _DIRAC_ORDER_MIN),
+              Bound("growth_factor", float(np.max(growth)), "<=", _ENVELOPE_FACTOR),
+              Bound("c_spread", c_spread, "<=", _GRONWALL_BAND),
+              Bound("c_grid_spread", c_grid_spread, "<=", _GRID_BAND)]
     if spec.theorem == "1":
         columns = zip(*(row for run_rows in rows for row in run_rows))
         checks = {key: reduce(column) for key, reduce, column in zip(
             ("rho_min", "rho_max", "theta_min", "theta_max", "s_abs_max"),
             (min, max, min, max, max), columns)}
-        rho_lo, rho_hi, th_lo, th_hi = _STATE_WINDOW
-        hyp_ok = (rho_lo <= checks["rho_min"] and checks["rho_max"] <= rho_hi
-                  and th_lo <= checks["theta_min"] and checks["theta_max"] <= th_hi)
-        checks["state_window_ok"] = float(hyp_ok)
+        window = [Bound(key, checks[key], rel, edge) for key, rel, edge in zip(
+            checks, (">=", "<=") * 2, _STATE_WINDOW)]
+        checks["state_window_ok"] = float(Bound.judge(window)[0])
+        bounds += window
     elif spec.theorem == "2":
         s_abs_max = max(row[0] for run_rows in rows for row in run_rows)
         _, margin, quotient = zip(*rows[0])
+        cap = Bound("s_abs_max", s_abs_max, "<=", _ENTROPY_CAP)
         checks = {"s_abs_max": s_abs_max, "entropy_cap": _ENTROPY_CAP,
-                  "entropy_cap_ok": float(s_abs_max <= _ENTROPY_CAP),
+                  "entropy_cap_ok": float(cap.holds),
                   "temperature_chain_margin": max(margin),
                   "pressure_quotient_max": max(quotient)}
-        hyp_ok = s_abs_max <= _ENTROPY_CAP and max(margin) <= 1.0 + 1e-12
+        bounds += [cap, Bound("temperature_chain_margin", max(margin), "<=", 1.0 + 1e-12)]
     else:
         speeds = (np.sqrt(np.sum(u * u, axis=-1))
                   for _, u, _ in (sol.on_grid(fine, t) for t in (0.0, spec.solver.t_end)))
@@ -726,19 +736,17 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
                   "velocity_control_ratio": kp_ratio,
                   "velocity_control_constant": kp_const,
                   "kernel_third_law": float(spec.model.kernel.third_law)}
-        hyp_ok = (e1 <= _E1_CAP and e2 <= _E2_CAP
-                  and kp_ratio <= kp_const)
+        bounds += [Bound("flux_absorption_max", e1, "<=", _E1_CAP),
+                   Bound("entropy_quotient_max", e2, "<=", _E2_CAP),
+                   Bound("velocity_control_ratio", kp_ratio, "<=", kp_const)]
 
-    order_ok = order >= _DIRAC_ORDER_MIN
-    envelope_ok = all(g <= _ENVELOPE_FACTOR for g in growth)
-    band_ok = c_spread <= _GRONWALL_BAND and c_grid_spread <= _GRID_BAND
     return TheoremReport(
         theorem=spec.theorem, gate=gate, profile=profile,
         dirac_cells=tuple(spec.grids), dirac_sup=tuple(sup_e),
         dirac_order=order, eps=tuple(spec.eps_list), e0=tuple(e0),
         gronwall_c=tuple(cs), growth_factor=tuple(growth), c_spread=c_spread,
-        c_grid_spread=c_grid_spread, hypothesis_checks=checks,
-        ok=bool(order_ok and envelope_ok and band_ok and hyp_ok))
+        c_grid_spread=c_grid_spread, hypothesis_checks=checks, bounds=tuple(bounds),
+        ok=Bound.judge(bounds, gate.accepted)[0])
 
 
 # --------------------------------------------------------------------------
@@ -766,6 +774,7 @@ class AprioriReport:
     theta_sq_c: float
     q_exponent: float
     beta: float
+    bounds: tuple[Bound, ...]
     ok: bool
 
 
@@ -897,24 +906,21 @@ def run_apriori(spec: ExperimentSpec) -> AprioriReport:
                 f"budget blow-up at {n} cells: total {total:.3e} exceeds a "
                 "million times the calibration level")
 
-    if spec.c_fixed is None:
-        c_bound = _CALIBRATION_SAFETY * totals[0]
-        calibrated = True
-    else:
-        c_bound = float(spec.c_fixed)
-        calibrated = False
-    needs_recal = not all(t <= c_bound for t in totals)
+    calibrated = spec.c_fixed is None
+    c_bound = _CALIBRATION_SAFETY * totals[0] if calibrated else float(spec.c_fixed)
+    bounds = (Bound("total", float(np.max(totals)), "<=", c_bound),
+              Bound("max_principle_margin", min(max_margin), ">=", -1e-12),
+              Bound("entropy_bound_margin", min(entropy_margin), ">=", 0.0))
 
-    ok = bool(not needs_recal and min(max_margin) >= -1e-12 and min(entropy_margin) >= 0.0)
     return AprioriReport(
         gate=gate, cells=tuple(spec.grids), totals=totals,
         terms={key: tuple(run_terms[key] for run_terms in terms) for key in terms[0]},
         c_theta_b=c_bound, calibrated=calibrated,
-        needs_recalibration=needs_recal, theta_b=theta_b, theta_tilt=tilt,
+        needs_recalibration=not bounds[0].holds, theta_b=theta_b, theta_tilt=tilt,
         max_principle_margin=min(max_margin), harmonic_range=(min(hat_lo), max(hat_hi)),
         entropy_bound_margin=min(entropy_margin), entropy_flux_c=max(flux_c),
         theta_sq_c=max(theta_sq_c), q_exponent=_ENTROPY_Q,
-        beta=spec.transport_model.beta, ok=ok)
+        beta=spec.transport_model.beta, bounds=bounds, ok=Bound.judge(bounds, gate.accepted)[0])
 
 
 # --------------------------------------------------------------------------
@@ -939,6 +945,7 @@ class DefectStudyReport:
     compat_ok: bool
     compat_margin: float
     entropy_defect_rel: float
+    bounds: tuple[Bound, ...]
     ok: bool
 
 
@@ -1012,8 +1019,6 @@ def run_defect_study(spec: ExperimentSpec) -> DefectStudyReport:
 
     smooth_cells = [n // 4 for n in spec.grids]
     smooth_d = _run_tasks(run, spec.grids)
-    vanishing = (all(b < a for a, b in zip(smooth_d, smooth_d[1:]))
-                 and smooth_d[-1] < 0.75 * smooth_d[0])
 
     eps = _OSC_EPS
     n_fine, n_coarse = 512, 16
@@ -1033,13 +1038,19 @@ def run_defect_study(spec: ExperimentSpec) -> DefectStudyReport:
     compat = young.defect_compat_check(bundle, testfuns.velocity_tests(1))
     entropy_rel = _entropy_coarsening_gap(fine, n_fine // n_coarse, spec.model)
 
-    ok = bool(vanishing and rel_err <= 0.05 and report.theta_spread <= 0.05 and compat.ok
-              and entropy_rel <= 0.05)
+    # each smooth defect (>= 0) below the one before, the last below 3/4 of the first
+    bounds = (Bound("smooth_d_rise_max", float(np.max(np.diff(smooth_d))), "<", 0.0),
+              Bound("smooth_d_last_over_first",
+                    smooth_d[-1] / smooth_d[0] if smooth_d[0] > 0.0 else math.inf, "<", 0.75),
+              Bound("osc_rel_err", rel_err, "<=", 0.05),
+              Bound("theta_spread", float(report.theta_spread), "<=", 0.05),
+              Bound("compat_margin", float(compat.worst_margin), ">=", 0.0),
+              Bound("entropy_defect_rel", entropy_rel, "<=", 0.05))
     return DefectStudyReport(
         gate=gate, smooth_cells=tuple(smooth_cells), smooth_d=tuple(smooth_d),
-        smooth_vanishing=vanishing, osc_eps=eps, osc_d=osc_d,
+        smooth_vanishing=Bound.judge(bounds[:2])[0], osc_eps=eps, osc_d=osc_d,
         osc_oracle=oracle, osc_rel_err=rel_err,
         theta_spread=float(report.theta_spread),
-        xi_osc=float(bundle.xi[0]), compat_ok=bool(compat.ok),
+        xi_osc=float(bundle.xi[0]), compat_ok=bounds[4].holds,
         compat_margin=float(compat.worst_margin),
-        entropy_defect_rel=entropy_rel, ok=ok)
+        entropy_defect_rel=entropy_rel, bounds=bounds, ok=Bound.judge(bounds, gate.accepted)[0])

@@ -362,9 +362,13 @@ def remainder_R2(V: AtomicYoungMeasure, sol: StrongSolution,
 
     Every group carries at least two difference factors between the measure
     and the comparison state, so a point mass sitting exactly on the
-    comparison state returns the zero field.
+    comparison state returns the zero field.  Laws other than ``sol``'s own
+    raise a ``ValueError`` naming both.
     """
 
+    if model != sol.model or transport_model != sol.transport_model:
+        raise ValueError(f"remainder_R2 takes the flow's laws {sol.model!r}, "
+                         f"{sol.transport_model!r}; got {model!r}, {transport_model!r}")
     idx = int(np.argmin(np.abs(V.times - t)))
     if abs(V.times[idx] - t) > 1e-9 * (1.0 + abs(t)):
         raise ValueError(f"time {t} is not a stored level of the measure")

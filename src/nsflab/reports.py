@@ -6,18 +6,21 @@ shortest round-trip form (17 significant digits for CSV), a verdict is
 RFC 8259 JSON with a non-finite float written as ``null``, and a snapshot is
 one ``.npy`` record with a named field per array.  Each output opens without
 nsflab: a series with ``np.loadtxt(path, delimiter=",", skiprows=1)``, a
-snapshot with ``np.load(path)``, a verdict with ``json.load``.
+snapshot with ``np.load(path)``, a verdict with ``json.load``.  A verdict decides
+from :class:`Bound` records, which its command builds and :meth:`Bound.judge` judges.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Mapping
+import operator
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["write_series", "read_series", "write_verdicts", "read_verdicts",
+__all__ = ["Bound", "write_series", "read_series", "write_verdicts", "read_verdicts",
            "write_snapshot", "read_snapshot"]
 
 
@@ -63,6 +66,34 @@ def read_series(path) -> dict[str, np.ndarray]:
 # --------------------------------------------------------------------------
 # JSON verdicts
 # --------------------------------------------------------------------------
+
+
+# relation -> (its test, the relation a failing record's numbers stand in)
+_RELATIONS = {"<=": (operator.le, ">"), ">=": (operator.ge, "<"), "<": (operator.lt, ">=")}
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One checked inequality ``value relation bound``; NaN fails every relation."""
+
+    name: str
+    value: float
+    relation: str
+    bound: float
+
+    @property
+    def holds(self) -> bool:
+        return bool(_RELATIONS[self.relation][0](self.value, self.bound))
+
+    def __str__(self) -> str:
+        rel = self.relation if self.holds else _RELATIONS[self.relation][1]
+        return f"{self.name} = {self.value:.4g} {rel} {self.bound:.4g}"
+
+    @staticmethod
+    def judge(bounds: Sequence[Bound], accepted: bool = True) -> tuple[bool, Optional[Bound]]:
+        """``ok`` (the gate ``accepted`` and every record holding) and the first failing record."""
+        failed = next((b for b in bounds if not b.holds), None)
+        return accepted and failed is None, failed
 
 
 def _strict(obj):

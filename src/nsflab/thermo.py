@@ -41,6 +41,8 @@ from typing import Callable
 
 import numpy as np
 
+from .reports import Bound
+
 __all__ = [
     "PressureKernel",
     "IDEAL_KERNEL",
@@ -466,11 +468,12 @@ def conservative_partials(model: ThermoModel, rho, entropy, momentum):
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Outcome of validate_structure: overall verdict plus per-check detail."""
+    """Outcome of validate_structure: per-check detail and the ``Bound`` records it is judged by."""
 
     ok: bool
     checks: dict
     first_violation: str | None
+    bounds: tuple[Bound, ...]
 
 
 def _uniform(rng: random.Random, lo: float, hi: float, n: int) -> np.ndarray:
@@ -533,17 +536,15 @@ def validate_structure(model: ThermoModel, n_samples: int = 10_000,
         checks["kernel_S_not_decreasing"] = int(np.sum(~(np.diff(k.s(q)) < 0.0)))
         checks["kernel_pbar"] = k.pbar
 
-    # the counts that must be 0, then the two tolerances, in reporting order
-    violations = [name for name in ("stability_dp_drho", "stability_de_dtheta",
-                                    "convexity_violations", "kernel_dP_nonpositive",
-                                    "kernel_ratio_out_of_range", "kernel_dS_nonnegative",
-                                    "kernel_S_not_decreasing") if checks.get(name, 0) != 0]
-    if checks["gibbs_max_residual"] > 1e-8:
-        violations.append("gibbs_max_residual")
-    if abs(checks.get("kernel_P_at_0", 0.0)) > 1e-12:
-        violations.append("kernel_P_at_0")
-    return StructureReport(ok=not violations, checks=checks,
-                           first_violation=violations[0] if violations else None)
+    # |check| <= bound: the counts that must be 0, then the two tolerances, in reporting order
+    bounds = tuple(Bound(name, abs(checks[name]), "<=", bound) for name, bound in (
+        ("stability_dp_drho", 0), ("stability_de_dtheta", 0), ("convexity_violations", 0),
+        ("kernel_dP_nonpositive", 0), ("kernel_ratio_out_of_range", 0),
+        ("kernel_dS_nonnegative", 0), ("kernel_S_not_decreasing", 0),
+        ("gibbs_max_residual", 1e-8), ("kernel_P_at_0", 1e-12)) if name in checks)
+    ok, failed = Bound.judge(bounds)
+    return StructureReport(ok=ok, checks=checks, first_violation=failed and failed.name,
+                           bounds=bounds)
 
 
 def entropy_growth_bound(model, rho, theta, c: float = 3.0):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import operator
 import os
 import re
 import subprocess
@@ -597,6 +598,24 @@ def test_relenergy_writes_series_and_passes(tmp_path, capsys):
         assert column in series
     verdict = reports.read_verdicts(tmp_path / "relenergy" / "verdict.json")
     assert verdict["slack_min"] >= -verdict["tol_h"]
+
+
+@pytest.mark.parametrize("argv,status", [
+    ("apriori --c-fixed 1", "FAIL: apriori (total = 35.56 > 1)"),
+    ("mv-check --tol-scale 0", "FAIL: mv-check (continuity.max_abs = 3.035e-05 > 0)"),
+    ("wsu --theorem 1 --grids 32,64,128", "FAIL: wsu (c_spread = 0.4207 > 0.2)"),
+], ids=["apriori", "mv-check", "wsu"])
+def test_a_failing_run_names_its_first_failing_bound(tmp_path, capsys, argv, status):
+    code = cli.main(argv.split() + ["--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[-1] == status
+    verdict = reports.read_verdicts(tmp_path / argv.split()[0] / "verdict.json")
+    relations = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
+    failing = [b["name"] for b in verdict["bounds"]
+               if not relations[b["relation"]](b["value"], b["bound"])]
+    assert [b["name"] for b in verdict["bounds"] if not b["holds"]] == failing
+    assert status.startswith(f"FAIL: {argv.split()[0]} ({failing[0]} = ")
+    assert verdict["ok"] is False
 
 
 def test_simulate_persists_series_and_snapshot(tmp_path, capsys):

@@ -13,6 +13,12 @@ in order, for the default 1D run and a 2D molecular-radiation run: each
 must equal its repr float bit for bit, so a reordered or swapped test
 function fails even where the pinned ``max_abs``/``min`` would not.
 
+Every default ``verdict.json`` decides from its ``bounds`` records:
+``ok`` is every record holding, each record holds as its relation says,
+its value is the verdict key it mirrors, and ``BOUNDS_PINNED`` pins each
+command's record names, relations and constant bounds in order, so a
+widened band or a dropped check fails here in the same diff.
+
 Every output opens without nsflab: each CSV with ``np.loadtxt``, the
 snapshot with ``np.load``, and each ``verdict.json`` as RFC 8259 JSON, which
 has no ``NaN`` or ``Infinity``.
@@ -24,6 +30,7 @@ diff.
 
 import hashlib
 import json
+import operator
 import os
 
 import numpy as np
@@ -137,6 +144,86 @@ def test_two_dimensional_mv_check_residuals_match_golden_bits(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert _clauses(tmp_path) == CLAUSES_PINNED["mv-check-2d"]
+
+
+_CLAIMS = [("dirac_order", ">=", 1.0), ("growth_factor", "<=", 1.2),
+           ("c_spread", "<=", 0.2), ("c_grid_spread", "<=", 0.3)]
+
+# command line -> its records in order: (name, relation, bound), where a
+# string bound is the dotted verdict key of a computed bound, "-" negating it
+BOUNDS_PINNED = {
+    "simulate": [],
+    "verify-thermo": [("stability_dp_drho", "<=", 0), ("stability_de_dtheta", "<=", 0),
+                      ("convexity_violations", "<=", 0), ("gibbs_max_residual", "<=", 1e-8)],
+    "mv-check": [("continuity.max_abs", "<=", "tol_h"), ("momentum.max_abs", "<=", "tol_h"),
+                 ("entropy.min", ">=", "-tol_h"), ("ballistic.min", ">=", "-tol_h"),
+                 ("velocity_compat.max_abs", "<=", "tol_h"),
+                 ("temperature_compat.max_abs", "<=", "tol_h")],
+    "relenergy": [("slack_min", ">=", "-tol_h")],
+    "wsu --theorem 1": _CLAIMS + [("rho_min", ">=", 0.25), ("rho_max", "<=", 4.0),
+                                  ("theta_min", ">=", 0.25), ("theta_max", "<=", 4.0)],
+    "wsu --theorem 2": _CLAIMS + [("s_abs_max", "<=", 10.0),
+                                  ("temperature_chain_margin", "<=", 1.0 + 1e-12)],
+    "wsu --theorem 3": _CLAIMS + [
+        ("flux_absorption_max", "<=", 4.0), ("entropy_quotient_max", "<=", 5.0),
+        ("velocity_control_ratio", "<=", "hypothesis_checks.velocity_control_constant")],
+    "apriori": [("total", "<=", "c_theta_b"), ("max_principle_margin", ">=", -1e-12),
+                ("entropy_bound_margin", ">=", 0.0)],
+    "defect-study": [("smooth_d_rise_max", "<", 0.0), ("smooth_d_last_over_first", "<", 0.75),
+                     ("osc_rel_err", "<=", 0.05), ("theta_spread", "<=", 0.05),
+                     ("compat_margin", ">=", 0.0), ("entropy_defect_rel", "<=", 0.05)],
+}
+
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
+
+
+def _key(verdict: dict, path: str):
+    for part in path.split("."):
+        verdict = verdict[part]
+    return verdict
+
+
+def _mirrored(verdict: dict, name: str):
+    """The verdict value that the record ``name`` reads."""
+    if name in ("total", "growth_factor"):
+        return max(verdict["totals" if name == "total" else name])
+    smooth = verdict.get("smooth_d")
+    if name == "smooth_d_rise_max":
+        return max(b - a for a, b in zip(smooth, smooth[1:]))
+    if name == "smooth_d_last_over_first":
+        return smooth[-1] / smooth[0]
+    if "." in name:
+        return _key(verdict["clauses"], name)
+    for scope in ("checks", "hypothesis_checks"):
+        if name in verdict.get(scope, {}):
+            return verdict[scope][name]
+    return verdict[name]
+
+
+@pytest.mark.parametrize("argv", list(PINNED))
+def test_default_verdict_decides_from_its_bounds(runs, argv):
+    (path,) = _outputs(runs, argv, "verdict.json")
+    verdict = reports.read_verdicts(path)
+    bounds = verdict["bounds"]
+    names = [b["name"] for b in bounds]
+    assert len(set(names)) == len(names), names
+    # simulate checks nothing and writes no ``ok``
+    assert verdict.get("ok", True) == all(b["holds"] for b in bounds)
+    for b in bounds:
+        assert b["value"] == _mirrored(verdict, b["name"]), b["name"]
+        if b["value"] is not None:  # a non-finite value is written as null
+            assert b["holds"] == _RELATIONS[b["relation"]](b["value"], b["bound"]), b
+
+
+@pytest.mark.parametrize("argv", list(PINNED))
+def test_default_bounds_match_the_pinned_table(runs, argv):
+    (path,) = _outputs(runs, argv, "verdict.json")
+    verdict = reports.read_verdicts(path)
+    got = [(b["name"], b["relation"], b["bound"]) for b in verdict["bounds"]]
+    want = [(name, relation, -_key(verdict, bound[1:]) if bound.startswith("-")
+             else _key(verdict, bound)) if isinstance(bound, str) else (name, relation, bound)
+            for name, relation, bound in BOUNDS_PINNED[argv]]
+    assert got == want
 
 
 # SHA-256 of tests/test_acceptance.py at its last intended edit

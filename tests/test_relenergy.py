@@ -375,6 +375,20 @@ def test_remainder_time_and_state_validation():
         relenergy.remainder_R2(cold, sol, MODEL, TM, 0.0)
 
 
+@pytest.mark.parametrize("model,tm", [(thermo.PerfectGas(c_v=1.4), TM),
+                                      (MODEL, transport.PowerKappa())],
+                         ids=["model", "transport"])
+def test_remainder_refuses_laws_other_than_the_flows(model, tm):
+    # the strong Dirac measure sits on the flow, so other laws would read a
+    # zero remainder without a word
+    sol = manufactured("shear", MODEL, TM)
+    V = young.dirac_from_strong(sol, gridmod.Grid(cells=(16,)), [0.0])
+    with pytest.raises(ValueError) as err:
+        relenergy.remainder_R2(V, sol, model, tm, 0.0)
+    for law in (model, tm, MODEL, TM):
+        assert repr(law) in str(err.value)
+
+
 # --------------------------------------------------------------------------
 # inequality-chain report
 # --------------------------------------------------------------------------
