@@ -13,8 +13,11 @@ config gives, so an emptied grid list, eps list or profile is refused); a
 hypothesis-gate rejection writes the echo ``config-effective.ini`` and a
 rejection ``verdict.json`` and exits 1; a run writes the echo, its CSV
 series and ``.npy`` snapshots, and ``verdict.json``, and exits 0 only if
-every assertion holds, else 1: :func:`_run` judges the run's ``reports.Bound``
-records (``mv-check``'s and ``relenergy``'s are built here) and writes them.
+every assertion holds, else 1.  Each command decides its ``ok`` from its
+``reports.Bound`` records with ``Bound.judge`` (``mv-check``'s and
+``relenergy``'s records are built and judged here, the others where their
+values are computed); :func:`_run` writes the records and names the first
+failing one.
 Re-running with the echo alone repeats the run, and identical (config,
 seed) pairs produce byte-identical reports.
 """
@@ -117,9 +120,10 @@ def _run(args, command: str, row: str, build) -> int:
         run = _rejected(err)
     out = _echo(args, cfg, command)
     bounds, detail, files = run()
-    verdict = files["verdict.json"]  # a study's and a rejection's say if the gate accepted
-    ok, failed = reports.Bound.judge(bounds, verdict.get("accepted", True))
-    verdict["bounds"] = [{**vars(b), "holds": b.holds} for b in bounds]
+    verdict = files["verdict.json"]
+    ok = verdict.get("ok", True)  # simulate checks nothing and writes no ``ok``
+    failed = next((b for b in bounds if not b.holds), None)
+    verdict["bounds"] = [vars(b) for b in bounds]
     # looked up per call, so a wrapped reports writer is the one called
     writers = {".csv": reports.write_series, ".npy": reports.write_snapshot,
                ".json": reports.write_verdicts}
@@ -177,8 +181,14 @@ def _verify_thermo(cfg):
 
     def run():
         rep = thermo.validate_structure(model, n_samples=samples, seed=seed)
-        verdict = {"ok": rep.ok, "model": cfg["model"]["kind"], "samples": samples, "seed": seed,
-                   "first_violation": rep.first_violation or "", "checks": rep.checks}
+        verdict = {
+            "ok": rep.ok,
+            "model": cfg["model"]["kind"],
+            "samples": samples,
+            "seed": seed,
+            "first_violation": rep.first_violation or "",
+            "checks": rep.checks,
+        }
         return rep.bounds, "all structure checks hold", {"verdict.json": verdict}
     return cfg, run
 
@@ -241,9 +251,14 @@ def _relenergy(cfg):
         V = young.dirac_from_trajectory(traj)
         rep = relenergy.rel_energy_inequality_report(V, None, sol)
 
-        series = {"t": rep.times, "e_mv": rep.e_mv, "e_ess": rep.e_ess, "e_res": rep.e_res,
-                  **rep.blocks, "r2": rep.r2_cum, "slack": rep.slack,
-                  "fitted_c": np.full(len(rep.times), rep.gronwall_c)}
+        series: dict[str, np.ndarray] = {
+            "t": rep.times, "e_mv": rep.e_mv, "e_ess": rep.e_ess, "e_res": rep.e_res,
+        }
+        for key, vals in rep.blocks.items():
+            series[key] = vals
+        series["r2"] = rep.r2_cum
+        series["slack"] = rep.slack
+        series["fitted_c"] = np.full(len(rep.times), rep.gronwall_c)
 
         slack_min = float(np.min(rep.slack))
         bounds = [reports.Bound("slack_min", slack_min, ">=", -tol)]
@@ -300,8 +315,12 @@ def _wsu_outputs(rep):
 
 
 def _apriori_outputs(rep):
-    series = {"cells": np.asarray(rep.cells, dtype=float), "total": np.asarray(rep.totals),
-              **{key: np.asarray(vals) for key, vals in rep.terms.items()}}
+    series: dict[str, np.ndarray] = {
+        "cells": np.asarray(rep.cells, dtype=float),
+        "total": np.asarray(rep.totals),
+    }
+    for key, vals in rep.terms.items():
+        series[key] = np.asarray(vals)
     return {"budget.csv": series}, f"total <= {rep.c_theta_b:.4g} on {len(rep.cells)} levels"
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -68,32 +67,41 @@ def read_series(path) -> dict[str, np.ndarray]:
 # --------------------------------------------------------------------------
 
 
-# relation -> (its test, the relation a failing record's numbers stand in)
-_RELATIONS = {"<=": (operator.le, ">"), ">=": (operator.ge, "<"), "<": (operator.lt, ">=")}
+# relation -> the relation that a failing record's numbers stand in
+_FAILED = {"<=": ">", ">=": "<", "<": ">="}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Bound:
-    """One checked inequality ``value relation bound``; NaN fails every relation."""
+    """One checked inequality ``value relation bound``, judged once when made:
+    ``holds`` says whether it holds, and NaN fails every relation."""
 
     name: str
     value: float
     relation: str
     bound: float
+    holds: bool
 
-    @property
-    def holds(self) -> bool:
-        return bool(_RELATIONS[self.relation][0](self.value, self.bound))
+    def __init__(self, name: str, value: float, relation: str, bound: float):
+        if relation not in _FAILED:
+            raise ValueError(f"{name}: unknown relation {relation!r}")
+        holds = bool(value <= bound if relation == "<=" else
+                     value >= bound if relation == ">=" else value < bound)
+        for key, val in zip(("name", "value", "relation", "bound", "holds"),
+                            (name, value, relation, bound, holds)):
+            object.__setattr__(self, key, val)
 
     def __str__(self) -> str:
-        rel = self.relation if self.holds else _RELATIONS[self.relation][1]
+        rel = self.relation if self.holds else _FAILED[self.relation]
         return f"{self.name} = {self.value:.4g} {rel} {self.bound:.4g}"
 
     @staticmethod
     def judge(bounds: Sequence[Bound], accepted: bool = True) -> tuple[bool, Optional[Bound]]:
         """``ok`` (the gate ``accepted`` and every record holding) and the first failing record."""
-        failed = next((b for b in bounds if not b.holds), None)
-        return accepted and failed is None, failed
+        for bound in bounds:
+            if not bound.holds:
+                return False, bound
+        return accepted, None
 
 
 def _strict(obj):

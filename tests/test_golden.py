@@ -149,38 +149,47 @@ def test_two_dimensional_mv_check_residuals_match_golden_bits(tmp_path, capsys):
 _CLAIMS = [("dirac_order", ">=", 1.0), ("growth_factor", "<=", 1.2),
            ("c_spread", "<=", 0.2), ("c_grid_spread", "<=", 0.3)]
 
+
+def _key(verdict: dict, path: str):
+    for part in path.split("."):
+        verdict = verdict[part]
+    return verdict
+
+
+def _at(path: str, sign: float = 1.0):
+    """A computed bound: ``sign`` times the verdict's value at the dotted key ``path``."""
+    return lambda verdict: sign * _key(verdict, path)
+
+
 # command line -> its records in order: (name, relation, bound), where a
-# string bound is the dotted verdict key of a computed bound, "-" negating it
+# callable bound computes the bound from the verdict
 BOUNDS_PINNED = {
     "simulate": [],
     "verify-thermo": [("stability_dp_drho", "<=", 0), ("stability_de_dtheta", "<=", 0),
                       ("convexity_violations", "<=", 0), ("gibbs_max_residual", "<=", 1e-8)],
-    "mv-check": [("continuity.max_abs", "<=", "tol_h"), ("momentum.max_abs", "<=", "tol_h"),
-                 ("entropy.min", ">=", "-tol_h"), ("ballistic.min", ">=", "-tol_h"),
-                 ("velocity_compat.max_abs", "<=", "tol_h"),
-                 ("temperature_compat.max_abs", "<=", "tol_h")],
-    "relenergy": [("slack_min", ">=", "-tol_h")],
+    "mv-check": [("continuity.max_abs", "<=", _at("tol_h")),
+                 ("momentum.max_abs", "<=", _at("tol_h")),
+                 ("entropy.min", ">=", _at("tol_h", -1.0)),
+                 ("ballistic.min", ">=", _at("tol_h", -1.0)),
+                 ("velocity_compat.max_abs", "<=", _at("tol_h")),
+                 ("temperature_compat.max_abs", "<=", _at("tol_h"))],
+    "relenergy": [("slack_min", ">=", _at("tol_h", -1.0))],
     "wsu --theorem 1": _CLAIMS + [("rho_min", ">=", 0.25), ("rho_max", "<=", 4.0),
                                   ("theta_min", ">=", 0.25), ("theta_max", "<=", 4.0)],
     "wsu --theorem 2": _CLAIMS + [("s_abs_max", "<=", 10.0),
                                   ("temperature_chain_margin", "<=", 1.0 + 1e-12)],
     "wsu --theorem 3": _CLAIMS + [
         ("flux_absorption_max", "<=", 4.0), ("entropy_quotient_max", "<=", 5.0),
-        ("velocity_control_ratio", "<=", "hypothesis_checks.velocity_control_constant")],
-    "apriori": [("total", "<=", "c_theta_b"), ("max_principle_margin", ">=", -1e-12),
+        ("velocity_control_ratio", "<=", _at("hypothesis_checks.velocity_control_constant"))],
+    "apriori": [("total", "<=", _at("c_theta_b")), ("max_principle_margin", ">=", -1e-12),
                 ("entropy_bound_margin", ">=", 0.0)],
-    "defect-study": [("smooth_d_rise_max", "<", 0.0), ("smooth_d_last_over_first", "<", 0.75),
+    "defect-study": [("smooth_d_rise_max", "<", 0.0),
+                     ("smooth_d_last", "<", lambda verdict: 0.75 * verdict["smooth_d"][0]),
                      ("osc_rel_err", "<=", 0.05), ("theta_spread", "<=", 0.05),
                      ("compat_margin", ">=", 0.0), ("entropy_defect_rel", "<=", 0.05)],
 }
 
 _RELATIONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
-
-
-def _key(verdict: dict, path: str):
-    for part in path.split("."):
-        verdict = verdict[part]
-    return verdict
 
 
 def _mirrored(verdict: dict, name: str):
@@ -190,8 +199,8 @@ def _mirrored(verdict: dict, name: str):
     smooth = verdict.get("smooth_d")
     if name == "smooth_d_rise_max":
         return max(b - a for a, b in zip(smooth, smooth[1:]))
-    if name == "smooth_d_last_over_first":
-        return smooth[-1] / smooth[0]
+    if name == "smooth_d_last":
+        return smooth[-1]
     if "." in name:
         return _key(verdict["clauses"], name)
     for scope in ("checks", "hypothesis_checks"):
@@ -220,8 +229,7 @@ def test_default_bounds_match_the_pinned_table(runs, argv):
     (path,) = _outputs(runs, argv, "verdict.json")
     verdict = reports.read_verdicts(path)
     got = [(b["name"], b["relation"], b["bound"]) for b in verdict["bounds"]]
-    want = [(name, relation, -_key(verdict, bound[1:]) if bound.startswith("-")
-             else _key(verdict, bound)) if isinstance(bound, str) else (name, relation, bound)
+    want = [(name, relation, bound(verdict) if callable(bound) else bound)
             for name, relation, bound in BOUNDS_PINNED[argv]]
     assert got == want
 

@@ -190,7 +190,7 @@ def test_report_calls_are_pinned():
 
 # study -> calls of one small study, every run in one process: the claim
 # studies of tests/test_experiments.py and its a priori budget
-STUDY_CALLS = {"1": 30517, "2": 21188, "3": 21551, "apriori": 48152}
+STUDY_CALLS = {"1": 30484, "2": 21162, "3": 21531, "apriori": 48135}
 
 
 @pytest.mark.parametrize("study", sorted(STUDY_CALLS))
