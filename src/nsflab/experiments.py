@@ -246,12 +246,12 @@ class ExperimentSpec:
     ``grids`` and ``eps_list`` left as None take the claim's row of
     :data:`CLAIM_DEFAULTS`.  Construction raises a ``ValueError`` whose
     message starts with the field at fault ("grids: ", "eps: ") on
-    grids that are not strictly increasing counts >= 4 or a perturbation size
-    <= 0, for claims "1"–"3" on fewer than two perturbation sizes, for every
-    claim but "apriori" given ``c_fixed`` on fewer than two grids, for
-    claim "defect" on a grid that is not a multiple of 4 >= 16, so no run
-    starts for a ladder the verdicts cannot read, and on a ``theta_scale``
-    <= 0 or a ``theta_tilt`` outside [0, 1].
+    grids that are not strictly increasing counts >= 4, a perturbation size
+    <= 0 or one listed twice, for claims "1"–"3" on fewer than two
+    perturbation sizes, for every claim but "apriori" given ``c_fixed`` on
+    fewer than two grids, for claim "defect" on a grid that is not a
+    multiple of 4 >= 16, so no run starts for a ladder the verdicts cannot
+    read, and on a ``theta_scale`` <= 0 or a ``theta_tilt`` outside [0, 1].
     ``solver`` is the template of every run's solver configuration; the
     runners set its ``source``.  The a priori budget alone reads
     ``c_fixed``: the constant its totals are checked against (None calibrates).
@@ -326,6 +326,8 @@ class ExperimentSpec:
                                        else defaults.eps))
         if any(e <= 0.0 for e in eps):
             raise ValueError("eps: perturbation sizes must be > 0")
+        if len(set(eps)) != len(eps):
+            raise ValueError("eps: a repeated perturbation size compares a run with itself")
         if theorem in ("1", "2", "3"):
             if len(eps) < 2:
                 raise ValueError(

@@ -8,17 +8,17 @@ so the entropy production S:grad u - p div u + conduction stays explicit.
 
 ``rhs`` makes one pass per axis over that axis's faces. It evaluates p and
 e on the ghost-padded state in one ``model.partials`` call and stacks the
-conserved densities (rho, rho e, rho u_j) component first, so the upwind
+conserved densities U = (rho, rho e, rho u_j) component first, so the upwind
 flux of all of them is selected and differenced at once. At each face it
 builds only the column of the viscous stress that the face divergence
 reads (``transport.viscous_stress_column``, from the normal derivative and
-the averaged tangential one), and the compact heat flux. Each tendency takes
-its terms in a fixed order: convection, then stress or conduction per
-axis, then the pressure gradient, the cell-centered work terms and the
-forcing; ``tests/golden/rhs.json`` pins the result bit for bit.
-``_attempt`` reuses the rho*e that ``rhs`` computes, and ``stable_dt``
-evaluates once the three equation-of-state partials it reads (dp/drho,
-dp/dtheta, de/dtheta).
+the averaged tangential one), and the compact heat flux. One tendency of
+the same rows takes every term in a fixed order: convection, then stress or
+conduction per axis, the pressure gradient, the cell-centered work terms
+and the forcing; ``tests/golden/rhs.json`` pins it bit for bit. ``_attempt``
+advances the stacked U that ``rhs`` returns beside it through both Heun
+stages, and ``stable_dt`` evaluates once the three equation-of-state
+partials it reads (dp/drho, dp/dtheta, de/dtheta).
 
 Each stage pays for its checks once. ``rhs`` tests positivity with one
 minimum over each ghost-padded array (a NaN fails it) and reads the
@@ -153,12 +153,12 @@ def _first_nonpositive(rho: np.ndarray, theta: np.ndarray) -> str:
 def rhs(state: FlowState, model: thermo.ThermoModel,
         transport_model: transport.TransportModel,
         boundary: gridmod.BoundaryData, cfg: Optional[SolverConfig] = None):
-    """Conservative tendencies (d rho, d(rho u), d(rho e)) on interior cells,
-    and fourth the state's own rho*e there, which the stepper advances.
+    """``(tendency, conserved)`` on interior cells: two ``(2 + d, *cells)``
+    arrays with the rows (rho, rho e, rho u_j), the conservative tendency and
+    the state's own conserved densities, which the stepper advances.
 
-    One pass per axis over its faces: the upwind fluxes of the stacked
-    conserved densities (rho, rho e, rho u_j), the normal column of the face
-    stress and the compact heat flux, each differenced once.
+    One pass per axis over its faces differences the upwind fluxes of the
+    stack, the normal column of the face stress and the heat flux once each.
     """
     g = state.grid
     d, h = g.dim, g.h
@@ -179,12 +179,9 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
     u_c = u_p.transpose((d,) + tuple(range(d)))
     dens = np.empty((2 + d,) + rho_p.shape)  # rho, rho e, rho u_j
     dens[0] = rho_p
-    rhoe_p = np.multiply(rho_p, e_p, out=dens[1])
+    np.multiply(rho_p, e_p, out=dens[1])
     np.multiply(rho_p, u_c, out=dens[2:])
-
-    drho = np.zeros(g.cells)
-    dmom_c = np.zeros((d,) + g.cells)
-    drhoe = np.zeros(g.cells)
+    tend = np.zeros((2 + d,) + g.cells)
 
     # cell-centered velocity gradient for stress work and tangential face terms
     gu_cell = gridmod.gradient(u_f)
@@ -200,10 +197,7 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
 
         # upwind convection
         flux = ubar * np.where(ubar > 0.0, dens[c_left], dens[c_right])
-        conv = (flux[c_hi] - flux[c_lo]) / h[a]
-        drho -= conv[0]
-        drhoe -= conv[1]
-        dmom_c -= conv[2:]
+        tend -= (flux[c_hi] - flux[c_lo]) / h[a]
 
         # face stress column a: compact normal difference, averaged tangential
         th_face = 0.5 * (th_p[left] + th_p[right])
@@ -211,29 +205,29 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
         tangential = _tangential_at_faces(gu_c[:, 1 - a], a + 1) if d == 2 else None
         s_col = transport.viscous_stress_column(transport_model, None, th_face, normal,
                                                 tangential, a)
-        dmom_c += (s_col[c_hi] - s_col[c_lo]) / h[a]
+        tend[2:] += (s_col[c_hi] - s_col[c_lo]) / h[a]
 
         # compact heat flux q_a = -kappa * dtheta/dx_a
         kap_face = transport_model.kappa(None, th_face)
         q_face = -kap_face * (th_p[right] - th_p[left]) / h[a]
-        drhoe -= (q_face[hi] - q_face[lo]) / h[a]
+        tend[1] -= (q_face[hi] - q_face[lo]) / h[a]
     # centered pressure gradient
     for a in range(d):
-        dmom_c[a] -= gridmod._centered(p_p, g, a)
-    dmom = dmom_c.transpose(tuple(range(1, d + 1)) + (0,))
+        tend[2 + a] -= gridmod._centered(p_p, g, a)
 
     # stress power and pressure work, cell-centered
     s_cell = transport.viscous_stress(transport_model, state.rho, state.theta, gu_cell,
                                       divu_cell)
-    drhoe += np.einsum("...ij,...ij->...", s_cell, gu_cell)
-    drhoe -= p_p[(slice(1, -1),) * d] * divu_cell
+    tend[1] += np.einsum("...ij,...ij->...", s_cell, gu_cell)
+    tend[1] -= p_p[(slice(1, -1),) * d] * divu_cell
 
     if cfg is not None and cfg.source is not None:
         pts = grid_points(g)
-        drho += cfg.source.f_mass(state.t, pts)
+        tend[0] += cfg.source.f_mass(state.t, pts)
+        tend[1] += cfg.source.f_energy(state.t, pts)
+        dmom = tend[2:].transpose(tuple(range(1, d + 1)) + (0,))
         dmom += cfg.source.f_mom(state.t, pts)
-        drhoe += cfg.source.f_energy(state.t, pts)
-    return drho, dmom, drhoe, rhoe_p[(slice(1, -1),) * d]
+    return tend, dens[(slice(None),) + (slice(1, -1),) * d]
 
 
 def stable_dt(state: FlowState, cfg: SolverConfig, model: thermo.ThermoModel,
@@ -269,13 +263,14 @@ def _require(name: str, x: np.ndarray, floor: Optional[float] = None) -> None:
             raise PositivityError(f"stage state has {what} at " + _at_first(bad, **{name: x}))
 
 
-def _decode(grid, rho, mom, rhoe, t, model, theta_guess, floor):
-    """The stage state of conserved densities (rho, rho u, rho e); raises
-    ``PositivityError`` naming the first cell with a non-finite rho or
+def _decode(grid, cons, t, model, theta_guess, floor):
+    """The stage state of the stacked conserved densities (rho, rho e, rho u_j);
+    raises ``PositivityError`` naming the first cell with a non-finite rho or
     rho <= floor, then a non-finite e or e <= 0, then theta <= floor."""
+    rho = cons[0].copy()  # a view would keep the whole stack alive with the state
     _require("rho", rho, floor)
-    u = mom / rho[..., None]
-    e = rhoe / rho
+    u = np.divide(cons[2:].transpose((*range(1, grid.dim + 1), 0)), rho[..., None], order="C")
+    e = cons[1] / rho
     _require("e", e)
     theta = thermo.invert_internal_energy(model, rho, e, theta0=theta_guess)
     _require("theta", theta, floor)
@@ -283,19 +278,12 @@ def _decode(grid, rho, mom, rhoe, t, model, theta_guess, floor):
 
 
 def _attempt(state, dt, cfg, model, transport_model, boundary):
-    g = state.grid
-    rho0 = state.rho
-    mom0 = state.rho[..., None] * state.u
-
-    k1 = rhs(state, model, transport_model, boundary, cfg)
-    rhoe0 = k1[3]
-    s1 = _decode(g, rho0 + dt * k1[0], mom0 + dt * k1[1], rhoe0 + dt * k1[2],
-                 state.t + dt, model, state.theta, cfg.floor)
-    k2 = rhs(s1, model, transport_model, boundary, cfg)
-    rho2 = 0.5 * (rho0 + s1.rho + dt * k2[0])
-    mom2 = 0.5 * (mom0 + s1.rho[..., None] * s1.u + dt * k2[1])
-    rhoe2 = 0.5 * (rhoe0 + k2[3] + dt * k2[2])
-    return _decode(g, rho2, mom2, rhoe2, state.t + dt, model, s1.theta, cfg.floor)
+    """Heun on the stacks ``rhs`` returns: U1 = U0 + dt K(U0), U2 = (U0 + U1 + dt K(U1)) / 2."""
+    k0, cons0 = rhs(state, model, transport_model, boundary, cfg)
+    s1 = _decode(state.grid, cons0 + dt * k0, state.t + dt, model, state.theta, cfg.floor)
+    k1, cons1 = rhs(s1, model, transport_model, boundary, cfg)
+    return _decode(state.grid, 0.5 * (cons0 + cons1 + dt * k1), state.t + dt, model, s1.theta,
+                   cfg.floor)
 
 
 def step(state: FlowState, cfg: SolverConfig, model: thermo.ThermoModel,
@@ -352,7 +340,11 @@ def levels(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
            initial: Optional[FlowState] = None) -> Iterator[FlowState]:
     """March from t = 0 to cfg.t_end, yielding the initial state and then
     every cfg.save_every-th accepted step and the last one; only the current
-    state is kept."""
+    state is kept.  A source built for other laws is a ``ValueError``."""
+    src = cfg.source
+    if src is not None and (src.model, src.transport_model) != (model, transport_model):
+        raise ValueError(f"the source's laws {src.model!r}, {src.transport_model!r} "
+                         f"are not the run's {model!r}, {transport_model!r}")
     if boundary is None:
         if cfg.source is None:
             raise ValueError("either boundary data or a source profile is required")

@@ -24,15 +24,15 @@ from nsflab import cli, solver
 from nsflab import grid as gridmod
 
 
-def _scaled_tendency(index):
-    """``solver.rhs`` with its tendency ``index`` (0 mass, 1 momentum,
-    2 energy) times 0.9."""
+def _scaled_tendency(rows):
+    """``solver.rhs`` with the ``rows`` of its tendency stack (0 mass,
+    1 energy, 2 and up momentum) times 0.9."""
     rhs = solver.rhs
 
     def mutant(*args, **kwargs):
-        out = list(rhs(*args, **kwargs))
-        out[index] = 0.9 * out[index]
-        return tuple(out)
+        tendency, conserved = rhs(*args, **kwargs)
+        tendency[rows] = 0.9 * tendency[rows]
+        return tendency, conserved
     return solver, "rhs", mutant
 
 
@@ -46,8 +46,9 @@ def _hot_wall():
     return gridmod, "sync_physical", mutant
 
 
-MUTANTS = {"mass": lambda: _scaled_tendency(0), "momentum": lambda: _scaled_tendency(1),
-           "energy": lambda: _scaled_tendency(2), "wall": _hot_wall}
+MUTANTS = {"mass": lambda: _scaled_tendency(0),
+           "momentum": lambda: _scaled_tendency(slice(2, None)),
+           "energy": lambda: _scaled_tendency(1), "wall": _hot_wall}
 # mutant -> the audit that should reject it
 OWNERS = {"mass": "mv-check's continuity clause", "momentum": "mv-check's momentum clause",
           "energy": "mv-check's entropy clause", "wall": "relenergy"}

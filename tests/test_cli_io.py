@@ -763,9 +763,11 @@ def _schema_rows():
     pytest.param(["relenergy", "--eps", "0"], None, "experiment.eps", id="relenergy-eps-0"),
     pytest.param(["wsu", "--theorem", "1", "--eps", "0"], None, "experiment.eps",
                  id="wsu-1-eps-0"),
-    # a claim's stability verdict compares the constants of two sizes
+    # a claim's stability verdict compares the constants of two distinct sizes
     pytest.param(["wsu", "--theorem", "1", "--eps", "0.01"], None, "experiment.eps",
                  id="wsu-1-one-eps"),
+    pytest.param(["wsu", "--theorem", "1", "--eps", "1e-2,1e-2"], None, "experiment.eps",
+                 id="wsu-1-repeated-eps"),
     # defect-study coarse-grains each grid onto a quarter of its cells
     pytest.param(["defect-study", "--grids", "8"], None, "experiment.grids",
                  id="defect-study-grids-8"),

@@ -119,6 +119,8 @@ def test_spec_validation():
         ex.ExperimentSpec(grids=(32, 32), **good)
     with pytest.raises(ValueError, match="perturbation sizes"):
         ex.ExperimentSpec(eps_list=(0.0,), **good)
+    with pytest.raises(ValueError, match="^eps: a repeated perturbation size"):
+        ex.ExperimentSpec(eps_list=(1e-2, 5e-3, 1e-2), **good)
     with pytest.raises(ValueError, match="t_end"):
         ex.ExperimentSpec(solver=solver.SolverConfig(t_end=-1.0), **good)
     with pytest.raises(ValueError, match="scale must be > 0"):

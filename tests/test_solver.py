@@ -62,8 +62,13 @@ def _rhs_case(name):
 
 
 def _rhs_of_case(name):
+    """The tendencies and the state's rho*e read off the two stacks of
+    ``rhs``, rows (rho, rho e, rho u_j), with the momentum tendency in the
+    (cells..., d) layout of ``golden/rhs.json``; and the conserved stack."""
     st, model, tm, bc, cfg = _rhs_case(name)
-    return dict(zip(("drho", "dmom", "drhoe", "rhoe"), solver.rhs(st, model, tm, bc, cfg)))
+    tend, cons = solver.rhs(st, model, tm, bc, cfg)
+    return {"drho": tend[0], "dmom": np.moveaxis(tend[2:], 0, -1), "drhoe": tend[1],
+            "rhoe": cons[1]}, cons
 
 
 with open(os.path.join(os.path.dirname(__file__), "golden", "rhs.json"), encoding="utf-8") as fh:
@@ -74,10 +79,15 @@ with open(os.path.join(os.path.dirname(__file__), "golden", "rhs.json"), encodin
 def test_rhs_matches_golden_bits(name):
     # golden/rhs.json holds the tendencies of _rhs_case written by json (repr
     # round-trip floats): a refactor of rhs must keep every bit; the state's
-    # rho*e, returned fourth, is the one the equation of state gives
-    got = _rhs_of_case(name)
+    # conserved densities are its rho, the rho*e the equation of state gives
+    # and rho * u_j, the products the stepper advances
+    got, cons = _rhs_of_case(name)
     st, model = _rhs_case(name)[:2]
+    assert cons.shape == (2 + st.grid.dim,) + st.grid.cells
+    assert cons[0].tobytes() == st.rho.tobytes()
     assert got["rhoe"].tobytes() == (st.rho * model.e(st.rho, st.theta)).tobytes()
+    for j in range(st.grid.dim):
+        assert cons[2 + j].tobytes() == (st.rho * st.u[..., j]).tobytes(), j
     for key, want in RHS_PINNED[name].items():
         want = np.asarray(want, dtype=float)
         assert got[key].shape == want.shape, key
@@ -112,7 +122,7 @@ def test_constant_state_rhs_is_zero():
     gr = g.Grid(cells=(16,))
     st = solver.FlowState(grid=gr, rho=np.full(16, 2.0), u=np.zeros((16, 1)),
                           theta=np.full(16, 1.5), t=0.0)
-    dr, dm, de, _ = solver.rhs(st, PG, AFF, g.constant_boundary(1.5))
+    (dr, de, *dm), _ = solver.rhs(st, PG, AFF, g.constant_boundary(1.5))
     assert np.max(np.abs(dr)) == 0.0
     assert np.max(np.abs(dm)) == 0.0
     assert np.max(np.abs(de)) == 0.0
@@ -140,7 +150,7 @@ def test_conduction_rhs_nets_to_zero_with_forcing():
     r0, u0, th0 = sol.on_grid(gr, 0.0)
     st = solver.FlowState(grid=gr, rho=r0, u=u0, theta=th0, t=0.0)
     cfg = solver.SolverConfig(t_end=0.1, source=sol)
-    dr, dm, de, _ = solver.rhs(st, PG, const_kappa, sol.boundary, cfg)
+    (dr, de, *dm), _ = solver.rhs(st, PG, const_kappa, sol.boundary, cfg)
     assert np.max(np.abs(dr)) < 1e-13
     assert np.max(np.abs(dm)) < 1e-13
     assert np.max(np.abs(de)) < 1e-13
@@ -237,7 +247,8 @@ def test_decode_rejects_one_nonpositive_cell(model, cells, bad_rho, frac, seed):
         what, value = "e <= 0", f"e = {float(rhoe[cell] / rho[cell])!r}"
     theta_guess = np.ones(gr.interior_shape())
     with pytest.raises(solver.PositivityError) as info:
-        solver._decode(gr, rho, mom, rhoe, 0.0, model, theta_guess, floor)
+        solver._decode(gr, np.stack([rho, rhoe, *np.moveaxis(mom, -1, 0)]), 0.0, model,
+                       theta_guess, floor)
     assert str(info.value) == f"stage state has {what} at cell {cell}: {value}"
 
 
@@ -316,7 +327,7 @@ def test_decode_rejects_a_non_finite_stage_cell(model, what, bad):
     (rho if what == "rho" else rhoe)[3, 1] = bad
     value = bad if what == "rho" else bad / 1.2
     with pytest.raises(solver.PositivityError) as info:
-        solver._decode(gr, rho, np.zeros(gr.cells + (2,)), rhoe, 0.0, model,
+        solver._decode(gr, np.stack([rho, rhoe, *np.zeros((2,) + gr.cells)]), 0.0, model,
                        np.ones(gr.cells), 1e-10)
     assert str(info.value) == (f"stage state has non-finite {what} at cell (3, 1): "
                                f"{what} = {value!r}")
@@ -335,7 +346,7 @@ def test_step_retries_a_stage_that_turns_non_finite(monkeypatch):
         out = rhs(state, *args)
         calls.append(state.t)
         if len(calls) == 2:
-            out[0][4] = np.nan
+            out[0][0, 4] = np.nan
         return out
 
     monkeypatch.setattr(solver, "rhs", spoiled)
@@ -367,6 +378,22 @@ def test_simulate_requires_boundary_or_source():
     cfg = solver.SolverConfig(t_end=0.01)
     with pytest.raises(ValueError, match="boundary"):
         solver.simulate(gr, cfg, PG, AFF, initial=st)
+
+
+@pytest.mark.parametrize("model, tm", [(thermo.PerfectGas(c_v=1.4), PK),
+                                       (thermo.PerfectGas(c_v=1.4), AFF), (PG, PK)],
+                         ids=["both", "model", "transport"])
+def test_simulate_refuses_a_source_built_for_other_laws(model, tm):
+    # the forcings of a source are built for its own laws, so other laws are
+    # refused; equal laws held by other instances march it
+    cfg = solver.SolverConfig(t_end=0.01, source=mfg.manufactured("shear", PG, AFF))
+    with pytest.raises(ValueError) as info:
+        solver.simulate(g.Grid(cells=(16,)), cfg, model, tm)
+    assert str(info.value) == (f"the source's laws {PG!r}, {AFF!r} "
+                               f"are not the run's {model!r}, {tm!r}")
+    traj = solver.simulate(g.Grid(cells=(16,)), cfg, thermo.PerfectGas(c_v=1.5),
+                           transport.AffineTheta())
+    assert traj.times[-1] == pytest.approx(0.01)
 
 
 def _decay_run(save_every=1, max_steps=200_000):
