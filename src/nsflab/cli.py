@@ -80,7 +80,10 @@ def _echo(args, cfg: configmod.RunConfig, command: str) -> str:
     """Write ``cfg`` to ``<out>/<command>/config-effective.ini``; return
     that directory."""
     out = os.path.join(args.out or os.environ.get(OUTPUT_ENV) or "nsflab-out", command)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as err:  # the root is a file, or not writable
+        raise configmod.ConfigError(f"output directory {out}: {err.strerror}") from None
     configmod.save_config(cfg, os.path.join(out, "config-effective.ini"))
     return out
 

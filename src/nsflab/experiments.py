@@ -740,7 +740,7 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
         dirac_order=order, eps=tuple(spec.eps_list), e0=tuple(e0),
         gronwall_c=tuple(cs), growth_factor=tuple(growth), c_spread=c_spread,
         c_grid_spread=c_grid_spread, hypothesis_checks=checks, bounds=tuple(bounds),
-        ok=Bound.judge(bounds, gate.accepted)[0])
+        ok=Bound.judge(bounds)[0])
 
 
 # --------------------------------------------------------------------------
@@ -919,7 +919,7 @@ def run_apriori(spec: ExperimentSpec) -> AprioriReport:
         max_principle_margin=min(max_margin), harmonic_range=(min(hat_lo), max(hat_hi)),
         entropy_bound_margin=min(entropy_margin), entropy_flux_c=max(flux_c),
         theta_sq_c=max(theta_sq_c), q_exponent=_ENTROPY_Q,
-        beta=spec.transport_model.beta, bounds=bounds, ok=Bound.judge(bounds, gate.accepted)[0])
+        beta=spec.transport_model.beta, bounds=bounds, ok=Bound.judge(bounds)[0])
 
 
 # --------------------------------------------------------------------------
@@ -1051,4 +1051,4 @@ def run_defect_study(spec: ExperimentSpec) -> DefectStudyReport:
         theta_spread=float(report.theta_spread),
         xi_osc=float(bundle.xi[0]), compat_ok=bounds[4].holds,
         compat_margin=float(compat.worst_margin),
-        entropy_defect_rel=entropy_rel, bounds=bounds, ok=Bound.judge(bounds, gate.accepted)[0])
+        entropy_defect_rel=entropy_rel, bounds=bounds, ok=Bound.judge(bounds)[0])

@@ -19,8 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Bound", "write_series", "read_series", "write_verdicts", "read_verdicts",
-           "write_snapshot", "read_snapshot"]
+__all__ = ["Bound", "write_series", "write_verdicts", "write_snapshot"]
 
 
 # --------------------------------------------------------------------------
@@ -43,23 +42,6 @@ def write_series(path, columns: Mapping[str, np.ndarray]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         np.savetxt(fh, np.column_stack(arrays), fmt="%.17g", delimiter=",",
                    header=",".join(names), comments="")
-
-
-def read_series(path) -> dict[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty series file")
-    names = lines[0].strip().split(",")
-    try:
-        # np.loadtxt warns on an empty body, so a header-only series skips it
-        data = (np.loadtxt(lines[1:], delimiter=",", ndmin=2) if lines[1:]
-                else np.empty((0, len(names))))
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-    if data.shape[1] != len(names):
-        raise ValueError(f"{path}: rows have {data.shape[1]} fields; header has {len(names)}")
-    return {name: data[:, j].copy() for j, name in enumerate(names)}
 
 
 # --------------------------------------------------------------------------
@@ -96,12 +78,12 @@ class Bound:
         return f"{self.name} = {self.value:.4g} {rel} {self.bound:.4g}"
 
     @staticmethod
-    def judge(bounds: Sequence[Bound], accepted: bool = True) -> tuple[bool, Optional[Bound]]:
-        """``ok`` (the gate ``accepted`` and every record holding) and the first failing record."""
+    def judge(bounds: Sequence[Bound]) -> tuple[bool, Optional[Bound]]:
+        """``ok`` (every record holding) and the first failing record."""
         for bound in bounds:
             if not bound.holds:
                 return False, bound
-        return accepted, None
+        return True, None
 
 
 def _strict(obj):
@@ -126,11 +108,6 @@ def write_verdicts(path, verdicts: Mapping) -> None:
         fh.write(text + "\n")
 
 
-def read_verdicts(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # --------------------------------------------------------------------------
 # field snapshots
 # --------------------------------------------------------------------------
@@ -152,18 +129,3 @@ def write_snapshot(path, fields: Mapping[str, np.ndarray]) -> None:
     with open(path, "wb") as fh:
         np.save(fh, record, allow_pickle=False)
 
-
-def read_snapshot(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        try:
-            record = np.lib.format.read_array(fh, allow_pickle=False)
-        except ValueError as err:
-            # a read that failed at the end of the file ran out of bytes
-            what = "unreadable" if fh.read(1) else "truncated"
-            raise ValueError(f"{path}: {what} snapshot file ({err})") from None
-        trailing = len(fh.read())
-    if trailing:
-        raise ValueError(f"{path}: {trailing} trailing bytes after the record")
-    if record.shape != () or record.dtype.names is None:
-        raise ValueError(f"{path}: not one record of named fields")
-    return {name: record[name].copy() for name in record.dtype.names}

@@ -27,8 +27,9 @@ theta by its two extremes and looks for the offending cell only when that
 fails: a non-finite value, then one at or below its floor, is a
 ``PositivityError`` naming the cell, so ``step`` retries it at dt/2.
 
-``levels`` is the one marching loop: a generator that yields the initial
-state and then each saved level, and keeps only the current state. The
+``levels`` is the one marching loop and the one place that picks dt: a
+generator that yields the initial state and then each saved level, and
+keeps only the current state, until it is within ``_ARRIVAL`` of t_end. The
 claim studies and the a priori budget read each level as it arrives and
 drop it, so their storage does not grow with the number of steps.
 ``simulate`` stacks what ``levels`` yields into a ``Trajectory`` for the
@@ -56,6 +57,9 @@ __all__ = [
 
 class PositivityError(RuntimeError):
     pass
+
+
+_ARRIVAL = 1e-12  # a march within this of t_end has arrived
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,8 @@ class SolverConfig:
             raise ValueError("cfl: must lie in (0, 1]")
         if not (self.floor > 0.0):
             raise ValueError("floor: the positivity floor must be > 0")
-        if not (self.t_end > 0.0):
-            raise ValueError("t_end: must be > 0")
+        if not (self.t_end > _ARRIVAL):
+            raise ValueError(f"t_end: must be > {_ARRIVAL!r}, the march's arrival tolerance")
         if self.save_every < 1:
             raise ValueError("save_every: must be >= 1")
         if self.max_steps < 1:
@@ -277,9 +281,10 @@ def _decode(grid, cons, t, model, theta_guess, floor):
     return FlowState(grid=grid, rho=rho, u=u, theta=theta, t=t)
 
 
-def _attempt(state, dt, cfg, model, transport_model, boundary):
-    """Heun on the stacks ``rhs`` returns: U1 = U0 + dt K(U0), U2 = (U0 + U1 + dt K(U1)) / 2."""
-    k0, cons0 = rhs(state, model, transport_model, boundary, cfg)
+def _attempt(state, first, dt, cfg, model, transport_model, boundary):
+    """Heun on the stacks ``rhs`` returns, from ``first`` = rhs(state) = (K(U0), U0):
+    U1 = U0 + dt K(U0), U2 = (U0 + U1 + dt K(U1)) / 2."""
+    k0, cons0 = first
     s1 = _decode(state.grid, cons0 + dt * k0, state.t + dt, model, state.theta, cfg.floor)
     k1, cons1 = rhs(s1, model, transport_model, boundary, cfg)
     return _decode(state.grid, 0.5 * (cons0 + cons1 + dt * k1), state.t + dt, model, s1.theta,
@@ -288,18 +293,19 @@ def _attempt(state, dt, cfg, model, transport_model, boundary):
 
 def step(state: FlowState, cfg: SolverConfig, model: thermo.ThermoModel,
          transport_model: transport.TransportModel,
-         boundary: gridmod.BoundaryData, dt: Optional[float] = None) -> FlowState:
-    """One SSP-RK2 step; a positivity-failing step is retried once at dt/2."""
-    if dt is None:
-        dt = stable_dt(state, cfg, model, transport_model)
+         boundary: gridmod.BoundaryData, dt: float) -> FlowState:
+    """One SSP-RK2 step of ``dt``; a positivity-failing stage is retried once at dt/2.
+    Both attempts start from one ``rhs(state)``, as K(U0) does not depend on dt,
+    so a state whose own flux assembly fails raises that error unretried."""
     if dt < 1e-14 * max(1.0, abs(state.t)):
         raise PositivityError(f"time step underflow (dt = {dt:.3e})")
+    first = rhs(state, model, transport_model, boundary, cfg)
     try:
-        return _attempt(state, dt, cfg, model, transport_model, boundary)
+        return _attempt(state, first, dt, cfg, model, transport_model, boundary)
     except PositivityError:
         pass
     try:
-        return _attempt(state, 0.5 * dt, cfg, model, transport_model, boundary)
+        return _attempt(state, first, 0.5 * dt, cfg, model, transport_model, boundary)
     except PositivityError as err:
         raise PositivityError(f"positivity failure after halving dt once: {err}") from err
 
@@ -340,7 +346,9 @@ def levels(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
            initial: Optional[FlowState] = None) -> Iterator[FlowState]:
     """March from t = 0 to cfg.t_end, yielding the initial state and then
     every cfg.save_every-th accepted step and the last one; only the current
-    state is kept.  A source built for other laws is a ``ValueError``."""
+    state is kept.  Each dt is ``stable_dt``, cut to land on t_end; a march
+    needing more than cfg.max_steps steps raises before taking the next one.
+    A source built for other laws is a ``ValueError``."""
     src = cfg.source
     if src is not None and (src.model, src.transport_model) != (model, transport_model):
         raise ValueError(f"the source's laws {src.model!r}, {src.transport_model!r} "
@@ -358,13 +366,13 @@ def levels(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
     state, initial = initial, None  # hold the current level only
     yield state
     n = 0
-    while state.t < cfg.t_end - 1e-12:
-        dt = min(stable_dt(state, cfg, model, transport_model), cfg.t_end - state.t)
-        state = step(state, cfg, model, transport_model, boundary, dt=dt)
-        n += 1
-        if n > cfg.max_steps:
+    while state.t < cfg.t_end - _ARRIVAL:
+        if n == cfg.max_steps:
             raise RuntimeError(f"exceeded max_steps = {cfg.max_steps}")
-        if n % cfg.save_every == 0 or state.t >= cfg.t_end - 1e-12:
+        dt = min(stable_dt(state, cfg, model, transport_model), cfg.t_end - state.t)
+        state = step(state, cfg, model, transport_model, boundary, dt)
+        n += 1
+        if n % cfg.save_every == 0 or state.t >= cfg.t_end - _ARRIVAL:
             yield state
 
 

@@ -36,7 +36,7 @@ import os
 import numpy as np
 import pytest
 
-from nsflab import cli, reports
+from nsflab import cli
 
 with open(os.path.join(os.path.dirname(__file__), "golden", "defaults.json"),
           encoding="utf-8") as fh:
@@ -66,12 +66,25 @@ def runs(tmp_path_factory):
     return out
 
 
+def _columns(path) -> dict:
+    """A CSV series as plain numpy reads it: header names -> float columns."""
+    with open(path, encoding="utf-8") as fh:
+        names = fh.readline().rstrip("\n").split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert data.shape[1] == len(names), path
+    return dict(zip(names, data.T))
+
+
+def _json(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _read(root, command: str, source: str) -> dict:
     path = os.path.join(root, command, source)
     if source == "series.csv":
-        return {name: float(col[-1]) for name, col in reports.read_series(path).items()}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return {name: float(col[-1]) for name, col in _columns(path).items()}
+    return _json(path)
 
 
 @pytest.mark.parametrize("argv,source,key", CASES,
@@ -97,20 +110,18 @@ def _outputs(runs, argv: str, suffix: str) -> list:
 
 @pytest.mark.parametrize("argv", list(PINNED))
 def test_default_series_and_snapshot_open_with_plain_numpy(runs, argv):
+    # np.loadtxt under the header and np.genfromtxt by name read the same bits
     for path in _outputs(runs, argv, ".csv"):
-        with open(path, encoding="utf-8") as fh:
-            names = fh.readline().rstrip("\n").split(",")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        series = reports.read_series(path)
-        assert list(series) == names and data.shape[1] == len(names), path
-        for j, col in enumerate(series.values()):
-            assert data[:, j].tobytes() == col.tobytes(), f"{path} {names[j]}"
+        named = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+        columns = _columns(path)
+        assert named.dtype.names == tuple(columns), path
+        for name, col in columns.items():
+            assert named[name].tobytes() == col.tobytes(), f"{path} {name}"
     for path in _outputs(runs, argv, ".npy"):
-        record, state = np.load(path), reports.read_snapshot(path)
-        assert record.shape == () and record.dtype.names == tuple(state), path
-        for name, arr in state.items():
-            assert (record[name].dtype, record[name].shape) == (arr.dtype, arr.shape), name
-            assert record[name].tobytes() == arr.tobytes(), name
+        record = np.load(path)
+        assert record.shape == () and record.dtype.names, path
+        for name in record.dtype.names:
+            assert record[name].shape == record.dtype[name].shape, name
 
 
 def _not_json(token: str):
@@ -125,7 +136,7 @@ def test_default_verdict_is_strict_json(runs, argv):
 
 
 def _clauses(root) -> dict:
-    verdict = reports.read_verdicts(os.path.join(root, "mv-check", "verdict.json"))
+    verdict = _json(os.path.join(root, "mv-check", "verdict.json"))
     return {name: entry["residuals"] for name, entry in verdict["clauses"].items()}
 
 
@@ -212,7 +223,7 @@ def _mirrored(verdict: dict, name: str):
 @pytest.mark.parametrize("argv", list(PINNED))
 def test_default_verdict_decides_from_its_bounds(runs, argv):
     (path,) = _outputs(runs, argv, "verdict.json")
-    verdict = reports.read_verdicts(path)
+    verdict = _json(path)
     bounds = verdict["bounds"]
     names = [b["name"] for b in bounds]
     assert len(set(names)) == len(names), names
@@ -227,7 +238,7 @@ def test_default_verdict_decides_from_its_bounds(runs, argv):
 @pytest.mark.parametrize("argv", list(PINNED))
 def test_default_bounds_match_the_pinned_table(runs, argv):
     (path,) = _outputs(runs, argv, "verdict.json")
-    verdict = reports.read_verdicts(path)
+    verdict = _json(path)
     got = [(b["name"], b["relation"], b["bound"]) for b in verdict["bounds"]]
     want = [(name, relation, bound(verdict) if callable(bound) else bound)
             for name, relation, bound in BOUNDS_PINNED[argv]]

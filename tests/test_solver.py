@@ -34,6 +34,9 @@ def test_config_validation():
         solver.SolverConfig(floor=0.0)
     with pytest.raises(ValueError, match="t_end"):
         solver.SolverConfig(t_end=-1.0)
+    for t_end in (1e-12, 1e-13):  # within the arrival tolerance a march takes no step
+        with pytest.raises(ValueError, match=r"^t_end: "):
+            solver.SolverConfig(t_end=t_end)
     with pytest.raises(ValueError, match="save_every"):
         solver.SolverConfig(save_every=0)
 
@@ -108,8 +111,9 @@ def test_step_matches_golden_bits(name):
     st, model, tm, bc, cfg = _rhs_case(name)
     cfg = cfg or solver.SolverConfig()
     pin = STEP_PINNED[name]
-    assert solver.stable_dt(st, cfg, model, tm) == pin["dt"]
-    new = solver.step(st, cfg, model, tm, bc)
+    dt = solver.stable_dt(st, cfg, model, tm)
+    assert dt == pin["dt"]
+    new = solver.step(st, cfg, model, tm, bc, dt)
     assert new.t == pin["t"]
     for key in ("rho", "u", "theta"):
         want = np.asarray(pin[key], dtype=float)
@@ -135,7 +139,8 @@ def test_equilibrium_is_fixed_point_for_100_steps():
     r0, u0, th0 = sol.on_grid(gr, 0.0)
     state = solver.FlowState(grid=gr, rho=r0, u=u0, theta=th0, t=0.0)
     for _ in range(100):
-        state = solver.step(state, cfg, PG, AFF, sol.boundary)
+        state = solver.step(state, cfg, PG, AFF, sol.boundary,
+                            solver.stable_dt(state, cfg, PG, AFF))
     assert np.max(np.abs(state.rho - 1.0)) < 1e-12
     assert np.max(np.abs(state.theta - 1.0)) < 1e-12
     assert np.max(np.abs(state.u)) < 1e-12
@@ -268,10 +273,10 @@ def test_step_halves_dt_once_after_a_positivity_breach():
     dt = 0.02
     assert dt > 100.0 * solver.stable_dt(st, cfg, PG, AFF)
     with pytest.raises(solver.PositivityError, match=r"stage state has .* at cell \("):
-        solver._attempt(st, dt, cfg, PG, AFF, bc)
+        _attempt(st, dt, cfg, PG, AFF, bc)
     out = solver.step(st, cfg, PG, AFF, bc, dt=dt)
     assert out.t == 0.5 * dt
-    half = solver._attempt(st, 0.5 * dt, cfg, PG, AFF, bc)
+    half = _attempt(st, 0.5 * dt, cfg, PG, AFF, bc)
     assert np.array_equal(out.rho, half.rho) and np.array_equal(out.theta, half.theta)
     with pytest.raises(solver.PositivityError) as info:
         solver.step(st, cfg, PG, AFF, bc, dt=0.06)
@@ -280,9 +285,14 @@ def test_step_halves_dt_once_after_a_positivity_breach():
     assert str(info.value) == "positivity failure after halving dt once: " + half_error
 
 
+def _attempt(st, dt, cfg, model, tm, bc):
+    # the attempt of step from the state's own tendency
+    return solver._attempt(st, solver.rhs(st, model, tm, bc, cfg), dt, cfg, model, tm, bc)
+
+
 def _attempt_or_error(*args):
     try:
-        return solver._attempt(*args), None
+        return _attempt(*args), None
     except solver.PositivityError as err:
         return None, str(err)
 
@@ -338,7 +348,7 @@ def test_step_retries_a_stage_that_turns_non_finite(monkeypatch):
     cfg = solver.SolverConfig(t_end=1.0)
     bc = g.constant_boundary(1.0)
     dt = solver.stable_dt(st, cfg, PG, AFF)
-    half = solver._attempt(st, 0.5 * dt, cfg, PG, AFF, bc)
+    half = _attempt(st, 0.5 * dt, cfg, PG, AFF, bc)
     rhs, calls = solver.rhs, []
 
     def spoiled(state, *args):
@@ -351,9 +361,33 @@ def test_step_retries_a_stage_that_turns_non_finite(monkeypatch):
 
     monkeypatch.setattr(solver, "rhs", spoiled)
     out = solver.step(st, cfg, PG, AFF, bc, dt=dt)
-    assert len(calls) == 4 and out.t == half.t == 0.5 * dt
+    # one rhs of the state serves both attempts, as K(U0) does not depend on dt
+    assert len(calls) == 3 and out.t == half.t == 0.5 * dt
     for key in ("rho", "u", "theta"):
         assert getattr(out, key).tobytes() == getattr(half, key).tobytes(), key
+
+
+def test_step_raises_a_breach_of_its_own_state_after_one_rhs(monkeypatch):
+    # a wall at 0.4 under theta = 1 extrapolates a negative ghost theta;
+    # halving dt cannot mend the state's own flux assembly, so step raises
+    # rhs's error as it is, without a retry
+    gr = g.Grid(cells=(16,))
+    st = solver.FlowState(grid=gr, rho=np.ones(16), u=np.zeros((16, 1)), theta=np.ones(16),
+                          t=0.0)
+    cfg, bc = solver.SolverConfig(t_end=1.0), g.constant_boundary(0.4)
+    rhs, calls = solver.rhs, []
+    with pytest.raises(solver.PositivityError) as own:
+        rhs(st, PG, AFF, bc, cfg)
+    assert str(own.value).startswith("positivity breach in flux assembly: ")
+
+    def counted(state, *args):
+        calls.append(state.t)
+        return rhs(state, *args)
+
+    monkeypatch.setattr(solver, "rhs", counted)
+    with pytest.raises(solver.PositivityError) as info:
+        solver.step(st, cfg, PG, AFF, bc, 1e-3)
+    assert str(info.value) == str(own.value) and len(calls) == 1
 
 
 def test_rhs_refuses_a_non_finite_state():
@@ -443,6 +477,20 @@ def test_levels_and_simulate_stop_at_max_steps():
     full = solver.simulate(*_decay_run()[0], **kwargs)
     _assert_stack_of(replace(full, times=full.times[:4], rho=full.rho[:4], u=full.u[:4],
                              theta=full.theta[:4]), states)
+
+
+def test_levels_takes_no_step_past_max_steps(monkeypatch):
+    step, steps = solver.step, []
+
+    def counted(*args, **kwargs):
+        steps.append(args[0].t)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counted)
+    args, kwargs = _decay_run(max_steps=3)
+    with pytest.raises(RuntimeError, match=r"^exceeded max_steps = 3$"):
+        list(solver.levels(*args, **kwargs))
+    assert len(steps) == 3
 
 
 def test_save_every_levels():
