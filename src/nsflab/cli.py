@@ -244,13 +244,17 @@ def _relenergy(cfg):
     if not eps > 0.0:
         raise configmod.ConfigError(f"experiment.eps: the perturbation size must be > 0, "
                                     f"got {eps!r}")
+    init = experiments.perturbed_state(sol, grid, eps)
+    if not init.is_positive():
+        raise configmod.ConfigError(
+            f"experiment.eps: the perturbation size {eps!r} leaves the initial state "
+            "nonpositive at " + solver._first_nonpositive(init.rho, init.theta))
     scfg = configmod.build_solver_config(cfg, sol)
     tol = _tol(cfg, grid)
 
     def run():
         traj = solver.simulate(grid, scfg, sol.model, sol.transport_model,
-                               boundary=sol.boundary,
-                               initial=experiments.perturbed_state(sol, grid, eps))
+                               boundary=sol.boundary, initial=init)
         V = young.dirac_from_trajectory(traj)
         rep = relenergy.rel_energy_inequality_report(V, None, sol)
 

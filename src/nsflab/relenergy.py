@@ -268,20 +268,18 @@ def coercivity_check(model: thermo.ThermoModel, params: CutoffParams,
 
 
 def _strong_state(sol: StrongSolution, grid: gridmod.Grid, t: float,
-                  model: thermo.ThermoModel,
-                  transport_model: Optional[transport.TransportModel] = None) -> dict:
-    """Comparison state with its ``_comparison_eos`` from the profile's one
-    evaluation at (t, cell centers): all the relative energy reads.  With
-    ``transport_model`` also the six partials, gradients, stress parts and
-    transport coefficients the inequality chain reads."""
+                  full: bool = False) -> dict:
+    """Comparison state with its ``_comparison_eos`` under ``sol``'s own laws,
+    from the profile's one evaluation at (t, cell centers): all the relative
+    energy reads.  With ``full`` also the six partials, gradients, stress
+    parts and transport coefficients the inequality chain reads."""
 
     pts = grid_points(grid)
     rho, u, theta = sol.state(t, pts)
     if np.fmin.reduce(rho, axis=None) <= 0.0 or np.fmin.reduce(theta, axis=None) <= 0.0:
         raise ValueError("comparison state must have positive density and temperature")
-    sf = {"rho": rho, "theta": theta, "u": u,
-          **_comparison_eos(model, rho, theta, transport_model is not None)}
-    if transport_model is None:
+    sf = {"rho": rho, "theta": theta, "u": u, **_comparison_eos(sol.model, rho, theta, full)}
+    if not full:
         return sf
     g_u = sol.grad_u(t, pts)
     grad_theta = sol.grad_theta(t, pts)
@@ -301,9 +299,9 @@ def _strong_state(sol: StrongSolution, grid: gridmod.Grid, t: float,
         "div_u": np.einsum("...ii->...", g_u),
         "grad_theta": grad_theta, "grad_p": grad_p, "div_s": div_s,
         "dth_dt": sol.dtheta_dt(t, pts),
-        "mu": transport_model.mu(rho, theta),
-        "lam": transport_model.lam(rho, theta),
-        "kappa": transport_model.kappa(rho, theta),
+        "mu": sol.transport_model.mu(rho, theta),
+        "lam": sol.transport_model.lam(rho, theta),
+        "kappa": sol.transport_model.kappa(rho, theta),
     }
 
 
@@ -372,7 +370,7 @@ def remainder_R2(V: AtomicYoungMeasure, sol: StrongSolution,
     idx = int(np.argmin(np.abs(V.times - t)))
     if abs(V.times[idx] - t) > 1e-9 * (1.0 + abs(t)):
         raise ValueError(f"time {t} is not a stored level of the measure")
-    sf = _strong_state(sol, V.grid, float(V.times[idx]), model, transport_model)
+    sf = _strong_state(sol, V.grid, float(V.times[idx]), full=True)
     rho, theta = V.rho[idx], V.theta[idx]
     eos = _atom_eos(model, rho, theta, ("s", "p"))
     total = sum(_r2_groups(V.weights[idx], rho, theta, V.u[idx], sf, eos).values())
@@ -515,7 +513,7 @@ def rel_energy_series(states: Iterable[FlowState], sol: StrongSolution) -> RelEn
             if not np.logical_and.reduce(np.isfinite(x), axis=None):
                 raise ValueError(f"{name} must be finite")
         t, rho, theta = float(state.t), state.rho[..., None], state.theta[..., None]
-        sf = _strong_state(sol, state.grid, t, model)
+        sf = _strong_state(sol, state.grid, t)
         eos = _atom_eos(model, rho, theta, ("rho_e", "rho_s"))
         times.append(t)
         rows.append(_energy(state.grid, _UNIT[(None,) * state.grid.dim], rho, theta,
@@ -551,7 +549,7 @@ def rel_energy_inequality_report(V: AtomicYoungMeasure,
         # arrays are dropped on return, so one level's are alive at a time
         w, rho, theta, u = V.weights[lev], V.rho[lev], V.theta[lev], V.u[lev]
         d_u, d_theta = V.d_u[lev], V.d_theta[lev]
-        sf = _strong_state(sol, grid, float(times[lev]), model, transport_model)
+        sf = _strong_state(sol, grid, float(times[lev]), full=True)
         eos = _atom_eos(model, rho, theta, ("p", "s", "rho_e", "rho_s"))
         row, chi = _energy(grid, w, rho, theta, u, sf, eos)
         theta_t = sf["theta"][..., None]

@@ -28,13 +28,14 @@ fails: a non-finite value, then one at or below its floor, is a
 ``PositivityError`` naming the cell, so ``step`` retries it at dt/2.
 
 ``levels`` is the one marching loop and the one place that picks dt: a
-generator that yields the initial state and then each saved level, and
-keeps only the current state, until it is within ``_ARRIVAL`` of t_end. The
-claim studies and the a priori budget read each level as it arrives and
-drop it, so their storage does not grow with the number of steps.
-``simulate`` stacks what ``levels`` yields into a ``Trajectory`` for the
-readers that need a whole run at once (the weak-form clauses, the defect
-bundles, the CSV series).
+generator that yields the initial state and then each saved level under
+the wall ``boundary`` and the forcing ``cfg.source`` (``rhs`` takes it as
+``source``, ``None`` for none), keeping only the current state. The claim
+studies and the a priori budget read each level as it arrives and drop it,
+so their storage does not grow with the number of steps. ``simulate``
+stacks the levels one field at a time into a ``Trajectory`` for the
+readers that need a whole run (the weak-form clauses, the defect bundles,
+the CSV series), so it never holds the run twice.
 """
 
 from __future__ import annotations
@@ -156,10 +157,11 @@ def _first_nonpositive(rho: np.ndarray, theta: np.ndarray) -> str:
 
 def rhs(state: FlowState, model: thermo.ThermoModel,
         transport_model: transport.TransportModel,
-        boundary: gridmod.BoundaryData, cfg: Optional[SolverConfig] = None):
+        boundary: gridmod.BoundaryData, source: Optional[StrongSolution]):
     """``(tendency, conserved)`` on interior cells: two ``(2 + d, *cells)``
-    arrays with the rows (rho, rho e, rho u_j), the conservative tendency and
-    the state's own conserved densities, which the stepper advances.
+    arrays with the rows (rho, rho e, rho u_j), the conservative tendency,
+    with the forcings of ``source`` added (``None`` adds none), and the
+    state's own conserved densities, which the stepper advances.
 
     One pass per axis over its faces differences the upwind fluxes of the
     stack, the normal column of the face stress and the heat flux once each.
@@ -225,12 +227,12 @@ def rhs(state: FlowState, model: thermo.ThermoModel,
     tend[1] += np.einsum("...ij,...ij->...", s_cell, gu_cell)
     tend[1] -= p_p[(slice(1, -1),) * d] * divu_cell
 
-    if cfg is not None and cfg.source is not None:
+    if source is not None:
         pts = grid_points(g)
-        tend[0] += cfg.source.f_mass(state.t, pts)
-        tend[1] += cfg.source.f_energy(state.t, pts)
+        tend[0] += source.f_mass(state.t, pts)
+        tend[1] += source.f_energy(state.t, pts)
         dmom = tend[2:].transpose(tuple(range(1, d + 1)) + (0,))
-        dmom += cfg.source.f_mom(state.t, pts)
+        dmom += source.f_mom(state.t, pts)
     return tend, dens[(slice(None),) + (slice(1, -1),) * d]
 
 
@@ -286,7 +288,7 @@ def _attempt(state, first, dt, cfg, model, transport_model, boundary):
     U1 = U0 + dt K(U0), U2 = (U0 + U1 + dt K(U1)) / 2."""
     k0, cons0 = first
     s1 = _decode(state.grid, cons0 + dt * k0, state.t + dt, model, state.theta, cfg.floor)
-    k1, cons1 = rhs(s1, model, transport_model, boundary, cfg)
+    k1, cons1 = rhs(s1, model, transport_model, boundary, cfg.source)
     return _decode(state.grid, 0.5 * (cons0 + cons1 + dt * k1), state.t + dt, model, s1.theta,
                    cfg.floor)
 
@@ -299,7 +301,7 @@ def step(state: FlowState, cfg: SolverConfig, model: thermo.ThermoModel,
     so a state whose own flux assembly fails raises that error unretried."""
     if dt < 1e-14 * max(1.0, abs(state.t)):
         raise PositivityError(f"time step underflow (dt = {dt:.3e})")
-    first = rhs(state, model, transport_model, boundary, cfg)
+    first = rhs(state, model, transport_model, boundary, cfg.source)
     try:
         return _attempt(state, first, dt, cfg, model, transport_model, boundary)
     except PositivityError:
@@ -341,26 +343,22 @@ class Trajectory:
 
 
 def levels(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
-           transport_model: transport.TransportModel,
-           boundary: Optional[gridmod.BoundaryData] = None,
+           transport_model: transport.TransportModel, boundary: gridmod.BoundaryData,
            initial: Optional[FlowState] = None) -> Iterator[FlowState]:
-    """March from t = 0 to cfg.t_end, yielding the initial state and then
-    every cfg.save_every-th accepted step and the last one; only the current
-    state is kept.  Each dt is ``stable_dt``, cut to land on t_end; a march
-    needing more than cfg.max_steps steps raises before taking the next one.
-    A source built for other laws is a ``ValueError``."""
+    """March from t = 0 to cfg.t_end under the wall ``boundary``, yielding
+    ``initial`` (else cfg.source at t = 0), every cfg.save_every-th accepted
+    step and the last; only the current state is kept.  Each dt is
+    ``stable_dt``, cut to land on t_end; a march needing more than
+    cfg.max_steps steps raises before the next.  A source built for other
+    laws is a ``ValueError``."""
     src = cfg.source
     if src is not None and (src.model, src.transport_model) != (model, transport_model):
         raise ValueError(f"the source's laws {src.model!r}, {src.transport_model!r} "
                          f"are not the run's {model!r}, {transport_model!r}")
-    if boundary is None:
-        if cfg.source is None:
-            raise ValueError("either boundary data or a source profile is required")
-        boundary = cfg.source.boundary
     if initial is None:
-        if cfg.source is None:
+        if src is None:
             raise ValueError("either an initial state or a source profile is required")
-        initial = FlowState(grid, *cfg.source.on_grid(grid, 0.0), 0.0)
+        initial = FlowState(grid, *src.on_grid(grid, 0.0), 0.0)
     boundary.validate_positive(grid, times=(0.0, cfg.t_end))
 
     state, initial = initial, None  # hold the current level only
@@ -377,15 +375,15 @@ def levels(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
 
 
 def simulate(grid: gridmod.Grid, cfg: SolverConfig, model: thermo.ThermoModel,
-             transport_model: transport.TransportModel,
-             boundary: Optional[gridmod.BoundaryData] = None,
+             transport_model: transport.TransportModel, boundary: gridmod.BoundaryData,
              initial: Optional[FlowState] = None) -> Trajectory:
-    """The states of :func:`levels`, stacked into a trajectory."""
-    states = list(levels(grid, cfg, model, transport_model, boundary, initial))
-    return Trajectory(grid=grid, times=np.asarray([s.t for s in states]),
-                      rho=np.stack([s.rho for s in states]),
-                      u=np.stack([s.u for s in states]),
-                      theta=np.stack([s.theta for s in states]), model=model,
-                      transport_model=transport_model,
-                      boundary=cfg.source.boundary if boundary is None else boundary,
-                      cfg=cfg)
+    """The states of :func:`levels`, stacked into a trajectory.  Each field
+    gathers in its own list, dropped as soon as its stack is made."""
+    fields = {"times": [], "rho": [], "u": [], "theta": []}
+    for s in levels(grid, cfg, model, transport_model, boundary, initial):
+        for name, x in zip(fields, (s.t, s.rho, s.u, s.theta)):
+            fields[name].append(x)
+    for name in fields:
+        fields[name] = np.stack(fields[name])
+    return Trajectory(grid=grid, model=model, transport_model=transport_model,
+                      boundary=boundary, cfg=cfg, **fields)

@@ -849,6 +849,23 @@ def test_unusable_grid_counts_are_a_config_error(tmp_path, capsys, monkeypatch,
     assert not out.exists()  # a refused value writes nothing
 
 
+def test_relenergy_refuses_an_eps_that_leaves_its_initial_state_nonpositive(tmp_path, capsys,
+                                                                            monkeypatch):
+    # rho0 + 0.9 sin(2 pi x) is negative from cell 43 of 64: the configured
+    # size is at fault, not the solver, so the value is refused before a run
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused value runs nothing")
+
+    monkeypatch.setattr(solver, "levels", refuse)
+    out = tmp_path / "out"
+    assert cli.main(["relenergy", "--eps", "0.9", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"experiment\.eps: the perturbation size 0\.9 leaves the initial state "
+                        r"nonpositive at cell \(43,\): rho = -0\.0395\d*, theta = 1\.929\d*\n",
+                        err), err
+    assert not out.exists()
+
+
 def test_a_refused_rerun_leaves_the_echo_beside_its_verdict(tmp_path, capsys):
     # a refused re-run into the same directory must not replace the echo
     # of the run whose verdict is still there

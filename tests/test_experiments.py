@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import CountingModel
+from nsflab import config, solver, thermo, transport, young
 from nsflab import experiments as ex
-from nsflab import solver, thermo, transport, young
 
 PG = thermo.PerfectGas(c_v=1.5)
 MR = thermo.MolecularRadiation(a=1.0)
@@ -560,6 +560,18 @@ def test_defect_study_runs_the_solver_on_its_fine_grids_only(monkeypatch):
     rep = ex.run_defect_study(spec)
     assert cells == [(64,), (128,)]
     assert rep.smooth_cells == (16, 32)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND in CHANGES.md: each smooth defect is max(d_diss) over the decay run's two "
+    "saved levels, and level 0 is the larger, while the oscillation part is built by hand "
+    "at t = 0; the default defect-study report reads no solver step"))
+def test_a_frozen_solver_changes_the_default_defect_study(monkeypatch):
+    spec = config.build_experiment_spec(config.default_config("defect"), "defect")
+    correct = ex.run_defect_study(spec)
+    # every step returns its state unchanged at t + dt; forked runs inherit it
+    monkeypatch.setattr(solver, "step", lambda state, *args: replace(state, t=state.t + args[-1]))
+    assert ex.run_defect_study(spec) != correct
 
 
 def test_defect_study_perturbs_nothing():

@@ -398,7 +398,7 @@ def test_report_is_identically_zero_on_resolved_equilibrium():
     sol = manufactured("equilibrium", MODEL, TM, dim=1)
     grid = gridmod.Grid(cells=(32,))
     cfg = solver.SolverConfig(t_end=0.02, source=sol, save_every=2)
-    traj = solver.simulate(grid, cfg, MODEL, TM)
+    traj = solver.simulate(grid, cfg, MODEL, TM, boundary=sol.boundary)
     rep = relenergy.rel_energy_inequality_report(young.dirac_from_trajectory(traj), None, sol)
     assert np.all(rep.e_mv == 0.0)
     assert np.all(rep.slack == 0.0)

@@ -66,7 +66,7 @@ def _count(name, stream):
     for _ in range(2):
         sol = mfg.manufactured(profile, model, tm)
         cfg = solver.SolverConfig(t_end=t_end, source=sol if forced else None, save_every=1)
-        boundary, initial = None, None
+        boundary, initial = sol.boundary, None
         if not forced:
             grid = gridmod.Grid(cells=cells)
             boundary = gridmod.constant_boundary(1.0)

@@ -53,7 +53,7 @@ def _equilibrium_trajectory(n=32, t_end=0.02, dim=1):
     sol = manufactured("equilibrium", MODEL, TM, dim=dim)
     grid = gridmod.Grid(cells=(n,) * dim)
     cfg = solver.SolverConfig(t_end=t_end, source=sol, save_every=2)
-    return solver.simulate(grid, cfg, MODEL, TM), sol
+    return solver.simulate(grid, cfg, MODEL, TM, boundary=sol.boundary), sol
 
 
 def _decay_trajectory(n, t_end=0.05, save_every=4):
@@ -811,7 +811,7 @@ def _radiative_run():
     model, tm = thermo.MolecularRadiation(a=1.0), transport.PowerKappa()
     sol = manufactured("radiative_decay", model, tm)
     cfg = solver.SolverConfig(t_end=0.01, save_every=3, source=sol)
-    return solver.simulate(gridmod.Grid(cells=(16, 16)), cfg, model, tm)
+    return solver.simulate(gridmod.Grid(cells=(16, 16)), cfg, model, tm, boundary=sol.boundary)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
