@@ -8,16 +8,16 @@ flags over both.  A flag and a file key are one setting: each flag of
 as a file value is, and its help names the key.
 
 Every command then takes one path, :func:`_run`, under ``<out>/<command>/``:
-a refused value exits 2 and writes nothing (a study runs the lists its
-config gives, so an emptied grid list, eps list or profile is refused); a
-hypothesis-gate rejection writes the echo ``config-effective.ini`` and a
-rejection ``verdict.json`` and exits 1; a run writes the echo, its CSV
-series and ``.npy`` snapshots, and ``verdict.json``, and exits 0 only if
-every assertion holds, else 1.  Each command decides its ``ok`` from its
-``reports.Bound`` records with ``Bound.judge`` (``mv-check``'s and
-``relenergy``'s records are built and judged here, the others where their
-values are computed); :func:`_run` writes the records and names the first
-failing one.
+a value ``config`` refuses exits 2 and writes nothing (a study runs the
+lists its config gives, so an emptied grid list, eps list or profile is
+refused); a hypothesis-gate rejection writes the echo
+``config-effective.ini`` and a rejection ``verdict.json`` and exits 1; a run
+writes the echo, its CSV series and ``.npy`` snapshots, and
+``verdict.json``, and exits 0 only if every assertion holds, else 1.  Each
+command decides its ``ok`` from its ``reports.Bound`` records with
+``Bound.judge`` (``mv-check``'s and ``relenergy``'s records are built and
+judged here, the others where their values are computed); :func:`_run`
+writes the records and names the first failing one.
 Re-running with the echo alone repeats the run, and identical (config,
 seed) pairs produce byte-identical reports.
 """
@@ -143,10 +143,7 @@ def _run(args, command: str, row: str, build) -> int:
 
 def _tol(cfg: configmod.RunConfig, grid) -> float:
     """An audit's tolerance: experiment.tol_scale times the widest cell."""
-    scale = cfg["experiment"]["tol_scale"]
-    if scale < 0.0:
-        raise configmod.ConfigError(f"experiment.tol_scale: must be >= 0, got {scale!r}")
-    return scale * max(grid.h)
+    return cfg["experiment"]["tol_scale"] * max(grid.h)
 
 
 def _simulate(cfg):
@@ -175,11 +172,6 @@ def _simulate(cfg):
 
 def _verify_thermo(cfg):
     seed, samples = cfg["run"]["seed"], cfg["run"]["samples"]
-    if samples < 2:
-        raise configmod.ConfigError("run.samples: the convexity check needs at least 2 "
-                                    f"sampled states, got {samples}")
-    if seed < 0:
-        raise configmod.ConfigError(f"run.seed: must be >= 0, got {seed}")
     model = configmod.build_model(cfg)
 
     def run():
@@ -237,18 +229,7 @@ def _mv_check(cfg):
 
 def _relenergy(cfg):
     cfg, sol, grid = _flow(cfg)
-    if len(cfg["experiment"]["eps"]) != 1:
-        raise configmod.ConfigError("experiment.eps: relenergy runs exactly one "
-                                    "perturbation size")
-    eps = cfg["experiment"]["eps"][0]
-    if not eps > 0.0:
-        raise configmod.ConfigError(f"experiment.eps: the perturbation size must be > 0, "
-                                    f"got {eps!r}")
-    init = experiments.perturbed_state(sol, grid, eps)
-    if not init.is_positive():
-        raise configmod.ConfigError(
-            f"experiment.eps: the perturbation size {eps!r} leaves the initial state "
-            "nonpositive at " + solver._first_nonpositive(init.rho, init.theta))
+    init = configmod.build_perturbation(cfg, sol, grid)
     scfg = configmod.build_solver_config(cfg, sol)
     tol = _tol(cfg, grid)
 
@@ -274,7 +255,7 @@ def _relenergy(cfg):
             "gronwall_c": rep.gronwall_c,
             "reduced_c_required": rep.reduced_c_required,
             "e_mv_initial": float(rep.e_mv[0]), "e_mv_final": float(rep.e_mv[-1]),
-            "eps": eps, "cells": _cells(grid), "profile": sol.profile,
+            "eps": cfg["experiment"]["eps"][0], "cells": _cells(grid), "profile": sol.profile,
         }
         return bounds, f"slack_min = {slack_min:.3e} >= -{tol:.1e}", {
             "series.csv": series, "verdict.json": verdict}
@@ -371,11 +352,11 @@ _ROWS = {"defect-study": "defect"}
 
 
 def _flag_type(section: str, key: str):
-    """The argparse type of a flag: the schema's parser of its key."""
+    """The argparse type of a flag: the schema's parser of its key, less the floor."""
 
     def parse(raw: str):
         try:
-            return configmod.parse_value(section, key, raw)
+            return configmod.parse_value(section, key, raw, floor=False)
         except configmod.ConfigError as err:
             raise argparse.ArgumentTypeError(str(err)) from None
     return parse

@@ -2,12 +2,13 @@
 
 A run is reproducible from its config file plus a seed, so the schema is
 strict: unknown sections or keys are rejected by name, values are parsed by
-declared type (finite numbers, closed sets within ``CHOICES``) and refused
-by their key, and saving a loaded config reproduces it exactly (floats are
-written in shortest round-trip form).  Each command starts from its own row
-of defaults (:func:`default_config`), reads its file over that row and its
-flags over both, so the echo of what it ran is one complete config.  The
-builders take the values as they are: a study refuses an emptied grid
+declared type (finite numbers, closed sets, floors) and refused by their
+key: this module is the one place a configured value is refused, at parse or
+by a builder, before anything runs.  Saving a loaded config reproduces it
+exactly (floats in shortest round-trip form).  Each command starts from its
+own row of defaults (:func:`default_config`), reads its file over that row
+and its flags over both, so the echo of what it ran is one complete config.
+The builders take the values as they are: a study refuses an emptied grid
 list, eps list or profile rather than fall back to its claim's row.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import grid as gridmod
-from . import solver, thermo, transport
+from . import experiments, solver, thermo, transport
 from .experiments import CLAIM_DEFAULTS, ExperimentSpec, HypothesisGateError
 from .manufactured import StrongSolution, manufactured, profile_names
 
@@ -41,6 +42,7 @@ __all__ = [
     "build_grid",
     "build_source",
     "build_solver_config",
+    "build_perturbation",
     "build_experiment_spec",
 ]
 
@@ -54,6 +56,8 @@ TRANSPORT_KINDS = ("affine_theta", "power_kappa")
 # (section, key) -> the closed value set of a str key, as the builders read it
 CHOICES = {("model", "kind"): MODEL_KINDS, ("model", "kernel"): tuple(thermo.KERNELS),
            ("transport", "kind"): TRANSPORT_KINDS, ("solver", "profile"): profile_names()}
+# (section, key) -> the least value of a number key, in every command that reads it or not
+_FLOORS = {("run", "seed"): 0, ("run", "samples"): 2, ("experiment", "tol_scale"): 0}
 
 # section -> key -> (kind, default); the kind says how a raw string is parsed
 # and rendered, and an "opt_float" left empty is None
@@ -115,20 +119,18 @@ class RunConfig:
     def replace_value(self, section: str, key: str, value) -> "RunConfig":
         """Copy with one value swapped (validated against the schema kind)."""
 
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown configuration key {section}.{key}")
         out = {s: dict(vals) for s, vals in self.sections.items()}
         out[section][key] = parse_value(section, key,
                                         _render(_SCHEMA[section][key][0], value))
         return RunConfig(sections=out)
 
 
-def parse_value(section: str, key: str, raw: str):
+def parse_value(section: str, key: str, raw: str, floor: bool = True):
     """``raw`` parsed by the schema kind of ``section.key``, as a file value
-    or a flag is.  A malformed or non-finite number, or a closed-set value
-    outside ``CHOICES`` other than the key's schema default, is a
-    ``ConfigError`` that starts with the key.  The empty solver.profile
-    default parses, so that ``build_source`` refuses it by name."""
+    or a flag is.  A malformed or non-finite number, a closed-set value outside
+    ``CHOICES`` other than the key's schema default, or (with ``floor``) one
+    below ``_FLOORS`` is a ``ConfigError`` that starts with the key.  The
+    empty solver.profile default parses, so ``build_source`` refuses it by name."""
 
     kind, default = _SCHEMA[section][key]
     path = f"{section}.{key}"
@@ -136,6 +138,8 @@ def parse_value(section: str, key: str, raw: str):
     choices = CHOICES.get((section, key))
     if choices is not None and value != default and value not in choices:
         raise ConfigError(f"{path} must be one of {', '.join(choices)}, got {value!r}")
+    if floor and (section, key) in _FLOORS and value < _FLOORS[section, key]:
+        raise ConfigError(f"{path}: must be >= {_FLOORS[section, key]}, got {value!r}")
     return value
 
 
@@ -334,11 +338,31 @@ def build_solver_config(cfg: RunConfig,
                       max_steps=block["max_steps"], source=source)
 
 
+def build_perturbation(cfg: RunConfig, sol: StrongSolution, grid: gridmod.Grid,
+                       eps: Optional[float] = None) -> solver.FlowState:
+    """``experiments.perturbed_state`` of size ``eps``, else of relenergy's one size;
+    refused unless there is one size, > 0, that leaves rho and theta positive."""
+
+    sizes = cfg["experiment"]["eps"] if eps is None else (eps,)
+    if len(sizes) != 1:
+        raise ConfigError("experiment.eps: relenergy runs exactly one perturbation size")
+    eps = sizes[0]
+    if not eps > 0.0:
+        raise ConfigError(f"experiment.eps: the perturbation size must be > 0, got {eps!r}")
+    init = experiments.perturbed_state(sol, grid, eps)
+    if not init.is_positive():
+        raise ConfigError(
+            f"experiment.eps: the perturbation size {eps!r} leaves the initial state "
+            "nonpositive at " + solver._first_nonpositive(init.rho, init.theta))
+    return init
+
+
 def build_experiment_spec(cfg: RunConfig, theorem: str) -> ExperimentSpec:
     """The gated spec of claim ``theorem`` with the grids, perturbation sizes
-    and profile the config lists, as given: an emptied grid or eps list is
-    refused by the spec, and an emptied profile, or one the models cannot
-    carry, by :func:`build_source`, after the gate has had its say."""
+    and profile the config lists, as given: an emptied grid or eps list is refused
+    by the spec, an emptied profile or one the models cannot carry by
+    :func:`build_source` after the gate, and an eps that leaves a claim run's
+    initial state nonpositive by :func:`build_perturbation`."""
 
     block = cfg["experiment"]
     spec = _construct(
@@ -347,5 +371,8 @@ def build_experiment_spec(cfg: RunConfig, theorem: str) -> ExperimentSpec:
         eps_list=block["eps"], grids=block["grids"],
         solver=build_solver_config(cfg), theta_scale=block["theta_scale"],
         theta_tilt=block["theta_tilt"], c_fixed=block["c_fixed"])
-    build_source(cfg)
+    sol = build_source(cfg)
+    for n, eps in experiments.claim_runs(spec) if theorem in ("1", "2", "3") else ():
+        if eps is not None:
+            build_perturbation(cfg, sol, gridmod.Grid(cells=(n,) * sol.dim), eps)
     return spec

@@ -53,6 +53,7 @@ __all__ = [
     "AprioriReport",
     "DefectStudyReport",
     "perturbed_state",
+    "claim_runs",
     "run_theorem",
     "run_apriori",
     "run_defect_study",
@@ -559,18 +560,19 @@ def perturbed_state(sol: StrongSolution, grid: gridmod.Grid,
     over the axes in 2D, where u_y gets -1/2 times the u_x bump)."""
     pts = grid_points(grid)
     rho0, u0, th0 = sol.on_grid(grid, 0.0)
-    if grid.dim == 1:
-        x = pts[..., 0]
-        bump_rho = np.sin(2.0 * np.pi * x)
-        bump = np.sin(np.pi * x)
-        du = bump[..., None]
-    else:
-        x, y = pts[..., 0], pts[..., 1]
-        bump_rho = np.sin(2.0 * np.pi * x) * np.sin(2.0 * np.pi * y)
-        bump = np.sin(np.pi * x) * np.sin(np.pi * y)
-        du = np.stack([bump, -0.5 * bump], axis=-1)
+    bump_rho = np.multiply.reduce(np.sin(2.0 * np.pi * pts), axis=-1)
+    bump = np.multiply.reduce(np.sin(np.pi * pts), axis=-1)
+    du = bump[..., None] * (1.0, -0.5)[:grid.dim]
     return solver.FlowState(grid=grid, rho=rho0 + eps * bump_rho,
                             u=u0 + eps * du, theta=th0 + eps * bump, t=0.0)
+
+
+def claim_runs(spec: ExperimentSpec) -> list[tuple[int, Optional[float]]]:
+    """The runs ``(cells per axis, eps or None)`` of :func:`run_theorem`: the collapse
+    ladder, each eps on the finest grid, and the largest on the next-coarser one."""
+    grids, sizes = spec.grids, spec.eps_list
+    return ([(n, None) for n in grids] + [(grids[-1], eps) for eps in sizes]
+            + [(grids[-2], max(sizes))])
 
 
 def run_theorem(spec: ExperimentSpec) -> TheoremReport:
@@ -627,6 +629,9 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
         rep = relenergy.rel_energy_series(states if read is None else reading(states), sol)
         if eps is None:
             return float(np.max(rep.e_mv)), rows
+        if rep.times.size < 3:  # a line through two points fits any rate
+            raise ValueError(f"t_end: the perturbed run on {grid.cells} cells with eps = "
+                             f"{eps!r} saved {rep.times.size} levels, fewer than 3")
         start = float(rep.e_mv[0])
         if start <= 0.0:
             raise RuntimeError(
@@ -657,15 +662,9 @@ def run_theorem(spec: ExperimentSpec) -> TheoremReport:
                 float(np.max(theta ** model.c_v / (rho * np.exp(_ENTROPY_CAP)))),
                 float(np.max(np.abs(eos["p"]) / (1.0 + rho * eos["e"] + rho * s_abs))))
 
-    # the collapse ladder, the perturbed runs on the finest grid, and one
-    # grid-refinement cross-check of the fitted constant: the largest
-    # perturbation (the one farthest from the collapse floor) repeated on the
-    # next-coarser grid
     n_collapse = len(spec.grids)
-    idx = int(np.argmax(spec.eps_list))
-    runs = ([(n, None) for n in spec.grids]
-            + [(spec.grids[-1], eps) for eps in spec.eps_list]
-            + [(spec.grids[-2], spec.eps_list[idx])])
+    runs = claim_runs(spec)
+    idx = spec.eps_list.index(runs[-1][1])  # the size the cross-check repeats
     if spec.theorem == "1":
         reads = [window] * len(runs)
     elif spec.theorem == "2":

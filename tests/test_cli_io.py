@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -459,7 +460,8 @@ _ECHO_RUNS = {
     "mv-check": ["mv-check", "--cells", "16", "--t-end", "0.002", "--tol-scale", "1e-6"],
     "relenergy": ["relenergy", "--cells", "16", "--eps", "2e-3", "--t-end", "0.002",
                   "--tol-scale", "0.5"],
-    "wsu": ["wsu", "--theorem", "1", "--grids", "8,16", "--t-end", "0.002"],
+    # each perturbed run saves at least the 3 levels its growth constant is fitted on
+    "wsu": ["wsu", "--theorem", "1", "--grids", "8,16", "--t-end", "0.015"],
     "apriori": ["apriori", "--grids", "8,16", "--t-end", "0.002", "--c-fixed", "1e-3"],
     "defect-study": ["defect-study", "--grids", "16,32"],
 }
@@ -785,6 +787,13 @@ def _schema_rows():
                  id="relenergy-tol-scale-neg"),
     pytest.param(["verify-thermo", "--seed", "-1"], None, "run.seed",
                  id="verify-thermo-seed-neg"),
+    # the floors hold in every command, whether it reads the key or not
+    pytest.param(["simulate", "--seed", "-1"], None, "run.seed", id="simulate-seed-neg"),
+    pytest.param(["apriori", "--seed", "-1"], None, "run.seed", id="apriori-seed-neg"),
+    pytest.param(["wsu", "--theorem", "1"], "[run]\nsamples = 1\n", "run.samples",
+                 id="wsu-1-samples-1"),
+    pytest.param(["simulate"], "[experiment]\ntol_scale = -2\n", "experiment.tol_scale",
+                 id="simulate-tol-scale-neg"),
     pytest.param(["simulate", "--cells", ""], None, "grid.cells", id="simulate-cells-empty"),
     pytest.param(["simulate", "--cells", "8,8"], None, "grid.cells", id="simulate-cells-2d"),
     pytest.param(["mv-check"], "[solver]\nprofile =\n", "solver.profile",
@@ -866,10 +875,48 @@ def test_relenergy_refuses_an_eps_that_leaves_its_initial_state_nonpositive(tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("theorem, eps, cell", [("1", "0.9", r"\(43,\)"),
+                                                ("3", "5", r"\(1, 20\)")],
+                         ids=["1", "3"])
+def test_wsu_refuses_an_eps_that_leaves_a_perturbed_state_nonpositive(
+        tmp_path, capsys, monkeypatch, theorem, eps, cell):
+    # each perturbed state of the study is built and checked before any run
+    # is forked, so the size is refused by its key and no log of a negative
+    # density is taken
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused value runs nothing")
+
+    monkeypatch.setattr(solver, "levels", refuse)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["wsu", "--theorem", theorem, "--eps", f"{eps},1e-2",
+                         "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not caught
+    size = re.escape(repr(float(eps)))
+    assert re.fullmatch(rf"experiment\.eps: the perturbation size {size} leaves the initial "
+                        rf"state nonpositive at cell {cell}: rho = -[^\n]*\n", err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theorem", ["1", "2"])
+def test_a_claim_study_refuses_an_end_time_too_short_to_fit_a_growth_rate(
+        tmp_path, capsys, theorem):
+    # each perturbed run saves 2 levels, a line through two points: its
+    # fitted constant is noise, so the study exits 1 and writes no verdict
+    code = cli.main(["wsu", "--theorem", theorem, "--t-end", "2e-12", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.fullmatch(r"t_end: the perturbed run on \(64,\) cells with eps = 0\.01 saved 2 "
+                        r"levels, fewer than 3\n", err), err
+    assert sorted(os.listdir(tmp_path / "wsu")) == ["config-effective.ini"]
+
+
 def test_a_refused_rerun_leaves_the_echo_beside_its_verdict(tmp_path, capsys):
     # a refused re-run into the same directory must not replace the echo
     # of the run whose verdict is still there
-    run = ["wsu", "--theorem", "1", "--grids", "8,16", "--t-end", "0.002"]
+    run = ["wsu", "--theorem", "1", "--grids", "8,16", "--t-end", "0.015"]
     assert cli.main(run + ["--out", str(tmp_path / "first")]) in (0, 1)
     assert cli.main(["wsu", "--theorem", "1", "--grids", "32",
                      "--out", str(tmp_path / "first")]) == 2
@@ -944,7 +991,7 @@ def test_studies_run_the_configured_profile(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[solver]\nprofile = conduction\n")
     code = cli.main(["wsu", "--theorem", "1", "--grids", "8,16",
-                     "--t-end", "0.005", "--config", str(ini),
+                     "--t-end", "0.02", "--config", str(ini),
                      "--out", str(tmp_path)])
     capsys.readouterr()
     assert code in (0, 1)  # the verdict, pass or fail, names the flow it ran

@@ -513,3 +513,41 @@ def test_save_every_levels():
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.02, abs=1e-12)
     assert np.all(np.diff(traj.times) > 0)
+
+
+def _unforced(sol, cells, rho, u, theta):
+    """An unforced march of (rho, u, theta) under ``sol``'s wall to t = 0.02."""
+    grid = g.Grid(cells=cells)
+    return solver.simulate(grid, solver.SolverConfig(t_end=0.02, save_every=1), sol.model,
+                           sol.transport_model, boundary=sol.boundary,
+                           initial=solver.FlowState(grid, rho, u, theta, 0.0))
+
+
+def test_a_mirrored_flow_marches_to_the_mirror_bit_for_bit():
+    # mv-check's default flow and its mirror x -> 1 - x, u -> -u: the scheme
+    # treats both walls alike, so every level is the mirror of the other run's
+    sol = mfg.manufactured("shear", PG, AFF)
+    rho, u, theta = sol.on_grid(g.Grid(cells=(48,)), 0.0)
+    run = _unforced(sol, (48,), rho, u, theta)
+    mirror = _unforced(sol, (48,), rho[::-1], -u[::-1], theta[::-1])
+    assert run.n_levels == mirror.n_levels > 2
+    assert np.array_equal(mirror.times, run.times)
+    assert np.array_equal(mirror.rho, run.rho[:, ::-1])
+    assert np.array_equal(mirror.theta, run.theta[:, ::-1])
+    assert np.array_equal(mirror.u, -run.u[:, ::-1])
+
+
+def test_a_transposed_flow_marches_to_the_transpose():
+    # claim 3's laws from radiative_decay's state at t = 0, unforced (the
+    # forced flow is not transpose-symmetric: u_y = -0.8 u_x), on a grid that
+    # is not square, so that a defect confined to one axis moves a level
+    sol = mfg.manufactured("radiative_decay", thermo.MolecularRadiation(a=1.0), PK)
+    rho, u, theta = sol.on_grid(g.Grid(cells=(16, 24)), 0.0)
+    run = _unforced(sol, (16, 24), rho, u, theta)
+    swap = _unforced(sol, (24, 16), rho.T, u.transpose(1, 0, 2)[..., ::-1], theta.T)
+    assert run.n_levels == swap.n_levels > 2
+    np.testing.assert_allclose(swap.times, run.times, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(swap.rho, run.rho.transpose(0, 2, 1), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(swap.theta, run.theta.transpose(0, 2, 1), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(swap.u, run.u.transpose(0, 2, 1, 3)[..., ::-1], rtol=0.0,
+                               atol=1e-13)
